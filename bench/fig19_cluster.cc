@@ -97,8 +97,10 @@ CrowdResult RunFlashCrowd() {
   cfg.measure_ns = static_cast<sim::Tick>(4 * sim::kMsec * BenchScale());
   cfg.hotshift_at_ns = cfg.warmup_ns + cfg.measure_ns / 3;
   // Trigger threshold between the settled imbalance (hot shards spread by
-  // the seeded placement) and the post-shift concentration, with a long
-  // cooldown so the response is a short migration burst, not a ping-pong.
+  // the seeded placement) and the post-shift concentration. The cooldown
+  // only spaces the migrations out; what keeps a shard from ping-ponging is
+  // the rebalancer's rule that a move must lower the predicted peak node
+  // load (PickRebalanceMove), which a dominant shard's move never does.
   cfg.cluster.rebalance_period_ns = 150 * sim::kUsec;
   cfg.cluster.imbalance_factor = 1.8;
   cfg.cluster.rebalance_min_ops = 200;

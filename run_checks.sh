@@ -1,13 +1,16 @@
 #!/bin/bash
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
-# the CR-MR ring / store probe tests, and the mutation smoke-check.
+# the CR-MR ring / store probe tests, the mutation smoke-check, and
+# kvbench's smoke pass and audit test.
 #
 # Default: build the "default" preset and run the checks at the CI seed
 # budget (20 seeds per workload per system).
 #
 # MUTPS_DST=1       additionally builds the "asan" preset and repeats a short
 #                   seed sweep with sanitizers + invariant probes on — the
-#                   sanitizer CI job for the checking harness.
+#                   sanitizer CI job for the checking harness — plus obs_test,
+#                   whose traced run cut off mid-tune guards the harness's
+#                   teardown order.
 # MUTPS_DST_SEEDS=N overrides the seed count (the ASan leg defaults to 6
 #                   because each simulated run is ~10x slower under ASan).
 # MUTPS_DST_FAULTS=1 additionally runs the DST fault-profile sweep (loss+dup,
@@ -48,6 +51,16 @@ if ! diff -u /tmp/golden_committed.$$ /tmp/golden_rows.$$; then
 fi
 rm -f /tmp/golden_rows.$$ /tmp/golden_committed.$$
 echo "=== golden rows match ==="
+
+# kvbench's own checks (kvbench/README.md), both registered in its ctest:
+# kvbench_smoke runs `run.py --smoke` (every workload at smoke scale, untraced
+# and traced, checking its correctness verdict and metric names against
+# BENCHMARK.json); kvbench_audit_test shows the store audit catches corruption.
+echo "=== kvbench smoke + audit test (.bench_build) ==="
+cmake -S kvbench -B .bench_build -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+cmake --build .bench_build -j "$(nproc)" >/dev/null
+ctest --test-dir .bench_build --output-on-failure --no-tests=error
+echo "=== kvbench checks passed ==="
 
 # Parallel-backend equivalence (DESIGN.md §11): the partitioned engine must
 # reproduce the serial engine's results exactly for any host-thread count.
@@ -166,7 +179,7 @@ if [ "${MUTPS_DST:-0}" != "0" ]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)"
   MUTPS_DST_SEEDS="${MUTPS_DST_SEEDS:-6}" \
-    ctest --preset asan -R "$CHECKS" -j "$(nproc)"
+    ctest --preset asan -R "$CHECKS|obs_test" -j "$(nproc)"
   echo "=== sanitized DST sweep passed ==="
 fi
 

@@ -42,6 +42,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ namespace utps::cluster {
 
 // A manager-driven migration at a fixed virtual time (DST and benches use
 // these for reproducible schedules; the hotset rebalancer migrates on its
-// own signal when rebalance_period_ns > 0).
+// own signal when rebalance_period_ns > 0, see PickRebalanceMove).
 struct ForcedMigration {
   sim::Tick at_ns = 0;
   uint64_t shard = 0;
@@ -1132,6 +1133,67 @@ class ClusterNode {
   std::vector<uint8_t> mig_buf_;  // host-side wire staging (not modeled)
 };
 
+// ------------------------------------------------------------- rebalancer
+// One hotset-rebalancer decision over a period's loads (load[n]: ops node n
+// served as primary; delta[n][s]: the part of it on shard s). The hot node is
+// the live node with the highest load and the cool node the live node with
+// the lowest, ties to the lower node id. The trigger fires when the hot node
+// served at least min_ops and imbalance_factor x the cool node's load (an
+// idle cool node counts as 1). Each shard s the hot node leads with
+// d = delta[hot][s] > 0 then predicts the pair's peak after its move,
+// max(load[hot] - d, load[cool] + d); the lowest prediction wins, ties to the
+// lower shard id. The move is taken only if that peak is strictly below
+// load[hot]: a shard carrying more than the gap between the two nodes would
+// only relocate the hotspot (and bounce back after the cooldown), so a single
+// dominant shard stays put while a node holding several warm shards sheds one.
+struct RebalanceMove {
+  uint64_t shard = 0;  // led by the hot node
+  int dst = -1;        // the cool node
+};
+
+inline std::optional<RebalanceMove> PickRebalanceMove(
+    const std::vector<uint64_t>& load,
+    const std::vector<std::vector<uint64_t>>& delta,
+    const std::vector<int>& primary, const std::vector<bool>& dead,
+    double imbalance_factor, uint64_t min_ops) {
+  int hot = -1;
+  int cool = -1;
+  for (size_t n = 0; n < load.size(); n++) {
+    if (dead[n]) {
+      continue;
+    }
+    if (hot < 0 || load[n] > load[hot]) {
+      hot = static_cast<int>(n);
+    }
+    if (cool < 0 || load[n] < load[cool]) {
+      cool = static_cast<int>(n);
+    }
+  }
+  if (hot < 0 || hot == cool) {
+    return std::nullopt;
+  }
+  const uint64_t lo = load[cool] > 0 ? load[cool] : 1;
+  if (load[hot] < min_ops ||
+      static_cast<double>(load[hot]) <
+          imbalance_factor * static_cast<double>(lo)) {
+    return std::nullopt;
+  }
+  std::optional<RebalanceMove> best;
+  uint64_t best_peak = load[hot];  // a move must beat the current peak
+  for (size_t sh = 0; sh < primary.size(); sh++) {
+    const uint64_t d = delta[hot][sh];
+    if (primary[sh] != hot || d == 0) {
+      continue;
+    }
+    const uint64_t peak = std::max(load[hot] - d, load[cool] + d);
+    if (peak < best_peak) {
+      best_peak = peak;
+      best = RebalanceMove{sh, cool};
+    }
+  }
+  return best;
+}
+
 // ---------------------------------------------------------------- manager
 // Owns the authoritative shard assignment table; learns node liveness only
 // through probe responses over the simulated wires. Drives failover (probe
@@ -1503,9 +1565,8 @@ class ClusterManager {
   }
 
   // Hotset-driven rebalancer: per-period deltas of each node's primary
-  // shard-op counters (the autotuner-style load signal); when the hottest
-  // node's load exceeds imbalance_factor x the coolest's, its hottest shard
-  // migrates there.
+  // shard-op counters (the autotuner-style load signal), handed to
+  // PickRebalanceMove once the cooldown since the last migration has passed.
   sim::Fiber RebalanceMain() {
     sim::ExecCtx& ctx = reb_ctx_;
     for (;;) {
@@ -1531,39 +1592,20 @@ class ClusterManager {
           mig_active_) {
         continue;
       }
-      int hot = -1, cool = -1;
-      for (unsigned n = 0; n < params_.nodes; n++) {
-        if (views_[n].dead) {
-          continue;
-        }
-        if (hot < 0 || load[n] > load[hot]) {
-          hot = static_cast<int>(n);
-        }
-        if (cool < 0 || load[n] < load[cool]) {
-          cool = static_cast<int>(n);
-        }
-      }
-      if (hot < 0 || cool < 0 || hot == cool) {
-        continue;
-      }
-      const uint64_t lo = load[cool] > 0 ? load[cool] : 1;
-      if (load[hot] < params_.rebalance_min_ops ||
-          static_cast<double>(load[hot]) <
-              params_.imbalance_factor * static_cast<double>(lo)) {
-        continue;
-      }
-      uint64_t hottest = 0;
-      uint64_t best = 0;
+      std::vector<int> primary(params_.shards);
       for (uint64_t sh = 0; sh < params_.shards; sh++) {
-        if (assign_[sh].primary == hot && delta[hot][sh] > best) {
-          best = delta[hot][sh];
-          hottest = sh;
-        }
+        primary[sh] = assign_[sh].primary;
       }
-      if (best == 0) {
-        continue;
+      std::vector<bool> dead(params_.nodes);
+      for (unsigned n = 0; n < params_.nodes; n++) {
+        dead[n] = views_[n].dead;
       }
-      co_await DoMigrate(ctx, hottest, cool);
+      const std::optional<RebalanceMove> mv = PickRebalanceMove(
+          load, delta, primary, dead, params_.imbalance_factor,
+          params_.rebalance_min_ops);
+      if (mv.has_value()) {
+        co_await DoMigrate(ctx, mv->shard, mv->dst);
+      }
     }
   }
 

@@ -44,6 +44,13 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
     resp_bufs_.push_back(std::make_unique<RespBuffer>(env_.arena));
     wk.resp = resp_bufs_.back().get();
     wk.staging.resize(w);
+    for (Worker::Staging& st : wk.staging) {
+      // A staging buffer flushes once it holds batch_size descriptors, so
+      // this capacity is never outgrown: the first batch a worker sends to a
+      // target late in a run allocates nothing (DESIGN.md §13).
+      st.descs.reserve(opt_.batch_size);
+      st.host.reserve(opt_.batch_size);
+    }
     wk.seen_tail.assign(w, 0);
     wk.pop_cursor.assign(w, 0);
   }

@@ -697,6 +697,17 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   res.sched_clamps = sched.sealed_clamps;
   res.host_threads = parallel ? want : 1;
   res.measure_allocs = measure_allocs;
+  // Tear the fibers down before the server, observer and client state they
+  // point into: an auto-tuner search the run cut off is still suspended
+  // inside obs::SpanScopes, which read the server's ExecCtx and the tracer
+  // when their frames go.
+  if (psim != nullptr) {
+    for (unsigned p = 0; p < psim->partitions(); p++) {
+      psim->engine(p).DestroyFibers();
+    }
+  } else {
+    eng.DestroyFibers();
+  }
   return res;
 }
 

@@ -228,23 +228,25 @@ void BTreeIndex::BulkLoadDirect(const std::vector<std::pair<Key, Item*>>& sorted
   while (level.size() > 1) {
     std::vector<Node*> up;
     std::vector<Key> up_min;
-    const unsigned per_node = kFanout - 2 + 1;  // children per internal node
+    const size_t per_node = kFanout - 2 + 1;  // children per internal node
     size_t j = 0;
     Node* iprev = nullptr;
     while (j < level.size()) {
+      // An internal node needs at least two children (one separator): when
+      // a full node would leave a single child for the last one, this node
+      // takes one child fewer and the last gets two.
+      const size_t left = level.size() - j;
+      const size_t take = left == per_node + 1 ? per_node - 1
+                                               : std::min(left, per_node);
       Node* n = NewNode(false);
-      unsigned cnt = 0;
       n->ptrs[0] = level[j];
       const Key nmin = level_min[j];
-      j++;
-      cnt = 0;
-      while (j < level.size() && cnt < per_node - 1) {
-        n->keys[cnt] = level_min[j];
-        n->ptrs[cnt + 1] = level[j];
-        cnt++;
-        j++;
+      for (size_t c = 1; c < take; c++) {
+        n->keys[c - 1] = level_min[j + c];
+        n->ptrs[c] = level[j + c];
       }
-      n->nkeys = static_cast<uint16_t>(cnt);
+      j += take;
+      n->nkeys = static_cast<uint16_t>(take - 1);
       if (iprev != nullptr) {
         iprev->right = n;
         iprev->has_high = 1;

@@ -302,6 +302,21 @@ class Engine {
     nested_resume_depth_--;
   }
 
+  // Destroys every spawned fiber's frame, finished or suspended; locals
+  // (including nested Task objects) go transitively, releasing nested frames.
+  // The destructor does this too, but a frame's locals may point into objects
+  // that die before the engine (an obs::SpanScope reads its ExecCtx and
+  // tracer on exit), so an owner tears the fibers down while those are still
+  // alive. The engine must not Run afterwards.
+  void DestroyFibers() {
+    for (auto h : fibers_) {
+      if (h) {
+        h.destroy();
+      }
+    }
+    fibers_.clear();
+  }
+
   uint64_t live_fibers() const { return live_fibers_; }
   bool idle() const { return pending_ == 0; }
   const Stats& stats() const { return stats_; }
@@ -555,17 +570,6 @@ class Engine {
     }
     pending_--;
     return true;
-  }
-
-  void DestroyFibers() {
-    // Destroy outermost frames; locals (including nested Task objects) are
-    // destroyed transitively, releasing nested coroutine frames.
-    for (auto h : fibers_) {
-      if (h) {
-        h.destroy();
-      }
-    }
-    fibers_.clear();
   }
 
   Tick now_ = 0;

@@ -1,9 +1,10 @@
 // Functional tests for the scale-out tier (src/cluster): routing round trips,
 // replication, NOT_OWNER redirects, forced migration, primary-crash failover,
-// and determinism of the cluster harness.
+// the rebalancer's move rule, and determinism of the cluster harness.
 #include "cluster/cluster.h"
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "cluster/client.h"
@@ -174,6 +175,98 @@ TEST(Cluster, SingleNodeClusterWorks) {
   EXPECT_EQ(cluster.node(0)->stats().repl_applied, 0u);
   cluster.Stop();
   eng.Run(eng.now() + sim::kMsec);
+}
+
+// ------------------------------------------------------- rebalancer rule
+// PickRebalanceMove over hand-built periods: delta[node][shard] ops, each
+// node's load the sum of its row, with the trigger at the ClusterParams
+// defaults (imbalance_factor 3, rebalance_min_ops 200).
+std::optional<RebalanceMove> Pick(
+    const std::vector<std::vector<uint64_t>>& delta,
+    const std::vector<int>& primary, const std::vector<bool>& dead) {
+  std::vector<uint64_t> load;
+  for (const std::vector<uint64_t>& row : delta) {
+    uint64_t sum = 0;
+    for (uint64_t d : row) {
+      sum += d;
+    }
+    load.push_back(sum);
+  }
+  const ClusterParams p;
+  return PickRebalanceMove(load, delta, primary, dead, p.imbalance_factor,
+                           p.rebalance_min_ops);
+}
+
+TEST(RebalanceRule, DominantShardStays) {
+  // Node 0 serves 1000 ops, all on shard 0; node 1 serves 100. Moving
+  // shard 0 would put 1100 on node 1: the hotspot moves, the peak rises.
+  const std::vector<std::vector<uint64_t>> delta = {{1000, 0, 0},
+                                                    {0, 100, 0},
+                                                    {0, 0, 150}};
+  EXPECT_FALSE(Pick(delta, {0, 1, 2}, {false, false, false}).has_value());
+  // The same node also leading an idle shard changes nothing: a shard with
+  // no ops in the period is never a candidate.
+  EXPECT_FALSE(Pick(delta, {0, 1, 0}, {false, false, false}).has_value());
+}
+
+TEST(RebalanceRule, MovesTheShardThatMinimisesThePeak) {
+  // Node 0: shard 0 at 600 ops, shard 1 at 400 (load 1000); node 1 is the
+  // coolest at 100. Moving shard 0 leaves a peak of max(400, 700) = 700,
+  // moving shard 1 max(600, 500) = 600: the cooler shard moves.
+  const std::vector<std::vector<uint64_t>> delta = {{600, 400, 0, 0},
+                                                    {0, 0, 100, 0},
+                                                    {0, 0, 0, 300}};
+  const std::vector<int> primary = {0, 0, 1, 2};
+  const std::optional<RebalanceMove> mv =
+      Pick(delta, primary, {false, false, false});
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->shard, 1u);
+  EXPECT_EQ(primary[mv->shard], 0);
+  EXPECT_EQ(mv->dst, 1);
+}
+
+TEST(RebalanceRule, DeadNodeIsNeverSourceOrTarget) {
+  // Node 0 is dead with a stale high count, node 1 dead and idle: neither
+  // may be picked. Among the live nodes, 2 (1000 ops) sheds to 3 (200).
+  const std::vector<std::vector<uint64_t>> delta = {{5000, 0, 0, 0},
+                                                    {0, 0, 0, 0},
+                                                    {0, 0, 600, 400},
+                                                    {0, 200, 0, 0}};
+  const std::vector<int> primary = {0, 3, 2, 2};
+  const std::optional<RebalanceMove> mv =
+      Pick(delta, primary, {true, true, false, false});
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->shard, 3u);  // max(600, 600) beats max(400, 800)
+  EXPECT_EQ(primary[mv->shard], 2);
+  EXPECT_EQ(mv->dst, 3);
+  // One live node left: nowhere to move.
+  EXPECT_FALSE(Pick(delta, primary, {true, true, false, true}).has_value());
+}
+
+TEST(RebalanceRule, TiesResolveToLowestIds) {
+  // Nodes 1 and 2 tie for hottest, 0 and 3 for coolest; node 1's two
+  // shards tie on the predicted peak. Lowest ids win, on every call.
+  const std::vector<std::vector<uint64_t>> delta = {{0, 0, 0, 0, 100, 0},
+                                                    {0, 500, 0, 500, 0, 0},
+                                                    {1000, 0, 0, 0, 0, 0},
+                                                    {0, 0, 0, 0, 0, 100}};
+  const std::vector<int> primary = {2, 1, 0, 1, 0, 3};
+  const std::vector<bool> dead(4, false);
+  const std::optional<RebalanceMove> mv = Pick(delta, primary, dead);
+  ASSERT_TRUE(mv.has_value());
+  EXPECT_EQ(mv->shard, 1u);
+  EXPECT_EQ(primary[mv->shard], 1);
+  EXPECT_EQ(mv->dst, 0);
+  const std::optional<RebalanceMove> again = Pick(delta, primary, dead);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->shard, mv->shard);
+}
+
+TEST(RebalanceRule, TriggerNeedsImbalanceAndVolume) {
+  // 600 vs 250 is under 3x; 150 vs 10 is under rebalance_min_ops.
+  EXPECT_FALSE(
+      Pick({{300, 300}, {250, 0}}, {0, 0}, {false, false}).has_value());
+  EXPECT_FALSE(Pick({{100, 50}, {0, 10}}, {0, 1}, {false, false}).has_value());
 }
 
 ExperimentResult RunSmall(unsigned sim_threads, uint64_t seed) {

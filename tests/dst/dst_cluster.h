@@ -59,7 +59,14 @@ struct DstClusterConfig {
   // sweep is also a fault-schedule sweep.
   fault::FaultConfig fault;
   std::vector<cluster::ForcedMigration> forced;
+  // Hotset rebalancer (period 0 = off).
   sim::Tick rebalance_period_ns = 0;
+  double imbalance_factor = cluster::ClusterParams{}.imbalance_factor;
+  sim::Tick rebalance_cooldown_ns =
+      cluster::ClusterParams{}.rebalance_cooldown_ns;
+  // At this virtual time every client's zipf hot set jumps half the keyspace
+  // away, as in the cluster harness's flash crowd (0 = stable).
+  sim::Tick hotshift_at_ns = 0;
 };
 
 struct DstClusterResult {
@@ -99,7 +106,10 @@ inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
   std::vector<uint8_t> payload(cfg->value_size);
   std::vector<uint8_t> out(cfg->value_size + 64);
   for (uint32_t i = 0; i < cfg->ops_per_client; i++) {
-    const Key key = zipf.Next(rng);
+    Key key = zipf.Next(rng);
+    if (cfg->hotshift_at_ns > 0 && ctx->Now() >= cfg->hotshift_at_ns) {
+      key = (key + cfg->num_keys / 2) % cfg->num_keys;
+    }
     const double dice = rng.NextDouble();
     check::OpKind kind = check::OpKind::kGet;
     if (dice < cfg->put_frac) {
@@ -176,6 +186,8 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
   p.fault = cfg.fault;
   p.forced = cfg.forced;
   p.rebalance_period_ns = cfg.rebalance_period_ns;
+  p.imbalance_factor = cfg.imbalance_factor;
+  p.rebalance_cooldown_ns = cfg.rebalance_cooldown_ns;
   p.arena_mb = 64;
 
   std::unique_ptr<sim::ParallelSim> psim;

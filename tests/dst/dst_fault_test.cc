@@ -437,6 +437,33 @@ TEST(DstCluster, RebalancerStaysLinearizable) {
   }
 }
 
+// The hot set jumps mid-run with a rebalancer eager enough to react. Every
+// migration must lower the predicted peak node load, so the rebalancer
+// settles: a shard that dominates its node stays put instead of bouncing
+// between two nodes every cooldown, and the run needs at most one move per
+// shard. A rule that always moves the hottest shard ping-pongs past that
+// bound at most seeds.
+TEST(DstCluster, HotShiftRebalancerConverges) {
+  uint64_t migrations = 0;
+  for (uint64_t seed : SweepSeeds()) {
+    DstClusterConfig cfg = ClusterBase(seed);
+    cfg.clients = 16;
+    cfg.ops_per_client = 600;
+    cfg.put_frac = 0.3;
+    cfg.zipf_theta = 1.05;
+    cfg.rebalance_period_ns = 400 * sim::kUsec;
+    cfg.imbalance_factor = 1.5;
+    cfg.rebalance_cooldown_ns = 100 * sim::kUsec;
+    cfg.hotshift_at_ns = 600 * sim::kUsec;
+    const DstClusterResult r = RunDstCluster(cfg);
+    EXPECT_TRUE(r.ok) << "hot shift seed=" << seed << ": " << r.error;
+    EXPECT_EQ(r.clients_stuck, 0u) << "hot shift seed=" << seed;
+    EXPECT_LE(r.migrations, cfg.shards) << "hot shift seed=" << seed;
+    migrations += r.migrations;
+  }
+  EXPECT_GT(migrations, 0u);  // the shift must actually trigger a move
+}
+
 // Determinism: the whole faulted cluster run — failover timing, promotion,
 // migration, history digest — repeats exactly for a fixed (config, backend).
 TEST(DstCluster, RepeatRunsIdentical) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -250,6 +251,30 @@ TEST_F(BTreeTest, BulkLoadMatchesInsertSemantics) {
   EXPECT_EQ(tree_.GetDirect(1), nullptr);
   EXPECT_GE(tree_.height(), 4u);
 }
+
+// Key counts whose bulk load has a level one node past a multiple of the 12
+// children per internal node: 20,000 keys (1819 leaves -> 152 -> 13 nodes)
+// and 40,000 keys (3637 leaves). The last parent built over that level must
+// still get two children.
+class BTreeBulkLoadAudit : public BTreeTest,
+                           public ::testing::WithParamInterface<Key> {};
+
+TEST_P(BTreeBulkLoadAudit, PassesAudit) {
+  std::vector<std::pair<Key, Item*>> sorted;
+  for (Key k = 0; k < GetParam(); k++) {
+    sorted.emplace_back(k, MakeItem(k));
+  }
+  tree_.BulkLoadDirect(sorted);
+  std::string err;
+  EXPECT_TRUE(tree_.AuditDirect(&err)) << err;
+  EXPECT_EQ(tree_.SizeDirect(), sorted.size());
+  for (const auto& [k, it] : sorted) {
+    ASSERT_EQ(tree_.GetDirect(k), it);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OneNodePastAMultiple, BTreeBulkLoadAudit,
+                         ::testing::Values(Key{20'000}, Key{40'000}));
 
 TEST_F(BTreeTest, ScanDirectReturnsSortedRange) {
   std::vector<std::pair<Key, Item*>> sorted;

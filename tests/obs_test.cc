@@ -458,6 +458,42 @@ TEST(ObsEndToEnd, HarnessRunEmitsReportAndTrace) {
   std::remove(res.trace_file.c_str());
 }
 
+// A traced, auto-tuned μTPS run whose window closes while the tuner is still
+// searching: the manager fiber stays suspended inside the autotune and
+// trisect_threads spans, and tearing the run down must close them while the
+// server and tracer are alive. The sanitizer leg of run_checks.sh runs this
+// test: under ASan, freeing the server before the fibers reports a
+// heap-use-after-free in SpanScope::~SpanScope.
+TEST(ObsEndToEnd, TracedRunEndingMidTuneTearsDownCleanly) {
+  WorkloadSpec spec = WorkloadSpec::YcsbC(20'000, 64);
+  TestBed bed(IndexType::kHash, spec, /*server_workers=*/6);
+
+  ExperimentConfig cfg;
+  cfg.system = SystemKind::kMuTps;
+  cfg.workload = spec;
+  cfg.client_threads = 8;
+  cfg.pipeline_depth = 2;
+  cfg.warmup_ns = 200 * sim::kUsec;
+  cfg.max_warmup_ns = 1 * sim::kMsec;
+  cfg.measure_ns = 300 * sim::kUsec;
+  // The first tuning pass starts ~1 ms in and runs for tens of ms.
+  cfg.mutps.refresh_period_ns = 400 * sim::kUsec;
+  cfg.obs.trace = true;
+  cfg.obs.trace_path = testing::TempDir() + "utps_mid_tune_trace.json";
+
+  const ExperimentResult res = bed.Run(cfg);
+  EXPECT_GT(res.ops, 0u);
+  ASSERT_EQ(res.trace_file, cfg.obs.trace_path);
+  std::ifstream in(res.trace_file);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string json = ss.str();
+  std::remove(res.trace_file.c_str());
+  // The tuner measured at least once but never finished its search.
+  EXPECT_NE(json.find("\"name\":\"measure_window\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"autotune\""), std::string::npos);
+}
+
 // Observability off: the result carries no obs payloads (and the run is the
 // tier-1 configuration, so this doubles as a smoke test that the default
 // path is untouched).
