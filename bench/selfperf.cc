@@ -37,7 +37,6 @@ struct PerfRow {
   double events_per_sec = 0.0;
   double sim_mops = 0.0;
   uint64_t sim_ops = 0;
-  unsigned host_threads = 1;  // simulation backend threads (MUTPS_SIM_THREADS)
   uint64_t sched_clamps = 0;  // ScheduleAt past-deadline clamps (bug detector)
 };
 
@@ -96,7 +95,6 @@ PerfRow RunPoint(const char* name, TestBed& bed, const ExperimentConfig& cfg) {
       row.wall_s > 0.0 ? static_cast<double>(r.sched_events) / row.wall_s : 0.0;
   row.sim_mops = r.mops;
   row.sim_ops = r.ops;
-  row.host_threads = r.host_threads;
   row.sched_clamps = r.sched_clamps;
   std::printf(
       "%-32s %8.3f s  %12llu events  %10.0f ev/s  %8.2f simMops  %llu clamps\n",
@@ -201,11 +199,10 @@ int main() {
           f,
           "    {\"name\": \"%s\", \"wall_s\": %.3f, \"events\": %llu, "
           "\"events_per_sec\": %.0f, \"sim_mops\": %.3f, "
-          "\"sim_ops\": %llu, \"host_threads\": %u, "
-          "\"sched_clamps\": %llu}%s\n",
+          "\"sim_ops\": %llu, \"sched_clamps\": %llu}%s\n",
           r.name.c_str(), r.wall_s, static_cast<unsigned long long>(r.events),
           r.events_per_sec, r.sim_mops,
-          static_cast<unsigned long long>(r.sim_ops), r.host_threads,
+          static_cast<unsigned long long>(r.sim_ops),
           static_cast<unsigned long long>(r.sched_clamps),
           i + 1 < rs.size() ? "," : "");
     }

@@ -34,7 +34,6 @@ for b in build/bench/*; do
   name=$(basename "$b")
   case "$name" in
     selfperf) continue ;;  # host-perf tracker, run separately below
-    fig18_parallel_sim) continue ;;  # host-thread sweep, run separately below
     fig16_at_scale) continue ;;  # 10M-key sampled sweep, run separately below
     fig19_cluster) continue ;;  # multi-node cluster sweep, run separately below
     micro_components) continue ;;  # google-benchmark micro bench, not a figure
@@ -63,21 +62,6 @@ fi
 echo "=== selfperf ($(date +%H:%M:%S)) ==="
 MUTPS_SIMPERF_OUT=results/BENCH_simperf.json ./build/bench/selfperf 2>&1 \
   | tee results/selfperf.txt
-
-# The same fixed workload on the partitioned-parallel backend (DESIGN.md
-# §11): results are value-identical to the serial leg by construction
-# (par_equiv_test); what changes is host wall-clock, recorded per row as
-# host_threads for cross-commit comparison.
-echo "=== selfperf MUTPS_SIM_THREADS=4 ($(date +%H:%M:%S)) ==="
-MUTPS_SIM_THREADS=4 MUTPS_SIMPERF_OUT=results/BENCH_simperf_par4.json \
-  ./build/bench/selfperf 2>&1 | tee results/selfperf_par4.txt
-
-# Host-thread sweep at 32/64/128 simulated server cores; emits wall-clock
-# speedup vs serial and the host CPU count (speedup is bounded by host_cpus —
-# a 1-CPU container honestly reports <= 1x).
-echo "=== fig18_parallel_sim ($(date +%H:%M:%S)) ==="
-MUTPS_PARSIM_OUT=results/BENCH_parsim.json ./build/bench/fig18_parallel_sim \
-  2>&1 | tee results/fig18_parallel_sim.txt
 
 # Million-user-scale sweep via sampled simulation (DESIGN.md §12): 10M keys,
 # 2048 closed-loop clients, extrapolated throughput +/- CI95. Validated by

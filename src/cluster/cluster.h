@@ -28,9 +28,8 @@
 // probed one and refuses to serve until a resync catches it up; a node whose
 // lease lapsed (no probe for lease_ns) fences itself the same way.
 //
-// Everything runs on the caller's engine — partition 0 under the parallel
-// backend — so cluster runs are deterministic per (seed, node count) on both
-// the serial and partitioned engines. Header-only on purpose: the mutation
+// Everything runs on the caller's engine, so cluster runs are deterministic
+// per (seed, node count). Header-only on purpose: the mutation
 // smoke-check binary compiles its own TU copies with MUTPS_MUTATION and the
 // kDropRingEpochCheck hook arms without a library rebuild.
 #ifndef UTPS_CLUSTER_CLUSTER_H_

@@ -8,7 +8,6 @@
 #include "index/btree.h"
 #include "index/cuckoo.h"
 #include "net/rpc.h"
-#include "sim/parallel.h"
 #include "stats/staged.h"
 #include "stats/streaming.h"
 
@@ -49,10 +48,7 @@ struct ClientShared {
   std::vector<ClientRes>* res = nullptr;
 };
 
-// Client-side counters, one instance per engine partition (just one for the
-// serial backend): fibers on different host threads must not share mutable
-// accumulators. Merged after the run — sums and histogram-bucket adds are
-// commutative, so the totals are identical to a serial run's.
+// Client-side counters shared by every client fiber of a run.
 struct ClientStats {
   uint64_t ops = 0;
   Histogram hist;
@@ -262,40 +258,8 @@ void TestBed::BuildSherman() {
 
 ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   UTPS_CHECK(cfg.workload.num_keys == populate_spec_.num_keys);
-  // Backend selection (DESIGN.md §11): the serial engine is the default and
-  // reference; cfg.sim_threads or MUTPS_SIM_THREADS=N with N > 1 selects the
-  // partitioned-parallel backend (partition 0 owns the whole server machine,
-  // client fibers round-robin over partitions 1..N-1). Serial-only features
-  // force a fallback: fault injection (gates/buffers are touched from both
-  // sides of a partition boundary), observability (a single tracer/registry
-  // is written from every fiber), and passive systems (one-sided verbs run
-  // in client coroutines and mutate the NIC links and cache model directly).
-  const unsigned want =
-      cfg.sim_threads != 0
-          ? cfg.sim_threads
-          : static_cast<unsigned>(EnvInt("MUTPS_SIM_THREADS", 1));
-  const bool passive_system = cfg.system == SystemKind::kRaceHash ||
-                              cfg.system == SystemKind::kSherman;
-  const bool parallel =
-      want > 1 && !cfg.fault.enabled() && !cfg.obs.any() && !passive_system;
-  std::unique_ptr<sim::ParallelSim> psim;
-  std::unique_ptr<Engine> serial_eng;
-  if (parallel) {
-    sim::ParallelSim::Config pc;
-    pc.partitions = want;
-    pc.quantum = sim::ConservativeQuantum(nic_cfg_);
-    psim = std::make_unique<sim::ParallelSim>(pc);
-  } else {
-    serial_eng = std::make_unique<Engine>();
-  }
-  Engine& eng = parallel ? psim->engine(0) : *serial_eng;
-  const auto RunTo = [&](Tick until) {
-    if (psim != nullptr) {
-      psim->Run(until);
-    } else {
-      eng.Run(until);
-    }
-  };
+  UTPS_CHECK(cfg.sim_threads == 1);  // the serial engine is the only engine
+  Engine eng;
   // Per-run arena for server-side structures (rings, response buffers).
   sim::Arena run_arena(512ull << 20);
   mem_->FlushAll();
@@ -401,22 +365,15 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   // Under faults, two-sided clients must retry (a dropped message would
   // otherwise hang the fiber). One-sided verbs model reliable RDMA.
   sh.use_retry = inj != nullptr && server != nullptr;
-  // One counter block per partition hosting clients (one in serial mode).
-  const unsigned nstats = parallel ? want - 1 : 1;
-  std::vector<ClientStats> cstats(nstats);
-  std::vector<TimeSeries> part_timelines;
-  std::vector<std::vector<Histogram>> part_lat(nstats);
-  for (unsigned i = 0; i < nstats; i++) {
-    part_timelines.emplace_back(kTimelineBucketNs);
+  ClientStats cstats;
+  TimeSeries timeline(kTimelineBucketNs);
+  std::vector<Histogram> lat_timeline;
+  if (cfg.record_timeline) {
+    cstats.timeline = &timeline;
   }
-  for (unsigned i = 0; i < nstats; i++) {
-    if (cfg.record_timeline) {
-      cstats[i].timeline = &part_timelines[i];
-    }
-    if (cfg.record_latency_timeline) {
-      cstats[i].lat_timeline = &part_lat[i];
-      cstats[i].lat_bucket_ns = kTimelineBucketNs;
-    }
+  if (cfg.record_latency_timeline) {
+    cstats.lat_timeline = &lat_timeline;
+    cstats.lat_bucket_ns = kTimelineBucketNs;
   }
   const unsigned num_fibers = cfg.client_threads * cfg.pipeline_depth;
   // Gates and I/O buffers live here, not in the fiber frames: a fault plan
@@ -429,25 +386,17 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   sh.res = &client_res;
   std::vector<ExecCtx> cli_ctxs(num_fibers);
   for (unsigned i = 0; i < num_fibers; i++) {
-    Engine* ceng = &eng;
-    ClientStats* st = &cstats[0];
-    if (parallel) {
-      const unsigned p = sim::ParallelSim::ClientPartition(want, i);
-      ceng = &psim->engine(p);
-      st = &cstats[p - 1];
-    }
-    cli_ctxs[i] = ExecCtx{
-        .eng = ceng, .mem = nullptr, .core = 0, .actor_id = i};
-    ceng->Spawn(ClientFiber(&cli_ctxs[i], &sh, st, i, cfg.seed));
+    cli_ctxs[i] = ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
+    eng.Spawn(ClientFiber(&cli_ctxs[i], &sh, &cstats, i, cfg.seed));
   }
 
   // Warm up; for auto-tuned μTPS, wait until the first tuning pass finishes.
-  RunTo(cfg.warmup_ns);
+  eng.Run(cfg.warmup_ns);
   if (mutps != nullptr) {
     while (!mutps->tuned() && eng.now() < cfg.max_warmup_ns) {
-      RunTo(eng.now() + sim::kMsec);
+      eng.Run(eng.now() + sim::kMsec);
     }
-    RunTo(eng.now() + sim::kMsec);  // settle after tuning
+    eng.Run(eng.now() + sim::kMsec);  // settle after tuning
   }
 
   // Measure.
@@ -466,21 +415,13 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   if (sampled) {
     // Sampled simulation (DESIGN.md §12): alternate functional fast-forward
     // segments with detailed windows placed by the seeded plan. The window
-    // plan is a pure function of (sample config, period index), so the whole
-    // measure phase is deterministic and backend-invariant: every mode flip
-    // and counter read happens between RunTo calls, which is exactly the
-    // boundary the parallel backend publishes harness state across.
+    // plan is a pure function of (sample config, period index), and every
+    // mode flip and counter read happens between Run calls, so the whole
+    // measure phase is deterministic per (seed, plan).
     UTPS_CHECK(cfg.phase2 == nullptr);  // phase switch would race the plan
     const sim::SampleConfig& sc = cfg.sample;
     UTPS_CHECK(sc.period_ns >= sc.DetailPerPeriod());
     const Tick end = t0 + cfg.measure_ns;
-    const auto OpsNow = [&cstats] {
-      uint64_t s = 0;
-      for (const ClientStats& st : cstats) {
-        s += st.ops;
-      }
-      return s;
-    };
     uint64_t period = 0;
     for (Tick pstart = t0; pstart < end; pstart += sc.period_ns, period++) {
       const Tick pend = std::min(pstart + sc.period_ns, end);
@@ -491,23 +432,23 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
         // Tail period too short for a full window: fast-forward through it
         // rather than biasing the estimate with a truncated sample.
         mem_->SetFastForward(true);
-        RunTo(pend);
+        eng.Run(pend);
         continue;
       }
       mem_->SetFastForward(true);
-      RunTo(dstart);
+      eng.Run(dstart);
       // Rewarm prefix: detailed but unmeasured — absorbs cache re-warm and
       // drains requests issued under functional costs. The biased negative-
       // control plan skips the switch and "measures" functional execution.
       if (sc.plan != sim::SamplePlan::kBiased) {
         mem_->SetFastForward(false);
       }
-      RunTo(wstart);
-      const uint64_t before = OpsNow();
+      eng.Run(wstart);
+      const uint64_t before = cstats.ops;
       sh.measuring = true;
-      RunTo(wend);
+      eng.Run(wend);
       sh.measuring = false;
-      const uint64_t delta = OpsNow() - before;
+      const uint64_t delta = cstats.ops - before;
       if (EnvInt("MUTPS_SAMPLE_DEBUG", 0) != 0) {
         std::fprintf(stderr, "sample window %llu: [%llu, %llu) ops=%llu\n",
                      static_cast<unsigned long long>(period),
@@ -519,17 +460,17 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
                    static_cast<double>(sc.window_ns));
       detail_ns += sc.window_ns;
       mem_->SetFastForward(true);
-      RunTo(pend);
+      eng.Run(pend);
     }
     mem_->SetFastForward(false);  // drain and shutdown run fully detailed
   } else {
     sh.measuring = true;
-    RunTo(t0 + cfg.measure_ns);
+    eng.Run(t0 + cfg.measure_ns);
     // Dynamic-workload phase (Figure 14): switch the spec and keep running.
     if (cfg.phase2 != nullptr) {
-      RunTo(t0 + cfg.phase2_at_ns);
+      eng.Run(t0 + cfg.phase2_at_ns);
       sh.spec = cfg.phase2;
-      RunTo(t0 + cfg.phase2_at_ns + cfg.phase2_extra_ns);
+      eng.Run(t0 + cfg.phase2_at_ns + cfg.phase2_extra_ns);
     }
     sh.measuring = false;
   }
@@ -537,16 +478,9 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   const uint64_t measure_allocs =
       g_alloc_probe != nullptr ? g_alloc_probe() - allocs0 : 0;
 
-  // Merge the per-partition client counters (a single block in serial mode).
-  uint64_t total_ops = 0;
-  uint64_t total_retries = 0;
-  Histogram hist;
-  for (ClientStats& st : cstats) {
-    st.stage.FlushTo(&st.hist);
-    total_ops += st.ops;
-    total_retries += st.retries;
-    hist.Merge(st.hist);
-  }
+  cstats.stage.FlushTo(&cstats.hist);
+  const uint64_t total_ops = cstats.ops;
+  const Histogram& hist = cstats.hist;
 
   ExperimentResult res;
   res.ops = total_ops;
@@ -591,10 +525,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.reconfigs = mutps->reconfig_count();
   }
   if (cfg.record_timeline) {
-    TimeSeries& timeline = part_timelines[0];
-    for (unsigned i = 1; i < nstats; i++) {
-      timeline.Merge(part_timelines[i]);
-    }
     res.timeline_bucket_ns = timeline.bucket_ns();
     for (size_t i = 0; i < timeline.NumBuckets(); i++) {
       res.timeline_mops.push_back(timeline.RateAt(i) / 1e6);
@@ -604,7 +534,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.hot_hits = mutps->hot_hits();
     res.hot_misses = mutps->hot_misses();
   }
-  res.retries = total_retries;
+  res.retries = cstats.retries;
   if (inj != nullptr) {
     res.fault_counters = inj->counters();
   }
@@ -617,16 +547,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     if (res.timeline_bucket_ns == 0) {
       res.timeline_bucket_ns = kTimelineBucketNs;
     }
-    std::vector<Histogram>& lat_timeline = part_lat[0];
-    for (unsigned i = 1; i < nstats; i++) {
-      if (part_lat[i].size() > lat_timeline.size()) {
-        lat_timeline.resize(part_lat[i].size());
-      }
-      for (size_t b = 0; b < part_lat[i].size(); b++) {
-        lat_timeline[b].Merge(part_lat[i][b]);
-      }
-    }
-    for (auto& h : lat_timeline) {
+    for (const Histogram& h : lat_timeline) {
       res.timeline_p99_ns.push_back(h.Percentile(0.99));
     }
   }
@@ -681,33 +602,25 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
 
   // Drain and shut down.
   sh.stop = true;
-  RunTo(eng.now() + 500 * sim::kUsec);
+  eng.Run(eng.now() + 500 * sim::kUsec);
   if (server != nullptr) {
     server->Stop();
   }
-  RunTo(eng.now() + 200 * sim::kUsec);
+  eng.Run(eng.now() + 200 * sim::kUsec);
   if (walm != nullptr) {
     walm->Stop();  // log-writer drains pending syncs and exits
-    RunTo(eng.now() + 100 * sim::kUsec);
+    eng.Run(eng.now() + 100 * sim::kUsec);
   }
-  const Engine::Stats sched =
-      parallel ? psim->AggregateEngineStats() : eng.stats();
+  const Engine::Stats& sched = eng.stats();
   res.sched_events = sched.events_processed;
   res.sched_peak_pending = sched.peak_heap;
   res.sched_clamps = sched.sealed_clamps;
-  res.host_threads = parallel ? want : 1;
   res.measure_allocs = measure_allocs;
   // Tear the fibers down before the server, observer and client state they
   // point into: an auto-tuner search the run cut off is still suspended
   // inside obs::SpanScopes, which read the server's ExecCtx and the tracer
   // when their frames go.
-  if (psim != nullptr) {
-    for (unsigned p = 0; p < psim->partitions(); p++) {
-      psim->engine(p).DestroyFibers();
-    }
-  } else {
-    eng.DestroyFibers();
-  }
+  eng.DestroyFibers();
   return res;
 }
 

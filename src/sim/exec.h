@@ -101,14 +101,6 @@ struct ExecCtx {
   // are wall-clock waits and stay unscaled. Null (the default) is free.
   const uint32_t* slow_q8 = nullptr;
 
-  // Parallel backend (sim/parallel.h): stable identity of the simulated
-  // actor this context belongs to, plus a per-actor send counter. Together
-  // with the send's issue tick they form the deterministic,
-  // partition-count-invariant key that orders cross-partition sends at epoch
-  // barriers. Unused (zero) on the serial backend.
-  uint32_t actor_id = 0;
-  uint32_t send_seq = 0;
-
   static constexpr uint32_t kMaxFastOps = 64;
   static constexpr Tick kMaxPending = 400;
 

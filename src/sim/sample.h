@@ -5,7 +5,7 @@
 // extrapolates throughput and tail latency from the windows onto the full
 // measurement interval. The planner is seeded and fully deterministic: a
 // given (seed, plan) pair always yields the same window placements, so
-// sampled runs are byte-reproducible and backend-invariant.
+// sampled runs are byte-reproducible.
 #ifndef UTPS_SIM_SAMPLE_H_
 #define UTPS_SIM_SAMPLE_H_
 

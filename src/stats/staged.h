@@ -4,9 +4,9 @@
 // stats call in the simulator. Instead of touching the (KB-sized, cold)
 // histogram bucket array per op, samples stage into a small per-recorder
 // value buffer that flushes in bulk when full and at window boundaries
-// (measure-phase end, before the per-partition merge). Staging only reorders
-// commutative bucket/sum updates, so the merged histogram is value-identical
-// to unstaged recording.
+// (measure-phase end, before the histogram is read). Staging only reorders
+// commutative bucket/sum updates, so the histogram is value-identical to
+// unstaged recording.
 #ifndef UTPS_STATS_STAGED_H_
 #define UTPS_STATS_STAGED_H_
 
@@ -20,8 +20,8 @@ namespace utps {
 class HistogramStage {
  public:
   // Stages one value; spills the whole buffer into `sink` when full. The
-  // sink is passed per call (not cached) so the stage stays trivially
-  // relocatable inside the harness's per-partition counter blocks.
+  // sink is passed per call (not cached) so the stage holds no pointer and
+  // stays trivially copyable.
   void Record(uint64_t value, Histogram* sink) {
     buf_[n_++] = value;
     if (UTPS_UNLIKELY(n_ == kCap)) {
@@ -29,7 +29,7 @@ class HistogramStage {
     }
   }
 
-  // Window-boundary drain; must run before `sink` is read or merged.
+  // Window-boundary drain; must run before `sink` is read.
   void FlushTo(Histogram* sink) {
     sink->RecordBulk(buf_, n_);
     n_ = 0;

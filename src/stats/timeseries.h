@@ -44,21 +44,6 @@ class TimeSeries {
     buckets_[idx] += count;
   }
 
-  // Element-wise sum with a series of the same bucket width. The parallel
-  // harness backend records one series per partition and merges them after
-  // the run; addition is commutative, so the merged series is identical to
-  // the serially-recorded one.
-  void Merge(const TimeSeries& other) {
-    UTPS_CHECK(other.bucket_ns_ == bucket_ns_);
-    if (other.buckets_.size() > buckets_.size()) {
-      buckets_.resize(other.buckets_.size(), 0);
-    }
-    for (size_t i = 0; i < other.buckets_.size(); i++) {
-      buckets_[i] += other.buckets_[i];
-    }
-    overflow_ += other.overflow_;
-  }
-
   // Ops/s within bucket i.
   double RateAt(size_t i) const {
     if (i >= buckets_.size()) {

@@ -269,58 +269,34 @@ TEST(RebalanceRule, TriggerNeedsImbalanceAndVolume) {
   EXPECT_FALSE(Pick({{100, 50}, {0, 10}}, {0, 1}, {false, false}).has_value());
 }
 
-ExperimentResult RunSmall(unsigned sim_threads, uint64_t seed) {
+ExperimentResult RunSmall(uint64_t seed) {
   ClusterBenchConfig cfg;
   cfg.cluster = SmallParams();
   cfg.cluster.seed = seed;
   cfg.clients = 4;
   cfg.warmup_ns = 100 * sim::kUsec;
   cfg.measure_ns = 600 * sim::kUsec;
-  cfg.sim_threads = sim_threads;
   return RunClusterExperiment(cfg);
 }
 
 TEST(ClusterHarness, SmokeAndDeterminism) {
-  const ExperimentResult a = RunSmall(1, 42);
+  const ExperimentResult a = RunSmall(42);
   EXPECT_GT(a.ops, 100u);
   EXPECT_GT(a.mops, 0.0);
   ASSERT_EQ(a.node_counters.size(), 2u);
   EXPECT_GT(a.node_counters[0].ops_served + a.node_counters[1].ops_served,
             0u);
   EXPECT_GE(a.ring_epoch, 1u);
-  // Same seed, same backend -> identical outcome.
-  const ExperimentResult b = RunSmall(1, 42);
+  // Same seed -> identical outcome.
+  const ExperimentResult b = RunSmall(42);
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.p99_ns, b.p99_ns);
   for (unsigned n = 0; n < 2; n++) {
     EXPECT_EQ(a.node_counters[n].ops_served, b.node_counters[n].ops_served);
   }
   // Different seed -> different interleaving (coarse sanity).
-  const ExperimentResult c = RunSmall(1, 7);
+  const ExperimentResult c = RunSmall(7);
   EXPECT_NE(a.ops, c.ops);
-}
-
-TEST(ClusterHarness, ParallelBackendDeterministicAndClose) {
-  // Cluster clients drift apart in timing (different shards -> different
-  // nodes -> different latencies), so same-tick cross-partition sends can
-  // replay in canonical actor order where the serial engine used event
-  // order: the parallel backend is deterministic per (seed, threads), not
-  // tick-identical to serial (that guarantee is single-node only).
-  const ExperimentResult a = RunSmall(4, 42);
-  const ExperimentResult b = RunSmall(4, 42);
-  EXPECT_GT(a.host_threads, 1u);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.p50_ns, b.p50_ns);
-  EXPECT_EQ(a.p99_ns, b.p99_ns);
-  for (unsigned n = 0; n < 2; n++) {
-    EXPECT_EQ(a.node_counters[n].ops_served, b.node_counters[n].ops_served);
-    EXPECT_EQ(a.node_counters[n].repl_applied,
-              b.node_counters[n].repl_applied);
-  }
-  // And it simulates the same system: throughput within 2% of serial.
-  const ExperimentResult s = RunSmall(1, 42);
-  EXPECT_NEAR(static_cast<double>(a.ops), static_cast<double>(s.ops),
-              0.02 * static_cast<double>(s.ops));
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // Sampled-mode determinism (DESIGN.md §12): a sampled run must be a pure
 // function of (experiment seed, window plan) — byte-identical result rows
-// across in-process repeats, across a fresh subprocess (mirroring
-// dst_determinism_test), and across simulation backends (serial vs
-// MUTPS_SIM_THREADS=4): every mode flip happens at a RunTo boundary, which
-// the parallel backend publishes exactly like the measuring flag.
+// across in-process repeats and across a fresh subprocess (mirroring
+// dst_determinism_test).
 #include <unistd.h>
 
 #include <cstdio>
@@ -39,7 +37,7 @@ constexpr Point kPoints[] = {
      sim::SamplePlan::kRandom},
 };
 
-ExperimentConfig PointConfig(const Point& p, unsigned sim_threads) {
+ExperimentConfig PointConfig(const Point& p) {
   ExperimentConfig cfg;
   cfg.system = p.system;
   cfg.workload = WorkloadSpec::YcsbA(kKeys, 64);
@@ -50,7 +48,6 @@ ExperimentConfig PointConfig(const Point& p, unsigned sim_threads) {
   cfg.measure_ns = 1600 * sim::kUsec;
   cfg.max_warmup_ns = 5 * sim::kMsec;
   cfg.mutps.autotune = false;
-  cfg.sim_threads = sim_threads;
   cfg.sample.enabled = true;
   cfg.sample.period_ns = 400 * sim::kUsec;
   cfg.sample.window_ns = 100 * sim::kUsec;
@@ -61,14 +58,12 @@ ExperimentConfig PointConfig(const Point& p, unsigned sim_threads) {
 }
 
 // Fixed-precision text of everything a sampled figure row is built from, so
-// "byte-identical rows" is literally a string comparison. sched_events is
-// deliberately absent: it is a host-side effort counter that differs across
-// backends even when results are value-identical.
-std::string RowFor(const Point& p, unsigned sim_threads) {
+// "byte-identical rows" is literally a string comparison.
+std::string RowFor(const Point& p) {
   // Fresh bed per run: a run mutates the populated database (YCSB-A writes),
   // so reusing a bed would make even two full-detail runs diverge by design.
   TestBed bed(p.index, WorkloadSpec::YcsbA(kKeys, 64));
-  const ExperimentResult r = bed.Run(PointConfig(p, sim_threads));
+  const ExperimentResult r = bed.Run(PointConfig(p));
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s est=%.6f ci=%.6f ops=%llu p50=%llu p99=%llu windows=%llu "
@@ -82,10 +77,10 @@ std::string RowFor(const Point& p, unsigned sim_threads) {
   return buf;
 }
 
-std::string AllRows(unsigned sim_threads) {
+std::string AllRows() {
   std::string rows;
   for (const Point& p : kPoints) {
-    rows += RowFor(p, sim_threads);
+    rows += RowFor(p);
     rows += '\n';
   }
   return rows;
@@ -99,32 +94,24 @@ TEST(SampleDeterminism, ChildEmit) {
   }
   std::ofstream f(path, std::ios::binary);
   ASSERT_TRUE(f.good());
-  f << AllRows(1);
+  f << AllRows();
 }
 
 TEST(SampleDeterminism, InProcessRepeatIdentical) {
   for (const Point& p : kPoints) {
-    const std::string a = RowFor(p, 1);
-    const std::string b = RowFor(p, 1);
+    const std::string a = RowFor(p);
+    const std::string b = RowFor(p);
     EXPECT_EQ(a, b) << p.name << ": repeat sampled run diverged";
-  }
-}
-
-TEST(SampleDeterminism, ParallelBackendIdentical) {
-  for (const Point& p : kPoints) {
-    const std::string serial = RowFor(p, 1);
-    const std::string par = RowFor(p, 4);
-    EXPECT_EQ(serial, par) << p.name << ": serial vs 4-thread backend diverged";
   }
 }
 
 TEST(SampleDeterminism, PlanSeedChangesRandomPlacement) {
   const Point p = kPoints[2];  // hash_mutps_random
   TestBed bed_a(p.index, WorkloadSpec::YcsbA(kKeys, 64));
-  ExperimentConfig a = PointConfig(p, 1);
+  ExperimentConfig a = PointConfig(p);
   const ExperimentResult ra = bed_a.Run(a);
   TestBed bed_b(p.index, WorkloadSpec::YcsbA(kKeys, 64));
-  ExperimentConfig b = PointConfig(p, 1);
+  ExperimentConfig b = PointConfig(p);
   b.sample.plan_seed = 8;
   const ExperimentResult rb = bed_b.Run(b);
   // Different window placement measures different ops; estimates stay close
@@ -133,7 +120,7 @@ TEST(SampleDeterminism, PlanSeedChangesRandomPlacement) {
 }
 
 TEST(SampleDeterminism, SubprocessIdentical) {
-  const std::string expected = AllRows(1);
+  const std::string expected = AllRows();
 
   char exe[4096];
   const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);

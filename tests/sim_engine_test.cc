@@ -301,6 +301,34 @@ TEST(Engine, TeardownDestroysBlockedFibers) {
   EXPECT_TRUE(destroyed);
 }
 
+#ifndef NDEBUG
+Fiber NopFiber() { co_return; }
+
+TEST(EngineDeath, ScheduleIntoSealedEpochAborts) {
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        eng.Run(100);  // epochs [0, 100] are dispatched and sealed
+        Fiber f = NopFiber();
+        eng.ScheduleAt(50, f.release());
+      },
+      "sealed");
+}
+#endif
+
+// Spawn's clamp path stays legal: a start_at in the past rounds up to now
+// instead of tripping the sealed-epoch guard.
+TEST(Engine, SpawnInThePastClampsToNow) {
+  Engine eng;
+  eng.Run(100);
+  std::vector<Tick> log;
+  ExecCtx ctx{.eng = &eng};
+  eng.Spawn(DelayFiber(&ctx, &log), /*start_at=*/5);
+  eng.Run(kSec);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0], 110u);
+}
+
 // --------------------------------------------------------------- spinlock
 Fiber LockUser(ExecCtx* ctx, SimSpinlock* lock, int* shared, int iters,
                Tick hold_ns) {
