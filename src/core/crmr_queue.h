@@ -9,9 +9,9 @@
 //
 // Modeled memory: the descriptor slots and head/tail words live in the arena
 // and are charged through the cache model. Full-size host bookkeeping
-// (completion handles, buffer pointers, scan parameters) rides in a parallel
-// unmodeled array, exactly mirroring the paper's trick of keeping the on-ring
-// descriptor at 16 bytes.
+// (buffer pointers, scan parameters, the receive record that routes the
+// completion) rides in a parallel unmodeled array, exactly mirroring the
+// paper's trick of keeping the on-ring descriptor at 16 bytes.
 #ifndef UTPS_CORE_CRMR_QUEUE_H_
 #define UTPS_CORE_CRMR_QUEUE_H_
 
@@ -21,7 +21,6 @@
 #include "common/macros.h"
 #include "net/rpc.h"
 #include "sim/arena.h"
-#include "sim/nic.h"
 #include "store/kv.h"
 
 namespace utps {
@@ -34,27 +33,31 @@ struct CrMrDesc {
 };
 static_assert(sizeof(CrMrDesc) == 16, "descriptor layout");
 
-// Host-side companion of a descriptor.
+// Host-side companion of a descriptor. The request's client routing stays in
+// the receive ring (RxRing::Msgs(rx_seq)[rec_idx]), which keeps it until the
+// response completes the record.
 struct CrMrHostDesc {
-  sim::NicMessage msg;          // client completion routing
-  uint8_t* resp = nullptr;      // response payload target (CR's resp buffer)
+  uint8_t* resp = nullptr;      // response payload target (CR's RespBuffer
+                                // or the receive record's own region)
   const uint8_t* payload = nullptr;  // put payload within the rx slot
   uint64_t rx_seq = 0;          // receive slot to credit on completion
+  uint16_t rec_idx = 0;         // record within the receive slot
+  uint8_t num_skip = 0;         // scan: skip_keys in use
   uint32_t resp_cap = 0;
   uint32_t resp_len = 0;        // filled by the MR layer
-  // Scan extension (§4): range parameters and the hot keys the CR layer
-  // already served (the MR layer skips them).
-  uint32_t scan_count = 0;
-  Key scan_upper = 0;
-  uint32_t resp_off = 0;        // bytes already filled by the CR layer
-  uint8_t num_skip = 0;
-  Key skip_keys[8] = {};
   // Durability (src/wal): token of the WAL append the MR layer performed for
   // this request; the CR layer waits on it before releasing the response.
   // lsn == 0 (the default, and always with WAL off) means nothing to wait on.
-  uint64_t wal_lsn = 0;
   uint32_t wal_shard = 0;
+  uint64_t wal_lsn = 0;
+  // Scan extension (§4): range parameters and the hot keys the CR layer
+  // already served (the MR layer skips them).
+  uint32_t scan_count = 0;
+  uint32_t resp_off = 0;        // bytes already filled by the CR layer
+  Key scan_upper = 0;
+  Key skip_keys[8] = {};
 };
+static_assert(sizeof(CrMrHostDesc) == 128, "host companion layout");
 
 class CrMrRing {
  public:
@@ -75,22 +78,30 @@ class CrMrRing {
     alignas(kCachelineBytes) uint64_t tail = 0;  // consumer-advanced (= completion)
   };
 
-  void Init(sim::Arena* arena) {
+  // `batch_size` is the most descriptors a producer ever puts in one slot.
+  // The modeled slots keep room for kMaxBatch (their arena layout does not
+  // depend on it); the host companions hold only batch_size per slot.
+  void Init(sim::Arena* arena, unsigned batch_size) {
+    UTPS_CHECK(batch_size >= 1 && batch_size <= kMaxBatch);
     slots_ = arena->AllocateArray<Slot>(kNumSlots, kCachelineBytes);
     ctl_ = arena->AllocateArray<Control>(1, kCachelineBytes);
     new (ctl_) Control();
     for (unsigned i = 0; i < kNumSlots; i++) {
       new (&slots_[i]) Slot();
     }
-    host_.resize(size_t{kNumSlots} * kMaxBatch);
+    stride_ = batch_size;
+    host_.resize(size_t{kNumSlots} * stride_);
   }
 
   bool Full() const { return ctl_->head - ctl_->tail >= kNumSlots; }
   bool HasWork(uint64_t pop_cursor) const { return ctl_->head > pop_cursor; }
 
+  // Descriptors one slot holds: the batch_size given to Init.
+  unsigned stride() const { return stride_; }
+
   Slot* SlotAt(uint64_t seq) { return &slots_[seq & (kNumSlots - 1)]; }
   CrMrHostDesc* HostAt(uint64_t seq) {
-    return &host_[(seq & (kNumSlots - 1)) * kMaxBatch];
+    return &host_[(seq & (kNumSlots - 1)) * stride_];
   }
 
   uint64_t head() const { return ctl_->head; }
@@ -122,6 +133,7 @@ class CrMrRing {
  private:
   Slot* slots_ = nullptr;
   Control* ctl_ = nullptr;
+  unsigned stride_ = 0;
   std::vector<CrMrHostDesc> host_;
 };
 

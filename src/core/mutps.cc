@@ -30,7 +30,7 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   rings_.resize(size_t{w} * w);
   mr_ready_.assign(w, 0);
   for (auto& r : rings_) {
-    r.Init(env_.arena);
+    r.Init(env_.arena, opt_.batch_size);
   }
   hot_ = std::make_unique<HotSetManager>(env_.arena, w);
   workers_.resize(w);
@@ -79,6 +79,28 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   env_.mem->SetClosMask(opt_.cr_clos, env_.mem->config().AllWaysMask());
   env_.mem->SetClosMask(opt_.mr_clos, env_.mem->config().AllWaysMask());
   mr_ways_ = env_.mem->config().llc_ways;
+  // Each receive record gets a response region of its own, free until the
+  // record completes: scans, whose 8 KB responses would cycle through a
+  // RespBuffer in eight allocations, always answer from it. Carved last, so
+  // every earlier arena offset is unchanged.
+  record_regions_ = env_.arena->AllocateArray<uint8_t>(
+      size_t{opt_.rx.num_slots} * opt_.rx.max_batch * kScanRespCap,
+      kCachelineBytes);
+}
+
+uint8_t* MuTpsServer::RecordRegion(uint64_t rx_seq, unsigned rec_idx) const {
+  const size_t record =
+      (rx_seq % opt_.rx.num_slots) * opt_.rx.max_batch + rec_idx;
+  return record_regions_ + record * kScanRespCap;
+}
+
+uint8_t* MuTpsServer::GetRegion(Worker& w, uint64_t rx_seq, unsigned rec_idx,
+                                uint32_t len) {
+  // The next RespBuffer region, unless the cyclic walk came round to a
+  // region whose response is still pending in the MR layer: then the
+  // record's own region.
+  uint8_t* p = w.resp->TryHold(len);
+  return p != nullptr ? p : RecordRegion(rx_seq, rec_idx);
 }
 
 void MuTpsServer::Start() {
@@ -252,7 +274,12 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
       rx_->Advance(*env_.nic, 0, ctx.eng->now());
       ctx.Charge(4);
       co_await ctx.Read(rx_->Header(w.next_seq), 16);
-      if (rx_->IsClosed(w.next_seq)) {
+      // A split published while the read was in flight owns next_seq if it
+      // is past the switch point: adopt it first (next iteration), or this
+      // worker would claim the slot under the old residues.
+      const bool switching =
+          cfg_.version != w.adopted_version && w.next_seq >= cfg_.switch_seq;
+      if (!switching && rx_->IsClosed(w.next_seq)) {
         rx_->Claim(w.next_seq);
         ctx.Charge(3);
         claimed = true;
@@ -307,15 +334,15 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
 
   // At-most-once writes (DESIGN.md §9): a retransmitted or NIC-duplicated PUT
   // must not be applied twice. Reads are idempotent and simply re-execute.
-  if (UTPS_UNLIKELY(rx_->Msgs(rx_seq)[rec_idx].rid != 0) && op == OpType::kPut) {
-    const DedupWindow::Verdict v = dedup_.Begin(rx_->Msgs(rx_seq)[rec_idx].rid);
+  const uint64_t rid = rx_->Msgs(rx_seq)[rec_idx].rid;
+  if (UTPS_UNLIKELY(rid != 0) && op == OpType::kPut) {
+    const DedupWindow::Verdict v = dedup_.Begin(rid);
     if (v != DedupWindow::Verdict::kExecute) {
       if (v == DedupWindow::Verdict::kDone) {
         // Already applied: replay an empty ack so the retry completes.
-        CrMrHostDesc hd;
-        hd.msg = rx_->Msgs(rx_seq)[rec_idx];
-        hd.rx_seq = rx_seq;
-        SendResponse(w, hd);
+        const CrMrHostDesc ack{.rx_seq = rx_seq,
+                               .rec_idx = static_cast<uint16_t>(rec_idx)};
+        SendResponse(w, ack);
       } else {
         // First copy still executing; swallow this one — the original's
         // response answers the rid.
@@ -332,10 +359,14 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
       StageScope s(ctx, Stage::kCacheCheck);
       hot_item = co_await HotArrayLookup(ctx, hot_->ActiveArray(), key);
     } else {
-      bool maybe_hot;
-      {
+      // An empty published filter answers every key "cold". Its count comes
+      // with the epoch pointer pair the loop re-reads, so skipping the probe
+      // adds no modeled access.
+      const HotFilter* hf = hot_->ActiveFilter();
+      bool maybe_hot = false;
+      if (hf->count != 0) {
         StageScope s(ctx, Stage::kCacheCheck);
-        maybe_hot = co_await HotFilterContains(ctx, hot_->ActiveFilter(), key);
+        maybe_hot = co_await HotFilterContains(ctx, hf, key);
       }
       if (maybe_hot) {
         StageScope s(ctx, Stage::kIndex);
@@ -361,26 +392,24 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
   const unsigned nmr = env_.num_workers - local_ncr;
   if (nmr == 0) {
     // Degenerate split (pure run-to-completion): process inline.
-    CrMrHostDesc hd;
-    hd.msg = rx_->Msgs(rx_seq)[rec_idx];
-    hd.rx_seq = rx_seq;
+    CrMrHostDesc hd{.rx_seq = rx_seq,
+                    .rec_idx = static_cast<uint16_t>(rec_idx)};
     if (op == OpType::kGet) {
-      uint8_t* resp = w.resp->Alloc(std::min(vlen + 8, kMaxValueBytes));
-      hd.resp = resp;
-      hd.resp_len = co_await ExecGet(ctx, env_, key, resp);
+      hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
+      hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
+      hd.resp_len = co_await ExecGet(ctx, env_, key, hd.resp);
     } else if (op == OpType::kPut) {
       const uint8_t* payload = rx_->Data(rx_seq) + rec->payload_off;
       co_await ExecPut(ctx, env_, key, payload, vlen);
       if (UTPS_UNLIKELY(env_.wal != nullptr)) {
         const wal::WalToken tok =
-            env_.wal->Append(ctx, key, OpType::kPut, payload, vlen, hd.msg.rid);
+            env_.wal->Append(ctx, key, OpType::kPut, payload, vlen, rid);
         co_await env_.wal->WaitDurable(ctx, tok);
       }
     } else {
-      uint8_t* resp = w.resp->Alloc(kScanRespCap);
-      hd.resp = resp;
+      hd.resp = RecordRegion(rx_seq, rec_idx);
       hd.resp_len = co_await ExecScan(ctx, env_, key, rec->scan_upper,
-                                      rec->scan_count, resp, kScanRespCap,
+                                      rec->scan_count, hd.resp, kScanRespCap,
                                       nullptr, 0);
     }
     SendResponse(w, hd);
@@ -390,16 +419,14 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
   CrMrDesc d{key, RxRecord::PackOpLen(op, vlen),
              static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
                  static_cast<uint32_t>(rec_idx)};
-  CrMrHostDesc hd;
-  hd.msg = rx_->Msgs(rx_seq)[rec_idx];
-  hd.rx_seq = rx_seq;
+  CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
   if (op == OpType::kGet) {
-    hd.resp = w.resp->Alloc(std::min(vlen + 8, kMaxValueBytes));
     hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
+    hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
   } else if (op == OpType::kPut) {
     hd.payload = rx_->Data(rx_seq) + rec->payload_off;
   } else {
-    hd.resp = w.resp->Alloc(kScanRespCap);
+    hd.resp = RecordRegion(rx_seq, rec_idx);
     hd.resp_cap = kScanRespCap;
     hd.scan_count = rec->scan_count;
     hd.scan_upper = rec->scan_upper;
@@ -461,24 +488,22 @@ Task<void> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
                                    uint64_t rx_seq, unsigned rec_idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
-  CrMrHostDesc hd;
-  hd.msg = rx_->Msgs(rx_seq)[rec_idx];
-  hd.rx_seq = rx_seq;
+  CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
   if (rec.op() == OpType::kGet) {
-    uint8_t* resp = w.resp->Alloc(std::min(rec.value_len() + 8, kMaxValueBytes));
+    hd.resp_cap = std::min(rec.value_len() + 8, kMaxValueBytes);
+    hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
     StageScope s(ctx, Stage::kData);
-    const uint32_t len = co_await ItemRead(ctx, item, resp);
-    co_await ctx.Write(resp, len);
-    hd.resp = resp;
-    hd.resp_len = len;
+    hd.resp_len = co_await ItemRead(ctx, item, hd.resp);
+    co_await ctx.Write(hd.resp, hd.resp_len);
   } else {
     const uint8_t* payload = rx_->Data(rx_seq) + rec.payload_off;
     StageScope s(ctx, Stage::kData);
     co_await ctx.Read(payload, rec.value_len());
     co_await ItemWrite(ctx, item, payload, rec.value_len());
     if (UTPS_UNLIKELY(env_.wal != nullptr)) {
-      const wal::WalToken tok = env_.wal->Append(
-          ctx, rec.key, OpType::kPut, payload, rec.value_len(), hd.msg.rid);
+      const wal::WalToken tok =
+          env_.wal->Append(ctx, rec.key, OpType::kPut, payload,
+                           rec.value_len(), rx_->Msgs(rx_seq)[rec_idx].rid);
       co_await env_.wal->WaitDurable(ctx, tok);
     }
   }
@@ -488,15 +513,18 @@ Task<void> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
 void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd) {
   StageScope s(w.ctx, Stage::kRespond);
   w.ctx.Charge(env_.respond_cpu_ns);
-  if (UTPS_UNLIKELY(hd.msg.rid != 0) &&
-      static_cast<OpType>(hd.msg.h[1] >> 28) == OpType::kPut) {
+  // The receive slot keeps the request until CompleteOne below.
+  const sim::NicMessage& msg = rx_->Msgs(hd.rx_seq)[hd.rec_idx];
+  if (UTPS_UNLIKELY(msg.rid != 0) &&
+      static_cast<OpType>(msg.h[1] >> 28) == OpType::kPut) {
     // The PUT is applied and its ack is leaving: later retransmits of this
     // rid get a replayed ack instead of a second execution.
-    dedup_.Complete(hd.msg.rid);
+    dedup_.Complete(msg.rid);
   }
   // Note: the CR layer never touches the response payload; the RNIC reads it
   // directly from the response buffer (§3.3 "Copying data items").
-  env_.nic->ServerSend(w.ctx, hd.msg, hd.resp, hd.resp_len + hd.resp_off);
+  env_.nic->ServerSend(w.ctx, msg, hd.resp, hd.resp_len + hd.resp_off);
+  w.resp->Release(hd.resp, hd.resp_cap);
   rx_->CompleteOne(hd.rx_seq);
   w.ops++;
 }
@@ -523,7 +551,7 @@ Task<void> MuTpsServer::CrFlushStaging(unsigned idx, unsigned target) {
   }
   const uint64_t seq = r.head();
   CrMrRing::Slot* slot = r.SlotAt(seq);
-  const unsigned cnt = std::min<unsigned>(st.Size(), CrMrRing::kMaxBatch);
+  const unsigned cnt = std::min<unsigned>(st.Size(), r.stride());
   slot->count = cnt;
   CrMrHostDesc* host = r.HostAt(seq);
   for (unsigned i = 0; i < cnt; i++) {
@@ -740,7 +768,7 @@ Task<void> MuTpsServer::MrProcessSlot(ExecCtx& ctx, unsigned producer,
     cnt = slot->count;
     co_await ctx.Read(slot->descs, sizeof(CrMrDesc) * cnt);
   }
-  UTPS_DCHECK(cnt <= CrMrRing::kMaxBatch);
+  UTPS_DCHECK(cnt <= r.stride());
   // Batched execution: index traversals (and data copies) of the whole batch
   // interleave at memory stalls.
   Task<void> tasks[CrMrRing::kMaxBatch];
@@ -771,8 +799,9 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, CrMrDesc d,
       // Append here (where the op applied); the CR layer waits on the token
       // before releasing the ack, so the durability stall never blocks the
       // MR batch.
-      const wal::WalToken tok = env_.wal->Append(ctx, d.key, OpType::kPut,
-                                                 hd->payload, vlen, hd->msg.rid);
+      const wal::WalToken tok =
+          env_.wal->Append(ctx, d.key, OpType::kPut, hd->payload, vlen,
+                           rx_->Msgs(hd->rx_seq)[hd->rec_idx].rid);
       hd->wal_shard = tok.shard;
       hd->wal_lsn = tok.lsn;
     }

@@ -42,7 +42,8 @@ namespace utps {
 class MuTpsServer final : public KvServer {
  public:
   struct Options {
-    unsigned batch_size = 8;        // CR-MR batch size (and MR indexing batch)
+    unsigned batch_size = 8;        // CR-MR batch size (and MR indexing
+                                    // batch), at most CrMrRing::kMaxBatch
     unsigned initial_ncr = 0;       // 0 = num_workers / 3 heuristic
     uint32_t initial_cache_items = 8192;
     bool enable_cache = true;       // CR hot cache (ablation switch)
@@ -190,6 +191,11 @@ class MuTpsServer final : public KvServer {
   sim::Task<void> CrPollCompletions(unsigned idx);
   sim::Task<void> CrDrainOutstanding(unsigned idx);
   void SendResponse(Worker& w, const CrMrHostDesc& hd);
+  // Response regions: the one receive record (rx_seq, rec_idx) owns, and the
+  // one a GET of `len` response bytes answers from.
+  uint8_t* RecordRegion(uint64_t rx_seq, unsigned rec_idx) const;
+  uint8_t* GetRegion(Worker& w, uint64_t rx_seq, unsigned rec_idx,
+                     uint32_t len);
 
   // MR helpers. The slot processors take the execution context explicitly so
   // the manager-side health probe can substitute for a dead consumer (ring
@@ -235,6 +241,7 @@ class MuTpsServer final : public KvServer {
   // lets the MR sweep jump straight to the round-robin-first ready producer.
   std::vector<uint32_t> mr_ready_;
   std::vector<std::unique_ptr<RespBuffer>> resp_bufs_;
+  uint8_t* record_regions_ = nullptr;  // one 8 KB region per rx record
   std::unique_ptr<HotSetManager> hot_;
   sim::ExecCtx mgr_ctx_;
 

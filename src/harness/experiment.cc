@@ -32,7 +32,7 @@ namespace {
 struct ClientRes {
   sim::RpcGate gate;
   std::vector<uint8_t> scratch;
-  std::vector<uint8_t> out;
+  std::vector<uint8_t> out;  // passive systems only: they copy values out
 };
 
 struct ClientShared {
@@ -381,7 +381,9 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   std::vector<ClientRes> client_res(num_fibers);
   for (unsigned i = 0; i < num_fibers; i++) {
     client_res[i].scratch.assign(1536, static_cast<uint8_t>(i + 1));
-    client_res[i].out.resize(16384);
+    if (passive != nullptr) {
+      client_res[i].out.resize(16384);
+    }
   }
   sh.res = &client_res;
   std::vector<ExecCtx> cli_ctxs(num_fibers);

@@ -15,6 +15,7 @@
 #define UTPS_HOTSET_HOTSET_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -157,6 +158,14 @@ inline sim::Task<bool> HotFilterContains(sim::ExecCtx& ctx, const HotFilter* hf,
 class HotSetManager {
  public:
   static constexpr uint32_t kMaxHot = 16384;  // >= paper's 10K hot items
+  static constexpr uint32_t kFilterCapacity = 4 * kMaxHot;
+
+  // Filter slots for `n` published keys: a power of two, at least 8, with
+  // load factor <= 0.25. A small hot set then probes a few cachelines
+  // instead of a kFilterCapacity-sized table.
+  static uint32_t FilterSlotsFor(uint32_t n) {
+    return std::bit_ceil(std::max(8u, 4 * n));
+  }
 
   HotSetManager(sim::Arena* arena, unsigned num_workers)
       : num_workers_(num_workers), rings_(num_workers), sketch_(1u << 15, 4) {
@@ -164,9 +173,11 @@ class HotSetManager {
       arrays_[b].entries =
           arena->AllocateArray<HotArray::Entry>(kMaxHot, kCachelineBytes);
       arrays_[b].capacity = kMaxHot;
-      const uint32_t fcap = 4 * kMaxHot;  // load factor <= 0.25
-      filters_[b].slots = arena->AllocateArray<Key>(fcap, kCachelineBytes);
-      filters_[b].mask = fcap - 1;
+      // Room for kMaxHot keys at load factor 0.25; BuildAndPublish uses only
+      // the prefix the published count needs.
+      filters_[b].slots =
+          arena->AllocateArray<Key>(kFilterCapacity, kCachelineBytes);
+      filters_[b].mask = FilterSlotsFor(0) - 1;
     }
     worker_epochs_.assign(num_workers, 0);
   }
@@ -241,23 +252,28 @@ class HotSetManager {
     const int next = static_cast<int>((epoch_ + 1) & 1);
     HotArray& ha = arrays_[next];
     HotFilter& hf = filters_[next];
-    // Reset the inactive buffers (safe: all workers are on `epoch_`).
-    std::memset(hf.slots, 0, (size_t{hf.mask} + 1) * sizeof(Key));
-    hf.count = 0;
-    ha.count = 0;
     entries_scratch_.clear();
     entries_scratch_.reserve(hot_scratch_.size());
     for (Key key : hot_scratch_) {
-      Item* it = resolve(key);
-      if (it == nullptr) {
-        continue;
+      if (Item* it = resolve(key)) {
+        entries_scratch_.push_back({key, it});
       }
-      entries_scratch_.push_back({key, it});
-      uint32_t i = static_cast<uint32_t>(Mix64(key)) & hf.mask;
+    }
+    // Reset the inactive buffers (safe: all workers are on `epoch_`). Slots
+    // past the new mask may hold keys of an earlier, larger build; probes
+    // never reach them.
+    const auto published = static_cast<uint32_t>(entries_scratch_.size());
+    hf.mask = FilterSlotsFor(published) - 1;
+    UTPS_DCHECK(hf.mask < kFilterCapacity);
+    std::memset(hf.slots, 0, (size_t{hf.mask} + 1) * sizeof(Key));
+    hf.count = 0;
+    ha.count = 0;
+    for (const HotArray::Entry& e : entries_scratch_) {
+      uint32_t i = static_cast<uint32_t>(Mix64(e.key)) & hf.mask;
       while (hf.slots[i] != 0) {
         i = (i + 1) & hf.mask;
       }
-      hf.slots[i] = key + 1;
+      hf.slots[i] = e.key + 1;
       hf.count++;
     }
     RadixSortByKey();

@@ -85,7 +85,12 @@ class RxRing {
     uint32_t data_bytes = 0;
     uint32_t outstanding = 0;
     sim::Tick first_fill = 0;
-    uint64_t pad[5] = {};
+    // Sequence the slot was last opened for. Claim checks it, so a worker
+    // a full lap behind aborts instead of serving another sequence's
+    // requests. Host-side only: workers read (and are charged for) the
+    // header's first 16 bytes.
+    uint64_t opened_seq = 0;
+    uint64_t pad[4] = {};
   };
   static_assert(sizeof(SlotHeader) == kCachelineBytes, "slot header layout");
 
@@ -155,6 +160,10 @@ class RxRing {
   void Claim(uint64_t seq) {
     SlotHeader* h = Header(seq);
     UTPS_DCHECK(h->state == SlotState::kClosed);
+    UTPS_CHECK_MSG(h->opened_seq == seq,
+                   "claim of rx seq %llu found its slot holding seq %llu",
+                   static_cast<unsigned long long>(seq),
+                   static_cast<unsigned long long>(h->opened_seq));
     h->state = SlotState::kClaimed;
     h->outstanding = h->nreq;
   }
@@ -189,6 +198,7 @@ class RxRing {
         h->data_bytes = 0;
         h->outstanding = 0;
         h->first_fill = msg.arrival_tick;
+        h->opened_seq = fill_seq_;
       }
       const uint32_t payload_len =
           static_cast<OpType>(msg.h[1] >> 28) == OpType::kPut

@@ -152,5 +152,34 @@ TEST(AllocRegression, MuTpsHashMeasurePhaseIsAllocationFree) {
       << "steady-state heap allocations crept back into the measure phase";
 }
 
+// The hash wing with an empty hot set (cache size 0, as the tuner picks for
+// LLC-resident uniform gets): the CR layer skips the filter probe and
+// refreshes publish a minimal filter, still without allocating.
+TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
+  constexpr uint64_t kKeys = 20000;
+  TestBed bed(IndexType::kHash, WorkloadSpec::GetOnly(kKeys, 8, false));
+
+  ExperimentConfig cfg;
+  cfg.system = SystemKind::kMuTps;
+  cfg.workload = WorkloadSpec::GetOnly(kKeys, 8, false);
+  cfg.client_threads = 32;
+  cfg.pipeline_depth = 8;
+  cfg.warmup_ns = 500 * sim::kUsec;
+  cfg.measure_ns = 2 * sim::kMsec;
+  cfg.max_warmup_ns = 20 * sim::kMsec;
+  cfg.mutps.autotune = false;
+  cfg.mutps.initial_cache_items = 0;
+  cfg.mutps.refresh_period_ns = 200 * sim::kUsec;  // refreshes in the window
+
+  g_alloc_probe = &AllocProbe;
+  const ExperimentResult res = bed.Run(cfg);
+  g_alloc_probe = nullptr;
+
+  EXPECT_GT(res.ops, 0u);
+  EXPECT_EQ(res.cache_items, 0u);
+  EXPECT_EQ(res.measure_allocs, 0u)
+      << "steady-state heap allocations crept back into the measure phase";
+}
+
 }  // namespace
 }  // namespace utps

@@ -3,6 +3,8 @@
 // occupancy invariants added for the DST harness.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "core/crmr_queue.h"
 #include "sim/arena.h"
 
@@ -11,7 +13,9 @@ namespace {
 
 class CrMrQueueTest : public ::testing::Test {
  protected:
-  CrMrQueueTest() : arena_(16 << 20) { ring_.Init(&arena_); }
+  static constexpr unsigned kBatch = 8;  // MuTpsServer::Options::batch_size
+
+  CrMrQueueTest() : arena_(16 << 20) { ring_.Init(&arena_, kBatch); }
 
   // Producer side: publish a batch of `count` descriptors.
   void Publish(uint32_t count, Key first_key) {
@@ -85,6 +89,29 @@ TEST_F(CrMrQueueTest, BatchSlotReuseOverwritesDescriptors) {
   // at seq kNumSlots (same physical companion array).
   ring_.HostAt(0)->resp_len = 777;
   EXPECT_EQ(ring_.HostAt(seq)->resp_len, 777u);
+}
+
+TEST_F(CrMrQueueTest, HostCompanionStrideIsTheBatchSize) {
+  // The modeled slot keeps room for kMaxBatch descriptors; the host
+  // companions hold batch_size per slot, back to back.
+  EXPECT_EQ(ring_.stride(), kBatch);
+  for (uint64_t seq = 1; seq < CrMrRing::kNumSlots; seq++) {
+    EXPECT_EQ(ring_.HostAt(seq) - ring_.HostAt(seq - 1),
+              static_cast<std::ptrdiff_t>(kBatch));
+  }
+  // The last slot's companions end where the array does: a full batch in it
+  // stays inside the allocation (ASan checks the write).
+  CrMrHostDesc* last = ring_.HostAt(CrMrRing::kNumSlots - 1);
+  for (unsigned i = 0; i < kBatch; i++) {
+    last[i].resp_len = i;
+  }
+  EXPECT_EQ(last[kBatch - 1].resp_len, kBatch - 1);
+}
+
+TEST(CrMrRingInitDeathTest, BatchLargerThanASlotFails) {
+  sim::Arena arena(1 << 20);
+  CrMrRing ring;
+  EXPECT_DEATH(ring.Init(&arena, CrMrRing::kMaxBatch + 1), "batch_size");
 }
 
 TEST_F(CrMrQueueTest, FullRingBackpressure) {

@@ -93,6 +93,14 @@ struct DstConfig {
   bool perturb = true;            // tie permutation + latency jitter
   sim::Tick jitter_ns = 32;
   bool inject_split = false;      // μTPS: thread reassignment mid-run
+  // μTPS: while clients run, request a thread split every 2 μs, each to a
+  // random split with at least half the workers in the CR layer. The
+  // manager re-splits as fast as it can (empty hot set, minimal refresh and
+  // measure windows) and receive slots close every two requests, so splits
+  // land inside CR workers' receive-ring polls.
+  bool split_storm = false;
+  // The simulated server machine (num_cores is raised to fit the workers).
+  sim::MachineConfig machine;
   uint32_t scan_len_avg = 10;
   // Fault plan (fault/fault.h). The injector seed is mixed with cfg.seed, so
   // sweeping seeds also sweeps fault schedules. When enabled, clients of
@@ -334,6 +342,19 @@ inline sim::Fiber SplitFiber(sim::ExecCtx* ctx, MuTpsServer* srv,
   srv->RequestThreadSplit(1);
 }
 
+// DstConfig::split_storm's request stream (seeded from cfg.seed).
+inline sim::Fiber SplitStormFiber(sim::ExecCtx* ctx, MuTpsServer* srv,
+                                  const Shared* sh) {
+  const DstConfig& cfg = *sh->cfg;
+  Rng rng(Mix64(cfg.seed ^ 0x5b117u));
+  const unsigned lo = std::max(1u, cfg.workers / 2);
+  while (sh->active > 0) {
+    co_await ctx->Delay(2 * sim::kUsec);
+    srv->RequestThreadSplit(
+        lo + static_cast<unsigned>(rng.NextBounded(cfg.workers - lo)));
+  }
+}
+
 inline uint64_t HistoryDigest(const check::History& h) {
   uint64_t d = Mix64(h.ops.size() + 0x7bd5c9f1u);
   for (const check::OpRecord& op : h.ops) {
@@ -375,7 +396,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   const bool tree = cfg.sys == Sys::kMuTpsT || cfg.sys == Sys::kSherman ||
                     (cfg.sys == Sys::kBaseKv && cfg.mix.scan > 0);
 
-  sim::MachineConfig mc;
+  sim::MachineConfig mc = cfg.machine;
   mc.num_cores = std::max(mc.num_cores, cfg.workers + 1);
   sim::Engine eng;
   if (cfg.perturb) {
@@ -490,6 +511,12 @@ inline DstResult RunDst(const DstConfig& cfg) {
       // path see traffic (and CR reads race MR writes on hot keys).
       o.initial_cache_items = static_cast<uint32_t>(cfg.num_keys / 4 + 1);
       o.refresh_period_ns = 60 * sim::kUsec;
+      if (cfg.split_storm) {
+        o.initial_cache_items = 0;
+        o.refresh_period_ns = 2 * sim::kUsec;
+        o.tune_window_ns = 2 * sim::kUsec;
+        o.rx.max_batch = 2;
+      }
       return std::make_unique<MuTpsServer>(e, o);
     }
     UTPS_CHECK(cfg.sys == Sys::kBaseKv);
@@ -553,9 +580,12 @@ inline DstResult RunDst(const DstConfig& cfg) {
     ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
     eng.Spawn(internal::Client(&ctxs[i], &sh, static_cast<uint16_t>(i)));
   }
-  if (cfg.inject_split && mutps != nullptr) {
+  if ((cfg.inject_split || cfg.split_storm) && mutps != nullptr) {
     ctxs[cfg.clients] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(internal::SplitFiber(&ctxs[cfg.clients], mutps, cfg.workers));
+    eng.Spawn(cfg.split_storm
+                  ? internal::SplitStormFiber(&ctxs[cfg.clients], mutps, &sh)
+                  : internal::SplitFiber(&ctxs[cfg.clients], mutps,
+                                         cfg.workers));
   }
 
   // Run until every client finished its ops, with a virtual-time backstop so

@@ -95,6 +95,58 @@ TEST(DstSweep, ScanMixTreeSystems) {
   }
 }
 
+// μTPS-T with more than eight forwarded scans in flight per CR worker (32
+// clients, 70% scans, two CR workers): each scan's 8 KB response must stay
+// its own until the response leaves, however many follow it.
+TEST(DstSweep, ScanMixDeepInFlight) {
+  for (uint64_t seed = 1; seed <= SeedCount(); seed++) {
+    DstConfig cfg = SweepConfig(Sys::kMuTpsT, Mix{0.0, 0.3, 0.0, 0.7}, seed);
+    cfg.inject_split = false;  // keep the two-CR split throughout
+    cfg.num_keys = 4096;
+    cfg.clients = 32;
+    cfg.ops_per_client = 40;
+    cfg.scan_len_avg = 8;
+    RunAndReport(cfg, "scan-deep");
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Thread-split storm on uniform gets (μTPS-H) with the hot set empty, as the
+// tuner leaves it for LLC-resident keys. Two legs:
+//  - 1 KB values: a CR's 64 KB response buffer has 60 GET-sized regions, and
+//    the splits leave more GETs than that forwarded per CR at times; no
+//    response may be overwritten while its GET waits on the MR layer.
+//  - 8 B values on a machine with tiny private caches and LLC, so receive-
+//    ring header reads stall on DRAM: a split published during such a read
+//    must be adopted before the CR claims a slot past the switch point.
+//    (Claiming under the old split serves a slot one lap late, which
+//    RxRing::Claim aborts on, and used to wedge the server.)
+TEST(DstSweep, SplitStormUniformGets) {
+  for (const uint32_t vsize : {1024u, 8u}) {
+    const unsigned seeds = vsize == 8 ? 2 * SeedCount() : SeedCount();
+    for (uint64_t seed = 1; seed <= seeds; seed++) {
+      DstConfig cfg = SweepConfig(Sys::kMuTpsH, Mix{1.0, 0.0, 0.0, 0.0}, seed);
+      cfg.inject_split = false;
+      cfg.split_storm = true;
+      cfg.num_keys = 4096;
+      cfg.zipf_theta = 0.0;
+      cfg.value_size = vsize;
+      cfg.clients = 192;
+      cfg.ops_per_client = vsize == 8 ? 60 : 40;
+      if (vsize == 8) {
+        cfg.machine.priv_sets_log2 = 2;
+        cfg.machine.llc_sets_log2 = 6;
+      }
+      RunAndReport(cfg, vsize == 8 ? "split-storm-8B" : "split-storm-1KB");
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
 // Deletes are only wired on the RPC baselines (μTPS has no delete opcode);
 // slab accounting switches to lax mode because erase leaks items by design.
 TEST(DstSweep, DeleteMixServers) {

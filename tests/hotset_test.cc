@@ -2,6 +2,9 @@
 // tracking, sample rings, hot structures, and the epoch switch protocol.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/zipf.h"
 #include "hotset/hotset.h"
 #include "hotset/sketch.h"
@@ -97,6 +100,33 @@ class HotSetManagerTest : public ::testing::Test {
     return it;
   }
 
+  // Samples keys [0, n) once each, and keys [0, hot) `extra` more times, so
+  // the top-`hot` set is exactly [0, hot).
+  void SampleKeys(Key n, Key hot, unsigned extra) {
+    for (Key k = 0; k < n; k++) {
+      MakeItem(k);
+      mgr_.Ring(0).Push(k);
+    }
+    for (unsigned r = 0; r < extra; r++) {
+      for (Key k = 0; k < hot; k++) {
+        mgr_.Ring(1).Push(k);
+      }
+    }
+    mgr_.DrainSamples();
+  }
+
+  // Builds the next hot set of size k after every worker acked the current
+  // epoch (the manager's precondition for reusing the inactive buffer).
+  void Publish(uint32_t k) {
+    for (unsigned w = 0; w < 4; w++) {
+      mgr_.AckEpoch(w, mgr_.epoch());
+    }
+    mgr_.BuildAndPublish(k, [&](Key key) {
+      auto it = items_.find(key);
+      return it == items_.end() ? nullptr : it->second;
+    });
+  }
+
   sim::Arena arena_;
   SlabAllocator slab_;
   HotSetManager mgr_;
@@ -162,6 +192,51 @@ TEST_F(HotSetManagerTest, ZeroCacheSizePublishesEmptySet) {
   mgr_.BuildAndPublish(0, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
   EXPECT_EQ(mgr_.ActiveArray()->count, 0u);
   EXPECT_EQ(mgr_.ActiveFilter()->count, 0u);
+}
+
+TEST_F(HotSetManagerTest, FilterMaskFollowsPublishedCount) {
+  // Before any build, and with k = 0, the filter is 8 empty slots.
+  EXPECT_EQ(mgr_.ActiveFilter()->mask + 1, 8u);
+  Publish(0);
+  EXPECT_EQ(mgr_.ActiveFilter()->count, 0u);
+  EXPECT_EQ(mgr_.ActiveFilter()->mask + 1, 8u);
+
+  SampleKeys(3000, 0, 0);
+  // (k, slots): at least 8, else the power of two >= 4k (load <= 0.25).
+  const std::pair<uint32_t, uint32_t> cases[] = {
+      {1, 8}, {2, 8}, {3, 16}, {100, 512}, {2048, 8192}, {3000, 16384}};
+  for (const auto& [k, slots] : cases) {
+    Publish(k);
+    const HotFilter* hf = mgr_.ActiveFilter();
+    EXPECT_EQ(hf->count, k);
+    EXPECT_EQ(hf->mask + 1, slots) << "k=" << k;
+    EXPECT_EQ(hf->mask + 1, HotSetManager::FilterSlotsFor(k));
+    std::string err;
+    EXPECT_TRUE(mgr_.AuditEpochs(&err)) << err;
+  }
+  EXPECT_EQ(HotSetManager::FilterSlotsFor(HotSetManager::kMaxHot),
+            HotSetManager::kFilterCapacity);
+}
+
+TEST_F(HotSetManagerTest, ShrinkingFilterExposesNoStaleKey) {
+  SampleKeys(2000, 2, 50);
+  // Fill both buffers with 2000 keys, then rebuild the first one with the
+  // two hottest: its slots past the new 8-slot mask still hold old keys.
+  Publish(2000);
+  const HotFilter* big = mgr_.ActiveFilter();
+  Publish(2000);
+  Publish(2);
+  const HotFilter* hf = mgr_.ActiveFilter();
+  ASSERT_EQ(hf, big);
+  EXPECT_EQ(hf->count, 2u);
+  EXPECT_EQ(hf->mask + 1, 8u);
+  EXPECT_TRUE(hf->ContainsDirect(0));
+  EXPECT_TRUE(hf->ContainsDirect(1));
+  for (Key k = 2; k < 2000; k++) {
+    EXPECT_FALSE(hf->ContainsDirect(k)) << "stale key " << k;
+  }
+  std::string err;
+  EXPECT_TRUE(mgr_.AuditEpochs(&err)) << err;
 }
 
 TEST_F(HotSetManagerTest, StaleKeysAreSkipped) {

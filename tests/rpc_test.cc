@@ -127,6 +127,31 @@ TEST_F(RpcTest, SlotRecyclingAfterCompleteOne) {
   EXPECT_TRUE(rx.IsClosed(2));
 }
 
+// Lap tripwire: a claim one lap late would find the physical slot closed
+// again, for a sequence num_slots later, and serve that sequence's requests
+// under the wrong number. Claim must abort instead.
+using RpcDeathTest = RpcTest;
+
+TEST_F(RpcDeathTest, ClaimOneLapLateAborts) {
+  RxRing::Config cfg;
+  cfg.num_slots = 2;
+  cfg.max_batch = 1;
+  RxRing rx(&arena_, cfg);
+  ExecCtx cli{.eng = &eng_};
+  for (int i = 0; i < 3; i++) {
+    nic_.ClientSend(cli, 0, Req(i));
+  }
+  EXPECT_FALSE(rx.Advance(nic_, 0, 10 * kUsec));  // seqs 0 and 1; key 2 stashed
+  rx.Claim(0);
+  rx.CompleteOne(0);
+  EXPECT_TRUE(rx.Advance(nic_, 0, 10 * kUsec));  // key 2 opens seq 2 in slot 0
+  ASSERT_EQ(rx.Header(0), rx.Header(2));
+  EXPECT_EQ(rx.Header(0)->state, SlotState::kClosed);
+  EXPECT_DEATH(rx.Claim(0), "rx seq 0 found its slot holding seq 2");
+  rx.Claim(2);  // the slot's own sequence claims fine
+  EXPECT_EQ(rx.Records(2)[0].key, 2u);
+}
+
 TEST_F(RpcTest, RecordPacksOpAndLength) {
   EXPECT_EQ(RxRecord::PackOpLen(OpType::kScan, 12345) >> 28,
             static_cast<uint32_t>(OpType::kScan));

@@ -197,6 +197,29 @@ TEST(MuTpsReconfig, ThreadSplitChangesWithoutLosingRequests) {
   EXPECT_GE(res.nmr, 1u);
 }
 
+// μTPS-H's CR layer probes the hot filter only when the published set is
+// non-empty: with cache size 0 the cache-check stage costs nothing, and with
+// a hot set it is charged.
+TEST(MuTpsHotSet, EmptyHashHotSetSkipsTheCacheCheck) {
+  sim::MachineConfig mc;
+  mc.num_cores = 10;
+  TestBed bed(IndexType::kHash, SmallSpec(64, 0.99), 8, mc);
+  double check_ns[2];
+  for (uint32_t items : {0u, 2048u}) {
+    ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, SmallSpec(64, 0.99));
+    cfg.mutps.initial_cache_items = items;
+    cfg.obs.cycle_accounting = true;
+    const ExperimentResult res = bed.Run(cfg);
+    ASSERT_TRUE(res.cycles.valid);
+    EXPECT_GT(res.ops, 1000u);
+    EXPECT_EQ(res.cache_items > 0, items > 0);
+    check_ns[items == 0 ? 0 : 1] =
+        res.cycles.ns_per_op[static_cast<unsigned>(sim::Stage::kCacheCheck)];
+  }
+  EXPECT_EQ(check_ns[0], 0.0);
+  EXPECT_GT(check_ns[1], 0.0);
+}
+
 TEST(MuTpsHotSet, SkewedLoadPopulatesCache) {
   sim::MachineConfig mc;
   mc.num_cores = 10;
