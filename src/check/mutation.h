@@ -1,11 +1,11 @@
 // Mutation smoke-check hooks (tests/dst/dst_mutation_test.cc).
 //
-// Two seeded bugs can be reintroduced into the concurrency machinery to prove
+// Seeded bugs can be reintroduced into the concurrency machinery to prove
 // the DST harness detects real defects. The hook sites compile to nothing
 // unless MUTPS_MUTATION is defined; the mutation test builds its own copies of
 // the affected translation units with that flag, so the library and every
 // other binary are unaffected. Which bug is active is a runtime mode so one
-// binary covers both mutations plus a clean control run.
+// binary covers every mutation plus a clean control run.
 #ifndef UTPS_CHECK_MUTATION_H_
 #define UTPS_CHECK_MUTATION_H_
 
@@ -34,6 +34,13 @@ enum class Mode : uint8_t {
   // routed by the flipped ring miss an acked write (stale read) and the
   // primary/backup replica audit sees divergent copies.
   kDropRingEpochCheck = 4,
+  // MuTpsServer::Reconfigure publishes a thread split and returns without
+  // waiting for every worker to acknowledge it, so the next split can be
+  // published while workers are still switching to this one. Workers then
+  // jump versions: slots are claimed under splits their owners never ran,
+  // and a CR worker that skipped a version forwards to an MR worker that has
+  // already joined the CR layer — stuck ops or a failed quiesce audit.
+  kPublishWithoutAcks = 5,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -88,11 +95,20 @@ inline bool DropRingEpochCheck() {
   g_fired++;
   return true;
 }
+
+inline bool PublishWithoutAcks() {
+  if (g_mode != Mode::kPublishWithoutAcks) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
 inline constexpr bool DropDedupWindow() { return false; }
 inline constexpr bool DropRingEpochCheck() { return false; }
+inline constexpr bool PublishWithoutAcks() { return false; }
 #endif
 
 }  // namespace utps::mut

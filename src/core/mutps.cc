@@ -1,7 +1,6 @@
 #include "core/mutps.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "check/mutation.h"
@@ -26,6 +25,7 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
     : env_(env), opt_(opt), cache_k_(opt.initial_cache_items) {
   rx_ = std::make_unique<RxRing>(env_.arena, opt_.rx);
   const unsigned w = env_.num_workers;
+  UTPS_CHECK(w >= 2);   // at least one core per layer
   UTPS_CHECK(w <= 32);  // ready masks (cr_inflight / mr_ready_) are 32-bit
   rings_.resize(size_t{w} * w);
   mr_ready_.assign(w, 0);
@@ -71,10 +71,8 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   if (ncr == 0) {
     ncr = std::max(1u, w / 3);
   }
-  if (ncr >= w && w > 1) {
-    ncr = w - 1;
-  }
-  cfg_ = Config{ncr, 0, 1};
+  ncr = std::min(ncr, w - 1);
+  cfg_ = Config{ncr, ncr, 0, 1};
   // Default LLC policy before tuning: CR owns all ways; MR reuses all ways.
   env_.mem->SetClosMask(opt_.cr_clos, env_.mem->config().AllWaysMask());
   env_.mem->SetClosMask(opt_.mr_clos, env_.mem->config().AllWaysMask());
@@ -118,7 +116,10 @@ void MuTpsServer::Start() {
     }
   }
   for (unsigned i = 0; i < env_.num_workers; i++) {
-    workers_[i].adopted_version = cfg_.version;
+    Worker& w = workers_[i];
+    w.acked_version = cfg_.version;
+    w.is_cr = i < cfg_.ncr;
+    w.next_seq = i;  // AlignSeq(switch_seq = 0, ncr, i) for a CR worker
     env_.eng->Spawn(WorkerMain(i));
   }
   env_.eng->Spawn(ManagerMain());
@@ -158,6 +159,7 @@ uint64_t MuTpsServer::hot_misses() const {
 }
 
 void MuTpsServer::ResetStats() {
+  ops_before_reset_ += OpsCompleted();
   for (Worker& w : workers_) {
     w.ops = 0;
     w.hot_hits = 0;
@@ -201,7 +203,7 @@ void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
 Fiber MuTpsServer::WorkerMain(unsigned idx) {
   Worker& w = workers_[idx];
   while (!stop_) {
-    if (idx < cfg_.ncr) {
+    if (w.is_cr) {
       co_await CrRun(idx);
     } else {
       co_await MrRun(idx);
@@ -218,15 +220,12 @@ Fiber MuTpsServer::WorkerMain(unsigned idx) {
 Task<void> MuTpsServer::CrRun(unsigned idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
-  w.is_cr = true;
   ctx.clos = opt_.cr_clos;
-  w.adopted_version = cfg_.version;
-  unsigned local_ncr = cfg_.ncr;
-  w.local_ncr = local_ncr;
-  // Start claiming at the switch sequence — NOT at the current fill sequence:
-  // slots in [switch_seq, fill_seq) with this worker's residue arrived while
-  // the worker was still draining its MR role and belong to it.
-  w.next_seq = AlignSeq(cfg_.switch_seq, local_ncr, idx);
+  // next_seq was set where this worker took the CR role (Start, or its
+  // acknowledgement in MrRun). It starts at the switch sequence, NOT at the
+  // current fill sequence: slots in [switch_seq, fill_seq) with this worker's
+  // residue arrived while the worker was still draining its MR role and
+  // belong to it.
   w.cr_inflight = 0;
   for (unsigned t = 0; t < env_.num_workers; t++) {
     w.seen_tail[t] = RingAt(idx, t).tail();
@@ -234,33 +233,11 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
       w.cr_inflight |= 1u << t;
     }
   }
-  w.outstanding = 0;
   uint64_t hot_epoch_seen = hot_->epoch();
   hot_->AckEpoch(idx, hot_epoch_seen);
   Rng sample_rng(0xabcd0000 + idx);
 
   while (!stop_) {
-    // --- configuration adoption (predefined-slot protocol, §3.5) ---
-    if (cfg_.version != w.adopted_version && w.next_seq >= cfg_.switch_seq) {
-      // Flush everything staged under the old MR set first: when the CR
-      // layer grows, some staged targets are about to become CR workers and
-      // would otherwise strand these descriptors.
-      for (unsigned t = 0; t < env_.num_workers; t++) {
-        if (!w.staging[t].Empty()) {
-          co_await CrFlushStaging(idx, t);
-        }
-      }
-      w.adopted_version = cfg_.version;
-      cr_acks_++;
-      if (idx >= cfg_.ncr) {
-        // Leaving the CR layer: drain in-flight batches before switching.
-        co_await CrDrainOutstanding(idx);
-        co_return;
-      }
-      local_ncr = cfg_.ncr;
-      w.local_ncr = local_ncr;
-      w.next_seq = AlignSeq(cfg_.switch_seq, local_ncr, idx);
-    }
     // --- hot-set epoch adoption ---
     if (hot_->epoch() != hot_epoch_seen) {
       hot_epoch_seen = hot_->epoch();
@@ -269,22 +246,49 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
     }
     // --- receive-ring poll ---
     bool claimed = false;
+    bool switching = false;
     {
       StageScope s(ctx, Stage::kPoll);
       rx_->Advance(*env_.nic, 0, ctx.eng->now());
       ctx.Charge(4);
       co_await ctx.Read(rx_->Header(w.next_seq), 16);
-      // A split published while the read was in flight owns next_seq if it
-      // is past the switch point: adopt it first (next iteration), or this
-      // worker would claim the slot under the old residues.
-      const bool switching =
-          cfg_.version != w.adopted_version && w.next_seq >= cfg_.switch_seq;
+      // The one split check (§3.5), between the header read and the claim: a
+      // split published before or during the read owns next_seq once it is
+      // at or past switch_seq, so this worker must switch before claiming.
+      switching =
+          cfg_.version != w.acked_version && w.next_seq >= cfg_.switch_seq;
       if (!switching && rx_->IsClosed(w.next_seq)) {
         rx_->Claim(w.next_seq);
         ctx.Charge(3);
         claimed = true;
       }
     }
+    if (switching) {
+      // Flush everything staged under the old MR set first: when the CR
+      // layer grows, some staged targets are about to become CR workers and
+      // would otherwise strand these descriptors. A worker leaving the CR
+      // layer also waits out its forwarded requests, whose responses it
+      // would never send as an MR worker.
+      const bool leaving = idx >= cfg_.ncr;
+      for (unsigned t = 0; t < env_.num_workers; t++) {
+        if (!w.staging[t].Empty()) {
+          co_await CrFlushStaging(idx, t);
+        }
+      }
+      while (leaving && w.outstanding > 0 && !stop_) {
+        co_await CrPollCompletions(idx);
+        co_await ctx.Yield();
+      }
+      // The CR role's one acknowledgement point.
+      w.acked_version = cfg_.version;
+      w.is_cr = !leaving;
+      if (leaving) {
+        co_return;
+      }
+      w.next_seq = AlignSeq(cfg_.switch_seq, cfg_.ncr, idx);
+      continue;
+    }
+    const unsigned ncr = NcrOf(w);
     if (claimed) {
       const uint64_t seq = w.next_seq;
       const unsigned cnt = rx_->Header(seq)->nreq;
@@ -296,16 +300,16 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
         }
         co_await CrHandleRecord(idx, seq, i);
       }
-      w.next_seq += local_ncr;
+      w.next_seq += ncr;
     }
     // --- staged-batch flush on timeout ---
-    const unsigned nmr = env_.num_workers - local_ncr;
-    for (unsigned t = local_ncr; t < env_.num_workers && nmr > 0; t++) {
+    const unsigned nmr = env_.num_workers - ncr;
+    for (unsigned t = ncr; t < env_.num_workers; t++) {
       Worker::Staging& st = w.staging[t];
       if (!st.Empty() &&
           ctx.Now() - st.first_ns >= opt_.flush_timeout_ns) {
         co_await CrFlushStaging(idx, t);
-        if (t == local_ncr + (w.rr_next % nmr)) {
+        if (t == ncr + (w.rr_next % nmr)) {
           w.rr_next++;
         }
       }
@@ -388,34 +392,8 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
   }
 
   // --- miss path: forward through the CR-MR queue ---
-  const unsigned local_ncr = w.local_ncr;
-  const unsigned nmr = env_.num_workers - local_ncr;
-  if (nmr == 0) {
-    // Degenerate split (pure run-to-completion): process inline.
-    CrMrHostDesc hd{.rx_seq = rx_seq,
-                    .rec_idx = static_cast<uint16_t>(rec_idx)};
-    if (op == OpType::kGet) {
-      hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
-      hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
-      hd.resp_len = co_await ExecGet(ctx, env_, key, hd.resp);
-    } else if (op == OpType::kPut) {
-      const uint8_t* payload = rx_->Data(rx_seq) + rec->payload_off;
-      co_await ExecPut(ctx, env_, key, payload, vlen);
-      if (UTPS_UNLIKELY(env_.wal != nullptr)) {
-        const wal::WalToken tok =
-            env_.wal->Append(ctx, key, OpType::kPut, payload, vlen, rid);
-        co_await env_.wal->WaitDurable(ctx, tok);
-      }
-    } else {
-      hd.resp = RecordRegion(rx_seq, rec_idx);
-      hd.resp_len = co_await ExecScan(ctx, env_, key, rec->scan_upper,
-                                      rec->scan_count, hd.resp, kScanRespCap,
-                                      nullptr, 0);
-    }
-    SendResponse(w, hd);
-    co_return true;
-  }
-
+  const unsigned ncr = NcrOf(w);
+  const unsigned nmr = env_.num_workers - ncr;
   CrMrDesc d{key, RxRecord::PackOpLen(op, vlen),
              static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
                  static_cast<uint32_t>(rec_idx)};
@@ -460,7 +438,7 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
   // Round-robin over the MR set at BATCH granularity: fill the current
   // target's batch, then move to the next MR worker (§3.4: a CR thread
   // pushes an item only when enough requests have accumulated).
-  unsigned target = local_ncr + (w.rr_next % nmr);
+  unsigned target = ncr + (w.rr_next % nmr);
   if (UTPS_UNLIKELY(dead_mask_ != 0)) {
     // Failover routing: steer new batches away from confirmed-dead MR workers
     // (§3.5 reassignment reused for fault recovery). With a single injected
@@ -468,7 +446,7 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
     unsigned tries = 0;
     while (((dead_mask_ >> target) & 1u) != 0 && tries++ < nmr) {
       w.rr_next++;
-      target = local_ncr + (w.rr_next % nmr);
+      target = ncr + (w.rr_next % nmr);
     }
   }
   Worker::Staging& st = w.staging[target];
@@ -630,19 +608,6 @@ Task<void> MuTpsServer::CrPollCompletions(unsigned idx) {
   }
 }
 
-Task<void> MuTpsServer::CrDrainOutstanding(unsigned idx) {
-  Worker& w = workers_[idx];
-  for (unsigned t = 0; t < env_.num_workers; t++) {
-    if (!w.staging[t].Empty()) {
-      co_await CrFlushStaging(idx, t);
-    }
-  }
-  while (w.outstanding > 0 && !stop_) {
-    co_await CrPollCompletions(idx);
-    co_await w.ctx.Yield();
-  }
-}
-
 // =========================================================================
 // Memory-resident layer (§3.3): batched coroutine indexing + data copies.
 // =========================================================================
@@ -650,13 +615,11 @@ Task<void> MuTpsServer::CrDrainOutstanding(unsigned idx) {
 Task<void> MuTpsServer::MrRun(unsigned idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
-  w.is_cr = false;
   ctx.clos = opt_.mr_clos;
-  w.adopted_version = cfg_.version;
   mr_ready_[idx] = 0;
   for (unsigned p = 0; p < env_.num_workers; p++) {
-    // Resume consumption at the tail: CR workers that adopted the new
-    // configuration first may already have pushed batches for us.
+    // Resume consumption at the tail: CR workers that acknowledged the new
+    // split first may already have pushed batches for us.
     w.pop_cursor[p] = RingAt(p, idx).tail();
     if (w.pop_cursor[p] < RingAt(p, idx).head()) {
       mr_ready_[idx] |= 1u << p;
@@ -691,25 +654,27 @@ Task<void> MuTpsServer::MrRun(unsigned idx) {
       }
       w.heartbeat++;
     }
-    // --- configuration adoption ---
-    if (cfg_.version != w.adopted_version) {
-      if (idx < cfg_.ncr) {
-        // Joining the CR layer: wait until every old CR worker has switched
-        // and our inbound rings are drained (§3.5, MR -> CR direction).
-        bool rings_empty = true;
-        for (unsigned p = 0; p < env_.num_workers; p++) {
-          CrMrRing& r = RingAt(p, idx);
-          if (r.head() != r.tail() || r.head() != w.pop_cursor[p]) {
-            rings_empty = false;
-            break;
-          }
-        }
-        if (cr_acks_ >= expected_acks_ && rings_empty) {
-          w.adopted_version = cfg_.version;
+    // --- thread-split handshake (§3.5) ---
+    if (cfg_.version != w.acked_version) {
+      // Staying MR acknowledges at once. Joining the CR layer waits until
+      // every old CR worker has acknowledged (none forwards to us any more)
+      // and our inbound rings are drained.
+      const bool joining = idx < cfg_.ncr;
+      bool ready = true;
+      for (unsigned p = 0; joining && ready && p < env_.num_workers; p++) {
+        const CrMrRing& r = RingAt(p, idx);
+        ready = (p >= cfg_.prev_ncr ||
+                 workers_[p].acked_version == cfg_.version) &&
+                r.head() == r.tail() && r.head() == w.pop_cursor[p];
+      }
+      if (ready) {
+        // The MR role's one acknowledgement point.
+        w.acked_version = cfg_.version;
+        w.is_cr = joining;
+        if (joining) {
+          w.next_seq = AlignSeq(cfg_.switch_seq, cfg_.ncr, idx);
           co_return;  // WorkerMain re-enters as CR
         }
-      } else {
-        w.adopted_version = cfg_.version;  // stay MR under the new config
       }
     }
     if (hot_->epoch() != hot_epoch_seen) {
@@ -947,40 +912,39 @@ Task<void> MuTpsServer::Reconfigure(unsigned new_ncr) {
   }
   obs::SpanScope span(trc_, ctx, "mgr", "reconfigure", obs::Tracer::kServerPid,
                       mgr_tid_);
-  expected_acks_ = cfg_.ncr;
-  cr_acks_ = 0;
-  cfg_ = Config{new_ncr, rx_->fill_seq(), cfg_.version + 1};
+  cfg_ = Config{new_ncr, cfg_.ncr, rx_->fill_seq(), cfg_.version + 1};
   reconfig_count_++;
   if (trc_ != nullptr) {
     // Instant marker: makes thread-split changes visible as vertical lines.
     trc_->Instant("mgr", "thread_split_switch", obs::Tracer::kServerPid,
                   mgr_tid_, ctx.Now());
   }
-  // Wait for all workers to adopt the new configuration (request processing
+  // Wait for every worker to acknowledge the new split before returning, so
+  // the next publish finds them all at this version (request processing
   // continues throughout).
-  while (!stop_) {
-    bool all = true;
-    for (const Worker& w : workers_) {
-      if (w.adopted_version != cfg_.version) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      break;
-    }
+  if (mut::PublishWithoutAcks()) {
+    co_return;
+  }
+  while (!stop_ && !SplitSettled()) {
     co_await ctx.Delay(5 * sim::kUsec);
   }
+}
+
+bool MuTpsServer::SplitSettled() const {
+  return std::all_of(workers_.begin(), workers_.end(), [this](const Worker& w) {
+    return w.acked_version == cfg_.version;
+  });
 }
 
 Task<double> MuTpsServer::MeasureWindow() {
   ExecCtx& ctx = mgr_ctx_;
   obs::SpanScope span(trc_, ctx, "mgr", "measure_window",
                       obs::Tracer::kServerPid, mgr_tid_);
-  const uint64_t base = OpsCompleted();
+  // Counted across ResetStats, which a harness may call mid-window.
+  const uint64_t base = ops_before_reset_ + OpsCompleted();
   const Tick t0 = ctx.eng->now();
   co_await ctx.Delay(opt_.tune_window_ns);
-  const uint64_t delta = OpsCompleted() - base;
+  const uint64_t delta = ops_before_reset_ + OpsCompleted() - base;
   const Tick dt = ctx.eng->now() - t0;
   co_return dt == 0 ? 0.0 : static_cast<double>(delta) * 1000.0 /
                                 static_cast<double>(dt);
@@ -1097,42 +1061,29 @@ Task<void> MuTpsServer::Autotune() {
   ewma_mops_ = co_await MeasureWindow();
 }
 
-
-void MuTpsServer::DebugDump() const {
-  std::fprintf(stderr, "cfg: ncr=%u switch=%llu ver=%llu acks=%llu/%llu fill=%llu\n",
-               cfg_.ncr, (unsigned long long)cfg_.switch_seq,
-               (unsigned long long)cfg_.version, (unsigned long long)cr_acks_,
-               (unsigned long long)expected_acks_,
-               (unsigned long long)rx_->fill_seq());
-  for (unsigned i = 0; i < env_.num_workers; i++) {
-    const Worker& w = workers_[i];
-    uint64_t staged = 0;
-    for (const auto& st : w.staging) {
-      staged += st.Size();
-    }
-    uint64_t ring_in = 0;
-    for (unsigned p = 0; p < env_.num_workers; p++) {
-      const CrMrRing& r = const_cast<MuTpsServer*>(this)->RingAt(p, i);
-      ring_in += r.head() - r.tail();
-    }
-    std::fprintf(stderr,
-                 "  w%-2u %s ver=%llu next_seq=%llu ncr_local=%u out=%llu "
-                 "staged=%llu inflight_rings=%llu ops=%llu\n",
-                 i, w.is_cr ? "CR" : "MR", (unsigned long long)w.adopted_version,
-                 (unsigned long long)w.next_seq, w.local_ncr,
-                 (unsigned long long)w.outstanding, (unsigned long long)staged,
-                 (unsigned long long)ring_in, (unsigned long long)w.ops);
-  }
-}
-
 bool MuTpsServer::AuditQuiesced(std::string* err) const {
-  auto fail = [err](std::string msg) {
+  const unsigned w = env_.num_workers;
+  auto fail = [&](std::string msg) {
     if (err != nullptr) {
-      *err = "mutps: " + std::move(msg);
+      *err = "mutps: " + std::move(msg) + " (split v" +
+             std::to_string(cfg_.version) + ": ncr=" +
+             std::to_string(cfg_.ncr) + " switch_seq=" +
+             std::to_string(cfg_.switch_seq) + ")";
+      for (unsigned i = 0; i < w; i++) {
+        const Worker& wk = workers_[i];
+        uint64_t staged = 0;
+        for (const Worker::Staging& st : wk.staging) {
+          staged += st.Size();
+        }
+        *err += "\n  w" + std::to_string(i) + (wk.is_cr ? " CR" : " MR") +
+                " acked=v" + std::to_string(wk.acked_version) +
+                " next_seq=" + std::to_string(wk.next_seq) +
+                " outstanding=" + std::to_string(wk.outstanding) +
+                " staged=" + std::to_string(staged);
+      }
     }
     return false;
   };
-  const unsigned w = env_.num_workers;
   for (unsigned p = 0; p < w; p++) {
     for (unsigned c = 0; c < w; c++) {
       const CrMrRing& r = rings_[size_t{p} * w + c];
@@ -1143,25 +1094,29 @@ bool MuTpsServer::AuditQuiesced(std::string* err) const {
       }
     }
   }
+  // The handshake invariant: every worker has acknowledged the published
+  // split, holds the role it assigns, and keeps no staged or forwarded work.
   for (unsigned i = 0; i < w; i++) {
     const Worker& wk = workers_[i];
-    for (unsigned t = 0; t < wk.staging.size(); t++) {
-      if (!wk.staging[t].Empty()) {
-        return fail("worker " + std::to_string(i) + " has " +
-                    std::to_string(wk.staging[t].Size()) +
+    const std::string who = "worker " + std::to_string(i);
+    if (wk.acked_version != cfg_.version) {
+      return fail(who + " has not acknowledged the published split");
+    }
+    if (wk.is_cr != (i < cfg_.ncr)) {
+      return fail(who + " holds the wrong role for the published split");
+    }
+    for (const Worker::Staging& st : wk.staging) {
+      if (!st.Empty()) {
+        return fail(who + " has " + std::to_string(st.Size()) +
                     " staged descriptors at quiesce");
       }
     }
     if (wk.outstanding != 0) {
-      return fail("worker " + std::to_string(i) + " has " +
-                  std::to_string(wk.outstanding) +
+      return fail(who + " has " + std::to_string(wk.outstanding) +
                   " uncompleted forwarded requests at quiesce");
     }
   }
-  if (!hot_->AuditEpochs(err)) {
-    return false;
-  }
-  return true;
+  return hot_->AuditEpochs(err);
 }
 
 }  // namespace utps

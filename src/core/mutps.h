@@ -15,12 +15,19 @@
 //    thread split, trisection over the LLC ways reused by the MR layer, all
 //    without blocking request processing.
 //
-// Thread reassignment follows §3.5's predefined-slot protocol: the manager
-// publishes {ncr', switch_seq}; receive-ring slots with seq < switch_seq are
-// processed under the old split and slots >= switch_seq under the new one;
-// workers leaving the CR layer first drain their in-flight CR-MR batches, and
-// workers joining it wait until all old CR workers have switched and their
-// inbound rings are empty. No request is lost or processed twice.
+// Thread reassignment follows §3.5's predefined-slot protocol as one
+// acknowledged handshake. The manager publishes version v = {ncr', switch_seq}
+// and publishes v+1 only once every worker has acknowledged v, so a worker is
+// always under v or v-1. Receive-ring slots with seq < switch_seq are
+// processed under the old split and slots >= switch_seq under the new one.
+// Each worker acknowledges v once, when it has fully switched:
+//  - CR -> CR: its next claim is at or past switch_seq and its staged
+//    batches are flushed;
+//  - CR -> MR: as above, and its forwarded requests have all completed;
+//  - MR -> MR: at once;
+//  - MR -> CR: once every old CR worker has acknowledged v and its inbound
+//    CR-MR rings are empty.
+// No request is lost or processed twice.
 #ifndef UTPS_CORE_MUTPS_H_
 #define UTPS_CORE_MUTPS_H_
 
@@ -98,22 +105,26 @@ class MuTpsServer final : public KvServer {
   // auto-tuning is disabled) — the harness gates measurement on this.
   bool tuned() const { return tuned_once_ || !opt_.autotune; }
 
+  // True once every worker has acknowledged the published thread split; the
+  // manager publishes the next one only then.
+  bool SplitSettled() const;
+
   // Manual controls (used by ablation benches and tests when autotune = off).
   void RequestThreadSplit(unsigned ncr) { pending_ncr_request_ = ncr; }
   void SetCacheTarget(uint32_t k) { cache_k_ = k; }
 
-  // Diagnostic dump of worker / queue state (stderr).
-  void DebugDump() const;
-
   // Quiesce audit (DST harness): with all clients done and the engine idle,
-  // every CR-MR ring must show head == tail, all staged descriptors must be
-  // flushed, no forwarded request may be uncompleted, and the hot-set epoch
-  // bookkeeping must be consistent. Returns false with a description in `err`.
+  // every CR-MR ring must show head == tail, every worker must have
+  // acknowledged the current split and hold the role it assigns, all staged
+  // descriptors must be flushed, no forwarded request may be uncompleted, and
+  // the hot-set epoch bookkeeping must be consistent. Returns false with a
+  // description and a per-worker state table in `err`.
   bool AuditQuiesced(std::string* err) const;
 
  private:
   struct Config {
     unsigned ncr = 1;
+    unsigned prev_ncr = 1;  // ncr of version - 1
     uint64_t switch_seq = 0;
     uint64_t version = 0;
   };
@@ -126,8 +137,8 @@ class MuTpsServer final : public KvServer {
     uint64_t hot_hits = 0;           // CR: cache-eligible requests served hot
     uint64_t hot_misses = 0;         // CR: cache-eligible requests forwarded
     uint64_t peak_outstanding = 0;   // CR: high-water forwarded-not-completed
-    uint64_t adopted_version = 0;
-    bool is_cr = false;
+    uint64_t acked_version = 0;      // last split version acknowledged
+    bool is_cr = false;              // role under acked_version
     // CR staging: per-target-MR pending descriptor batches.
     struct Staging {
       std::vector<CrMrDesc> descs;
@@ -162,7 +173,6 @@ class MuTpsServer final : public KvServer {
     uint64_t next_seq = 0;              // CR: next receive-ring sequence
     unsigned rr_next = 0;               // CR: round-robin MR target cursor
     uint64_t outstanding = 0;           // CR: forwarded, not yet completed
-    unsigned local_ncr = 1;             // split under the adopted config
     // Fault tolerance: liveness counter bumped each MR loop iteration, and
     // the crash-stop park flag (set when the worker observes its injected
     // crash at the loop top — the point where pop_cursor == tail on every
@@ -179,7 +189,8 @@ class MuTpsServer final : public KvServer {
   sim::Fiber WorkerMain(unsigned idx);
   sim::Fiber ManagerMain();
 
-  // Role bodies; return when the worker must switch roles (or stop).
+  // Role bodies; return once the worker has acknowledged a split that moves
+  // it to the other layer (or on stop).
   sim::Task<void> CrRun(unsigned idx);
   sim::Task<void> MrRun(unsigned idx);
 
@@ -189,7 +200,6 @@ class MuTpsServer final : public KvServer {
   sim::Task<bool> CrHandleRecord(unsigned idx, uint64_t rx_seq, unsigned rec_idx);
   sim::Task<void> CrFlushStaging(unsigned idx, unsigned target);
   sim::Task<void> CrPollCompletions(unsigned idx);
-  sim::Task<void> CrDrainOutstanding(unsigned idx);
   void SendResponse(Worker& w, const CrMrHostDesc& hd);
   // Response regions: the one receive record (rx_seq, rec_idx) owns, and the
   // one a GET of `len` response bytes answers from.
@@ -215,6 +225,12 @@ class MuTpsServer final : public KvServer {
   sim::Task<unsigned> TrisectThreads(double* best_mops_out);
   sim::Task<void> TuneLlcWays();
   sim::Task<void> Autotune();
+
+  // CR layer size under the split `w` runs: the handshake keeps every worker
+  // at the published version or the one before it.
+  unsigned NcrOf(const Worker& w) const {
+    return w.acked_version == cfg_.version ? cfg_.ncr : cfg_.prev_ncr;
+  }
 
   // First sequence >= from with seq % n == residue.
   static uint64_t AlignSeq(uint64_t from, unsigned n, unsigned residue) {
@@ -263,9 +279,7 @@ class MuTpsServer final : public KvServer {
   std::vector<const char*> out_ctr_name_;  // interned per-CR counter names
   uint64_t peak_ring_occ_ = 0;
 
-  Config cfg_;           // current (latest published) configuration
-  uint64_t cr_acks_ = 0;  // CR workers that passed the switch point
-  uint64_t expected_acks_ = 0;  // CR workers under the previous configuration
+  Config cfg_;  // current (latest published) configuration
   uint32_t cache_k_;
   unsigned mr_ways_ = 0;
   uint64_t reconfig_count_ = 0;
@@ -273,6 +287,7 @@ class MuTpsServer final : public KvServer {
   bool stop_ = false;
 
   // Throughput monitoring.
+  uint64_t ops_before_reset_ = 0;  // completions zeroed by ResetStats
   double ewma_mops_ = 0.0;
   bool tuned_once_ = false;
 };

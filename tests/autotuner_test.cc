@@ -1,7 +1,7 @@
 // Auto-tuner behaviour tests: the hierarchical search must land within a few
 // percent of the best configuration found by an exhaustive thread-split
-// sweep, reconfigurations must never lose requests, and whole experiments
-// must be bit-deterministic across runs.
+// sweep, reconfigurations must never lose or strand requests, and whole
+// experiments must be bit-deterministic across runs.
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
@@ -57,6 +57,36 @@ TEST(AutoTuner, TrisectionMatchesExhaustiveSweep) {
   const ExperimentResult r = bed.Run(cfg);
   EXPECT_GE(r.mops, 0.85 * best_manual)
       << "auto ncr=" << r.ncr << " manual best ncr=" << best_ncr;
+}
+
+// A tuned μTPS-T on YCSB-E: the tuner's trisection shrinks the CR layer
+// while leaving workers still drain forwarded scans, and publishes the next
+// split right after. Each split must wait for every worker to acknowledge the
+// previous one, or a leaver re-enters the CR layer without having run as an
+// MR worker and the batches forwarded to it are stranded: the run completes
+// no request at all. StdConfig's quick tune, one fresh bed per seed.
+TEST(AutoTuner, TunedYcsbECompletesRequests) {
+  const uint64_t kKeys = 200000;
+  const WorkloadSpec spec = WorkloadSpec::YcsbE(kKeys, 64);
+  for (const uint64_t seed : {1, 2, 3, 7, 42}) {
+    TestBed bed(IndexType::kTree, spec, /*server_workers=*/12);
+    ExperimentConfig cfg;
+    cfg.system = SystemKind::kMuTps;
+    cfg.workload = spec;
+    cfg.client_threads = 64;
+    cfg.pipeline_depth = 16;
+    cfg.warmup_ns = 1 * kMsec;
+    cfg.measure_ns = 200 * kUsec;
+    cfg.max_warmup_ns = 25 * kMsec;
+    cfg.seed = seed;
+    cfg.mutps.tune_llc = false;
+    cfg.mutps.cache_sizes = {0, 4000, 8000};
+    cfg.mutps.tune_window_ns = 150 * kUsec;
+    cfg.mutps.refresh_period_ns = 2 * kMsec;
+    const ExperimentResult r = bed.Run(cfg);
+    EXPECT_GT(r.ops, 0u) << "seed " << seed << ": ncr=" << r.ncr
+                         << " reconfigs=" << r.reconfigs;
+  }
 }
 
 TEST(AutoTuner, ManualSplitRequestIsApplied) {

@@ -588,19 +588,27 @@ inline DstResult RunDst(const DstConfig& cfg) {
                                          cfg.workers));
   }
 
-  // Run until every client finished its ops, with a virtual-time backstop so
-  // a lost completion surfaces as "stuck" instead of hanging the test.
+  // Run until every client finished its ops. A progress watchdog turns a
+  // lost completion into "stuck" instead of a hang: the run is stuck once no
+  // operation completes for `quiet_ns` of virtual time while clients still
+  // wait. A slow but live run (heavy jitter, a split storm) keeps completing
+  // operations and runs on, up to the hard cap `deadline`.
+  sim::Tick quiet_ns = 2 * sim::kMsec;
   sim::Tick deadline =
-      2 * sim::kMsec + sim::Tick{cfg.ops_per_client} * 40 * sim::kUsec;
+      10 * (2 * sim::kMsec + sim::Tick{cfg.ops_per_client} * 40 * sim::kUsec);
   if (cfg.fault.enabled()) {
     // Retry backoff, crash-restart stalls, and straggler slowdowns stretch
     // completion times; give faulted runs generous (still bounded) headroom.
+    quiet_ns *= 8;
     deadline = deadline * 8 + cfg.fault.crash_at_ns +
                cfg.fault.restart_after_ns + cfg.fault.stop_ns;
   }
   if (cfg.server_crash_at_ns > 0) {
+    quiet_ns *= 8;
     deadline = deadline * 8 + cfg.server_crash_at_ns;
   }
+  uint64_t completed_seen = 0;
+  sim::Tick last_progress = 0;
   // Crash-recovery state. The crashed instance is kept alive (not destroyed):
   // responses it already handed to the NIC still deliver after the swap, and
   // the client gates dedup them against retransmitted copies.
@@ -609,13 +617,18 @@ inline DstResult RunDst(const DstConfig& cfg) {
   std::unique_ptr<KvIndex> index2;
   std::vector<Item*> items2;
   bool crashed = false;
-  while (sh.active > 0 && eng.now() < deadline) {
+  while (sh.active > 0 && eng.now() < deadline &&
+         eng.now() - last_progress < quiet_ns) {
     sim::Tick until = eng.now() + 20 * sim::kUsec;
     if (!crashed && cfg.server_crash_at_ns > 0 &&
         until > cfg.server_crash_at_ns) {
       until = cfg.server_crash_at_ns;  // land exactly on the crash tick
     }
     eng.Run(until);
+    if (sh.completed != completed_seen) {
+      completed_seen = sh.completed;
+      last_progress = eng.now();
+    }
     if (!crashed && cfg.server_crash_at_ns > 0 &&
         eng.now() >= cfg.server_crash_at_ns) {
       crashed = true;
@@ -647,6 +660,14 @@ inline DstResult RunDst(const DstConfig& cfg) {
     }
   }
   const bool stuck = sh.active > 0;
+  const sim::Tick stopped_at = eng.now();
+  // Quiesce: a thread split the manager published after the last completion
+  // finishes its handshake before the server stops, so the audit can demand
+  // that every worker acknowledged the published split.
+  while (!stuck && mutps != nullptr && !mutps->SplitSettled() &&
+         eng.now() < deadline) {
+    eng.Run(eng.now() + sim::kUsec);
+  }
   if (server != nullptr) {
     server->Stop();
   }
@@ -725,8 +746,10 @@ inline DstResult RunDst(const DstConfig& cfg) {
   if (stuck) {
     out.ops_stuck = sh.issued - sh.completed;
     err = std::to_string(sh.active) + " clients stuck (" +
-          std::to_string(out.ops_stuck) + " ops never completed by t=" +
-          std::to_string(deadline) + "ns)";
+          std::to_string(out.ops_stuck) +
+          " ops never completed; last completion at t=" +
+          std::to_string(last_progress) + "ns, gave up at t=" +
+          std::to_string(stopped_at) + "ns)";
   }
   if (!rep.ok()) {
     if (!err.empty()) {

@@ -1,8 +1,8 @@
 // Mutation smoke-check: proves the DST stack detects real defects.
 //
 // This binary is compiled with -DMUTPS_MUTATION (its own copies of the
-// affected translation units; the library is untouched), which arms two
-// seeded bugs behind runtime switches (src/check/mutation.h):
+// affected translation units; the library is untouched), which arms seeded
+// bugs behind runtime switches (src/check/mutation.h):
 //
 //  1. kDropSeqlockBump — ItemWrite skips both seqlock version bumps, so a
 //     concurrent reader can return a torn value undetected. Caught by the
@@ -21,6 +21,11 @@
 //     stale-routed clients are never redirected. Caught by the cluster DST:
 //     the post-run replica audit sees the diverged copies, and the auditor's
 //     final reads from the real owner miss the stale-applied writes.
+//  5. kPublishWithoutAcks — μTPS's manager publishes each thread split
+//     without waiting for every worker to acknowledge the previous one.
+//     Under the split storm workers jump versions and forward to workers
+//     that already left the MR layer: caught as stuck ops or as a quiesce
+//     audit that finds a worker off the handshake.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
@@ -97,6 +102,24 @@ DstClusterConfig ClusterMigConfig(uint64_t seed) {
   return cfg;
 }
 
+// dst_test's SplitStormUniformGets cell (8 B leg): a new split every 2 μs.
+DstConfig SplitStormConfig(uint64_t seed) {
+  DstConfig cfg;
+  cfg.sys = Sys::kMuTpsH;
+  cfg.mix = Mix{1.0, 0.0, 0.0, 0.0};
+  cfg.seed = seed;
+  cfg.jitter_ns = seed % 2 == 0 ? 0 : 48;
+  cfg.split_storm = true;
+  cfg.num_keys = 4096;
+  cfg.zipf_theta = 0.0;
+  cfg.value_size = 8;
+  cfg.clients = 192;
+  cfg.ops_per_client = 60;
+  cfg.machine.priv_sets_log2 = 2;
+  cfg.machine.llc_sets_log2 = 6;
+  return cfg;
+}
+
 constexpr uint64_t kSeedBudget = 12;
 
 TEST(DstMutation, ControlRunsPass) {
@@ -112,6 +135,9 @@ TEST(DstMutation, ControlRunsPass) {
   const DstClusterResult d = RunDstCluster(ClusterMigConfig(1));
   EXPECT_TRUE(d.ok) << d.error;
   EXPECT_GT(d.migrations, 0u);
+  // With the acknowledgement wait armed, the split storm is clean.
+  const DstResult e = RunDst(SplitStormConfig(1));
+  EXPECT_TRUE(e.ok) << e.error;
 }
 
 TEST(DstMutation, DropSeqlockBumpCaught) {
@@ -201,6 +227,25 @@ TEST(DstMutation, DropRingEpochCheckCaught) {
   mut::Reset(mut::Mode::kNone);
   EXPECT_TRUE(caught)
       << "dropped ring-epoch check survived " << kSeedBudget << " seeds";
+}
+
+TEST(DstMutation, PublishWithoutAcksCaught) {
+  mut::Reset(mut::Mode::kPublishWithoutAcks);
+  bool caught = false;
+  for (uint64_t seed = 1; seed <= kSeedBudget && !caught; seed++) {
+    const DstResult r = RunDst(SplitStormConfig(seed));
+    ASSERT_GT(mut::g_fired, 0u) << "no split published";
+    if (!r.ok) {
+      caught = true;
+      const bool stuck = r.error.find("stuck") != std::string::npos;
+      const bool audit = r.error.find("mutps:") != std::string::npos;
+      EXPECT_TRUE(stuck || audit) << "unexpected failure mode: " << r.error;
+    }
+  }
+  mut::Reset(mut::Mode::kNone);
+  EXPECT_TRUE(caught)
+      << "split published without acknowledgements survived " << kSeedBudget
+      << " seeds";
 }
 
 }  // namespace
