@@ -7,18 +7,25 @@
 // workload points are fixed (no MUTPS_BENCH_SCALE / MUTPS_DB_SIZE influence)
 // so numbers are comparable across commits on the same machine.
 //
+// Each row also records `setup_s`, the construction time of the TestBed it
+// ran on (populate included; rows sharing a bed repeat it), and the file
+// records the host's transparent-huge-page mode, which bed construction
+// depends on (DESIGN.md §13 "Bed construction").
+//
 // Output: BENCH_simperf.json in the current directory, or the path given in
 // MUTPS_SIMPERF_OUT. run_benches.sh invokes this and commits the result next
-// to the figure outputs; compare runs with e.g.
+// to the figure outputs; compare a run with the committed file with e.g.
 //   python3 - <<'EOF'
 //   import json
-//   a = json.load(open('results/BENCH_simperf_before.json'))
+//   a = json.load(open('results/BENCH_simperf.json'))
 //   b = json.load(open('BENCH_simperf.json'))
 //   for x, y in zip(a['benches'], b['benches']):
 //       print(f"{x['name']:32s} {x['wall_s']/y['wall_s']:.2f}x")
 //   EOF
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +39,7 @@ namespace {
 
 struct PerfRow {
   std::string name;
+  double setup_s = 0.0;  // construction of the bed this row ran on
   double wall_s = 0.0;
   uint64_t events = 0;
   double events_per_sec = 0.0;
@@ -66,6 +74,35 @@ uint64_t PeakRssKb() {
   return kb;
 }
 
+// The bracketed word of /sys/kernel/mm/transparent_hugepage/enabled
+// ("always", "madvise" or "never"); "unknown" where the file is missing.
+std::string ThpMode() {
+  FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+  if (f == nullptr) {
+    return "unknown";
+  }
+  char line[128] = {};
+  const bool read = std::fgets(line, sizeof(line), f) != nullptr;
+  std::fclose(f);
+  const char* open = read ? std::strchr(line, '[') : nullptr;
+  const char* close = open != nullptr ? std::strchr(open, ']') : nullptr;
+  return close != nullptr ? std::string(open + 1, close) : "unknown";
+}
+
+// A TestBed together with how long its construction took.
+struct TimedBed {
+  std::unique_ptr<TestBed> bed;
+  double setup_s = 0.0;
+};
+
+TimedBed MakeBed(IndexType index, const WorkloadSpec& spec) {
+  const auto start = std::chrono::steady_clock::now();
+  auto bed = std::make_unique<TestBed>(index, spec);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  return {std::move(bed), took.count()};
+}
+
 ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   ExperimentConfig cfg;
   cfg.system = system;
@@ -83,12 +120,14 @@ ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   return cfg;
 }
 
-PerfRow RunPoint(const char* name, TestBed& bed, const ExperimentConfig& cfg) {
+PerfRow RunPoint(const char* name, const TimedBed& bed,
+                 const ExperimentConfig& cfg) {
   const auto start = std::chrono::steady_clock::now();
-  const ExperimentResult r = bed.Run(cfg);
+  const ExperimentResult r = bed.bed->Run(cfg);
   const auto end = std::chrono::steady_clock::now();
   PerfRow row;
   row.name = name;
+  row.setup_s = bed.setup_s;
   row.wall_s = std::chrono::duration<double>(end - start).count();
   row.events = r.sched_events;
   row.events_per_sec =
@@ -97,9 +136,11 @@ PerfRow RunPoint(const char* name, TestBed& bed, const ExperimentConfig& cfg) {
   row.sim_ops = r.ops;
   row.sched_clamps = r.sched_clamps;
   std::printf(
-      "%-32s %8.3f s  %12llu events  %10.0f ev/s  %8.2f simMops  %llu clamps\n",
-      name, row.wall_s, static_cast<unsigned long long>(row.events),
-      row.events_per_sec, row.sim_mops,
+      "%-32s %6.3f s setup %8.3f s  %12llu events  %10.0f ev/s  "
+      "%8.2f simMops  %llu clamps\n",
+      name, row.setup_s, row.wall_s,
+      static_cast<unsigned long long>(row.events), row.events_per_sec,
+      row.sim_mops,
       static_cast<unsigned long long>(row.sched_clamps));
   std::fflush(stdout);
   return row;
@@ -117,7 +158,8 @@ int main() {
     // The Figure 7 headline grid, one representative cell per system: tree
     // index, 64 B values, YCSB-A — the configuration CI uses as the
     // wall-clock speedup gate.
-    TestBed bed(IndexType::kTree, WorkloadSpec::YcsbA(kKeys, 64));
+    const TimedBed bed =
+        MakeBed(IndexType::kTree, WorkloadSpec::YcsbA(kKeys, 64));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 64);
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
     rows.push_back(RunPoint("fig07_tree64_ycsba_mutps", bed,
@@ -132,7 +174,8 @@ int main() {
   {
     // Figure 12 shape: hash index, batched MR indexing (the symmetric-transfer
     // and cache-probe hot paths).
-    TestBed bed(IndexType::kHash, WorkloadSpec::YcsbA(kKeys, 8));
+    const TimedBed bed =
+        MakeBed(IndexType::kHash, WorkloadSpec::YcsbA(kKeys, 8));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 8);
     ExperimentConfig b1 = PerfConfig(SystemKind::kMuTps, ycsba);
     b1.mutps.batch_size = 1;
@@ -159,7 +202,8 @@ int main() {
   // whose totals cover only the full-detail legs above.
   std::vector<PerfRow> atscale_rows;
   {
-    TestBed bed(IndexType::kHash, WorkloadSpec::YcsbC(kKeys, 64));
+    const TimedBed bed =
+        MakeBed(IndexType::kHash, WorkloadSpec::YcsbC(kKeys, 64));
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
     ExperimentConfig cfg = PerfConfig(SystemKind::kMuTps, ycsbc);
     cfg.client_threads = 128;
@@ -188,6 +232,7 @@ int main() {
                static_cast<unsigned long long>(kKeys),
                static_cast<unsigned long long>(kSeed));
   std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"thp_mode\": \"%s\",\n", ThpMode().c_str());
   std::fprintf(f, "  \"peak_rss_kb\": %llu,\n",
                static_cast<unsigned long long>(PeakRssKb()));
   std::fprintf(f, "  \"total_wall_s\": %.3f,\n  \"total_events\": %llu,\n",
@@ -197,11 +242,12 @@ int main() {
       const PerfRow& r = rs[i];
       std::fprintf(
           f,
-          "    {\"name\": \"%s\", \"wall_s\": %.3f, \"events\": %llu, "
-          "\"events_per_sec\": %.0f, \"sim_mops\": %.3f, "
+          "    {\"name\": \"%s\", \"setup_s\": %.3f, \"wall_s\": %.3f, "
+          "\"events\": %llu, \"events_per_sec\": %.0f, \"sim_mops\": %.3f, "
           "\"sim_ops\": %llu, \"sched_clamps\": %llu}%s\n",
-          r.name.c_str(), r.wall_s, static_cast<unsigned long long>(r.events),
-          r.events_per_sec, r.sim_mops,
+          r.name.c_str(), r.setup_s, r.wall_s,
+          static_cast<unsigned long long>(r.events), r.events_per_sec,
+          r.sim_mops,
           static_cast<unsigned long long>(r.sim_ops),
           static_cast<unsigned long long>(r.sched_clamps),
           i + 1 < rs.size() ? "," : "");

@@ -27,6 +27,38 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Provenance: every results/ file a reference doc (README, DESIGN,
+# EXPERIMENTS and SKILL files) or a script cites must be tracked by git, so
+# a cited number always has its file. The change log and the plans are not
+# checked: they record history and may name deleted files. In a script, a
+# path written by `tee`, `>` or a MUTPS_*_OUT variable is an output, not a
+# citation. Globs must match at least one tracked file.
+echo "=== results/ citations are tracked ==="
+python3 - <<'EOF'
+import fnmatch, os, re, subprocess, sys
+files = subprocess.run(["git", "ls-files", "-z"], check=True,
+                       capture_output=True, text=True).stdout.split("\0")
+tracked = [f for f in files if f.startswith("results/")]
+docs = re.compile(r"(^|/)(README|DESIGN|EXPERIMENTS|SKILL)\.md$")
+cite = re.compile(r"results/[A-Za-z0-9_.*/-]+")
+output = re.compile(r"(\btee\s+|>\s*|_OUT=)$")
+orphans = []
+for f in files:
+    script = f.endswith((".sh", ".py"))
+    if not (script or docs.search(f)) or not os.path.exists(f):
+        continue
+    for n, line in enumerate(open(f, encoding="utf-8"), 1):
+        for m in cite.finditer(line):
+            path = m.group(0).rstrip(".")
+            if not script or not output.search(line[:m.start()]):
+                if not fnmatch.filter(tracked, path):
+                    orphans.append(f"{f}:{n}: {path}")
+for o in orphans:
+    print(f"cites an untracked results file: {o}", file=sys.stderr)
+sys.exit(1 if orphans else 0)
+EOF
+echo "=== every cited results/ file is tracked ==="
+
 CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test'
 
 cmake --preset default >/dev/null

@@ -205,6 +205,7 @@ class TestBed {
   void BuildShards();
   void BuildRaceHash();
   void BuildSherman();
+  std::vector<std::pair<Key, Item*>> IndexedItems() const;
 
   IndexType index_type_;
   WorkloadSpec populate_spec_;
@@ -217,7 +218,6 @@ class TestBed {
   std::unique_ptr<sim::MemoryModel> mem_;
   std::unique_ptr<SlabAllocator> slab_;
   std::unique_ptr<KvIndex> index_;
-  std::vector<Item*> items_;  // by key
   std::vector<std::unique_ptr<KvIndex>> shards_;
   std::unique_ptr<RaceHashPassive> racehash_;
   std::unique_ptr<ShermanPassive> sherman_;

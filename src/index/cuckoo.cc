@@ -22,13 +22,11 @@ uint64_t NextPow2(uint64_t v) {
 
 CuckooIndex::CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed)
     : hash_seed_(seed), rng_(seed * 0x9e3779b97f4a7c15ULL + 1) {
-  // 4 slots per bucket; target load factor <= ~0.65.
+  // 4 slots per bucket; load factor <= 0.4 at capacity (see cuckoo.h).
   nbuckets_ = NextPow2(capacity_items / 2 + capacity_items / 8 + 4);
   mask_ = nbuckets_ - 1;
+  // Arena memory is zero-filled (sim/arena.h): every bucket starts empty.
   buckets_ = arena->AllocateArray<Bucket>(nbuckets_, /*align=*/2 * kCachelineBytes);
-  for (uint64_t i = 0; i < nbuckets_; i++) {
-    new (&buckets_[i]) Bucket();
-  }
   // Stripe lock words live in the arena (one cacheline each, like the locks'
   // own alignas layout) so their modeled set indices don't follow the host
   // heap address of this index object.
@@ -55,6 +53,35 @@ Item* CuckooIndex::GetDirect(Key key) const {
 
 bool CuckooIndex::InsertDirect(Key key, Item* item) {
   return InsertDirectInternal(key, item, 0);
+}
+
+bool CuckooIndex::PopulateDirect(std::span<Item* const> items) {
+  UTPS_CHECK(size_ == 0);
+  const uint64_t n = items.size();
+  for (Key k = 0; k < n; k++) {
+    if (k + kPopulateAhead < n) {
+      // Both lines: FreeSlot reads items[3], which sits on the second one.
+      const Bucket* next = &buckets_[Index1(Hash(k + kPopulateAhead))];
+      const char* line = reinterpret_cast<const char*>(next);
+      __builtin_prefetch(line, /*rw=*/1);
+      __builtin_prefetch(line + kCachelineBytes, /*rw=*/1);
+    }
+    // Key k is not in the table (it holds exactly keys 0..k-1), so
+    // InsertDirect's duplicate probes of both buckets would find nothing and
+    // it would take the first free slot of the first bucket: do that without
+    // touching the second bucket. A full first bucket takes InsertDirect's
+    // path, kicks included.
+    Bucket& b = buckets_[Index1(Hash(k))];
+    const int s = FreeSlot(b);
+    if (s >= 0) {
+      b.keys[s] = k;
+      b.items[s] = items[k];
+      size_++;
+    } else if (!InsertDirect(k, items[k])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool CuckooIndex::InsertDirectInternal(Key key, Item* item, unsigned depth) {

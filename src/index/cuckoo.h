@@ -8,6 +8,7 @@
 #define UTPS_INDEX_CUCKOO_H_
 
 #include <cstdint>
+#include <span>
 
 #include "common/macros.h"
 #include "common/rng.h"
@@ -19,12 +20,21 @@ namespace utps {
 
 class CuckooIndex final : public KvIndex {
  public:
-  // `capacity_items` is the expected maximum item count; the table is sized
-  // so that its load factor stays below ~0.65 and never needs resizing.
+  // `capacity_items` is the expected maximum item count. The table gets
+  // NextPow2(5/8 * capacity_items) buckets of 4 slots and never resizes, so
+  // its load factor at capacity is at most 0.4, and the power-of-two round-up
+  // often leaves it far lower: a 2M-key TestBed (capacity 2.5M) gets 2^21
+  // buckets x 128 B = 256 MB at load 0.24 (DESIGN.md §7).
   CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed = 1);
 
   Item* GetDirect(Key key) const override;
   bool InsertDirect(Key key, Item* item) override;
+  // Fills an empty table with key k -> items[k] for every k, in key order:
+  // the same table, byte for byte, as an InsertDirect loop. It skips the
+  // duplicate probes (every key is new) and, while inserting key k,
+  // prefetches the first candidate bucket of key k + kPopulateAhead, a
+  // host-side hint that issues no modeled access. False if an insert failed.
+  bool PopulateDirect(std::span<Item* const> items);
   bool EraseDirect(Key key) override;
   uint64_t SizeDirect() const override { return size_; }
   bool AuditDirect(std::string* err) const override;
@@ -52,7 +62,11 @@ class CuckooIndex final : public KvIndex {
   static constexpr unsigned kSlots = 4;
   static constexpr unsigned kNumStripes = 4096;
   static constexpr unsigned kMaxKicks = 256;
+  // PopulateDirect's prefetch distance in keys: far enough ahead that a
+  // bucket's DRAM miss overlaps the inserts in between.
+  static constexpr uint64_t kPopulateAhead = 16;
 
+  // An aggregate, so the arena's zero bytes already are an empty bucket.
   struct Bucket {
     uint64_t version = 0;  // seqlock over membership; odd = mutating
     Key keys[kSlots] = {};

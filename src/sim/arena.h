@@ -5,6 +5,11 @@
 // one arena whose base is aligned to the LLC set period, the *offsets* within
 // the arena fully determine set indices, making cache behaviour reproducible
 // across runs regardless of ASLR.
+//
+// Zero fill: the arena only bump-allocates from a fresh anonymous mapping and
+// never reuses memory, so Allocate always returns all-zero bytes that nobody
+// has written. Callers rely on this: an aggregate whose members are all zero
+// (e.g. an empty cuckoo bucket) needs no constructor run over it.
 #ifndef UTPS_SIM_ARENA_H_
 #define UTPS_SIM_ARENA_H_
 
@@ -42,6 +47,14 @@ class Arena {
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
+
+  // Best-effort transparent huge pages for the whole mapping (failure is
+  // ignored: the arena then stays on 4 KB pages). Worth it only for an arena
+  // filled densely from its base, where each 2 MB fault replaces 512 4 KB
+  // ones; a sparsely touched arena would pay RSS for the untouched rest of
+  // each huge page. Modeled addresses do not change: cache sets come from
+  // offsets to the aligned base.
+  void AdviseHugePages() { (void)::madvise(raw_, raw_bytes_, MADV_HUGEPAGE); }
 
   void* Allocate(size_t bytes, size_t align = kCachelineBytes) {
     uintptr_t p = (cursor_ + align - 1) & ~(uintptr_t{align} - 1);

@@ -346,5 +346,48 @@ TEST_F(BTreeTest, InsertDirectRandomOrder) {
   }
 }
 
+// PopulateDirect (TestBed's hash populate path, with its prefetches) must
+// build the table an InsertDirect loop over the same keys builds: the same
+// keys[] and items[] in every slot of every bucket. Each table is the only
+// thing in its own fresh arena, so equal tables are equal arena bytes.
+void ExpectPopulateMatchesInsertLoop(uint64_t capacity, uint64_t n) {
+  Arena item_arena(n * 128 + (1 << 20));
+  SlabAllocator slab(&item_arena);
+  std::vector<Item*> items(n);
+  for (Key k = 0; k < n; k++) {
+    items[k] = slab.AllocateItem(k, 8);
+  }
+  Arena loop_arena(64ull << 20);
+  Arena bulk_arena(64ull << 20);
+  CuckooIndex loop(&loop_arena, capacity, /*seed=*/3);
+  for (Key k = 0; k < n; k++) {
+    ASSERT_TRUE(loop.InsertDirect(k, items[k])) << k;
+  }
+  CuckooIndex bulk(&bulk_arena, capacity, /*seed=*/3);
+  ASSERT_TRUE(bulk.PopulateDirect(items));
+  ASSERT_EQ(bulk.SizeDirect(), n);
+  ASSERT_EQ(loop_arena.BytesUsed(), bulk_arena.BytesUsed());
+  const auto* a = reinterpret_cast<const uint8_t*>(loop_arena.base());
+  const auto* b = reinterpret_cast<const uint8_t*>(bulk_arena.base());
+  const size_t len = loop_arena.BytesUsed();
+  const size_t diff = std::mismatch(a, a + len, b).first - a;
+  EXPECT_EQ(diff, len) << "tables differ at bucket "
+                       << diff / (2 * kCachelineBytes);
+  for (Key k = 0; k < n; k++) {
+    ASSERT_EQ(bulk.GetDirect(k), items[k]) << k;
+  }
+}
+
+TEST(CuckooPopulate, MatchesInsertLoopAtTestBedSizing) {
+  constexpr uint64_t n = 1 << 17;
+  ExpectPopulateMatchesInsertLoop(n + n / 4, n);  // TestBed::Populate's sizing
+}
+
+TEST(CuckooPopulate, MatchesInsertLoopWithKicks) {
+  // 64 buckets x 4 slots loaded to 0.78: far past the first full bucket pair,
+  // so inserts evict and relocate victims (and draw from the kick RNG).
+  ExpectPopulateMatchesInsertLoop(64, 200);
+}
+
 }  // namespace
 }  // namespace utps

@@ -1,6 +1,7 @@
 // Tests for the item store: seqlock read/write races under perturbed
-// schedules, the <= 8 B atomic update path, and slab allocator reuse,
-// alignment, and live accounting.
+// schedules, the <= 8 B atomic update path, the arena's zero-fill contract,
+// and slab allocator reuse, alignment, and live accounting.
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 #include <vector>
@@ -160,6 +161,27 @@ TEST(SeqlockRaceTest, SmallValueAtomicPathNeverTears) {
   EXPECT_EQ(bad, 0u);
   // The <= 8 B path never takes the seqlock: ctrl stayed even throughout.
   EXPECT_EQ(it->ctrl & 1, 0u);
+}
+
+// ----------------------------------------------------------- arena contract
+
+// Arena memory is zero-filled (sim/arena.h); CuckooIndex's constructor relies
+// on it instead of initialising its buckets. Holds with huge pages advised
+// too, and however the earlier allocations were written.
+TEST(ArenaTest, AllocateReturnsZeroedMemoryAfterEarlierWrites) {
+  for (const bool huge : {false, true}) {
+    sim::Arena arena(32 << 20);
+    if (huge) {
+      arena.AdviseHugePages();
+    }
+    for (const size_t bytes : {size_t{8}, size_t{4096}, size_t{3} << 20,
+                               size_t{100}, size_t{5} << 20}) {
+      auto* p = static_cast<uint8_t*>(arena.Allocate(bytes, 8));
+      EXPECT_EQ(std::count(p, p + bytes, 0), static_cast<ptrdiff_t>(bytes))
+          << bytes << " B, huge=" << huge;
+      std::memset(p, 0xa5, bytes);
+    }
+  }
 }
 
 // ------------------------------------------------------------ slab behavior
