@@ -1,6 +1,7 @@
 #!/bin/bash
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
-# the CR-MR ring / store probe tests, the mutation smoke-check, and
+# the CR-MR ring / store probe tests, the mutation smoke-check, the golden
+# rows and fig19's cluster output against their committed copies, and
 # kvbench's smoke pass and audit test.
 #
 # Default: build the "default" preset and run the checks at the CI seed
@@ -18,7 +19,7 @@
 #                   checker, DESIGN.md §9). Implied by MUTPS_DST=1.
 # MUTPS_DST_WAL=1   additionally runs the DST crash-recovery sweep: WAL
 #                   crash + replay histories under the durability-augmented
-#                   checker across 3 fault profiles x 5 seeds x 3 commit
+#                   checker across 3 fault profiles x 23 seeds x 3 commit
 #                   modes (DESIGN.md §10). Implied by MUTPS_DST=1.
 # MUTPS_DST_CLUSTER=1 additionally runs the cluster DST sweep: primary-crash
 #                   failover, migration racing retransmits, and partition-heal
@@ -79,6 +80,21 @@ if ! diff -u /tmp/golden_committed.$$ /tmp/golden_rows.$$; then
 fi
 rm -f /tmp/golden_rows.$$ /tmp/golden_committed.$$
 echo "=== golden rows match ==="
+
+# Cluster simulation pinned byte-for-byte (DESIGN.md §14): fig19_cluster is
+# a pure function of its seed and runs in under a second, so its output must
+# equal the committed file. A difference is a change in cluster behaviour;
+# if it is intended, rerun the bench and commit the new file.
+echo "=== fig19_cluster output matches results/BENCH_cluster.json ==="
+MUTPS_BENCH_SCALE=1 MUTPS_CLUSTER_OUT=/tmp/bench_cluster.$$ \
+  ./build/bench/fig19_cluster >/dev/null
+if ! cmp /tmp/bench_cluster.$$ results/BENCH_cluster.json; then
+  rm -f /tmp/bench_cluster.$$
+  echo "fig19_cluster no longer reproduces results/BENCH_cluster.json" >&2
+  exit 1
+fi
+rm -f /tmp/bench_cluster.$$
+echo "=== fig19_cluster output matches ==="
 
 # kvbench's own checks (kvbench/README.md), both registered in its ctest:
 # kvbench_smoke runs `run.py --smoke` (every workload at smoke scale, untraced
@@ -189,9 +205,9 @@ if [ "${MUTPS_DST_FAULTS:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
 fi
 
 if [ "${MUTPS_DST_WAL:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
-  echo "=== DST crash-recovery sweep (3 profiles x 5 seeds x 3 commit modes) ==="
-  # 3 fixed seeds + MUTPS_DST_FAULT_SEEDS extra = 5 seeds per cell.
-  MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-2}" \
+  echo "=== DST crash-recovery sweep (3 profiles x 23 seeds x 3 commit modes) ==="
+  # 3 fixed seeds + MUTPS_DST_FAULT_SEEDS extra = 23 seeds per cell (~3 s).
+  MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-20}" \
     ./build/tests/dst/dst_fault_test --gtest_filter='DstWal.*'
   echo "=== crash-recovery sweep passed ==="
 fi

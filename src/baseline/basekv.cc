@@ -102,8 +102,7 @@ Task<void> BaseKvServer::ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx
     }
     case OpType::kPut: {
       const uint8_t* payload = rx_->Data(seq) + rec->payload_off;
-      co_await ExecPut(ctx, env_, rec->key, payload, rec->value_len(),
-                       opt_.unsynchronized_writes);
+      co_await ExecPut(ctx, env_, rec->key, payload, rec->value_len());
       if (UTPS_UNLIKELY(env_.wal != nullptr)) {
         wal_tok = env_.wal->Append(ctx, rec->key, OpType::kPut, payload,
                                    rec->value_len(), msg.rid);

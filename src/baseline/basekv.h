@@ -18,21 +18,12 @@ namespace utps {
 
 class BaseKvServer final : public KvServer {
  public:
-  struct Options {
-    RxRing::Config rx;
-    sim::ClosId clos = 0;
-    // Share-everything (default) uses per-item locking; tests can switch to
-    // unsynchronized writes to model a hypothetical contention-free variant.
-    bool unsynchronized_writes = false;
-  };
-
-  BaseKvServer(const ServerEnv& env, const Options& opt) : env_(env), opt_(opt) {
-    rx_ = std::make_unique<RxRing>(env_.arena, opt_.rx);
+  explicit BaseKvServer(const ServerEnv& env) : env_(env) {
+    rx_ = std::make_unique<RxRing>(env_.arena, RxRing::Config{});
     workers_.resize(env_.num_workers);
     for (unsigned i = 0; i < env_.num_workers; i++) {
       workers_[i].ctx = sim::ExecCtx{.eng = env_.eng, .mem = env_.mem,
-                                     .core = static_cast<sim::CoreId>(i),
-                                     .clos = opt_.clos};
+                                     .core = static_cast<sim::CoreId>(i)};
       if (env_.obs != nullptr) {
         workers_[i].ctx.stage_ns = env_.obs->StageNs(i);
       }
@@ -87,7 +78,6 @@ class BaseKvServer final : public KvServer {
   sim::Task<void> ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx);
 
   ServerEnv env_;
-  Options opt_;
   std::unique_ptr<RxRing> rx_;
   std::vector<Worker> workers_;
   std::vector<std::unique_ptr<RespBuffer>> resp_bufs_;

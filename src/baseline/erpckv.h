@@ -19,28 +19,23 @@ namespace utps {
 
 class ErpcKvServer final : public KvServer {
  public:
-  struct Options {
-    RxRing::Config rx;  // per-worker ring geometry
-    sim::ClosId clos = 0;
-  };
-
   // `shards[i]` is worker i's private index; the constructor takes ownership
   // semantics from the caller (indices live as long as the experiment).
-  ErpcKvServer(const ServerEnv& env, const Options& opt,
-               std::vector<KvIndex*> shards)
-      : env_(env), opt_(opt), shards_(std::move(shards)) {
+  ErpcKvServer(const ServerEnv& env, std::vector<KvIndex*> shards)
+      : env_(env), shards_(std::move(shards)) {
     UTPS_CHECK(shards_.size() == env_.num_workers);
     // eRPC's tighter per-message software stack: slightly cheaper parse than
     // the single-SRQ reconfigurable RPC (see DESIGN.md).
     env_.parse_cpu_ns = env_.parse_cpu_ns > 4 ? env_.parse_cpu_ns - 4 : 1;
-    RxRing::Config per_worker = opt_.rx;
-    per_worker.num_slots = std::max(64u, opt_.rx.num_slots / env_.num_workers);
+    // The default ring geometry, its slots split across the workers.
+    RxRing::Config per_worker;
+    per_worker.num_slots =
+        std::max(64u, per_worker.num_slots / env_.num_workers);
     for (unsigned i = 0; i < env_.num_workers; i++) {
       rx_.push_back(std::make_unique<RxRing>(env_.arena, per_worker));
       workers_.push_back(Worker{});
       workers_[i].ctx = sim::ExecCtx{.eng = env_.eng, .mem = env_.mem,
-                                     .core = static_cast<sim::CoreId>(i),
-                                     .clos = opt_.clos};
+                                     .core = static_cast<sim::CoreId>(i)};
       if (env_.obs != nullptr) {
         workers_[i].ctx.stage_ns = env_.obs->StageNs(i);
       }
@@ -97,7 +92,6 @@ class ErpcKvServer final : public KvServer {
   sim::Task<void> ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx);
 
   ServerEnv env_;
-  Options opt_;
   std::vector<KvIndex*> shards_;
   std::vector<std::unique_ptr<RxRing>> rx_;
   std::vector<Worker> workers_;

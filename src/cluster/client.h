@@ -59,7 +59,7 @@ class ClusterClient {
     const uint64_t shard = ShardOfKey(key, params_.shards, params_.num_keys);
     const uint64_t rid = (uint64_t{id_ + 1} << 32) | ++seq_;
     gate_.Arm(rid);
-    sim::Tick timeout = params_.client_timeout_ns;
+    sim::Tick timeout = kClientTimeoutNs;
     unsigned consecutive_timeouts = 0;
     for (;;) {
       if (table_[shard].node < 0) {
@@ -84,8 +84,7 @@ class ClusterClient {
       const sim::Tick deadline = ctx_->Now() + timeout;
       while (!gate_.ReadyAt(ctx_->Now()) && ctx_->Now() < deadline) {
         const sim::Tick left = deadline - ctx_->Now();
-        co_await ctx_->Delay(
-            left < params_.client_poll_ns ? left : params_.client_poll_ns);
+        co_await ctx_->Delay(left < kClientPollNs ? left : kClientPollNs);
       }
       if (!gate_.ReadyAt(ctx_->Now())) {
         retries_++;
@@ -96,7 +95,8 @@ class ClusterClient {
           gate_.Arm(rid);
           consecutive_timeouts = 0;
         }
-        timeout = Backoff(timeout);
+        timeout = BackoffStep(timeout, kRetryMaxTimeoutNs, kClientJitterFrac,
+                              &rng_);
         continue;
       }
       const RespHeader h = ParseRespHeader(resp_.data());
@@ -124,13 +124,12 @@ class ClusterClient {
       } else if (h.status == Status::kFrozen) {
         // Mid-migration: the flip is moments away; a short jittered pause
         // beats hammering the frozen primary.
-        co_await ctx_->Delay(params_.client_poll_ns +
-                             rng_.NextBounded(params_.client_poll_ns));
+        co_await ctx_->Delay(kClientPollNs + rng_.NextBounded(kClientPollNs));
       } else {
         co_await Resolve(shard);
       }
       gate_.Arm(rid);
-      timeout = params_.client_timeout_ns;
+      timeout = kClientTimeoutNs;
     }
   }
 
@@ -150,10 +149,10 @@ class ClusterClient {
     m.gate = &ctl_gate_;
     m.copy_out = ctl_resp_;
     RetryPolicy pol;
-    pol.timeout_ns = params_.client_timeout_ns;
-    pol.max_timeout_ns = params_.retry_max_timeout_ns;
-    pol.poll_ns = params_.client_poll_ns;
-    pol.jitter_frac = params_.client_jitter_frac;
+    pol.timeout_ns = kClientTimeoutNs;
+    pol.max_timeout_ns = kRetryMaxTimeoutNs;
+    pol.poll_ns = kClientPollNs;
+    pol.jitter_frac = kClientJitterFrac;
     pol.rng = &rng_;
     co_await RpcCallWithRetry(*ctx_, *cluster_->manager()->nic(), 0, m, pol);
     const RespHeader h = ParseRespHeader(ctl_resp_);
@@ -167,20 +166,6 @@ class ClusterClient {
     int node = -1;
     uint64_t epoch = 0;
   };
-
-  sim::Tick Backoff(sim::Tick timeout) {
-    sim::Tick next = timeout * 2 < params_.retry_max_timeout_ns
-                         ? timeout * 2
-                         : params_.retry_max_timeout_ns;
-    if (params_.client_jitter_frac > 0.0) {
-      const auto span = static_cast<sim::Tick>(
-          params_.client_jitter_frac * static_cast<double>(next));
-      if (span > 0) {
-        next += rng_.NextBounded(span);
-      }
-    }
-    return next;
-  }
 
   Cluster* cluster_;
   unsigned id_;

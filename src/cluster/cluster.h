@@ -18,15 +18,15 @@
 // instead of re-applying it.
 //
 // Migration: freeze (drain in-flight ops) -> snapshot chunks + dedup
-// watermarks + WAL tail over the control wire -> manager flips the ring
-// epoch. The source stays frozen until its own flip assignment arrives, so
-// there is never a moment with two unfenced primaries.
+// watermarks over the control wire -> manager flips the ring epoch. The
+// source stays frozen until its own flip assignment arrives, so there is
+// never a moment with two unfenced primaries.
 //
 // Fencing: the manager stamps every assignment message with a per-node
 // sequence number and advertises the latest one in each probe. A node that
 // missed an assignment (partition, loss) sees its applied sequence lag the
 // probed one and refuses to serve until a resync catches it up; a node whose
-// lease lapsed (no probe for lease_ns) fences itself the same way.
+// lease lapsed (no probe for kLeaseNs) fences itself the same way.
 //
 // Everything runs on the caller's engine, so cluster runs are deterministic
 // per (seed, node count). Header-only on purpose: the mutation
@@ -63,9 +63,41 @@
 #include "store/item.h"
 #include "store/kv.h"
 #include "store/slab.h"
-#include "wal/wal.h"
 
 namespace utps::cluster {
+
+// Fixed cluster timing and shape (tabulated in DESIGN.md §14). Every node is
+// a default MachineConfig serving clients over a default NicConfig; its
+// control NIC and the manager's run over the machine's internode link.
+constexpr unsigned kVnodes = 64;  // ring virtual nodes per server node
+// Health probing / failover.
+constexpr sim::Tick kProbePeriodNs = 15 * sim::kUsec;
+constexpr sim::Tick kProbeTimeoutNs = 10 * sim::kUsec;
+constexpr unsigned kSuspectAfter = 3;              // consecutive probe misses
+constexpr sim::Tick kLeaseNs = 60 * sim::kUsec;    // node self-fences past this
+constexpr sim::Tick kLeaseMarginNs = 10 * sim::kUsec;
+// Server-side pacing.
+constexpr sim::Tick kPollNs = 300;
+// Internal reliable calls (replication, migration): first timeout and the
+// backoff cap every cluster call shares, the clients' included.
+constexpr sim::Tick kReplTimeoutNs = 20 * sim::kUsec;
+constexpr sim::Tick kRetryMaxTimeoutNs = 200 * sim::kUsec;
+// Client retry/backoff (jitter drawn from the per-client RNG).
+constexpr sim::Tick kClientTimeoutNs = 30 * sim::kUsec;
+constexpr sim::Tick kClientPollNs = 2 * sim::kUsec;
+constexpr double kClientJitterFrac = 0.25;
+// Migration.
+constexpr unsigned kMigChunkRecords = 64;
+constexpr sim::Tick kMigDeadlineNs = 4 * sim::kMsec;
+
+// NIC config of the node-to-node and manager links.
+inline sim::NicConfig InternodeNic() {
+  const sim::MachineConfig mc;
+  sim::NicConfig c;
+  c.rtt_ns = mc.internode_rtt_ns;
+  c.bandwidth_gbps = mc.internode_bw_gbps;
+  return c;
+}
 
 // A manager-driven migration at a fixed virtual time (DST and benches use
 // these for reproducible schedules; the hotset rebalancer migrates on its
@@ -79,37 +111,10 @@ struct ForcedMigration {
 struct ClusterParams {
   unsigned nodes = 2;
   unsigned shards = 16;
-  unsigned vnodes = 64;   // ring virtual nodes per server node
   unsigned workers = 4;   // data-path workers per node
   uint64_t num_keys = 16384;
   uint32_t value_size = 100;
-  bool replicate = true;  // primary/backup replication on writes
   uint64_t seed = 42;
-  sim::MachineConfig machine;  // per-node machine (also internode link)
-  sim::NicConfig client_nic;   // client <-> node data path
-
-  // Health probing / failover.
-  sim::Tick probe_period_ns = 15 * sim::kUsec;
-  sim::Tick probe_timeout_ns = 10 * sim::kUsec;
-  unsigned suspect_after = 3;           // consecutive probe misses
-  sim::Tick lease_ns = 60 * sim::kUsec;  // node self-fences past this
-  sim::Tick lease_margin_ns = 10 * sim::kUsec;
-
-  // Server-side pacing.
-  sim::Tick poll_ns = 300;
-
-  // Internal RPC retries (replication, migration, probes).
-  sim::Tick repl_timeout_ns = 20 * sim::kUsec;
-  sim::Tick retry_max_timeout_ns = 200 * sim::kUsec;
-
-  // Client retry/backoff (jitter drawn from the per-client RNG).
-  sim::Tick client_timeout_ns = 30 * sim::kUsec;
-  sim::Tick client_poll_ns = 2 * sim::kUsec;
-  double client_jitter_frac = 0.25;
-
-  // Migration.
-  unsigned mig_chunk_records = 64;
-  sim::Tick mig_deadline_ns = 4 * sim::kMsec;
   std::vector<ForcedMigration> forced;
 
   // Hotset rebalancer (0 = off).
@@ -118,7 +123,6 @@ struct ClusterParams {
   uint64_t rebalance_min_ops = 200;  // ignore idle periods
   sim::Tick rebalance_cooldown_ns = 200 * sim::kUsec;
 
-  wal::WalConfig wal;         // per-node WAL when enabled
   fault::FaultConfig fault;   // node crash / partition / message faults
   size_t arena_mb = 256;
 };
@@ -140,17 +144,15 @@ struct NodeStats {
 
 // Per-NIC fault hook for cluster runs: a partition window (every message in
 // [partition_start, partition_stop) into or out of the partitioned node's
-// own NICs is dropped) plus the optional seeded message-level faults of the
-// plan. RNG draws follow FaultInjector::Decide's fixed 3-draws-per-message
-// discipline and happen only when probabilities are configured, so a
-// crash/partition-only plan leaves message timing byte-identical to a
-// hookless run modulo the dropped window.
+// own NICs is dropped) plus the plan's seeded message-level faults, decided
+// by fault::DecideMessageFault from this hook's own RNG. A dropped
+// partition message takes no draws, so the rest of the schedule does not
+// shift with the window.
 class ClusterNicHook final : public sim::NicFaultHook {
  public:
   ClusterNicHook(const fault::FaultConfig& fc, bool partitioned, uint64_t seed)
       : fc_(fc),
         partitioned_(partitioned),
-        probs_(fc.drop_prob > 0.0 || fc.dup_prob > 0.0 || fc.delay_prob > 0.0),
         rng_(Mix64(seed ^ 0x436c754661756c74ULL)) {}
 
   sim::NicFault OnRequest(sim::Tick now) override { return Decide(now); }
@@ -158,46 +160,78 @@ class ClusterNicHook final : public sim::NicFaultHook {
   double LinkCostScale(sim::Tick) override { return 1.0; }
 
  private:
-  bool InPartition(sim::Tick t) const {
-    return partitioned_ && t >= fc_.partition_start_ns &&
-           t < fc_.partition_stop_ns;
-  }
-  bool InWindow(sim::Tick t) const {
-    return t >= fc_.start_ns && (fc_.stop_ns == 0 || t < fc_.stop_ns);
-  }
-
   sim::NicFault Decide(sim::Tick now) {
-    sim::NicFault f;
-    if (InPartition(now)) {
+    if (partitioned_ && fc_.InPartitionWindow(now)) {
+      sim::NicFault f;
       f.drop = true;  // no draws: the wire is cut, not lossy
       return f;
     }
-    if (!probs_ || !InWindow(now)) {
-      return f;
-    }
-    const double d_drop = rng_.NextDouble();
-    const double d_dup = rng_.NextDouble();
-    const double d_delay = rng_.NextDouble();
-    f.drop = d_drop < fc_.drop_prob;
-    f.dup = d_dup < fc_.dup_prob;
-    if (d_delay < fc_.delay_prob) {
-      f.extra_delay = 1 + rng_.NextBounded(fc_.delay_ns);
-    }
-    if (f.dup) {
-      const sim::Tick span = fc_.delay_ns > 2000 ? fc_.delay_ns : 2000;
-      f.dup_delay = 1 + rng_.NextBounded(span);
-    }
-    return f;
+    return fault::DecideMessageFault(fc_, rng_, now);
   }
 
   fault::FaultConfig fc_;
   bool partitioned_;
-  bool probs_;
   Rng rng_;
 };
 
+// ---------------------------------------------------------- reliable call
+// The one reliable control call (replication, migration transfer, migration
+// start). The caller arms `gate` once with the call's rid and points the
+// message's copy-out at `resp`; retransmits reuse the rid, and the
+// receiver's dedup window makes delivery at-most-once. Both must outlive any
+// copy of the message the NIC still holds, so they are never frame locals.
+// Each round `check()` may end the call with a verdict before anything is
+// sent (the caller lost the right to make it, or no longer needs to);
+// otherwise `send()` transmits (skipping the wire while the caller is
+// partitioned). The wait polls every `poll_ns` until the response lands, the
+// timeout passes or `halted` (the caller crashed) is set; each timeout
+// doubles up to kRetryMaxTimeoutNs. Returns whether the answer was kOk.
+template <typename Check, typename Send>
+sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::RpcGate& gate,
+                             const uint8_t* resp, sim::Tick timeout,
+                             sim::Tick poll_ns, const bool& halted,
+                             Check check, Send send) {
+  for (;;) {
+    if (const std::optional<bool> verdict = check()) {
+      co_return *verdict;
+    }
+    send();
+    const sim::Tick deadline = ctx.Now() + timeout;
+    while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline && !halted) {
+      co_await ctx.Delay(poll_ns);
+    }
+    if (gate.ReadyAt(ctx.Now())) {
+      co_return ParseRespHeader(resp).status == Status::kOk;
+    }
+    timeout = BackoffStep(timeout, kRetryMaxTimeoutNs, 0.0, nullptr);
+  }
+}
+
+// The one at-most-once preamble of a non-idempotent request (DESIGN.md §9's
+// dedup contract): a retransmit of a call that already executed is re-acked
+// with {kOk, owner, epoch} written into `resp` after `ack_cpu_ns` of CPU, and
+// one still executing is swallowed (its first delivery answers). Returns
+// true when the caller must execute the request and then Complete its rid.
+inline bool ExecuteOnce(DedupWindow& dedup, sim::ExecCtx& ctx, sim::Nic& nic,
+                        const sim::NicMessage& msg, uint8_t* resp,
+                        uint32_t owner, uint64_t epoch,
+                        sim::Tick ack_cpu_ns) {
+  switch (dedup.Begin(msg.rid)) {
+    case DedupWindow::Verdict::kDone:
+      ctx.Charge(ack_cpu_ns);
+      PutRespHeader(resp, Status::kOk, owner, epoch);
+      nic.ServerSend(ctx, msg, resp, kRespHeaderBytes);
+      return false;
+    case DedupWindow::Verdict::kInFlight:
+      return false;
+    case DedupWindow::Verdict::kExecute:
+      break;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- node
-// One simulated μTPS server node: its own machine (MemoryModel), slab, WAL,
+// One simulated μTPS server node: its own machine (MemoryModel), slab,
 // dedup window, per-shard indexes, data/control NICs and worker fibers.
 class ClusterNode {
  public:
@@ -216,21 +250,15 @@ class ClusterNode {
   ClusterNode(unsigned id, sim::Engine* eng, sim::Arena* arena,
               const ClusterParams& p)
       : id_(id), params_(p), eng_(eng), arena_(arena) {
-    sim::MachineConfig mc = p.machine;
+    sim::MachineConfig mc;
     if (mc.num_cores < p.workers + 2) {
       mc.num_cores = p.workers + 2;  // workers + ctl + transfer
     }
     mem_ = std::make_unique<sim::MemoryModel>(mc);
     slab_ = std::make_unique<SlabAllocator>(arena);
-    data_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), p.client_nic,
+    data_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), sim::NicConfig{},
                                            p.workers);
-    sim::NicConfig inter = p.client_nic;
-    inter.rtt_ns = mc.internode_rtt_ns;
-    inter.bandwidth_gbps = mc.internode_bw_gbps;
-    ctl_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), inter, 1);
-    if (p.wal.enabled) {
-      wal_ = std::make_unique<wal::WalManager>(p.wal);
-    }
+    ctl_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), InternodeNic(), 1);
     shards_.resize(p.shards);
     stats_.shard_ops.assign(p.shards, 0);
     const uint32_t vcap = p.value_size < 8 ? 8 : p.value_size;
@@ -275,9 +303,6 @@ class ClusterNode {
     s.owner_hint = owner;
     s.epoch = 1;
   }
-  void SetOwnerHint(uint64_t shard, int owner) {
-    shards_[shard].owner_hint = owner;
-  }
 
   // Population-time (host, untimed) insert of a replica item.
   void PopulateItem(uint64_t shard, Key key, const void* value, uint32_t len) {
@@ -288,15 +313,12 @@ class ClusterNode {
   }
 
   void Start() {
-    lease_until_ = params_.lease_ns;  // initial lease from t = 0
+    lease_until_ = kLeaseNs;  // initial lease from t = 0
     for (unsigned w = 0; w < params_.workers; w++) {
       eng_->Spawn(WorkerMain(w));
     }
     eng_->Spawn(CtlMain());
     eng_->Spawn(TransferMain());
-    if (wal_ != nullptr) {
-      wal_->EnsureFlusher(eng_);
-    }
   }
 
   void Stop() {
@@ -305,9 +327,6 @@ class ClusterNode {
     }
     ctl_ctx_.stop = true;
     transfer_ctx_.stop = true;
-    if (wal_ != nullptr) {
-      wal_->Stop();
-    }
   }
 
   // Crash-stop (fault plan): fibers park, queued messages are lost.
@@ -323,9 +342,6 @@ class ClusterNode {
   sim::Nic& data_nic() { return *data_nic_; }
   sim::Nic& ctl_nic() { return *ctl_nic_; }
   const NodeStats& stats() const { return stats_; }
-  NodeStats& mutable_stats() { return stats_; }
-  wal::WalManager* wal() { return wal_.get(); }
-  DedupWindow& dedup() { return dedup_; }
   const ShardState& shard(uint64_t i) const { return shards_[i]; }
 
   bool IsFenced(sim::Tick now) const {
@@ -336,8 +352,7 @@ class ClusterNode {
   // This node's own egress is cut during its partition window; peers' NICs
   // carry no hook for it, so the node checks before every ClientSend.
   bool InPartition(sim::Tick now) const {
-    return is_partitioned_ && now >= params_.fault.partition_start_ns &&
-           now < params_.fault.partition_stop_ns;
+    return is_partitioned_ && params_.fault.InPartitionWindow(now);
   }
 
  private:
@@ -363,14 +378,14 @@ class ClusterNode {
         break;
       }
       if (crashed_) {
-        co_await ctx.Delay(16 * params_.poll_ns);
+        co_await ctx.Delay(16 * kPollNs);
         continue;
       }
       sim::NicMessage msg;
       if (data_nic_->PopArrived(w, ctx.Now(), &msg)) {
         co_await ServeData(ctx, w, msg);
       } else {
-        co_await ctx.Delay(params_.poll_ns);
+        co_await ctx.Delay(kPollNs);
       }
     }
   }
@@ -382,32 +397,9 @@ class ClusterNode {
     ShardState& s = shards_[shard];
     uint8_t* resp = resp_bufs_[w];
     ctx.Charge(kParseCpuNs);
-    // Ownership / freeze / fence gate. The seeded mutation skips it: a stale
-    // node keeps serving a shard it handed off — exactly the bug the DST
-    // replica audit and post-flip reads must catch.
-    if (!mut::DropRingEpochCheck()) {
-      if (IsFenced(ctx.Now())) {
-        stats_.fenced = true;
-        stats_.not_owner++;
-        PutRespHeader(resp, Status::kFenced, HintOf(s), s.epoch);
-        data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
-        co_return;
-      }
-      if (s.role != Role::kPrimary) {
-        stats_.not_owner++;
-        PutRespHeader(resp, Status::kNotOwner, HintOf(s), s.epoch);
-        data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
-        co_return;
-      }
-      if (s.frozen) {
-        stats_.not_owner++;
-        PutRespHeader(resp, Status::kFrozen,
-                      s.mig_dst >= 0 ? static_cast<uint32_t>(s.mig_dst)
-                                     : kNoOwner,
-                      s.epoch);
-        data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
-        co_return;
-      }
+    if (const std::optional<RespHeader> redirect = Admit(s, ctx.Now())) {
+      Redirect(ctx, msg, resp, *redirect);
+      co_return;
     }
     const OpType op = static_cast<OpType>(OpNibble(msg.h[1]));
     if (op == OpType::kGet) {
@@ -430,16 +422,9 @@ class ClusterNode {
     }
     // PUT / DELETE: at-most-once via the dedup window, replicate-then-apply.
     const uint64_t rid = msg.rid;
-    switch (dedup_.Begin(rid)) {
-      case DedupWindow::Verdict::kDone:
-        ctx.Charge(kRespondCpuNs);
-        PutRespHeader(resp, Status::kOk, id_, s.epoch);
-        data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
-        co_return;
-      case DedupWindow::Verdict::kInFlight:
-        co_return;  // the first delivery's response answers the client
-      case DedupWindow::Verdict::kExecute:
-        break;
+    if (!ExecuteOnce(dedup_, ctx, *data_nic_, msg, resp, id_, s.epoch,
+                     kRespondCpuNs)) {
+      co_return;
     }
     s.busy++;
     const uint32_t vlen = op == OpType::kPut ? LenOf(msg.h[1]) : 0;
@@ -447,13 +432,13 @@ class ClusterNode {
     if (vlen > 0 && msg.payload != nullptr) {
       // Land the payload in this node's arena before any suspension: the
       // sender's buffer is host memory and must never hit the cache model.
-      // Reading it here is safe — a kExecute verdict means this is the first
-      // delivery of the rid, so the sender still holds the buffer.
+      // Reading it here is safe — a first delivery of the rid means the
+      // sender still holds the buffer.
       std::memcpy(stage, msg.payload, vlen);
       co_await ctx.Write(stage, vlen);
     }
     bool ok = true;
-    if (params_.replicate && s.backup >= 0) {
+    if (s.backup >= 0) {
       ok = co_await Replicate(ctx, w, shard, key, op, stage, vlen, rid);
     }
     if (!ok || crashed_) {
@@ -461,14 +446,11 @@ class ClusterNode {
       if (!crashed_) {
         // Lost the role mid-op (fenced / demoted): nothing applied, nothing
         // acked — redirect so the client re-resolves and retries elsewhere.
-        stats_.not_owner++;
-        PutRespHeader(resp, Status::kNotOwner, HintOf(s), s.epoch);
-        data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
+        Redirect(ctx, msg, resp, {Status::kNotOwner, HintOf(s), s.epoch});
       }
       co_return;
     }
-    co_await ApplyOp(ctx, shard, key, op, stage, vlen, rid,
-                     /*durable=*/true);
+    co_await ApplyOp(ctx, shard, key, op, stage, vlen);
     s.busy--;
     stats_.ops_served++;
     stats_.shard_ops[shard]++;
@@ -478,53 +460,72 @@ class ClusterNode {
     data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
   }
 
+  // The data path's admission gate: the redirect a request gets instead of
+  // service — kFenced while this node's lease lapsed or it missed an
+  // assignment, kNotOwner unless it leads the shard, kFrozen mid-migration
+  // (naming the destination) — or nothing when the node may serve it. The
+  // seeded mutation skips the gate: a stale node keeps serving a shard it
+  // handed off, exactly the bug the DST replica audit and post-flip reads
+  // must catch.
+  std::optional<RespHeader> Admit(const ShardState& s, sim::Tick now) {
+    if (mut::DropRingEpochCheck()) {
+      return std::nullopt;
+    }
+    if (IsFenced(now)) {
+      stats_.fenced = true;
+      return RespHeader{Status::kFenced, HintOf(s), s.epoch};
+    }
+    if (s.role != Role::kPrimary) {
+      return RespHeader{Status::kNotOwner, HintOf(s), s.epoch};
+    }
+    if (s.frozen) {
+      return RespHeader{Status::kFrozen,
+                        s.mig_dst >= 0 ? static_cast<uint32_t>(s.mig_dst)
+                                       : kNoOwner,
+                        s.epoch};
+    }
+    return std::nullopt;
+  }
+
+  // Answers a data request with a redirect header instead of service.
+  void Redirect(sim::ExecCtx& ctx, const sim::NicMessage& msg, uint8_t* resp,
+                const RespHeader& h) {
+    stats_.not_owner++;
+    PutRespHeader(resp, h.status, h.owner, h.epoch);
+    data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
+  }
+
   uint32_t HintOf(const ShardState& s) const {
     return s.owner_hint >= 0 ? static_cast<uint32_t>(s.owner_hint) : kNoOwner;
   }
 
-  // Applies a PUT/DELETE to this node's replica. `durable` gates the WAL ack
-  // wait (primary acks; backup appends without waiting).
+  // Applies a PUT/DELETE to this node's replica.
   sim::Task<void> ApplyOp(sim::ExecCtx& ctx, uint64_t shard, Key key,
-                          OpType op, const uint8_t* payload, uint32_t len,
-                          uint64_t rid, bool durable) {
+                          OpType op, const uint8_t* payload, uint32_t len) {
     EnsureIndex(shard);
     ShardState& s = shards_[shard];
+    Item* it = co_await s.index->CoGet(ctx, key);
     if (op == OpType::kDelete) {
-      Item* it = co_await s.index->CoGet(ctx, key);
       if (it != nullptr) {
         co_await s.index->CoErase(ctx, key);
         slab_->FreeItem(it);
-      }
-      if (wal_ != nullptr) {
-        const wal::WalToken tok =
-            wal_->Append(ctx, key, op, nullptr, 0, rid);
-        if (durable) {
-          co_await wal_->WaitDurable(ctx, tok);
-        }
       }
       co_return;
     }
-    Item* it = co_await s.index->CoGet(ctx, key);
     if (it != nullptr && len <= it->capacity) {
       co_await ItemWrite(ctx, it, payload, len);
-    } else {
-      if (it != nullptr) {
-        co_await s.index->CoErase(ctx, key);
-        slab_->FreeItem(it);
-      }
-      Item* ni = slab_->AllocateItem(key, len);
-      ItemWriteDirect(ni, payload, len);
-      ctx.Charge(kAllocCpuNs);
-      co_await ctx.Write(ni, sizeof(Item) + len);
-      const bool ins = co_await s.index->CoInsert(ctx, key, ni);
-      UTPS_CHECK(ins);
+      co_return;
     }
-    if (wal_ != nullptr) {
-      const wal::WalToken tok = wal_->Append(ctx, key, op, payload, len, rid);
-      if (durable) {
-        co_await wal_->WaitDurable(ctx, tok);
-      }
+    if (it != nullptr) {
+      co_await s.index->CoErase(ctx, key);
+      slab_->FreeItem(it);
     }
+    Item* ni = slab_->AllocateItem(key, len);
+    ItemWriteDirect(ni, payload, len);
+    ctx.Charge(kAllocCpuNs);
+    co_await ctx.Write(ni, sizeof(Item) + len);
+    const bool ins = co_await s.index->CoInsert(ctx, key, ni);
+    UTPS_CHECK(ins);
   }
 
   // Chain replication leg: ship the op to the backup and wait for its ack.
@@ -533,45 +534,37 @@ class ClusterNode {
   sim::Task<bool> Replicate(sim::ExecCtx& ctx, unsigned w, uint64_t shard,
                             Key key, OpType op, const uint8_t* payload,
                             uint32_t len, uint64_t client_rid) {
-    ShardState& s = shards_[shard];
+    const ShardState& s = shards_[shard];
     sim::RpcGate& gate = repl_gates_[w];
-    const uint64_t rid = (ReplStream(id_, w) << 32) | ++repl_seq_[w];
-    gate.Arm(rid);
-    sim::Tick timeout = params_.repl_timeout_ns;
-    for (;;) {
-      if (crashed_ || s.role != Role::kPrimary) {
-        co_return false;
-      }
-      if (!params_.replicate || s.backup < 0) {
-        co_return true;  // backup died and the manager released us (kNoRepl)
-      }
-      if (!InPartition(ctx.Now())) {
-        sim::NicMessage m;
-        m.h[0] = key;
-        m.h[1] = PackCtlLen(
-            op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, len);
-        m.h[2] = client_rid;
-        m.h[3] = shard;
-        m.payload = len > 0 ? payload : nullptr;
-        m.payload_len = len;
-        m.rid = rid;
-        m.gate = &gate;
-        m.copy_out = repl_resps_[w];
-        peers_[s.backup]->ctl_nic_->ClientSend(ctx, 0, m);
-        stats_.repl_sent++;
-      }
-      const sim::Tick deadline = ctx.Now() + timeout;
-      while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline && !crashed_) {
-        co_await ctx.Delay(4 * params_.poll_ns);
-      }
-      if (gate.ReadyAt(ctx.Now())) {
-        const RespHeader h = ParseRespHeader(repl_resps_[w]);
-        co_return h.status == Status::kOk;
-      }
-      timeout = timeout * 2 < params_.retry_max_timeout_ns
-                    ? timeout * 2
-                    : params_.retry_max_timeout_ns;
-    }
+    sim::NicMessage m;
+    m.h[0] = key;
+    m.h[1] =
+        PackCtlLen(op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, len);
+    m.h[2] = client_rid;
+    m.h[3] = shard;
+    m.payload = len > 0 ? payload : nullptr;
+    m.payload_len = len;
+    m.rid = (ReplStream(id_, w) << 32) | ++repl_seq_[w];
+    m.gate = &gate;
+    m.copy_out = repl_resps_[w];
+    gate.Arm(m.rid);
+    co_return co_await ReliableCall(
+        ctx, gate, repl_resps_[w], kReplTimeoutNs, 4 * kPollNs, crashed_,
+        [this, &s]() -> std::optional<bool> {
+          if (crashed_ || s.role != Role::kPrimary) {
+            return false;
+          }
+          if (s.backup < 0) {
+            return true;  // backup died and the manager released us (kNoRepl)
+          }
+          return std::nullopt;
+        },
+        [this, &ctx, &s, &m] {
+          if (!InPartition(ctx.Now())) {
+            peers_[s.backup]->ctl_nic_->ClientSend(ctx, 0, m);
+            stats_.repl_sent++;
+          }
+        });
   }
 
   // ------------------------------------------------------------ ctl path
@@ -582,14 +575,14 @@ class ClusterNode {
         break;
       }
       if (crashed_) {
-        co_await ctx.Delay(16 * params_.poll_ns);
+        co_await ctx.Delay(16 * kPollNs);
         continue;
       }
       sim::NicMessage msg;
       if (ctl_nic_->PopArrived(0, ctx.Now(), &msg)) {
         co_await ServeCtl(ctx, msg);
       } else {
-        co_await ctx.Delay(params_.poll_ns);
+        co_await ctx.Delay(kPollNs);
       }
     }
   }
@@ -607,7 +600,6 @@ class ClusterNode {
         co_return;
       case Ctl::kMigChunk:
       case Ctl::kMigDedup:
-      case Ctl::kMigWal:
         ServeMigData(ctx, msg, op);
         co_return;
       case Ctl::kOwn:
@@ -622,7 +614,7 @@ class ClusterNode {
         if (msg.h[2] > probe_seq_) {
           probe_seq_ = msg.h[2];
         }
-        const sim::Tick until = ctx.Now() + params_.lease_ns;
+        const sim::Tick until = ctx.Now() + kLeaseNs;
         if (until > lease_until_) {
           lease_until_ = until;
         }
@@ -648,17 +640,11 @@ class ClusterNode {
       ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
       co_return;
     }
-    // Dedup BEFORE touching the payload: on kDone/kInFlight the sender may
-    // have reused its staging buffer, so a duplicate must never read it.
-    switch (dedup_.Begin(msg.rid)) {
-      case DedupWindow::Verdict::kDone:
-        PutRespHeader(ctl_resp_, Status::kOk, id_, s.epoch);
-        ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
-        co_return;
-      case DedupWindow::Verdict::kInFlight:
-        co_return;
-      case DedupWindow::Verdict::kExecute:
-        break;
+    // Dedup BEFORE touching the payload: on a duplicate the sender may have
+    // reused its staging buffer, so a duplicate must never read it.
+    if (!ExecuteOnce(dedup_, ctx, *ctl_nic_, msg, ctl_resp_, id_, s.epoch,
+                     0)) {
+      co_return;
     }
     const Key key = msg.h[0];
     const uint32_t len = op == Ctl::kReplPut ? LenOf(msg.h[1]) : 0;
@@ -667,12 +653,9 @@ class ClusterNode {
       std::memcpy(ctl_stage_, msg.payload, len);
       co_await ctx.Write(ctl_stage_, len);
     }
-    // The backup's WAL logs the op under the client's rid (same dedup floor
-    // on recovery) and does not gate the ack on the flush — chain latency
-    // covers replication, not two synchronous device writes.
     co_await ApplyOp(ctx, shard, key,
                      op == Ctl::kReplPut ? OpType::kPut : OpType::kDelete,
-                     ctl_stage_, len, client_rid, /*durable=*/false);
+                     ctl_stage_, len);
     dedup_.MergeFloor(static_cast<uint32_t>(client_rid >> 32),
                       static_cast<uint32_t>(client_rid),
                       static_cast<uint32_t>(client_rid));
@@ -684,20 +667,14 @@ class ClusterNode {
   }
 
   // Manager -> source node: freeze the shard and start the transfer fiber.
+  // A retransmit of an accepted start is re-acked idempotently.
   void ServeMigStart(sim::ExecCtx& ctx, const sim::NicMessage& msg) {
     const uint64_t shard = msg.h[0];
     const int dst = static_cast<int>(msg.h[2]);
     ShardState& s = shards_[shard];
-    switch (dedup_.Begin(msg.rid)) {
-      case DedupWindow::Verdict::kDone:
-        // Retransmit of an accepted start: re-ack idempotently.
-        PutRespHeader(ctl_resp_, Status::kOk, id_, s.epoch);
-        ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
-        return;
-      case DedupWindow::Verdict::kInFlight:
-        return;
-      case DedupWindow::Verdict::kExecute:
-        break;
+    if (!ExecuteOnce(dedup_, ctx, *ctl_nic_, msg, ctl_resp_, id_, s.epoch,
+                     0)) {
+      return;
     }
     if (s.role != Role::kPrimary || (s.frozen && s.mig_dst != dst)) {
       dedup_.Complete(msg.rid);
@@ -714,21 +691,15 @@ class ClusterNode {
     ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
   }
 
-  // Destination side of the three transfer message kinds. Host-plane applies
+  // Destination side of the two transfer message kinds. Host-plane applies
   // with a flat per-record charge: the wire transfer already modeled the
   // bytes, and the destination is not serving this shard yet.
   void ServeMigData(sim::ExecCtx& ctx, const sim::NicMessage& msg, Ctl op) {
     const uint64_t shard = msg.h[0];
     ShardState& s = shards_[shard];
-    switch (dedup_.Begin(msg.rid)) {
-      case DedupWindow::Verdict::kDone:
-        PutRespHeader(ctl_resp_, Status::kOk, id_, s.epoch);
-        ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
-        return;
-      case DedupWindow::Verdict::kInFlight:
-        return;
-      case DedupWindow::Verdict::kExecute:
-        break;
+    if (!ExecuteOnce(dedup_, ctx, *ctl_nic_, msg, ctl_resp_, id_, s.epoch,
+                     0)) {
+      return;
     }
     const uint8_t* p = static_cast<const uint8_t*>(msg.payload);
     const uint8_t* end = p + msg.payload_len;
@@ -772,7 +743,7 @@ class ClusterNode {
         p += len;
         ctx.Charge(kMigApplyPerRecNs);
       }
-    } else if (op == Ctl::kMigDedup) {
+    } else {  // kMigDedup
       while (p + 12 <= end) {
         uint32_t stream = 0;
         uint32_t started = 0;
@@ -782,26 +753,6 @@ class ClusterNode {
         std::memcpy(&done, p + 8, 4);
         p += 12;
         dedup_.MergeFloor(stream, started, done);
-        ctx.Charge(kMigApplyPerRecNs);
-      }
-    } else {  // kMigWal
-      while (p + 20 <= end) {
-        Key key = 0;
-        uint32_t op_len = 0;
-        uint64_t rid = 0;
-        std::memcpy(&key, p, 8);
-        std::memcpy(&op_len, p + 8, 4);
-        std::memcpy(&rid, p + 12, 8);
-        p += 20;
-        const uint32_t len = op_len & 0x0fffffffu;
-        if (p + len > end) {
-          break;
-        }
-        if (wal_ != nullptr) {
-          wal_->ImportRecord(key, static_cast<OpType>(op_len >> 28), p, len,
-                             rid);
-        }
-        p += len;
         ctx.Charge(kMigApplyPerRecNs);
       }
     }
@@ -822,40 +773,14 @@ class ClusterNode {
       return;  // gap or stale duplicate: ignore, stay (or become) fenced
     }
     ctl_seq_seen_ = seq;
-    const uint64_t shard = msg.h[0];
-    ShardState& s = shards_[shard];
+    ShardState& s = shards_[msg.h[0]];
     if (op == Ctl::kNoRepl) {
       s.backup = -1;  // backup died; primary continues un-replicated
       return;
     }
-    if (op == Ctl::kDemote) {
-      s.role = Role::kNone;
-      s.frozen = false;
-      s.importing = false;
-      s.mig_dst = -1;
-      s.backup = -1;
-      s.epoch = OwnEpoch(msg.h[3]);
-      s.owner_hint = OwnHint(msg.h[3]);
-      return;
-    }
-    const Role role = OwnRole(msg.h[2]);
-    if (s.role == Role::kBackup && role == Role::kPrimary) {
-      stats_.promotions++;
-    }
-    if (s.frozen && s.mig_dst >= 0 && role == Role::kBackup) {
-      stats_.migrations_out++;  // flip landed: this node handed the shard off
-    }
-    if (s.importing && role == Role::kPrimary) {
-      stats_.migrations_in++;
-      s.importing = false;
-    }
-    s.role = role;
-    s.backup = OwnBackup(msg.h[2]);
-    s.epoch = OwnEpoch(msg.h[3]);
-    const int hint = OwnHint(msg.h[3]);
-    s.owner_hint = role == Role::kPrimary ? static_cast<int>(id_) : hint;
-    s.frozen = false;  // any kOwn settles the migration state machine
-    s.mig_dst = -1;
+    // kOwn, or kDemote: the manager packs a demotion as Role::kNone with no
+    // backup, which TakeRole turns into "not a replica".
+    TakeRole(s, OwnRole(msg.h[2]), OwnBackup(msg.h[2]), msg.h[3]);
   }
 
   // Full-table snapshot (Ctl::kResync): the manager's recovery path when this
@@ -880,29 +805,37 @@ class ClusterNode {
       std::memcpy(&role_w, p, 4);
       std::memcpy(&backup, p + 4, 4);
       std::memcpy(&oe, p + 8, 8);
-      const Role role = static_cast<Role>(role_w);
-      ShardState& s = shards_[sh];
-      if (s.role == Role::kBackup && role == Role::kPrimary) {
-        stats_.promotions++;
-      }
-      if (s.importing && role == Role::kPrimary) {
-        stats_.migrations_in++;
-      }
-      if (s.frozen && s.mig_dst >= 0 && role == Role::kBackup) {
-        stats_.migrations_out++;
-      }
-      s.role = role;
-      s.backup = backup;
-      s.epoch = OwnEpoch(oe);
-      const int hint = OwnHint(oe);
-      s.owner_hint = role == Role::kPrimary ? static_cast<int>(id_) : hint;
-      s.frozen = false;
-      s.mig_dst = -1;
-      if (role != Role::kBackup) {
-        s.importing = false;
-      }
+      TakeRole(shards_[sh], static_cast<Role>(role_w), backup, oe);
     }
     ctl_seq_seen_ = seq;
+  }
+
+  // The one role transition (kOwn, kDemote, every row of a kResync). Counts
+  // a promotion (backup -> primary), a handed-off migration (a frozen source
+  // becoming the backup) and a received one (an importing destination
+  // becoming primary), installs the role, backup and owner-epoch word, and
+  // settles the migration state machine: no freeze survives, and only a
+  // backup keeps an import in progress.
+  void TakeRole(ShardState& s, Role role, int backup, uint64_t owner_epoch) {
+    if (s.role == Role::kBackup && role == Role::kPrimary) {
+      stats_.promotions++;
+    }
+    if (s.frozen && s.mig_dst >= 0 && role == Role::kBackup) {
+      stats_.migrations_out++;
+    }
+    if (s.importing && role == Role::kPrimary) {
+      stats_.migrations_in++;
+    }
+    s.role = role;
+    s.backup = backup;
+    s.epoch = OwnEpoch(owner_epoch);
+    s.owner_hint = role == Role::kPrimary ? static_cast<int>(id_)
+                                          : OwnHint(owner_epoch);
+    s.frozen = false;
+    s.mig_dst = -1;
+    if (role != Role::kBackup) {
+      s.importing = false;
+    }
   }
 
   // -------------------------------------------------------- transfer path
@@ -913,7 +846,7 @@ class ClusterNode {
         break;
       }
       if (crashed_ || mig_shard_ < 0) {
-        co_await ctx.Delay(8 * params_.poll_ns);
+        co_await ctx.Delay(8 * kPollNs);
         continue;
       }
       const uint64_t shard = static_cast<uint64_t>(mig_shard_);
@@ -925,16 +858,16 @@ class ClusterNode {
   }
 
   // Source side of a shard migration: drain in-flight ops, then ship the
-  // snapshot, the dedup watermarks and the WAL tail to the destination, and
-  // report completion to the manager. The shard stays frozen until the
-  // manager's flip assignment arrives (ApplyAssignment).
+  // snapshot and the dedup watermarks to the destination, and report
+  // completion to the manager. The shard stays frozen until the manager's
+  // flip assignment arrives (ApplyAssignment).
   sim::Task<void> Transfer(sim::ExecCtx& ctx, uint64_t shard, int dst) {
     ShardState& s = shards_[shard];
     while (s.busy > 0) {
       if (!s.frozen || crashed_) {
         co_return;  // aborted (demoted / manager gave up / crash)
       }
-      co_await ctx.Delay(4 * params_.poll_ns);
+      co_await ctx.Delay(4 * kPollNs);
     }
     // Snapshot: bucket order of the shard's own index — deterministic for a
     // deterministic history, and total because the shard is frozen.
@@ -944,95 +877,38 @@ class ClusterNode {
         mig_items_.push_back({k, it});
       });
     }
-    const unsigned per = params_.mig_chunk_records;
     // The transfer's first message carries a fresh-import flag: the
     // destination drops remnants of any previously aborted import for this
     // shard, so a key deleted since that abort cannot resurrect.
     bool first = true;
-    for (size_t base = 0; base < mig_items_.size(); base += per) {
-      mig_buf_.clear();
-      const size_t n = std::min(mig_items_.size() - base, size_t{per});
-      for (size_t i = 0; i < n; i++) {
-        const auto& [key, it] = mig_items_[base + i];
-        const uint32_t len = it->value_len;
-        AppendRaw(&key, 8);
-        AppendRaw(&len, 4);
-        const size_t off = mig_buf_.size();
-        mig_buf_.resize(off + len);
-        ItemReadDirect(it, mig_buf_.data() + off);
-      }
-      if (!co_await SendMig(ctx, dst, shard, Ctl::kMigChunk, first)) {
-        co_return;
-      }
-      first = false;
+    if (!co_await SendChunked(
+            ctx, dst, shard, Ctl::kMigChunk, mig_items_.size(), first,
+            [this](size_t i) {
+              const auto& [key, it] = mig_items_[i];
+              const uint32_t len = it->value_len;
+              AppendRaw(&key, 8);
+              AppendRaw(&len, 4);
+              const size_t off = mig_buf_.size();
+              mig_buf_.resize(off + len);
+              ItemReadDirect(it, mig_buf_.data() + off);
+            })) {
+      co_return;
     }
-    // Dedup watermarks: every stream this node has seen, sorted by stream id
-    // (the table is an unordered_map — serialization must impose an order).
+    // Dedup watermarks, taken once the items are across: every stream this
+    // node has seen, sorted by stream id (the table is an unordered_map —
+    // serialization must impose an order).
     std::vector<std::array<uint32_t, 3>> ents;
     dedup_.ForEachEntry([&ents](uint32_t st, uint32_t a, uint32_t d) {
       ents.push_back({st, a, d});
     });
     std::sort(ents.begin(), ents.end());
-    for (size_t base = 0; base < ents.size(); base += per) {
-      mig_buf_.clear();
-      const size_t n = std::min(ents.size() - base, size_t{per});
-      for (size_t i = 0; i < n; i++) {
-        AppendRaw(&ents[base + i][0], 4);
-        AppendRaw(&ents[base + i][1], 4);
-        AppendRaw(&ents[base + i][2], 4);
-      }
-      if (!co_await SendMig(ctx, dst, shard, Ctl::kMigDedup, first)) {
-        co_return;
-      }
-      first = false;
-    }
-    // WAL tail for the shard's keys, in (log shard, LSN) order.
-    if (wal_ != nullptr) {
-      mig_buf_.clear();
-      uint32_t batched = 0;
-      bool ok = true;
-      const uint64_t nk = params_.num_keys;
-      const unsigned ns = params_.shards;
-      wal_->ExportRecords(
-          [shard, ns, nk](Key k) { return ShardOfKey(k, ns, nk) == shard; },
-          [this, &batched](Key k, OpType o, const void* pay, uint32_t len,
-                           uint64_t rid) {
-            const uint32_t op_len = (static_cast<uint32_t>(o) << 28) | len;
-            AppendRaw(&k, 8);
-            AppendRaw(&op_len, 4);
-            AppendRaw(&rid, 8);
-            if (len > 0) {
-              const size_t off = mig_buf_.size();
-              mig_buf_.resize(off + len);
-              std::memcpy(mig_buf_.data() + off, pay, len);
-            }
-            batched++;
-          });
-      // ExportRecords is synchronous; ship the accumulated tail in chunks.
-      const std::vector<uint8_t> all = mig_buf_;
-      size_t off = 0;
-      (void)batched;
-      while (ok && off < all.size()) {
-        mig_buf_.clear();
-        size_t take = 0;
-        uint32_t recs = 0;
-        while (off + take < all.size() && recs < per) {
-          uint32_t op_len = 0;
-          std::memcpy(&op_len, all.data() + off + take + 8, 4);
-          take += 20 + (op_len & 0x0fffffffu);
-          recs++;
-        }
-        mig_buf_.assign(all.begin() + off, all.begin() + off + take);
-        off += take;
-        ok = co_await SendMig(ctx, dst, shard, Ctl::kMigWal, first);
-        first = false;
-      }
-      if (!ok) {
-        co_return;
-      }
+    if (!co_await SendChunked(ctx, dst, shard, Ctl::kMigDedup, ents.size(),
+                              first, [this, &ents](size_t i) {
+                                AppendRaw(ents[i].data(), 12);
+                              })) {
+      co_return;
     }
     // Tell the manager the transfer is complete; it flips the ring epoch.
-    mig_buf_.clear();
     sim::NicMessage done;
     done.h[0] = shard;
     done.h[1] = PackCtlLen(Ctl::kMigDone, 0);
@@ -1045,48 +921,55 @@ class ClusterNode {
     mig_buf_.insert(mig_buf_.end(), p, p + len);
   }
 
-  sim::Task<bool> SendMig(sim::ExecCtx& ctx, int dst, uint64_t shard,
-                          Ctl op, bool first) {
-    sim::NicMessage m;
-    m.h[0] = shard;
-    m.h[1] = PackCtlLen(op, static_cast<uint32_t>(mig_buf_.size()));
-    m.h[2] = first ? 1 : 0;  // fresh import: dst drops aborted-import remnants
-    m.payload = mig_buf_.data();
-    m.payload_len = static_cast<uint32_t>(mig_buf_.size());
-    return TransferCall(ctx, &peers_[dst]->ctl_nic(), m, shard);
-  }
-
-  // Reliable control call on the transfer fiber: same rid on retransmit, the
-  // destination's dedup window makes delivery at-most-once. Aborts when the
-  // shard unfreezes under us (demote / manager abort) or this node crashes.
-  sim::Task<bool> TransferCall(sim::ExecCtx& ctx, sim::Nic* nic,
-                               sim::NicMessage m, uint64_t shard) {
-    ShardState& s = shards_[shard];
-    const uint64_t rid = (MigStream(id_) << 32) | ++mig_seq_;
-    mig_gate_.Arm(rid);
-    m.rid = rid;
-    m.gate = &mig_gate_;
-    m.copy_out = mig_resp_;
-    sim::Tick timeout = params_.repl_timeout_ns;
-    for (;;) {
-      if (crashed_ || !s.frozen) {
+  // Ships `n` records to `dst` as `op` messages of up to kMigChunkRecords
+  // each, `put(i)` serializing record i into mig_buf_. `first` flags the
+  // transfer's first message and is cleared once one is sent. Returns false
+  // when the transfer aborted.
+  template <typename Put>
+  sim::Task<bool> SendChunked(sim::ExecCtx& ctx, int dst, uint64_t shard,
+                              Ctl op, size_t n, bool& first, Put put) {
+    for (size_t base = 0; base < n; base += kMigChunkRecords) {
+      mig_buf_.clear();
+      const size_t end = std::min(n, base + kMigChunkRecords);
+      for (size_t i = base; i < end; i++) {
+        put(i);
+      }
+      sim::NicMessage m;
+      m.h[0] = shard;
+      m.h[1] = PackCtlLen(op, static_cast<uint32_t>(mig_buf_.size()));
+      m.h[2] = first ? 1 : 0;  // fresh import: dst drops aborted remnants
+      m.payload = mig_buf_.data();
+      m.payload_len = static_cast<uint32_t>(mig_buf_.size());
+      if (!co_await TransferCall(ctx, &peers_[dst]->ctl_nic(), m, shard)) {
         co_return false;
       }
-      if (!InPartition(ctx.Now())) {
-        nic->ClientSend(ctx, 0, m);
-      }
-      const sim::Tick deadline = ctx.Now() + timeout;
-      while (!mig_gate_.ReadyAt(ctx.Now()) && ctx.Now() < deadline &&
-             !crashed_) {
-        co_await ctx.Delay(4 * params_.poll_ns);
-      }
-      if (mig_gate_.ReadyAt(ctx.Now())) {
-        co_return ParseRespHeader(mig_resp_).status == Status::kOk;
-      }
-      timeout = timeout * 2 < params_.retry_max_timeout_ns
-                    ? timeout * 2
-                    : params_.retry_max_timeout_ns;
+      first = false;
     }
+    co_return true;
+  }
+
+  // Reliable call on the transfer fiber. Aborts when the shard unfreezes
+  // under us (demote / manager abort) or this node crashes.
+  sim::Task<bool> TransferCall(sim::ExecCtx& ctx, sim::Nic* nic,
+                               sim::NicMessage m, uint64_t shard) {
+    const ShardState& s = shards_[shard];
+    m.rid = (MigStream(id_) << 32) | ++mig_seq_;
+    m.gate = &mig_gate_;
+    m.copy_out = mig_resp_;
+    mig_gate_.Arm(m.rid);
+    co_return co_await ReliableCall(
+        ctx, mig_gate_, mig_resp_, kReplTimeoutNs, 4 * kPollNs, crashed_,
+        [this, &s]() -> std::optional<bool> {
+          if (crashed_ || !s.frozen) {
+            return false;
+          }
+          return std::nullopt;
+        },
+        [this, &ctx, nic, &m] {
+          if (!InPartition(ctx.Now())) {
+            nic->ClientSend(ctx, 0, m);
+          }
+        });
   }
 
   // ------------------------------------------------------------- members
@@ -1098,7 +981,6 @@ class ClusterNode {
   std::unique_ptr<SlabAllocator> slab_;
   std::unique_ptr<sim::Nic> data_nic_;
   std::unique_ptr<sim::Nic> ctl_nic_;
-  std::unique_ptr<wal::WalManager> wal_;
   DedupWindow dedup_;
   std::vector<ShardState> shards_;
   NodeStats stats_;
@@ -1209,10 +1091,7 @@ class ClusterManager {
   ClusterManager(sim::Engine* eng, const ClusterParams& p,
                  std::vector<ClusterNode*> nodes)
       : eng_(eng), params_(p), nodes_(std::move(nodes)) {
-    sim::NicConfig cfg = p.client_nic;
-    cfg.rtt_ns = p.machine.internode_rtt_ns;
-    cfg.bandwidth_gbps = p.machine.internode_bw_gbps;
-    nic_ = std::make_unique<sim::Nic>(eng, nullptr, cfg, 1);
+    nic_ = std::make_unique<sim::Nic>(eng, nullptr, InternodeNic(), 1);
     assign_.resize(p.shards);
     node_seq_.assign(params_.nodes, 0);
     mgr_seq_.assign(params_.nodes, 0);
@@ -1280,6 +1159,7 @@ class ClusterManager {
   };
 
   static constexpr sim::Tick kMgrPollNs = 500;
+  static constexpr bool kNeverHalts = false;  // the manager does not crash
 
   // kResolve service + kMigDone collection.
   sim::Fiber CtlMain() {
@@ -1302,17 +1182,11 @@ class ClusterManager {
                           : kNoOwner,
                       assign_[shard].epoch);
         nic_->ServerSend(ctx, msg, resolve_resp_, kRespHeaderBytes);
-      } else if (op == Ctl::kMigDone) {
-        switch (dedup_.Begin(msg.rid)) {
-          case DedupWindow::Verdict::kInFlight:
-            continue;
-          case DedupWindow::Verdict::kExecute:
-            mig_done_shard_ = static_cast<int64_t>(msg.h[0]);
-            dedup_.Complete(msg.rid);
-            break;
-          case DedupWindow::Verdict::kDone:
-            break;
-        }
+      } else if (op == Ctl::kMigDone &&
+                 ExecuteOnce(dedup_, ctx, *nic_, msg, resolve_resp_, 0,
+                             epoch_, 0)) {
+        mig_done_shard_ = static_cast<int64_t>(msg.h[0]);
+        dedup_.Complete(msg.rid);
         PutRespHeader(resolve_resp_, Status::kOk, 0, epoch_);
         nic_->ServerSend(ctx, msg, resolve_resp_, kRespHeaderBytes);
       }
@@ -1326,7 +1200,7 @@ class ClusterManager {
       if (ctx.stop) {
         co_return;
       }
-      co_await ctx.Delay(params_.probe_period_ns);
+      co_await ctx.Delay(kProbePeriodNs);
       if (ctx.stop || views_[n].dead) {
         continue;
       }
@@ -1340,7 +1214,7 @@ class ClusterManager {
       m.gate = &gate;
       m.copy_out = probe_resps_[n].data();
       nodes_[n]->ctl_nic().ClientSend(ctx, 0, m);
-      const sim::Tick deadline = ctx.Now() + params_.probe_timeout_ns;
+      const sim::Tick deadline = ctx.Now() + kProbeTimeoutNs;
       while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline) {
         co_await ctx.Delay(kMgrPollNs);
       }
@@ -1355,9 +1229,8 @@ class ClusterManager {
         continue;
       }
       views_[n].failures++;
-      if (views_[n].failures >= params_.suspect_after &&
-          ctx.Now() >= views_[n].last_success + params_.lease_ns +
-                           params_.lease_margin_ns) {
+      if (views_[n].failures >= kSuspectAfter &&
+          ctx.Now() >= views_[n].last_success + kLeaseNs + kLeaseMarginNs) {
         DeclareDead(ctx, n);
       }
     }
@@ -1443,8 +1316,10 @@ class ClusterManager {
   // Drives one live shard migration end to end: freeze the source, wait for
   // its transfer-complete report, then flip the ring epoch and swap roles
   // (destination becomes primary, the old source its backup). Aborts — src
-  // or dst dying, the transfer stalling past mig_deadline — unfreeze the
-  // source with a refreshed kOwn so it resumes serving.
+  // or dst dying, the transfer stalling past kMigDeadlineNs — unfreeze the
+  // source with a refreshed kOwn so it resumes serving. Only one migration
+  // runs at a time, so kMigStart's gate and response buffer are members: a
+  // late copy of the start can be re-acked after this call returned.
   sim::Task<bool> DoMigrate(sim::ExecCtx& ctx, uint64_t shard, int dst) {
     if (mig_active_ || dst < 0 ||
         dst >= static_cast<int>(params_.nodes)) {
@@ -1457,45 +1332,34 @@ class ClusterManager {
     }
     mig_active_ = true;
     mig_done_shard_ = -1;
-    // kMigStart is a reliable call: same rid on retransmit, the source's
-    // dedup window re-acks an accepted start idempotently.
-    sim::RpcGate gate;
-    const uint64_t rid = (MgrStream(src) << 32) | ++mgr_seq_[src];
-    gate.Arm(rid);
-    uint8_t resp[kRespHeaderBytes] = {};
     sim::NicMessage m;
     m.h[0] = shard;
     m.h[1] = PackCtlLen(Ctl::kMigStart, 0);
     m.h[2] = static_cast<uint64_t>(dst);
-    m.rid = rid;
-    m.gate = &gate;
-    m.copy_out = resp;
-    const sim::Tick start_deadline = ctx.Now() + params_.mig_deadline_ns;
-    sim::Tick timeout = params_.probe_timeout_ns;
-    bool started = false;
-    while (!started) {
-      nodes_[src]->ctl_nic().ClientSend(ctx, 0, m);
-      const sim::Tick dl = ctx.Now() + timeout;
-      while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < dl) {
-        co_await ctx.Delay(kMgrPollNs);
-      }
-      if (gate.ReadyAt(ctx.Now())) {
-        if (ParseRespHeader(resp).status != Status::kOk) {
-          mig_active_ = false;
-          co_return false;  // source is not the primary any more
-        }
-        started = true;
-      } else if (ctx.Now() >= start_deadline || views_[src].dead) {
-        mig_active_ = false;
-        co_return false;
-      } else {
-        timeout = timeout * 2 < params_.retry_max_timeout_ns
-                      ? timeout * 2
-                      : params_.retry_max_timeout_ns;
-      }
+    m.rid = (MgrStream(src) << 32) | ++mgr_seq_[src];
+    m.gate = &mig_start_gate_;
+    m.copy_out = mig_start_resp_;
+    mig_start_gate_.Arm(m.rid);
+    const sim::Tick start_deadline = ctx.Now() + kMigDeadlineNs;
+    const bool started = co_await ReliableCall(
+        ctx, mig_start_gate_, mig_start_resp_, kProbeTimeoutNs, kMgrPollNs,
+        kNeverHalts,
+        [this, &ctx, start_deadline, src]() -> std::optional<bool> {
+          if (ctx.Now() >= start_deadline || views_[src].dead) {
+            return false;
+          }
+          return std::nullopt;
+        },
+        [this, &ctx, src, &m] {
+          nodes_[src]->ctl_nic().ClientSend(ctx, 0, m);
+        });
+    if (!started) {
+      // Gave up, or the source is not the primary any more.
+      mig_active_ = false;
+      co_return false;
     }
     // Transfer runs node-to-node; we wait for the source's kMigDone report.
-    const sim::Tick deadline = ctx.Now() + params_.mig_deadline_ns;
+    const sim::Tick deadline = ctx.Now() + kMigDeadlineNs;
     for (;;) {
       if (mig_done_shard_ == static_cast<int64_t>(shard)) {
         break;
@@ -1608,7 +1472,6 @@ class ClusterManager {
     }
   }
 
-
   sim::Engine* eng_;
   ClusterParams params_;
   std::vector<ClusterNode*> nodes_;
@@ -1621,6 +1484,8 @@ class ClusterManager {
   uint64_t shard_migrations_ = 0;
   bool mig_active_ = false;
   int64_t mig_done_shard_ = -1;
+  sim::RpcGate mig_start_gate_;
+  uint8_t mig_start_resp_[kRespHeaderBytes] = {};
   DedupWindow dedup_;
   uint8_t resolve_resp_[kRespHeaderBytes] = {};
   std::unique_ptr<sim::RpcGate[]> probe_gates_;
@@ -1643,7 +1508,7 @@ class Cluster {
   Cluster(sim::Engine* eng, const ClusterParams& p)
       : eng_(eng),
         params_(p),
-        ring_(p.nodes, p.vnodes, Mix64(p.seed ^ 0x436c7573746572ULL)) {
+        ring_(p.nodes, kVnodes, Mix64(p.seed ^ 0x436c7573746572ULL)) {
     UTPS_CHECK(p.nodes >= 1);
     arena_ = std::make_unique<sim::Arena>(p.arena_mb << 20);
     for (unsigned n = 0; n < p.nodes; n++) {
@@ -1662,7 +1527,7 @@ class Cluster {
     // owner hint for shards it does not hold, for NOT_OWNER redirects.
     for (uint64_t sh = 0; sh < p.shards; sh++) {
       const unsigned owner = ring_.OwnerOf(sh);
-      const int backup = p.replicate && p.nodes > 1 ? ring_.BackupOf(sh) : -1;
+      const int backup = p.nodes > 1 ? ring_.BackupOf(sh) : -1;
       manager_->SetInitialAssign(sh, static_cast<int>(owner), backup);
       for (unsigned n = 0; n < p.nodes; n++) {
         if (n == owner) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "cluster/client.h"
@@ -31,7 +32,6 @@ struct ClusterBenchConfig {
   sim::Tick measure_ns = 2 * sim::kMsec;
   bool record_timeline = false;
   bool record_latency_timeline = false;
-  sim::Tick timeline_bucket_ns = 100 * sim::kUsec;
   // Flash crowd: at this virtual time the zipf hot set jumps half the
   // keyspace away, concentrating load on different shards (0 = stable).
   sim::Tick hotshift_at_ns = 0;
@@ -49,10 +49,9 @@ struct ClientAccum {
   std::vector<Histogram> bucket_lat;
 };
 
-inline sim::Fiber BenchClient(sim::ExecCtx* ctx, Cluster* cluster,
+inline sim::Fiber BenchClient(sim::ExecCtx* ctx, ClusterClient* client,
                               const ClusterBenchConfig* cfg, unsigned id,
                               ClientAccum* acc, const bool* stop) {
-  ClusterClient client(cluster, id, ctx);
   const ClusterParams& p = cfg->cluster;
   Rng rng(Mix64(cfg->cluster.seed + uint64_t{id} * 1000003 + 11));
   ScrambledZipfian zipf(p.num_keys, cfg->zipf_theta);
@@ -69,10 +68,10 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, Cluster* cluster,
     const sim::Tick inv = ctx->Now();
     if (put) {
       std::memcpy(payload.data(), &key, 8);
-      co_await client.Call(OpType::kPut, key, payload.data(), p.value_size,
+      co_await client->Call(OpType::kPut, key, payload.data(), p.value_size,
                            nullptr);
     } else {
-      co_await client.Call(OpType::kGet, key, nullptr, 0, out.data());
+      co_await client->Call(OpType::kGet, key, nullptr, 0, out.data());
     }
     const sim::Tick resp = ctx->Now();
     if (resp >= t0 && resp < t1) {
@@ -81,7 +80,7 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, Cluster* cluster,
       if (!acc->bucket_ops.empty()) {
         const size_t b = std::min(acc->bucket_ops.size() - 1,
                                   static_cast<size_t>(
-                                      resp / cfg->timeline_bucket_ns));
+                                      resp / kTimelineBucketNs));
         acc->bucket_ops[b]++;
         if (!acc->bucket_lat.empty()) {
           acc->bucket_lat[b].Record(resp - inv);
@@ -89,9 +88,9 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, Cluster* cluster,
       }
     }
   }
-  acc->retries = client.retries();
-  acc->redirects = client.redirects();
-  acc->resolves = client.resolves();
+  acc->retries = client->retries();
+  acc->redirects = client->redirects();
+  acc->resolves = client->resolves();
 }
 
 }  // namespace internal
@@ -100,7 +99,7 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   const sim::Tick end_ns = cfg.warmup_ns + cfg.measure_ns;
   const size_t nbuckets =
       cfg.record_timeline
-          ? static_cast<size_t>(end_ns / cfg.timeline_bucket_ns) + 1
+          ? static_cast<size_t>(end_ns / kTimelineBucketNs) + 1
           : 0;
 
   sim::Engine eng;
@@ -114,6 +113,9 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   bool stop = false;
   std::vector<internal::ClientAccum> accs(cfg.clients);
   std::vector<sim::ExecCtx> ctxs(cfg.clients);
+  // The clients outlive their fibers: a NIC copy of a finished client's
+  // request can still be answered into its gate and buffers.
+  std::vector<std::unique_ptr<ClusterClient>> clients;
   for (unsigned i = 0; i < cfg.clients; i++) {
     if (nbuckets > 0) {
       accs[i].bucket_ops.assign(nbuckets, 0);
@@ -122,8 +124,9 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
       }
     }
     ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(internal::BenchClient(&ctxs[i], &cluster, &cfg, i, &accs[i],
-                                    &stop));
+    clients.push_back(std::make_unique<ClusterClient>(&cluster, i, &ctxs[i]));
+    eng.Spawn(internal::BenchClient(&ctxs[i], clients[i].get(), &cfg, i,
+                                    &accs[i], &stop));
   }
 
   eng.Run(end_ns);
@@ -149,7 +152,7 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   res.p99_ns = lat.Percentile(0.99);
   res.mean_ns = static_cast<sim::Tick>(lat.Mean());
   if (nbuckets > 0) {
-    res.timeline_bucket_ns = cfg.timeline_bucket_ns;
+    res.timeline_bucket_ns = kTimelineBucketNs;
     for (size_t b = 0; b < nbuckets; b++) {
       uint64_t n = 0;
       for (const auto& a : accs) {
@@ -157,7 +160,7 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
       }
       res.timeline_mops.push_back(
           static_cast<double>(n) * 1e3 /
-          static_cast<double>(cfg.timeline_bucket_ns));
+          static_cast<double>(kTimelineBucketNs));
       if (cfg.record_latency_timeline) {
         Histogram h;
         for (const auto& a : accs) {

@@ -1,9 +1,10 @@
 // Cluster wire protocol (DESIGN.md §14).
 //
 // Cluster messages reuse the single-node NicMessage header words: the op
-// nibble in h[1] (bits 31..28) extends the 4-entry OpType space (kGet..kScan
-// = 0..3) with twelve control opcodes, 4..15. Data requests are encoded by
-// EncodeRequest (net/rpc.h) exactly as in single-node mode, with one
+// nibble in h[1] (bits 31..28) carries either a data-plane OpType (kGet,
+// kPut, kDelete = 0..2) or one of the control opcodes 3..15 (9 is unused;
+// cluster mode serves no scans, so kScan's 3 is free). Data requests are
+// encoded by EncodeRequest (net/rpc.h) exactly as in single-node mode, with one
 // addition: h[2] carries the client's believed ring epoch (unused by data
 // ops, which only use h[2]/h[3] for scans — cluster mode serves no scans).
 //
@@ -31,7 +32,6 @@ enum class Ctl : uint8_t {
   kMigStart = 6,  // manager -> src: freeze shard h[0], transfer to node h[2]
   kMigChunk = 7,  // src -> dst: snapshot items chunk for shard h[0]
   kMigDedup = 8,  // src -> dst: dedup-window watermarks (sorted by stream)
-  kMigWal = 9,    // src -> dst: WAL tail records for the shard
   kMigDone = 10,  // src -> manager: transfer of shard h[0] complete
   kOwn = 11,      // manager -> node: assignment for shard h[0] (see PackOwn)
   kDemote = 12,   // manager -> node: you do not hold shard h[0]; owner hint

@@ -60,7 +60,7 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   // (it substitutes for a dead MR worker).
   probe_ctx_ = ExecCtx{.eng = env_.eng, .mem = env_.mem,
                        .core = static_cast<sim::CoreId>(w < 32 ? w : 0),
-                       .clos = opt_.mr_clos};
+                       .clos = kMrClos};
   hb_seen_.assign(w, 0);
   mgr_tid_ = w;  // distinct tracer lane even when the sim core id wraps
   if (env_.obs != nullptr) {
@@ -74,8 +74,8 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   ncr = std::min(ncr, w - 1);
   cfg_ = Config{ncr, ncr, 0, 1};
   // Default LLC policy before tuning: CR owns all ways; MR reuses all ways.
-  env_.mem->SetClosMask(opt_.cr_clos, env_.mem->config().AllWaysMask());
-  env_.mem->SetClosMask(opt_.mr_clos, env_.mem->config().AllWaysMask());
+  env_.mem->SetClosMask(kCrClos, env_.mem->config().AllWaysMask());
+  env_.mem->SetClosMask(kMrClos, env_.mem->config().AllWaysMask());
   mr_ways_ = env_.mem->config().llc_ways;
   // Each receive record gets a response region of its own, free until the
   // record completes: scans, whose 8 KB responses would cycle through a
@@ -220,7 +220,7 @@ Fiber MuTpsServer::WorkerMain(unsigned idx) {
 Task<void> MuTpsServer::CrRun(unsigned idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
-  ctx.clos = opt_.cr_clos;
+  ctx.clos = kCrClos;
   // next_seq was set where this worker took the CR role (Start, or its
   // acknowledgement in MrRun). It starts at the switch sequence, NOT at the
   // current fill sequence: slots in [switch_seq, fill_seq) with this worker's
@@ -307,7 +307,7 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
     for (unsigned t = ncr; t < env_.num_workers; t++) {
       Worker::Staging& st = w.staging[t];
       if (!st.Empty() &&
-          ctx.Now() - st.first_ns >= opt_.flush_timeout_ns) {
+          ctx.Now() - st.first_ns >= kFlushTimeoutNs) {
         co_await CrFlushStaging(idx, t);
         if (t == ncr + (w.rr_next % nmr)) {
           w.rr_next++;
@@ -615,7 +615,7 @@ Task<void> MuTpsServer::CrPollCompletions(unsigned idx) {
 Task<void> MuTpsServer::MrRun(unsigned idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
-  ctx.clos = opt_.mr_clos;
+  ctx.clos = kMrClos;
   mr_ready_[idx] = 0;
   for (unsigned p = 0; p < env_.num_workers; p++) {
     // Resume consumption at the tail: CR workers that acknowledged the new
@@ -996,7 +996,7 @@ Task<void> MuTpsServer::TuneLlcWays() {
   const unsigned total_ways = env_.mem->config().llc_ways;
   const auto measure_ways = [&](unsigned ways) -> Task<double> {
     const uint32_t mask = ((1u << ways) - 1) << (total_ways - ways);
-    env_.mem->SetClosMask(opt_.mr_clos, mask);
+    env_.mem->SetClosMask(kMrClos, mask);
     mr_ways_ = ways;
     co_await ctx.Delay(opt_.tune_window_ns / 2);
     const double m = co_await MeasureWindow();
@@ -1025,7 +1025,7 @@ Task<void> MuTpsServer::TuneLlcWays() {
     }
   }
   const uint32_t mask = ((1u << best_ways) - 1) << (total_ways - best_ways);
-  env_.mem->SetClosMask(opt_.mr_clos, mask);
+  env_.mem->SetClosMask(kMrClos, mask);
   mr_ways_ = best_ways;
 }
 
@@ -1059,6 +1059,28 @@ Task<void> MuTpsServer::Autotune() {
     co_await TuneLlcWays();
   }
   ewma_mops_ = co_await MeasureWindow();
+}
+
+bool MuTpsServer::Idle() const {
+  if (!rx_->Idle()) {
+    return false;
+  }
+  for (const CrMrRing& r : rings_) {
+    if (!r.AuditQuiesced()) {
+      return false;
+    }
+  }
+  for (const Worker& w : workers_) {
+    if (w.outstanding != 0) {
+      return false;
+    }
+    for (const Worker::Staging& st : w.staging) {
+      if (!st.Empty()) {
+        return false;
+      }
+    }
+  }
+  return SplitSettled();
 }
 
 bool MuTpsServer::AuditQuiesced(std::string* err) const {

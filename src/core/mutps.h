@@ -58,14 +58,11 @@ class MuTpsServer final : public KvServer {
     bool tune_llc = true;
     sim::Tick refresh_period_ns = 20 * sim::kMsec;
     sim::Tick tune_window_ns = 1 * sim::kMsec;
-    sim::Tick flush_timeout_ns = 600;  // CR staging flush deadline
     double retune_drift = 0.25;     // retune when throughput drifts this much
     // Cache sizes probed by the hierarchical search (the paper linearly
     // probes 1K steps; benchmarks may use a coarser grid for speed).
     std::vector<uint32_t> cache_sizes = {0,    1000, 2000, 3000, 4000, 5000,
                                          6000, 7000, 8000, 9000, 10000};
-    sim::ClosId cr_clos = 1;
-    sim::ClosId mr_clos = 2;
     RxRing::Config rx;
   };
 
@@ -113,6 +110,13 @@ class MuTpsServer final : public KvServer {
   void RequestThreadSplit(unsigned ncr) { pending_ncr_request_ = ncr; }
   void SetCacheTarget(uint32_t k) { cache_k_ = k; }
 
+  // True when no request is anywhere inside the server: every receive slot
+  // is free (or an empty filling slot), every CR-MR ring is drained, no
+  // worker holds staged or forwarded work, and the published split is
+  // acknowledged. The DST harness runs until this holds before it stops the
+  // server, so a late NIC duplicate is served rather than cut off mid-way.
+  bool Idle() const;
+
   // Quiesce audit (DST harness): with all clients done and the engine idle,
   // every CR-MR ring must show head == tail, every worker must have
   // acknowledged the current split and hold the role it assigns, all staged
@@ -122,6 +126,13 @@ class MuTpsServer final : public KvServer {
   bool AuditQuiesced(std::string* err) const;
 
  private:
+  // CR staging flush deadline.
+  static constexpr sim::Tick kFlushTimeoutNs = 600;
+  // LLC classes of service of the CR and MR workers (the auto-tuner sets
+  // the MR class's way mask).
+  static constexpr sim::ClosId kCrClos = 1;
+  static constexpr sim::ClosId kMrClos = 2;
+
   struct Config {
     unsigned ncr = 1;
     unsigned prev_ncr = 1;  // ncr of version - 1

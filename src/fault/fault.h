@@ -86,6 +86,16 @@ struct FaultConfig {
   bool cluster_enabled() const {
     return crash_node >= 0 || partition_node >= 0;
   }
+
+  // Inside the [start_ns, stop_ns) window at `now`.
+  bool InWindow(sim::Tick now) const {
+    return now >= start_ns && (stop_ns == 0 || now < stop_ns);
+  }
+
+  // Inside partition_node's [partition_start_ns, partition_stop_ns) window.
+  bool InPartitionWindow(sim::Tick now) const {
+    return now >= partition_start_ns && now < partition_stop_ns;
+  }
 };
 
 // Parses an MUTPS_FAULTS-style profile string: comma-separated key:value
@@ -176,6 +186,36 @@ inline FaultConfig FaultFromEnv() {
   return ParseFaultProfile(EnvStr("MUTPS_FAULTS", ""));
 }
 
+// One message's fault decision under `cfg`, drawn from `rng` (the caller's
+// own per-hook generator). Outside the active window nothing is drawn;
+// inside it every message takes exactly three draws for the probability
+// gates, whichever fire, so the schedule stays a pure function of message
+// order. The delay spike's and the duplicate's lag draws follow, in that
+// order, only when their gate fires.
+inline sim::NicFault DecideMessageFault(const FaultConfig& cfg, Rng& rng,
+                                        sim::Tick now) {
+  sim::NicFault f;
+  if (!cfg.InWindow(now)) {
+    return f;
+  }
+  const double d_drop = rng.NextDouble();
+  const double d_dup = rng.NextDouble();
+  const double d_delay = rng.NextDouble();
+  f.drop = d_drop < cfg.drop_prob;
+  f.dup = d_dup < cfg.dup_prob;
+  if (d_delay < cfg.delay_prob) {
+    f.extra_delay = 1 + rng.NextBounded(cfg.delay_ns);
+  }
+  if (f.dup) {
+    // The duplicate trails the original by a bounded span: enough to land
+    // behind later sends (reordering) and, for requests, typically after the
+    // first copy's execution reached the dedup window.
+    const sim::Tick span = cfg.delay_ns > 2000 ? cfg.delay_ns : 2000;
+    f.dup_delay = 1 + rng.NextBounded(span);
+  }
+  return f;
+}
+
 struct FaultCounters {
   uint64_t req_drops = 0;
   uint64_t resp_drops = 0;
@@ -217,7 +257,7 @@ class FaultInjector final : public sim::NicFaultHook {
     return Decide(now, /*request=*/false);
   }
   double LinkCostScale(sim::Tick now) override {
-    return Active(now) ? cfg_.link_scale : 1.0;
+    return cfg_.InWindow(now) ? cfg_.link_scale : 1.0;
   }
 
   // --------------------------------------------------------- server hooks
@@ -237,36 +277,16 @@ class FaultInjector final : public sim::NicFaultHook {
  private:
   static constexpr unsigned kMaxCores = 512;
 
-  bool Active(sim::Tick now) const {
-    return now >= cfg_.start_ns && (cfg_.stop_ns == 0 || now < cfg_.stop_ns);
-  }
-
-  // One decision per message, in send order: a fixed number of RNG draws for
-  // the probability gates keeps the schedule a pure function of message
-  // order, independent of which gates fire.
+  // One decision per message, in send order (DecideMessageFault), counted.
   sim::NicFault Decide(sim::Tick now, bool request) {
-    sim::NicFault f;
-    if (!Active(now)) {
-      return f;
-    }
-    const double d_drop = rng_.NextDouble();
-    const double d_dup = rng_.NextDouble();
-    const double d_delay = rng_.NextDouble();
-    f.drop = d_drop < cfg_.drop_prob;
-    f.dup = d_dup < cfg_.dup_prob;
-    if (d_delay < cfg_.delay_prob) {
-      f.extra_delay = 1 + rng_.NextBounded(cfg_.delay_ns);
+    const sim::NicFault f = DecideMessageFault(cfg_, rng_, now);
+    if (f.extra_delay > 0) {
       ctr_.delays++;
     }
     if (f.drop) {
       (request ? ctr_.req_drops : ctr_.resp_drops)++;
     }
     if (f.dup) {
-      // The duplicate trails the original by a bounded span — enough to land
-      // behind later sends (reordering) and, for requests, typically after
-      // the first copy's execution reached the dedup window.
-      const sim::Tick span = cfg_.delay_ns > 2000 ? cfg_.delay_ns : 2000;
-      f.dup_delay = 1 + rng_.NextBounded(span);
       (request ? ctr_.req_dups : ctr_.resp_dups)++;
     }
     return f;

@@ -339,7 +339,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       break;
     }
     case SystemKind::kBaseKv: {
-      server = std::make_unique<BaseKvServer>(env, BaseKvServer::Options{});
+      server = std::make_unique<BaseKvServer>(env);
       break;
     }
     case SystemKind::kErpcKv: {
@@ -348,8 +348,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       for (auto& s : shards_) {
         shards.push_back(s.get());
       }
-      server = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(shards));
+      server = std::make_unique<ErpcKvServer>(env, std::move(shards));
       break;
     }
     case SystemKind::kRaceHash: {
@@ -371,7 +370,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   }
 
   // Clients.
-  constexpr Tick kTimelineBucketNs = 100 * sim::kUsec;
   ClientShared sh;
   sh.nic = &nic;
   sh.server = server.get();

@@ -112,6 +112,10 @@ struct NodeCounters {
   bool fenced = false;            // node self-fenced on lease expiry
 };
 
+// Bucket width of a run's throughput / P99 time series (single-node and
+// cluster harnesses alike).
+constexpr sim::Tick kTimelineBucketNs = 100 * sim::kUsec;
+
 struct ExperimentResult {
   double mops = 0.0;
   uint64_t ops = 0;

@@ -180,6 +180,22 @@ class RxRing {
 
   uint64_t fill_seq() const { return fill_seq_; }
 
+  // True when no received request waits for or is held by a worker: nothing
+  // stashed, and every slot is free or an empty filling slot.
+  bool Idle() const {
+    if (has_stash_) {
+      return false;
+    }
+    for (unsigned i = 0; i < cfg_.num_slots; i++) {
+      const SlotHeader& h = headers_[i];
+      if (h.state == SlotState::kClosed || h.state == SlotState::kClaimed ||
+          (h.state == SlotState::kFilling && h.nreq > 0)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   bool HasStash() const { return has_stash_; }
 
  private:
@@ -270,6 +286,22 @@ struct RetryPolicy {
   Rng* rng = nullptr;
 };
 
+// One backoff step: double `timeout` up to `max_timeout`, then stretch it by
+// a uniform draw in [0, jitter_frac * doubled) from `rng` (see RetryPolicy;
+// null rng or zero frac draws nothing).
+inline sim::Tick BackoffStep(sim::Tick timeout, sim::Tick max_timeout,
+                             double jitter_frac, Rng* rng) {
+  sim::Tick next = timeout * 2 < max_timeout ? timeout * 2 : max_timeout;
+  if (rng != nullptr && jitter_frac > 0.0) {
+    const auto span =
+        static_cast<sim::Tick>(jitter_frac * static_cast<double>(next));
+    if (span > 0) {
+      next += rng->NextBounded(span);
+    }
+  }
+  return next;
+}
+
 inline sim::Task<unsigned> RpcCallWithRetry(sim::ExecCtx& ctx, sim::Nic& nic,
                                             unsigned ring,
                                             const sim::NicMessage& msg,
@@ -297,14 +329,8 @@ inline sim::Task<unsigned> RpcCallWithRetry(sim::ExecCtx& ctx, sim::Nic& nic,
     if (gate.ReadyAt(ctx.Now())) {
       co_return attempts;
     }
-    timeout = timeout * 2 < pol.max_timeout_ns ? timeout * 2 : pol.max_timeout_ns;
-    if (pol.rng != nullptr && pol.jitter_frac > 0.0) {
-      const auto span = static_cast<sim::Tick>(
-          pol.jitter_frac * static_cast<double>(timeout));
-      if (span > 0) {
-        timeout += pol.rng->NextBounded(span);
-      }
-    }
+    timeout = BackoffStep(timeout, pol.max_timeout_ns, pol.jitter_frac,
+                          pol.rng);
   }
 }
 

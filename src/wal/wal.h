@@ -148,8 +148,6 @@ struct WalCounters {
   uint64_t flushes = 0;         // device syncs issued (any mode)
   uint64_t flushed_records = 0;
   uint64_t replayed = 0;        // records applied by the last Replay
-  uint64_t handoff_out = 0;     // records exported to a migrating shard's dst
-  uint64_t handoff_in = 0;      // records imported from a migration source
 };
 
 class WalManager {
@@ -299,56 +297,6 @@ class WalManager {
     }
     ctr_.replayed = n;
     return n;
-  }
-
-  // ----------------------------------------------------- migration handoff
-  // Cluster shard migration (src/cluster): the source node ships the log tail
-  // for the keys it is handing off, so a later crash-recovery of the new
-  // owner replays the full write history for the shard. Export copies (it
-  // does not remove — the source's own log prefix must stay contiguous for
-  // its durable/synced LSN accounting); the destination appends the records
-  // as if it had logged them itself. The transferred bytes are modeled on the
-  // wire by the migration protocol, so the import itself is host-side.
-  //
-  // Emits every record whose key satisfies `match`, in (log shard, LSN)
-  // order — deterministic for a deterministic append history.
-  template <typename Pred, typename Fn>
-  uint64_t ExportRecords(Pred&& match, Fn&& emit) {
-    uint64_t n = 0;
-    for (Shard& sh : shards_) {
-      for (const WalRecord& rec : sh.records) {
-        if (!match(rec.key)) {
-          continue;
-        }
-        emit(rec.key, rec.op(), sh.payloads.data() + rec.payload_off,
-             rec.value_len(), rec.rid);
-        n++;
-      }
-    }
-    ctr_.handoff_out += n;
-    return n;
-  }
-
-  // Destination-side import of one exported record: a plain append without a
-  // timing charge (the wire transfer already carried the cost) that does not
-  // gate any ack — callers do not WaitDurable on handoff records.
-  void ImportRecord(Key key, OpType op, const void* payload, uint32_t len,
-                    uint64_t rid) {
-    Shard& sh = shards_[key % shards_.size()];
-    WalRecord rec;
-    rec.key = key;
-    rec.rid = rid;
-    rec.op_len = (static_cast<uint32_t>(op) << 28) | len;
-    rec.payload_off = static_cast<uint32_t>(sh.payloads.size());
-    if (len > 0 && payload != nullptr) {
-      const uint8_t* p = static_cast<const uint8_t*>(payload);
-      sh.payloads.insert(sh.payloads.end(), p, p + len);
-    }
-    sh.records.push_back(rec);
-    sh.appended++;
-    const uint64_t prev = sh.cum_bytes.empty() ? 0 : sh.cum_bytes.back();
-    sh.cum_bytes.push_back(prev + kRecordHeaderBytes + len);
-    ctr_.handoff_in++;
   }
 
  private:

@@ -32,17 +32,17 @@ void PopulateKeyed(Cluster* cluster) {
   });
 }
 
-sim::Fiber PutGetFiber(sim::ExecCtx* ctx, Cluster* cluster, unsigned nkeys,
-                       bool* done) {
-  ClusterClient cli(cluster, 0, ctx);
+// Client fibers take a client the test owns: a late NIC copy of a finished
+// fiber's request can still be answered into the client's gate.
+sim::Fiber PutGetFiber(ClusterClient* cli, unsigned nkeys, bool* done) {
   std::vector<uint8_t> val(64, 0xab);
   std::vector<uint8_t> out(128, 0);
   for (Key k = 0; k < nkeys; k++) {
     std::memcpy(val.data(), &k, 8);
-    co_await cli.Call(OpType::kPut, k, val.data(), 64, nullptr);
+    co_await cli->Call(OpType::kPut, k, val.data(), 64, nullptr);
   }
   for (Key k = 0; k < nkeys; k++) {
-    const uint32_t n = co_await cli.Call(OpType::kGet, k, nullptr, 0,
+    const uint32_t n = co_await cli->Call(OpType::kGet, k, nullptr, 0,
                                          out.data());
     EXPECT_EQ(n, 64u) << "key " << k;
     Key got = 0;
@@ -61,7 +61,8 @@ TEST(Cluster, PutGetAcrossNodes) {
   cluster.Start();
   bool done = false;
   sim::ExecCtx ctx{.eng = &eng};
-  eng.Spawn(PutGetFiber(&ctx, &cluster, 64, &done));
+  ClusterClient cli(&cluster, 0, &ctx);
+  eng.Spawn(PutGetFiber(&cli, 64, &done));
   eng.Run(50 * sim::kMsec);
   EXPECT_TRUE(done);
   // Writes replicated: every key landed on a backup too.
@@ -89,7 +90,8 @@ TEST(Cluster, StaleRouteRedirects) {
   cluster.Start();
   bool done = false;
   sim::ExecCtx ctx{.eng = &eng};
-  eng.Spawn(PutGetFiber(&ctx, &cluster, 256, &done));
+  ClusterClient cli(&cluster, 0, &ctx);
+  eng.Spawn(PutGetFiber(&cli, 256, &done));
   eng.Run(80 * sim::kMsec);
   EXPECT_TRUE(done);
   uint64_t migs = cluster.manager()->shard_migrations();
@@ -108,20 +110,18 @@ TEST(Cluster, StaleRouteRedirects) {
   eng.Run(eng.now() + sim::kMsec);
 }
 
-sim::Fiber SteadyFiber(sim::ExecCtx* ctx, Cluster* cluster, unsigned id,
+sim::Fiber SteadyFiber(ClusterClient* cli, const ClusterParams& p,
                        const bool* stop, uint64_t* ops) {
-  ClusterClient cli(cluster, id, ctx);
-  const ClusterParams& p = cluster->cluster_params();
-  Rng rng(Mix64(1000 + id));
+  Rng rng(Mix64(1000 + cli->id()));
   std::vector<uint8_t> val(p.value_size, 0x5a);
   std::vector<uint8_t> out(p.value_size + 64, 0);
   while (!*stop) {
     const Key k = rng.NextBounded(p.num_keys);
     if (rng.NextDouble() < 0.3) {
       std::memcpy(val.data(), &k, 8);
-      co_await cli.Call(OpType::kPut, k, val.data(), p.value_size, nullptr);
+      co_await cli->Call(OpType::kPut, k, val.data(), p.value_size, nullptr);
     } else {
-      co_await cli.Call(OpType::kGet, k, nullptr, 0, out.data());
+      co_await cli->Call(OpType::kGet, k, nullptr, 0, out.data());
     }
     (*ops)++;
   }
@@ -140,8 +140,10 @@ TEST(Cluster, PrimaryCrashPromotesBackup) {
   uint64_t ops[2] = {0, 0};
   sim::ExecCtx c0{.eng = &eng};
   sim::ExecCtx c1{.eng = &eng};
-  eng.Spawn(SteadyFiber(&c0, &cluster, 0, &stop, &ops[0]));
-  eng.Spawn(SteadyFiber(&c1, &cluster, 1, &stop, &ops[1]));
+  ClusterClient cli0(&cluster, 0, &c0);
+  ClusterClient cli1(&cluster, 1, &c1);
+  eng.Spawn(SteadyFiber(&cli0, p, &stop, &ops[0]));
+  eng.Spawn(SteadyFiber(&cli1, p, &stop, &ops[1]));
   eng.Run(3 * sim::kMsec);
   stop = true;
   eng.Run(eng.now() + 2 * sim::kMsec);
@@ -168,7 +170,8 @@ TEST(Cluster, SingleNodeClusterWorks) {
   cluster.Start();
   bool done = false;
   sim::ExecCtx ctx{.eng = &eng};
-  eng.Spawn(PutGetFiber(&ctx, &cluster, 32, &done));
+  ClusterClient cli(&cluster, 0, &ctx);
+  eng.Spawn(PutGetFiber(&cli, 32, &done));
   eng.Run(20 * sim::kMsec);
   EXPECT_TRUE(done);
   // No backup exists, so nothing replicates.

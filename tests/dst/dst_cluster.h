@@ -18,6 +18,7 @@
 #ifndef UTPS_TESTS_DST_DST_CLUSTER_H_
 #define UTPS_TESTS_DST_DST_CLUSTER_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,10 +91,9 @@ struct ClusterClientState {
 };
 
 inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
-                                   cluster::Cluster* cluster,
+                                   cluster::ClusterClient* cli,
                                    const DstClusterConfig* cfg, uint16_t id,
                                    ClusterClientState* st) {
-  cluster::ClusterClient cli(cluster, id, ctx);
   Rng rng(Mix64(cfg->seed) + uint64_t{id} * 1000003 + 7);
   ScrambledZipfian zipf(cfg->num_keys, cfg->zipf_theta);
   std::vector<uint8_t> payload(cfg->value_size);
@@ -117,7 +117,7 @@ inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
     switch (kind) {
       case check::OpKind::kGet: {
         const uint32_t len =
-            co_await cli.Call(OpType::kGet, key, nullptr, 0, out.data());
+            co_await cli->Call(OpType::kGet, key, nullptr, 0, out.data());
         const sim::Tick resp = ctx->Now();
         if (len == 0) {
           st->hist.RecordGet(id, key, 0, false, inv, resp);  // absent
@@ -131,13 +131,13 @@ inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
       }
       case check::OpKind::kPut: {
         check::StampFill(payload.data(), cfg->value_size, stamp);
-        co_await cli.Call(OpType::kPut, key, payload.data(), cfg->value_size,
+        co_await cli->Call(OpType::kPut, key, payload.data(), cfg->value_size,
                           nullptr);
         st->hist.RecordPut(id, key, stamp, inv, ctx->Now());
         break;
       }
       case check::OpKind::kDelete: {
-        co_await cli.Call(OpType::kDelete, key, nullptr, 0, nullptr);
+        co_await cli->Call(OpType::kDelete, key, nullptr, 0, nullptr);
         st->hist.RecordDelete(id, key, inv, ctx->Now());
         break;
       }
@@ -146,9 +146,9 @@ inline sim::Fiber ClusterDstClient(sim::ExecCtx* ctx,
     }
     st->completed++;
   }
-  st->retries = cli.retries();
-  st->redirects = cli.redirects();
-  st->resolves = cli.resolves();
+  st->retries = cli->retries();
+  st->redirects = cli->redirects();
+  st->resolves = cli->resolves();
   st->done = true;
 }
 
@@ -193,9 +193,14 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
 
   std::vector<internal::ClusterClientState> states(cfg.clients);
   std::vector<sim::ExecCtx> ctxs(cfg.clients);
+  // The clients outlive their fibers: a late NIC copy of a finished
+  // client's request can still be answered into its gate and buffers.
+  std::vector<std::unique_ptr<cluster::ClusterClient>> clients;
   for (unsigned i = 0; i < cfg.clients; i++) {
     ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(internal::ClusterDstClient(&ctxs[i], &cluster, &cfg,
+    clients.push_back(
+        std::make_unique<cluster::ClusterClient>(&cluster, i, &ctxs[i]));
+    eng.Spawn(internal::ClusterDstClient(&ctxs[i], clients[i].get(), &cfg,
                                          static_cast<uint16_t>(i),
                                          &states[i]));
   }

@@ -363,16 +363,60 @@ DstClusterConfig ClusterBase(uint64_t seed) {
   return cfg;
 }
 
+// The cluster fault profiles, one config per seed. The sweeps below run them
+// over SweepSeeds(); DigestsMatchCommitted pins one seed of each.
+DstClusterConfig FailoverCell(uint64_t seed) {
+  DstClusterConfig cfg = ClusterBase(seed);
+  cfg.fault.crash_node = 0;
+  cfg.fault.node_crash_at_ns = 150 * sim::kUsec;
+  return cfg;
+}
+
+DstClusterConfig MigrationCell(uint64_t seed) {
+  DstClusterConfig cfg = ClusterBase(seed);
+  cfg.forced.push_back(
+      cluster::ForcedMigration{150 * sim::kUsec, seed % cfg.shards, -1});
+  cfg.fault.drop_prob = 0.02;
+  cfg.fault.dup_prob = 0.05;
+  return cfg;
+}
+
+DstClusterConfig PartitionCell(uint64_t seed) {
+  DstClusterConfig cfg = ClusterBase(seed);
+  cfg.fault.partition_node = 1;
+  cfg.fault.partition_start_ns = 100 * sim::kUsec;
+  cfg.fault.partition_stop_ns = 280 * sim::kUsec;
+  return cfg;
+}
+
+DstClusterConfig RebalancerCell(uint64_t seed) {
+  DstClusterConfig cfg = ClusterBase(seed);
+  cfg.ops_per_client = 60;
+  cfg.put_frac = 0.3;
+  cfg.rebalance_period_ns = 150 * sim::kUsec;
+  return cfg;
+}
+
+DstClusterConfig HotShiftCell(uint64_t seed) {
+  DstClusterConfig cfg = ClusterBase(seed);
+  cfg.clients = 16;
+  cfg.ops_per_client = 600;
+  cfg.put_frac = 0.3;
+  cfg.zipf_theta = 1.05;
+  cfg.rebalance_period_ns = 400 * sim::kUsec;
+  cfg.imbalance_factor = 1.5;
+  cfg.rebalance_cooldown_ns = 100 * sim::kUsec;
+  cfg.hotshift_at_ns = 600 * sim::kUsec;
+  return cfg;
+}
+
 // Primary crash -> probe misses -> lease expiry -> backup promotion; writes
 // acked by the dead primary must already be on the backup (chain order), and
 // retransmits that land on the promoted backup must dedup, not re-apply.
 TEST(DstCluster, FailoverLinearizable) {
   uint64_t promotions = 0;
   for (uint64_t seed : SweepSeeds()) {
-    DstClusterConfig cfg = ClusterBase(seed);
-    cfg.fault.crash_node = 0;
-    cfg.fault.node_crash_at_ns = 150 * sim::kUsec;
-    const DstClusterResult r = RunDstCluster(cfg);
+    const DstClusterResult r = RunDstCluster(FailoverCell(seed));
     EXPECT_TRUE(r.ok) << "failover seed=" << seed << ": " << r.error;
     EXPECT_EQ(r.clients_stuck, 0u) << "failover seed=" << seed;
     promotions += r.promotions;
@@ -390,12 +434,7 @@ TEST(DstCluster, MigrationRacingRetransmits) {
   uint64_t migrations = 0;
   uint64_t retries = 0;
   for (uint64_t seed : SweepSeeds()) {
-    DstClusterConfig cfg = ClusterBase(seed);
-    cfg.forced.push_back(
-        cluster::ForcedMigration{150 * sim::kUsec, seed % cfg.shards, -1});
-    cfg.fault.drop_prob = 0.02;
-    cfg.fault.dup_prob = 0.05;
-    const DstClusterResult r = RunDstCluster(cfg);
+    const DstClusterResult r = RunDstCluster(MigrationCell(seed));
     EXPECT_TRUE(r.ok) << "migration seed=" << seed << ": " << r.error;
     EXPECT_EQ(r.clients_stuck, 0u) << "migration seed=" << seed;
     migrations += r.migrations;
@@ -411,11 +450,7 @@ TEST(DstCluster, MigrationRacingRetransmits) {
 // manager's resync folds it back in as a backup.
 TEST(DstCluster, PartitionHealLinearizable) {
   for (uint64_t seed : SweepSeeds()) {
-    DstClusterConfig cfg = ClusterBase(seed);
-    cfg.fault.partition_node = 1;
-    cfg.fault.partition_start_ns = 100 * sim::kUsec;
-    cfg.fault.partition_stop_ns = 280 * sim::kUsec;
-    const DstClusterResult r = RunDstCluster(cfg);
+    const DstClusterResult r = RunDstCluster(PartitionCell(seed));
     EXPECT_TRUE(r.ok) << "partition seed=" << seed << ": " << r.error;
     EXPECT_EQ(r.clients_stuck, 0u) << "partition seed=" << seed;
   }
@@ -426,11 +461,7 @@ TEST(DstCluster, PartitionHealLinearizable) {
 // the same frozen-transfer path the forced profile pins down).
 TEST(DstCluster, RebalancerStaysLinearizable) {
   for (uint64_t seed : kSeeds) {
-    DstClusterConfig cfg = ClusterBase(seed);
-    cfg.ops_per_client = 60;
-    cfg.put_frac = 0.3;
-    cfg.rebalance_period_ns = 150 * sim::kUsec;
-    const DstClusterResult r = RunDstCluster(cfg);
+    const DstClusterResult r = RunDstCluster(RebalancerCell(seed));
     EXPECT_TRUE(r.ok) << "rebalance seed=" << seed << ": " << r.error;
     EXPECT_EQ(r.clients_stuck, 0u) << "rebalance seed=" << seed;
   }
@@ -445,15 +476,7 @@ TEST(DstCluster, RebalancerStaysLinearizable) {
 TEST(DstCluster, HotShiftRebalancerConverges) {
   uint64_t migrations = 0;
   for (uint64_t seed : SweepSeeds()) {
-    DstClusterConfig cfg = ClusterBase(seed);
-    cfg.clients = 16;
-    cfg.ops_per_client = 600;
-    cfg.put_frac = 0.3;
-    cfg.zipf_theta = 1.05;
-    cfg.rebalance_period_ns = 400 * sim::kUsec;
-    cfg.imbalance_factor = 1.5;
-    cfg.rebalance_cooldown_ns = 100 * sim::kUsec;
-    cfg.hotshift_at_ns = 600 * sim::kUsec;
+    const DstClusterConfig cfg = HotShiftCell(seed);
     const DstClusterResult r = RunDstCluster(cfg);
     EXPECT_TRUE(r.ok) << "hot shift seed=" << seed << ": " << r.error;
     EXPECT_EQ(r.clients_stuck, 0u) << "hot shift seed=" << seed;
@@ -461,6 +484,67 @@ TEST(DstCluster, HotShiftRebalancerConverges) {
     migrations += r.migrations;
   }
   EXPECT_GT(migrations, 0u);  // the shift must actually trigger a move
+}
+
+// Duplicated control and data messages whose late copy (up to 40us behind
+// the original) is served after the call that sent it is over: after a
+// forced migration finished (a kMigStart copy re-acked into the manager) and
+// after a client's last operation (a request copy re-acked into its gate).
+// The gates and response buffers those copies point at must still be alive;
+// under ASan a copy reaching a freed frame or object fails the run. Message
+// delays stay off: a delay past the lease margin breaks the bounded-delay
+// assumption the fencing protocol rests on (DESIGN.md §14).
+TEST(DstCluster, LateCopiesOutliveTheirCalls) {
+  uint64_t migrations = 0;
+  for (uint64_t seed : SweepSeeds()) {
+    DstClusterConfig cfg = ClusterBase(seed);
+    cfg.forced.push_back(
+        cluster::ForcedMigration{100 * sim::kUsec, seed % cfg.shards, -1});
+    cfg.fault.dup_prob = 0.3;
+    cfg.fault.delay_ns = 40 * sim::kUsec;  // the duplicates' lag span
+    const DstClusterResult r = RunDstCluster(cfg);
+    EXPECT_TRUE(r.ok) << "late copies seed=" << seed << ": " << r.error;
+    EXPECT_EQ(r.clients_stuck, 0u) << "late copies seed=" << seed;
+    migrations += r.migrations;
+  }
+  EXPECT_GT(migrations, 0u);
+}
+
+// Cluster behaviour pinned across commits: one seed-42 cell per profile, with
+// the history digest and counters the cluster produced when this table was
+// generated. A change to src/cluster meant to preserve behaviour keeps every
+// row; a change that moves simulated numbers regenerates the table and says
+// why.
+TEST(DstCluster, DigestsMatchCommitted) {
+  const struct {
+    const char* name;
+    DstClusterConfig cfg;
+    uint64_t digest;
+    uint64_t ops_completed;
+    uint64_t retries;
+    uint64_t promotions;
+    uint64_t migrations;
+    uint64_t final_epoch;
+  } cells[] = {
+      {"failover", FailoverCell(42), 0x67d193a461d623fcULL, 160, 18, 2, 0, 3},
+      {"migration loss+dup", MigrationCell(42), 0x4c1521695f5dc92fULL, 160, 8,
+       1, 1, 2},
+      {"partition-heal", PartitionCell(42), 0x3ca21774eda622e4ULL, 160, 17, 3,
+       0, 4},
+      {"rebalancer", RebalancerCell(42), 0xf2116f49609fe329ULL, 240, 0, 0, 0,
+       1},
+      {"hot-shift", HotShiftCell(42), 0xe69895fe30438d09ULL, 9600, 4, 1, 2, 3},
+  };
+  for (const auto& c : cells) {
+    const DstClusterResult r = RunDstCluster(c.cfg);
+    EXPECT_TRUE(r.ok) << c.name << ": " << r.error;
+    EXPECT_EQ(r.digest, c.digest) << c.name;
+    EXPECT_EQ(r.ops_completed, c.ops_completed) << c.name;
+    EXPECT_EQ(r.retries, c.retries) << c.name;
+    EXPECT_EQ(r.promotions, c.promotions) << c.name;
+    EXPECT_EQ(r.migrations, c.migrations) << c.name;
+    EXPECT_EQ(r.final_epoch, c.final_epoch) << c.name;
+  }
 }
 
 // Determinism: the whole faulted cluster run — failover timing, promotion,

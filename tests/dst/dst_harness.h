@@ -520,7 +520,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
       return std::make_unique<MuTpsServer>(e, o);
     }
     UTPS_CHECK(cfg.sys == Sys::kBaseKv);
-    return std::make_unique<BaseKvServer>(e, BaseKvServer::Options{});
+    return std::make_unique<BaseKvServer>(e);
   };
 
   std::unique_ptr<KvServer> server;
@@ -540,8 +540,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
       for (auto& s : shards) {
         sp.push_back(s.get());
       }
-      server = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(sp));
+      server = std::make_unique<ErpcKvServer>(env, std::move(sp));
       break;
     }
     case Sys::kSherman:
@@ -661,11 +660,14 @@ inline DstResult RunDst(const DstConfig& cfg) {
   }
   const bool stuck = sh.active > 0;
   const sim::Tick stopped_at = eng.now();
-  // Quiesce: a thread split the manager published after the last completion
-  // finishes its handshake before the server stops, so the audit can demand
-  // that every worker acknowledged the published split.
-  while (!stuck && mutps != nullptr && !mutps->SplitSettled() &&
-         eng.now() < deadline) {
+  // Quiesce: the server stops only once it holds no request, so the audit
+  // can demand drained rings and that every worker acknowledged the
+  // published split. A NIC duplicate or retransmit may still be queued or
+  // mid-pipeline after its client completed (a CR worker staging it when
+  // the server stops would strand it on a CR-MR ring), and a split the
+  // manager published after the last completion must finish its handshake.
+  while (!stuck && mutps != nullptr &&
+         (nic.RingDepth(0) > 0 || !mutps->Idle()) && eng.now() < deadline) {
     eng.Run(eng.now() + sim::kUsec);
   }
   if (server != nullptr) {

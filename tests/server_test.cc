@@ -135,7 +135,7 @@ TEST_P(RoundTripTest, PutThenGetReturnsWrittenBytes) {
     opt.refresh_period_ns = 200 * sim::kUsec;
     server = std::make_unique<MuTpsServer>(env, opt);
   } else if (sys == SystemKind::kBaseKv) {
-    server = std::make_unique<BaseKvServer>(env, BaseKvServer::Options{});
+    server = std::make_unique<BaseKvServer>(env);
   } else {
     std::vector<std::unique_ptr<KvIndex>> shard_store;
     std::vector<KvIndex*> shards;
@@ -146,8 +146,7 @@ TEST_P(RoundTripTest, PutThenGetReturnsWrittenBytes) {
     for (Key k = 0; k < kKeys; k++) {
       shards[ErpcKvServer::ShardOf(k, 4)]->InsertDirect(k, kv_index.GetDirect(k));
     }
-    auto srv = std::make_unique<ErpcKvServer>(env, ErpcKvServer::Options{},
-                                              std::move(shards));
+    auto srv = std::make_unique<ErpcKvServer>(env, std::move(shards));
     // keep shard storage alive for the test duration
     static std::vector<std::unique_ptr<KvIndex>> keepalive;
     for (auto& s : shard_store) {
