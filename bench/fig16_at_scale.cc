@@ -11,10 +11,12 @@
 // at a scale where only the sampled mode is affordable.
 //
 // Knobs: MUTPS_ATSCALE_KEYS (default 10,000,000) and MUTPS_ATSCALE_OUT
-// (default BENCH_atscale.json). The default sample plan (periodic, 150 us
-// period / 50 us window / 20 us rewarm over a 10 ms measure interval — ~66
-// windows, targeting est_mops relative CI95 <= 10%) is what committed rows
-// use; MUTPS_ATSCALE_{MEASURE,PERIOD,WINDOW,REWARM}_US exist only for plan
+// (default BENCH_atscale.json). The file also records the host's CPU count
+// and the process's peak RSS (`peak_rss_kb`, the whole sweep's high-water
+// mark). The default sample plan (periodic, 150 us period / 50 us window /
+// 20 us rewarm over a 10 ms measure interval — ~66 windows, targeting
+// est_mops relative CI95 <= 10%) is what committed rows use;
+// MUTPS_ATSCALE_{MEASURE,PERIOD,WINDOW,REWARM}_US exist only for plan
 // experiments.
 #include <chrono>
 #include <cstdio>
@@ -143,6 +145,8 @@ int main() {
                static_cast<unsigned long long>(keys),
                static_cast<unsigned long long>(kSeed));
   std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"peak_rss_kb\": %llu,\n",
+               static_cast<unsigned long long>(bench::PeakRssKb()));
   std::fprintf(f, "  \"benches\": [\n");
   for (size_t i = 0; i < rows.size(); i++) {
     const ScaleRow& r = rows[i];

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "harness/bench_util.h"
 #include "harness/experiment.h"
 
 using namespace utps;
@@ -52,27 +53,6 @@ struct PerfRow {
 // dominated by the event loop (not populate), small enough for CI.
 constexpr uint64_t kKeys = 200000;
 constexpr uint64_t kSeed = 42;
-
-// Host peak RSS in KB (VmHWM from /proc/self/status); 0 where unavailable.
-// Tracks the simulator's memory high-water mark next to its speed so a PR
-// that trades RSS for wall shows up in the same JSON.
-uint64_t PeakRssKb() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) {
-    return 0;
-  }
-  uint64_t kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    unsigned long long v = 0;
-    if (std::sscanf(line, "VmHWM: %llu kB", &v) == 1) {
-      kb = v;
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-}
 
 // The bracketed word of /sys/kernel/mm/transparent_hugepage/enabled
 // ("always", "madvise" or "never"); "unknown" where the file is missing.
@@ -234,7 +214,7 @@ int main() {
   std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"thp_mode\": \"%s\",\n", ThpMode().c_str());
   std::fprintf(f, "  \"peak_rss_kb\": %llu,\n",
-               static_cast<unsigned long long>(PeakRssKb()));
+               static_cast<unsigned long long>(bench::PeakRssKb()));
   std::fprintf(f, "  \"total_wall_s\": %.3f,\n  \"total_events\": %llu,\n",
                total_wall, static_cast<unsigned long long>(total_events));
   const auto WriteRows = [f](const std::vector<PerfRow>& rs) {

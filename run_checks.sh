@@ -117,8 +117,9 @@ ctest --preset default -R 'sample_equiv_test|sample_determinism_test' \
 echo "=== sampled mode within bound and deterministic ==="
 
 # Host-performance floor (DESIGN.md §13): the selfperf suite's per-leg
-# events/s must stay within 15% of the committed results/BENCH_simperf.json.
-# A miss means a host-performance regression. The committed file records the
+# events/s must stay within 15% of the committed results/BENCH_simperf.json,
+# and its peak RSS (`peak_rss_kb`) may exceed the committed value by at most
+# 10%. A miss means a host-performance regression. The committed file records the
 # host CPU count it was measured with; on a host with a different count the
 # numbers do not represent this machine, so the stage warns and skips
 # instead of comparing across machines (MUTPS_SKIP_PERF_FLOOR=1 skips it
@@ -146,6 +147,7 @@ if [ "${MUTPS_SKIP_PERF_FLOOR:-0}" = "0" ] && \
 import json, sys
 base = json.load(open(sys.argv[1]))
 cur_rows = {}
+cur_rss = None
 for path in sys.argv[2:]:
     cur = json.load(open(path))
     if cur.get("host_cpus") != base.get("host_cpus"):
@@ -154,6 +156,8 @@ for path in sys.argv[2:]:
               f'{cur.get("host_cpus")}; not comparing across machines '
               '(rerun bench/selfperf here to rebaseline)')
         sys.exit(3)
+    rss = cur.get("peak_rss_kb", 0)
+    cur_rss = rss if cur_rss is None else min(cur_rss, rss)
     for r in cur["benches"] + cur.get("atscale_benches", []):
         prev = cur_rows.get(r["name"])
         if prev is None or r["events_per_sec"] > prev["events_per_sec"]:
@@ -170,6 +174,12 @@ for b in base["benches"] + base.get("atscale_benches", []):
           f'{c["events_per_sec"]:12.0f} ev/s ({ratio:5.2f}x){flag}')
     if ratio < 0.85:
         bad.append(f'{b["name"]}: {ratio:.2f}x of committed events/s')
+base_rss = base["peak_rss_kb"]
+ratio = cur_rss / base_rss
+flag = "  <-- RSS CEILING MISS" if ratio > 1.10 else ""
+print(f'{"peak_rss_kb":32s} {base_rss:12d} -> {cur_rss:12d} KB   ({ratio:5.2f}x){flag}')
+if ratio > 1.10:
+    bad.append(f'peak_rss_kb: {ratio:.2f}x of committed')
 if bad:
     print("host perf floor not met this attempt:", file=sys.stderr)
     for m in bad:
@@ -188,10 +198,10 @@ EOF
   if [ "$floor" = skip ]; then
     echo "=== host perf floor skipped (host CPU count differs) ==="
   elif [ "$floor" != ok ]; then
-    echo "host perf floor violated (>15% below committed on every attempt)" >&2
+    echo "host perf floor violated (events/s >15% below or peak RSS >10% above committed on every attempt)" >&2
     exit 1
   else
-    echo "=== host perf within 15% of committed floor ==="
+    echo "=== host perf within 15% of committed floor, peak RSS within 10% ==="
   fi
 else
   echo "=== host perf floor skipped ==="

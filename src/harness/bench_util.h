@@ -39,6 +39,27 @@ inline uint64_t DbKeys() {
 
 inline bool Quick() { return EnvInt("MUTPS_QUICK", 0) != 0; }
 
+// Host peak RSS in KB (VmHWM from /proc/self/status); 0 where unavailable.
+// Benches that write a JSON record it next to their wall times, so a change
+// that trades memory for speed shows up in the same file.
+inline uint64_t PeakRssKb() {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  uint64_t kb = 0;
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    unsigned long long v = 0;
+    if (std::sscanf(line, "VmHWM: %llu kB", &v) == 1) {
+      kb = v;
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb;
+}
+
 // Standard experiment configuration used across figures; individual benches
 // override fields as the paper's setup requires.
 inline ExperimentConfig StdConfig(SystemKind system, const WorkloadSpec& spec) {

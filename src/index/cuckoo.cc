@@ -21,12 +21,17 @@ uint64_t NextPow2(uint64_t v) {
 }  // namespace
 
 CuckooIndex::CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed)
-    : hash_seed_(seed), rng_(seed * 0x9e3779b97f4a7c15ULL + 1) {
-  // 4 slots per bucket; load factor <= 0.4 at capacity (see cuckoo.h).
-  nbuckets_ = NextPow2(capacity_items / 2 + capacity_items / 8 + 4);
-  mask_ = nbuckets_ - 1;
-  // Arena memory is zero-filled (sim/arena.h): every bucket starts empty.
-  buckets_ = arena->AllocateArray<Bucket>(nbuckets_, /*align=*/2 * kCachelineBytes);
+    // 4 slots per bucket; load factor <= 0.4 at capacity (see cuckoo.h).
+    : nbuckets_(NextPow2(capacity_items / 2 + capacity_items / 8 + 4)),
+      mask_(nbuckets_ - 1),
+      hash_seed_(seed),
+      modeled_(arena->AllocateArray<uint8_t>(nbuckets_ * kModeledBucketBytes,
+                                             kModeledBucketBytes)),
+      host_(nbuckets_ * sizeof(Bucket), kCachelineBytes),
+      // Arena memory is zero-filled (sim/arena.h): every bucket starts empty.
+      buckets_(host_.AllocateArray<Bucket>(nbuckets_)),
+      rng_(seed * 0x9e3779b97f4a7c15ULL + 1) {
+  host_.AdviseHugePages();
   // Stripe lock words live in the arena (one cacheline each, like the locks'
   // own alignas layout) so their modeled set indices don't follow the host
   // heap address of this index object.
@@ -60,11 +65,11 @@ bool CuckooIndex::PopulateDirect(std::span<Item* const> items) {
   const uint64_t n = items.size();
   for (Key k = 0; k < n; k++) {
     if (k + kPopulateAhead < n) {
-      // Both lines: FreeSlot reads items[3], which sits on the second one.
+      // First and last byte: a 72 B bucket may straddle two lines.
       const Bucket* next = &buckets_[Index1(Hash(k + kPopulateAhead))];
-      const char* line = reinterpret_cast<const char*>(next);
-      __builtin_prefetch(line, /*rw=*/1);
-      __builtin_prefetch(line + kCachelineBytes, /*rw=*/1);
+      const char* p = reinterpret_cast<const char*>(next);
+      __builtin_prefetch(p, /*rw=*/1);
+      __builtin_prefetch(p + sizeof(Bucket) - 1, /*rw=*/1);
     }
     // Key k is not in the table (it holds exactly keys 0..k-1), so
     // InsertDirect's duplicate probes of both buckets would find nothing and
@@ -153,9 +158,8 @@ sim::Task<Item*> CuckooIndex::CoGet(sim::ExecCtx& ctx, Key key) {
   const uint64_t i2 = Index2(i1, h);
   for (;;) {
     Bucket& b1 = buckets_[i1];
-    // First line holds {version, keys[4]}.
     ctx.Charge(kBucketCpuNs);
-    co_await ctx.Read(&b1, sizeof(uint64_t) + sizeof(Key) * kSlots);
+    co_await ctx.Read(Modeled(i1), kProbeBytes);
     const uint64_t v1 = b1.version;
     if (v1 & 1) {
       co_await ctx.Yield();
@@ -163,7 +167,7 @@ sim::Task<Item*> CuckooIndex::CoGet(sim::ExecCtx& ctx, Key key) {
     }
     int s = FindSlot(b1, key);
     if (s >= 0) {
-      co_await ctx.Read(&b1.items[s], sizeof(Item*));
+      co_await ctx.Read(Modeled(i1, ItemOffset(s)), sizeof(Item*));
       Item* it = b1.items[s];
       if (b1.version == v1 && it != nullptr && b1.keys[s] == key) {
         co_return it;
@@ -172,7 +176,7 @@ sim::Task<Item*> CuckooIndex::CoGet(sim::ExecCtx& ctx, Key key) {
     }
     Bucket& b2 = buckets_[i2];
     ctx.Charge(kBucketCpuNs);
-    co_await ctx.Read(&b2, sizeof(uint64_t) + sizeof(Key) * kSlots);
+    co_await ctx.Read(Modeled(i2), kProbeBytes);
     const uint64_t v2 = b2.version;
     if (v2 & 1) {
       co_await ctx.Yield();
@@ -180,7 +184,7 @@ sim::Task<Item*> CuckooIndex::CoGet(sim::ExecCtx& ctx, Key key) {
     }
     s = FindSlot(b2, key);
     if (s >= 0) {
-      co_await ctx.Read(&b2.items[s], sizeof(Item*));
+      co_await ctx.Read(Modeled(i2, ItemOffset(s)), sizeof(Item*));
       Item* it = b2.items[s];
       if (b2.version == v2 && it != nullptr && b2.keys[s] == key) {
         co_return it;
@@ -226,8 +230,8 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
     co_await LockPair(ctx, i1, i2);
     Bucket& b1 = buckets_[i1];
     Bucket& b2 = buckets_[i2];
-    co_await ctx.Read(&b1, sizeof(Bucket));
-    co_await ctx.Read(&b2, sizeof(Bucket));
+    co_await ctx.Read(Modeled(i1), kModeledBucketBytes);
+    co_await ctx.Read(Modeled(i2), kModeledBucketBytes);
     if (FindSlot(b1, key) >= 0 || FindSlot(b2, key) >= 0) {
       UnlockPair(ctx, i1, i2);
       co_return false;  // already present
@@ -245,7 +249,7 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
       tb.items[s] = item;
       tb.version++;
       size_++;
-      co_await ctx.Write(&tb, sizeof(Bucket));
+      co_await ctx.Write(Modeled(target), kModeledBucketBytes);
       UnlockPair(ctx, i1, i2);
       co_return true;
     }
@@ -264,7 +268,7 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
         if (alt == i1 || alt == i2) {
           continue;
         }
-        co_await ctx.Read(&buckets_[alt], sizeof(uint64_t) + sizeof(Key) * kSlots);
+        co_await ctx.Read(Modeled(alt), kProbeBytes);
         if (FreeSlot(buckets_[alt]) >= 0) {
           src = b;
           dst = alt;
@@ -293,8 +297,8 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
       sb.items[src_slot] = nullptr;
       sb.keys[src_slot] = 0;
       sb.version++;
-      co_await ctx.Write(&db, sizeof(Bucket));
-      co_await ctx.Write(&sb, sizeof(Bucket));
+      co_await ctx.Write(Modeled(dst), kModeledBucketBytes);
+      co_await ctx.Write(Modeled(src), kModeledBucketBytes);
     }
     UnlockPair(ctx, src, dst);
     // Loop retries the placement with the freed slot.
@@ -310,7 +314,7 @@ sim::Task<bool> CuckooIndex::CoErase(sim::ExecCtx& ctx, Key key) {
   bool erased = false;
   for (uint64_t b : {i1, i2}) {
     Bucket& bk = buckets_[b];
-    co_await ctx.Read(&bk, sizeof(uint64_t) + sizeof(Key) * kSlots);
+    co_await ctx.Read(Modeled(b), kProbeBytes);
     const int s = FindSlot(bk, key);
     if (s >= 0) {
       bk.version++;
@@ -318,7 +322,7 @@ sim::Task<bool> CuckooIndex::CoErase(sim::ExecCtx& ctx, Key key) {
       bk.keys[s] = 0;
       bk.version++;
       size_--;
-      co_await ctx.Write(&bk, sizeof(Bucket));
+      co_await ctx.Write(Modeled(b), kModeledBucketBytes);
       erased = true;
       break;
     }

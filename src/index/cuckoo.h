@@ -2,11 +2,17 @@
 // key, 4 slots per bucket, optimistic bucket-version reads, striped spinlocks
 // for mutations, bounded random-walk eviction for inserts.
 //
-// Bucket layout keeps {version, keys[4]} within the first cacheline so a
-// negative probe costs one line and a positive probe costs two.
+// Modeled layout vs host storage (DESIGN.md §13): the modeled table is
+// libcuckoo's, one 128 B bucket per two cachelines with {version, keys[4]} on
+// the first line, so a negative probe costs one line and a positive probe of
+// slot 3 two. The table takes that range from the caller's arena, but the
+// host never touches it: the buckets' real state lives in a dense 72 B-per-
+// bucket array of its own, and every modeled access names the arena address
+// the field has in the 128 B layout (Modeled()).
 #ifndef UTPS_INDEX_CUCKOO_H_
 #define UTPS_INDEX_CUCKOO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -24,7 +30,8 @@ class CuckooIndex final : public KvIndex {
   // NextPow2(5/8 * capacity_items) buckets of 4 slots and never resizes, so
   // its load factor at capacity is at most 0.4, and the power-of-two round-up
   // often leaves it far lower: a 2M-key TestBed (capacity 2.5M) gets 2^21
-  // buckets x 128 B = 256 MB at load 0.24 (DESIGN.md §7).
+  // buckets at load 0.24, 256 MB modeled and 144 MB on the host
+  // (DESIGN.md §7).
   CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed = 1);
 
   Item* GetDirect(Key key) const override;
@@ -57,6 +64,13 @@ class CuckooIndex final : public KvIndex {
   sim::Task<bool> CoErase(sim::ExecCtx& ctx, Key key) override;
 
   uint64_t num_buckets() const { return nbuckets_; }
+  // The buckets' host state in bucket order, 72 B each: {version, keys[4],
+  // items[4]}. Two tables hold the same entries in the same slots iff these
+  // bytes are equal.
+  std::span<const uint8_t> HostBytes() const {
+    return {reinterpret_cast<const uint8_t*>(buckets_),
+            nbuckets_ * sizeof(Bucket)};
+  }
 
  private:
   static constexpr unsigned kSlots = 4;
@@ -66,14 +80,28 @@ class CuckooIndex final : public KvIndex {
   // bucket's DRAM miss overlaps the inserts in between.
   static constexpr uint64_t kPopulateAhead = 16;
 
-  // An aggregate, so the arena's zero bytes already are an empty bucket.
+  // A bucket's host state, laid out as the first 72 B of its modeled 128 B
+  // bucket. An aggregate, so the host mapping's zero bytes already are an
+  // empty bucket.
   struct Bucket {
     uint64_t version = 0;  // seqlock over membership; odd = mutating
     Key keys[kSlots] = {};
     Item* items[kSlots] = {};
-    uint64_t pad[7] = {};  // align to 2 cachelines
   };
-  static_assert(sizeof(Bucket) == 2 * kCachelineBytes, "bucket layout");
+  static_assert(sizeof(Bucket) == 72, "host bucket layout");
+  static constexpr size_t kModeledBucketBytes = 2 * kCachelineBytes;
+  // {version, keys[4]}: what a probe reads, all on the first line.
+  static constexpr size_t kProbeBytes = offsetof(Bucket, items);
+
+  static constexpr size_t ItemOffset(unsigned slot) {
+    return offsetof(Bucket, items) + slot * sizeof(Item*);
+  }
+
+  // The modeled address of the field at `offset` in bucket b: what every
+  // ctx.Read/Write of the table passes to the cache model.
+  const void* Modeled(uint64_t b, size_t offset = 0) const {
+    return modeled_ + b * kModeledBucketBytes + offset;
+  }
 
   uint64_t Hash(Key key) const { return Mix64(key + hash_seed_); }
   uint64_t Index1(uint64_t h) const { return h & mask_; }
@@ -112,10 +140,16 @@ class CuckooIndex final : public KvIndex {
 
   bool InsertDirectInternal(Key key, Item* item, unsigned depth);
 
-  Bucket* buckets_ = nullptr;
-  uint64_t nbuckets_ = 0;
-  uint64_t mask_ = 0;
-  uint64_t hash_seed_;
+  const uint64_t nbuckets_;
+  const uint64_t mask_;
+  const uint64_t hash_seed_;
+  // nbuckets_ x kModeledBucketBytes of the caller's arena; never dereferenced.
+  const uint8_t* modeled_;
+  // The buckets' own zero-filled mapping, advised onto huge pages. Only
+  // cacheline-aligned: a 4 MB-aligned one would give each small index (one
+  // per cluster shard replica) a whole huge page.
+  sim::Arena host_;
+  Bucket* const buckets_;
   uint64_t size_ = 0;
   Rng rng_;
   sim::SimSpinlock stripes_[kNumStripes];

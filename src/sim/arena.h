@@ -10,6 +10,13 @@
 // never reuses memory, so Allocate always returns all-zero bytes that nobody
 // has written. Callers rely on this: an aggregate whose members are all zero
 // (e.g. an empty cuckoo bucket) needs no constructor run over it.
+//
+// Modeled layout vs host storage: a modeled address needs backing only if the
+// host reads or writes it. The mapping is MAP_NORESERVE, so a range that is
+// only ever passed to the cache model is never resident; CuckooIndex takes its
+// 128 B-per-bucket modeled table from the arena that way and keeps the
+// buckets' real state in a denser Arena of its own. An arena that holds only
+// host state never feeds set indices, so it needs no set-period alignment.
 #ifndef UTPS_SIM_ARENA_H_
 #define UTPS_SIM_ARENA_H_
 
@@ -24,8 +31,8 @@ namespace utps::sim {
 
 class Arena {
  public:
-  // alignment must be a power of two >= the LLC set period
-  // (num_sets * cacheline).
+  // alignment must be a power of two; for modeled memory, >= the LLC set
+  // period (num_sets * cacheline). A host-only arena may use a cacheline.
   explicit Arena(size_t bytes, size_t alignment = 4ull << 20) {
     size_t padded = bytes + alignment;
     void* raw = ::mmap(nullptr, padded, PROT_READ | PROT_WRITE,

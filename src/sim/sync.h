@@ -62,15 +62,20 @@ class WaitQueue {
 };
 
 // Queued spinlock. Acquire charges an atomic RMW on the lock word; contended
-// acquisitions park in a wait queue and are handed off in FIFO order with a
+// acquisitions park in a FIFO and are handed off in arrival order with a
 // configurable handoff latency (models the cacheline transfer to the next
-// spinner).
+// spinner). The FIFO is intrusive: it links the parked AcquireAwaiters, which
+// live in their suspended coroutines' frames until Release resumes them, so
+// a lock owns no heap memory and contention allocates nothing.
 class SimSpinlock {
  public:
   // Must be awaited: co_await lock.Acquire(ctx);
   struct AcquireAwaiter {
     SimSpinlock* l;
     ExecCtx* ctx;
+    // Set only while parked.
+    std::coroutine_handle<> parked{};
+    AcquireAwaiter* next = nullptr;
     bool await_ready() const noexcept { return false; }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
       // Charge the atomic access on the lock word.
@@ -87,12 +92,19 @@ class SimSpinlock {
         l->owner_ = ctx->core;
         ctx->eng->ScheduleAt(t, h);
       } else {
-        l->waiters_.push_back(h);
+        parked = h;
+        (l->tail_ != nullptr ? l->tail_->next : l->head_) = this;
+        l->tail_ = this;
       }
       return ctx->eng->NextRunnable();
     }
     void await_resume() const noexcept {}
   };
+
+  SimSpinlock() = default;
+  // Parked awaiters point at the lock.
+  SimSpinlock(const SimSpinlock&) = delete;
+  SimSpinlock& operator=(const SimSpinlock&) = delete;
 
   AcquireAwaiter Acquire(ExecCtx& ctx) { return AcquireAwaiter{this, &ctx}; }
 
@@ -117,12 +129,15 @@ class SimSpinlock {
 
   void Release(ExecCtx& ctx) {
     UTPS_DCHECK(held_);
-    if (!waiters_.empty()) {
+    if (head_ != nullptr) {
       // Hand off directly to the next waiter after the transfer latency.
-      auto h = waiters_.front();
-      waiters_.pop_front();
+      AcquireAwaiter* w = head_;
+      head_ = w->next;
+      if (head_ == nullptr) {
+        tail_ = nullptr;
+      }
       const Tick handoff = ctx.mem != nullptr ? ctx.mem->config().coherence_ns : 40;
-      ctx.eng->ScheduleAt(ctx.Now() + handoff, h);
+      ctx.eng->ScheduleAt(ctx.Now() + handoff, w->parked);
       // held_ stays true; ownership moves to the woken fiber.
       owner_ = kNoOwner;
     } else {
@@ -144,7 +159,9 @@ class SimSpinlock {
   const void* word_ = nullptr;
   alignas(kCachelineBytes) bool held_ = false;
   CoreId owner_ = kNoOwner;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // Parked acquirers, oldest first.
+  AcquireAwaiter* head_ = nullptr;
+  AcquireAwaiter* tail_ = nullptr;
 };
 
 // One-shot completion: a client fiber waits for its response; the server/NIC

@@ -11,6 +11,7 @@
 // If this fails after a change, run with MUTPS_ALLOC_TRACE=1 under a
 // breakpoint on OnAlloc, or use scripts/profile.sh's allocation histogram,
 // to find the new steady-state allocation site.
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "sim/sync.h"
 #include "workload/workload.h"
 
 namespace {
@@ -179,6 +181,34 @@ TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
   EXPECT_EQ(res.cache_items, 0u);
   EXPECT_EQ(res.measure_allocs, 0u)
       << "steady-state heap allocations crept back into the measure phase";
+}
+
+sim::Fiber Contender(sim::ExecCtx* ctx, sim::SimSpinlock* lock) {
+  co_await lock->Acquire(*ctx);
+  co_await ctx->Delay(10);
+  lock->Release(*ctx);
+}
+
+// A SimSpinlock parks contended acquirers in an intrusive FIFO threaded
+// through their awaiters: constructing one allocates nothing, and neither
+// does queueing 256 fibers on it.
+TEST(AllocRegression, ContendedSpinlockIsAllocationFree) {
+  constexpr int kFibers = 256;
+  sim::Engine eng;
+  std::array<sim::ExecCtx, kFibers> ctxs{};
+  for (sim::ExecCtx& c : ctxs) {
+    c.eng = &eng;
+  }
+  const uint64_t before_lock = AllocProbe();
+  sim::SimSpinlock lock;
+  EXPECT_EQ(AllocProbe(), before_lock);
+  for (int i = 0; i < kFibers; i++) {
+    eng.Spawn(Contender(&ctxs[i], &lock), /*start_at=*/i);
+  }
+  const uint64_t before = AllocProbe();
+  eng.RunToQuiescence(sim::kSec);
+  EXPECT_EQ(AllocProbe() - before, 0u);
+  EXPECT_FALSE(lock.held());
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // correctness at scale, simulated-plane correctness, and concurrent
 // reader/writer interleavings under the simulator.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -348,8 +351,9 @@ TEST_F(BTreeTest, InsertDirectRandomOrder) {
 
 // PopulateDirect (TestBed's hash populate path, with its prefetches) must
 // build the table an InsertDirect loop over the same keys builds: the same
-// keys[] and items[] in every slot of every bucket. Each table is the only
-// thing in its own fresh arena, so equal tables are equal arena bytes.
+// version, keys[] and items[] in every slot of every bucket, i.e. equal host
+// bucket bytes. Neither may touch its modeled range: each table is the only
+// thing in its own fresh arena, which must still be all zero.
 void ExpectPopulateMatchesInsertLoop(uint64_t capacity, uint64_t n) {
   Arena item_arena(n * 128 + (1 << 20));
   SlabAllocator slab(&item_arena);
@@ -366,13 +370,17 @@ void ExpectPopulateMatchesInsertLoop(uint64_t capacity, uint64_t n) {
   CuckooIndex bulk(&bulk_arena, capacity, /*seed=*/3);
   ASSERT_TRUE(bulk.PopulateDirect(items));
   ASSERT_EQ(bulk.SizeDirect(), n);
-  ASSERT_EQ(loop_arena.BytesUsed(), bulk_arena.BytesUsed());
-  const auto* a = reinterpret_cast<const uint8_t*>(loop_arena.base());
-  const auto* b = reinterpret_cast<const uint8_t*>(bulk_arena.base());
-  const size_t len = loop_arena.BytesUsed();
-  const size_t diff = std::mismatch(a, a + len, b).first - a;
-  EXPECT_EQ(diff, len) << "tables differ at bucket "
-                       << diff / (2 * kCachelineBytes);
+  const std::span<const uint8_t> a = loop.HostBytes();
+  const std::span<const uint8_t> b = bulk.HostBytes();
+  ASSERT_EQ(a.size(), b.size());
+  const size_t diff = std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin();
+  EXPECT_EQ(diff, a.size()) << "tables differ at bucket "
+                            << diff / (a.size() / loop.num_buckets());
+  for (const Arena* arena : {&loop_arena, &bulk_arena}) {
+    const auto* p = reinterpret_cast<const uint8_t*>(arena->base());
+    EXPECT_EQ(std::count(p, p + arena->BytesUsed(), 0),
+              static_cast<ptrdiff_t>(arena->BytesUsed()));
+  }
   for (Key k = 0; k < n; k++) {
     ASSERT_EQ(bulk.GetDirect(k), items[k]) << k;
   }
@@ -387,6 +395,144 @@ TEST(CuckooPopulate, MatchesInsertLoopWithKicks) {
   // 64 buckets x 4 slots loaded to 0.78: far past the first full bucket pair,
   // so inserts evict and relocate victims (and draw from the kick RNG).
   ExpectPopulateMatchesInsertLoop(64, 200);
+}
+
+// The cuckoo table's modeled layout is libcuckoo's 128 B bucket, while the
+// host keeps only {version, keys[4], items[4]} in a 72 B bucket of its own
+// (index/cuckoo.h). The host must never touch the modeled range, and the
+// cache model must see every access at the field's address in that range.
+struct HostBucket {
+  uint64_t version;
+  Key keys[4];
+  Item* items[4];
+};
+static_assert(sizeof(HostBucket) == 72, "mirrors CuckooIndex's host bucket");
+
+// Where each present key sits: bucket, slot.
+std::map<Key, std::pair<uint64_t, unsigned>> Placement(const CuckooIndex& idx) {
+  const std::span<const uint8_t> bytes = idx.HostBytes();
+  std::map<Key, std::pair<uint64_t, unsigned>> out;
+  for (uint64_t i = 0; i < idx.num_buckets(); i++) {
+    HostBucket b;
+    std::memcpy(&b, bytes.data() + i * sizeof(HostBucket), sizeof(HostBucket));
+    for (unsigned s = 0; s < 4; s++) {
+      if (b.items[s] != nullptr) {
+        out[b.keys[s]] = {i, s};
+      }
+    }
+  }
+  return out;
+}
+
+Fiber CuckooMixFiber(ExecCtx* ctx, CuckooIndex* idx, std::vector<Item*> fresh,
+                     std::vector<Key> erase, std::vector<Key> get,
+                     std::vector<Key>* inserted, int* bad) {
+  for (Item* it : fresh) {
+    if (co_await idx->CoInsert(*ctx, it->key, it)) {
+      inserted->push_back(it->key);
+    }
+  }
+  for (Key k : erase) {
+    *bad += !(co_await idx->CoErase(*ctx, k));
+  }
+  for (Key k : get) {
+    Item* it = co_await idx->CoGet(*ctx, k);
+    *bad += it == nullptr || it->key != k;
+  }
+}
+
+Fiber CuckooGetFiber(ExecCtx* ctx, CuckooIndex* idx, Key key, Item** out) {
+  *out = co_await idx->CoGet(*ctx, key);
+}
+
+TEST(CuckooLayout, ModeledRangeUntouchedAndHotInCacheModel) {
+  constexpr uint64_t kCapacity = 1600;  // 1024 buckets, 128 KB modeled
+  constexpr Key kPopulated = 2800;      // load 0.68: kicks and relocations
+  constexpr Key kFresh = 400;
+  Arena item_arena(8ull << 20);
+  SlabAllocator slab(&item_arena);
+  std::vector<Item*> items(kPopulated);
+  for (Key k = 0; k < kPopulated; k++) {
+    items[k] = slab.AllocateItem(k, 8);
+  }
+  std::vector<Item*> fresh;
+  for (Key k = kPopulated; k < kPopulated + kFresh; k++) {
+    fresh.push_back(slab.AllocateItem(k, 8));
+  }
+  // A fresh arena: the modeled table starts at its base.
+  Arena arena(4ull << 20);
+  CuckooIndex idx(&arena, kCapacity, /*seed=*/5);
+  ASSERT_EQ(idx.num_buckets(), 1024u);
+  const uintptr_t modeled = arena.base();
+  const size_t modeled_bytes = idx.num_buckets() * 2 * kCachelineBytes;
+  ASSERT_TRUE(idx.PopulateDirect(items));
+  const auto before = Placement(idx);
+
+  MachineConfig cfg;
+  cfg.num_cores = 4;
+  MemoryModel mem(cfg);
+  Engine eng;
+  ExecCtx ctx{.eng = &eng, .mem = &mem, .core = 0};
+  std::vector<Key> erase;
+  std::vector<Key> get;
+  for (Key k = 0; k < kPopulated; k += 16) {
+    erase.push_back(k);
+    get.push_back(k + 1);
+  }
+  std::vector<Key> inserted;
+  int bad = 0;
+  eng.Spawn(CuckooMixFiber(&ctx, &idx, fresh, erase, get, &inserted, &bad));
+  eng.RunToQuiescence(kSec);
+  EXPECT_EQ(bad, 0);
+  EXPECT_GT(inserted.size(), kFresh / 2);
+  for (Key k : inserted) {
+    EXPECT_NE(idx.GetDirect(k), nullptr) << k;
+  }
+  std::string err;
+  EXPECT_TRUE(idx.AuditDirect(&err)) << err;
+
+  // Some key that stayed moved buckets: CoInsert's relocation path ran.
+  const auto after = Placement(idx);
+  int moved = 0;
+  for (const auto& [k, where] : before) {
+    const auto it = after.find(k);
+    moved += it != after.end() && it->second.first != where.first;
+  }
+  EXPECT_GT(moved, 0);
+
+  // No page of the modeled range is resident: nothing wrote or read it.
+  const long page = sysconf(_SC_PAGESIZE);
+  const uintptr_t lo = (modeled + page - 1) & ~uintptr_t(page - 1);
+  const uintptr_t hi = (modeled + modeled_bytes) & ~uintptr_t(page - 1);
+  ASSERT_LT(lo, hi);
+  std::vector<unsigned char> resident((hi - lo) / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()), 0);
+  EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                          [](unsigned char v) { return (v & 1) != 0; }),
+            0);
+
+  // A hit on slot 3 reads the bucket's key line and its items line; a core
+  // that ran nothing else now holds both lines at their modeled addresses.
+  Key probe = kPopulated;
+  for (const auto& [k, where] : after) {
+    if (where.second == 3) {
+      probe = k;
+      break;
+    }
+  }
+  ASSERT_NE(probe, kPopulated);
+  const uint64_t b = after.at(probe).first;
+  ExecCtx ctx3{.eng = &eng, .mem = &mem, .core = 3};
+  Item* got = nullptr;
+  eng.Spawn(CuckooGetFiber(&ctx3, &idx, probe, &got));
+  eng.RunToQuiescence(2 * kSec);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->key, probe);
+  for (const size_t off : {size_t{0}, size_t{kCachelineBytes}}) {
+    const auto* line = reinterpret_cast<const void*>(modeled + b * 128 + off);
+    EXPECT_TRUE(mem.Access(3, 0, sim::Stage::kIndex, line, 8, false).private_hit)
+        << "bucket " << b << " +" << off;
+  }
 }
 
 }  // namespace

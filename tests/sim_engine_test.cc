@@ -355,6 +355,37 @@ TEST(Sync, SpinlockSerializesCriticalSections) {
   EXPECT_EQ(shared, 200);
 }
 
+Fiber ArrivingAcquirer(ExecCtx* ctx, SimSpinlock* lock, Tick arrive, int id,
+                       std::vector<int>* granted) {
+  co_await ctx->Delay(arrive);
+  co_await lock->Acquire(*ctx);
+  granted->push_back(id);
+  co_await ctx->Delay(10);
+  lock->Release(*ctx);
+}
+
+TEST(Sync, SpinlockGrantsContendersInArrivalOrder) {
+  constexpr int kN = 100;
+  Engine eng;
+  SimSpinlock lock;
+  std::vector<ExecCtx> ctxs(kN, ExecCtx{.eng = &eng});
+  std::vector<int> granted;
+  // Spawned last-arriving first, so spawn order is not arrival order. Each
+  // holds the lock 10 ns and the next arrives 3 ns later: all but the first
+  // park, and the handoffs must follow their arrival.
+  for (int i = kN - 1; i >= 0; i--) {
+    ctxs[i].core = static_cast<CoreId>(i);
+    eng.Spawn(ArrivingAcquirer(&ctxs[i], &lock, 1 + 3 * static_cast<Tick>(i),
+                               i, &granted));
+  }
+  eng.RunToQuiescence(kSec);
+  ASSERT_EQ(granted.size(), static_cast<size_t>(kN));
+  for (int i = 0; i < kN; i++) {
+    EXPECT_EQ(granted[i], i);
+  }
+  EXPECT_FALSE(lock.held());
+}
+
 Fiber OneShotWaiter(ExecCtx* ctx, OneShot* os, Tick* observed) {
   co_await os->Wait(*ctx);
   *observed = ctx->eng->now();
