@@ -103,7 +103,7 @@ class ShermanPassive final : public PassiveKv {
   bool InsertDirect(Key key, Item* item) override {
     return tree_.InsertDirect(key, item);
   }
-  void BulkLoadDirect(const std::vector<std::pair<Key, Item*>>& sorted) {
+  void BulkLoadDirect(std::span<Item* const> sorted) {
     tree_.BulkLoadDirect(sorted);
   }
   const char* Name() const override { return "Sherman"; }

@@ -12,11 +12,17 @@
 // (buffer pointers, scan parameters, the receive record that routes the
 // completion) rides in a parallel unmodeled array, exactly mirroring the
 // paper's trick of keeping the on-ring descriptor at 16 bytes.
+//
+// Residency (DESIGN.md §13): the queue is all-to-all, W² rings, but a split
+// uses only ncr × nmr of them. Init runs no constructor: the slots, control
+// words and companions are all-zero arena bytes (sim/arena.h), which already
+// read as an empty ring. The companions come from a host-only arena of their
+// own, so a ring that never carries a batch costs no resident page.
 #ifndef UTPS_CORE_CRMR_QUEUE_H_
 #define UTPS_CORE_CRMR_QUEUE_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/macros.h"
 #include "net/rpc.h"
@@ -78,19 +84,22 @@ class CrMrRing {
     alignas(kCachelineBytes) uint64_t tail = 0;  // consumer-advanced (= completion)
   };
 
+  // Bytes Init takes from `host_arena` for one ring's companions.
+  static constexpr size_t HostBytes(unsigned batch_size) {
+    return size_t{kNumSlots} * batch_size * sizeof(CrMrHostDesc);
+  }
+
   // `batch_size` is the most descriptors a producer ever puts in one slot.
   // The modeled slots keep room for kMaxBatch (their arena layout does not
-  // depend on it); the host companions hold only batch_size per slot.
-  void Init(sim::Arena* arena, unsigned batch_size) {
+  // depend on it); the host companions hold only batch_size per slot. Both
+  // arenas must hand out fresh, zero-filled bytes.
+  void Init(sim::Arena* arena, sim::Arena* host_arena, unsigned batch_size) {
     UTPS_CHECK(batch_size >= 1 && batch_size <= kMaxBatch);
     slots_ = arena->AllocateArray<Slot>(kNumSlots, kCachelineBytes);
     ctl_ = arena->AllocateArray<Control>(1, kCachelineBytes);
-    new (ctl_) Control();
-    for (unsigned i = 0; i < kNumSlots; i++) {
-      new (&slots_[i]) Slot();
-    }
     stride_ = batch_size;
-    host_.resize(size_t{kNumSlots} * stride_);
+    host_ = host_arena->AllocateArray<CrMrHostDesc>(size_t{kNumSlots} *
+                                                    stride_);
   }
 
   bool Full() const { return ctl_->head - ctl_->tail >= kNumSlots; }
@@ -102,6 +111,10 @@ class CrMrRing {
   Slot* SlotAt(uint64_t seq) { return &slots_[seq & (kNumSlots - 1)]; }
   CrMrHostDesc* HostAt(uint64_t seq) {
     return &host_[(seq & (kNumSlots - 1)) * stride_];
+  }
+  // Every slot's companions, slot by slot.
+  std::span<const CrMrHostDesc> HostDescs() const {
+    return {host_, size_t{kNumSlots} * stride_};
   }
 
   uint64_t head() const { return ctl_->head; }
@@ -134,7 +147,7 @@ class CrMrRing {
   Slot* slots_ = nullptr;
   Control* ctl_ = nullptr;
   unsigned stride_ = 0;
-  std::vector<CrMrHostDesc> host_;
+  CrMrHostDesc* host_ = nullptr;  // kNumSlots x stride_, in the host arena
 };
 
 }  // namespace utps

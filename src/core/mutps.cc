@@ -22,7 +22,12 @@ constexpr uint32_t kScanRespCap = 8192;
 }  // namespace
 
 MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
-    : env_(env), opt_(opt), cache_k_(opt.initial_cache_items) {
+    : env_(env),
+      opt_(opt),
+      ring_host_(size_t{env.num_workers} * env.num_workers *
+                     CrMrRing::HostBytes(opt.batch_size),
+                 kCachelineBytes),
+      cache_k_(opt.initial_cache_items) {
   rx_ = std::make_unique<RxRing>(env_.arena, opt_.rx);
   const unsigned w = env_.num_workers;
   UTPS_CHECK(w >= 2);   // at least one core per layer
@@ -30,7 +35,7 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   rings_.resize(size_t{w} * w);
   mr_ready_.assign(w, 0);
   for (auto& r : rings_) {
-    r.Init(env_.arena, opt_.batch_size);
+    r.Init(env_.arena, &ring_host_, opt_.batch_size);
   }
   hot_ = std::make_unique<HotSetManager>(env_.arena, w);
   workers_.resize(w);

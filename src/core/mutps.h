@@ -90,6 +90,10 @@ class MuTpsServer final : public KvServer {
   uint64_t hot_misses() const;
   // High-water occupancy (slots) seen on any CR-MR ring since ResetStats.
   uint64_t peak_ring_occ() const { return peak_ring_occ_; }
+  // The CR-MR ring from `producer` to `consumer` (global worker ids).
+  const CrMrRing& ring(unsigned producer, unsigned consumer) const {
+    return rings_[size_t{producer} * env_.num_workers + consumer];
+  }
   // Fault-tolerance introspection (zero without an installed injector).
   uint64_t failover_count() const { return failover_count_; }
   uint64_t salvaged_slots() const { return salvaged_slots_; }
@@ -261,6 +265,9 @@ class MuTpsServer final : public KvServer {
   Options opt_;
   std::unique_ptr<RxRing> rx_;
   std::vector<CrMrRing> rings_;  // W x W, addressed by global worker ids
+  // Every ring's host companions, ring by ring: zero-filled and never
+  // advised onto huge pages, so only the rings a split uses get pages.
+  sim::Arena ring_host_;
   std::vector<Worker> workers_;
   // MR-side mirror of cr_inflight, indexed by CONSUMER (producers write it at
   // AdvanceHead time): bit p set iff workers_[c].pop_cursor[p] <

@@ -192,12 +192,7 @@ void TestBed::Populate() {
     index_ = std::move(idx);
   } else {
     auto idx = std::make_unique<BTreeIndex>(arena_.get());
-    std::vector<std::pair<Key, Item*>> sorted;
-    sorted.reserve(n);
-    for (Key k = 0; k < n; k++) {
-      sorted.emplace_back(k, items[k]);
-    }
-    idx->BulkLoadDirect(sorted);
+    idx->BulkLoadDirect(items);
     index_ = std::move(idx);
   }
 }
@@ -206,21 +201,16 @@ void TestBed::Populate() {
 // key order: it is the one record of what the bed holds, including anything
 // an earlier run on a shared bed put or erased. One ForEachDirect pass costs
 // a quarter of a GetDirect per key on a tree (a sequential leaf walk).
-std::vector<std::pair<Key, Item*>> TestBed::IndexedItems() const {
+std::vector<Item*> TestBed::IndexedItems() const {
   const uint64_t n = populate_spec_.num_keys;
   std::vector<Item*> by_key(n);
   index_->ForEachDirect([&by_key, n](Key k, const Item* it) {
-    UTPS_CHECK(k < n);
+    UTPS_CHECK(k < n && it->key == k);
     by_key[k] = const_cast<Item*>(it);
   });
-  std::vector<std::pair<Key, Item*>> kvs;
-  kvs.reserve(n);
-  for (Key k = 0; k < n; k++) {
-    if (by_key[k] != nullptr) {
-      kvs.emplace_back(k, by_key[k]);
-    }
-  }
-  return kvs;
+  // Keys an earlier run erased leave holes: close them in place.
+  std::erase(by_key, nullptr);
+  return by_key;
 }
 
 void TestBed::BuildShards() {
@@ -238,15 +228,16 @@ void TestBed::BuildShards() {
       shards_.push_back(std::make_unique<BTreeIndex>(arena_.get()));
     }
   }
-  const std::vector<std::pair<Key, Item*>> kvs = IndexedItems();
+  const std::vector<Item*> items = IndexedItems();
   if (index_type_ == IndexType::kHash) {
-    for (const auto& [k, it] : kvs) {
-      UTPS_CHECK(shards_[ErpcKvServer::ShardOf(k, w)]->InsertDirect(k, it));
+    for (Item* it : items) {
+      UTPS_CHECK(
+          shards_[ErpcKvServer::ShardOf(it->key, w)]->InsertDirect(it->key, it));
     }
   } else {
-    std::vector<std::vector<std::pair<Key, Item*>>> per(w);
-    for (const auto& kv : kvs) {
-      per[ErpcKvServer::ShardOf(kv.first, w)].push_back(kv);
+    std::vector<std::vector<Item*>> per(w);
+    for (Item* it : items) {
+      per[ErpcKvServer::ShardOf(it->key, w)].push_back(it);
     }
     for (unsigned i = 0; i < w; i++) {
       static_cast<BTreeIndex*>(shards_[i].get())->BulkLoadDirect(per[i]);
@@ -260,8 +251,8 @@ void TestBed::BuildRaceHash() {
   }
   racehash_ = std::make_unique<RaceHashPassive>(arena_.get(),
                                                 populate_spec_.num_keys);
-  for (const auto& [k, it] : IndexedItems()) {
-    UTPS_CHECK(racehash_->InsertDirect(k, it));
+  for (Item* it : IndexedItems()) {
+    UTPS_CHECK(racehash_->InsertDirect(it->key, it));
   }
 }
 

@@ -209,7 +209,7 @@ class TestBed {
   void BuildShards();
   void BuildRaceHash();
   void BuildSherman();
-  std::vector<std::pair<Key, Item*>> IndexedItems() const;
+  std::vector<Item*> IndexedItems() const;
 
   IndexType index_type_;
   WorkloadSpec populate_spec_;

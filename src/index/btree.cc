@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 namespace utps {
 
@@ -192,7 +193,7 @@ bool BTreeIndex::EraseDirect(Key key) {
   }
 }
 
-void BTreeIndex::BulkLoadDirect(const std::vector<std::pair<Key, Item*>>& sorted) {
+void BTreeIndex::BulkLoadDirect(std::span<Item* const> sorted) {
   UTPS_CHECK(size_ == 0);
   if (sorted.empty()) {
     return;
@@ -207,9 +208,11 @@ void BTreeIndex::BulkLoadDirect(const std::vector<std::pair<Key, Item*>>& sorted
     Node* leaf = NewNode(true);
     unsigned cnt = 0;
     while (i < sorted.size() && cnt < per_leaf) {
-      UTPS_DCHECK(cnt == 0 || sorted[i].first > leaf->keys[cnt - 1]);
-      leaf->keys[cnt] = sorted[i].first;
-      leaf->ptrs[cnt] = sorted[i].second;
+      const Key key = sorted[i]->key;
+      UTPS_CHECK_MSG(i == 0 || key > sorted[i - 1]->key,
+                     "bulk load keys not strictly ascending at index %zu", i);
+      leaf->keys[cnt] = key;
+      leaf->ptrs[cnt] = sorted[i];
       cnt++;
       i++;
     }
@@ -589,7 +592,7 @@ bool BtFail(std::string* err, std::string msg) {
 
 bool BTreeIndex::AuditNode(const Node* n, unsigned depth, const Key* lo,
                            const Key* hi, uint64_t* counted,
-                           std::vector<const Node*>* leaves,
+                           const Node** prev_leaf, uint64_t* leaves,
                            std::string* err) const {
   if (n->version & 1) {
     return BtFail(err, "node seqlock odd at quiesce");
@@ -635,7 +638,13 @@ bool BTreeIndex::AuditNode(const Node* n, unsigned depth, const Key* lo,
       }
     }
     *counted += n->nkeys;
-    leaves->push_back(n);
+    // The B-link leaf chain must visit exactly the in-order leaves.
+    if (*prev_leaf != nullptr && (*prev_leaf)->right != n) {
+      return BtFail(err, "leaf chain broken at leaf " +
+                             std::to_string(*leaves - 1));
+    }
+    *prev_leaf = n;
+    ++*leaves;
     return true;
   }
   if (n->nkeys == 0) {
@@ -648,7 +657,8 @@ bool BTreeIndex::AuditNode(const Node* n, unsigned depth, const Key* lo,
     }
     const Key* clo = i == 0 ? lo : &n->keys[i - 1];
     const Key* chi = i == n->nkeys ? hi : &n->keys[i];
-    if (!AuditNode(c, depth + 1, clo, chi, counted, leaves, err)) {
+    if (!AuditNode(c, depth + 1, clo, chi, counted, prev_leaf, leaves,
+                   err)) {
       return false;
     }
   }
@@ -660,21 +670,17 @@ bool BTreeIndex::AuditDirect(std::string* err) const {
     return BtFail(err, "root pointer / arena mirror mismatch");
   }
   uint64_t counted = 0;
-  std::vector<const Node*> leaves;
-  if (!AuditNode(root_, 1, nullptr, nullptr, &counted, &leaves, err)) {
+  const Node* last_leaf = nullptr;
+  uint64_t leaves = 0;
+  if (!AuditNode(root_, 1, nullptr, nullptr, &counted, &last_leaf, &leaves,
+                 err)) {
     return false;
   }
   if (counted != size_) {
     return BtFail(err, "size_=" + std::to_string(size_) + " but counted " +
                            std::to_string(counted));
   }
-  // The B-link leaf chain must visit exactly the in-order leaves.
-  for (size_t i = 0; i + 1 < leaves.size(); i++) {
-    if (leaves[i]->right != leaves[i + 1]) {
-      return BtFail(err, "leaf chain broken at leaf " + std::to_string(i));
-    }
-  }
-  if (!leaves.empty() && leaves.back()->right != nullptr) {
+  if (last_leaf != nullptr && last_leaf->right != nullptr) {
     return BtFail(err, "last leaf has dangling right link");
   }
   return true;

@@ -16,7 +16,7 @@
 #define UTPS_INDEX_BTREE_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/macros.h"
 #include "index/index.h"
@@ -49,9 +49,10 @@ class BTreeIndex final : public KvIndex {
     }
   }
 
-  // Bulk load from strictly ascending (key, item) pairs; much faster than
-  // repeated InsertDirect for population. Must be called on an empty tree.
-  void BulkLoadDirect(const std::vector<std::pair<Key, Item*>>& sorted);
+  // Bulk load from items in strictly ascending key order (each keyed by its
+  // own `key`); much faster than repeated InsertDirect for population. Must
+  // be called on an empty tree.
+  void BulkLoadDirect(std::span<Item* const> sorted);
 
   // Simulated plane.
   sim::Task<Item*> CoGet(sim::ExecCtx& ctx, Key key) override;
@@ -87,8 +88,11 @@ class BTreeIndex final : public KvIndex {
 
   Node* NewNode(bool leaf);
   static int LowerBound(const Node* n, Key key);
+  // `prev_leaf` is the last leaf the in-order walk visited (null before the
+  // first) and `leaves` counts them: the leaf chain is checked as the walk
+  // reaches each leaf, with nothing on the heap.
   bool AuditNode(const Node* n, unsigned depth, const Key* lo, const Key* hi,
-                 uint64_t* counted, std::vector<const Node*>* leaves,
+                 uint64_t* counted, const Node** prev_leaf, uint64_t* leaves,
                  std::string* err) const;
   // Splits full child `ci` of locked, non-full parent `p`.
   void SplitChild(Node* p, int ci, Node* c);

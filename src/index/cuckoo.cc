@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <string>
-#include <unordered_set>
 
 namespace utps {
 
@@ -344,8 +343,6 @@ bool CuckooIndex::AuditDirect(std::string* err) const {
     }
   }
   uint64_t counted = 0;
-  std::unordered_set<Key> seen;
-  seen.reserve(size_);
   for (uint64_t b = 0; b < nbuckets_; b++) {
     const Bucket& bk = buckets_[b];
     if (bk.version & 1) {
@@ -364,13 +361,18 @@ bool CuckooIndex::AuditDirect(std::string* err) const {
       if (it->ctrl & 1) {
         return fail("item seqlock odd at quiesce, key " + std::to_string(key));
       }
-      if (!seen.insert(key).second) {
-        return fail("duplicate key " + std::to_string(key));
-      }
-      const uint64_t h = Hash(key);
-      const uint64_t i1 = Index1(h);
-      if (b != i1 && b != Index2(i1, h)) {
+      const auto [i1, i2] = CandidateBuckets(key);
+      if (b != i1 && b != i2) {
         return fail("key " + std::to_string(key) + " in non-candidate bucket");
+      }
+      // A key that passes the check above can only sit in its two candidate
+      // buckets, so it is stored twice iff it fills more than one of their
+      // slots: exact, and no O(keys) set on the heap (DESIGN.md §13).
+      const unsigned copies =
+          SlotsHolding(buckets_[i1], key) +
+          (i2 != i1 ? SlotsHolding(buckets_[i2], key) : 0);
+      if (copies > 1) {
+        return fail("duplicate key " + std::to_string(key));
       }
     }
   }

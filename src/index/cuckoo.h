@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/rng.h"
@@ -71,6 +72,16 @@ class CuckooIndex final : public KvIndex {
     return {reinterpret_cast<const uint8_t*>(buckets_),
             nbuckets_ * sizeof(Bucket)};
   }
+  // Test hook: the same bytes, writable, so audit tests can corrupt them.
+  std::span<uint8_t> MutableHostBytesForTest() {
+    return {reinterpret_cast<uint8_t*>(buckets_), nbuckets_ * sizeof(Bucket)};
+  }
+  // The two buckets `key` may occupy (equal when its hashes collide).
+  std::pair<uint64_t, uint64_t> CandidateBuckets(Key key) const {
+    const uint64_t h = Hash(key);
+    const uint64_t i1 = Index1(h);
+    return {i1, Index2(i1, h)};
+  }
 
  private:
   static constexpr unsigned kSlots = 4;
@@ -123,6 +134,14 @@ class CuckooIndex final : public KvIndex {
       }
     }
     return -1;
+  }
+
+  unsigned SlotsHolding(const Bucket& b, Key key) const {
+    unsigned n = 0;
+    for (unsigned s = 0; s < kSlots; s++) {
+      n += b.items[s] != nullptr && b.keys[s] == key;
+    }
+    return n;
   }
 
   int FreeSlot(const Bucket& b) const {

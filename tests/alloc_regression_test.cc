@@ -15,11 +15,15 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "index/btree.h"
+#include "index/cuckoo.h"
 #include "sim/sync.h"
+#include "store/slab.h"
 #include "workload/workload.h"
 
 namespace {
@@ -181,6 +185,33 @@ TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
   EXPECT_EQ(res.cache_items, 0u);
   EXPECT_EQ(res.measure_allocs, 0u)
       << "steady-state heap allocations crept back into the measure phase";
+}
+
+// The index audit runs after every kvbench leg: an O(keys) set on the heap
+// there would set the process peak and, kept by glibc once freed, raise the
+// next leg's floor (DESIGN.md §13). The cuckoo audit checks duplicates in
+// the candidate buckets instead, and the tree audit follows the leaf chain
+// as it walks.
+TEST(AllocRegression, IndexAuditsAreAllocationFree) {
+  constexpr uint64_t kKeys = 200000;
+  sim::Arena arena(512ull << 20);
+  SlabAllocator slab(&arena);
+  // The key -> item table lives in the arena too: no heap in this test.
+  Item** items = arena.AllocateArray<Item*>(kKeys);
+  for (Key k = 0; k < kKeys; k++) {
+    items[k] = slab.AllocateItem(k, 8);
+  }
+  CuckooIndex cuckoo(&arena, kKeys + kKeys / 4);
+  ASSERT_TRUE(cuckoo.PopulateDirect({items, kKeys}));
+  BTreeIndex tree(&arena);
+  tree.BulkLoadDirect({items, kKeys});
+  std::string err;
+  uint64_t before = AllocProbe();
+  EXPECT_TRUE(cuckoo.AuditDirect(&err)) << err;
+  EXPECT_EQ(AllocProbe() - before, 0u);
+  before = AllocProbe();
+  EXPECT_TRUE(tree.AuditDirect(&err)) << err;
+  EXPECT_EQ(AllocProbe() - before, 0u);
 }
 
 sim::Fiber Contender(sim::ExecCtx* ctx, sim::SimSpinlock* lock) {

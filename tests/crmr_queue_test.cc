@@ -3,7 +3,9 @@
 // occupancy invariants added for the DST harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 
 #include "core/crmr_queue.h"
 #include "sim/arena.h"
@@ -15,7 +17,11 @@ class CrMrQueueTest : public ::testing::Test {
  protected:
   static constexpr unsigned kBatch = 8;  // MuTpsServer::Options::batch_size
 
-  CrMrQueueTest() : arena_(16 << 20) { ring_.Init(&arena_, kBatch); }
+  CrMrQueueTest()
+      : arena_(16 << 20),
+        host_arena_(CrMrRing::HostBytes(kBatch), kCachelineBytes) {
+    ring_.Init(&arena_, &host_arena_, kBatch);
+  }
 
   // Producer side: publish a batch of `count` descriptors.
   void Publish(uint32_t count, Key first_key) {
@@ -29,8 +35,34 @@ class CrMrQueueTest : public ::testing::Test {
   }
 
   sim::Arena arena_;
+  sim::Arena host_arena_;  // exactly one ring's companions
   CrMrRing ring_;
 };
+
+// Init runs no constructor over the ring: fresh arenas are all zero, and all
+// zero is an empty ring (every slot count 0, every companion zero, head ==
+// tail == 0).
+TEST_F(CrMrQueueTest, FreshArenasReadAsAnEmptyRing) {
+  EXPECT_EQ(ring_.head(), 0u);
+  EXPECT_EQ(ring_.tail(), 0u);
+  EXPECT_TRUE(ring_.AuditQuiesced());
+  EXPECT_FALSE(ring_.Full());
+  EXPECT_FALSE(ring_.HasWork(0));
+  for (uint64_t seq = 0; seq < CrMrRing::kNumSlots; seq++) {
+    const CrMrRing::Slot* slot = ring_.SlotAt(seq);
+    EXPECT_EQ(slot->count, 0u) << seq;
+    for (const CrMrDesc& d : slot->descs) {
+      EXPECT_EQ(d.key, 0u);
+      EXPECT_EQ(d.op_len, 0u);
+      EXPECT_EQ(d.buf, 0u);
+    }
+  }
+  const std::span<const CrMrHostDesc> host = ring_.HostDescs();
+  ASSERT_EQ(host.size(), size_t{CrMrRing::kNumSlots} * kBatch);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(host.data());
+  EXPECT_TRUE(std::all_of(bytes, bytes + host.size_bytes(),
+                          [](unsigned char b) { return b == 0; }));
+}
 
 TEST_F(CrMrQueueTest, TailPiggybackCompletion) {
   EXPECT_TRUE(ring_.AuditQuiesced());
@@ -99,9 +131,12 @@ TEST_F(CrMrQueueTest, HostCompanionStrideIsTheBatchSize) {
     EXPECT_EQ(ring_.HostAt(seq) - ring_.HostAt(seq - 1),
               static_cast<std::ptrdiff_t>(kBatch));
   }
-  // The last slot's companions end where the array does: a full batch in it
-  // stays inside the allocation (ASan checks the write).
+  // The last slot's companions end where the ring's share of the host arena
+  // does: a full batch in it stays inside the HostBytes(kBatch) it took.
   CrMrHostDesc* last = ring_.HostAt(CrMrRing::kNumSlots - 1);
+  EXPECT_EQ(host_arena_.BytesUsed(), CrMrRing::HostBytes(kBatch));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(last + kBatch),
+            host_arena_.base() + host_arena_.BytesUsed());
   for (unsigned i = 0; i < kBatch; i++) {
     last[i].resp_len = i;
   }
@@ -110,8 +145,10 @@ TEST_F(CrMrQueueTest, HostCompanionStrideIsTheBatchSize) {
 
 TEST(CrMrRingInitDeathTest, BatchLargerThanASlotFails) {
   sim::Arena arena(1 << 20);
+  sim::Arena host_arena(1 << 20, kCachelineBytes);
   CrMrRing ring;
-  EXPECT_DEATH(ring.Init(&arena, CrMrRing::kMaxBatch + 1), "batch_size");
+  EXPECT_DEATH(ring.Init(&arena, &host_arena, CrMrRing::kMaxBatch + 1),
+               "batch_size");
 }
 
 TEST_F(CrMrQueueTest, FullRingBackpressure) {

@@ -426,12 +426,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
       [&](const std::vector<Item*>& its) -> std::unique_ptr<KvIndex> {
     if (tree) {
       auto idx = std::make_unique<BTreeIndex>(&arena);
-      std::vector<std::pair<Key, Item*>> sorted;
-      sorted.reserve(cfg.num_keys);
-      for (Key k = 0; k < cfg.num_keys; k++) {
-        sorted.emplace_back(k, its[k]);
-      }
-      idx->BulkLoadDirect(sorted);
+      idx->BulkLoadDirect(its);
       return idx;
     }
     auto idx = std::make_unique<CuckooIndex>(
@@ -462,12 +457,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   std::unique_ptr<ShermanPassive> sherman;
   if (cfg.sys == Sys::kSherman) {
     sherman = std::make_unique<ShermanPassive>(&arena);
-    std::vector<std::pair<Key, Item*>> sorted;
-    sorted.reserve(cfg.num_keys);
-    for (Key k = 0; k < cfg.num_keys; k++) {
-      sorted.emplace_back(k, items[k]);
-    }
-    sherman->BulkLoadDirect(sorted);
+    sherman->BulkLoadDirect(items);
   }
 
   // ---- server under test --------------------------------------------------

@@ -242,14 +242,14 @@ class BTreeTest : public ::testing::Test {
 };
 
 TEST_F(BTreeTest, BulkLoadMatchesInsertSemantics) {
-  std::vector<std::pair<Key, Item*>> sorted;
+  std::vector<Item*> sorted;
   for (Key k = 0; k < 100000; k++) {
-    sorted.emplace_back(k * 3, MakeItem(k * 3));
+    sorted.push_back(MakeItem(k * 3));
   }
   tree_.BulkLoadDirect(sorted);
   EXPECT_EQ(tree_.SizeDirect(), sorted.size());
-  for (const auto& [k, it] : sorted) {
-    ASSERT_EQ(tree_.GetDirect(k), it);
+  for (Item* it : sorted) {
+    ASSERT_EQ(tree_.GetDirect(it->key), it);
   }
   EXPECT_EQ(tree_.GetDirect(1), nullptr);
   EXPECT_GE(tree_.height(), 4u);
@@ -263,26 +263,37 @@ class BTreeBulkLoadAudit : public BTreeTest,
                            public ::testing::WithParamInterface<Key> {};
 
 TEST_P(BTreeBulkLoadAudit, PassesAudit) {
-  std::vector<std::pair<Key, Item*>> sorted;
+  std::vector<Item*> sorted;
   for (Key k = 0; k < GetParam(); k++) {
-    sorted.emplace_back(k, MakeItem(k));
+    sorted.push_back(MakeItem(k));
   }
   tree_.BulkLoadDirect(sorted);
   std::string err;
   EXPECT_TRUE(tree_.AuditDirect(&err)) << err;
   EXPECT_EQ(tree_.SizeDirect(), sorted.size());
-  for (const auto& [k, it] : sorted) {
-    ASSERT_EQ(tree_.GetDirect(k), it);
+  for (Item* it : sorted) {
+    ASSERT_EQ(tree_.GetDirect(it->key), it);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(OneNodePastAMultiple, BTreeBulkLoadAudit,
                          ::testing::Values(Key{20'000}, Key{40'000}));
 
+// Bulk load reads each key from its item and trusts the order: a repeated or
+// descending key would build a tree whose separators lie, so it is refused.
+using BTreeDeathTest = BTreeTest;
+
+TEST_F(BTreeDeathTest, BulkLoadRejectsKeysNotStrictlyAscending) {
+  const std::vector<Item*> descending = {MakeItem(1), MakeItem(3), MakeItem(2)};
+  EXPECT_DEATH(tree_.BulkLoadDirect(descending), "not strictly ascending");
+  const std::vector<Item*> repeated = {MakeItem(5), MakeItem(5)};
+  EXPECT_DEATH(tree_.BulkLoadDirect(repeated), "not strictly ascending");
+}
+
 TEST_F(BTreeTest, ScanDirectReturnsSortedRange) {
-  std::vector<std::pair<Key, Item*>> sorted;
+  std::vector<Item*> sorted;
   for (Key k = 100; k < 5000; k += 2) {
-    sorted.emplace_back(k, MakeItem(k));
+    sorted.push_back(MakeItem(k));
   }
   tree_.BulkLoadDirect(sorted);
   Item* out[100];
@@ -304,9 +315,9 @@ Fiber ScanFiber(ExecCtx* ctx, BTreeIndex* tree, Key lo, Key hi, uint32_t max,
 }
 
 TEST_F(BTreeTest, SimulatedScan) {
-  std::vector<std::pair<Key, Item*>> sorted;
+  std::vector<Item*> sorted;
   for (Key k = 0; k < 10000; k++) {
-    sorted.emplace_back(k, MakeItem(k));
+    sorted.push_back(MakeItem(k));
   }
   tree_.BulkLoadDirect(sorted);
   Engine eng;
@@ -533,6 +544,79 @@ TEST(CuckooLayout, ModeledRangeUntouchedAndHotInCacheModel) {
     EXPECT_TRUE(mem.Access(3, 0, sim::Stage::kIndex, line, 8, false).private_hit)
         << "bucket " << b << " +" << off;
   }
+}
+
+// AuditDirect finds a duplicate without a set of every key: a key that
+// passes the candidate-bucket check can only sit in its two candidate
+// buckets, so it is stored twice iff it fills more than one of their slots.
+// Corruption is planted straight into the host buckets.
+class CuckooAuditTest : public ::testing::Test {
+ protected:
+  static constexpr Key kKeys = 800;
+
+  CuckooAuditTest()
+      : item_arena_(8ull << 20), slab_(&item_arena_), arena_(4ull << 20),
+        idx_(&arena_, 1600, /*seed=*/5) {
+    std::vector<Item*> items(kKeys);
+    for (Key k = 0; k < kKeys; k++) {
+      items[k] = slab_.AllocateItem(k, 8);
+    }
+    EXPECT_TRUE(idx_.PopulateDirect(items));
+  }
+
+  // Puts key's own item into a free slot of bucket b; false if b is full.
+  bool Plant(uint64_t b, Key key) {
+    const std::span<uint8_t> bytes = idx_.MutableHostBytesForTest();
+    HostBucket bk;
+    std::memcpy(&bk, bytes.data() + b * sizeof(HostBucket), sizeof(bk));
+    for (unsigned s = 0; s < 4; s++) {
+      if (bk.items[s] == nullptr) {
+        bk.keys[s] = key;
+        bk.items[s] = idx_.GetDirect(key);
+        std::memcpy(bytes.data() + b * sizeof(HostBucket), &bk, sizeof(bk));
+        return true;
+      }
+    }
+    return false;
+  }
+
+  Arena item_arena_;
+  SlabAllocator slab_;
+  Arena arena_;
+  CuckooIndex idx_;
+};
+
+TEST_F(CuckooAuditTest, ReportsAKeyStoredInBothCandidateBuckets) {
+  std::string err;
+  ASSERT_TRUE(idx_.AuditDirect(&err)) << err;
+  Key planted = kKeys;
+  for (const auto& [k, where] : Placement(idx_)) {
+    const auto [i1, i2] = idx_.CandidateBuckets(k);
+    ASSERT_TRUE(where.first == i1 || where.first == i2);
+    if (i1 != i2 && Plant(where.first == i1 ? i2 : i1, k)) {
+      planted = k;
+      break;
+    }
+  }
+  ASSERT_NE(planted, kKeys);
+  EXPECT_FALSE(idx_.AuditDirect(&err));
+  EXPECT_EQ(err, "cuckoo: duplicate key " + std::to_string(planted));
+}
+
+TEST_F(CuckooAuditTest, ReportsAKeyInANonCandidateBucket) {
+  // A stray copy outside the candidates: the copy in its own bucket still
+  // counts once among the candidate slots, and the stray one is caught by
+  // the candidate check.
+  const Key key = 7;
+  const auto [i1, i2] = idx_.CandidateBuckets(key);
+  uint64_t b = 0;
+  while (b == i1 || b == i2 || !Plant(b, key)) {
+    b++;
+    ASSERT_LT(b, idx_.num_buckets());
+  }
+  std::string err;
+  EXPECT_FALSE(idx_.AuditDirect(&err));
+  EXPECT_EQ(err, "cuckoo: key 7 in non-candidate bucket");
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 // verified with copy-out clients; μTPS-specific machinery (thread
 // reassignment, hot-set refresh) is exercised directly.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "harness/experiment.h"
 #include "index/cuckoo.h"
@@ -176,6 +181,84 @@ INSTANTIATE_TEST_SUITE_P(Systems, RoundTripTest,
                          [](const auto& info) {
                            return std::string(SystemName(info.param));
                          });
+
+// ------------------------------------------------- CR-MR ring residency
+
+// The CR-MR queue is all-to-all (W² rings), but a split only uses the rings
+// from a CR worker to an MR worker. Their host companions share one
+// zero-filled mapping, so an untuned run with a fixed split may make only the
+// companion pages of rings (p, c) with p < ncr <= c resident (DESIGN.md §13).
+TEST(MuTpsRings, OnlyRingsTheSplitUsesGetCompanionPages) {
+  constexpr unsigned kWorkers = 8;
+  constexpr unsigned kNcr = 3;
+  sim::MachineConfig mc;
+  mc.num_cores = kWorkers + 2;
+  sim::Arena arena(1ull << 30);
+  sim::MemoryModel mem(mc);
+  SlabAllocator slab(&arena);
+  CuckooIndex kv_index(&arena, 4096);
+  const uint64_t kKeys = 512;
+  for (Key k = 0; k < kKeys; k++) {
+    Item* it = slab.AllocateItem(k, 64);
+    std::memset(it->value(), 0, 64);
+    it->value_len = 64;
+    kv_index.InsertDirect(k, it);
+  }
+  sim::Engine eng;
+  sim::Nic nic(&eng, &mem, sim::NicConfig{}, 1);
+  ServerEnv env{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
+                .slab = &slab, .index = &kv_index,
+                .index_type = IndexType::kHash, .num_workers = kWorkers};
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = kNcr;
+  MuTpsServer server(env, opt);
+  server.Start();
+  constexpr int kClients = 8;
+  std::array<sim::ExecCtx, kClients> cli{};
+  std::array<bool, kClients> done{};
+  int failures = 0;
+  for (int i = 0; i < kClients; i++) {
+    cli[i].eng = &eng;
+    eng.Spawn(VerifyingClient(&cli[i], &nic, &server, kKeys, 200, &failures,
+                              &done[i]));
+  }
+  while (!std::all_of(done.begin(), done.end(), [](bool d) { return d; }) &&
+         eng.now() < 500 * kMsec) {
+    eng.Run(eng.now() + kMsec);
+  }
+  // The clients only drive traffic: they share keys, so concurrent puts may
+  // race their own read-backs (RoundTripTest checks the data).
+  ASSERT_TRUE(std::all_of(done.begin(), done.end(), [](bool d) { return d; }));
+  ASSERT_EQ(server.ncr(), kNcr);
+
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  unsigned used_with_pages = 0;
+  for (unsigned p = 0; p < kWorkers; p++) {
+    for (unsigned c = 0; c < kWorkers; c++) {
+      const std::span<const CrMrHostDesc> host = server.ring(p, c).HostDescs();
+      const auto start = reinterpret_cast<uintptr_t>(host.data());
+      const uintptr_t lo = (start + page - 1) & ~(page - 1);
+      const uintptr_t hi = (start + host.size_bytes()) & ~(page - 1);
+      ASSERT_LT(lo, hi);
+      std::vector<unsigned char> resident((hi - lo) / page);
+      ASSERT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()),
+                0);
+      const auto pages = static_cast<size_t>(
+          std::count_if(resident.begin(), resident.end(),
+                        [](unsigned char v) { return (v & 1) != 0; }));
+      if (p < kNcr && c >= kNcr) {
+        used_with_pages += pages > 0;
+      } else {
+        EXPECT_EQ(pages, 0u) << "ring (" << p << ", " << c << ")";
+      }
+    }
+  }
+  // Round-robin routing sent batches down every ring the split uses.
+  EXPECT_EQ(used_with_pages, kNcr * (kWorkers - kNcr));
+  server.Stop();
+  eng.Run(eng.now() + kMsec);
+}
 
 // --------------------------------------------------- μTPS thread movement
 
