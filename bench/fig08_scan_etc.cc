@@ -28,6 +28,7 @@ int main() {
         std::printf("%-14s%-14s%-14.2f%-14.2f%-14.2f\n", mix.name,
                     DisplayName(sys, IndexType::kTree), r.mops,
                     r.p50_ns / 1000.0, r.p99_ns / 1000.0);
+        PrintObsReport(r);
         std::fflush(stdout);
       }
     }
@@ -48,6 +49,7 @@ int main() {
         std::printf("%-14.0f%-14s%-14.2f%-14.2f%-14.2f\n", ratio * 100,
                     DisplayName(sys, IndexType::kTree), r.mops,
                     r.p50_ns / 1000.0, r.p99_ns / 1000.0);
+        PrintObsReport(r);
         std::fflush(stdout);
       }
     }

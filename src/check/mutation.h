@@ -41,6 +41,12 @@ enum class Mode : uint8_t {
   // and a CR worker that skipped a version forwards to an MR worker that has
   // already joined the CR layer — stuck ops or a failed quiesce audit.
   kPublishWithoutAcks = 5,
+  // MrProcessOne takes a forwarded GET's or scan's region from the MR
+  // worker's RespBuffer with Alloc instead of TryHold: nothing holds it, so
+  // the worker's later responses lap the cyclic buffer and overwrite it
+  // before the CR layer sends it (eight 8 KB scans fill the 64 KB buffer).
+  // The client reads another request's bytes.
+  kMrRegionWithoutHold = 6,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -103,12 +109,21 @@ inline bool PublishWithoutAcks() {
   g_fired++;
   return true;
 }
+
+inline bool MrRegionWithoutHold() {
+  if (g_mode != Mode::kMrRegionWithoutHold) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
 inline constexpr bool DropDedupWindow() { return false; }
 inline constexpr bool DropRingEpochCheck() { return false; }
 inline constexpr bool PublishWithoutAcks() { return false; }
+inline constexpr bool MrRegionWithoutHold() { return false; }
 #endif
 
 }  // namespace utps::mut

@@ -4,7 +4,7 @@
 //
 // Completion is piggybacked on the tail pointer: the MR consumer advances
 // `tail` only after every request in the slot has been processed and its
-// response bytes placed in the CR worker's response buffer; the CR producer
+// response bytes placed in the response region `resp` names; the CR producer
 // polls `tail` and then delivers the responses to clients.
 //
 // Modeled memory: the descriptor slots and head/tail words live in the arena
@@ -43,8 +43,11 @@ static_assert(sizeof(CrMrDesc) == 16, "descriptor layout");
 // the receive ring (RxRing::Msgs(rx_seq)[rec_idx]), which keeps it until the
 // response completes the record.
 struct CrMrHostDesc {
-  uint8_t* resp = nullptr;      // response payload target (CR's RespBuffer
-                                // or the receive record's own region)
+  // Response payload target. The CR layer sets the receive record's own
+  // region; the MR worker that runs a GET or a scan the CR layer wrote
+  // nothing for swaps in a region it holds in its own RespBuffer, which the
+  // CR layer releases when it sends the response.
+  uint8_t* resp = nullptr;
   const uint8_t* payload = nullptr;  // put payload within the rx slot
   uint64_t rx_seq = 0;          // receive slot to credit on completion
   uint16_t rec_idx = 0;         // record within the receive slot

@@ -97,15 +97,6 @@ uint8_t* MuTpsServer::RecordRegion(uint64_t rx_seq, unsigned rec_idx) const {
   return record_regions_ + record * kScanRespCap;
 }
 
-uint8_t* MuTpsServer::GetRegion(Worker& w, uint64_t rx_seq, unsigned rec_idx,
-                                uint32_t len) {
-  // The next RespBuffer region, unless the cyclic walk came round to a
-  // region whose response is still pending in the MR layer: then the
-  // record's own region.
-  uint8_t* p = w.resp->TryHold(len);
-  return p != nullptr ? p : RecordRegion(rx_seq, rec_idx);
-}
-
 void MuTpsServer::Start() {
   if (trc_ != nullptr) {
     for (unsigned i = 0; i < env_.num_workers; i++) {
@@ -351,7 +342,7 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
         // Already applied: replay an empty ack so the retry completes.
         const CrMrHostDesc ack{.rx_seq = rx_seq,
                                .rec_idx = static_cast<uint16_t>(rec_idx)};
-        SendResponse(w, ack);
+        SendResponse(w, ack, *w.resp);
       } else {
         // First copy still executing; swallow this one — the original's
         // response answers the rid.
@@ -403,11 +394,13 @@ Task<bool> MuTpsServer::CrHandleRecord(unsigned idx, uint64_t rx_seq,
              static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
                  static_cast<uint32_t>(rec_idx)};
   CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
-  if (op == OpType::kGet) {
-    hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
-    hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
-  } else if (op == OpType::kPut) {
+  if (op == OpType::kPut) {
     hd.payload = rx_->Data(rx_seq) + rec->payload_off;
+  } else if (op == OpType::kGet) {
+    // The MR worker answers from its own RespBuffer when it can
+    // (MrProcessOne); the record's region is the fallback.
+    hd.resp = RecordRegion(rx_seq, rec_idx);
+    hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
   } else {
     hd.resp = RecordRegion(rx_seq, rec_idx);
     hd.resp_cap = kScanRespCap;
@@ -474,7 +467,12 @@ Task<void> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
   CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
   if (rec.op() == OpType::kGet) {
     hd.resp_cap = std::min(rec.value_len() + 8, kMaxValueBytes);
-    hd.resp = GetRegion(w, rx_seq, rec_idx, hd.resp_cap);
+    // The next region of our own RespBuffer, unless the cyclic walk came
+    // round to a region still held: then the record's own region.
+    hd.resp = w.resp->TryHold(hd.resp_cap);
+    if (hd.resp == nullptr) {
+      hd.resp = RecordRegion(rx_seq, rec_idx);
+    }
     StageScope s(ctx, Stage::kData);
     hd.resp_len = co_await ItemRead(ctx, item, hd.resp);
     co_await ctx.Write(hd.resp, hd.resp_len);
@@ -490,10 +488,11 @@ Task<void> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
       co_await env_.wal->WaitDurable(ctx, tok);
     }
   }
-  SendResponse(w, hd);
+  SendResponse(w, hd, *w.resp);
 }
 
-void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd) {
+void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd,
+                               RespBuffer& held_in) {
   StageScope s(w.ctx, Stage::kRespond);
   w.ctx.Charge(env_.respond_cpu_ns);
   // The receive slot keeps the request until CompleteOne below.
@@ -507,7 +506,7 @@ void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd) {
   // Note: the CR layer never touches the response payload; the RNIC reads it
   // directly from the response buffer (§3.3 "Copying data items").
   env_.nic->ServerSend(w.ctx, msg, hd.resp, hd.resp_len + hd.resp_off);
-  w.resp->Release(hd.resp, hd.resp_cap);
+  held_in.Release(hd.resp, hd.resp_cap);
   rx_->CompleteOne(hd.rx_seq);
   w.ops++;
 }
@@ -597,7 +596,7 @@ Task<void> MuTpsServer::CrPollCompletions(unsigned idx) {
           co_await env_.wal->WaitDurable(
               ctx, wal::WalToken{host[i].wal_shard, host[i].wal_lsn});
         }
-        SendResponse(w, host[i]);
+        SendResponse(w, host[i], *resp_bufs_[t]);
       }
       w.outstanding -= slot->count;
       w.seen_tail[t]++;
@@ -743,7 +742,7 @@ Task<void> MuTpsServer::MrProcessSlot(ExecCtx& ctx, unsigned producer,
   // interleave at memory stalls.
   Task<void> tasks[CrMrRing::kMaxBatch];
   for (unsigned i = 0; i < cnt; i++) {
-    tasks[i] = MrProcessOne(ctx, slot->descs[i], &host[i]);
+    tasks[i] = MrProcessOne(ctx, consumer, slot->descs[i], &host[i]);
   }
   co_await sim::RunBatch(ctx, tasks, cnt);
   // Completion signal: advance the tail pointer only now that all responses
@@ -757,10 +756,22 @@ Task<void> MuTpsServer::MrProcessSlot(ExecCtx& ctx, unsigned producer,
   }
 }
 
-Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, CrMrDesc d,
-                                     CrMrHostDesc* hd) {
+Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
+                                     CrMrDesc d, CrMrHostDesc* hd) {
   const OpType op = static_cast<OpType>(d.op_len >> 28);
   const uint32_t vlen = d.op_len & 0x0fffffffu;
+  if (op != OpType::kPut && hd->resp_off == 0) {
+    // Answer from the consumer's own RespBuffer, warm in its cache, instead
+    // of the record's cold region. The producer releases the hold when it
+    // sends the response (CrPollCompletions). A scan whose hot items the CR
+    // layer already wrote keeps the record's region.
+    RespBuffer& buf = *resp_bufs_[consumer];
+    uint8_t* p = mut::MrRegionWithoutHold() ? buf.Alloc(hd->resp_cap)
+                                            : buf.TryHold(hd->resp_cap);
+    if (p != nullptr) {
+      hd->resp = p;
+    }
+  }
   if (op == OpType::kGet) {
     hd->resp_len = co_await ExecGet(ctx, env_, d.key, hd->resp);
   } else if (op == OpType::kPut) {
@@ -1141,6 +1152,11 @@ bool MuTpsServer::AuditQuiesced(std::string* err) const {
     if (wk.outstanding != 0) {
       return fail(who + " has " + std::to_string(wk.outstanding) +
                   " uncompleted forwarded requests at quiesce");
+    }
+    // Every held response region is released when its response is sent.
+    if (const uint32_t held = resp_bufs_[i]->HeldLines(); held != 0) {
+      return fail(who + "'s response buffer still holds " +
+                  std::to_string(held) + " lines at quiesce");
     }
   }
   return hot_->AuditEpochs(err);

@@ -124,9 +124,10 @@ class MuTpsServer final : public KvServer {
   // Quiesce audit (DST harness): with all clients done and the engine idle,
   // every CR-MR ring must show head == tail, every worker must have
   // acknowledged the current split and hold the role it assigns, all staged
-  // descriptors must be flushed, no forwarded request may be uncompleted, and
-  // the hot-set epoch bookkeeping must be consistent. Returns false with a
-  // description and a per-worker state table in `err`.
+  // descriptors must be flushed, no forwarded request may be uncompleted, no
+  // RespBuffer may still hold a region, and the hot-set epoch bookkeeping
+  // must be consistent. Returns false with a description and a per-worker
+  // state table in `err`.
   bool AuditQuiesced(std::string* err) const;
 
  private:
@@ -215,19 +216,21 @@ class MuTpsServer final : public KvServer {
   sim::Task<bool> CrHandleRecord(unsigned idx, uint64_t rx_seq, unsigned rec_idx);
   sim::Task<void> CrFlushStaging(unsigned idx, unsigned target);
   sim::Task<void> CrPollCompletions(unsigned idx);
-  void SendResponse(Worker& w, const CrMrHostDesc& hd);
-  // Response regions: the one receive record (rx_seq, rec_idx) owns, and the
-  // one a GET of `len` response bytes answers from.
+  // Sends hd's response and releases its region in `held_in`, the
+  // RespBuffer that held it (a region outside that buffer is not released).
+  void SendResponse(Worker& w, const CrMrHostDesc& hd, RespBuffer& held_in);
+  // The response region receive record (rx_seq, rec_idx) owns: the fallback
+  // when a RespBuffer has no free region.
   uint8_t* RecordRegion(uint64_t rx_seq, unsigned rec_idx) const;
-  uint8_t* GetRegion(Worker& w, uint64_t rx_seq, unsigned rec_idx,
-                     uint32_t len);
 
   // MR helpers. The slot processors take the execution context explicitly so
   // the manager-side health probe can substitute for a dead consumer (ring
-  // salvage) with its own context.
+  // salvage) with its own context; responses still go to the consumer's
+  // RespBuffer, where the producer releases them.
   sim::Task<void> MrProcessSlot(sim::ExecCtx& ctx, unsigned producer,
                                 unsigned consumer, uint64_t seq);
-  sim::Task<void> MrProcessOne(sim::ExecCtx& ctx, CrMrDesc d, CrMrHostDesc* hd);
+  sim::Task<void> MrProcessOne(sim::ExecCtx& ctx, unsigned consumer,
+                               CrMrDesc d, CrMrHostDesc* hd);
 
   // Fault tolerance (§3.5 reassignment reused for failover; DESIGN.md §9).
   sim::Fiber HealthProbeMain();

@@ -180,6 +180,15 @@ class HotSetManager {
       filters_[b].mask = FilterSlotsFor(0) - 1;
     }
     worker_epochs_.assign(num_workers, 0);
+    // One drain takes at most a full ring per worker, so a sampling period
+    // with one refresh never outgrows these (only tuner passes, which drain
+    // once per probed size, can). Reserving takes address space; pages
+    // become resident only as the vectors fill.
+    const size_t bound = size_t{num_workers} * SampleRing::kCapacity;
+    candidates_.reserve(bound);
+    const size_t dedup_cap = DedupCapacity(bound);
+    dedup_keys_.reserve(dedup_cap);
+    dedup_stamp_.reserve(dedup_cap);
   }
 
   // ---------------------------------------------------------- worker side
@@ -336,11 +345,12 @@ class HotSetManager {
  private:
   // Stamp-versioned open-addressing dedup set (no per-refresh clearing: a
   // stale slot is one whose stamp is not the current pass's).
+  static size_t DedupCapacity(size_t n) {
+    return std::bit_ceil(std::max<size_t>(16, 2 * n));
+  }
+
   void DedupBegin(size_t n) {
-    size_t cap = 16;
-    while (cap < 2 * n) {
-      cap <<= 1;
-    }
+    const size_t cap = DedupCapacity(n);
     if (cap > dedup_keys_.size()) {
       dedup_keys_.assign(cap, 0);
       dedup_stamp_.assign(cap, 0);

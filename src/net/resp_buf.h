@@ -4,6 +4,7 @@
 #ifndef UTPS_NET_RESP_BUF_H_
 #define UTPS_NET_RESP_BUF_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -32,11 +33,12 @@ class RespBuffer {
     return p;
   }
 
-  // For callers whose responses stay pending across later allocations (the
-  // μTPS CR layer, whose forwarded requests wait on the MR layer): takes the
-  // region Alloc would and holds it until Release, or returns nullptr if it
-  // overlaps a region still held. Either way the cursor moves as Alloc's
-  // does, so only the overlapping requests see different addresses.
+  // For callers whose responses stay pending across later allocations (a
+  // μTPS MR worker, whose responses wait for the CR layer to send them):
+  // takes the region Alloc would and holds it until Release, or returns
+  // nullptr if it overlaps a region still held. Either way the cursor moves
+  // as Alloc's does, so only the overlapping requests see different
+  // addresses.
   uint8_t* TryHold(uint32_t len) {
     uint8_t* p = Alloc(len);
     const uint32_t first = LineOf(p);
@@ -50,6 +52,15 @@ class RespBuffer {
       held_[l / 64] |= uint64_t{1} << (l % 64);
     }
     return p;
+  }
+
+  // Lines currently held by TryHold (a quiesced server holds none).
+  uint32_t HeldLines() const {
+    uint32_t n = 0;
+    for (uint64_t word : held_) {
+      n += static_cast<uint32_t>(std::popcount(word));
+    }
+    return n;
   }
 
   // Releases a TryHold region; `p` outside this buffer is ignored.

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "hotset/hotset.h"
 #include "index/btree.h"
 #include "index/cuckoo.h"
 #include "sim/sync.h"
@@ -185,6 +186,34 @@ TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
   EXPECT_EQ(res.cache_items, 0u);
   EXPECT_EQ(res.measure_allocs, 0u)
       << "steady-state heap allocations crept back into the measure phase";
+}
+
+// A hot-set refresh allocates nothing however fast the CR layer samples:
+// one drain takes at most a full ring per worker, and the candidate list
+// and its dedup table are reserved to that bound when the manager is built.
+// A refresh after a quiet period, then one after every ring filled up.
+TEST(AllocRegression, HotSetRefreshAtFullRingsIsAllocationFree) {
+  constexpr unsigned kWorkers = 28;
+  constexpr uint32_t kHot = 1000;
+  sim::Arena arena(16ull << 20);
+  HotSetManager hot(&arena, kWorkers);
+  const auto resolve = [](Key) -> Item* { return nullptr; };
+  for (Key k = 0; k < 2 * kHot; k++) {
+    hot.Ring(0).Push(k);
+  }
+  hot.DrainSamples();
+  hot.BuildAndPublish(kHot, resolve);
+  hot.DecaySketch();
+  const uint64_t before = AllocProbe();
+  Key next = 0;
+  for (unsigned w = 0; w < kWorkers; w++) {
+    for (uint32_t i = 0; i < SampleRing::kCapacity; i++) {
+      hot.Ring(w).Push(next++);
+    }
+  }
+  EXPECT_EQ(hot.DrainSamples(), kWorkers * SampleRing::kCapacity);
+  hot.BuildAndPublish(kHot, resolve);
+  EXPECT_EQ(AllocProbe() - before, 0u);
 }
 
 // The index audit runs after every kvbench leg: an O(keys) set on the heap

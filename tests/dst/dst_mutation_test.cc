@@ -26,6 +26,11 @@
 //     Under the split storm workers jump versions and forward to workers
 //     that already left the MR layer: caught as stuck ops or as a quiesce
 //     audit that finds a worker off the handshake.
+//  6. kMrRegionWithoutHold — a μTPS MR worker takes a forwarded request's
+//     response region from its RespBuffer without holding it. With more than
+//     eight 8 KB scans in flight the cyclic buffer laps a response the CR
+//     layer has not sent yet, and the client reads another scan's bytes:
+//     caught by the checker as a corrupt or non-linearizable scan.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
@@ -120,6 +125,22 @@ DstConfig SplitStormConfig(uint64_t seed) {
   return cfg;
 }
 
+// dst_test's ScanMixDeepInFlight cell: 32 clients, 70% scans, so an MR
+// worker answers more scans than its 64 KB RespBuffer has 8 KB regions
+// before the CR layer sends the first.
+DstConfig ScanDeepConfig(uint64_t seed) {
+  DstConfig cfg;
+  cfg.sys = Sys::kMuTpsT;
+  cfg.mix = Mix{0.0, 0.3, 0.0, 0.7};
+  cfg.seed = seed;
+  cfg.jitter_ns = seed % 2 == 0 ? 0 : 48;
+  cfg.num_keys = 4096;
+  cfg.clients = 32;
+  cfg.ops_per_client = 40;
+  cfg.scan_len_avg = 8;
+  return cfg;
+}
+
 constexpr uint64_t kSeedBudget = 12;
 
 TEST(DstMutation, ControlRunsPass) {
@@ -138,6 +159,9 @@ TEST(DstMutation, ControlRunsPass) {
   // With the acknowledgement wait armed, the split storm is clean.
   const DstResult e = RunDst(SplitStormConfig(1));
   EXPECT_TRUE(e.ok) << e.error;
+  // With MR response regions held, deep scan traffic is clean.
+  const DstResult f = RunDst(ScanDeepConfig(1));
+  EXPECT_TRUE(f.ok) << f.error;
 }
 
 TEST(DstMutation, DropSeqlockBumpCaught) {
@@ -245,6 +269,27 @@ TEST(DstMutation, PublishWithoutAcksCaught) {
   mut::Reset(mut::Mode::kNone);
   EXPECT_TRUE(caught)
       << "split published without acknowledgements survived " << kSeedBudget
+      << " seeds";
+}
+
+TEST(DstMutation, MrRegionWithoutHoldCaught) {
+  mut::Reset(mut::Mode::kMrRegionWithoutHold);
+  bool caught = false;
+  for (uint64_t seed = 1; seed <= kSeedBudget && !caught; seed++) {
+    const DstConfig cfg = ScanDeepConfig(seed);
+    const DstResult r = RunDst(cfg);
+    ASSERT_GT(mut::g_fired, 0u) << "no MR response region taken";
+    if (!r.ok) {
+      caught = true;
+      // Overwritten responses still leave: the failure must come from the
+      // checker's scan rules, not a hang.
+      EXPECT_NE(r.error.find("scan"), std::string::npos)
+          << "unexpected failure mode: " << r.error;
+    }
+  }
+  mut::Reset(mut::Mode::kNone);
+  EXPECT_TRUE(caught)
+      << "MR response regions taken without a hold survived " << kSeedBudget
       << " seeds";
 }
 
