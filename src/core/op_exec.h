@@ -61,17 +61,14 @@ inline sim::Task<void> ExecPut(sim::ExecCtx& ctx, const ServerEnv& env, Key key,
   ItemWriteDirect(fresh, payload, len);
   ctx.Charge(30);  // allocator cost
   co_await ctx.Write(fresh, sizeof(Item) + len);
+  sim::StageScope si(ctx, sim::Stage::kIndex);
   if (it != nullptr) {
-    sim::StageScope si(ctx, sim::Stage::kIndex);
     co_await env.index->CoErase(ctx, key);
-    const bool ok = co_await env.index->CoInsert(ctx, key, fresh);
-    (void)ok;
-  } else {
-    sim::StageScope si(ctx, sim::Stage::kIndex);
-    const bool ok = co_await env.index->CoInsert(ctx, key, fresh);
-    if (!ok) {
-      env.slab->FreeItem(fresh);  // lost the race; treat as satisfied update
-    }
+  }
+  // An insert fails only when the key is present: a concurrent PUT of the
+  // same key inserted it first, and this PUT is ordered before that one.
+  if (!co_await env.index->CoInsert(ctx, key, fresh)) {
+    env.slab->FreeItem(fresh);
   }
 }
 

@@ -188,7 +188,7 @@ void TestBed::Populate() {
   }
   if (index_type_ == IndexType::kHash) {
     auto idx = std::make_unique<CuckooIndex>(arena_.get(), n + n / 4, seed_);
-    UTPS_CHECK(idx->PopulateDirect(items));
+    idx->PopulateDirect(items);
     index_ = std::move(idx);
   } else {
     auto idx = std::make_unique<BTreeIndex>(arena_.get());

@@ -1,7 +1,10 @@
 #include "index/cuckoo.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
+#include <utility>
 
 namespace utps {
 
@@ -10,18 +13,18 @@ constexpr sim::Tick kBucketCpuNs = 20;
 
 namespace {
 
-uint64_t NextPow2(uint64_t v) {
-  if (v < 2) {
-    return 2;
-  }
-  return std::bit_ceil(v);
+// The smallest power-of-two bucket count (at least 2) whose load at
+// `capacity_items` is at most kMaxLoad.
+uint64_t BucketsFor(uint64_t capacity_items, unsigned slots, double max_load) {
+  const auto min_buckets = static_cast<uint64_t>(
+      std::ceil(static_cast<double>(capacity_items) / (slots * max_load)));
+  return std::bit_ceil(std::max<uint64_t>(min_buckets, 2));
 }
 
 }  // namespace
 
 CuckooIndex::CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed)
-    // 4 slots per bucket; load factor <= 0.4 at capacity (see cuckoo.h).
-    : nbuckets_(NextPow2(capacity_items / 2 + capacity_items / 8 + 4)),
+    : nbuckets_(BucketsFor(capacity_items, kSlots, kMaxLoad)),
       mask_(nbuckets_ - 1),
       hash_seed_(seed),
       modeled_(arena->AllocateArray<uint8_t>(nbuckets_ * kModeledBucketBytes,
@@ -55,11 +58,7 @@ Item* CuckooIndex::GetDirect(Key key) const {
   return s >= 0 ? buckets_[i2].items[s] : nullptr;
 }
 
-bool CuckooIndex::InsertDirect(Key key, Item* item) {
-  return InsertDirectInternal(key, item, 0);
-}
-
-bool CuckooIndex::PopulateDirect(std::span<Item* const> items) {
+void CuckooIndex::PopulateDirect(std::span<Item* const> items) {
   UTPS_CHECK(size_ == 0);
   const uint64_t n = items.size();
   for (Key k = 0; k < n; k++) {
@@ -81,17 +80,13 @@ bool CuckooIndex::PopulateDirect(std::span<Item* const> items) {
       b.keys[s] = k;
       b.items[s] = items[k];
       size_++;
-    } else if (!InsertDirect(k, items[k])) {
-      return false;
+    } else {
+      InsertDirect(k, items[k]);
     }
   }
-  return true;
 }
 
-bool CuckooIndex::InsertDirectInternal(Key key, Item* item, unsigned depth) {
-  if (depth > kMaxKicks) {
-    return false;
-  }
+bool CuckooIndex::InsertDirect(Key key, Item* item) {
   const uint64_t h = Hash(key);
   const uint64_t i1 = Index1(h);
   const uint64_t i2 = Index2(i1, h);
@@ -99,38 +94,29 @@ bool CuckooIndex::InsertDirectInternal(Key key, Item* item, unsigned depth) {
     return false;  // already present
   }
   int s = FreeSlot(buckets_[i1]);
-  uint64_t target = i1;
+  uint64_t b = i1;
   if (s < 0) {
     s = FreeSlot(buckets_[i2]);
-    target = i2;
+    b = i2;
   }
-  if (s >= 0) {
-    buckets_[target].keys[s] = key;
-    buckets_[target].items[s] = item;
-    size_++;
-    return true;
+  // Both full: a random walk. The homeless entry takes a random slot of b,
+  // and the entry it evicts becomes homeless and heads for its other bucket.
+  for (unsigned kick = 0; s < 0; kick++) {
+    // Past the kick budget the table is fuller than it was sized for.
+    UTPS_CHECK_MSG(kick < kMaxKicks,
+                   "cuckoo: %u kicks without a free slot at %llu/%llu slots",
+                   kMaxKicks, static_cast<unsigned long long>(size_),
+                   static_cast<unsigned long long>(nbuckets_ * kSlots));
+    const unsigned vs = static_cast<unsigned>(rng_.NextBounded(kSlots));
+    std::swap(key, buckets_[b].keys[vs]);
+    std::swap(item, buckets_[b].items[vs]);
+    b = AltBucket(key, b);
+    s = FreeSlot(buckets_[b]);
   }
-  // Both buckets full: evict a random victim from i2 and reinsert it (the
-  // recursion relocates it to its alternate bucket, possibly cascading).
-  const unsigned vs = static_cast<unsigned>(rng_.NextBounded(kSlots));
-  const Key vkey = buckets_[i2].keys[vs];
-  Item* vitem = buckets_[i2].items[vs];
-  buckets_[i2].keys[vs] = key;
-  buckets_[i2].items[vs] = item;
+  buckets_[b].keys[s] = key;
+  buckets_[b].items[s] = item;
   size_++;
-  // Reinsert the victim, preferring its alternate bucket.
-  const uint64_t vh = Hash(vkey);
-  const uint64_t vi1 = Index1(vh);
-  const uint64_t vi2 = Index2(vi1, vh);
-  const uint64_t valt = (vi1 == i2) ? vi2 : vi1;
-  int fs = FreeSlot(buckets_[valt]);
-  if (fs >= 0) {
-    buckets_[valt].keys[fs] = vkey;
-    buckets_[valt].items[fs] = vitem;
-    return true;
-  }
-  size_--;  // the recursive call re-increments on success
-  return InsertDirectInternal(vkey, vitem, depth + 1);
+  return true;
 }
 
 bool CuckooIndex::EraseDirect(Key key) {
@@ -225,7 +211,7 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
   const uint64_t h = Hash(key);
   const uint64_t i1 = Index1(h);
   const uint64_t i2 = Index2(i1, h);
-  for (unsigned attempt = 0; attempt < 64; attempt++) {
+  for (;;) {
     co_await LockPair(ctx, i1, i2);
     Bucket& b1 = buckets_[i1];
     Bucket& b2 = buckets_[i2];
@@ -252,57 +238,117 @@ sim::Task<bool> CuckooIndex::CoInsert(sim::ExecCtx& ctx, Key key, Item* item) {
       UnlockPair(ctx, i1, i2);
       co_return true;
     }
-    // Both full: find a relocatable entry — some slot in i1 or i2 whose
-    // alternate bucket has space (depth-1 BFS is sufficient below the sizing
-    // load factor).
-    uint64_t src = 0;
-    uint64_t dst = 0;
-    int src_slot = -1;
-    for (uint64_t b : {i1, i2}) {
-      for (unsigned sl = 0; sl < kSlots && src_slot < 0; sl++) {
-        const Key k = buckets_[b].keys[sl];
-        const uint64_t kh = Hash(k);
-        const uint64_t k1 = Index1(kh);
-        const uint64_t alt = (k1 == b) ? Index2(k1, kh) : k1;
-        if (alt == i1 || alt == i2) {
-          continue;
-        }
-        co_await ctx.Read(Modeled(alt), kProbeBytes);
-        if (FreeSlot(buckets_[alt]) >= 0) {
-          src = b;
-          dst = alt;
-          src_slot = static_cast<int>(sl);
-        }
-      }
-      if (src_slot >= 0) {
-        break;
-      }
-    }
+    // Both full: shift entries along a cuckoo path to free a slot in i1 or
+    // i2, then retry the placement. Below kMaxLoad a path of kMaxPathLen
+    // buckets always exists.
+    const CuckooPath path = co_await SearchPath(ctx, i1, i2);
     UnlockPair(ctx, i1, i2);
-    if (src_slot < 0) {
-      co_return false;  // no space within depth-1 BFS
+    UTPS_CHECK_MSG(path.len > 0,
+                   "cuckoo: no path of %u buckets for key %llu at %llu/%llu slots",
+                   kMaxPathLen, static_cast<unsigned long long>(key),
+                   static_cast<unsigned long long>(size_),
+                   static_cast<unsigned long long>(nbuckets_ * kSlots));
+    co_await MovePath(ctx, path);
+  }
+}
+
+// Breadth-first from i1 and i2 (both full, their stripes held by the caller)
+// to the nearest bucket with a free slot. Each bucket it reaches costs one
+// probe read, which also yields the keys that expanding that bucket needs.
+// The first level is a depth-1 search (each entry of i1, then of i2, probes
+// its other bucket), so an insert that one move serves reads exactly what a
+// depth-1 search reads; deeper levels run only where that finds no room.
+// Buckets other than i1 and i2 are read unlocked: MovePath re-validates.
+sim::Task<CuckooIndex::CuckooPath> CuckooIndex::SearchPath(sim::ExecCtx& ctx,
+                                                           uint64_t i1,
+                                                           uint64_t i2) {
+  // A bucket the search may move an entry out of: levels 0 .. kMaxPathLen - 2
+  // of the search tree, at most 2 * kSlots^d buckets at level d.
+  struct Node {
+    uint64_t bucket : 48;
+    uint64_t parent : 8;  // nodes[] index of the bucket this entry moves from
+    uint64_t slot : 8;    // the parent slot whose entry moves here
+  };
+  static constexpr unsigned kMaxNodes = 2 * (1 + 4 + 16 + 64);
+  static_assert(kSlots == 4 && kMaxPathLen == 5 && kMaxNodes <= 256,
+                "kMaxNodes counts levels 0..3 of a 4-ary search from 2 roots");
+  Node nodes[kMaxNodes];
+  nodes[0] = {i1, 0, 0};
+  nodes[1] = {i2, 0, 0};
+  unsigned n = 2;
+  unsigned depth = 0;  // of nodes[head]
+  unsigned level_end = n;
+  for (unsigned head = 0; head < n; head++) {
+    if (head == level_end) {
+      depth++;
+      level_end = n;
     }
-    // Relocate src_slot from src to dst under pair locks, re-validating.
+    const uint64_t b = nodes[head].bucket;
+    for (unsigned sl = 0; sl < kSlots; sl++) {
+      if (buckets_[b].items[sl] == nullptr) {
+        continue;  // emptied since it was probed
+      }
+      const uint64_t alt = AltBucket(buckets_[b].keys[sl], b);
+      if (alt == i1 || alt == i2) {
+        continue;
+      }
+      co_await ctx.Read(Modeled(alt), kProbeBytes);
+      if (FreeSlot(buckets_[alt]) >= 0) {
+        CuckooPath path;
+        path.len = depth + 2;
+        path.bucket[depth + 1] = alt;
+        unsigned at = head;
+        unsigned from = sl;
+        for (unsigned d = depth + 1; d-- > 0;) {
+          path.bucket[d] = nodes[at].bucket;
+          path.slot[d] = from;
+          from = nodes[at].slot;
+          at = nodes[at].parent;
+        }
+        co_return path;
+      }
+      if (depth + 3 <= kMaxPathLen) {
+        nodes[n++] = {alt, head, sl};
+      }
+    }
+  }
+  co_return CuckooPath{};
+}
+
+// Moves the path's entries one step each, from its far end back to
+// bucket[0], under the pair lock of each step's two buckets. A step first
+// re-validates what the search saw: the entry is still there and still
+// belongs in the next bucket, which still has a free slot. A failed check
+// ends the walk; the moves made so far are valid relocations by themselves,
+// and CoInsert searches again.
+sim::Task<void> CuckooIndex::MovePath(sim::ExecCtx& ctx, const CuckooPath& path) {
+  for (unsigned d = path.len - 1; d-- > 0;) {
+    const uint64_t src = path.bucket[d];
+    const uint64_t dst = path.bucket[d + 1];
+    const unsigned ss = path.slot[d];
     co_await LockPair(ctx, src, dst);
     Bucket& sb = buckets_[src];
     Bucket& db = buckets_[dst];
     const int fs = FreeSlot(db);
-    if (fs >= 0 && sb.items[src_slot] != nullptr) {
+    const bool valid = fs >= 0 && sb.items[ss] != nullptr &&
+                       AltBucket(sb.keys[ss], src) == dst;
+    if (valid) {
       db.version++;
-      db.keys[fs] = sb.keys[src_slot];
-      db.items[fs] = sb.items[src_slot];
+      db.keys[fs] = sb.keys[ss];
+      db.items[fs] = sb.items[ss];
       db.version++;
       sb.version++;
-      sb.items[src_slot] = nullptr;
-      sb.keys[src_slot] = 0;
+      sb.items[ss] = nullptr;
+      sb.keys[ss] = 0;
       sb.version++;
       co_await ctx.Write(Modeled(dst), kModeledBucketBytes);
       co_await ctx.Write(Modeled(src), kModeledBucketBytes);
     }
     UnlockPair(ctx, src, dst);
-    // Loop retries the placement with the freed slot.
+    if (!valid) {
+      co_return;
+    }
   }
-  co_return false;
 }
 
 sim::Task<bool> CuckooIndex::CoErase(sim::ExecCtx& ctx, Key key) {

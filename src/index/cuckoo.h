@@ -1,6 +1,8 @@
 // Concurrent cuckoo hash table (libcuckoo-flavoured): 2 candidate buckets per
 // key, 4 slots per bucket, optimistic bucket-version reads, striped spinlocks
-// for mutations, bounded random-walk eviction for inserts.
+// for mutations. Simulated inserts make room along a breadth-first cuckoo
+// path of at most kMaxPathLen buckets, as libcuckoo does; host-plane inserts
+// use a bounded random walk.
 //
 // Modeled layout vs host storage (DESIGN.md §13): the modeled table is
 // libcuckoo's, one 128 B bucket per two cachelines with {version, keys[4]} on
@@ -27,12 +29,16 @@ namespace utps {
 
 class CuckooIndex final : public KvIndex {
  public:
-  // `capacity_items` is the expected maximum item count. The table gets
-  // NextPow2(5/8 * capacity_items) buckets of 4 slots and never resizes, so
-  // its load factor at capacity is at most 0.4, and the power-of-two round-up
-  // often leaves it far lower: a 2M-key TestBed (capacity 2.5M) gets 2^21
-  // buckets at load 0.24, 256 MB modeled and 144 MB on the host
-  // (DESIGN.md §7).
+  // The load factor (items / slots) the table is sized for. An insert below
+  // it always finds room; one that does not is a broken invariant and aborts,
+  // so a false return from an insert only ever means "already present".
+  static constexpr double kMaxLoad = 0.75;
+
+  // `capacity_items` is the expected maximum item count. The table gets the
+  // smallest power-of-two number of 4-slot buckets whose load at
+  // `capacity_items` is at most kMaxLoad, and never resizes. A 2M-key TestBed
+  // (capacity 2.5M) gets 2^20 buckets at load 0.48 after populate: 128 MB
+  // modeled and 72 MB on the host.
   CuckooIndex(sim::Arena* arena, uint64_t capacity_items, uint64_t seed = 1);
 
   Item* GetDirect(Key key) const override;
@@ -41,8 +47,8 @@ class CuckooIndex final : public KvIndex {
   // the same table, byte for byte, as an InsertDirect loop. It skips the
   // duplicate probes (every key is new) and, while inserting key k,
   // prefetches the first candidate bucket of key k + kPopulateAhead, a
-  // host-side hint that issues no modeled access. False if an insert failed.
-  bool PopulateDirect(std::span<Item* const> items);
+  // host-side hint that issues no modeled access.
+  void PopulateDirect(std::span<Item* const> items);
   bool EraseDirect(Key key) override;
   uint64_t SizeDirect() const override { return size_; }
   bool AuditDirect(std::string* err) const override;
@@ -87,6 +93,10 @@ class CuckooIndex final : public KvIndex {
   static constexpr unsigned kSlots = 4;
   static constexpr unsigned kNumStripes = 4096;
   static constexpr unsigned kMaxKicks = 256;
+  // Longest cuckoo path CoInsert searches, in buckets: the first is one of
+  // the key's candidates, the last has a free slot, so at most
+  // kMaxPathLen - 1 entries move (libcuckoo's MAX_BFS_PATH_LEN).
+  static constexpr unsigned kMaxPathLen = 5;
   // PopulateDirect's prefetch distance in keys: far enough ahead that a
   // bucket's DRAM miss overlaps the inserts in between.
   static constexpr uint64_t kPopulateAhead = 16;
@@ -120,6 +130,12 @@ class CuckooIndex final : public KvIndex {
   uint64_t Index2(uint64_t i1, uint64_t h) const {
     const uint64_t fp = (h >> 48) | 1;  // non-zero fingerprint
     return (i1 ^ Mix64(fp)) & mask_;
+  }
+  // The other candidate bucket of `key`, which sits in bucket b.
+  uint64_t AltBucket(Key key, uint64_t b) const {
+    const uint64_t h = Hash(key);
+    const uint64_t k1 = Index1(h);
+    return k1 == b ? Index2(k1, h) : k1;
   }
 
   sim::SimSpinlock& StripeLock(uint64_t bucket) {
@@ -157,7 +173,16 @@ class CuckooIndex final : public KvIndex {
   sim::Task<void> LockPair(sim::ExecCtx& ctx, uint64_t b1, uint64_t b2);
   void UnlockPair(sim::ExecCtx& ctx, uint64_t b1, uint64_t b2);
 
-  bool InsertDirectInternal(Key key, Item* item, unsigned depth);
+  // A cuckoo path: moving the entry in slot[d] of bucket[d] to bucket[d + 1],
+  // for d from len - 2 down to 0, frees slot[0] of bucket[0], a candidate of
+  // the key being inserted. bucket[len - 1] had a free slot when searched.
+  struct CuckooPath {
+    uint64_t bucket[kMaxPathLen];
+    unsigned slot[kMaxPathLen];
+    unsigned len = 0;
+  };
+  sim::Task<CuckooPath> SearchPath(sim::ExecCtx& ctx, uint64_t i1, uint64_t i2);
+  sim::Task<void> MovePath(sim::ExecCtx& ctx, const CuckooPath& path);
 
   const uint64_t nbuckets_;
   const uint64_t mask_;

@@ -52,7 +52,9 @@ class KvIndex {
   // -------------------------------------------------------- simulated plane
   // Returns the item pointer or nullptr.
   virtual sim::Task<Item*> CoGet(sim::ExecCtx& ctx, Key key) = 0;
-  // Insert-if-absent; returns false if the key already exists or no space.
+  // Insert-if-absent; returns false only if the key already exists. An index
+  // that runs out of room aborts instead: a PUT is never acknowledged without
+  // its key.
   virtual sim::Task<bool> CoInsert(sim::ExecCtx& ctx, Key key, Item* item) = 0;
   virtual sim::Task<bool> CoErase(sim::ExecCtx& ctx, Key key) = 0;
 

@@ -526,14 +526,14 @@ TEST(DstCluster, DigestsMatchCommitted) {
     uint64_t migrations;
     uint64_t final_epoch;
   } cells[] = {
-      {"failover", FailoverCell(42), 0x67d193a461d623fcULL, 160, 18, 2, 0, 3},
-      {"migration loss+dup", MigrationCell(42), 0x4c1521695f5dc92fULL, 160, 8,
+      {"failover", FailoverCell(42), 0x04b36e94cedd88edULL, 160, 18, 2, 0, 3},
+      {"migration loss+dup", MigrationCell(42), 0xd3c1812fddf4ced6ULL, 160, 8,
        1, 1, 2},
-      {"partition-heal", PartitionCell(42), 0x3ca21774eda622e4ULL, 160, 17, 3,
+      {"partition-heal", PartitionCell(42), 0xfb018fabf934db6cULL, 160, 17, 3,
        0, 4},
-      {"rebalancer", RebalancerCell(42), 0xf2116f49609fe329ULL, 240, 0, 0, 0,
+      {"rebalancer", RebalancerCell(42), 0x7cb0befe7029afa1ULL, 240, 0, 0, 0,
        1},
-      {"hot-shift", HotShiftCell(42), 0xe69895fe30438d09ULL, 9600, 4, 1, 2, 3},
+      {"hot-shift", HotShiftCell(42), 0x46b323cb60106258ULL, 9600, 3, 2, 4, 5},
   };
   for (const auto& c : cells) {
     const DstClusterResult r = RunDstCluster(c.cfg);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -379,7 +380,7 @@ void ExpectPopulateMatchesInsertLoop(uint64_t capacity, uint64_t n) {
     ASSERT_TRUE(loop.InsertDirect(k, items[k])) << k;
   }
   CuckooIndex bulk(&bulk_arena, capacity, /*seed=*/3);
-  ASSERT_TRUE(bulk.PopulateDirect(items));
+  bulk.PopulateDirect(items);
   ASSERT_EQ(bulk.SizeDirect(), n);
   const std::span<const uint8_t> a = loop.HostBytes();
   const std::span<const uint8_t> b = bulk.HostBytes();
@@ -405,7 +406,104 @@ TEST(CuckooPopulate, MatchesInsertLoopAtTestBedSizing) {
 TEST(CuckooPopulate, MatchesInsertLoopWithKicks) {
   // 64 buckets x 4 slots loaded to 0.78: far past the first full bucket pair,
   // so inserts evict and relocate victims (and draw from the kick RNG).
-  ExpectPopulateMatchesInsertLoop(64, 200);
+  ExpectPopulateMatchesInsertLoop(192, 200);
+}
+
+// The sizing rule: the smallest power-of-two bucket count whose load at the
+// capacity is at most kMaxLoad.
+TEST(CuckooSizing, SmallestPowerOfTwoAtMaxLoad) {
+  struct Case {
+    uint64_t capacity;
+    uint64_t buckets;
+  };
+  const Case cases[] = {
+      {2'500'000, 1u << 20},  // 2 M-key TestBed: load 0.48 after populate
+      {250'000, 1u << 17},    // 200 k-key TestBed
+      {2112, 1024},           // a cluster shard index
+      {3072, 1024},           // exactly kMaxLoad (CuckooLayout)
+      {3073, 2048},
+      {192, 64},              // MatchesInsertLoopWithKicks
+      {0, 2},
+  };
+  for (const Case& c : cases) {
+    Arena arena(512ull << 20);
+    CuckooIndex idx(&arena, c.capacity);
+    EXPECT_EQ(idx.num_buckets(), c.buckets) << c.capacity;
+    const double load = static_cast<double>(c.capacity) / (4 * idx.num_buckets());
+    EXPECT_LE(load, CuckooIndex::kMaxLoad) << c.capacity;
+    if (c.buckets > 2) {  // half as many buckets would be too few
+      EXPECT_GT(2 * load, CuckooIndex::kMaxLoad) << c.capacity;
+    }
+  }
+}
+
+// Host-plane inserts fill a table to its sizing load within the kick
+// budget: a 2^17-bucket table populated straight to kMaxLoad.
+TEST(CuckooFill, PopulateReachesMaxLoad) {
+  constexpr uint64_t kCapacity = 3 << 17;  // load kMaxLoad on 2^17 buckets
+  Arena item_arena(kCapacity * 128 + (1 << 20));
+  SlabAllocator slab(&item_arena);
+  std::vector<Item*> items(kCapacity);
+  for (Key k = 0; k < kCapacity; k++) {
+    items[k] = slab.AllocateItem(k, 8);
+  }
+  Arena arena(64ull << 20);
+  CuckooIndex idx(&arena, kCapacity, /*seed=*/11);
+  ASSERT_EQ(idx.num_buckets(), 1u << 17);
+  idx.PopulateDirect(items);
+  EXPECT_EQ(idx.SizeDirect(), kCapacity);
+  std::string err;
+  EXPECT_TRUE(idx.AuditDirect(&err)) << err;
+}
+
+Fiber CuckooInsertFiber(ExecCtx* ctx, CuckooIndex* idx, std::span<Item* const> items,
+                        int* failed) {
+  for (Item* it : items) {
+    *failed += !(co_await idx->CoInsert(*ctx, it->key, it));
+  }
+}
+
+// Simulated inserts fill a table to its sizing load without a failure: a
+// 2^17-bucket table populated to load 0.5, then filled to kMaxLoad by four
+// concurrent inserters. Past load 0.65 one relocation does not always free a
+// slot, so this needs the multi-step path search.
+TEST(CuckooFill, CoInsertsReachMaxLoadWithoutFailure) {
+  constexpr uint64_t kBuckets = 1u << 17;
+  constexpr uint64_t kCapacity = 3 * kBuckets;  // load kMaxLoad
+  constexpr uint64_t kPopulated = 2 * kBuckets;  // load 0.5
+  constexpr int kInserters = 4;
+  static_assert(CuckooIndex::kMaxLoad == 0.75);
+  Arena item_arena(kCapacity * 128 + (1 << 20));
+  SlabAllocator slab(&item_arena);
+  std::vector<Item*> items(kCapacity);
+  for (Key k = 0; k < kCapacity; k++) {
+    items[k] = slab.AllocateItem(k, 8);
+  }
+  Arena arena(64ull << 20);
+  CuckooIndex idx(&arena, kCapacity, /*seed=*/11);
+  ASSERT_EQ(idx.num_buckets(), kBuckets);
+  idx.PopulateDirect({items.data(), kPopulated});
+
+  MachineConfig cfg;
+  cfg.num_cores = kInserters;
+  MemoryModel mem(cfg);
+  Engine eng;
+  ExecCtx ctxs[kInserters];
+  int failed = 0;
+  const uint64_t per = (kCapacity - kPopulated) / kInserters;
+  for (int t = 0; t < kInserters; t++) {
+    ctxs[t] = ExecCtx{.eng = &eng, .mem = &mem, .core = static_cast<sim::CoreId>(t)};
+    eng.Spawn(CuckooInsertFiber(
+        &ctxs[t], &idx, {items.data() + kPopulated + t * per, per}, &failed));
+  }
+  eng.RunToQuiescence(100 * kSec);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(idx.SizeDirect(), kCapacity);
+  std::string err;
+  EXPECT_TRUE(idx.AuditDirect(&err)) << err;
+  for (Key k = 0; k < kCapacity; k++) {
+    ASSERT_EQ(idx.GetDirect(k), items[k]) << k;
+  }
 }
 
 // The cuckoo table's modeled layout is libcuckoo's 128 B bucket, while the
@@ -457,9 +555,9 @@ Fiber CuckooGetFiber(ExecCtx* ctx, CuckooIndex* idx, Key key, Item** out) {
 }
 
 TEST(CuckooLayout, ModeledRangeUntouchedAndHotInCacheModel) {
-  constexpr uint64_t kCapacity = 1600;  // 1024 buckets, 128 KB modeled
+  constexpr uint64_t kCapacity = 3072;  // 1024 buckets, 128 KB modeled
   constexpr Key kPopulated = 2800;      // load 0.68: kicks and relocations
-  constexpr Key kFresh = 400;
+  constexpr Key kFresh = kCapacity - kPopulated;  // fill to capacity
   Arena item_arena(8ull << 20);
   SlabAllocator slab(&item_arena);
   std::vector<Item*> items(kPopulated);
@@ -476,7 +574,7 @@ TEST(CuckooLayout, ModeledRangeUntouchedAndHotInCacheModel) {
   ASSERT_EQ(idx.num_buckets(), 1024u);
   const uintptr_t modeled = arena.base();
   const size_t modeled_bytes = idx.num_buckets() * 2 * kCachelineBytes;
-  ASSERT_TRUE(idx.PopulateDirect(items));
+  idx.PopulateDirect(items);
   const auto before = Placement(idx);
 
   MachineConfig cfg;
@@ -495,7 +593,7 @@ TEST(CuckooLayout, ModeledRangeUntouchedAndHotInCacheModel) {
   eng.Spawn(CuckooMixFiber(&ctx, &idx, fresh, erase, get, &inserted, &bad));
   eng.RunToQuiescence(kSec);
   EXPECT_EQ(bad, 0);
-  EXPECT_GT(inserted.size(), kFresh / 2);
+  EXPECT_EQ(inserted.size(), kFresh);
   for (Key k : inserted) {
     EXPECT_NE(idx.GetDirect(k), nullptr) << k;
   }
@@ -561,7 +659,7 @@ class CuckooAuditTest : public ::testing::Test {
     for (Key k = 0; k < kKeys; k++) {
       items[k] = slab_.AllocateItem(k, 8);
     }
-    EXPECT_TRUE(idx_.PopulateDirect(items));
+    idx_.PopulateDirect(items);
   }
 
   // Puts key's own item into a free slot of bucket b; false if b is full.
