@@ -251,22 +251,7 @@ TEST(DstWal, RetransmitRacingCrashIsAtMostOnce) {
 }
 
 // ---------------------------------------------------- schedule determinism
-
-// One config exercising every fault class at once.
-DstConfig KitchenSink(Sys sys) {
-  DstConfig cfg = Base(sys, 12345);
-  cfg.fault.drop_prob = 0.02;
-  cfg.fault.dup_prob = 0.05;
-  cfg.fault.delay_prob = 0.10;
-  cfg.fault.straggler_core = 1;
-  cfg.fault.slow_factor = 4.0;
-  cfg.fault.crash_worker = 3;
-  cfg.fault.crash_at_ns = 60 * sim::kUsec;
-  cfg.fault.restart_after_ns = 150 * sim::kUsec;
-  cfg.fault.llc_steal_ways = 4;
-  cfg.fault.stop_ns = 500 * sim::kUsec;
-  return cfg;
-}
+// Faulted runs use KitchenSink (dst_harness.h), every fault class at once.
 
 std::string RowFor(Sys sys) {
   const DstResult r = RunDst(KitchenSink(sys));
@@ -513,8 +498,9 @@ TEST(DstCluster, LateCopiesOutliveTheirCalls) {
 // Cluster behaviour pinned across commits: one seed-42 cell per profile, with
 // the history digest and counters the cluster produced when this table was
 // generated. A change to src/cluster meant to preserve behaviour keeps every
-// row; a change that moves simulated numbers regenerates the table and says
-// why.
+// row; a change that moves simulated numbers regenerates the table (a
+// mismatch prints it in paste-ready form) and says why. The single-node
+// table is DstDeterminism.DigestsMatchCommitted.
 TEST(DstCluster, DigestsMatchCommitted) {
   const struct {
     const char* name;
@@ -526,15 +512,14 @@ TEST(DstCluster, DigestsMatchCommitted) {
     uint64_t migrations;
     uint64_t final_epoch;
   } cells[] = {
-      {"failover", FailoverCell(42), 0x04b36e94cedd88edULL, 160, 18, 2, 0, 3},
-      {"migration loss+dup", MigrationCell(42), 0xd3c1812fddf4ced6ULL, 160, 8,
-       1, 1, 2},
-      {"partition-heal", PartitionCell(42), 0xfb018fabf934db6cULL, 160, 17, 3,
-       0, 4},
-      {"rebalancer", RebalancerCell(42), 0x7cb0befe7029afa1ULL, 240, 0, 0, 0,
-       1},
-      {"hot-shift", HotShiftCell(42), 0x46b323cb60106258ULL, 9600, 3, 2, 4, 5},
+      {DST_CELL(FailoverCell(42)), 0x04b36e94cedd88edULL, 160, 18, 2, 0, 3},
+      {DST_CELL(MigrationCell(42)), 0xd3c1812fddf4ced6ULL, 160, 8, 1, 1, 2},
+      {DST_CELL(PartitionCell(42)), 0xfb018fabf934db6cULL, 160, 17, 3, 0, 4},
+      {DST_CELL(RebalancerCell(42)), 0x7cb0befe7029afa1ULL, 240, 0, 0, 0, 1},
+      {DST_CELL(HotShiftCell(42)), 0x46b323cb60106258ULL, 9600, 3, 2, 4, 5},
   };
+  std::string table;
+  bool moved = false;
   for (const auto& c : cells) {
     const DstClusterResult r = RunDstCluster(c.cfg);
     EXPECT_TRUE(r.ok) << c.name << ": " << r.error;
@@ -544,6 +529,23 @@ TEST(DstCluster, DigestsMatchCommitted) {
     EXPECT_EQ(r.promotions, c.promotions) << c.name;
     EXPECT_EQ(r.migrations, c.migrations) << c.name;
     EXPECT_EQ(r.final_epoch, c.final_epoch) << c.name;
+    moved |= r.digest != c.digest || r.ops_completed != c.ops_completed ||
+             r.retries != c.retries || r.promotions != c.promotions ||
+             r.migrations != c.migrations || r.final_epoch != c.final_epoch;
+    char row[160];
+    std::snprintf(row, sizeof(row),
+                  "      {DST_CELL(%s), 0x%016llxULL, %llu, %llu, %llu, %llu, "
+                  "%llu},\n",
+                  c.name, static_cast<unsigned long long>(r.digest),
+                  static_cast<unsigned long long>(r.ops_completed),
+                  static_cast<unsigned long long>(r.retries),
+                  static_cast<unsigned long long>(r.promotions),
+                  static_cast<unsigned long long>(r.migrations),
+                  static_cast<unsigned long long>(r.final_epoch));
+    table += row;
+  }
+  if (moved) {
+    ADD_FAILURE() << "cells as this build runs them:\n" << table;
   }
 }
 
