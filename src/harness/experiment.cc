@@ -232,12 +232,12 @@ void TestBed::BuildShards() {
   if (index_type_ == IndexType::kHash) {
     for (Item* it : items) {
       UTPS_CHECK(
-          shards_[ErpcKvServer::ShardOf(it->key, w)]->InsertDirect(it->key, it));
+          shards_[RtcServer::ShardOf(it->key, w)]->InsertDirect(it->key, it));
     }
   } else {
     std::vector<std::vector<Item*>> per(w);
     for (Item* it : items) {
-      per[ErpcKvServer::ShardOf(it->key, w)].push_back(it);
+      per[RtcServer::ShardOf(it->key, w)].push_back(it);
     }
     for (unsigned i = 0; i < w; i++) {
       static_cast<BTreeIndex*>(shards_[i].get())->BulkLoadDirect(per[i]);
@@ -330,7 +330,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       break;
     }
     case SystemKind::kBaseKv: {
-      server = std::make_unique<BaseKvServer>(env);
+      server = std::make_unique<RtcServer>(env);
       break;
     }
     case SystemKind::kErpcKv: {
@@ -339,7 +339,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       for (auto& s : shards_) {
         shards.push_back(s.get());
       }
-      server = std::make_unique<ErpcKvServer>(env, std::move(shards));
+      server = std::make_unique<RtcServer>(env, std::move(shards));
       break;
     }
     case SystemKind::kRaceHash: {

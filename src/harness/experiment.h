@@ -15,9 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "baseline/basekv.h"
-#include "baseline/erpckv.h"
 #include "baseline/passive.h"
+#include "baseline/rtc_server.h"
 #include "core/mutps.h"
 #include "core/server.h"
 #include "fault/fault.h"

@@ -8,8 +8,9 @@
 // no client coordination — the property the auto-tuner's thread reassignment
 // relies on.
 //
-// The same RxRing is reused with one ring per worker to model an eRPC-style
-// RPC (clients address a specific worker), used by the eRPCKV baseline.
+// The same RxRing, one per worker, models an eRPC-style RPC (clients address
+// a specific worker): the eRPCKV layout of the run-to-completion server
+// (baseline/rtc_server.h).
 //
 // Modeled memory: slot headers and request records live in the arena and are
 // DMA-written via the cache model's DDIO path; host-only bookkeeping (client

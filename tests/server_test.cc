@@ -110,68 +110,90 @@ sim::Fiber VerifyingClient(sim::ExecCtx* ctx, sim::Nic* nic, KvServer* server,
   *done = true;
 }
 
+// A hand-built server machine: 512 keys of zeroed 64 B values in a cuckoo
+// index, an engine, and a NIC with `rings` receive rings.
+struct HandBed {
+  static constexpr uint64_t kKeys = 512;
+
+  HandBed(unsigned workers, unsigned rings)
+      : mem(Machine(workers + 2)), nic(&eng, &mem, sim::NicConfig{}, rings) {
+    for (Key k = 0; k < kKeys; k++) {
+      Item* it = slab.AllocateItem(k, 64);
+      std::memset(it->value(), 0, 64);
+      it->value_len = 64;
+      index.InsertDirect(k, it);
+    }
+    env = ServerEnv{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
+                    .slab = &slab, .index = &index,
+                    .index_type = IndexType::kHash, .num_workers = workers};
+  }
+  static sim::MachineConfig Machine(unsigned cores) {
+    sim::MachineConfig mc;
+    mc.num_cores = cores;
+    return mc;
+  }
+
+  // eRPCKV over the bed's keys, one cuckoo shard per worker; `shards` owns
+  // them and must outlive the server.
+  std::unique_ptr<KvServer> ErpcKv(
+      std::vector<std::unique_ptr<KvIndex>>* shards) {
+    std::vector<KvIndex*> views;
+    for (unsigned i = 0; i < env.num_workers; i++) {
+      shards->push_back(std::make_unique<CuckooIndex>(&arena, 2048, 7 + i));
+      views.push_back(shards->back().get());
+    }
+    for (Key k = 0; k < kKeys; k++) {
+      views[RtcServer::ShardOf(k, env.num_workers)]->InsertDirect(
+          k, index.GetDirect(k));
+    }
+    return std::make_unique<RtcServer>(env, std::move(views));
+  }
+
+  // Runs one VerifyingClient of `rounds` PUT+GET pairs to completion.
+  void Verify(KvServer* server, int rounds) {
+    sim::ExecCtx cli{.eng = &eng, .mem = nullptr};
+    int failures = 0;
+    bool done = false;
+    eng.Spawn(VerifyingClient(&cli, &nic, server, kKeys, rounds, &failures,
+                              &done));
+    while (!done && eng.now() < 500 * kMsec) {
+      eng.Run(eng.now() + kMsec);
+    }
+    EXPECT_TRUE(done);
+    EXPECT_EQ(failures, 0);
+  }
+
+  sim::Arena arena{1ull << 30};
+  sim::MemoryModel mem;
+  SlabAllocator slab{&arena};
+  CuckooIndex index{&arena, 4096};
+  sim::Engine eng;
+  sim::Nic nic;
+  ServerEnv env;
+};
+
 class RoundTripTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(RoundTripTest, PutThenGetReturnsWrittenBytes) {
   const SystemKind sys = GetParam();
-  sim::MachineConfig mc;
-  mc.num_cores = 6;
-  sim::Arena arena(1ull << 30);
-  sim::MemoryModel mem(mc);
-  SlabAllocator slab(&arena);
-  CuckooIndex kv_index(&arena, 4096);
-  const uint64_t kKeys = 512;
-  for (Key k = 0; k < kKeys; k++) {
-    Item* it = slab.AllocateItem(k, 64);
-    std::memset(it->value(), 0, 64);
-    it->value_len = 64;
-    kv_index.InsertDirect(k, it);
-  }
-  sim::Engine eng;
-  sim::Nic nic(&eng, &mem, sim::NicConfig{}, sys == SystemKind::kErpcKv ? 4u : 1u);
-  ServerEnv env{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
-                .slab = &slab, .index = &kv_index, .index_type = IndexType::kHash,
-                .num_workers = 4};
+  HandBed bed(4, sys == SystemKind::kErpcKv ? 4u : 1u);
+  std::vector<std::unique_ptr<KvIndex>> shards;
   std::unique_ptr<KvServer> server;
   if (sys == SystemKind::kMuTps) {
     MuTpsServer::Options opt;
     opt.autotune = false;
     opt.initial_ncr = 2;
     opt.refresh_period_ns = 200 * sim::kUsec;
-    server = std::make_unique<MuTpsServer>(env, opt);
+    server = std::make_unique<MuTpsServer>(bed.env, opt);
   } else if (sys == SystemKind::kBaseKv) {
-    server = std::make_unique<BaseKvServer>(env);
+    server = std::make_unique<RtcServer>(bed.env);
   } else {
-    std::vector<std::unique_ptr<KvIndex>> shard_store;
-    std::vector<KvIndex*> shards;
-    for (unsigned i = 0; i < 4; i++) {
-      shard_store.push_back(std::make_unique<CuckooIndex>(&arena, 2048, 7 + i));
-      shards.push_back(shard_store.back().get());
-    }
-    for (Key k = 0; k < kKeys; k++) {
-      shards[ErpcKvServer::ShardOf(k, 4)]->InsertDirect(k, kv_index.GetDirect(k));
-    }
-    auto srv = std::make_unique<ErpcKvServer>(env, std::move(shards));
-    // keep shard storage alive for the test duration
-    static std::vector<std::unique_ptr<KvIndex>> keepalive;
-    for (auto& s : shard_store) {
-      keepalive.push_back(std::move(s));
-    }
-    server = std::move(srv);
+    server = bed.ErpcKv(&shards);
   }
   server->Start();
-  sim::ExecCtx cli{.eng = &eng, .mem = nullptr};
-  int failures = 0;
-  bool done = false;
-  eng.Spawn(VerifyingClient(&cli, &nic, server.get(), kKeys, 300, &failures,
-                            &done));
-  while (!done && eng.now() < 500 * kMsec) {
-    eng.Run(eng.now() + kMsec);
-  }
-  EXPECT_TRUE(done);
-  EXPECT_EQ(failures, 0);
+  bed.Verify(server.get(), 300);
   server->Stop();
-  eng.Run(eng.now() + kMsec);
+  bed.eng.Run(bed.eng.now() + kMsec);
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, RoundTripTest,
@@ -182,6 +204,29 @@ INSTANTIATE_TEST_SUITE_P(Systems, RoundTripTest,
                            return std::string(SystemName(info.param));
                          });
 
+// eRPCKV logs its writes as BaseKV does: under group commit each
+// acknowledged PUT was appended to the WAL and made durable before its ack.
+TEST(ErpcKvWal, AcknowledgedWritesAreLogged) {
+  HandBed bed(4, 4);
+  wal::WalConfig wc;
+  wc.enabled = true;
+  wc.mode = wal::CommitMode::kGroup;
+  wal::WalManager walm(wc);
+  bed.env.wal = &walm;
+  std::vector<std::unique_ptr<KvIndex>> shards;
+  const std::unique_ptr<KvServer> server = bed.ErpcKv(&shards);
+  server->Start();
+  constexpr int kRounds = 300;  // one PUT per round
+  bed.Verify(server.get(), kRounds);
+  EXPECT_EQ(walm.counters().appends, uint64_t{kRounds});
+  for (unsigned s = 0; s < walm.NumShards(); s++) {
+    EXPECT_EQ(walm.DurableLsn(s), walm.AppendedLsn(s)) << "wal shard " << s;
+  }
+  server->Stop();
+  walm.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
 // ------------------------------------------------- CR-MR ring residency
 
 // The CR-MR queue is all-to-all (W² rings), but a split only uses the rings
@@ -191,41 +236,24 @@ INSTANTIATE_TEST_SUITE_P(Systems, RoundTripTest,
 TEST(MuTpsRings, OnlyRingsTheSplitUsesGetCompanionPages) {
   constexpr unsigned kWorkers = 8;
   constexpr unsigned kNcr = 3;
-  sim::MachineConfig mc;
-  mc.num_cores = kWorkers + 2;
-  sim::Arena arena(1ull << 30);
-  sim::MemoryModel mem(mc);
-  SlabAllocator slab(&arena);
-  CuckooIndex kv_index(&arena, 4096);
-  const uint64_t kKeys = 512;
-  for (Key k = 0; k < kKeys; k++) {
-    Item* it = slab.AllocateItem(k, 64);
-    std::memset(it->value(), 0, 64);
-    it->value_len = 64;
-    kv_index.InsertDirect(k, it);
-  }
-  sim::Engine eng;
-  sim::Nic nic(&eng, &mem, sim::NicConfig{}, 1);
-  ServerEnv env{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
-                .slab = &slab, .index = &kv_index,
-                .index_type = IndexType::kHash, .num_workers = kWorkers};
+  HandBed bed(kWorkers, 1);
   MuTpsServer::Options opt;
   opt.autotune = false;
   opt.initial_ncr = kNcr;
-  MuTpsServer server(env, opt);
+  MuTpsServer server(bed.env, opt);
   server.Start();
   constexpr int kClients = 8;
   std::array<sim::ExecCtx, kClients> cli{};
   std::array<bool, kClients> done{};
   int failures = 0;
   for (int i = 0; i < kClients; i++) {
-    cli[i].eng = &eng;
-    eng.Spawn(VerifyingClient(&cli[i], &nic, &server, kKeys, 200, &failures,
-                              &done[i]));
+    cli[i].eng = &bed.eng;
+    bed.eng.Spawn(VerifyingClient(&cli[i], &bed.nic, &server, HandBed::kKeys,
+                                  200, &failures, &done[i]));
   }
   while (!std::all_of(done.begin(), done.end(), [](bool d) { return d; }) &&
-         eng.now() < 500 * kMsec) {
-    eng.Run(eng.now() + kMsec);
+         bed.eng.now() < 500 * kMsec) {
+    bed.eng.Run(bed.eng.now() + kMsec);
   }
   // The clients only drive traffic: they share keys, so concurrent puts may
   // race their own read-backs (RoundTripTest checks the data).
@@ -257,7 +285,7 @@ TEST(MuTpsRings, OnlyRingsTheSplitUsesGetCompanionPages) {
   // Round-robin routing sent batches down every ring the split uses.
   EXPECT_EQ(used_with_pages, kNcr * (kWorkers - kNcr));
   server.Stop();
-  eng.Run(eng.now() + kMsec);
+  bed.eng.Run(bed.eng.now() + kMsec);
 }
 
 // --------------------------------------------------- μTPS thread movement
