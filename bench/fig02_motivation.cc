@@ -285,28 +285,26 @@ int main() {
               "(100%% get, uniform, tree index) ==\n");
   PrintTableHeader({"size", "system", "Mops", "stage1-miss", "index-miss"});
   for (uint32_t size : sizes) {
-    TestBed bed(IndexType::kTree, WorkloadSpec::GetOnly(keys, size, false));
+    const WorkloadSpec spec = WorkloadSpec::GetOnly(keys, size, false);
     // NP-TPQ: BaseKV (run to completion).
     {
-      ExperimentConfig cfg = StdConfig(SystemKind::kBaseKv,
-                                       WorkloadSpec::GetOnly(keys, size, false));
-      const ExperimentResult r = bed.Run(cfg);
+      const ExperimentResult r = TestBed(IndexType::kTree, spec)
+                                     .Run(StdConfig(SystemKind::kBaseKv, spec));
       std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPQ", r.mops,
                   r.poll_miss_rate, r.index_miss_rate);
     }
     // NP-TPQ + CAT: workers may not allocate in the two DDIO ways.
     {
-      const uint32_t all = bed.mem()->config().AllWaysMask();
-      bed.mem()->SetClosMask(0, all & ~bed.mem()->config().DdioMask());
-      ExperimentConfig cfg = StdConfig(SystemKind::kBaseKv,
-                                       WorkloadSpec::GetOnly(keys, size, false));
-      const ExperimentResult r = bed.Run(cfg);
-      bed.mem()->SetClosMask(0, all);
+      TestBed bed(IndexType::kTree, spec);
+      const sim::MachineConfig& mc = bed.mem()->config();
+      bed.mem()->SetClosMask(0, mc.AllWaysMask() & ~mc.DdioMask());
+      const ExperimentResult r = bed.Run(StdConfig(SystemKind::kBaseKv, spec));
       std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPQ+CAT",
                   r.mops, r.poll_miss_rate, r.index_miss_rate);
     }
     // NP-TPS (deterministic replay, no inter-stage queues).
     {
+      TestBed bed(IndexType::kTree, spec);
       const TpsReplayResult r = RunTpsReplay(bed, size, bed.server_workers());
       std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPS", r.mops,
                   r.stage1_miss, r.stage2_miss);
@@ -336,16 +334,15 @@ int main() {
   std::vector<unsigned> threads = Quick() ? std::vector<unsigned>{8, 28}
                                           : std::vector<unsigned>{4, 8, 12, 16,
                                                                   20, 24, 28};
+  const WorkloadSpec puts = WorkloadSpec::PutOnly(keys, 64, true);
   for (unsigned w : threads) {
-    TestBed bed(IndexType::kHash, WorkloadSpec::PutOnly(keys, 64, true), w);
     for (SystemKind sys : {SystemKind::kBaseKv, SystemKind::kErpcKv,
                            SystemKind::kMuTps}) {
-      ExperimentConfig cfg =
-          StdConfig(sys, WorkloadSpec::PutOnly(keys, 64, true));
       if (w <= 2 && sys == SystemKind::kMuTps) {
         continue;  // μTPS needs at least one core per layer
       }
-      const ExperimentResult r = bed.Run(cfg);
+      const ExperimentResult r =
+          TestBed(IndexType::kHash, puts, w).Run(StdConfig(sys, puts));
       const char* label = sys == SystemKind::kBaseKv  ? "SE(RTC)"
                           : sys == SystemKind::kErpcKv ? "SN(RTC)"
                                                        : "TPS";

@@ -49,8 +49,6 @@ int main() {
                     "p99(us)"});
   for (IndexType index : indexes) {
     for (uint32_t size : sizes) {
-      // One populated testbed per (index, size) group, as in the paper.
-      TestBed bed(index, WorkloadSpec::YcsbC(keys, size));
       for (const Mix& mix : mixes) {
         const WorkloadSpec spec = mix.make(keys, size);
         std::vector<SystemKind> systems = {SystemKind::kMuTps,
@@ -62,8 +60,10 @@ int main() {
           systems.push_back(SystemKind::kSherman);
         }
         for (SystemKind sys : systems) {
-          const ExperimentConfig cfg = StdConfig(sys, spec);
-          const ExperimentResult r = bed.Run(cfg);
+          // Every point on its own freshly populated bed.
+          const ExperimentResult r =
+              TestBed(index, WorkloadSpec::YcsbC(keys, size))
+                  .Run(StdConfig(sys, spec));
           std::printf("%-14s%-14u%-14s%-14s%-14.2f%-14.2f%-14.2f\n",
                       IndexName(index), size, mix.name, DisplayName(sys, index),
                       r.mops, r.p50_ns / 1000.0, r.p99_ns / 1000.0);

@@ -15,7 +15,6 @@ int main() {
               "avg range 50) ==\n");
   PrintTableHeader({"workload", "system", "Mops", "p50(us)", "p99(us)"});
   {
-    TestBed bed(IndexType::kTree, WorkloadSpec::YcsbE(keys, 8));
     struct ScanMix {
       const char* name;
       WorkloadSpec spec;
@@ -24,8 +23,9 @@ int main() {
                                   {"scan-only", WorkloadSpec::ScanOnly(keys, 8)}};
     for (const ScanMix& mix : mixes) {
       for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv}) {
-        const ExperimentConfig cfg = StdConfig(sys, mix.spec);
-        const ExperimentResult r = bed.Run(cfg);
+        const ExperimentResult r =
+            TestBed(IndexType::kTree, WorkloadSpec::YcsbE(keys, 8))
+                .Run(StdConfig(sys, mix.spec));
         std::printf("%-14s%-14s%-14.2f%-14.2f%-14.2f\n", mix.name,
                     DisplayName(sys, IndexType::kTree), r.mops,
                     r.p50_ns / 1000.0, r.p99_ns / 1000.0);
@@ -38,15 +38,15 @@ int main() {
   std::printf("\n== Figure 8b-c: Meta ETC pool (tree index) ==\n");
   PrintTableHeader({"get-ratio", "system", "Mops", "p50(us)", "p99(us)"});
   {
-    TestBed bed(IndexType::kTree, WorkloadSpec::Etc(keys, 0.5));
     std::vector<double> ratios =
         Quick() ? std::vector<double>{0.5} : std::vector<double>{0.1, 0.5, 0.9};
     for (double ratio : ratios) {
       const WorkloadSpec spec = WorkloadSpec::Etc(keys, ratio);
       for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                              SystemKind::kErpcKv}) {
-        const ExperimentConfig cfg = StdConfig(sys, spec);
-        const ExperimentResult r = bed.Run(cfg);
+        const ExperimentResult r =
+            TestBed(IndexType::kTree, WorkloadSpec::Etc(keys, 0.5))
+                .Run(StdConfig(sys, spec));
         std::printf("%-14.0f%-14s%-14.2f%-14.2f%-14.2f\n", ratio * 100,
                     DisplayName(sys, IndexType::kTree), r.mops,
                     r.p50_ns / 1000.0, r.p99_ns / 1000.0);

@@ -24,11 +24,10 @@ int main() {
   for (int c : clusters) {
     WorkloadSpec spec = WorkloadSpec::TwitterCluster(c);
     spec.num_keys = keys;
-    TestBed bed(IndexType::kTree, spec);
     for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                            SystemKind::kErpcKv}) {
-      const ExperimentConfig cfg = StdConfig(sys, spec);
-      const ExperimentResult r = bed.Run(cfg);
+      const ExperimentResult r =
+          TestBed(IndexType::kTree, spec).Run(StdConfig(sys, spec));
       std::printf("%-14d%-14s%-14.2f%-14.2f%-14.2f\n", c,
                   DisplayName(sys, IndexType::kTree), r.mops, r.p50_ns / 1000.0,
                   r.p99_ns / 1000.0);

@@ -21,14 +21,14 @@ int main() {
     std::printf("== Figure 10 (%s index): latency vs throughput, YCSB-A 8B ==\n",
                 IndexName(index));
     PrintTableHeader({"clients", "system", "Mops", "p50(us)", "p99(us)"});
-    TestBed bed(index, WorkloadSpec::YcsbA(keys, 8));
     for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                            SystemKind::kErpcKv}) {
       for (unsigned c : clients) {
         ExperimentConfig cfg = StdConfig(sys, WorkloadSpec::YcsbA(keys, 8));
         cfg.client_threads = c;
         cfg.pipeline_depth = 1;  // closed loop: one outstanding per thread
-        const ExperimentResult r = bed.Run(cfg);
+        const ExperimentResult r =
+            TestBed(index, WorkloadSpec::YcsbA(keys, 8)).Run(cfg);
         std::printf("%-14u%-14s%-14.2f%-14.2f%-14.2f\n", c,
                     DisplayName(sys, index), r.mops, r.p50_ns / 1000.0,
                     r.p99_ns / 1000.0);

@@ -22,14 +22,14 @@ int main() {
                   IndexName(index), size);
       PrintTableHeader({"workers", "system", "Mops", "p50(us)"});
       for (unsigned w : workers) {
-        TestBed bed(index, WorkloadSpec::YcsbA(keys, size), w);
         for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                                SystemKind::kErpcKv}) {
           if (sys == SystemKind::kMuTps && w < 2) {
             continue;  // needs at least one core per layer
           }
-          const ExperimentConfig cfg = StdConfig(sys, WorkloadSpec::YcsbA(keys, size));
-          const ExperimentResult r = bed.Run(cfg);
+          const WorkloadSpec spec = WorkloadSpec::YcsbA(keys, size);
+          const ExperimentResult r =
+              TestBed(index, spec, w).Run(StdConfig(sys, spec));
           std::printf("%-14u%-14s%-14.2f%-14.2f\n", w, DisplayName(sys, index),
                       r.mops, r.p50_ns / 1000.0);
           std::fflush(stdout);

@@ -16,14 +16,13 @@ int main() {
   std::printf("== Figure 12: effect of batching (YCSB-A, 8 B items) ==\n");
   PrintTableHeader({"index", "batch", "Mops", "p50(us)", "p99(us)"});
   for (IndexType index : {IndexType::kTree, IndexType::kHash}) {
-    TestBed bed(index, WorkloadSpec::YcsbA(keys, 8));
     // Tune the thread split once at the default batch size, then hold it
     // fixed so the sweep isolates the batching effect.
     unsigned tuned_ncr;
     {
       ExperimentConfig warm = StdConfig(SystemKind::kMuTps,
                                         WorkloadSpec::YcsbA(keys, 8));
-      tuned_ncr = bed.Run(warm).ncr;
+      tuned_ncr = TestBed(index, WorkloadSpec::YcsbA(keys, 8)).Run(warm).ncr;
     }
     for (unsigned batch : batches) {
       ExperimentConfig cfg = StdConfig(SystemKind::kMuTps,
@@ -31,7 +30,8 @@ int main() {
       cfg.mutps.batch_size = batch;
       cfg.mutps.autotune = false;
       cfg.mutps.initial_ncr = tuned_ncr;
-      const ExperimentResult r = bed.Run(cfg);
+      const ExperimentResult r =
+          TestBed(index, WorkloadSpec::YcsbA(keys, 8)).Run(cfg);
       std::printf("%-14s%-14u%-14.2f%-14.2f%-14.2f\n", IndexName(index), batch,
                   r.mops, r.p50_ns / 1000.0, r.p99_ns / 1000.0);
       std::fflush(stdout);

@@ -27,7 +27,8 @@ fault::FaultConfig DefaultProfile(const ExperimentConfig& cfg) {
   return f;
 }
 
-void RunOne(TestBed& bed, SystemKind sys, const WorkloadSpec& spec) {
+void RunOne(SystemKind sys, const WorkloadSpec& spec) {
+  TestBed bed(IndexType::kHash, spec);
   ExperimentConfig cfg = StdConfig(sys, spec);
   // Fixed split: the recovery metric should isolate the fault reaction, not
   // the auto-tuner's search transient.
@@ -100,12 +101,11 @@ void RunOne(TestBed& bed, SystemKind sys, const WorkloadSpec& spec) {
 
 int main() {
   const WorkloadSpec spec = WorkloadSpec::YcsbA(DbKeys(), 64);
-  TestBed bed(IndexType::kHash, spec);
   std::printf("== Figure 15: throughput/P99 around an injected worker "
               "crash-stop + restart ==\n");
   for (SystemKind sys :
        {SystemKind::kMuTps, SystemKind::kBaseKv, SystemKind::kErpcKv}) {
-    RunOne(bed, sys, spec);
+    RunOne(sys, spec);
   }
   return 0;
 }

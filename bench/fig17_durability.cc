@@ -26,11 +26,12 @@ wal::WalConfig Profile(wal::CommitMode mode) {
   return w;
 }
 
-void RunSystem(TestBed& bed, SystemKind sys, const WorkloadSpec& spec) {
-  std::printf("-- %s --\n", DisplayName(sys, bed.index_type()));
+void RunSystem(SystemKind sys, const WorkloadSpec& spec) {
+  std::printf("-- %s --\n", DisplayName(sys, IndexType::kHash));
   PrintTableHeader({"commit", "Mops", "P50(us)", "P99(us)", "appends",
                     "syncs", "MB-logged"});
   for (int point = 0; point < 4; point++) {
+    TestBed bed(IndexType::kHash, spec);
     ExperimentConfig cfg = StdConfig(sys, spec);
     // Fixed split: the mode sweep should isolate the commit path, not the
     // auto-tuner's search transient.
@@ -63,12 +64,11 @@ int main() {
   // Write-heavy skewed mix: every put crosses the commit path, so the mode
   // spread is maximal (read-only traffic would measure nothing).
   const WorkloadSpec spec = WorkloadSpec::YcsbA(DbKeys(), 64);
-  TestBed bed(IndexType::kHash, spec);
   std::printf(
       "== Figure 17: durability commit modes — throughput/latency vs "
       "sync, group-commit, async WAL ==\n");
   for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv}) {
-    RunSystem(bed, sys, spec);
+    RunSystem(sys, spec);
   }
   return 0;
 }

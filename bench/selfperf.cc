@@ -8,7 +8,7 @@
 // so numbers are comparable across commits on the same machine.
 //
 // Each row also records `setup_s`, the construction time of the TestBed it
-// ran on (populate included; rows sharing a bed repeat it), and the file
+// ran on (populate included; every row has its own bed), and the file
 // records the host's transparent-huge-page mode, which bed construction
 // depends on (DESIGN.md §13 "Bed construction").
 //
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,20 +68,6 @@ std::string ThpMode() {
   return close != nullptr ? std::string(open + 1, close) : "unknown";
 }
 
-// A TestBed together with how long its construction took.
-struct TimedBed {
-  std::unique_ptr<TestBed> bed;
-  double setup_s = 0.0;
-};
-
-TimedBed MakeBed(IndexType index, const WorkloadSpec& spec) {
-  const auto start = std::chrono::steady_clock::now();
-  auto bed = std::make_unique<TestBed>(index, spec);
-  const std::chrono::duration<double> took =
-      std::chrono::steady_clock::now() - start;
-  return {std::move(bed), took.count()};
-}
-
 ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   ExperimentConfig cfg;
   cfg.system = system;
@@ -100,14 +85,18 @@ ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   return cfg;
 }
 
-PerfRow RunPoint(const char* name, const TimedBed& bed,
-                 const ExperimentConfig& cfg) {
+// Populates a fresh bed of `index` sized by `populate`, then runs the point
+// on it, timing the two separately.
+PerfRow RunPoint(const char* name, IndexType index,
+                 const WorkloadSpec& populate, const ExperimentConfig& cfg) {
+  const auto setup_start = std::chrono::steady_clock::now();
+  TestBed bed(index, populate);
   const auto start = std::chrono::steady_clock::now();
-  const ExperimentResult r = bed.bed->Run(cfg);
+  const ExperimentResult r = bed.Run(cfg);
   const auto end = std::chrono::steady_clock::now();
   PerfRow row;
   row.name = name;
-  row.setup_s = bed.setup_s;
+  row.setup_s = std::chrono::duration<double>(start - setup_start).count();
   row.wall_s = std::chrono::duration<double>(end - start).count();
   row.events = r.sched_events;
   row.events_per_sec =
@@ -138,31 +127,32 @@ int main() {
     // The Figure 7 headline grid, one representative cell per system: tree
     // index, 64 B values, YCSB-A — the configuration CI uses as the
     // wall-clock speedup gate.
-    const TimedBed bed =
-        MakeBed(IndexType::kTree, WorkloadSpec::YcsbA(kKeys, 64));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 64);
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
-    rows.push_back(RunPoint("fig07_tree64_ycsba_mutps", bed,
-                            PerfConfig(SystemKind::kMuTps, ycsba)));
-    rows.push_back(RunPoint("fig07_tree64_ycsba_basekv", bed,
-                            PerfConfig(SystemKind::kBaseKv, ycsba)));
-    rows.push_back(RunPoint("fig07_tree64_ycsba_erpckv", bed,
-                            PerfConfig(SystemKind::kErpcKv, ycsba)));
-    rows.push_back(RunPoint("fig07_tree64_ycsbc_sherman", bed,
-                            PerfConfig(SystemKind::kSherman, ycsbc)));
+    const auto run = [&ycsba](const char* name, const ExperimentConfig& cfg) {
+      return RunPoint(name, IndexType::kTree, ycsba, cfg);
+    };
+    rows.push_back(run("fig07_tree64_ycsba_mutps",
+                       PerfConfig(SystemKind::kMuTps, ycsba)));
+    rows.push_back(run("fig07_tree64_ycsba_basekv",
+                       PerfConfig(SystemKind::kBaseKv, ycsba)));
+    rows.push_back(run("fig07_tree64_ycsba_erpckv",
+                       PerfConfig(SystemKind::kErpcKv, ycsba)));
+    rows.push_back(run("fig07_tree64_ycsbc_sherman",
+                       PerfConfig(SystemKind::kSherman, ycsbc)));
   }
   {
     // Figure 12 shape: hash index, batched MR indexing (the symmetric-transfer
     // and cache-probe hot paths).
-    const TimedBed bed =
-        MakeBed(IndexType::kHash, WorkloadSpec::YcsbA(kKeys, 8));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 8);
     ExperimentConfig b1 = PerfConfig(SystemKind::kMuTps, ycsba);
     b1.mutps.batch_size = 1;
-    rows.push_back(RunPoint("fig12_hash8_ycsba_batch1", bed, b1));
+    rows.push_back(
+        RunPoint("fig12_hash8_ycsba_batch1", IndexType::kHash, ycsba, b1));
     ExperimentConfig b8 = PerfConfig(SystemKind::kMuTps, ycsba);
     b8.mutps.batch_size = 8;
-    rows.push_back(RunPoint("fig12_hash8_ycsba_batch8", bed, b8));
+    rows.push_back(
+        RunPoint("fig12_hash8_ycsba_batch8", IndexType::kHash, ycsba, b8));
   }
 
   double total_wall = 0.0;
@@ -182,8 +172,6 @@ int main() {
   // whose totals cover only the full-detail legs above.
   std::vector<PerfRow> atscale_rows;
   {
-    const TimedBed bed =
-        MakeBed(IndexType::kHash, WorkloadSpec::YcsbC(kKeys, 64));
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
     ExperimentConfig cfg = PerfConfig(SystemKind::kMuTps, ycsbc);
     cfg.client_threads = 128;
@@ -195,7 +183,7 @@ int main() {
     cfg.sample.rewarm_ns = 20 * sim::kUsec;
     cfg.sample.plan = sim::SamplePlan::kPeriodic;
     atscale_rows.push_back(
-        RunPoint("atscale_hash64_ycsbc_sampled", bed, cfg));
+        RunPoint("atscale_hash64_ycsbc_sampled", IndexType::kHash, ycsbc, cfg));
   }
   double atscale_wall = 0.0;
   for (const PerfRow& r : atscale_rows) {

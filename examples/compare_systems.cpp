@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   std::printf("workload: YCSB-B (95%% get / 5%% put), %u B values, %llu keys, "
               "%s index\n\n",
               vsize, static_cast<unsigned long long>(keys), IndexName(index));
-  TestBed bed(index, spec);
 
   std::printf("%-12s%-12s%-12s%-12s\n", "system", "Mops", "p50(us)", "p99(us)");
   std::vector<SystemKind> systems = {SystemKind::kMuTps, SystemKind::kBaseKv,
@@ -42,7 +41,8 @@ int main(int argc, char** argv) {
     cfg.mutps.cache_sizes = {0, 4000, 8000};
     cfg.mutps.tune_window_ns = 150 * sim::kUsec;
     cfg.mutps.refresh_period_ns = 2 * sim::kMsec;
-    const ExperimentResult r = bed.Run(cfg);
+    // A TestBed runs one point: each system gets a freshly populated one.
+    const ExperimentResult r = TestBed(index, spec).Run(cfg);
     const char* name = sys == SystemKind::kMuTps
                            ? (index == IndexType::kHash ? "uTPS-H" : "uTPS-T")
                            : SystemName(sys);

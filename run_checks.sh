@@ -1,8 +1,8 @@
 #!/bin/bash
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
 # the CR-MR ring / store probe tests, the mutation smoke-check, the golden
-# rows and fig19's cluster output against their committed copies, and
-# kvbench's smoke pass and audit test.
+# rows and fig19's cluster output against their committed copies, the
+# figure benches at smoke scale, and kvbench's smoke pass and audit test.
 #
 # Default: build the "default" preset and run the checks at the CI seed
 # budget (20 seeds per workload per system).
@@ -206,6 +206,28 @@ EOF
 else
   echo "=== host perf floor skipped ==="
 fi
+
+# Figure benches at smoke scale: every bench run_benches.sh runs in its
+# figure loop (the same glob and exclusions), on a small database and short
+# windows, in parallel. Only the exit status is checked — a bench that
+# aborts (e.g. a CHECK such as TestBed::Run's one-run-per-bed rule) fails
+# the stage here instead of in a full sweep. Output is discarded; a
+# failing bench's stderr is kept.
+echo "=== figure benches at smoke scale ==="
+benches=()
+for b in build/bench/*; do
+  [ -f "$b" ] && [ -x "$b" ] || continue
+  case "$(basename "$b")" in
+    selfperf|fig16_at_scale|fig19_cluster|micro_components) continue ;;
+  esac
+  benches+=("$b")
+done
+printf '%s\n' "${benches[@]}" |
+  MUTPS_QUICK=1 MUTPS_DB_SIZE=20000 MUTPS_BENCH_SCALE=0.1 \
+  xargs -P "$(nproc)" -I{} sh -c \
+    '"$1" >/dev/null || { echo "$1 exited with status $?" >&2; exit 1; }' \
+    _ {} || { echo "a figure bench failed at smoke scale" >&2; exit 1; }
+echo "=== ${#benches[@]} figure benches exited 0 ==="
 
 if [ "${MUTPS_DST_FAULTS:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
   echo "=== DST fault-profile sweep (3 profiles x extra seeds) ==="

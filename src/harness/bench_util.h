@@ -1,7 +1,7 @@
 // Shared helpers for the figure-reproduction benchmark binaries.
 //
 // Environment knobs (all optional):
-//   MUTPS_DB_SIZE      database size in keys      (default 1,000,000)
+//   MUTPS_DB_SIZE      database size in keys      (default 2,000,000)
 //   MUTPS_BENCH_SCALE  measurement-window scale   (default 1.0)
 //   MUTPS_QUICK        if set (non-zero), shrink sweep grids for smoke runs
 //   MUTPS_TRACE        path: enable virtual-time tracing and write Chrome

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "common/env.h"
 #include "index/btree.h"
 #include "index/cuckoo.h"
 #include "net/rpc.h"
@@ -197,10 +196,9 @@ void TestBed::Populate() {
   }
 }
 
-// The lazy builders below take each key's item from the populated index, in
-// key order: it is the one record of what the bed holds, including anything
-// an earlier run on a shared bed put or erased. One ForEachDirect pass costs
-// a quarter of a GetDirect per key on a tree (a sequential leaf walk).
+// eRPCKV's shards and the passive structures take each key's item from the
+// populated index, in key order. One ForEachDirect pass costs a quarter of a
+// GetDirect per key on a tree (a sequential leaf walk).
 std::vector<Item*> TestBed::IndexedItems() const {
   const uint64_t n = populate_spec_.num_keys;
   std::vector<Item*> by_key(n);
@@ -208,31 +206,27 @@ std::vector<Item*> TestBed::IndexedItems() const {
     UTPS_CHECK(k < n && it->key == k);
     by_key[k] = const_cast<Item*>(it);
   });
-  // Keys an earlier run erased leave holes: close them in place.
-  std::erase(by_key, nullptr);
   return by_key;
 }
 
-void TestBed::BuildShards() {
-  if (!shards_.empty()) {
-    return;
-  }
+std::vector<std::unique_ptr<KvIndex>> TestBed::BuildShards() {
   const uint64_t n = populate_spec_.num_keys;
   const unsigned w = server_workers_;
+  std::vector<std::unique_ptr<KvIndex>> shards;
   for (unsigned i = 0; i < w; i++) {
     if (index_type_ == IndexType::kHash) {
-      shards_.push_back(
+      shards.push_back(
           std::make_unique<CuckooIndex>(arena_.get(), n / w + n / w / 2 + 64,
                                         seed_ + i + 1));
     } else {
-      shards_.push_back(std::make_unique<BTreeIndex>(arena_.get()));
+      shards.push_back(std::make_unique<BTreeIndex>(arena_.get()));
     }
   }
   const std::vector<Item*> items = IndexedItems();
   if (index_type_ == IndexType::kHash) {
     for (Item* it : items) {
       UTPS_CHECK(
-          shards_[RtcServer::ShardOf(it->key, w)]->InsertDirect(it->key, it));
+          shards[RtcServer::ShardOf(it->key, w)]->InsertDirect(it->key, it));
     }
   } else {
     std::vector<std::vector<Item*>> per(w);
@@ -240,40 +234,21 @@ void TestBed::BuildShards() {
       per[RtcServer::ShardOf(it->key, w)].push_back(it);
     }
     for (unsigned i = 0; i < w; i++) {
-      static_cast<BTreeIndex*>(shards_[i].get())->BulkLoadDirect(per[i]);
+      static_cast<BTreeIndex*>(shards[i].get())->BulkLoadDirect(per[i]);
     }
   }
-}
-
-void TestBed::BuildRaceHash() {
-  if (racehash_ != nullptr) {
-    return;
-  }
-  racehash_ = std::make_unique<RaceHashPassive>(arena_.get(),
-                                                populate_spec_.num_keys);
-  for (Item* it : IndexedItems()) {
-    UTPS_CHECK(racehash_->InsertDirect(it->key, it));
-  }
-}
-
-void TestBed::BuildSherman() {
-  if (sherman_ != nullptr) {
-    return;
-  }
-  sherman_ = std::make_unique<ShermanPassive>(arena_.get());
-  sherman_->BulkLoadDirect(IndexedItems());
+  return shards;
 }
 
 ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   UTPS_CHECK(cfg.workload.num_keys == populate_spec_.num_keys);
   UTPS_CHECK(cfg.sim_threads == 1);  // the serial engine is the only engine
+  UTPS_CHECK_MSG(!ran_, "a TestBed runs one point; build a fresh bed per Run");
+  ran_ = true;
   Engine eng;
   // Per-run arena for server-side structures (rings, response buffers).
   sim::Arena run_arena(512ull << 20);
-  mem_->FlushAll();
-  mem_->ResetCounters();
-  mem_->SetStolenWays(0);  // a prior faulted point must not leak into this one
-  ResetItemContention();
+  ResetItemContention();  // process-global, unlike the bed's memory model
   const unsigned rings =
       cfg.system == SystemKind::kErpcKv ? server_workers_ : 1;
   Nic nic(&eng, mem_.get(), nic_cfg_, rings);
@@ -319,8 +294,9 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   env.obs = observer.get();
   env.wal = walm.get();
 
+  std::vector<std::unique_ptr<KvIndex>> shards;  // eRPCKV: one per worker
+  std::unique_ptr<PassiveKv> passive;
   std::unique_ptr<KvServer> server;
-  PassiveKv* passive = nullptr;
   MuTpsServer* mutps = nullptr;
   switch (cfg.system) {
     case SystemKind::kMuTps: {
@@ -334,22 +310,27 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       break;
     }
     case SystemKind::kErpcKv: {
-      BuildShards();
-      std::vector<KvIndex*> shards;
-      for (auto& s : shards_) {
-        shards.push_back(s.get());
+      shards = BuildShards();
+      std::vector<KvIndex*> views;
+      for (auto& s : shards) {
+        views.push_back(s.get());
       }
-      server = std::make_unique<RtcServer>(env, std::move(shards));
+      server = std::make_unique<RtcServer>(env, std::move(views));
       break;
     }
     case SystemKind::kRaceHash: {
-      BuildRaceHash();
-      passive = racehash_.get();
+      auto rh = std::make_unique<RaceHashPassive>(arena_.get(),
+                                                  populate_spec_.num_keys);
+      for (Item* it : IndexedItems()) {
+        UTPS_CHECK(rh->InsertDirect(it->key, it));
+      }
+      passive = std::move(rh);
       break;
     }
     case SystemKind::kSherman: {
-      BuildSherman();
-      passive = sherman_.get();
+      auto tree = std::make_unique<ShermanPassive>(arena_.get());
+      tree->BulkLoadDirect(IndexedItems());
+      passive = std::move(tree);
       break;
     }
   }
@@ -364,7 +345,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   ClientShared sh;
   sh.nic = &nic;
   sh.server = server.get();
-  sh.passive = passive;
+  sh.passive = passive.get();
   sh.spec = &cfg.workload;
   sh.supports_scan = index_type_ == IndexType::kTree &&
                      cfg.system != SystemKind::kRaceHash;
@@ -457,13 +438,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
       eng.Run(wend);
       sh.measuring = false;
       const uint64_t delta = cstats.ops - before;
-      if (EnvInt("MUTPS_SAMPLE_DEBUG", 0) != 0) {
-        std::fprintf(stderr, "sample window %llu: [%llu, %llu) ops=%llu\n",
-                     static_cast<unsigned long long>(period),
-                     static_cast<unsigned long long>(wstart),
-                     static_cast<unsigned long long>(wend),
-                     static_cast<unsigned long long>(delta));
-      }
       win_rate.Add(static_cast<double>(delta) * 1000.0 /
                    static_cast<double>(sc.window_ns));
       detail_ns += sc.window_ns;

@@ -2,12 +2,12 @@
 // client machines), populates the store, runs a workload point, and reports
 // paper-style metrics.
 //
-// A TestBed owns the populated database (items + indexes) and is reused
-// across many experiment points (systems x workload mixes) that share the
-// same index type and value sizing — exactly how the paper reuses its
-// pre-populated 10M-item database. Per-run structures (engine, NIC, server
-// rings, response buffers) live in a per-run arena that is discarded after
-// the point completes; cache-model state is flushed between points.
+// A TestBed owns one populated database (items + index) and serves exactly
+// one experiment point: TestBed::Run aborts when called a second time. A run
+// writes to the store, the slab and the cache model, so a shared bed would
+// hand each point whatever the one before it left behind; a fresh bed per
+// point makes every point start from the same state. Per-run structures
+// (engine, NIC, server rings, response buffers) live in a per-run arena.
 #ifndef UTPS_HARNESS_EXPERIMENT_H_
 #define UTPS_HARNESS_EXPERIMENT_H_
 
@@ -63,7 +63,6 @@ struct ExperimentConfig {
   sim::Tick max_warmup_ns = 60 * sim::kMsec;  // cap while waiting for tuning
   uint64_t seed = 42;
   MuTpsServer::Options mutps;  // applies when system == kMuTps
-  // Fixed thread split / settings overrides for ablations.
   bool record_timeline = false;           // per-100us throughput time series
   const WorkloadSpec* phase2 = nullptr;   // workload switch mid-run (Fig 14)
   sim::Tick phase2_at_ns = 0;
@@ -195,6 +194,7 @@ class TestBed {
           const sim::NicConfig& nic = sim::NicConfig{}, uint64_t seed = 1);
   ~TestBed();
 
+  // Runs one point; a bed runs once (UTPS_CHECKed).
   ExperimentResult Run(const ExperimentConfig& cfg);
 
   IndexType index_type() const { return index_type_; }
@@ -205,9 +205,7 @@ class TestBed {
 
  private:
   void Populate();
-  void BuildShards();
-  void BuildRaceHash();
-  void BuildSherman();
+  std::vector<std::unique_ptr<KvIndex>> BuildShards();
   std::vector<Item*> IndexedItems() const;
 
   IndexType index_type_;
@@ -216,14 +214,12 @@ class TestBed {
   sim::MachineConfig machine_;
   sim::NicConfig nic_cfg_;
   uint64_t seed_;
+  bool ran_ = false;
 
   std::unique_ptr<sim::Arena> arena_;
   std::unique_ptr<sim::MemoryModel> mem_;
   std::unique_ptr<SlabAllocator> slab_;
   std::unique_ptr<KvIndex> index_;
-  std::vector<std::unique_ptr<KvIndex>> shards_;
-  std::unique_ptr<RaceHashPassive> racehash_;
-  std::unique_ptr<ShermanPassive> sherman_;
 };
 
 }  // namespace utps

@@ -36,7 +36,10 @@ TEST(AutoTuner, TrisectionMatchesExhaustiveSweep) {
   const uint64_t kKeys = 400000;
   sim::MachineConfig mc;
   mc.num_cores = 14;
-  TestBed bed(IndexType::kTree, Spec(kKeys), /*server_workers=*/12, mc);
+  const auto run = [&](const ExperimentConfig& cfg) {
+    return TestBed(IndexType::kTree, Spec(kKeys), /*server_workers=*/12, mc)
+        .Run(cfg);
+  };
   // Exhaustive sweep with the tuner disabled.
   double best_manual = 0.0;
   unsigned best_ncr = 0;
@@ -44,7 +47,7 @@ TEST(AutoTuner, TrisectionMatchesExhaustiveSweep) {
     ExperimentConfig cfg = BaseCfg(Spec(kKeys));
     cfg.mutps.autotune = false;
     cfg.mutps.initial_ncr = ncr;
-    const ExperimentResult r = bed.Run(cfg);
+    const ExperimentResult r = run(cfg);
     if (r.mops > best_manual) {
       best_manual = r.mops;
       best_ncr = ncr;
@@ -56,7 +59,7 @@ TEST(AutoTuner, TrisectionMatchesExhaustiveSweep) {
   // exact argmax).
   ExperimentConfig cfg = BaseCfg(Spec(kKeys));
   cfg.mutps.autotune = true;
-  const ExperimentResult r = bed.Run(cfg);
+  const ExperimentResult r = run(cfg);
   EXPECT_GE(r.mops, 0.85 * best_manual)
       << "auto ncr=" << r.ncr << " manual best ncr=" << best_ncr;
 }
@@ -143,10 +146,13 @@ TEST(Determinism, DifferentSeedsDiffer) {
   mc.num_cores = 10;
   ExperimentConfig cfg = BaseCfg(Spec(kKeys));
   cfg.mutps.autotune = false;
-  TestBed bed(IndexType::kTree, Spec(kKeys), 8, mc);
-  const ExperimentResult a = bed.Run(cfg);
+  // Each run on its own bed, so the seed is the only difference.
+  const auto run = [&](const ExperimentConfig& c) {
+    return TestBed(IndexType::kTree, Spec(kKeys), 8, mc).Run(c);
+  };
+  const ExperimentResult a = run(cfg);
   cfg.seed = 4242;
-  const ExperimentResult b = bed.Run(cfg);
+  const ExperimentResult b = run(cfg);
   EXPECT_NE(a.ops, b.ops);  // different client streams
 }
 

@@ -23,29 +23,12 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "result_row.h"
 
 namespace utps {
 namespace {
 
 constexpr uint64_t kKeys = 20000;
-
-std::string FormatRow(const char* tag, const char* system, const char* mix,
-                      const ExperimentResult& r) {
-  char buf[320];
-  std::snprintf(
-      buf, sizeof(buf),
-      "%s|%s|%s|mops=%.3f|ops=%llu|p50=%llu|p99=%llu|mean=%llu|llc=%.4f|"
-      "poll=%.4f|idx=%.4f|ncr=%u|hot=%llu/%llu|events=%llu",
-      tag, system, mix, r.mops, static_cast<unsigned long long>(r.ops),
-      static_cast<unsigned long long>(r.p50_ns),
-      static_cast<unsigned long long>(r.p99_ns),
-      static_cast<unsigned long long>(r.mean_ns), r.llc_miss_rate,
-      r.poll_miss_rate, r.index_miss_rate, r.ncr,
-      static_cast<unsigned long long>(r.hot_hits),
-      static_cast<unsigned long long>(r.hot_misses),
-      static_cast<unsigned long long>(r.sched_events));
-  return std::string(buf);
-}
 
 // Short fixed windows: enough virtual time for every system to reach steady
 // state at 20k keys while keeping the whole test a few seconds of host time.
@@ -68,33 +51,31 @@ ExperimentConfig TinyConfig(SystemKind system, const WorkloadSpec& spec) {
   return cfg;
 }
 
+// Every row runs on its own freshly populated bed (TestBed::Run runs once).
 std::vector<std::string> RunGoldenRows() {
   std::vector<std::string> rows;
 
   {
     // Figure 2 / Figure 7 shapes: tree index, 64 B values, RTC baselines vs
     // μTPS vs a one-sided passive system.
-    TestBed bed(IndexType::kTree, WorkloadSpec::YcsbA(kKeys, 64));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 64);
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
-    rows.push_back(FormatRow(
-        "fig02", "BaseKV", "YCSB-A",
-        bed.Run(TinyConfig(SystemKind::kBaseKv, ycsba))));
-    rows.push_back(FormatRow(
-        "fig02", "eRPCKV", "YCSB-A",
-        bed.Run(TinyConfig(SystemKind::kErpcKv, ycsba))));
-    rows.push_back(FormatRow(
-        "fig02", "uTPS-T", "YCSB-A",
-        bed.Run(TinyConfig(SystemKind::kMuTps, ycsba))));
-    rows.push_back(FormatRow(
-        "fig02", "Sherman", "YCSB-C",
-        bed.Run(TinyConfig(SystemKind::kSherman, ycsbc))));
+    const auto run = [&ycsba](SystemKind sys, const WorkloadSpec& spec) {
+      return TestBed(IndexType::kTree, ycsba).Run(TinyConfig(sys, spec));
+    };
+    rows.push_back(FormatRow("fig02", "BaseKV", "YCSB-A",
+                             run(SystemKind::kBaseKv, ycsba)));
+    rows.push_back(FormatRow("fig02", "eRPCKV", "YCSB-A",
+                             run(SystemKind::kErpcKv, ycsba)));
+    rows.push_back(FormatRow("fig02", "uTPS-T", "YCSB-A",
+                             run(SystemKind::kMuTps, ycsba)));
+    rows.push_back(FormatRow("fig02", "Sherman", "YCSB-C",
+                             run(SystemKind::kSherman, ycsbc)));
   }
 
   {
     // Figure 12 shape: hash index, 8 B values, CR-MR batch-size ablation
     // (batch 1 = serial MR indexing, batch 8 = overlapped misses).
-    TestBed bed(IndexType::kHash, WorkloadSpec::YcsbA(kKeys, 8));
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 8);
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 8);
     for (unsigned batch : {1u, 8u}) {
@@ -102,11 +83,13 @@ std::vector<std::string> RunGoldenRows() {
       cfg.mutps.batch_size = batch;
       char tag[32];
       std::snprintf(tag, sizeof(tag), "fig12-b%u", batch);
-      rows.push_back(FormatRow(tag, "uTPS-H", "YCSB-A", bed.Run(cfg)));
+      rows.push_back(FormatRow(tag, "uTPS-H", "YCSB-A",
+                               TestBed(IndexType::kHash, ycsba).Run(cfg)));
     }
     rows.push_back(FormatRow(
         "fig12", "RaceHash", "YCSB-C",
-        bed.Run(TinyConfig(SystemKind::kRaceHash, ycsbc))));
+        TestBed(IndexType::kHash, ycsba)
+            .Run(TinyConfig(SystemKind::kRaceHash, ycsbc))));
   }
 
   return rows;

@@ -60,8 +60,6 @@ ExperimentConfig PointConfig(const Point& p) {
 // Fixed-precision text of everything a sampled figure row is built from, so
 // "byte-identical rows" is literally a string comparison.
 std::string RowFor(const Point& p) {
-  // Fresh bed per run: a run mutates the populated database (YCSB-A writes),
-  // so reusing a bed would make even two full-detail runs diverge by design.
   TestBed bed(p.index, WorkloadSpec::YcsbA(kKeys, 64));
   const ExperimentResult r = bed.Run(PointConfig(p));
   char buf[256];

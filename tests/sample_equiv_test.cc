@@ -5,11 +5,8 @@
 // and fig12 (hash, 8 B, MR batching) configurations. A deliberately biased
 // window plan — windows "measured" while the machine stays functional — must
 // trip the bound, proving the harness can actually detect a broken sampler
-// (mutation-style negative control).
-//
-// Every run gets a FRESH TestBed: runs mutate the populated database, so the
-// comparison contract is identical bed + identical config, differing only in
-// cfg.sample.
+// (mutation-style negative control). The two runs of a comparison differ
+// only in cfg.sample.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -13,6 +13,7 @@
 
 #include "harness/experiment.h"
 #include "index/cuckoo.h"
+#include "result_row.h"
 
 namespace utps {
 namespace {
@@ -52,12 +53,33 @@ TEST_P(ServerSmokeTest, ServesTrafficAndReportsLatency) {
   }
   sim::MachineConfig mc;
   mc.num_cores = 10;
-  TestBed bed(index, SmallSpec(), /*server_workers=*/8, mc);
-  const ExperimentResult res = bed.Run(SmallConfig(sys, SmallSpec()));
+  const auto run = [&](SystemKind s) {
+    return TestBed(index, SmallSpec(), /*server_workers=*/8, mc)
+        .Run(SmallConfig(s, SmallSpec()));
+  };
+  const ExperimentResult res = run(sys);
   EXPECT_GT(res.ops, 1000u) << SystemName(sys);
   EXPECT_GT(res.mops, 0.05) << SystemName(sys);
   EXPECT_GT(res.p50_ns, 1000u);   // at least the NIC RTT
   EXPECT_GE(res.p99_ns, res.p50_ns);
+  // A point depends only on its own bed: after a different system has run
+  // on another bed in this process, the same point on a fresh bed gives the
+  // same row, so no process-global state leaks from one bed into the next.
+  run(sys == SystemKind::kMuTps ? SystemKind::kBaseKv : SystemKind::kMuTps);
+  EXPECT_EQ(FormatRow("smoke", SystemName(sys), IndexName(index), run(sys)),
+            FormatRow("smoke", SystemName(sys), IndexName(index), res));
+}
+
+// A TestBed serves one point: a second Run on the same bed aborts.
+TEST(TestBedDeathTest, SecondRunAborts) {
+  sim::MachineConfig mc;
+  mc.num_cores = 10;
+  TestBed bed(IndexType::kHash, SmallSpec(), /*server_workers=*/8, mc);
+  ExperimentConfig cfg = SmallConfig(SystemKind::kBaseKv, SmallSpec());
+  cfg.warmup_ns = 100 * sim::kUsec;
+  cfg.measure_ns = 100 * sim::kUsec;
+  EXPECT_GT(bed.Run(cfg).ops, 0u);
+  EXPECT_DEATH(bed.Run(cfg), "a TestBed runs one point");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -313,13 +335,13 @@ TEST(MuTpsReconfig, ThreadSplitChangesWithoutLosingRequests) {
 TEST(MuTpsHotSet, EmptyHashHotSetSkipsTheCacheCheck) {
   sim::MachineConfig mc;
   mc.num_cores = 10;
-  TestBed bed(IndexType::kHash, SmallSpec(64, 0.99), 8, mc);
   double check_ns[2];
   for (uint32_t items : {0u, 2048u}) {
     ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, SmallSpec(64, 0.99));
     cfg.mutps.initial_cache_items = items;
     cfg.obs.cycle_accounting = true;
-    const ExperimentResult res = bed.Run(cfg);
+    const ExperimentResult res =
+        TestBed(IndexType::kHash, SmallSpec(64, 0.99), 8, mc).Run(cfg);
     ASSERT_TRUE(res.cycles.valid);
     EXPECT_GT(res.ops, 1000u);
     EXPECT_EQ(res.cache_items > 0, items > 0);
