@@ -84,6 +84,16 @@ struct DstConfig {
   uint64_t seed = 1;
   uint64_t num_keys = 64;
   uint32_t value_size = 32;   // fixed per-key size (>= 8 for the stamp)
+  // When nonzero, half the PUTs grow: a client's i-th op writes a value
+  // ramping from value_size up to grow_value_size over its ops. A value
+  // larger than its item's slab class holds takes ExecPut's slow path, which
+  // replaces the item in the index, so a hot key changes items several times
+  // in a run. GETs ask for the largest size. No scans (their responses are
+  // parsed in value_size strides).
+  uint32_t grow_value_size = 0;
+  // μTPS: refresh the hot set every 10 μs instead of once per 1 ms measure
+  // window, so a run of a few hundred μs publishes many hot sets.
+  bool fast_refresh = false;
   double zipf_theta = 0.99;
   unsigned clients = 5;
   unsigned workers = 4;
@@ -207,7 +217,8 @@ inline void RecordGetBytes(Shared* sh, uint16_t id, Key key, const uint8_t* buf,
     sh->hist->RecordGet(id, key, 0, false, inv, resp);  // absent
     return;
   }
-  if (len != vsize) {
+  const uint32_t grow = sh->cfg->grow_value_size;
+  if (len != vsize && (grow == 0 || len < vsize || len > grow)) {
     sh->hist->RecordGet(id, key, 0, true, inv, resp);  // wrong length
     return;
   }
@@ -264,6 +275,14 @@ inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
     const uint32_t span =
         1 + static_cast<uint32_t>(rng.NextBounded(2 * cfg.scan_len_avg));
     const Key upper = key + span - 1;
+    // The PUT's value size; drawn only in a value-growth run, so fixed-size
+    // runs keep their random stream.
+    uint32_t put_size = cfg.value_size;
+    if (cfg.grow_value_size != 0 && (rng.Next() & 1) != 0) {
+      put_size += (cfg.grow_value_size - cfg.value_size) * (i + 1) /
+                  cfg.ops_per_client;
+    }
+    const uint32_t get_size = std::max(cfg.value_size, cfg.grow_value_size);
     resp_len = 0;
     const sim::Tick inv = ctx->Now();
     if (sh->passive != nullptr) {
@@ -300,15 +319,15 @@ inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
       sim::NicMessage m;
       switch (kind) {
         case check::OpKind::kGet:
-          m = EncodeRequest(OpType::kGet, key, cfg.value_size, 0, 0);
+          m = EncodeRequest(OpType::kGet, key, get_size, 0, 0);
           m.copy_out = out.data();
           m.resp_len_out = &resp_len;
           break;
         case check::OpKind::kPut:
-          check::StampFill(payload.data(), cfg.value_size, stamp);
-          m = EncodeRequest(OpType::kPut, key, cfg.value_size, 0, 0);
+          check::StampFill(payload.data(), put_size, stamp);
+          m = EncodeRequest(OpType::kPut, key, put_size, 0, 0);
           m.payload = payload.data();
-          m.payload_len = cfg.value_size;
+          m.payload_len = put_size;
           break;
         case check::OpKind::kDelete:
           m = EncodeRequest(OpType::kDelete, key, 0, 0, 0);
@@ -400,6 +419,12 @@ inline uint64_t HistoryDigest(const check::History& h) {
 
 inline DstResult RunDst(const DstConfig& cfg) {
   UTPS_CHECK(cfg.value_size >= 8);
+  if (cfg.grow_value_size != 0) {
+    // Variable sizes on the RPC servers' PUT path only: no scans, and not
+    // the passive baselines, whose verbs move fixed-size values.
+    UTPS_CHECK(cfg.grow_value_size >= 8 && cfg.mix.scan == 0);
+    UTPS_CHECK(cfg.sys != Sys::kSherman);
+  }
   UTPS_CHECK(cfg.clients + 1 < 4096 && cfg.ops_per_client + 1 < 4096);
   UTPS_CHECK(cfg.workers >= 2);
   if (cfg.server_crash_at_ns > 0) {
@@ -525,6 +550,10 @@ inline DstResult RunDst(const DstConfig& cfg) {
       // path see traffic (and CR reads race MR writes on hot keys).
       o.initial_cache_items = static_cast<uint32_t>(cfg.num_keys / 4 + 1);
       o.refresh_period_ns = 60 * sim::kUsec;
+      if (cfg.fast_refresh) {
+        o.refresh_period_ns = 8 * sim::kUsec;
+        o.tune_window_ns = 2 * sim::kUsec;
+      }
       if (cfg.split_storm) {
         o.initial_cache_items = 0;
         o.refresh_period_ns = 2 * sim::kUsec;
@@ -583,7 +612,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
       (inj != nullptr || cfg.server_crash_at_ns > 0) && server != nullptr;
   std::vector<internal::ClientRes> client_res(cfg.clients);
   for (auto& r : client_res) {
-    r.payload.resize(cfg.value_size);
+    r.payload.resize(std::max(cfg.value_size, cfg.grow_value_size));
     r.out.resize(16384);
   }
   sh.res = &client_res;
@@ -701,7 +730,10 @@ inline DstResult RunDst(const DstConfig& cfg) {
   KvIndex* fin_index = crashed ? index2.get() : index.get();
   SlabAllocator& fin_slab = crashed ? *slab2 : slab;
   check::AuditReport rep;
+  // Deletes and grown values both leave items the index no longer holds
+  // (neither frees them), so the slab's live count is only a lower bound.
   const bool may_delete = sh.supports_delete && cfg.mix.del > 0;
+  const bool lax_slab = may_delete || cfg.grow_value_size != 0;
   if (cfg.sys == Sys::kErpcKv) {
     for (size_t i = 0; i < shards.size(); i++) {
       std::string err;
@@ -709,14 +741,14 @@ inline DstResult RunDst(const DstConfig& cfg) {
         rep.failures.push_back("shard" + std::to_string(i) + ": " + err);
       }
     }
-    if (!may_delete && !slab.AuditLive(cfg.num_keys)) {
+    if (!lax_slab && !slab.AuditLive(cfg.num_keys)) {
       rep.failures.push_back(
           "slab: live_items=" + std::to_string(slab.live_items()) +
           " expected " + std::to_string(cfg.num_keys));
     }
   } else {
     check::AuditStore(*fin_index, fin_slab,
-                      may_delete ? UINT64_MAX : cfg.num_keys, &rep);
+                      lax_slab ? UINT64_MAX : cfg.num_keys, &rep);
   }
   if (mutps != nullptr) {
     std::string err;

@@ -147,6 +147,28 @@ TEST(DstSweep, SplitStormUniformGets) {
   }
 }
 
+// Half the PUTs grow their key's value, from 32 B up to 512 B over each
+// client's ops, so a key outgrows its item's slab class several times and
+// ExecPut replaces the item in the index each time. μTPS refreshes its hot
+// set every 10 μs here: a μTPS-T CR worker then often finds a replaced item
+// in its published hot array, and a hot hit on it must neither serve nor
+// absorb a value its replacement has superseded.
+TEST(DstSweep, ValueGrowth) {
+  for (Sys sys : {Sys::kMuTpsT, Sys::kMuTpsH, Sys::kBaseKv, Sys::kErpcKv}) {
+    for (uint64_t seed = 1; seed <= SeedCount(); seed++) {
+      DstConfig cfg = SweepConfig(sys, kYcsbA, seed);
+      cfg.grow_value_size = 512;
+      cfg.fast_refresh = true;
+      cfg.clients = 8;
+      cfg.ops_per_client = 100;
+      RunAndReport(cfg, "value-growth");
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
 // Deletes are only wired on the RPC baselines (μTPS has no delete opcode);
 // slab accounting switches to lax mode because erase leaks items by design.
 TEST(DstSweep, DeleteMixServers) {
