@@ -39,36 +39,41 @@ inline sim::Task<uint32_t> ExecGet(sim::ExecCtx& ctx, const ServerEnv& env, Key 
 inline sim::Task<void> ExecPut(sim::ExecCtx& ctx, const ServerEnv& env, Key key,
                                const uint8_t* payload, uint32_t len,
                                bool unsynchronized = false) {
-  Item* it;
-  {
-    sim::StageScope s(ctx, sim::Stage::kIndex);
-    it = co_await env.index->CoGet(ctx, key);
-  }
-  sim::StageScope s(ctx, sim::Stage::kData);
-  if (!ctx.FastForward()) {
-    co_await ctx.Read(payload, len);  // fetch the new value from the rx buffer
-  }
-  if (it != nullptr && len <= it->capacity) {
-    if (unsynchronized) {
-      co_await ItemWriteUnsynchronized(ctx, it, payload, len);
-    } else {
-      co_await ItemWrite(ctx, it, payload, len);
+  for (;;) {
+    Item* it;
+    {
+      sim::StageScope s(ctx, sim::Stage::kIndex);
+      it = co_await env.index->CoGet(ctx, key);
+    }
+    sim::StageScope s(ctx, sim::Stage::kData);
+    if (!ctx.FastForward()) {
+      co_await ctx.Read(payload, len);  // fetch the new value from the rx buffer
+    }
+    if (it != nullptr && len <= it->capacity) {
+      if (unsynchronized) {
+        co_await ItemWriteUnsynchronized(ctx, it, payload, len);
+        co_return;
+      }
+      if (co_await ItemWrite(ctx, it, payload, len)) {
+        co_return;
+      }
+      continue;  // a grown PUT replaced the item since the lookup
+    }
+    // Slow path: new key (or grown value): allocate and (re)insert.
+    Item* fresh = env.slab->AllocateItem(key, len);
+    ItemWriteDirect(fresh, payload, len);
+    ctx.Charge(30);  // allocator cost
+    co_await ctx.Write(fresh, sizeof(Item) + len);
+    sim::StageScope si(ctx, sim::Stage::kIndex);
+    if (it != nullptr && co_await env.index->CoReplace(ctx, key, fresh)) {
+      co_return;
+    }
+    // An insert fails only when the key is present: a concurrent PUT of the
+    // same key inserted it first, and this PUT is ordered before that one.
+    if (!co_await env.index->CoInsert(ctx, key, fresh)) {
+      env.slab->FreeItem(fresh);
     }
     co_return;
-  }
-  // Slow path: new key (or grown value): allocate and (re)insert.
-  Item* fresh = env.slab->AllocateItem(key, len);
-  ItemWriteDirect(fresh, payload, len);
-  ctx.Charge(30);  // allocator cost
-  co_await ctx.Write(fresh, sizeof(Item) + len);
-  sim::StageScope si(ctx, sim::Stage::kIndex);
-  if (it != nullptr) {
-    co_await env.index->CoErase(ctx, key);
-  }
-  // An insert fails only when the key is present: a concurrent PUT of the
-  // same key inserted it first, and this PUT is ordered before that one.
-  if (!co_await env.index->CoInsert(ctx, key, fresh)) {
-    env.slab->FreeItem(fresh);
   }
 }
 

@@ -376,6 +376,30 @@ sim::Task<bool> CuckooIndex::CoErase(sim::ExecCtx& ctx, Key key) {
   co_return erased;
 }
 
+sim::Task<bool> CuckooIndex::CoReplace(sim::ExecCtx& ctx, Key key, Item* item) {
+  const uint64_t h = Hash(key);
+  const uint64_t i1 = Index1(h);
+  const uint64_t i2 = Index2(i1, h);
+  co_await LockPair(ctx, i1, i2);
+  bool replaced = false;
+  for (uint64_t b : {i1, i2}) {
+    Bucket& bk = buckets_[b];
+    co_await ctx.Read(Modeled(b), kProbeBytes);
+    const int s = FindSlot(bk, key);
+    if (s >= 0) {
+      bk.version++;
+      RetireItem(bk.items[s]);
+      bk.items[s] = item;
+      bk.version++;
+      co_await ctx.Write(Modeled(b, ItemOffset(s)), sizeof(Item*));
+      replaced = true;
+      break;
+    }
+  }
+  UnlockPair(ctx, i1, i2);
+  co_return replaced;
+}
+
 bool CuckooIndex::AuditDirect(std::string* err) const {
   auto fail = [err](std::string msg) {
     if (err != nullptr) {

@@ -69,6 +69,7 @@ class CuckooIndex final : public KvIndex {
   sim::Task<Item*> CoGet(sim::ExecCtx& ctx, Key key) override;
   sim::Task<bool> CoInsert(sim::ExecCtx& ctx, Key key, Item* item) override;
   sim::Task<bool> CoErase(sim::ExecCtx& ctx, Key key) override;
+  sim::Task<bool> CoReplace(sim::ExecCtx& ctx, Key key, Item* item) override;
 
   uint64_t num_buckets() const { return nbuckets_; }
   // The buckets' host state in bucket order, 72 B each: {version, keys[4],

@@ -57,6 +57,11 @@ class KvIndex {
   // its key.
   virtual sim::Task<bool> CoInsert(sim::ExecCtx& ctx, Key key, Item* item) = 0;
   virtual sim::Task<bool> CoErase(sim::ExecCtx& ctx, Key key) = 0;
+  // Points a present key at `item` and retires the item it displaces
+  // (RetireItem) at the same instant, so no reader finds the key absent
+  // between the two and none serves the old value after the swap. Returns
+  // false, changing nothing, if the key is absent.
+  virtual sim::Task<bool> CoReplace(sim::ExecCtx& ctx, Key key, Item* item) = 0;
 
   // Range scan support (tree index only).
   virtual bool SupportsScan() const { return false; }

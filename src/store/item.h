@@ -35,6 +35,17 @@ struct Item {
 
 static_assert(sizeof(Item) == 24, "item header layout");
 
+// Set on an item's ctrl word when a grown PUT replaces it in the index
+// (KvIndex::CoReplace), at the instant the index stops pointing at it. The
+// item is never freed, so a pointer to it stays safe to follow, but a writer
+// that finds the bit must look the key up again, and a reader that kept the
+// pointer past a lookup (μTPS's hot array) must not serve its value. Seqlock
+// bumps never carry into bit 63.
+constexpr uint64_t kItemRetired = uint64_t{1} << 63;
+
+inline bool ItemRetired(const Item* it) { return (it->ctrl & kItemRetired) != 0; }
+inline void RetireItem(Item* it) { it->ctrl |= kItemRetired; }
+
 // Contention tracking: spinning on a contended lock word degrades the
 // holder's and the next acquirer's progress roughly linearly in the number
 // of spinners (cacheline ping-pong steals the line from the owner). We track
@@ -98,8 +109,9 @@ inline sim::Task<uint32_t> ItemRead(sim::ExecCtx& ctx, const Item* it, void* dst
 
 // Writes `len` bytes into the item. Values of <= 8 bytes are stored with a
 // single atomic write (no locking, as in the paper); larger values take the
-// item seqlock.
-inline sim::Task<void> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
+// item seqlock. Returns false, having written nothing, when the item is
+// retired at the instant the write would take effect.
+inline sim::Task<bool> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
                                  uint32_t len) {
   UTPS_DCHECK(len <= it->capacity);
   if (UTPS_UNLIKELY(ctx.FastForward())) {
@@ -114,16 +126,22 @@ inline sim::Task<void> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
       }
       co_await ctx.Delay(30);  // detailed writer parked odd across the switch
     }
+    if (ItemRetired(it)) {
+      co_return false;
+    }
     std::memcpy(it->value(), src, len);
     it->value_len = len;
     it->ctrl += 2;
-    co_return;
+    co_return true;
   }
   if (len <= 8) {
+    if (ItemRetired(it)) {
+      co_return false;
+    }
     std::memcpy(it->value(), src, len);
     it->value_len = len;
     co_await ctx.Access(&it->ctrl, sizeof(Item), /*write=*/true);
-    co_return;
+    co_return true;
   }
   ctx.Charge(8 + len / 16);  // copy compute cost
   // Acquire the embedded lock bit: state is mutated synchronously (the CAS
@@ -133,6 +151,9 @@ inline sim::Task<void> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
   // with the number of spinners rather than with raw retry frequency.
   uint8_t& contention = item_internal::ContentionOf(it);
   for (sim::Tick backoff = 40;;) {
+    if (ItemRetired(it)) {
+      co_return false;
+    }
     const bool locked = (it->ctrl & 1) != 0;
     if (!locked && !mut::DropSeqlockBump()) {
       it->ctrl++;  // even -> odd: write in progress
@@ -166,6 +187,7 @@ inline sim::Task<void> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
     it->ctrl++;  // odd -> even: publish new version
   }
   co_await ctx.Write(&it->ctrl, 8);
+  co_return true;
 }
 
 // Non-atomic write used by share-nothing servers (the shard owner is the only
