@@ -47,6 +47,12 @@ enum class Mode : uint8_t {
   // before the CR layer sends it (eight 8 KB scans fill the 64 KB buffer).
   // The client reads another request's bytes.
   kMrRegionWithoutHold = 6,
+  // A CR worker forwards each miss from inside its slot batch (CrFront calls
+  // CrForward) instead of after it. A staging flush then suspends while
+  // another record of the batch pushes to the same target and flushes too:
+  // both claim the ring slot at head, so one batch's descriptors overwrite
+  // the other's and requests are lost or answered twice.
+  kCrForwardInBatch = 7,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -117,6 +123,14 @@ inline bool MrRegionWithoutHold() {
   g_fired++;
   return true;
 }
+
+inline bool CrForwardInBatch() {
+  if (g_mode != Mode::kCrForwardInBatch) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
@@ -124,6 +138,7 @@ inline constexpr bool DropDedupWindow() { return false; }
 inline constexpr bool DropRingEpochCheck() { return false; }
 inline constexpr bool PublishWithoutAcks() { return false; }
 inline constexpr bool MrRegionWithoutHold() { return false; }
+inline constexpr bool CrForwardInBatch() { return false; }
 #endif
 
 }  // namespace utps::mut

@@ -31,6 +31,12 @@
 //     eight 8 KB scans in flight the cyclic buffer laps a response the CR
 //     layer has not sent yet, and the client reads another scan's bytes:
 //     caught by the checker as a corrupt or non-linearizable scan.
+//  7. kCrForwardInBatch — a μTPS CR worker forwards each miss from inside
+//     its slot batch instead of after it. Two records of one batch then
+//     flush staging to the same CR-MR ring while the first flush is
+//     suspended: both fill the slot at head, so a batch's descriptors are
+//     overwritten and its requests never answered. Caught as stuck ops or a
+//     failed quiesce audit.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
@@ -141,6 +147,22 @@ DstConfig ScanDeepConfig(uint64_t seed) {
   return cfg;
 }
 
+// Full receive slots of uniform misses: 48 clients over 4096 keys keep every
+// slot at its eight records, and with the hot set empty each record of a CR
+// batch is forwarded, so staging reaches batch_size inside one batch.
+DstConfig CrBatchConfig(uint64_t seed) {
+  DstConfig cfg;
+  cfg.sys = Sys::kMuTpsH;
+  cfg.mix = kYcsbA;
+  cfg.seed = seed;
+  cfg.jitter_ns = seed % 2 == 0 ? 0 : 48;
+  cfg.num_keys = 4096;
+  cfg.zipf_theta = 0.0;
+  cfg.clients = 48;
+  cfg.ops_per_client = 20;
+  return cfg;
+}
+
 constexpr uint64_t kSeedBudget = 12;
 
 TEST(DstMutation, ControlRunsPass) {
@@ -162,6 +184,9 @@ TEST(DstMutation, ControlRunsPass) {
   // With MR response regions held, deep scan traffic is clean.
   const DstResult f = RunDst(ScanDeepConfig(1));
   EXPECT_TRUE(f.ok) << f.error;
+  // With misses forwarded after the batch, full slots are clean.
+  const DstResult g = RunDst(CrBatchConfig(1));
+  EXPECT_TRUE(g.ok) << g.error;
 }
 
 TEST(DstMutation, DropSeqlockBumpCaught) {
@@ -290,6 +315,25 @@ TEST(DstMutation, MrRegionWithoutHoldCaught) {
   mut::Reset(mut::Mode::kNone);
   EXPECT_TRUE(caught)
       << "MR response regions taken without a hold survived " << kSeedBudget
+      << " seeds";
+}
+
+TEST(DstMutation, CrForwardInBatchCaught) {
+  mut::Reset(mut::Mode::kCrForwardInBatch);
+  bool caught = false;
+  for (uint64_t seed = 1; seed <= kSeedBudget && !caught; seed++) {
+    const DstResult r = RunDst(CrBatchConfig(seed));
+    ASSERT_GT(mut::g_fired, 0u) << "no miss forwarded";
+    if (!r.ok) {
+      caught = true;
+      const bool stuck = r.error.find("stuck") != std::string::npos;
+      const bool audit = r.error.find("mutps:") != std::string::npos;
+      EXPECT_TRUE(stuck || audit) << "unexpected failure mode: " << r.error;
+    }
+  }
+  mut::Reset(mut::Mode::kNone);
+  EXPECT_TRUE(caught)
+      << "misses forwarded inside the CR batch survived " << kSeedBudget
       << " seeds";
 }
 

@@ -363,5 +363,37 @@ TEST(MuTpsHotSet, SkewedLoadPopulatesCache) {
   EXPECT_GT(res.cache_items, 100u);  // hot set was identified and published
 }
 
+// The CR layer runs a claimed slot's records as one batch (DESIGN.md §2).
+// Here every request is a CR hot hit: uniform GETs over 64 keys under a
+// 2048-item hot set and a fixed split, so the MR layer does no work. The
+// private caches are shrunk to 10 KB so the hot items and their index
+// buckets are LLC hits, stalls a batch can overlap. Batches of eight must
+// then serve at least 10% faster than batches of one, which run the CR loop
+// serially.
+TEST(MuTpsCrBatch, HotHitsServeFasterInBatches) {
+  sim::MachineConfig mc;
+  mc.num_cores = 10;
+  mc.priv_sets_log2 = 4;
+  const WorkloadSpec spec = WorkloadSpec::GetOnly(64, 64, /*skewed=*/false);
+  double mops[2];
+  for (const unsigned batch : {1u, 8u}) {
+    ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, spec);
+    cfg.client_threads = 32;
+    cfg.pipeline_depth = 8;
+    cfg.warmup_ns = 3 * kMsec;
+    cfg.mutps.initial_ncr = 3;
+    cfg.mutps.initial_cache_items = 2048;
+    cfg.mutps.refresh_period_ns = 1 * kMsec;
+    cfg.mutps.batch_size = batch;
+    const ExperimentResult res =
+        TestBed(IndexType::kHash, spec, 8, mc).Run(cfg);
+    EXPECT_GT(res.ops, 1000u);
+    EXPECT_EQ(res.hot_misses, 0u) << "batch " << batch;
+    mops[batch == 1 ? 0 : 1] = res.mops;
+  }
+  EXPECT_GT(mops[1], 1.10 * mops[0])
+      << "batch 1: " << mops[0] << " Mops, batch 8: " << mops[1] << " Mops";
+}
+
 }  // namespace
 }  // namespace utps
