@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   cfg.warmup_ns = 3 * sim::kMsec;
   cfg.measure_ns = 3 * sim::kMsec;
   cfg.mutps.autotune = true;
-  cfg.mutps.enable_cache = true;
   cfg.mutps.tune_llc = false;             // quick demo: threads + cache only
   cfg.mutps.tune_window_ns = 200 * sim::kUsec;
   cfg.mutps.refresh_period_ns = 2 * sim::kMsec;

@@ -1,6 +1,7 @@
 #!/bin/bash
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
-# the CR-MR ring / store probe tests, the mutation smoke-check, the golden
+# the CR-MR ring / store probe tests, the cluster tests (whose nodes apply
+# ops through the single-node executor), the mutation smoke-check, the golden
 # rows and fig19's cluster output against their committed copies, the
 # figure benches at smoke scale, and kvbench's smoke pass and audit test.
 #
@@ -60,7 +61,7 @@ sys.exit(1 if orphans else 0)
 EOF
 echo "=== every cited results/ file is tracked ==="
 
-CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test'
+CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test'
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"

@@ -171,18 +171,7 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
     }
   }
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
-    const NodeStats& s = cluster.node(n)->stats();
-    NodeCounters c;
-    c.ops_served = s.ops_served;
-    c.repl_sent = s.repl_sent;
-    c.repl_applied = s.repl_applied;
-    c.not_owner = s.not_owner;
-    c.migrations_out = s.migrations_out;
-    c.migrations_in = s.migrations_in;
-    c.promotions = s.promotions;
-    c.crashed = s.crashed;
-    c.fenced = s.fenced;
-    res.node_counters.push_back(c);
+    res.node_counters.push_back(cluster.node(n)->counters());
   }
   res.ring_epoch = cluster.manager()->epoch();
   res.shard_migrations = cluster.manager()->shard_migrations();

@@ -1,10 +1,12 @@
 // Functional tests for the scale-out tier (src/cluster): routing round trips,
 // replication, NOT_OWNER redirects, forced migration, primary-crash failover,
+// a grown PUT replacing the item on both replicas, the oversize-write check,
 // the rebalancer's move rule, and determinism of the cluster harness.
 #include "cluster/cluster.h"
 
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/client.h"
@@ -68,7 +70,7 @@ TEST(Cluster, PutGetAcrossNodes) {
   // Writes replicated: every key landed on a backup too.
   uint64_t repl = 0;
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
-    repl += cluster.node(n)->stats().repl_applied;
+    repl += cluster.node(n)->counters().repl_applied;
   }
   EXPECT_EQ(repl, 64u);
   std::string err;
@@ -99,8 +101,8 @@ TEST(Cluster, StaleRouteRedirects) {
   uint64_t in = 0;
   uint64_t out = 0;
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
-    in += cluster.node(n)->stats().migrations_in;
-    out += cluster.node(n)->stats().migrations_out;
+    in += cluster.node(n)->counters().migrations_in;
+    out += cluster.node(n)->counters().migrations_out;
   }
   EXPECT_EQ(in, 1u);
   EXPECT_EQ(out, 1u);
@@ -150,7 +152,7 @@ TEST(Cluster, PrimaryCrashPromotesBackup) {
   EXPECT_TRUE(cluster.node(0)->crashed());
   uint64_t promotions = 0;
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
-    promotions += cluster.node(n)->stats().promotions;
+    promotions += cluster.node(n)->counters().promotions;
   }
   // Node 0 owned at least one shard; every one must have failed over.
   EXPECT_GT(promotions, 0u);
@@ -175,9 +177,104 @@ TEST(Cluster, SingleNodeClusterWorks) {
   eng.Run(20 * sim::kMsec);
   EXPECT_TRUE(done);
   // No backup exists, so nothing replicates.
-  EXPECT_EQ(cluster.node(0)->stats().repl_applied, 0u);
+  EXPECT_EQ(cluster.node(0)->counters().repl_applied, 0u);
   cluster.Stop();
   eng.Run(eng.now() + sim::kMsec);
+}
+
+// DELETE, then an 8 B PUT (a fresh 8 B-capacity item), then a full-size PUT
+// that no longer fits: the grown value replaces the item on both replicas.
+sim::Fiber GrowFiber(ClusterClient* cli, Key key, uint32_t value_size,
+                     uint32_t* got_len, std::vector<uint8_t>* got) {
+  std::vector<uint8_t> small(8, 0x11);
+  std::vector<uint8_t> big(value_size, 0x77);
+  co_await cli->Call(OpType::kDelete, key, nullptr, 0, nullptr);
+  co_await cli->Call(OpType::kPut, key, small.data(), 8, nullptr);
+  co_await cli->Call(OpType::kPut, key, big.data(), value_size, nullptr);
+  *got_len = co_await cli->Call(OpType::kGet, key, nullptr, 0, got->data());
+}
+
+TEST(Cluster, GrownPutReplacesTheItemOnBothReplicas) {
+  sim::Engine eng;
+  ClusterParams p = SmallParams();
+  Cluster cluster(&eng, p);
+  PopulateKeyed(&cluster);
+  cluster.Start();
+  const Key key = 5;
+  uint32_t got_len = 0;
+  std::vector<uint8_t> got(p.value_size + 64, 0);
+  sim::ExecCtx ctx{.eng = &eng};
+  ClusterClient cli(&cluster, 0, &ctx);
+  eng.Spawn(GrowFiber(&cli, key, p.value_size, &got_len, &got));
+  eng.Run(20 * sim::kMsec);
+  ASSERT_EQ(got_len, p.value_size);
+  for (uint32_t i = 0; i < p.value_size; i++) {
+    ASSERT_EQ(got[i], 0x77) << "byte " << i;
+  }
+  // Both replicas index a full-size item holding the new value.
+  const uint64_t sh = ShardOfKey(key, p.shards, p.num_keys);
+  const ClusterManager::Assign& a = cluster.manager()->assign(sh);
+  ASSERT_GE(a.backup, 0);
+  for (const int n : {a.primary, a.backup}) {
+    const Item* it = cluster.node(n)->shard(sh).index->GetDirect(key);
+    ASSERT_NE(it, nullptr) << "node " << n;
+    EXPECT_GE(it->capacity, p.value_size) << "node " << n;
+    EXPECT_EQ(it->value_len, p.value_size) << "node " << n;
+  }
+  EXPECT_EQ(cluster.node(0)->counters().repl_applied +
+                cluster.node(1)->counters().repl_applied,
+            3u);
+  std::string err;
+  EXPECT_TRUE(cluster.AuditReplicas(&err, eng.now())) << err;
+  cluster.Stop();
+  eng.Run(eng.now() + sim::kMsec);
+}
+
+sim::Fiber OversizePutFiber(ClusterClient* cli, uint32_t len) {
+  std::vector<uint8_t> val(len, 0x42);
+  co_await cli->Call(OpType::kPut, 3, val.data(), len, nullptr);
+}
+
+// A write longer than the node's value size would overrun its staging
+// buffer: the primary refuses it on the data path, and a backup on the
+// replication path.
+TEST(ClusterDeathTest, OversizeWriteIsRejected) {
+  const ClusterParams p = SmallParams();
+  EXPECT_DEATH(
+      {
+        sim::Engine eng;
+        Cluster cluster(&eng, p);
+        PopulateKeyed(&cluster);
+        cluster.Start();
+        sim::ExecCtx ctx{.eng = &eng};
+        ClusterClient cli(&cluster, 0, &ctx);
+        eng.Spawn(OversizePutFiber(&cli, p.value_size + 1));
+        eng.Run(5 * sim::kMsec);
+      },
+      "exceeds the 64 B value size");
+  EXPECT_DEATH(
+      {
+        sim::Engine eng;
+        Cluster cluster(&eng, p);
+        PopulateKeyed(&cluster);
+        cluster.Start();
+        const Key key = 3;
+        const uint64_t sh = ShardOfKey(key, p.shards, p.num_keys);
+        const int backup = cluster.manager()->assign(sh).backup;
+        std::vector<uint8_t> val(p.value_size + 1, 0x42);
+        sim::NicMessage m;
+        m.h[0] = key;
+        m.h[1] = PackCtlLen(Ctl::kReplPut, p.value_size + 1);
+        m.h[2] = 1;  // the client rid the primary would forward
+        m.h[3] = sh;
+        m.payload = val.data();
+        m.payload_len = p.value_size + 1;
+        m.rid = (ReplStream(0, 0) << 32) | 1;
+        sim::ExecCtx ctx{.eng = &eng};
+        cluster.node(backup)->ctl_nic().ClientSend(ctx, 0, m);
+        eng.Run(5 * sim::kMsec);
+      },
+      "exceeds the 64 B value size");
 }
 
 // ------------------------------------------------------- rebalancer rule

@@ -282,7 +282,7 @@ inline DstClusterResult RunDstCluster(const DstClusterConfig& cfg) {
 
   const check::CheckResult lin = check::CheckLinearizability(hist, {});
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
-    out.promotions += cluster.node(n)->stats().promotions;
+    out.promotions += cluster.node(n)->counters().promotions;
   }
   out.migrations = cluster.manager()->shard_migrations();
   out.final_epoch = cluster.manager()->epoch();

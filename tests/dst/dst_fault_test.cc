@@ -512,11 +512,11 @@ TEST(DstCluster, DigestsMatchCommitted) {
     uint64_t migrations;
     uint64_t final_epoch;
   } cells[] = {
-      {DST_CELL(FailoverCell(42)), 0x04b36e94cedd88edULL, 160, 18, 2, 0, 3},
-      {DST_CELL(MigrationCell(42)), 0xd3c1812fddf4ced6ULL, 160, 8, 1, 1, 2},
-      {DST_CELL(PartitionCell(42)), 0xfb018fabf934db6cULL, 160, 17, 3, 0, 4},
-      {DST_CELL(RebalancerCell(42)), 0x7cb0befe7029afa1ULL, 240, 0, 0, 0, 1},
-      {DST_CELL(HotShiftCell(42)), 0x46b323cb60106258ULL, 9600, 3, 2, 4, 5},
+      {DST_CELL(FailoverCell(42)), 0xcbe74c6c85367972ULL, 160, 14, 2, 0, 3},
+      {DST_CELL(MigrationCell(42)), 0x438b209b62d2e848ULL, 160, 7, 1, 1, 2},
+      {DST_CELL(PartitionCell(42)), 0x4623ed8e662c4c2bULL, 160, 16, 3, 0, 4},
+      {DST_CELL(RebalancerCell(42)), 0xd2e8134bdf2ebce1ULL, 240, 0, 0, 0, 1},
+      {DST_CELL(HotShiftCell(42)), 0x6dbcb9ae4943e03aULL, 9600, 13, 1, 3, 4},
   };
   std::string table;
   bool moved = false;

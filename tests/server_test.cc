@@ -319,7 +319,8 @@ TEST(MuTpsReconfig, ThreadSplitChangesWithoutLosingRequests) {
   ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, SmallSpec());
   cfg.mutps.autotune = true;
   cfg.mutps.tune_llc = false;
-  cfg.mutps.enable_cache = false;  // quick tune: threads only
+  cfg.mutps.cache_sizes = {0};  // quick tune: threads only
+  cfg.mutps.initial_cache_items = 0;
   cfg.mutps.tune_window_ns = 100 * sim::kUsec;
   cfg.max_warmup_ns = 100 * kMsec;
   const ExperimentResult res = bed.Run(cfg);
