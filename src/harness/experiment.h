@@ -23,6 +23,7 @@
 #include "obs/obs.h"
 #include "sim/sample.h"
 #include "stats/histogram.h"
+#include "stats/node_counters.h"
 #include "stats/timeseries.h"
 #include "wal/wal.h"
 #include "workload/workload.h"
@@ -94,20 +95,6 @@ struct ExperimentConfig {
   // result). Incompatible with phase2 (the phase switch would race the
   // window plan).
   sim::SampleConfig sample;
-};
-
-// Per-node outcome of a cluster run (src/cluster). One entry per server node
-// in ExperimentResult::node_counters; empty for single-node experiments.
-struct NodeCounters {
-  uint64_t ops_served = 0;        // data ops this node executed as primary
-  uint64_t repl_sent = 0;         // replication RPCs sent as primary
-  uint64_t repl_applied = 0;      // replication ops applied as backup
-  uint64_t not_owner = 0;         // requests answered NOT_OWNER / FROZEN
-  uint64_t migrations_out = 0;    // shards this node handed off
-  uint64_t migrations_in = 0;     // shards this node took over
-  uint64_t promotions = 0;        // backup -> primary promotions
-  bool crashed = false;           // node was crash-stopped by the fault plan
-  bool fenced = false;            // node self-fenced on lease expiry
 };
 
 // Bucket width of a run's throughput / P99 time series (single-node and
