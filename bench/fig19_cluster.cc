@@ -14,14 +14,12 @@
 //     at >=90% of the pre-shift rate (and P99 back under 1.5x pre-shift).
 //
 // Output: BENCH_cluster.json in the current directory, or the path in
-// MUTPS_CLUSTER_OUT. MUTPS_BENCH_SCALE scales the measured windows.
-#include <algorithm>
+// MUTPS_JSON_OUT. MUTPS_BENCH_SCALE scales the measured windows.
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "cluster/harness.h"
 #include "common/env.h"
+#include "harness/bench_util.h"
 
 using namespace utps;
 using cluster::ClusterBenchConfig;
@@ -29,18 +27,6 @@ using cluster::ClusterBenchConfig;
 namespace {
 
 constexpr uint64_t kSeed = 42;
-
-struct ScaleRow {
-  unsigned nodes = 0;
-  unsigned clients = 0;
-  double mops = 0.0;
-  uint64_t p50_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t retries = 0;
-  uint64_t redirects_not_owner = 0;
-  uint64_t repl_applied = 0;
-  double speedup = 0.0;  // vs the 1-node point
-};
 
 ClusterBenchConfig BaseConfig(unsigned nodes) {
   ClusterBenchConfig cfg;
@@ -57,39 +43,44 @@ ClusterBenchConfig BaseConfig(unsigned nodes) {
   return cfg;
 }
 
-ScaleRow RunScalePoint(unsigned nodes) {
+// Runs one scaling point, prints it and appends its row to the open array
+// of `j`. The 1-node point, which runs first, sets `one_node_mops`, the
+// base of every row's speedup.
+void RunScalePoint(bench::JsonWriter& j, unsigned nodes,
+                   double& one_node_mops) {
   const ClusterBenchConfig cfg = BaseConfig(nodes);
   const ExperimentResult r = cluster::RunClusterExperiment(cfg);
-  ScaleRow row;
-  row.nodes = nodes;
-  row.clients = cfg.clients;
-  row.mops = r.mops;
-  row.p50_ns = r.p50_ns;
-  row.p99_ns = r.p99_ns;
-  row.retries = r.retries;
+  if (nodes == 1) {
+    one_node_mops = r.mops;
+  }
+  uint64_t not_owner = 0;
+  uint64_t repl_applied = 0;
   for (const NodeCounters& n : r.node_counters) {
-    row.redirects_not_owner += n.not_owner;
-    row.repl_applied += n.repl_applied;
+    not_owner += n.not_owner;
+    repl_applied += n.repl_applied;
   }
   std::printf("%u nodes (%2u clients): %7.3f Mops  p50 %5.1fus  p99 %6.1fus"
               "  not_owner %llu  repl %llu\n",
-              nodes, row.clients, row.mops, r.p50_ns / 1e3, r.p99_ns / 1e3,
-              static_cast<unsigned long long>(row.redirects_not_owner),
-              static_cast<unsigned long long>(row.repl_applied));
+              nodes, cfg.clients, r.mops, r.p50_ns / 1e3, r.p99_ns / 1e3,
+              static_cast<unsigned long long>(not_owner),
+              static_cast<unsigned long long>(repl_applied));
   std::fflush(stdout);
-  return row;
+  j.Open(nullptr, '{', /*one_line=*/true);
+  j.Int("nodes", nodes);
+  j.Int("clients", cfg.clients);
+  j.Num("mops", r.mops, 4);
+  j.Int("p50_ns", r.p50_ns);
+  j.Int("p99_ns", r.p99_ns);
+  j.Int("retries", r.retries);
+  j.Int("not_owner", not_owner);
+  j.Int("repl_applied", repl_applied);
+  j.Num("speedup", one_node_mops > 0.0 ? r.mops / one_node_mops : 0.0, 3);
+  j.Close();
 }
 
-struct CrowdResult {
-  ExperimentResult r;
-  sim::Tick shift_at_ns = 0;
-  double pre_mops = 0.0;
-  double pre_p99_us = 0.0;
-  double tput_recovery_us = -1.0;
-  double p99_recovery_us = -1.0;
-};
-
-CrowdResult RunFlashCrowd() {
+// Runs the flash-crowd leg, prints its timeline and recovery, and writes
+// it as the "flash_crowd" member of `j`.
+void RunFlashCrowd(bench::JsonWriter& j) {
   ClusterBenchConfig cfg = BaseConfig(4);
   cfg.zipf_theta = 1.05;  // sharper hotset: the shift moves real load
   cfg.record_timeline = true;
@@ -105,10 +96,7 @@ CrowdResult RunFlashCrowd() {
   cfg.cluster.imbalance_factor = 1.8;
   cfg.cluster.rebalance_min_ops = 200;
   cfg.cluster.rebalance_cooldown_ns = 600 * sim::kUsec;
-  CrowdResult out;
-  out.r = cluster::RunClusterExperiment(cfg);
-  out.shift_at_ns = cfg.hotshift_at_ns;
-  const ExperimentResult& r = out.r;
+  const ExperimentResult r = cluster::RunClusterExperiment(cfg);
 
   std::printf("\n-- flash crowd (4 nodes, shift at %.2fms, rebalancer on) "
               "--\n",
@@ -143,38 +131,59 @@ CrowdResult RunFlashCrowd() {
     pre /= static_cast<double>(n);
     pre_p99 /= static_cast<double>(n);
   }
-  out.pre_mops = pre;
-  out.pre_p99_us = pre_p99 / 1e3;
+  const double pre_p99_us = pre_p99 / 1e3;
+  double tput_recovery_us = -1.0;
+  double p99_recovery_us = -1.0;
   for (size_t i = shift_b + 1; i < r.timeline_mops.size(); i++) {
     const double t_us = (static_cast<double>(i) * r.timeline_bucket_ns -
                          static_cast<double>(cfg.hotshift_at_ns)) / 1e3;
-    if (out.tput_recovery_us < 0.0 && r.timeline_mops[i] >= 0.9 * pre) {
-      out.tput_recovery_us = t_us;
+    if (tput_recovery_us < 0.0 && r.timeline_mops[i] >= 0.9 * pre) {
+      tput_recovery_us = t_us;
     }
-    if (out.p99_recovery_us < 0.0 && i < r.timeline_p99_ns.size() &&
+    if (p99_recovery_us < 0.0 && i < r.timeline_p99_ns.size() &&
         static_cast<double>(r.timeline_p99_ns[i]) <= 1.5 * pre_p99) {
-      out.p99_recovery_us = t_us;
+      p99_recovery_us = t_us;
     }
-    if (out.tput_recovery_us >= 0.0 && out.p99_recovery_us >= 0.0) {
+    if (tput_recovery_us >= 0.0 && p99_recovery_us >= 0.0) {
       break;
     }
   }
   std::printf("pre-shift %.2f Mops / p99 %.1fus; migrations %llu "
               "(ring epoch %llu)\n",
-              pre, out.pre_p99_us,
+              pre, pre_p99_us,
               static_cast<unsigned long long>(r.shard_migrations),
               static_cast<unsigned long long>(r.ring_epoch));
-  if (out.tput_recovery_us >= 0.0) {
-    std::printf("throughput recovery %.0fus", out.tput_recovery_us);
+  if (tput_recovery_us >= 0.0) {
+    std::printf("throughput recovery %.0fus", tput_recovery_us);
   } else {
     std::printf("throughput recovery: not within the run");
   }
-  if (out.p99_recovery_us >= 0.0) {
-    std::printf("; p99 recovery %.0fus\n", out.p99_recovery_us);
+  if (p99_recovery_us >= 0.0) {
+    std::printf("; p99 recovery %.0fus\n", p99_recovery_us);
   } else {
     std::printf("; p99 recovery: not within the run\n");
   }
-  return out;
+  j.Open("flash_crowd", '{');
+  j.Int("nodes", cfg.cluster.nodes);
+  j.Int("shift_at_ns", cfg.hotshift_at_ns);
+  j.Num("pre_mops", pre, 4);
+  j.Num("pre_p99_us", pre_p99_us, 1);
+  j.Num("tput_recovery_us", tput_recovery_us, 0);
+  j.Num("p99_recovery_us", p99_recovery_us, 0);
+  j.Int("migrations", r.shard_migrations);
+  j.Int("ring_epoch", r.ring_epoch);
+  j.Int("bucket_ns", r.timeline_bucket_ns);
+  j.Open("timeline_mops", '[', /*one_line=*/true);
+  for (const double mops : r.timeline_mops) {
+    j.Num(nullptr, mops, 3);
+  }
+  j.Close();
+  j.Open("timeline_p99_us", '[', /*one_line=*/true);
+  for (const sim::Tick p99_ns : r.timeline_p99_ns) {
+    j.Num(nullptr, p99_ns / 1e3, 1);
+  }
+  j.Close();
+  j.Close();
 }
 
 }  // namespace
@@ -182,68 +191,15 @@ CrowdResult RunFlashCrowd() {
 int main() {
   std::printf("== cluster scale-out sweep (seed %llu, scale %.2f) ==\n",
               static_cast<unsigned long long>(kSeed), BenchScale());
-  std::vector<ScaleRow> rows;
+  bench::JsonWriter j;
+  j.Str("bench", "cluster");
+  j.Int("seed", kSeed);
+  j.Open("scaling", '[');
+  double one_node_mops = 0.0;
   for (unsigned nodes : {1u, 2u, 4u, 8u}) {
-    rows.push_back(RunScalePoint(nodes));
+    RunScalePoint(j, nodes, one_node_mops);
   }
-  for (ScaleRow& row : rows) {
-    row.speedup = rows[0].mops > 0.0 ? row.mops / rows[0].mops : 0.0;
-  }
-  const CrowdResult crowd = RunFlashCrowd();
-
-  const std::string out = EnvStr("MUTPS_CLUSTER_OUT", "BENCH_cluster.json");
-  FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fig19: cannot open %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"cluster\",\n  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(kSeed));
-  std::fprintf(f, "  \"scaling\": [\n");
-  for (size_t i = 0; i < rows.size(); i++) {
-    const ScaleRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"nodes\": %u, \"clients\": %u, \"mops\": %.4f, "
-                 "\"p50_ns\": %llu, \"p99_ns\": %llu, \"retries\": %llu, "
-                 "\"not_owner\": %llu, \"repl_applied\": %llu, "
-                 "\"speedup\": %.3f}%s\n",
-                 r.nodes, r.clients, r.mops,
-                 static_cast<unsigned long long>(r.p50_ns),
-                 static_cast<unsigned long long>(r.p99_ns),
-                 static_cast<unsigned long long>(r.retries),
-                 static_cast<unsigned long long>(r.redirects_not_owner),
-                 static_cast<unsigned long long>(r.repl_applied), r.speedup,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  const ExperimentResult& cr = crowd.r;
-  std::fprintf(f, "  \"flash_crowd\": {\n");
-  std::fprintf(f, "    \"nodes\": 4,\n    \"shift_at_ns\": %llu,\n",
-               static_cast<unsigned long long>(crowd.shift_at_ns));
-  std::fprintf(f,
-               "    \"pre_mops\": %.4f,\n    \"pre_p99_us\": %.1f,\n"
-               "    \"tput_recovery_us\": %.0f,\n"
-               "    \"p99_recovery_us\": %.0f,\n",
-               crowd.pre_mops, crowd.pre_p99_us, crowd.tput_recovery_us,
-               crowd.p99_recovery_us);
-  std::fprintf(f,
-               "    \"migrations\": %llu,\n    \"ring_epoch\": %llu,\n"
-               "    \"bucket_ns\": %llu,\n",
-               static_cast<unsigned long long>(cr.shard_migrations),
-               static_cast<unsigned long long>(cr.ring_epoch),
-               static_cast<unsigned long long>(cr.timeline_bucket_ns));
-  std::fprintf(f, "    \"timeline_mops\": [");
-  for (size_t i = 0; i < cr.timeline_mops.size(); i++) {
-    std::fprintf(f, "%.3f%s", cr.timeline_mops[i],
-                 i + 1 < cr.timeline_mops.size() ? ", " : "");
-  }
-  std::fprintf(f, "],\n    \"timeline_p99_us\": [");
-  for (size_t i = 0; i < cr.timeline_p99_ns.size(); i++) {
-    std::fprintf(f, "%.1f%s", cr.timeline_p99_ns[i] / 1e3,
-                 i + 1 < cr.timeline_p99_ns.size() ? ", " : "");
-  }
-  std::fprintf(f, "]\n  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  j.Close();
+  RunFlashCrowd(j);
+  return j.Save("cluster") ? 0 : 1;
 }

@@ -8,12 +8,13 @@
 // so numbers are comparable across commits on the same machine.
 //
 // Each row also records `setup_s`, the construction time of the TestBed it
-// ran on (populate included; every row has its own bed), and the file
-// records the host's transparent-huge-page mode, which bed construction
-// depends on (DESIGN.md §13 "Bed construction").
+// ran on (populate included; every row has its own bed). The file's host
+// member records the host's transparent-huge-page mode, which bed
+// construction depends on (DESIGN.md §13 "Bed construction"), next to the
+// commit and build the binary came from.
 //
 // Output: BENCH_simperf.json in the current directory, or the path given in
-// MUTPS_SIMPERF_OUT. run_benches.sh invokes this and commits the result next
+// MUTPS_JSON_OUT. run_benches.sh invokes this and commits the result next
 // to the figure outputs; compare a run with the committed file with e.g.
 //   python3 - <<'EOF'
 //   import json
@@ -24,12 +25,7 @@
 //   EOF
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "common/env.h"
 #include "harness/bench_util.h"
 #include "harness/experiment.h"
 
@@ -37,36 +33,10 @@ using namespace utps;
 
 namespace {
 
-struct PerfRow {
-  std::string name;
-  double setup_s = 0.0;  // construction of the bed this row ran on
-  double wall_s = 0.0;
-  uint64_t events = 0;
-  double events_per_sec = 0.0;
-  double sim_mops = 0.0;
-  uint64_t sim_ops = 0;
-  uint64_t sched_clamps = 0;  // ScheduleAt past-deadline clamps (bug detector)
-};
-
 // Fixed measurement settings: large enough that per-point wall time is
 // dominated by the event loop (not populate), small enough for CI.
 constexpr uint64_t kKeys = 200000;
 constexpr uint64_t kSeed = 42;
-
-// The bracketed word of /sys/kernel/mm/transparent_hugepage/enabled
-// ("always", "madvise" or "never"); "unknown" where the file is missing.
-std::string ThpMode() {
-  FILE* f = std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
-  if (f == nullptr) {
-    return "unknown";
-  }
-  char line[128] = {};
-  const bool read = std::fgets(line, sizeof(line), f) != nullptr;
-  std::fclose(f);
-  const char* open = read ? std::strchr(line, '[') : nullptr;
-  const char* close = open != nullptr ? std::strchr(open, ']') : nullptr;
-  return close != nullptr ? std::string(open + 1, close) : "unknown";
-}
 
 ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   ExperimentConfig cfg;
@@ -85,34 +55,48 @@ ExperimentConfig PerfConfig(SystemKind system, const WorkloadSpec& spec) {
   return cfg;
 }
 
+// Wall time and engine events summed over a group of rows.
+struct Totals {
+  double wall_s = 0.0;
+  uint64_t events = 0;
+};
+
 // Populates a fresh bed of `index` sized by `populate`, then runs the point
-// on it, timing the two separately.
-PerfRow RunPoint(const char* name, IndexType index,
-                 const WorkloadSpec& populate, const ExperimentConfig& cfg) {
+// on it, timing the two separately. Prints the row, appends it to the open
+// array of `j` and adds the run to `totals`.
+void RunPoint(bench::JsonWriter& j, Totals& totals, const char* name,
+              IndexType index, const WorkloadSpec& populate,
+              const ExperimentConfig& cfg) {
   const auto setup_start = std::chrono::steady_clock::now();
   TestBed bed(index, populate);
   const auto start = std::chrono::steady_clock::now();
   const ExperimentResult r = bed.Run(cfg);
   const auto end = std::chrono::steady_clock::now();
-  PerfRow row;
-  row.name = name;
-  row.setup_s = std::chrono::duration<double>(start - setup_start).count();
-  row.wall_s = std::chrono::duration<double>(end - start).count();
-  row.events = r.sched_events;
-  row.events_per_sec =
-      row.wall_s > 0.0 ? static_cast<double>(r.sched_events) / row.wall_s : 0.0;
-  row.sim_mops = r.mops;
-  row.sim_ops = r.ops;
-  row.sched_clamps = r.sched_clamps;
+  const double setup_s =
+      std::chrono::duration<double>(start - setup_start).count();
+  const double wall_s = std::chrono::duration<double>(end - start).count();
+  const double events_per_sec =
+      wall_s > 0.0 ? static_cast<double>(r.sched_events) / wall_s : 0.0;
   std::printf(
       "%-32s %6.3f s setup %8.3f s  %12llu events  %10.0f ev/s  "
       "%8.2f simMops  %llu clamps\n",
-      name, row.setup_s, row.wall_s,
-      static_cast<unsigned long long>(row.events), row.events_per_sec,
-      row.sim_mops,
-      static_cast<unsigned long long>(row.sched_clamps));
+      name, setup_s, wall_s, static_cast<unsigned long long>(r.sched_events),
+      events_per_sec, r.mops,
+      static_cast<unsigned long long>(r.sched_clamps));
   std::fflush(stdout);
-  return row;
+  j.Open(nullptr, '{', /*one_line=*/true);
+  j.Str("name", name);
+  j.Num("setup_s", setup_s, 3);
+  j.Num("wall_s", wall_s, 3);
+  j.Int("events", r.sched_events);
+  j.Num("events_per_sec", events_per_sec, 0);
+  j.Num("sim_mops", r.mops, 3);
+  j.Int("sim_ops", r.ops);
+  // ScheduleAt past-deadline clamps (bug detector).
+  j.Int("sched_clamps", r.sched_clamps);
+  j.Close();
+  totals.wall_s += wall_s;
+  totals.events += r.sched_events;
 }
 
 }  // namespace
@@ -121,25 +105,25 @@ int main() {
   std::printf("== simulator self-performance (fixed %llu keys, seed %llu) ==\n",
               static_cast<unsigned long long>(kKeys),
               static_cast<unsigned long long>(kSeed));
-  std::vector<PerfRow> rows;
+  bench::JsonWriter j;
+  j.Int("db_keys", kKeys);
+  j.Int("seed", kSeed);
 
+  Totals totals;
+  j.Open("benches", '[');
   {
     // The Figure 7 headline grid, one representative cell per system: tree
     // index, 64 B values, YCSB-A — the configuration CI uses as the
     // wall-clock speedup gate.
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 64);
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
-    const auto run = [&ycsba](const char* name, const ExperimentConfig& cfg) {
-      return RunPoint(name, IndexType::kTree, ycsba, cfg);
+    const auto run = [&](const char* name, const ExperimentConfig& cfg) {
+      RunPoint(j, totals, name, IndexType::kTree, ycsba, cfg);
     };
-    rows.push_back(run("fig07_tree64_ycsba_mutps",
-                       PerfConfig(SystemKind::kMuTps, ycsba)));
-    rows.push_back(run("fig07_tree64_ycsba_basekv",
-                       PerfConfig(SystemKind::kBaseKv, ycsba)));
-    rows.push_back(run("fig07_tree64_ycsba_erpckv",
-                       PerfConfig(SystemKind::kErpcKv, ycsba)));
-    rows.push_back(run("fig07_tree64_ycsbc_sherman",
-                       PerfConfig(SystemKind::kSherman, ycsbc)));
+    run("fig07_tree64_ycsba_mutps", PerfConfig(SystemKind::kMuTps, ycsba));
+    run("fig07_tree64_ycsba_basekv", PerfConfig(SystemKind::kBaseKv, ycsba));
+    run("fig07_tree64_ycsba_erpckv", PerfConfig(SystemKind::kErpcKv, ycsba));
+    run("fig07_tree64_ycsbc_sherman", PerfConfig(SystemKind::kSherman, ycsbc));
   }
   {
     // Figure 12 shape: hash index, batched MR indexing (the symmetric-transfer
@@ -147,30 +131,28 @@ int main() {
     const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 8);
     ExperimentConfig b1 = PerfConfig(SystemKind::kMuTps, ycsba);
     b1.mutps.batch_size = 1;
-    rows.push_back(
-        RunPoint("fig12_hash8_ycsba_batch1", IndexType::kHash, ycsba, b1));
+    RunPoint(j, totals, "fig12_hash8_ycsba_batch1", IndexType::kHash, ycsba,
+             b1);
     ExperimentConfig b8 = PerfConfig(SystemKind::kMuTps, ycsba);
     b8.mutps.batch_size = 8;
-    rows.push_back(
-        RunPoint("fig12_hash8_ycsba_batch8", IndexType::kHash, ycsba, b8));
+    RunPoint(j, totals, "fig12_hash8_ycsba_batch8", IndexType::kHash, ycsba,
+             b8);
   }
-
-  double total_wall = 0.0;
-  uint64_t total_events = 0;
-  for (const PerfRow& r : rows) {
-    total_wall += r.wall_s;
-    total_events += r.events;
-  }
-  std::printf("total: %.3f s, %llu events, %.0f events/s\n", total_wall,
-              static_cast<unsigned long long>(total_events),
-              total_wall > 0.0 ? static_cast<double>(total_events) / total_wall
-                               : 0.0);
+  j.Close();
+  j.Num("total_wall_s", totals.wall_s, 3);
+  j.Int("total_events", totals.events);
+  std::printf("total: %.3f s, %llu events, %.0f events/s\n", totals.wall_s,
+              static_cast<unsigned long long>(totals.events),
+              totals.wall_s > 0.0
+                  ? static_cast<double>(totals.events) / totals.wall_s
+                  : 0.0);
 
   // At-scale leg: the fig16 sampled machinery (fast-forward + detailed
   // windows) at selfperf scale — host cost of the two-mode engine, kept in
   // its own JSON section so total_wall_s stays comparable with older files
   // whose totals cover only the full-detail legs above.
-  std::vector<PerfRow> atscale_rows;
+  Totals atscale;
+  j.Open("atscale_benches", '[');
   {
     const WorkloadSpec ycsbc = WorkloadSpec::YcsbC(kKeys, 64);
     ExperimentConfig cfg = PerfConfig(SystemKind::kMuTps, ycsbc);
@@ -182,53 +164,10 @@ int main() {
     cfg.sample.window_ns = 50 * sim::kUsec;
     cfg.sample.rewarm_ns = 20 * sim::kUsec;
     cfg.sample.plan = sim::SamplePlan::kPeriodic;
-    atscale_rows.push_back(
-        RunPoint("atscale_hash64_ycsbc_sampled", IndexType::kHash, ycsbc, cfg));
+    RunPoint(j, atscale, "atscale_hash64_ycsbc_sampled", IndexType::kHash,
+             ycsbc, cfg);
   }
-  double atscale_wall = 0.0;
-  for (const PerfRow& r : atscale_rows) {
-    atscale_wall += r.wall_s;
-  }
-
-  const std::string out = EnvStr("MUTPS_SIMPERF_OUT", "BENCH_simperf.json");
-  FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "selfperf: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"db_keys\": %llu,\n  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(kKeys),
-               static_cast<unsigned long long>(kSeed));
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"thp_mode\": \"%s\",\n", ThpMode().c_str());
-  std::fprintf(f, "  \"peak_rss_kb\": %llu,\n",
-               static_cast<unsigned long long>(bench::PeakRssKb()));
-  std::fprintf(f, "  \"total_wall_s\": %.3f,\n  \"total_events\": %llu,\n",
-               total_wall, static_cast<unsigned long long>(total_events));
-  const auto WriteRows = [f](const std::vector<PerfRow>& rs) {
-    for (size_t i = 0; i < rs.size(); i++) {
-      const PerfRow& r = rs[i];
-      std::fprintf(
-          f,
-          "    {\"name\": \"%s\", \"setup_s\": %.3f, \"wall_s\": %.3f, "
-          "\"events\": %llu, \"events_per_sec\": %.0f, \"sim_mops\": %.3f, "
-          "\"sim_ops\": %llu, \"sched_clamps\": %llu}%s\n",
-          r.name.c_str(), r.setup_s, r.wall_s,
-          static_cast<unsigned long long>(r.events), r.events_per_sec,
-          r.sim_mops,
-          static_cast<unsigned long long>(r.sim_ops),
-          static_cast<unsigned long long>(r.sched_clamps),
-          i + 1 < rs.size() ? "," : "");
-    }
-  };
-  std::fprintf(f, "  \"benches\": [\n");
-  WriteRows(rows);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"atscale_wall_s\": %.3f,\n  \"atscale_benches\": [\n",
-               atscale_wall);
-  WriteRows(atscale_rows);
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
-  return 0;
+  j.Close();
+  j.Num("atscale_wall_s", atscale.wall_s, 3);
+  return j.Save("simperf") ? 0 : 1;
 }

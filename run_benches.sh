@@ -60,19 +60,19 @@ fi
 # "Engine internals & host performance"). Fixed workload — comparable across
 # commits on the same machine.
 echo "=== selfperf ($(date +%H:%M:%S)) ==="
-MUTPS_SIMPERF_OUT=results/BENCH_simperf.json ./build/bench/selfperf 2>&1 \
+MUTPS_JSON_OUT=results/BENCH_simperf.json ./build/bench/selfperf 2>&1 \
   | tee results/selfperf.txt
 
 # Million-user-scale sweep via sampled simulation (DESIGN.md §12): 10M keys,
 # 2048 closed-loop clients, extrapolated throughput +/- CI95. Validated by
 # sample_equiv_test (<= 5% error vs full detail at testable scale).
 echo "=== fig16_at_scale ($(date +%H:%M:%S)) ==="
-MUTPS_ATSCALE_OUT=results/BENCH_atscale.json ./build/bench/fig16_at_scale \
+MUTPS_JSON_OUT=results/BENCH_atscale.json ./build/bench/fig16_at_scale \
   2>&1 | tee results/fig16_at_scale.txt
 
 # Multi-node cluster (DESIGN.md §14): 1/2/4/8-node scaling with chain
 # replication on, plus the flash-crowd leg — hotset shift mid-run, live
 # shard migration by the rebalancer, throughput/P99 timeline and recovery.
 echo "=== fig19_cluster ($(date +%H:%M:%S)) ==="
-MUTPS_CLUSTER_OUT=results/BENCH_cluster.json ./build/bench/fig19_cluster \
+MUTPS_JSON_OUT=results/BENCH_cluster.json ./build/bench/fig19_cluster \
   2>&1 | tee results/fig19_cluster.txt

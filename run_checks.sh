@@ -84,12 +84,15 @@ echo "=== golden rows match ==="
 
 # Cluster simulation pinned byte-for-byte (DESIGN.md §14): fig19_cluster is
 # a pure function of its seed and runs in under a second, so its output must
-# equal the committed file. A difference is a change in cluster behaviour;
-# if it is intended, rerun the bench and commit the new file.
+# equal the committed file. The one exception is the "host" line, which
+# records the commit, build and machine the file came from; every other byte
+# is compared. A difference is a change in cluster behaviour; if it is
+# intended, rerun the bench and commit the new file.
 echo "=== fig19_cluster output matches results/BENCH_cluster.json ==="
-MUTPS_BENCH_SCALE=1 MUTPS_CLUSTER_OUT=/tmp/bench_cluster.$$ \
+MUTPS_BENCH_SCALE=1 MUTPS_JSON_OUT=/tmp/bench_cluster.$$ \
   ./build/bench/fig19_cluster >/dev/null
-if ! cmp /tmp/bench_cluster.$$ results/BENCH_cluster.json; then
+if ! cmp <(grep -v '^  "host": ' /tmp/bench_cluster.$$) \
+         <(grep -v '^  "host": ' results/BENCH_cluster.json); then
   rm -f /tmp/bench_cluster.$$
   echo "fig19_cluster no longer reproduces results/BENCH_cluster.json" >&2
   exit 1
@@ -124,7 +127,9 @@ echo "=== sampled mode within bound and deterministic ==="
 # host CPU count it was measured with; on a host with a different count the
 # numbers do not represent this machine, so the stage warns and skips
 # instead of comparing across machines (MUTPS_SKIP_PERF_FLOOR=1 skips it
-# unconditionally).
+# unconditionally). host_cpus and peak_rss_kb are read from the file's "host"
+# member, or from the top level in files written before it existed; the
+# stage prints both files' commit and build type so a miss can be traced.
 if [ "${MUTPS_SKIP_PERF_FLOOR:-0}" = "0" ] && \
    [ -f results/BENCH_simperf.json ]; then
   echo "=== host perf floor (selfperf vs results/BENCH_simperf.json) ==="
@@ -140,24 +145,31 @@ if [ "${MUTPS_SKIP_PERF_FLOOR:-0}" = "0" ] && \
       echo "floor miss on attempt $((attempt - 1)); idling 15s and retrying"
       sleep 15
     fi
-    MUTPS_SIMPERF_OUT=/tmp/simperf_floor.$attempt.$$ \
+    MUTPS_JSON_OUT=/tmp/simperf_floor.$attempt.$$ \
       ./build/bench/selfperf >/dev/null
     status=0
     python3 - results/BENCH_simperf.json \
         /tmp/simperf_floor.*.$$ <<'EOF' || status=$?
 import json, sys
+def host(d, key, default=None):
+    return d.get("host", d).get(key, default)
+def build(d):
+    return (f'{host(d, "git_sha", "unrecorded")} '
+            f'({host(d, "build_type", "unrecorded")})')
 base = json.load(open(sys.argv[1]))
+print(f'committed floor built from {build(base)}')
 cur_rows = {}
 cur_rss = None
 for path in sys.argv[2:]:
     cur = json.load(open(path))
-    if cur.get("host_cpus") != base.get("host_cpus"):
+    print(f'this run built from {build(cur)}')
+    if host(cur, "host_cpus") != host(base, "host_cpus"):
         print(f'WARNING: the committed floor was measured on '
-              f'{base.get("host_cpus")} host CPUs and this run on '
-              f'{cur.get("host_cpus")}; not comparing across machines '
+              f'{host(base, "host_cpus")} host CPUs and this run on '
+              f'{host(cur, "host_cpus")}; not comparing across machines '
               '(rerun bench/selfperf here to rebaseline)')
         sys.exit(3)
-    rss = cur.get("peak_rss_kb", 0)
+    rss = host(cur, "peak_rss_kb", 0)
     cur_rss = rss if cur_rss is None else min(cur_rss, rss)
     for r in cur["benches"] + cur.get("atscale_benches", []):
         prev = cur_rows.get(r["name"])
@@ -175,7 +187,7 @@ for b in base["benches"] + base.get("atscale_benches", []):
           f'{c["events_per_sec"]:12.0f} ev/s ({ratio:5.2f}x){flag}')
     if ratio < 0.85:
         bad.append(f'{b["name"]}: {ratio:.2f}x of committed events/s')
-base_rss = base["peak_rss_kb"]
+base_rss = host(base, "peak_rss_kb")
 ratio = cur_rss / base_rss
 flag = "  <-- RSS CEILING MISS" if ratio > 1.10 else ""
 print(f'{"peak_rss_kb":32s} {base_rss:12d} -> {cur_rss:12d} KB   ({ratio:5.2f}x){flag}')

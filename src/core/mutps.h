@@ -44,7 +44,6 @@
 #include "net/rpc.h"
 #include "obs/span.h"
 #include "sim/batch.h"
-#include "stats/timeseries.h"
 
 namespace utps {
 
@@ -111,9 +110,9 @@ class MuTpsServer final : public KvServer {
   // manager publishes the next one only then.
   bool SplitSettled() const;
 
-  // Manual controls (used by ablation benches and tests when autotune = off).
+  // Manual thread split, applied at the manager's next hot-set refresh (the
+  // DST harness uses it to reconfigure a running server).
   void RequestThreadSplit(unsigned ncr) { pending_ncr_request_ = ncr; }
-  void SetCacheTarget(uint32_t k) { cache_k_ = k; }
 
   // True when no request is anywhere inside the server: every receive slot
   // is free (or an empty filling slot), every CR-MR ring is drained, no

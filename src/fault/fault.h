@@ -115,69 +115,29 @@ struct FaultConfig {
 //                            network during [T_start, T_stop) µs
 inline FaultConfig ParseFaultProfile(const std::string& profile) {
   FaultConfig cfg;
-  size_t pos = 0;
-  while (pos < profile.size()) {
-    size_t end = profile.find(',', pos);
-    if (end == std::string::npos) {
-      end = profile.size();
-    }
-    const std::string tok = profile.substr(pos, end - pos);
-    pos = end + 1;
-    const size_t colon = tok.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      continue;
-    }
-    const std::string key = tok.substr(0, colon);
-    const char* val = tok.c_str() + colon + 1;
-    if (key == "loss") {
-      cfg.drop_prob = std::strtod(val, nullptr);
-    } else if (key == "dup") {
-      cfg.dup_prob = std::strtod(val, nullptr);
-    } else if (key == "delay") {
-      cfg.delay_prob = std::strtod(val, nullptr);
-    } else if (key == "delayus") {
-      cfg.delay_ns = static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) *
-                     sim::kUsec;
-    } else if (key == "link") {
-      cfg.link_scale = std::strtod(val, nullptr);
-    } else if (key == "straggler") {
-      cfg.straggler_core = static_cast<int>(std::strtol(val, nullptr, 10));
-    } else if (key == "slow") {
-      cfg.slow_factor = std::strtod(val, nullptr);
-    } else if (key == "crash") {
-      cfg.crash_worker = static_cast<int>(std::strtol(val, nullptr, 10));
-    } else if (key == "crashus") {
-      cfg.crash_at_ns = static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) *
-                        sim::kUsec;
-    } else if (key == "restartus") {
-      cfg.restart_after_ns =
-          static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) * sim::kUsec;
-    } else if (key == "llc") {
-      cfg.llc_steal_ways =
-          static_cast<unsigned>(std::strtoul(val, nullptr, 10));
-    } else if (key == "startus") {
-      cfg.start_ns = static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) *
-                     sim::kUsec;
-    } else if (key == "stopus") {
-      cfg.stop_ns = static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) *
-                    sim::kUsec;
-    } else if (key == "seed") {
-      cfg.seed = std::strtoull(val, nullptr, 10);
-    } else if (key == "nodecrash") {
-      cfg.crash_node = static_cast<int>(std::strtol(val, nullptr, 10));
-    } else if (key == "nodecrashus") {
-      cfg.node_crash_at_ns =
-          static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) * sim::kUsec;
-    } else if (key == "partition") {
-      cfg.partition_node = static_cast<int>(std::strtol(val, nullptr, 10));
-    } else if (key == "partstartus") {
-      cfg.partition_start_ns =
-          static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) * sim::kUsec;
-    } else if (key == "partstopus") {
-      cfg.partition_stop_ns =
-          static_cast<sim::Tick>(std::strtoull(val, nullptr, 10)) * sim::kUsec;
-    }
-  }
+  ParseProfile("MUTPS_FAULTS", profile, ':',
+               [&cfg](const std::string& key, const std::string& val) {
+    if (key == "loss") return ParseNumber(val, cfg.drop_prob);
+    if (key == "dup") return ParseNumber(val, cfg.dup_prob);
+    if (key == "delay") return ParseNumber(val, cfg.delay_prob);
+    if (key == "delayus") return ParseUsAsNs(val, cfg.delay_ns);
+    if (key == "link") return ParseNumber(val, cfg.link_scale);
+    if (key == "straggler") return ParseNumber(val, cfg.straggler_core);
+    if (key == "slow") return ParseNumber(val, cfg.slow_factor);
+    if (key == "crash") return ParseNumber(val, cfg.crash_worker);
+    if (key == "crashus") return ParseUsAsNs(val, cfg.crash_at_ns);
+    if (key == "restartus") return ParseUsAsNs(val, cfg.restart_after_ns);
+    if (key == "llc") return ParseNumber(val, cfg.llc_steal_ways);
+    if (key == "startus") return ParseUsAsNs(val, cfg.start_ns);
+    if (key == "stopus") return ParseUsAsNs(val, cfg.stop_ns);
+    if (key == "seed") return ParseNumber(val, cfg.seed);
+    if (key == "nodecrash") return ParseNumber(val, cfg.crash_node);
+    if (key == "nodecrashus") return ParseUsAsNs(val, cfg.node_crash_at_ns);
+    if (key == "partition") return ParseNumber(val, cfg.partition_node);
+    if (key == "partstartus") return ParseUsAsNs(val, cfg.partition_start_ns);
+    if (key == "partstopus") return ParseUsAsNs(val, cfg.partition_stop_ns);
+    return false;
+  });
   return cfg;
 }
 

@@ -139,10 +139,6 @@ class CuckooIndex final : public KvIndex {
     return k1 == b ? Index2(k1, h) : k1;
   }
 
-  sim::SimSpinlock& StripeLock(uint64_t bucket) {
-    return stripes_[bucket & (kNumStripes - 1)];
-  }
-
   // Finds key in bucket; returns slot index or -1 (host-side scan).
   int FindSlot(const Bucket& b, Key key) const {
     for (unsigned s = 0; s < kSlots; s++) {

@@ -5,10 +5,6 @@
 
 namespace utps::obs {
 
-namespace {
-
-// Minimal JSON string escaper (names/categories are ASCII identifiers, but
-// escape defensively so the output is always valid JSON).
 void AppendEscaped(std::string& out, const char* s) {
   for (; *s != '\0'; s++) {
     const char c = *s;
@@ -36,6 +32,8 @@ void AppendEscaped(std::string& out, const char* s) {
     }
   }
 }
+
+namespace {
 
 // Trace-event timestamps are microseconds; virtual time is nanoseconds.
 // Print with ns resolution (3 fractional digits).

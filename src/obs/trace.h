@@ -26,6 +26,12 @@
 
 namespace utps::obs {
 
+// Appends `s` to `out` as the inside of a JSON string literal: quotes,
+// backslashes and control characters escaped, so the output is always valid
+// JSON. Shared by the trace export and the bench JSON writer
+// (harness/bench_util.h).
+void AppendEscaped(std::string& out, const char* s);
+
 class Tracer {
  public:
   static constexpr uint32_t kServerPid = 1;

@@ -77,54 +77,39 @@ inline Tick SampleWindowOffset(const SampleConfig& cfg, uint64_t period_index) {
   return static_cast<Tick>(h % static_cast<uint64_t>(slack + 1));
 }
 
-// Parses the MUTPS_SAMPLE token list, e.g.
-//   MUTPS_SAMPLE="on,period=1000000,window=120000,rewarm=40000,plan=random,seed=3"
-// Unknown tokens are ignored; "off" (or unset) leaves sampling disabled so
-// the default path stays byte-identical to a build without this feature.
-inline SampleConfig SampleFromEnv() {
+// Parses an MUTPS_SAMPLE-style profile, e.g.
+//   "on,period=1000000,window=120000,rewarm=40000,plan=random,seed=3"
+// (lengths in ns; "sampled" = "on"). Without "on" sampling stays disabled,
+// so the default path stays byte-identical to a build without this feature.
+inline SampleConfig ParseSampleProfile(const std::string& profile) {
   SampleConfig cfg;
-  std::string spec = EnvStr("MUTPS_SAMPLE", "");
-  if (spec.empty()) {
-    return cfg;
-  }
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
+  ParseProfile("MUTPS_SAMPLE", profile, '=',
+               [&cfg](const std::string& key, const std::string& val) {
+    if (key == "on" || key == "sampled" || key == "off") {
+      cfg.enabled = key != "off";
+      return val.empty();
     }
-    std::string tok = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (tok.empty()) {
-      continue;
-    }
-    const size_t eq = tok.find('=');
-    const std::string key = tok.substr(0, eq);
-    const std::string val =
-        eq == std::string::npos ? std::string() : tok.substr(eq + 1);
-    if (key == "on" || key == "sampled") {
-      cfg.enabled = true;
-    } else if (key == "off") {
-      cfg.enabled = false;
-    } else if (key == "period") {
-      cfg.period_ns = std::strtoll(val.c_str(), nullptr, 10);
-    } else if (key == "window") {
-      cfg.window_ns = std::strtoll(val.c_str(), nullptr, 10);
-    } else if (key == "rewarm") {
-      cfg.rewarm_ns = std::strtoll(val.c_str(), nullptr, 10);
-    } else if (key == "seed") {
-      cfg.plan_seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "plan") {
-      if (val == "periodic") {
-        cfg.plan = SamplePlan::kPeriodic;
-      } else if (val == "random") {
-        cfg.plan = SamplePlan::kRandom;
-      } else if (val == "biased") {
-        cfg.plan = SamplePlan::kBiased;
+    if (key == "period") return ParseNumber(val, cfg.period_ns);
+    if (key == "window") return ParseNumber(val, cfg.window_ns);
+    if (key == "rewarm") return ParseNumber(val, cfg.rewarm_ns);
+    if (key == "seed") return ParseNumber(val, cfg.plan_seed);
+    if (key == "plan") {
+      for (SamplePlan p : {SamplePlan::kPeriodic, SamplePlan::kRandom,
+                           SamplePlan::kBiased}) {
+        if (val == SamplePlanName(p)) {
+          cfg.plan = p;
+          return true;
+        }
       }
     }
-  }
+    return false;
+  });
   return cfg;
+}
+
+// Profile from the MUTPS_SAMPLE environment variable (empty: disabled).
+inline SampleConfig SampleFromEnv() {
+  return ParseSampleProfile(EnvStr("MUTPS_SAMPLE", ""));
 }
 
 }  // namespace utps::sim

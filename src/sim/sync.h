@@ -49,11 +49,6 @@ class WaitQueue {
     return true;
   }
 
-  void NotifyAll(Engine& eng, Tick at) {
-    while (NotifyOne(eng, at)) {
-    }
-  }
-
   bool empty() const { return waiters_.empty(); }
   size_t size() const { return waiters_.size(); }
 
@@ -113,19 +108,6 @@ class SimSpinlock {
   // indices may not depend on host heap addresses (see sim/arena.h), or
   // cache behaviour varies with ASLR and allocator reuse.
   void BindModeledWord(const void* w) { word_ = w; }
-
-  // Try to take the lock without waiting; charges the RMW either way.
-  SuspendAwaiter TryAcquire(ExecCtx& ctx, bool* acquired) {
-    auto aw = ctx.Rmw(word());
-    if (!held_) {
-      held_ = true;
-      owner_ = ctx.core;
-      *acquired = true;
-    } else {
-      *acquired = false;
-    }
-    return aw;
-  }
 
   void Release(ExecCtx& ctx) {
     UTPS_DCHECK(held_);

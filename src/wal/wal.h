@@ -82,41 +82,28 @@ inline WalConfig ParseWalProfile(const std::string& profile) {
     return cfg;
   }
   cfg.enabled = true;
-  size_t pos = 0;
-  while (pos < profile.size()) {
-    size_t end = profile.find(',', pos);
-    if (end == std::string::npos) {
-      end = profile.size();
-    }
-    const std::string tok = profile.substr(pos, end - pos);
-    pos = end + 1;
-    const size_t colon = tok.find(':');
-    if (colon == std::string::npos || colon == 0) {
-      continue;
-    }
-    const std::string key = tok.substr(0, colon);
-    const std::string val = tok.substr(colon + 1);
+  ParseProfile("MUTPS_WAL", profile, ':',
+               [&cfg](const std::string& key, const std::string& val) {
     if (key == "mode") {
-      if (val == "sync") {
-        cfg.mode = CommitMode::kSync;
-      } else if (val == "async") {
-        cfg.mode = CommitMode::kAsync;
-      } else {
-        cfg.mode = CommitMode::kGroup;
+      for (CommitMode m : {CommitMode::kSync, CommitMode::kGroup,
+                           CommitMode::kAsync}) {
+        if (val == CommitModeName(m)) {
+          cfg.mode = m;
+          return true;
+        }
       }
-    } else if (key == "shards") {
-      const unsigned s = static_cast<unsigned>(std::strtoul(val.c_str(), nullptr, 10));
-      cfg.shards = s < 1 ? 1 : s;
-    } else if (key == "windowus") {
-      cfg.group_window_ns =
-          static_cast<sim::Tick>(std::strtoull(val.c_str(), nullptr, 10)) * sim::kUsec;
-    } else if (key == "mbps") {
-      cfg.dev.bandwidth_mbps = std::strtod(val.c_str(), nullptr);
-    } else if (key == "syncus") {
-      cfg.dev.sync_latency_ns =
-          static_cast<sim::Tick>(std::strtoull(val.c_str(), nullptr, 10)) * sim::kUsec;
+      return false;
     }
-  }
+    if (key == "shards") {
+      const bool ok = ParseNumber(val, cfg.shards);
+      cfg.shards = cfg.shards < 1 ? 1 : cfg.shards;
+      return ok;
+    }
+    if (key == "windowus") return ParseUsAsNs(val, cfg.group_window_ns);
+    if (key == "mbps") return ParseNumber(val, cfg.dev.bandwidth_mbps);
+    if (key == "syncus") return ParseUsAsNs(val, cfg.dev.sync_latency_ns);
+    return false;
+  });
   return cfg;
 }
 
@@ -241,15 +228,6 @@ class WalManager {
 
   // Asks the flusher to drain pending bytes and exit.
   void Stop() { stop_ = true; }
-
-  bool HasPending() const {
-    for (const Shard& sh : shards_) {
-      if (sh.synced < sh.appended) {
-        return true;
-      }
-    }
-    return false;
-  }
 
   // Highest durable LSN of a shard (tests / metrics).
   uint64_t DurableLsn(unsigned shard) const { return shards_[shard].durable; }

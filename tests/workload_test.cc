@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 
+#include "harness/bench_util.h"
 #include "workload/workload.h"
 
 namespace utps {
@@ -231,25 +232,6 @@ TEST(Workload, DeterministicAcrossRunsWithSameSeed) {
 // normalizer is computed once, not per draw), and populating at that size
 // stays within a sane memory envelope.
 
-namespace {
-// Peak resident set (VmHWM) in KiB from /proc/self/status; 0 if unavailable.
-size_t PeakRssKb() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) {
-    return 0;
-  }
-  char line[256];
-  size_t kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu kB", &kb) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-}
-}  // namespace
-
 TEST(ZipfianAtScale, TenMillionKeysKeepHeadTailShape) {
   const uint64_t kN = 10'000'000;
   ZipfianGenerator gen(kN, 0.99);
@@ -324,7 +306,7 @@ TEST(WorkloadAtScale, PopulatePathStaysInMemoryEnvelope) {
   // memory: drawing sizes for 10M keys must not allocate per key. The spec
   // sizing itself is pure arithmetic, so peak RSS should not grow by more
   // than a small constant over the baseline.
-  const size_t before_kb = PeakRssKb();
+  const size_t before_kb = bench::PeakRssKb();
   const WorkloadSpec spec = WorkloadSpec::Etc(10'000'000, 0.9);
   uint64_t total_bytes = 0;
   uint32_t min_v = UINT32_MAX;
@@ -335,7 +317,7 @@ TEST(WorkloadAtScale, PopulatePathStaysInMemoryEnvelope) {
     min_v = std::min(min_v, v);
     max_v = std::max(max_v, v);
   }
-  const size_t after_kb = PeakRssKb();
+  const size_t after_kb = bench::PeakRssKb();
   ASSERT_GE(min_v, 1u);
   ASSERT_LE(max_v, 1024u);
   // ETC averages ~120 B/value: 10M keys is roughly a 0.9-1.6 GB data set —
