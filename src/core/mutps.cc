@@ -37,7 +37,10 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   for (auto& r : rings_) {
     r.Init(env_.arena, &ring_host_, opt_.batch_size);
   }
-  hot_ = std::make_unique<HotSetManager>(env_.arena, w);
+  // A tuner pass drains once per probed size and once for its pick, and
+  // ages only after the pick.
+  hot_ = std::make_unique<HotSetManager>(
+      env_.arena, w, opt_.autotune ? opt_.cache_sizes.size() + 1 : 1);
   workers_.resize(w);
   for (unsigned i = 0; i < w; i++) {
     Worker& wk = workers_[i];
@@ -194,6 +197,7 @@ void MuTpsServer::ResetStats() {
     w.peak_outstanding = 0;
   }
   peak_ring_occ_ = 0;
+  min_cache_items_ = hot_->ActiveCount();
 }
 
 void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
@@ -206,6 +210,8 @@ void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
   m->SetGauge("mutps", "ncr", cfg_.ncr);
   m->SetGauge("mutps", "nmr", env_.num_workers - cfg_.ncr);
   m->SetGauge("mutps", "cache_items", hot_->ActiveCount());
+  m->SetGauge("mutps", "hotset_target", target_cache_items());
+  m->Count("mutps", "hotset_publishes", hot_->epoch());
   m->SetGauge("mutps", "mr_llc_ways", mr_ways_);
   m->SetGauge("mutps", "peak_ring_occ", peak_ring_occ_);
   if (env_.fault != nullptr) {
@@ -966,7 +972,7 @@ Fiber MuTpsServer::ManagerMain() {
   // Build the first hot set early so warm-up converges quickly.
   co_await ctx.Delay(opt_.refresh_period_ns / 4);
   while (!stop_) {
-    co_await RefreshHotSet(cache_k_);
+    co_await RefreshHotSet(cache_k_, /*force=*/false);
     if (stop_) {
       break;
     }
@@ -986,12 +992,11 @@ Fiber MuTpsServer::ManagerMain() {
     } else {
       ewma_mops_ = ewma_mops_ == 0.0 ? mops : 0.7 * ewma_mops_ + 0.3 * mops;
     }
-    hot_->DecaySketch();
     co_await ctx.Delay(opt_.refresh_period_ns);
   }
 }
 
-Task<void> MuTpsServer::RefreshHotSet(uint32_t k) {
+Task<void> MuTpsServer::RefreshHotSet(uint32_t k, bool force) {
   ExecCtx& ctx = mgr_ctx_;
   obs::SpanScope span(trc_, ctx, "mgr", "refresh_hotset",
                       obs::Tracer::kServerPid, mgr_tid_);
@@ -1002,8 +1007,19 @@ Task<void> MuTpsServer::RefreshHotSet(uint32_t k) {
   // worker has acked the published epoch (otherwise a CR worker could still
   // be reading the buffer we are about to clear).
   UTPS_DCHECK(stop_ || hot_->AllWorkersAt(hot_->epoch()));
-  hot_->BuildAndPublish(std::min(k, HotSetManager::kMaxHot),
-                        [this](Key key) { return env_.index->GetDirect(key); });
+  // A drain-only period (the set is full and not yet due to age) ends here.
+  const uint32_t target = std::min(k, HotSetManager::kMaxHot);
+  if (!hot_->Refresh(target, force, [this](Key key) {
+        return env_.index->GetDirect(key);
+      })) {
+    co_return;
+  }
+  min_cache_items_ = std::min(min_cache_items_, hot_->ActiveCount());
+  if (trc_ != nullptr) {
+    trc_->Counter("hotset_published", obs::Tracer::kServerPid, ctx.Now(),
+                  hot_->ActiveCount());
+    trc_->Counter("hotset_target", obs::Tracer::kServerPid, ctx.Now(), target);
+  }
   co_await ctx.Delay(2 * sim::kUsec + uint64_t{k} * 40);
   // Epoch switch: wait until all workers observed the new epoch (they are
   // never blocked; this only orders buffer reuse).
@@ -1146,7 +1162,7 @@ Task<void> MuTpsServer::Autotune() {
   // Hierarchical search (§3.5): linear probe over cache sizes; for each,
   // trisect the thread split.
   for (uint32_t k : opt_.cache_sizes) {
-    co_await RefreshHotSet(k);
+    co_await RefreshHotSet(k, /*force=*/true);
     double m = 0.0;
     const unsigned ncr = co_await TrisectThreads(&m);
     if (m > best) {
@@ -1156,7 +1172,10 @@ Task<void> MuTpsServer::Autotune() {
     }
   }
   cache_k_ = best_k;
-  co_await RefreshHotSet(best_k);
+  co_await RefreshHotSet(best_k, /*force=*/true);
+  // The probes ranked the whole pass's samples; the next aging interval
+  // starts from the pick.
+  hot_->Age();
   co_await Reconfigure(best_ncr);
   if (opt_.tune_llc) {
     co_await TuneLlcWays();

@@ -33,6 +33,7 @@
 #ifndef UTPS_CORE_MUTPS_H_
 #define UTPS_CORE_MUTPS_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -82,7 +83,14 @@ class MuTpsServer final : public KvServer {
   unsigned ncr() const { return cfg_.ncr; }
   unsigned nmr() const { return env_.num_workers - cfg_.ncr; }
   uint32_t cache_items() const { return hot_->ActiveCount(); }
-  uint32_t target_cache_items() const { return cache_k_; }
+  // The hot-set size the manager aims at (the tuner's pick, capped).
+  uint32_t target_cache_items() const {
+    return std::min(cache_k_, HotSetManager::kMaxHot);
+  }
+  // Hot sets published so far (one epoch each).
+  uint64_t hotset_publishes() const { return hot_->epoch(); }
+  // Smallest hot set the CR layer served from since ResetStats.
+  uint32_t min_cache_items() const { return min_cache_items_; }
   unsigned mr_ways() const { return mr_ways_; }
   uint64_t reconfig_count() const { return reconfig_count_; }
   // Hot-cache effectiveness over the CR layer (cache-eligible requests only).
@@ -252,7 +260,10 @@ class MuTpsServer final : public KvServer {
   sim::Task<void> SalvageWorker(unsigned dead);
 
   // Manager / auto-tuner.
-  sim::Task<void> RefreshHotSet(uint32_t k);
+  // Drains the sample rings and publishes a hot set of min(k, kMaxHot) keys
+  // when due (DESIGN.md §2 "Hot-set aging"); `force` publishes regardless
+  // and does not age (the tuner's per-size probes).
+  sim::Task<void> RefreshHotSet(uint32_t k, bool force);
   sim::Task<void> Reconfigure(unsigned new_ncr);
   sim::Task<double> MeasureWindow();
   sim::Task<unsigned> TrisectThreads(double* best_mops_out);
@@ -320,6 +331,7 @@ class MuTpsServer final : public KvServer {
 
   Config cfg_;  // current (latest published) configuration
   uint32_t cache_k_;
+  uint32_t min_cache_items_ = 0;
   unsigned mr_ways_ = 0;
   uint64_t reconfig_count_ = 0;
   unsigned pending_ncr_request_ = 0;  // manual split request (0 = none)

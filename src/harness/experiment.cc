@@ -503,6 +503,8 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.ncr = mutps->ncr();
     res.nmr = mutps->nmr();
     res.cache_items = mutps->cache_items();
+    res.cache_target = mutps->target_cache_items();
+    res.cache_min_items = mutps->min_cache_items();
     res.mr_ways = mutps->mr_ways();
     res.reconfigs = mutps->reconfig_count();
   }

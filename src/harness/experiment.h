@@ -114,7 +114,9 @@ struct ExperimentResult {
   // μTPS introspection.
   unsigned ncr = 0;
   unsigned nmr = 0;
-  uint32_t cache_items = 0;
+  uint32_t cache_items = 0;   // hot set published at the window's end
+  uint32_t cache_target = 0;  // the size the manager aims it at
+  uint32_t cache_min_items = 0;  // smallest hot set active in the window
   unsigned mr_ways = 0;
   uint64_t reconfigs = 0;
   // Optional throughput timeline (bucketed ops completions).

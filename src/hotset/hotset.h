@@ -4,9 +4,15 @@
 //  - CR workers sample ~1/32 of the keys they serve into per-worker rings
 //    (cheap, wait-free: single producer, single consumer).
 //  - The management thread periodically drains samples through a count-min
-//    sketch + top-K heap and builds a fresh hot structure (sorted array for
+//    sketch + top-K heap. It builds a fresh hot structure (sorted array for
 //    the tree index — no pointers, binary-searchable; a membership filter for
-//    the hash index, which reuses the main table as storage).
+//    the hash index, which reuses the main table as storage) while the
+//    published set is short of its target, and otherwise once
+//    kAgingSamplesPerItem samples per hot item have arrived. That build is
+//    followed by aging (Age): the sketch is halved and the published keys
+//    are carried forward as the next candidates, so a steadily hot key stays
+//    published (DESIGN.md §2 "Hot-set aging"). The auto-tuner's per-size
+//    builds rank its whole pass's samples and age once, after its pick.
 //  - Publication is epoch-based: the manager publishes the new structure and
 //    epoch; workers adopt it at their next loop iteration; the manager reuses
 //    the retired buffer only after all workers have advanced (Nap-style
@@ -159,6 +165,8 @@ class HotSetManager {
  public:
   static constexpr uint32_t kMaxHot = 16384;  // >= paper's 10K hot items
   static constexpr uint32_t kFilterCapacity = 4 * kMaxHot;
+  // Aging interval of a set of k items: 4·k samples (TinyLFU's W).
+  static constexpr uint32_t kAgingSamplesPerItem = 4;
 
   // Filter slots for `n` published keys: a power of two, at least 8, with
   // load factor <= 0.25. A small hot set then probes a few cachelines
@@ -167,8 +175,22 @@ class HotSetManager {
     return std::bit_ceil(std::max(8u, 4 * n));
   }
 
-  HotSetManager(sim::Arena* arena, unsigned num_workers)
-      : num_workers_(num_workers), rings_(num_workers), sketch_(1u << 15, 4) {
+  // `max_drains` bounds the drains between two agings: 1 for the manager
+  // loop, which checks the trigger after each drain, or the auto-tuner's
+  // forced refreshes per pass, which do not age.
+  HotSetManager(sim::Arena* arena, unsigned num_workers, size_t max_drains = 1)
+      : num_workers_(num_workers),
+        rings_(num_workers),
+        sketch_(1u << 15, 4),
+        max_candidates_(size_t{kMaxHot} +
+                        size_t{kAgingSamplesPerItem} * kMaxHot +
+                        std::max<size_t>(1, max_drains) * num_workers *
+                            SampleRing::kCapacity),
+        scratch_(max_candidates_ * sizeof(Key) +
+                     DedupCapacity(max_candidates_) *
+                         (sizeof(Key) + sizeof(uint32_t)) +
+                     3 * kCachelineBytes,
+                 kCachelineBytes) {
     for (int b = 0; b < 2; b++) {
       arrays_[b].entries =
           arena->AllocateArray<HotArray::Entry>(kMaxHot, kCachelineBytes);
@@ -180,15 +202,16 @@ class HotSetManager {
       filters_[b].mask = FilterSlotsFor(0) - 1;
     }
     worker_epochs_.assign(num_workers, 0);
-    // One drain takes at most a full ring per worker, so a sampling period
-    // with one refresh never outgrows these (only tuner passes, which drain
-    // once per probed size, can). Reserving takes address space; pages
-    // become resident only as the vectors fill.
-    const size_t bound = size_t{num_workers} * SampleRing::kCapacity;
-    candidates_.reserve(bound);
-    const size_t dedup_cap = DedupCapacity(bound);
-    dedup_keys_.reserve(dedup_cap);
-    dedup_stamp_.reserve(dedup_cap);
+    // Between two agings the candidates are the carried set (<= kMaxHot),
+    // fewer than kAgingSamplesPerItem * kMaxHot samples, and at most
+    // max_drains drains of a full ring per worker: max_candidates_. The list
+    // and its dedup table take that worst case from a host-only mapping of
+    // their own, so no refresh allocates and only the pages a run touches
+    // become resident.
+    candidates_ = scratch_.AllocateArray<Key>(max_candidates_);
+    const size_t dedup_cap = DedupCapacity(max_candidates_);
+    dedup_keys_ = scratch_.AllocateArray<Key>(dedup_cap);
+    dedup_stamp_ = scratch_.AllocateArray<uint32_t>(dedup_cap);
   }
 
   // ---------------------------------------------------------- worker side
@@ -216,13 +239,39 @@ class HotSetManager {
     uint32_t total = 0;
     for (auto& ring : rings_) {
       const uint32_t n = ring.Drain(buf, SampleRing::kCapacity);
+      UTPS_CHECK(num_candidates_ + n <= max_candidates_);
       for (uint32_t i = 0; i < n; i++) {
         sketch_.Add(buf[i]);
-        candidates_.push_back(buf[i]);
+        candidates_[num_candidates_++] = buf[i];
       }
       total += n;
     }
+    samples_since_aging_ += total;
     return total;
+  }
+
+  // True once the set of `k` items has seen its aging interval of samples
+  // since the last Age.
+  bool AgingDue(uint32_t k) const {
+    return samples_since_aging_ >= uint64_t{kAgingSamplesPerItem} * k;
+  }
+
+  // The manager's refresh rule (DESIGN.md §2 "Hot-set aging"), run after
+  // each drain: builds and publishes the `k` hottest keys while the active
+  // set holds fewer than k, or once an aging interval of samples arrived,
+  // and then ages. `force` publishes regardless and does not age (the
+  // tuner's per-size probes). Returns whether it published.
+  template <typename Resolver>
+  bool Refresh(uint32_t k, bool force, Resolver&& resolve) {
+    const bool age = !force && AgingDue(k);
+    if (!force && !age && ActiveCount() >= k) {
+      return false;
+    }
+    BuildAndPublish(k, resolve);
+    if (age) {
+      Age();
+    }
+    return true;
   }
 
   // Builds the next hot structure with the `k` hottest keys (k <= kMaxHot),
@@ -248,8 +297,9 @@ class HotSetManager {
   void BuildAndPublish(uint32_t k, Resolver&& resolve) {
     UTPS_CHECK(k <= kMaxHot);
     topk_.Reset(k == 0 ? 1 : k);
-    DedupBegin(candidates_.size());
-    for (Key c : candidates_) {
+    DedupBegin(num_candidates_);
+    for (size_t i = 0; i < num_candidates_; i++) {
+      const Key c = candidates_[i];
       if (DedupInsert(c)) {
         topk_.Offer(c, sketch_.Estimate(c));
       }
@@ -294,13 +344,18 @@ class HotSetManager {
     epoch_++;
   }
 
-  // Ages the sketch between refresh periods so the hot set tracks shifts.
-  // Candidates persist across BuildAndPublish calls (the auto-tuner rebuilds
-  // the hot set at several sizes from one sample population) and are retired
-  // here, at the start of each new sampling period.
-  void DecaySketch() {
-    sketch_.Clear();
-    candidates_.clear();
+  // Ages the tracker after a publish: halves the sketch, so the hot set
+  // tracks shifts, and restarts the candidates from the published keys, so
+  // a key that stays hot is carried forward instead of forgotten. Samples
+  // drained since the last Age count toward the next aging interval.
+  void Age() {
+    sketch_.Halve();
+    const HotArray& ha = arrays_[epoch_ & 1];
+    for (uint32_t i = 0; i < ha.count; i++) {
+      candidates_[i] = ha.entries[i].key;
+    }
+    num_candidates_ = ha.count;
+    samples_since_aging_ = 0;
   }
 
   uint32_t ActiveCount() const { return arrays_[epoch_ & 1].count; }
@@ -344,20 +399,19 @@ class HotSetManager {
 
  private:
   // Stamp-versioned open-addressing dedup set (no per-refresh clearing: a
-  // stale slot is one whose stamp is not the current pass's).
+  // stale slot is one whose stamp is not the current pass's, so each pass
+  // may size its table to its own candidate count).
   static size_t DedupCapacity(size_t n) {
     return std::bit_ceil(std::max<size_t>(16, 2 * n));
   }
 
   void DedupBegin(size_t n) {
-    const size_t cap = DedupCapacity(n);
-    if (cap > dedup_keys_.size()) {
-      dedup_keys_.assign(cap, 0);
-      dedup_stamp_.assign(cap, 0);
-      dedup_pass_ = 0;
+    dedup_mask_ = static_cast<uint32_t>(DedupCapacity(n) - 1);
+    if (++dedup_pass_ == 0) {  // stamps wrapped: 0 is the mapping's fill
+      std::memset(dedup_stamp_, 0,
+                  DedupCapacity(max_candidates_) * sizeof(uint32_t));
+      dedup_pass_ = 1;
     }
-    dedup_mask_ = static_cast<uint32_t>(dedup_keys_.size() - 1);
-    dedup_pass_++;
   }
 
   // Returns true on first occurrence of `key` in this pass.
@@ -414,7 +468,11 @@ class HotSetManager {
   unsigned num_workers_;
   std::vector<SampleRing> rings_;
   CountMinSketch sketch_;
-  std::vector<Key> candidates_;
+  size_t max_candidates_;
+  sim::Arena scratch_;  // host-only: candidates_, dedup_keys_, dedup_stamp_
+  Key* candidates_ = nullptr;
+  size_t num_candidates_ = 0;
+  uint64_t samples_since_aging_ = 0;
   HotArray arrays_[2];
   HotFilter filters_[2];
   uint64_t epoch_ = 0;
@@ -425,8 +483,8 @@ class HotSetManager {
   std::vector<Key> hot_scratch_;
   std::vector<HotArray::Entry> entries_scratch_;
   std::vector<HotArray::Entry> radix_scratch_;
-  std::vector<Key> dedup_keys_;
-  std::vector<uint32_t> dedup_stamp_;
+  Key* dedup_keys_ = nullptr;
+  uint32_t* dedup_stamp_ = nullptr;
   uint32_t dedup_mask_ = 0;
   uint32_t dedup_pass_ = 0;
 };

@@ -5,7 +5,6 @@
 #define UTPS_HOTSET_SKETCH_H_
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -42,7 +41,13 @@ class CountMinSketch {
     return m;
   }
 
-  void Clear() { std::memset(counts_.data(), 0, counts_.size() * sizeof(uint32_t)); }
+  // Ages every counter by half (TinyLFU's reset): recent samples then
+  // outweigh old ones while a steadily hot key keeps a high estimate.
+  void Halve() {
+    for (uint32_t& c : counts_) {
+      c >>= 1;
+    }
+  }
 
  private:
   size_t Cell(uint32_t d, Key key) const {

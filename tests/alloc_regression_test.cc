@@ -188,32 +188,45 @@ TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
       << "steady-state heap allocations crept back into the measure phase";
 }
 
-// A hot-set refresh allocates nothing however fast the CR layer samples:
-// one drain takes at most a full ring per worker, and the candidate list
-// and its dedup table are reserved to that bound when the manager is built.
-// A refresh after a quiet period, then one after every ring filled up.
+// A hot-set refresh allocates nothing however fast the CR layer samples.
+// Between two agings the candidate list holds the carried set, fewer than
+// one aging interval of samples and one last drain of at most a full ring
+// per worker; it and its dedup table are reserved to that bound when the
+// manager is built. After a warm-up publish at kMaxHot, one full aging
+// interval: a drain just short of the interval, which leaves the full set
+// alone, then a drain after every ring filled up, which publishes and ages.
 TEST(AllocRegression, HotSetRefreshAtFullRingsIsAllocationFree) {
   constexpr unsigned kWorkers = 28;
-  constexpr uint32_t kHot = 1000;
+  constexpr uint32_t kHot = HotSetManager::kMaxHot;
+  constexpr uint32_t kInterval = HotSetManager::kAgingSamplesPerItem * kHot;
   sim::Arena arena(16ull << 20);
   HotSetManager hot(&arena, kWorkers);
-  const auto resolve = [](Key) -> Item* { return nullptr; };
-  for (Key k = 0; k < 2 * kHot; k++) {
-    hot.Ring(0).Push(k);
-  }
+  Item item;
+  const auto resolve = [&item](Key) -> Item* { return &item; };
+  Key next = 0;
+  const auto sample = [&](uint64_t n) {
+    for (uint64_t i = 0; i < n; i++) {
+      hot.Ring(static_cast<unsigned>(i % kWorkers)).Push(next++);
+    }
+  };
+  sample(2 * kHot);
   hot.DrainSamples();
   hot.BuildAndPublish(kHot, resolve);
-  hot.DecaySketch();
+  hot.Age();
+  ASSERT_EQ(hot.ActiveCount(), kHot);
+
   const uint64_t before = AllocProbe();
-  Key next = 0;
-  for (unsigned w = 0; w < kWorkers; w++) {
-    for (uint32_t i = 0; i < SampleRing::kCapacity; i++) {
-      hot.Ring(w).Push(next++);
-    }
-  }
+  sample(kInterval - 1);
+  EXPECT_EQ(hot.DrainSamples(), kInterval - 1);
+  EXPECT_FALSE(hot.AgingDue(kHot));
+  sample(uint64_t{kWorkers} * SampleRing::kCapacity);
   EXPECT_EQ(hot.DrainSamples(), kWorkers * SampleRing::kCapacity);
+  EXPECT_TRUE(hot.AgingDue(kHot));
   hot.BuildAndPublish(kHot, resolve);
+  hot.Age();
   EXPECT_EQ(AllocProbe() - before, 0u);
+  EXPECT_EQ(hot.ActiveCount(), kHot);
+  EXPECT_FALSE(hot.AgingDue(kHot));
 }
 
 // The index audit runs after every kvbench leg: an O(keys) set on the heap

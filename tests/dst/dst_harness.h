@@ -137,6 +137,8 @@ struct DstResult {
   // Resilience telemetry (zero when no fault plan is active).
   uint64_t retries = 0;     // client retransmits across all ops
   uint64_t failovers = 0;   // μTPS MR-worker failure detections
+  // μTPS hot sets published by the serving instance (one epoch each).
+  uint64_t hot_publishes = 0;
   // Durability telemetry (zero when no WAL is configured).
   uint64_t recoveries = 0;    // whole-server crash-restart cycles performed
   uint64_t wal_replayed = 0;  // WAL records applied by recovery
@@ -787,6 +789,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   out.ops_completed = sh.completed;
   out.retries = sh.retries;
   out.failovers = mutps != nullptr ? mutps->failover_count() : 0;
+  out.hot_publishes = mutps != nullptr ? mutps->hotset_publishes() : 0;
   out.ops_checked = lin.ops_checked;
   out.inconclusive = lin.inconclusive;
   out.digest = internal::HistoryDigest(hist);

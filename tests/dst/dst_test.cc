@@ -30,6 +30,16 @@ void RunAndReport(DstConfig cfg, const char* load_name) {
   EXPECT_FALSE(r.inconclusive)
       << SysName(cfg.sys) << "/" << load_name << " seed=" << cfg.seed
       << ": checker ran out of node budget";
+  // Coverage guard: a μTPS cell with a short manager period exists to race
+  // hot-set publishes against CR reads (and replaced items), so it must
+  // publish at least twice after its first set. Cells with the default
+  // 1 ms measure window in each period publish once in their run.
+  const bool mutps = cfg.sys == Sys::kMuTpsH || cfg.sys == Sys::kMuTpsT;
+  if (mutps && (cfg.fast_refresh || cfg.split_storm)) {
+    EXPECT_GE(r.hot_publishes, 3u)
+        << SysName(cfg.sys) << "/" << load_name << " seed=" << cfg.seed
+        << ": hot-set publishes no longer race the CR layer";
+  }
   if (r.ok) {
     EXPECT_EQ(r.ops_issued, r.ops_completed);
     return;

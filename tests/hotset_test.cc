@@ -4,6 +4,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/zipf.h"
 #include "hotset/hotset.h"
@@ -40,6 +41,19 @@ TEST(CountMinSketch, HotKeysEstimatedAccurately) {
   // The hot key dominates; overestimation from collisions is bounded.
   EXPECT_GE(sketch.Estimate(42), 10000u);
   EXPECT_LE(sketch.Estimate(42), 10200u);
+}
+
+TEST(CountMinSketch, HalveAgesEveryEstimateByHalf) {
+  CountMinSketch sketch;
+  for (int i = 0; i < 100; i++) {
+    sketch.Add(7);
+  }
+  sketch.Add(8, 9);
+  sketch.Halve();
+  EXPECT_EQ(sketch.Estimate(7), 50u);
+  EXPECT_EQ(sketch.Estimate(8), 4u);
+  sketch.Halve();
+  EXPECT_EQ(sketch.Estimate(7), 25u);
 }
 
 TEST(TopK, KeepsHighestFrequencies) {
@@ -125,6 +139,40 @@ class HotSetManagerTest : public ::testing::Test {
       auto it = items_.find(key);
       return it == items_.end() ? nullptr : it->second;
     });
+  }
+
+  // One manager period: drains the rings and applies the refresh rule for
+  // a set of `k`. Returns whether it published.
+  bool Period(uint32_t k) {
+    for (unsigned w = 0; w < 4; w++) {
+      mgr_.AckEpoch(w, mgr_.epoch());
+    }
+    mgr_.DrainSamples();
+    return mgr_.Refresh(k, /*force=*/false, [&](Key key) {
+      auto it = items_.find(key);
+      return it == items_.end() ? nullptr : it->second;
+    });
+  }
+
+  // Samples each key of [first, first + n) `times` times.
+  void SampleRange(Key first, Key n, unsigned times) {
+    for (unsigned r = 0; r < times; r++) {
+      for (Key k = first; k < first + n; k++) {
+        if (items_.count(k) == 0) {
+          MakeItem(k);
+        }
+        mgr_.Ring(k % 4).Push(k);
+      }
+    }
+  }
+
+  std::vector<Key> ActiveKeys() const {
+    const HotArray* ha = mgr_.ActiveArray();
+    std::vector<Key> keys;
+    for (uint32_t i = 0; i < ha->count; i++) {
+      keys.push_back(ha->entries[i].key);
+    }
+    return keys;
   }
 
   sim::Arena arena_;
@@ -247,6 +295,112 @@ TEST_F(HotSetManagerTest, StaleKeysAreSkipped) {
   mgr_.BuildAndPublish(10, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
   EXPECT_EQ(mgr_.ActiveArray()->count, 1u);
   EXPECT_EQ(mgr_.ActiveArray()->entries[0].key, 7u);
+}
+
+// (a) Aging halves the sketch and carries the published keys forward: a
+// publish right after it, with no new samples, republishes the same set.
+TEST_F(HotSetManagerTest, PublishAfterAgingRepublishesTheSameSet) {
+  SampleKeys(500, 50, 3);
+  Publish(50);
+  const std::vector<Key> before = ActiveKeys();
+  ASSERT_EQ(before.size(), 50u);
+  mgr_.Age();
+  EXPECT_FALSE(mgr_.AgingDue(50));
+  Publish(50);
+  EXPECT_EQ(ActiveKeys(), before);
+}
+
+// (b) With set A published at a steady sampling rate, sampling only set B
+// at that rate makes B replace A within two aging intervals.
+TEST_F(HotSetManagerTest, ShiftedSamplesReplaceTheSetWithinTwoAgingIntervals) {
+  constexpr uint32_t kHot = 100;
+  constexpr Key kA = 0;
+  constexpr Key kB = 1000;
+  // Each period samples every key of the current set once, so an aging
+  // interval of 4·k samples takes four periods.
+  unsigned agings = 0;
+  for (unsigned p = 0; p < 6 * HotSetManager::kAgingSamplesPerItem; p++) {
+    SampleRange(kA, kHot, 1);
+    const uint64_t epoch = mgr_.epoch();
+    Period(kHot);
+    agings += mgr_.epoch() != epoch && mgr_.ActiveCount() == kHot ? 1 : 0;
+  }
+  ASSERT_GE(agings, 5u);
+  std::vector<Key> a(kHot);
+  for (Key k = 0; k < kHot; k++) {
+    a[k] = kA + k;
+  }
+  ASSERT_EQ(ActiveKeys(), a);
+
+  std::vector<Key> b(kHot);
+  for (Key k = 0; k < kHot; k++) {
+    b[k] = kB + k;
+  }
+  unsigned periods = 0;
+  while (ActiveKeys() != b && periods < 10 * HotSetManager::kAgingSamplesPerItem) {
+    SampleRange(kB, kHot, 1);
+    Period(kHot);
+    periods++;
+  }
+  EXPECT_EQ(ActiveKeys(), b);
+  EXPECT_LE(periods, 2 * HotSetManager::kAgingSamplesPerItem);
+}
+
+// (c) The trigger: a full set is not republished before 4·k samples have
+// arrived since the last aging; an underfilled set is republished every
+// period.
+TEST_F(HotSetManagerTest, FullSetWaitsForAnAgingIntervalUnderfilledDoesNot) {
+  constexpr uint32_t kHot = 100;
+  SampleRange(0, 2 * kHot, 2);
+  ASSERT_TRUE(Period(kHot));  // first publish: the set was empty
+  ASSERT_EQ(mgr_.ActiveCount(), kHot);
+  // Hot keys keep arriving 10 per period: 4·k = 400 samples since the last
+  // aging take 40 periods, and only the last one publishes.
+  const uint32_t interval = HotSetManager::kAgingSamplesPerItem * kHot;
+  mgr_.Age();
+  const uint64_t epoch = mgr_.epoch();
+  for (uint32_t sampled = 10; sampled < interval; sampled += 10) {
+    SampleRange(0, 10, 1);
+    EXPECT_FALSE(Period(kHot)) << "republished after " << sampled << " samples";
+  }
+  EXPECT_EQ(mgr_.epoch(), epoch);
+  SampleRange(0, 10, 1);
+  EXPECT_TRUE(Period(kHot));
+  EXPECT_EQ(mgr_.epoch(), epoch + 1);
+  EXPECT_FALSE(mgr_.AgingDue(kHot));
+
+  // A set of 4·k items over keys of which only 2·k exist stays underfilled:
+  // every period republishes it, however few samples arrived.
+  for (int p = 0; p < 5; p++) {
+    SampleRange(0, 10, 1);
+    const uint64_t e = mgr_.epoch();
+    EXPECT_TRUE(Period(4 * kHot));
+    EXPECT_EQ(mgr_.epoch(), e + 1);
+    EXPECT_LT(mgr_.ActiveCount(), 4 * kHot);
+  }
+}
+
+// The auto-tuner's forced refreshes publish a full set whatever the count,
+// and do not age: the next probe still ranks every sample of the pass.
+TEST_F(HotSetManagerTest, ForcedRefreshPublishesWithoutAging) {
+  constexpr uint32_t kHot = 100;
+  SampleRange(0, 2 * kHot, 1);  // 2·k samples: a filling publish, no aging
+  ASSERT_TRUE(Period(kHot));
+  ASSERT_EQ(mgr_.ActiveCount(), kHot);
+  SampleRange(2 * kHot, 10, 1);
+  mgr_.DrainSamples();
+  const uint64_t epoch = mgr_.epoch();
+  EXPECT_TRUE(mgr_.Refresh(kHot / 2, /*force=*/true, [&](Key key) {
+    return items_.count(key) ? items_[key] : nullptr;
+  }));
+  EXPECT_EQ(mgr_.epoch(), epoch + 1);
+  EXPECT_EQ(mgr_.ActiveCount(), kHot / 2);
+  // No aging: the candidates still hold all 2·k + 10 sampled keys, so a
+  // forced probe at 2·k fills its set.
+  EXPECT_TRUE(mgr_.Refresh(2 * kHot, /*force=*/true, [&](Key key) {
+    return items_.count(key) ? items_[key] : nullptr;
+  }));
+  EXPECT_EQ(mgr_.ActiveCount(), 2 * kHot);
 }
 
 }  // namespace

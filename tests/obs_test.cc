@@ -500,6 +500,8 @@ TEST(ObsEndToEnd, HarnessRunEmitsReportAndTrace) {
   EXPECT_NE(res.metrics_dump.find("cache.accesses"), std::string::npos);
   EXPECT_NE(res.metrics_dump.find("engine.events_processed"), std::string::npos);
   EXPECT_NE(res.metrics_dump.find("mutps.hot_hits"), std::string::npos);
+  EXPECT_NE(res.metrics_dump.find("mutps.hotset_target"), std::string::npos);
+  EXPECT_NE(res.metrics_dump.find("mutps.hotset_publishes"), std::string::npos);
   EXPECT_EQ(res.hot_hits + res.hot_misses > 0, true);
 
   // Trace: file exists, parses as JSON, and contains the expected shapes.
@@ -553,6 +555,11 @@ TEST(ObsEndToEnd, TracedRunEndingMidTuneTearsDownCleanly) {
   // The tuner measured at least once but never finished its search.
   EXPECT_NE(json.find("\"name\":\"measure_window\""), std::string::npos);
   EXPECT_EQ(json.find("\"name\":\"autotune\""), std::string::npos);
+  // Each publish puts the published count and the target on counter tracks
+  // beside its refresh_hotset span.
+  EXPECT_NE(json.find("\"name\":\"refresh_hotset\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"hotset_published\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"hotset_target\""), std::string::npos);
 }
 
 // Observability off: the result carries no obs payloads (and the run is the
