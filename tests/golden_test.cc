@@ -1,6 +1,7 @@
 // Golden-row regression test: runs tiny-scale versions of the Figure 2 and
-// Figure 12 experiment configurations in-process and compares the result rows
-// byte-for-byte against checked-in expectations (tests/golden_expected.inc).
+// Figure 12 experiment configurations, plus one auto-tuned μTPS run,
+// in-process and compares the result rows byte-for-byte against checked-in
+// expectations (tests/golden_expected.inc).
 //
 // Purpose: scheduler / cache-model / awaitable refactors must keep the
 // simulation byte-identical. dst_determinism_test catches nondeterminism
@@ -44,8 +45,8 @@ ExperimentConfig TinyConfig(SystemKind system, const WorkloadSpec& spec) {
   cfg.warmup_ns = 150 * sim::kUsec;
   cfg.measure_ns = 300 * sim::kUsec;
   cfg.max_warmup_ns = 2 * sim::kMsec;
-  // Fixed thread split and hot-cache size: the auto-tuner's search order is
-  // covered by its own tests; goldens pin the steady-state data path.
+  // Fixed thread split and hot-cache size: these rows pin the steady-state
+  // data path; the "tuned" row below turns the auto-tuner on.
   cfg.mutps.autotune = false;
   cfg.mutps.initial_ncr = 0;  // heuristic: workers / 3
   return cfg;
@@ -90,6 +91,20 @@ std::vector<std::string> RunGoldenRows() {
         "fig12", "RaceHash", "YCSB-C",
         TestBed(IndexType::kHash, ycsba)
             .Run(TinyConfig(SystemKind::kRaceHash, ycsbc))));
+  }
+
+  {
+    // The auto-tuner end to end (§3.5): cache-size probes, the thread-split
+    // and LLC-way trisections, and hot-set publication on a tree bed.
+    const WorkloadSpec ycsba = WorkloadSpec::YcsbA(kKeys, 64);
+    ExperimentConfig cfg = TinyConfig(SystemKind::kMuTps, ycsba);
+    cfg.mutps.autotune = true;
+    cfg.mutps.cache_sizes = {0, 1000, 4000};
+    cfg.mutps.tune_window_ns = 50 * sim::kUsec;
+    cfg.mutps.refresh_period_ns = 200 * sim::kUsec;
+    cfg.max_warmup_ns = 20 * sim::kMsec;
+    rows.push_back(FormatRow("tuned", "uTPS-T", "YCSB-A",
+                             TestBed(IndexType::kTree, ycsba).Run(cfg)));
   }
 
   return rows;
