@@ -112,11 +112,13 @@ void BM_CountMinSketchAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMinSketchAdd);
 
+// Distinct keys, as the hot-set manager's deduplicated candidates are.
 void BM_TopKOffer(benchmark::State& state) {
   TopK topk(1024);
   Rng rng(3);
+  Key key = 0;
   for (auto _ : state) {
-    topk.Offer(rng.NextBounded(100000), static_cast<uint32_t>(rng.NextBounded(1000)));
+    topk.Offer(key++, static_cast<uint32_t>(rng.NextBounded(1000)));
   }
 }
 BENCHMARK(BM_TopKOffer);

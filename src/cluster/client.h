@@ -80,7 +80,6 @@ class ClusterClient {
       m.resp_len_out = &resp_len_;
       cluster_->node(node)->data_nic().ClientSend(
           *ctx_, shard % params_.workers, m);
-      attempts_++;
       const sim::Tick deadline = ctx_->Now() + timeout;
       while (!gate_.ReadyAt(ctx_->Now()) && ctx_->Now() < deadline) {
         const sim::Tick left = deadline - ctx_->Now();
@@ -133,7 +132,6 @@ class ClusterClient {
     }
   }
 
-  uint64_t attempts() const { return attempts_; }
   uint64_t retries() const { return retries_; }
   uint64_t redirects() const { return redirects_; }
   uint64_t resolves() const { return resolves_; }
@@ -180,7 +178,6 @@ class ClusterClient {
   std::vector<uint8_t> resp_;
   uint32_t resp_len_ = 0;
   uint8_t ctl_resp_[kRespHeaderBytes] = {};
-  uint64_t attempts_ = 0;
   uint64_t retries_ = 0;
   uint64_t redirects_ = 0;
   uint64_t resolves_ = 0;

@@ -42,8 +42,6 @@ namespace internal {
 struct ClientAccum {
   uint64_t ops = 0;         // completions inside the measure window
   uint64_t retries = 0;
-  uint64_t redirects = 0;
-  uint64_t resolves = 0;
   Histogram lat;
   std::vector<uint64_t> bucket_ops;
   std::vector<Histogram> bucket_lat;
@@ -89,8 +87,6 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, ClusterClient* client,
     }
   }
   acc->retries = client->retries();
-  acc->redirects = client->redirects();
-  acc->resolves = client->resolves();
 }
 
 }  // namespace internal

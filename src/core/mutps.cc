@@ -718,15 +718,12 @@ Task<void> MuTpsServer::MrRun(unsigned idx) {
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
   ctx.clos = kMrClos;
-  mr_ready_[idx] = 0;
   for (unsigned p = 0; p < env_.num_workers; p++) {
     // Resume consumption at the tail: CR workers that acknowledged the new
     // split first may already have pushed batches for us.
     w.pop_cursor[p] = RingAt(p, idx).tail();
-    if (w.pop_cursor[p] < RingAt(p, idx).head()) {
-      mr_ready_[idx] |= 1u << p;
-    }
   }
+  RebuildMrReady(idx);
   uint64_t hot_epoch_seen = hot_->epoch();
   hot_->AckEpoch(idx, hot_epoch_seen);
 
@@ -746,13 +743,10 @@ Task<void> MuTpsServer::MrRun(unsigned idx) {
         // Restart: the probe may have drained rings and resynced our cursors
         // while we were parked; rebuild the readiness mask from scratch.
         w.crash_parked = false;
-        mr_ready_[idx] = 0;
         for (unsigned p = 0; p < env_.num_workers; p++) {
           w.pop_cursor[p] = std::max(w.pop_cursor[p], RingAt(p, idx).tail());
-          if (w.pop_cursor[p] < RingAt(p, idx).head()) {
-            mr_ready_[idx] |= 1u << p;
-          }
         }
+        RebuildMrReady(idx);
       }
       w.heartbeat++;
     }
@@ -953,14 +947,18 @@ Task<void> MuTpsServer::SalvageWorker(unsigned dead) {
     workers_[dead].pop_cursor[p] = r.tail();
   }
   // Rebuild the dead worker's readiness mask from its resynced cursors with
-  // no suspension below: a stale set bit would wedge its restart sweep.
-  mr_ready_[dead] = 0;
+  // no suspension in between: a stale set bit would wedge its restart sweep.
+  RebuildMrReady(dead);
+  salvage_busy_ = false;
+}
+
+void MuTpsServer::RebuildMrReady(unsigned c) {
+  mr_ready_[c] = 0;
   for (unsigned p = 0; p < env_.num_workers; p++) {
-    if (workers_[dead].pop_cursor[p] < RingAt(p, dead).head()) {
-      mr_ready_[dead] |= 1u << p;
+    if (workers_[c].pop_cursor[p] < RingAt(p, c).head()) {
+      mr_ready_[c] |= 1u << p;
     }
   }
-  salvage_busy_ = false;
 }
 
 // =========================================================================
@@ -1074,65 +1072,35 @@ Task<double> MuTpsServer::MeasureWindow() {
                                 static_cast<double>(dt);
 }
 
-Task<unsigned> MuTpsServer::TrisectThreads(double* best_mops_out) {
-  ExecCtx& ctx = mgr_ctx_;
-  obs::SpanScope span(trc_, ctx, "mgr", "trisect_threads",
-                      obs::Tracer::kServerPid, mgr_tid_);
-  unsigned lo = 1;
-  unsigned hi = env_.num_workers - 1;
-  const auto measure_at = [&](unsigned ncr) -> Task<double> {
-    co_await Reconfigure(ncr);
-    co_await ctx.Delay(opt_.tune_window_ns / 2);  // settle
-    const double m = co_await MeasureWindow();
-    co_return m;
-  };
-  // Trisection over the (empirically convex) throughput-vs-split curve.
-  while (hi - lo > 2) {
-    const unsigned m1 = lo + (hi - lo) / 3;
-    const unsigned m2 = hi - (hi - lo) / 3;
-    const double p1 = co_await measure_at(m1);
-    const double p2 = co_await measure_at(m2);
-    if (p1 < p2) {
-      lo = m1 + 1;
-    } else {
-      hi = m2;
-    }
-  }
-  double best = -1.0;
-  unsigned best_ncr = lo;
-  for (unsigned c = lo; c <= hi; c++) {
-    const double p = co_await measure_at(c);
-    if (p > best) {
-      best = p;
-      best_ncr = c;
-    }
-  }
-  if (best_mops_out != nullptr) {
-    *best_mops_out = best;
-  }
-  co_return best_ncr;
+Task<double> MuTpsServer::MeasureSplit(unsigned ncr) {
+  co_await Reconfigure(ncr);
+  co_await mgr_ctx_.Delay(opt_.tune_window_ns / 2);  // settle
+  co_return co_await MeasureWindow();
 }
 
-Task<void> MuTpsServer::TuneLlcWays() {
-  ExecCtx& ctx = mgr_ctx_;
-  obs::SpanScope span(trc_, ctx, "mgr", "tune_llc", obs::Tracer::kServerPid,
-                      mgr_tid_);
+void MuTpsServer::SetMrWays(unsigned ways) {
   const unsigned total_ways = env_.mem->config().llc_ways;
-  const auto measure_ways = [&](unsigned ways) -> Task<double> {
-    const uint32_t mask = ((1u << ways) - 1) << (total_ways - ways);
-    env_.mem->SetClosMask(kMrClos, mask);
-    mr_ways_ = ways;
-    co_await ctx.Delay(opt_.tune_window_ns / 2);
-    const double m = co_await MeasureWindow();
-    co_return m;
-  };
-  unsigned lo = 1;
-  unsigned hi = total_ways;
+  env_.mem->SetClosMask(kMrClos, ((1u << ways) - 1) << (total_ways - ways));
+  mr_ways_ = ways;
+}
+
+Task<double> MuTpsServer::MeasureMrWays(unsigned ways) {
+  SetMrWays(ways);
+  co_await mgr_ctx_.Delay(opt_.tune_window_ns / 2);  // settle
+  co_return co_await MeasureWindow();
+}
+
+Task<unsigned> MuTpsServer::Trisect(unsigned lo, unsigned hi,
+                                    Task<double> (MuTpsServer::*measure)(
+                                        unsigned),
+                                    double* best_out) {
+  // Trisection over the (empirically convex) throughput curve, then a linear
+  // pass over the last two or three settings.
   while (hi - lo > 2) {
     const unsigned m1 = lo + (hi - lo) / 3;
     const unsigned m2 = hi - (hi - lo) / 3;
-    const double p1 = co_await measure_ways(m1);
-    const double p2 = co_await measure_ways(m2);
+    const double p1 = co_await (this->*measure)(m1);
+    const double p2 = co_await (this->*measure)(m2);
     if (p1 < p2) {
       lo = m1 + 1;
     } else {
@@ -1140,17 +1108,18 @@ Task<void> MuTpsServer::TuneLlcWays() {
     }
   }
   double best = -1.0;
-  unsigned best_ways = hi;
-  for (unsigned c = lo; c <= hi; c++) {
-    const double p = co_await measure_ways(c);
+  unsigned best_x = lo;
+  for (unsigned x = lo; x <= hi; x++) {
+    const double p = co_await (this->*measure)(x);
     if (p > best) {
       best = p;
-      best_ways = c;
+      best_x = x;
     }
   }
-  const uint32_t mask = ((1u << best_ways) - 1) << (total_ways - best_ways);
-  env_.mem->SetClosMask(kMrClos, mask);
-  mr_ways_ = best_ways;
+  if (best_out != nullptr) {
+    *best_out = best;
+  }
+  co_return best_x;
 }
 
 Task<void> MuTpsServer::Autotune() {
@@ -1164,7 +1133,13 @@ Task<void> MuTpsServer::Autotune() {
   for (uint32_t k : opt_.cache_sizes) {
     co_await RefreshHotSet(k, /*force=*/true);
     double m = 0.0;
-    const unsigned ncr = co_await TrisectThreads(&m);
+    unsigned ncr = 0;
+    {
+      obs::SpanScope span(trc_, mgr_ctx_, "mgr", "trisect_threads",
+                          obs::Tracer::kServerPid, mgr_tid_);
+      ncr = co_await Trisect(1, env_.num_workers - 1,
+                             &MuTpsServer::MeasureSplit, &m);
+    }
     if (m > best) {
       best = m;
       best_k = k;
@@ -1178,7 +1153,11 @@ Task<void> MuTpsServer::Autotune() {
   hot_->Age();
   co_await Reconfigure(best_ncr);
   if (opt_.tune_llc) {
-    co_await TuneLlcWays();
+    // The pick is applied without another window.
+    obs::SpanScope span(trc_, mgr_ctx_, "mgr", "tune_llc",
+                        obs::Tracer::kServerPid, mgr_tid_);
+    SetMrWays(co_await Trisect(1, env_.mem->config().llc_ways,
+                               &MuTpsServer::MeasureMrWays, nullptr));
   }
   ewma_mops_ = co_await MeasureWindow();
 }

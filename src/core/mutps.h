@@ -254,6 +254,9 @@ class MuTpsServer final : public KvServer {
                                 unsigned consumer, uint64_t seq);
   sim::Task<void> MrProcessOne(sim::ExecCtx& ctx, unsigned consumer,
                                CrMrDesc d, CrMrHostDesc* hd);
+  // Recomputes mr_ready_[c] from worker c's pop cursors; callers set the
+  // cursors first.
+  void RebuildMrReady(unsigned c);
 
   // Fault tolerance (§3.5 reassignment reused for failover; DESIGN.md §9).
   sim::Fiber HealthProbeMain();
@@ -266,8 +269,19 @@ class MuTpsServer final : public KvServer {
   sim::Task<void> RefreshHotSet(uint32_t k, bool force);
   sim::Task<void> Reconfigure(unsigned new_ncr);
   sim::Task<double> MeasureWindow();
-  sim::Task<unsigned> TrisectThreads(double* best_mops_out);
-  sim::Task<void> TuneLlcWays();
+  // Settles and measures one thread split / one MR way count (the tuner's
+  // two search dimensions); SetMrWays applies a way count without measuring.
+  sim::Task<double> MeasureSplit(unsigned ncr);
+  sim::Task<double> MeasureMrWays(unsigned ways);
+  void SetMrWays(unsigned ways);
+  // Searches [lo, hi] for the setting `measure` scores highest; stores its
+  // Mops in *best_out when non-null. A member-function pointer, not a
+  // std::function: a drift retune runs inside the measure window and must
+  // not allocate.
+  sim::Task<unsigned> Trisect(unsigned lo, unsigned hi,
+                              sim::Task<double> (MuTpsServer::*measure)(
+                                  unsigned),
+                              double* best_out);
   sim::Task<void> Autotune();
 
   // CR layer size under the split `w` runs: the handshake keeps every worker

@@ -281,12 +281,9 @@ class HotSetManager {
   // Host-performance notes (DESIGN.md §13) — every shortcut below is exact,
   // not approximate, because the published structures must be byte-identical
   // to the straightforward form:
-  //  - Candidates are deduplicated before the top-K pass. A repeated Offer of
-  //    one key is a provable no-op: the sketch is frozen during the pass (the
-  //    estimate cannot change, so the update path re-heapifies an unchanged
-  //    freq), and the heap minimum is non-decreasing (a key rejected once
-  //    stays rejected). Offering each distinct key once — in first-occurrence
-  //    order — therefore yields the same heap.
+  //  - Candidates are deduplicated before the top-K pass, in first-occurrence
+  //    order: TopK requires distinct keys, and this is the only check. The
+  //    sketch is frozen during the pass, so a key has one estimate.
   //  - The by-key sort uses an LSD radix sort: hot keys are unique, so the
   //    comparator is a total order and any correct sort produces the same
   //    array. (The by-freq extract sort has ties and must stay std::sort —

@@ -1,11 +1,10 @@
-// Top-K hottest-key tracking: a min-heap over sketch-estimated frequencies
-// with a membership map to avoid duplicate entries.
+// Top-K hottest-key tracking: a bounded min-heap over sketch-estimated
+// frequencies (§3.2.2).
 //
-// The membership map is a flat open-addressing table (linear probing,
-// backshift deletion) instead of a node-based hash map: Offer() runs once per
-// drained sample candidate on the manager's host thread, and the refresh
-// cadence makes per-call node allocation and pointer chasing a measurable
-// slice of simulator wall time (DESIGN.md §13).
+// Precondition: within one pass (Reset to ExtractTo) every offered key is
+// distinct. The heap keeps no key -> slot map and cannot update an entry in
+// place; HotSetManager::BuildAndPublish deduplicates its candidates before
+// offering them, and that is the only distinctness check (DESIGN.md §13).
 #ifndef UTPS_HOTSET_TOPK_H_
 #define UTPS_HOTSET_TOPK_H_
 
@@ -13,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hotset/sketch.h"
 #include "store/kv.h"
 
 namespace utps {
@@ -22,162 +20,58 @@ class TopK {
  public:
   explicit TopK(uint32_t k) { Reset(k); }
 
-  // Re-arms the tracker for a fresh top-`k` pass, reusing the heap and map
-  // storage from previous passes. Slots are invalidated by bumping the pass
-  // stamp — no O(capacity) clear — so a steady-state refresh performs no
-  // heap allocation and no table wipe. The map's capacity may exceed the
-  // minimum for `k` (it never shrinks); only membership semantics, not
-  // probe layout, are observable, so the heap contents are unaffected.
+  // Re-arms the tracker for a fresh top-`k` pass, reusing the heap storage
+  // from previous passes: a steady-state refresh performs no heap allocation.
   void Reset(uint32_t k) {
     k_ = k;
     heap_.clear();
     heap_.reserve(k_);
-    // Load factor stays <= 0.5: the map never holds more than k_ keys.
-    size_t cap = 16;
-    while (cap < 2 * size_t{k_}) {
-      cap <<= 1;
-    }
-    if (cap > slots_.size()) {
-      slots_.assign(cap, Slot{});
-      pass_ = 0;
-    }
-    mask_ = static_cast<uint32_t>(slots_.size() - 1);
-    pass_++;
   }
 
-  // Offers a key with its estimated frequency. Keeps the K highest.
+  // Offers a key not yet offered this pass with its estimated frequency.
+  // Keeps the K highest.
   void Offer(Key key, uint32_t freq) {
-    const uint32_t s = MapFind(key);
-    if (s != kNotFound) {
-      const size_t i = slots_[s].heap_idx;
-      heap_[i].freq = freq;
-      SiftDown(SiftUp(i));
-      return;
-    }
     if (heap_.size() < k_) {
       heap_.push_back({key, freq});
-      MapInsert(key, heap_.size() - 1);
       SiftUp(heap_.size() - 1);
       return;
     }
     if (freq <= heap_[0].freq) {
       return;
     }
-    MapErase(heap_[0].key);
     heap_[0] = {key, freq};
-    MapInsert(key, 0);
     SiftDown(0);
   }
 
-  uint32_t MinFreq() const { return heap_.empty() ? 0 : heap_[0].freq; }
-  size_t Size() const { return heap_.size(); }
-
   // Keys ordered by descending frequency, appended to `out` (cleared first).
-  // Ties keep the exact order std::sort gives them on the heap array — the
-  // hot-set publication order (and therefore the simulated filter layout)
-  // depends on it.
-  void ExtractTo(std::vector<Key>& out) const {
-    sort_scratch_ = heap_;
-    std::sort(sort_scratch_.begin(), sort_scratch_.end(),
+  // Ends the pass: the heap array is sorted in place. Ties keep the exact
+  // order std::sort gives them on the heap array — the hot-set publication
+  // order (and therefore the simulated filter layout) depends on it.
+  void ExtractTo(std::vector<Key>& out) {
+    std::sort(heap_.begin(), heap_.end(),
               [](const Entry& a, const Entry& b) { return a.freq > b.freq; });
     out.clear();
-    out.reserve(sort_scratch_.size());
-    for (const Entry& e : sort_scratch_) {
+    out.reserve(heap_.size());
+    for (const Entry& e : heap_) {
       out.push_back(e.key);
     }
   }
-
-  std::vector<Key> Extract() const {
-    std::vector<Key> out;
-    ExtractTo(out);
-    return out;
-  }
-
-  void Clear() { Reset(k_); }
 
  private:
   struct Entry {
     Key key;
     uint32_t freq;
   };
-  // key + 1 so 0 marks an empty slot; Key is never ~0 in practice (and the
-  // membership map only ever sees keys the caller offered). A slot whose
-  // stamp is not the current pass's is empty regardless of its key (stale
-  // from a previous Reset).
-  struct Slot {
-    Key key1 = 0;
-    uint32_t heap_idx = 0;
-    uint32_t stamp = 0;
-  };
-  static constexpr uint32_t kNotFound = 0xffffffffu;
 
-  bool EmptySlot(const Slot& s) const {
-    return s.key1 == 0 || s.stamp != pass_;
-  }
-
-  uint32_t Home(Key key) const {
-    return static_cast<uint32_t>(Mix64(key)) & mask_;
-  }
-
-  uint32_t MapFind(Key key) const {
-    const Key k1 = key + 1;
-    for (uint32_t i = Home(key);; i = (i + 1) & mask_) {
-      if (EmptySlot(slots_[i])) {
-        return kNotFound;
-      }
-      if (slots_[i].key1 == k1) {
-        return i;
-      }
-    }
-  }
-
-  void MapInsert(Key key, size_t heap_idx) {
-    uint32_t i = Home(key);
-    while (!EmptySlot(slots_[i])) {
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = Slot{key + 1, static_cast<uint32_t>(heap_idx), pass_};
-  }
-
-  void MapSet(Key key, size_t heap_idx) {
-    slots_[MapFind(key)].heap_idx = static_cast<uint32_t>(heap_idx);
-  }
-
-  // Linear-probing backshift deletion: keeps every surviving entry reachable
-  // from its home slot without tombstones.
-  void MapErase(Key key) {
-    uint32_t i = MapFind(key);
-    uint32_t j = i;
-    for (;;) {
-      slots_[i].key1 = 0;
-      for (;;) {
-        j = (j + 1) & mask_;
-        if (EmptySlot(slots_[j])) {
-          return;
-        }
-        const uint32_t h = Home(slots_[j].key1 - 1);
-        // Shift j back into the hole at i only if its home position does not
-        // lie in the (cyclic) gap (i, j] — otherwise probing would skip it.
-        const bool movable = i <= j ? (h <= i || h > j) : (h <= i && h > j);
-        if (movable) {
-          break;
-        }
-      }
-      slots_[i] = slots_[j];
-      i = j;
-    }
-  }
-
-  size_t SiftUp(size_t i) {
+  void SiftUp(size_t i) {
     while (i > 0) {
       const size_t p = (i - 1) / 2;
       if (heap_[p].freq <= heap_[i].freq) {
         break;
       }
-      SwapAt(p, i);
+      std::swap(heap_[p], heap_[i]);
       i = p;
     }
-    return i;
   }
 
   void SiftDown(size_t i) {
@@ -194,23 +88,13 @@ class TopK {
       if (m == i) {
         return;
       }
-      SwapAt(m, i);
+      std::swap(heap_[m], heap_[i]);
       i = m;
     }
   }
 
-  void SwapAt(size_t a, size_t b) {
-    std::swap(heap_[a], heap_[b]);
-    MapSet(heap_[a].key, a);
-    MapSet(heap_[b].key, b);
-  }
-
   uint32_t k_ = 0;
-  uint32_t mask_ = 0;
-  uint32_t pass_ = 0;        // current Reset generation (slot validity stamp)
   std::vector<Entry> heap_;  // min-heap by freq
-  std::vector<Slot> slots_;  // flat map: key -> heap index
-  mutable std::vector<Entry> sort_scratch_;
 };
 
 }  // namespace utps

@@ -1,5 +1,5 @@
-// Synchronization primitives in virtual time: wait queues, spinlocks, and
-// one-shot completions.
+// Synchronization primitives in virtual time: spinlocks and one-shot
+// completions.
 //
 // Because the entire simulation is serialized on one host thread, the *data*
 // operations need no host atomics; these primitives model the timing of
@@ -9,52 +9,11 @@
 #define UTPS_SIM_SYNC_H_
 
 #include <coroutine>
-#include <deque>
 
 #include "common/macros.h"
 #include "sim/exec.h"
 
 namespace utps::sim {
-
-// FIFO queue of suspended fibers.
-class WaitQueue {
- public:
-  struct Awaiter {
-    WaitQueue* q;
-    Engine* eng;
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      q->waiters_.push_back(h);
-      return eng->NextRunnable();
-    }
-    void await_resume() const noexcept {}
-  };
-
-  // Suspend the calling fiber until notified. The caller's pending charge is
-  // flushed into the wait (it resumes relative to the notifier's time).
-  Awaiter Wait(ExecCtx& ctx) {
-    ctx.pending = 0;  // waiting absorbs any sub-ns local charge
-    ctx.fast_ops = 0;
-    return Awaiter{this, ctx.eng};
-  }
-
-  // Wake the first waiter at virtual time `at`.
-  bool NotifyOne(Engine& eng, Tick at) {
-    if (waiters_.empty()) {
-      return false;
-    }
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    eng.ScheduleAt(at < eng.now() ? eng.now() : at, h);
-    return true;
-  }
-
-  bool empty() const { return waiters_.empty(); }
-  size_t size() const { return waiters_.size(); }
-
- private:
-  std::deque<std::coroutine_handle<>> waiters_;
-};
 
 // Queued spinlock. Acquire charges an atomic RMW on the lock word; contended
 // acquisitions park in a FIFO and are handed off in arrival order with a

@@ -280,12 +280,12 @@ TEST(Engine, PerturbationDisablesHandoffFastPath) {
 }
 
 // Teardown of blocked fibers must not leak or crash.
-Fiber BlockedForever(ExecCtx* ctx, WaitQueue* wq, bool* destroyed) {
+Fiber BlockedForever(ExecCtx* ctx, OneShot* never, bool* destroyed) {
   struct Sentinel {
     bool* flag;
     ~Sentinel() { *flag = true; }
   } sentinel{destroyed};
-  co_await wq->Wait(*ctx);
+  co_await never->Wait(*ctx);
 }
 
 TEST(Engine, TeardownDestroysBlockedFibers) {
@@ -293,8 +293,8 @@ TEST(Engine, TeardownDestroysBlockedFibers) {
   {
     Engine eng;
     ExecCtx ctx{.eng = &eng};
-    WaitQueue wq;
-    eng.Spawn(BlockedForever(&ctx, &wq, &destroyed));
+    OneShot never;  // never completed
+    eng.Spawn(BlockedForever(&ctx, &never, &destroyed));
     eng.Run(100);
     EXPECT_FALSE(destroyed);
   }
