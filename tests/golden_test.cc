@@ -1,7 +1,7 @@
 // Golden-row regression test: runs tiny-scale versions of the Figure 2 and
-// Figure 12 experiment configurations, plus one auto-tuned μTPS run,
-// in-process and compares the result rows byte-for-byte against checked-in
-// expectations (tests/golden_expected.inc).
+// Figure 12 experiment configurations, plus a μTPS-H run that serves hot
+// hits and one auto-tuned μTPS run, in-process and compares the result rows
+// byte-for-byte against checked-in expectations (tests/golden_expected.inc).
 //
 // Purpose: scheduler / cache-model / awaitable refactors must keep the
 // simulation byte-identical. dst_determinism_test catches nondeterminism
@@ -91,6 +91,18 @@ std::vector<std::string> RunGoldenRows() {
         "fig12", "RaceHash", "YCSB-C",
         TestBed(IndexType::kHash, ycsba)
             .Run(TinyConfig(SystemKind::kRaceHash, ycsbc))));
+  }
+
+  {
+    // μTPS-H's hot path: a short refresh period and a longer warm-up let
+    // the manager publish a hot set, so the measure window serves CR-layer
+    // hot hits on a hash bed.
+    const WorkloadSpec ycsbb = WorkloadSpec::YcsbB(kKeys, 64);
+    ExperimentConfig cfg = TinyConfig(SystemKind::kMuTps, ycsbb);
+    cfg.warmup_ns = 600 * sim::kUsec;
+    cfg.mutps.refresh_period_ns = 20 * sim::kUsec;
+    rows.push_back(FormatRow("hot", "uTPS-H", "YCSB-B",
+                             TestBed(IndexType::kHash, ycsbb).Run(cfg)));
   }
 
   {
