@@ -53,6 +53,11 @@ enum class Mode : uint8_t {
   // both claim the ring slot at head, so one batch's descriptors overwrite
   // the other's and requests are lost or answered twice.
   kCrForwardInBatch = 7,
+  // CrServeHot's GET path serves a hot item's value even when kItemRetired
+  // is set: a hot-structure pointer that a grown PUT has replaced in the
+  // index answers with the superseded value, after the PUT that replaced it
+  // was acknowledged — a stale read.
+  kServeRetiredHotItem = 8,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -131,6 +136,14 @@ inline bool CrForwardInBatch() {
   g_fired++;
   return true;
 }
+
+inline bool ServeRetiredHotItem() {
+  if (g_mode != Mode::kServeRetiredHotItem) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
@@ -139,6 +152,7 @@ inline constexpr bool DropRingEpochCheck() { return false; }
 inline constexpr bool PublishWithoutAcks() { return false; }
 inline constexpr bool MrRegionWithoutHold() { return false; }
 inline constexpr bool CrForwardInBatch() { return false; }
+inline constexpr bool ServeRetiredHotItem() { return false; }
 #endif
 
 }  // namespace utps::mut

@@ -113,17 +113,16 @@ void MuTpsServer::ReserveCrBatchFrames() {
   std::vector<Task<uint32_t>> reads;
   std::vector<Task<Item*>> lookups;
   fronts.reserve(n + env_.num_workers);
-  bools.reserve(3 * n);
+  bools.reserve(2 * n);
   reads.reserve(n);
   lookups.reserve(2 * n);
   for (size_t i = 0; i < n; i++) {
     fronts.push_back(CrFront(0, 0, 0, nullptr));
     bools.push_back(CrServeHot(0, nullptr, rec, 0, 0));
-    bools.push_back(HotFilterContains(ctx, nullptr, 0));
     bools.push_back(ItemWrite(ctx, nullptr, nullptr, 0));
     reads.push_back(ItemRead(ctx, nullptr, nullptr));
     lookups.push_back(HotArrayLookup(ctx, nullptr, 0));
-    lookups.push_back(env_.index->CoGet(ctx, 0));
+    lookups.push_back(HotTableLookup(ctx, nullptr, 0));
   }
   for (unsigned i = 0; i < env_.num_workers; i++) {
     fronts.push_back(sim::RunBatch(ctx, nullptr, 0));
@@ -419,18 +418,13 @@ Task<void> MuTpsServer::CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
       StageScope s(ctx, Stage::kCacheCheck);
       hot_item = co_await HotArrayLookup(ctx, hot_->ActiveArray(), key);
     } else {
-      // An empty published filter answers every key "cold". Its count comes
+      // An empty published table answers every key "cold". Its count comes
       // with the epoch pointer pair the loop re-reads, so skipping the probe
       // adds no modeled access.
-      const HotFilter* hf = hot_->ActiveFilter();
-      bool maybe_hot = false;
-      if (hf->count != 0) {
+      const HotTable* ht = hot_->ActiveTable();
+      if (ht->count != 0) {
         StageScope s(ctx, Stage::kCacheCheck);
-        maybe_hot = co_await HotFilterContains(ctx, hf, key);
-      }
-      if (maybe_hot) {
-        StageScope s(ctx, Stage::kIndex);
-        hot_item = co_await env_.index->CoGet(ctx, key);
+        hot_item = co_await HotTableLookup(ctx, ht, key);
       }
     }
     if (hot_item != nullptr && op == OpType::kPut &&
@@ -555,7 +549,7 @@ Task<bool> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
     hd.resp_len = co_await ItemRead(ctx, item, hd.resp);
     // Checked at the instant the read validated: the item was still the
     // key's when its value was copied, or the copy is stale.
-    if (ItemRetired(item)) {
+    if (ItemRetired(item) && !mut::ServeRetiredHotItem()) {
       w.resp->Release(hd.resp, hd.resp_cap);
       co_return false;
     }

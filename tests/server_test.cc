@@ -396,5 +396,33 @@ TEST(MuTpsCrBatch, HotHitsServeFasterInBatches) {
       << "batch 1: " << mops[0] << " Mops, batch 8: " << mops[1] << " Mops";
 }
 
+// μTPS-H's hot table carries each hot key's item pointer, so a hot hit is
+// one table probe: the CR layer does not look the key up in the main cuckoo
+// table again. On the all-hits setup above, no op reaches the MR layer
+// either, so the index stage costs nothing at all.
+TEST(MuTpsHotSet, HashHotHitsSkipTheIndex) {
+  sim::MachineConfig mc;
+  mc.num_cores = 10;
+  mc.priv_sets_log2 = 4;
+  const WorkloadSpec spec = WorkloadSpec::GetOnly(64, 64, /*skewed=*/false);
+  ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, spec);
+  cfg.client_threads = 32;
+  cfg.pipeline_depth = 8;
+  cfg.warmup_ns = 3 * kMsec;
+  cfg.mutps.initial_ncr = 3;
+  cfg.mutps.initial_cache_items = 2048;
+  cfg.mutps.refresh_period_ns = 1 * kMsec;
+  cfg.obs.cycle_accounting = true;
+  const ExperimentResult res = TestBed(IndexType::kHash, spec, 8, mc).Run(cfg);
+  ASSERT_TRUE(res.cycles.valid);
+  EXPECT_GT(res.ops, 1000u);
+  EXPECT_GT(res.hot_hits, 1000u);
+  EXPECT_EQ(res.hot_misses, 0u);
+  EXPECT_GT(res.cycles.ns_per_op[static_cast<unsigned>(sim::Stage::kCacheCheck)],
+            0.0);
+  EXPECT_EQ(res.cycles.ns_per_op[static_cast<unsigned>(sim::Stage::kIndex)],
+            0.0);
+}
+
 }  // namespace
 }  // namespace utps
