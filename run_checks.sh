@@ -61,7 +61,7 @@ sys.exit(1 if orphans else 0)
 EOF
 echo "=== every cited results/ file is tracked ==="
 
-CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test'
+CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test|hotset_test'
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"
