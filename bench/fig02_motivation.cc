@@ -115,16 +115,12 @@ Fiber EchoClient(ExecCtx* ctx, sim::Nic* nic, uint64_t keys, uint32_t vsize,
   }
 }
 
-struct TpsReplayResult {
-  double mops;
-  double stage1_miss;
-  double stage2_miss;
-};
-
 // Runs the deterministic-replay TPS configuration: n1 network workers + the
-// rest replaying index lookups; returns min(stage rates) over the best n1.
-TpsReplayResult RunTpsReplay(TestBed& bed, uint32_t vsize, unsigned workers) {
-  TpsReplayResult best{0.0, 0.0, 0.0};
+// rest replaying index lookups; returns min(stage rates) over the best n1 as
+// mops, with the network and index stages' LLC miss rates as poll_miss_rate
+// and index_miss_rate.
+ExperimentResult RunTpsReplay(TestBed& bed, uint32_t vsize, unsigned workers) {
+  ExperimentResult best;
   const double scale = BenchScale();
   for (unsigned n1 : {2u, 4u, 6u}) {
     sim::Engine eng;
@@ -188,7 +184,9 @@ TpsReplayResult RunTpsReplay(TestBed& bed, uint32_t vsize, unsigned workers) {
         idx.Add(cc.by_stage[static_cast<unsigned>(Stage::kIndex)]);
         idx.Add(cc.by_stage[static_cast<unsigned>(Stage::kData)]);
       }
-      best = {mops, net.LlcMissRate(), idx.LlcMissRate()};
+      best.mops = mops;
+      best.poll_miss_rate = net.LlcMissRate();
+      best.index_miss_rate = idx.LlcMissRate();
     }
     stop = true;
     eng.Run(eng.now() + 200 * sim::kUsec);
@@ -281,35 +279,35 @@ int main() {
                                         : std::vector<uint32_t>{8, 64, 256, 1024};
 
   // ------------------------------------------------------------- Fig 2a
-  std::printf("== Figure 2a: NP-TPS vs NP-TPQ vs NP-TPQ+CAT "
-              "(100%% get, uniform, tree index) ==\n");
-  PrintTableHeader({"size", "system", "Mops", "stage1-miss", "index-miss"});
+  Figure fig;
+  fig.Table("== Figure 2a: NP-TPS vs NP-TPQ vs NP-TPQ+CAT "
+            "(100% get, uniform, tree index) ==",
+            {"size", "system"},
+            {kMops,
+             {"stage1-miss", "%-14.3f",
+              [](const auto& r) { return r.poll_miss_rate; }},
+             {"index-miss", "%-14.3f",
+              [](const auto& r) { return r.index_miss_rate; }}});
   for (uint32_t size : sizes) {
     const WorkloadSpec spec = WorkloadSpec::GetOnly(keys, size, false);
+    const std::string cell = std::to_string(size);
     // NP-TPQ: BaseKV (run to completion).
-    {
-      const ExperimentResult r = TestBed(IndexType::kTree, spec)
-                                     .Run(StdConfig(SystemKind::kBaseKv, spec));
-      std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPQ", r.mops,
-                  r.poll_miss_rate, r.index_miss_rate);
-    }
+    fig.Point({cell, "NP-TPQ"}, [&] {
+      return TestBed(IndexType::kTree, spec)
+          .Run(StdConfig(SystemKind::kBaseKv, spec));
+    });
     // NP-TPQ + CAT: workers may not allocate in the two DDIO ways.
-    {
+    fig.Point({cell, "NP-TPQ+CAT"}, [&] {
       TestBed bed(IndexType::kTree, spec);
       const sim::MachineConfig& mc = bed.mem()->config();
       bed.mem()->SetClosMask(0, mc.AllWaysMask() & ~mc.DdioMask());
-      const ExperimentResult r = bed.Run(StdConfig(SystemKind::kBaseKv, spec));
-      std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPQ+CAT",
-                  r.mops, r.poll_miss_rate, r.index_miss_rate);
-    }
+      return bed.Run(StdConfig(SystemKind::kBaseKv, spec));
+    });
     // NP-TPS (deterministic replay, no inter-stage queues).
-    {
+    fig.Point({cell, "NP-TPS"}, [&] {
       TestBed bed(IndexType::kTree, spec);
-      const TpsReplayResult r = RunTpsReplay(bed, size, bed.server_workers());
-      std::printf("%-14u%-14s%-14.2f%-14.3f%-14.3f\n", size, "NP-TPS", r.mops,
-                  r.stage1_miss, r.stage2_miss);
-    }
-    std::fflush(stdout);
+      return RunTpsReplay(bed, size, bed.server_workers());
+    });
   }
 
   // ------------------------------------------------------------- Fig 2b
@@ -328,26 +326,20 @@ int main() {
   }
 
   // ------------------------------------------------------------- Fig 2c
-  std::printf("\n== Figure 2c: SE vs SN vs TPS (100%% put, skewed, 64 B, hash "
-              "index) ==\n");
-  PrintTableHeader({"threads", "system", "Mops"});
+  fig.Table("\n== Figure 2c: SE vs SN vs TPS (100% put, skewed, 64 B, hash "
+            "index) ==",
+            {"threads", "system"}, {kMops});
   std::vector<unsigned> threads = Quick() ? std::vector<unsigned>{8, 28}
                                           : std::vector<unsigned>{4, 8, 12, 16,
                                                                   20, 24, 28};
   const WorkloadSpec puts = WorkloadSpec::PutOnly(keys, 64, true);
   for (unsigned w : threads) {
-    for (SystemKind sys : {SystemKind::kBaseKv, SystemKind::kErpcKv,
-                           SystemKind::kMuTps}) {
-      if (w <= 2 && sys == SystemKind::kMuTps) {
-        continue;  // μTPS needs at least one core per layer
-      }
-      const ExperimentResult r =
-          TestBed(IndexType::kHash, puts, w).Run(StdConfig(sys, puts));
-      const char* label = sys == SystemKind::kBaseKv  ? "SE(RTC)"
-                          : sys == SystemKind::kErpcKv ? "SN(RTC)"
-                                                       : "TPS";
-      std::printf("%-14u%-14s%-14.2f\n", w, label, r.mops);
-      std::fflush(stdout);
+    for (const auto& [sys, label] : {std::pair{SystemKind::kBaseKv, "SE(RTC)"},
+                                     std::pair{SystemKind::kErpcKv, "SN(RTC)"},
+                                     std::pair{SystemKind::kMuTps, "TPS"}}) {
+      fig.Point({std::to_string(w), label}, [&] {
+        return TestBed(IndexType::kHash, puts, w).Run(StdConfig(sys, puts));
+      });
     }
   }
   return 0;

@@ -16,9 +16,9 @@ int main() {
                 s.value_size, s.zipf_theta);
   }
 
-  std::printf("\n== Figure 9: throughput on the Twitter traces (tree index) "
-              "==\n");
-  PrintTableHeader({"cluster", "system", "Mops", "p50(us)", "p99(us)"});
+  Figure fig;
+  fig.Table("\n== Figure 9: throughput on the Twitter traces (tree index) ==",
+            {"cluster", "system"});
   std::vector<int> clusters = Quick() ? std::vector<int>{19}
                                       : std::vector<int>{12, 19, 31};
   for (int c : clusters) {
@@ -26,12 +26,9 @@ int main() {
     spec.num_keys = keys;
     for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                            SystemKind::kErpcKv}) {
-      const ExperimentResult r =
-          TestBed(IndexType::kTree, spec).Run(StdConfig(sys, spec));
-      std::printf("%-14d%-14s%-14.2f%-14.2f%-14.2f\n", c,
-                  DisplayName(sys, IndexType::kTree), r.mops, r.p50_ns / 1000.0,
-                  r.p99_ns / 1000.0);
-      std::fflush(stdout);
+      fig.Point({std::to_string(c), DisplayName(sys, IndexType::kTree)}, [&] {
+        return TestBed(IndexType::kTree, spec).Run(StdConfig(sys, spec));
+      });
     }
   }
   return 0;

@@ -17,22 +17,20 @@ int main() {
     }
   }
 
+  Figure fig;
   for (IndexType index : {IndexType::kHash, IndexType::kTree}) {
-    std::printf("== Figure 10 (%s index): latency vs throughput, YCSB-A 8B ==\n",
-                IndexName(index));
-    PrintTableHeader({"clients", "system", "Mops", "p50(us)", "p99(us)"});
+    fig.Table(std::string("== Figure 10 (") + IndexName(index) +
+                  " index): latency vs throughput, YCSB-A 8B ==",
+              {"clients", "system"});
     for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                            SystemKind::kErpcKv}) {
       for (unsigned c : clients) {
-        ExperimentConfig cfg = StdConfig(sys, WorkloadSpec::YcsbA(keys, 8));
-        cfg.client_threads = c;
-        cfg.pipeline_depth = 1;  // closed loop: one outstanding per thread
-        const ExperimentResult r =
-            TestBed(index, WorkloadSpec::YcsbA(keys, 8)).Run(cfg);
-        std::printf("%-14u%-14s%-14.2f%-14.2f%-14.2f\n", c,
-                    DisplayName(sys, index), r.mops, r.p50_ns / 1000.0,
-                    r.p99_ns / 1000.0);
-        std::fflush(stdout);
+        fig.Point({std::to_string(c), DisplayName(sys, index)}, [&] {
+          ExperimentConfig cfg = StdConfig(sys, WorkloadSpec::YcsbA(keys, 8));
+          cfg.client_threads = c;
+          cfg.pipeline_depth = 1;  // closed loop: one outstanding per thread
+          return TestBed(index, WorkloadSpec::YcsbA(keys, 8)).Run(cfg);
+        });
       }
     }
   }

@@ -16,11 +16,12 @@ int main() {
   std::vector<uint32_t> sizes = Quick() ? std::vector<uint32_t>{8}
                                         : std::vector<uint32_t>{8, 256};
 
+  Figure fig;
   for (IndexType index : {IndexType::kHash, IndexType::kTree}) {
     for (uint32_t size : sizes) {
-      std::printf("== Figure 11 (%s index, %u B items): YCSB-A scalability ==\n",
-                  IndexName(index), size);
-      PrintTableHeader({"workers", "system", "Mops", "p50(us)"});
+      fig.Table(std::string("== Figure 11 (") + IndexName(index) + " index, " +
+                    std::to_string(size) + " B items): YCSB-A scalability ==",
+                {"workers", "system"}, {kMops, kP50});
       for (unsigned w : workers) {
         for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv,
                                SystemKind::kErpcKv}) {
@@ -28,11 +29,9 @@ int main() {
             continue;  // needs at least one core per layer
           }
           const WorkloadSpec spec = WorkloadSpec::YcsbA(keys, size);
-          const ExperimentResult r =
-              TestBed(index, spec, w).Run(StdConfig(sys, spec));
-          std::printf("%-14u%-14s%-14.2f%-14.2f\n", w, DisplayName(sys, index),
-                      r.mops, r.p50_ns / 1000.0);
-          std::fflush(stdout);
+          fig.Point({std::to_string(w), DisplayName(sys, index)}, [&] {
+            return TestBed(index, spec, w).Run(StdConfig(sys, spec));
+          });
         }
       }
     }

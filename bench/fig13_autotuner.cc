@@ -66,7 +66,8 @@ int main() {
       TestBed bed(index, spec);
       const ExperimentConfig cfg = TunerConfig(spec, /*tune_llc=*/false);
       const ExperimentResult r = bed.Run(cfg);
-      const uint32_t hot_set = 10000;  // tracker candidate pool (paper: 10K)
+      // The tuner's largest probed cache size (paper: 10K).
+      const uint32_t hot_set = cfg.mutps.cache_sizes.back();
       std::printf("%-14s%-14.2f%-14u%-14u%-14.2f%-14.2f\n", IndexName(index),
                   theta, r.cache_items, hot_set,
                   static_cast<double>(r.cache_items) / hot_set, r.mops);

@@ -11,7 +11,7 @@
 // mix, plus the log-device counters (appends, syncs, bytes), for μTPS and
 // the run-to-completion baseline. MUTPS_WAL does not apply here — the bench
 // owns the mode sweep — but the device/window knobs can be tuned by editing
-// Profile() below.
+// the WalConfig in main() below.
 #include "harness/bench_util.h"
 
 using namespace utps;
@@ -19,44 +19,20 @@ using namespace utps::bench;
 
 namespace {
 
-wal::WalConfig Profile(wal::CommitMode mode) {
-  wal::WalConfig w;
-  w.enabled = true;
-  w.mode = mode;
-  return w;
-}
-
-void RunSystem(SystemKind sys, const WorkloadSpec& spec) {
-  std::printf("-- %s --\n", DisplayName(sys, IndexType::kHash));
-  PrintTableHeader({"commit", "Mops", "P50(us)", "P99(us)", "appends",
-                    "syncs", "MB-logged"});
-  for (int point = 0; point < 4; point++) {
-    TestBed bed(IndexType::kHash, spec);
-    ExperimentConfig cfg = StdConfig(sys, spec);
-    // Fixed split: the mode sweep should isolate the commit path, not the
-    // auto-tuner's search transient.
-    cfg.mutps.autotune = false;
-    cfg.mutps.initial_ncr = bed.server_workers() / 2;
-    cfg.mutps.initial_cache_items = 4000;
-    const char* name = "off";
-    if (point > 0) {
-      const wal::CommitMode mode = static_cast<wal::CommitMode>(point - 1);
-      cfg.wal = Profile(mode);
-      name = wal::CommitModeName(mode);
-    } else {
-      cfg.wal = wal::WalConfig{};  // off: ignore any MUTPS_WAL in the env
-    }
-    const ExperimentResult r = bed.Run(cfg);
-    const auto& wc = r.wal_counters;
-    std::printf("%-14s%-14.2f%-14.1f%-14.1f%-14llu%-14llu%-14.1f\n", name,
-                r.mops, r.p50_ns / 1e3, r.p99_ns / 1e3,
-                static_cast<unsigned long long>(wc.appends),
-                static_cast<unsigned long long>(wc.flushes),
-                wc.appended_bytes / 1e6);
-    PrintObsReport(r);
-  }
-  std::printf("\n");
-}
+// This table's latency columns print one decimal, under their own headers.
+constexpr Metric kWalP50{"P50(us)", "%-14.1f",
+                         [](const auto& r) { return r.p50_ns / 1e3; }};
+constexpr Metric kWalP99{"P99(us)", "%-14.1f",
+                         [](const auto& r) { return r.p99_ns / 1e3; }};
+constexpr Metric kAppends{"appends", "%-14.0f", [](const auto& r) {
+  return static_cast<double>(r.wal_counters.appends);
+}};
+constexpr Metric kSyncs{"syncs", "%-14.0f", [](const auto& r) {
+  return static_cast<double>(r.wal_counters.flushes);
+}};
+constexpr Metric kMbLogged{"MB-logged", "%-14.1f", [](const auto& r) {
+  return r.wal_counters.appended_bytes / 1e6;
+}};
 
 }  // namespace
 
@@ -67,8 +43,33 @@ int main() {
   std::printf(
       "== Figure 17: durability commit modes — throughput/latency vs "
       "sync, group-commit, async WAL ==\n");
+  Figure fig;
   for (SystemKind sys : {SystemKind::kMuTps, SystemKind::kBaseKv}) {
-    RunSystem(sys, spec);
+    fig.Table(std::string("-- ") + DisplayName(sys, IndexType::kHash) + " --",
+              {"commit"},
+              {kMops, kWalP50, kWalP99, kAppends, kSyncs, kMbLogged});
+    for (int point = 0; point < 4; point++) {
+      // Off unless set below: any MUTPS_WAL in the env is ignored.
+      wal::WalConfig w;
+      const char* name = "off";
+      if (point > 0) {
+        w.enabled = true;
+        w.mode = static_cast<wal::CommitMode>(point - 1);
+        name = wal::CommitModeName(w.mode);
+      }
+      fig.Point({name}, [&] {
+        TestBed bed(IndexType::kHash, spec);
+        ExperimentConfig cfg = StdConfig(sys, spec);
+        // Fixed split: the mode sweep should isolate the commit path, not
+        // the auto-tuner's search transient.
+        cfg.mutps.autotune = false;
+        cfg.mutps.initial_ncr = bed.server_workers() / 2;
+        cfg.mutps.initial_cache_items = 4000;
+        cfg.wal = w;
+        return bed.Run(cfg);
+      });
+    }
+    std::printf("\n");
   }
   return 0;
 }

@@ -29,15 +29,10 @@ fi
 
 mkdir -p results
 failed=0
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  name=$(basename "$b")
-  case "$name" in
-    selfperf) continue ;;  # host-perf tracker, run separately below
-    fig16_at_scale) continue ;;  # 10M-key sampled sweep, run separately below
-    fig19_cluster) continue ;;  # multi-node cluster sweep, run separately below
-    micro_components) continue ;;  # google-benchmark micro bench, not a figure
-  esac
+# The figure benches (scripts/figure_benches.sh); selfperf, fig16 and fig19
+# run separately below.
+for name in $(scripts/figure_benches.sh); do
+  b="build/bench/$name"
   echo "=== $name ($(date +%H:%M:%S)) ==="
   # pipefail makes a bench crash surface through the tee; a timeout (124) only
   # truncates that bench's data and is reported without failing the sweep.

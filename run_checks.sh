@@ -220,22 +220,15 @@ else
   echo "=== host perf floor skipped ==="
 fi
 
-# Figure benches at smoke scale: every bench run_benches.sh runs in its
-# figure loop (the same glob and exclusions), on a small database and short
+# Figure benches at smoke scale: every bench of scripts/figure_benches.sh,
+# the list run_benches.sh's figure loop runs, on a small database and short
 # windows, in parallel. Only the exit status is checked — a bench that
 # aborts (e.g. a CHECK such as TestBed::Run's one-run-per-bed rule) fails
 # the stage here instead of in a full sweep. Output is discarded; a
 # failing bench's stderr is kept.
 echo "=== figure benches at smoke scale ==="
-benches=()
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  case "$(basename "$b")" in
-    selfperf|fig16_at_scale|fig19_cluster|micro_components) continue ;;
-  esac
-  benches+=("$b")
-done
-printf '%s\n' "${benches[@]}" |
+mapfile -t benches < <(scripts/figure_benches.sh)
+printf 'build/bench/%s\n' "${benches[@]}" |
   MUTPS_QUICK=1 MUTPS_DB_SIZE=20000 MUTPS_BENCH_SCALE=0.1 \
   xargs -P "$(nproc)" -I{} sh -c \
     '"$1" >/dev/null || { echo "$1 exited with status $?" >&2; exit 1; }' \

@@ -1,4 +1,6 @@
-// Shared helpers for the figure-reproduction benchmark binaries.
+// Shared helpers for the figure-reproduction benchmark binaries. Figure
+// prints the tables of fig02 (2a, 2c), fig07-fig12 and fig17; the other
+// benches print timelines, JSON files or cells of their own widths.
 //
 // Environment knobs (all optional):
 //   MUTPS_DB_SIZE      database size in keys      (default 2,000,000)
@@ -9,8 +11,9 @@
 //                      points in a sweep overwrite it, so the file holds the
 //                      last point's trace
 //   MUTPS_CYCLES       if non-zero, print a per-op cycle-accounting breakdown
-//                      under each result row
-//   MUTPS_METRICS      if non-zero, dump the metrics registry after each row
+//                      under each Figure row and fig15 timeline (fig02b,
+//                      fig13, fig14, fig16 and fig19 print none)
+//   MUTPS_METRICS      if non-zero, dump the metrics registry there too
 //   MUTPS_FAULTS       fault profile, e.g. "loss:0.01,dup:0.02" — see
 //                      fault/fault.h for the full token list
 //   MUTPS_WAL          durability profile, e.g. "mode:group,windowus:2" —
@@ -291,12 +294,65 @@ inline void PrintTableHeader(const std::vector<std::string>& cols) {
   std::printf("\n");
 }
 
-inline const char* MuTpsName(IndexType t) {
-  return t == IndexType::kHash ? "uTPS-H" : "uTPS-T";
-}
+// A figure table's metric column: its header, the printf format of its
+// cell and the value that cell prints from a point's result.
+struct Metric {
+  const char* header;
+  const char* format;
+  double (*value)(const ExperimentResult&);
+};
+
+inline constexpr Metric kMops{"Mops", "%-14.2f",
+                              [](const auto& r) { return r.mops; }};
+inline constexpr Metric kP50{"p50(us)", "%-14.2f",
+                             [](const auto& r) { return r.p50_ns / 1e3; }};
+inline constexpr Metric kP99{"p99(us)", "%-14.2f",
+                             [](const auto& r) { return r.p99_ns / 1e3; }};
+
+// Prints a figure's tables: Table() starts one, then each Point() runs one
+// point and prints its row as the table's label cells and metric cells,
+// followed by PrintObsReport and a flush.
+class Figure {
+ public:
+  void Table(const std::string& banner, std::vector<std::string> labels,
+             std::vector<Metric> metrics = {kMops, kP50, kP99}) {
+    std::printf("%s\n", banner.c_str());
+    labels_ = labels.size();
+    for (const Metric& m : metrics) {
+      labels.push_back(m.header);
+    }
+    PrintTableHeader(labels);
+    metrics_ = std::move(metrics);
+  }
+
+  // `run` returns the point's ExperimentResult: a bed's Run or any custom
+  // measurement copied into one.
+  template <typename Run>
+  void Point(const std::vector<std::string>& labels, Run run) {
+    UTPS_CHECK_MSG(labels.size() == labels_, "Figure: %zu labels, want %zu",
+                   labels.size(), labels_);
+    const ExperimentResult r = run();
+    for (const std::string& l : labels) {
+      std::printf("%-14s", l.c_str());
+    }
+    for (const Metric& m : metrics_) {
+      std::printf(m.format, m.value(r));
+    }
+    std::printf("\n");
+    PrintObsReport(r);
+    std::fflush(stdout);
+  }
+
+ private:
+  size_t labels_ = 0;
+  std::vector<Metric> metrics_;
+};
 
 inline const char* DisplayName(SystemKind s, IndexType t) {
-  return s == SystemKind::kMuTps ? MuTpsName(t) : SystemName(s);
+  if (s != SystemKind::kMuTps) {
+    return SystemName(s);
+  }
+  return t == IndexType::kHash ? "uTPS-H" : "uTPS-T";
 }
 
 }  // namespace utps::bench
