@@ -1,7 +1,8 @@
 // Figure 15 (extension): resilience under fault injection. A server worker
 // crash-stops mid-measurement and restarts later; the bench reports the
 // throughput and P99 time series around the fault plus a recovery-time
-// metric (first bucket back at >=90% of the pre-fault rate). μTPS detects
+// metric (bench::Recovery: first bucket back at >=90% of the pre-fault
+// rate, timed from the fault's onset). μTPS detects
 // the dead MR worker with the manager's health probe and salvages its rings
 // (DESIGN.md §9); BaseKV/eRPCKV stall the affected requests until restart.
 //
@@ -27,6 +28,18 @@ fault::FaultConfig DefaultProfile(const ExperimentConfig& cfg) {
   return f;
 }
 
+// When the profile's first fault strikes: the crash, or the opening of the
+// window of its other faults, whichever comes first.
+sim::Tick Onset(const fault::FaultConfig& f) {
+  fault::FaultConfig windowed = f;
+  windowed.crash_worker = -1;
+  if (f.crash_worker < 0) {
+    return f.start_ns;
+  }
+  return windowed.enabled() ? std::min(f.crash_at_ns, f.start_ns)
+                            : f.crash_at_ns;
+}
+
 void RunOne(SystemKind sys, const WorkloadSpec& spec) {
   TestBed bed(IndexType::kHash, spec);
   ExperimentConfig cfg = StdConfig(sys, spec);
@@ -45,40 +58,22 @@ void RunOne(SystemKind sys, const WorkloadSpec& spec) {
   std::printf("-- %s --\n", DisplayName(sys, bed.index_type()));
   PrintTableHeader({"t(ms)", "Mops", "P99(us)"});
   for (size_t i = 0; i < r.timeline_mops.size(); i++) {
-    const double p99us =
-        i < r.timeline_p99_ns.size() ? r.timeline_p99_ns[i] / 1e3 : 0.0;
     std::printf("%-14.2f%-14.2f%-14.1f\n",
                 static_cast<double>(i) * r.timeline_bucket_ns / 1e6,
-                r.timeline_mops[i], p99us);
+                r.timeline_mops[i], r.timeline_p99_ns[i] / 1e3);
   }
 
-  // Recovery time: average the complete pre-fault measurement buckets, then
-  // find the first post-fault bucket back at >=90% of that rate.
   const fault::FaultConfig& f = cfg.fault;
-  const size_t warm_b = static_cast<size_t>(cfg.warmup_ns / r.timeline_bucket_ns);
-  const size_t fault_b = static_cast<size_t>(
-      std::max(f.crash_at_ns, f.start_ns) / r.timeline_bucket_ns);
-  double pre = 0.0;
-  size_t n = 0;
-  for (size_t i = warm_b; i < fault_b && i < r.timeline_mops.size(); i++) {
-    pre += r.timeline_mops[i];
-    n++;
-  }
-  pre = n > 0 ? pre / static_cast<double>(n) : 0.0;
-  double recovery_us = -1.0;
-  for (size_t i = fault_b + 1; i < r.timeline_mops.size(); i++) {
-    if (r.timeline_mops[i] >= 0.9 * pre) {
-      recovery_us = (static_cast<double>(i) * r.timeline_bucket_ns -
-                     static_cast<double>(f.crash_at_ns)) / 1e3;
-      break;
-    }
-  }
-  std::printf("pre-fault %.2f Mops; ", pre);
+  const RecoveryReport rec = Recovery(r, cfg.warmup_ns, Onset(f));
+  std::printf("pre-fault %.2f Mops; ", rec.pre_mops);
   if (f.crash_worker >= 0) {
     std::printf("crash t=%.2fms; ", f.crash_at_ns / 1e6);
   }
-  if (recovery_us >= 0.0) {
-    std::printf("recovery %.0fus (>=90%% of pre-fault)\n", recovery_us);
+  if (rec.pre_buckets == 0) {
+    std::printf("recovery: no complete pre-fault bucket after warm-up\n");
+  } else if (rec.tput_recovery_us >= 0.0) {
+    std::printf("recovery %.0fus (>=90%% of pre-fault)\n",
+                rec.tput_recovery_us);
   } else {
     std::printf("recovery: not within the run\n");
   }

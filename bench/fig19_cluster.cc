@@ -103,73 +103,35 @@ void RunFlashCrowd(bench::JsonWriter& j) {
               cfg.hotshift_at_ns / 1e6);
   std::printf("%-10s%-10s%-10s\n", "t(ms)", "Mops", "P99(us)");
   for (size_t i = 0; i < r.timeline_mops.size(); i++) {
-    const double p99us =
-        i < r.timeline_p99_ns.size() ? r.timeline_p99_ns[i] / 1e3 : 0.0;
     std::printf("%-10.2f%-10.2f%-10.1f\n",
                 static_cast<double>(i) * r.timeline_bucket_ns / 1e6,
-                r.timeline_mops[i], p99us);
+                r.timeline_mops[i], r.timeline_p99_ns[i] / 1e3);
   }
 
-  // fig15-style recovery: mean of complete pre-shift measurement buckets,
-  // then the first post-shift bucket back at >=90% (throughput) and back
-  // under 1.5x (P99).
-  const size_t warm_b =
-      static_cast<size_t>(cfg.warmup_ns / r.timeline_bucket_ns);
-  const size_t shift_b =
-      static_cast<size_t>(cfg.hotshift_at_ns / r.timeline_bucket_ns);
-  double pre = 0.0;
-  double pre_p99 = 0.0;
-  size_t n = 0;
-  for (size_t i = warm_b; i < shift_b && i < r.timeline_mops.size(); i++) {
-    pre += r.timeline_mops[i];
-    if (i < r.timeline_p99_ns.size()) {
-      pre_p99 += r.timeline_p99_ns[i];
-    }
-    n++;
-  }
-  if (n > 0) {
-    pre /= static_cast<double>(n);
-    pre_p99 /= static_cast<double>(n);
-  }
-  const double pre_p99_us = pre_p99 / 1e3;
-  double tput_recovery_us = -1.0;
-  double p99_recovery_us = -1.0;
-  for (size_t i = shift_b + 1; i < r.timeline_mops.size(); i++) {
-    const double t_us = (static_cast<double>(i) * r.timeline_bucket_ns -
-                         static_cast<double>(cfg.hotshift_at_ns)) / 1e3;
-    if (tput_recovery_us < 0.0 && r.timeline_mops[i] >= 0.9 * pre) {
-      tput_recovery_us = t_us;
-    }
-    if (p99_recovery_us < 0.0 && i < r.timeline_p99_ns.size() &&
-        static_cast<double>(r.timeline_p99_ns[i]) <= 1.5 * pre_p99) {
-      p99_recovery_us = t_us;
-    }
-    if (tput_recovery_us >= 0.0 && p99_recovery_us >= 0.0) {
-      break;
-    }
-  }
+  const bench::RecoveryReport rec =
+      bench::Recovery(r, cfg.warmup_ns, cfg.hotshift_at_ns);
   std::printf("pre-shift %.2f Mops / p99 %.1fus; migrations %llu "
               "(ring epoch %llu)\n",
-              pre, pre_p99_us,
+              rec.pre_mops, rec.pre_p99_us,
               static_cast<unsigned long long>(r.shard_migrations),
               static_cast<unsigned long long>(r.ring_epoch));
-  if (tput_recovery_us >= 0.0) {
-    std::printf("throughput recovery %.0fus", tput_recovery_us);
+  if (rec.tput_recovery_us >= 0.0) {
+    std::printf("throughput recovery %.0fus", rec.tput_recovery_us);
   } else {
     std::printf("throughput recovery: not within the run");
   }
-  if (p99_recovery_us >= 0.0) {
-    std::printf("; p99 recovery %.0fus\n", p99_recovery_us);
+  if (rec.p99_recovery_us >= 0.0) {
+    std::printf("; p99 recovery %.0fus\n", rec.p99_recovery_us);
   } else {
     std::printf("; p99 recovery: not within the run\n");
   }
   j.Open("flash_crowd", '{');
   j.Int("nodes", cfg.cluster.nodes);
   j.Int("shift_at_ns", cfg.hotshift_at_ns);
-  j.Num("pre_mops", pre, 4);
-  j.Num("pre_p99_us", pre_p99_us, 1);
-  j.Num("tput_recovery_us", tput_recovery_us, 0);
-  j.Num("p99_recovery_us", p99_recovery_us, 0);
+  j.Num("pre_mops", rec.pre_mops, 4);
+  j.Num("pre_p99_us", rec.pre_p99_us, 1);
+  j.Num("tput_recovery_us", rec.tput_recovery_us, 0);
+  j.Num("p99_recovery_us", rec.p99_recovery_us, 0);
   j.Int("migrations", r.shard_migrations);
   j.Int("ring_epoch", r.ring_epoch);
   j.Int("bucket_ns", r.timeline_bucket_ns);

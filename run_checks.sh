@@ -86,13 +86,16 @@ echo "=== golden rows match ==="
 # a pure function of its seed and runs in under a second, so its output must
 # equal the committed file. The one exception is the "host" line, which
 # records the commit, build and machine the file came from; every other byte
-# is compared. A difference is a change in cluster behaviour; if it is
-# intended, rerun the bench and commit the new file.
+# is compared. A difference is a change in cluster behaviour, printed as a
+# diff of the committed file against the new output; if it is intended,
+# rerun the bench and commit the new file.
 echo "=== fig19_cluster output matches results/BENCH_cluster.json ==="
 MUTPS_BENCH_SCALE=1 MUTPS_JSON_OUT=/tmp/bench_cluster.$$ \
   ./build/bench/fig19_cluster >/dev/null
 if ! cmp <(grep -v '^  "host": ' /tmp/bench_cluster.$$) \
          <(grep -v '^  "host": ' results/BENCH_cluster.json); then
+  diff -u <(grep -v '^  "host": ' results/BENCH_cluster.json) \
+          <(grep -v '^  "host": ' /tmp/bench_cluster.$$) || true
   rm -f /tmp/bench_cluster.$$
   echo "fig19_cluster no longer reproduces results/BENCH_cluster.json" >&2
   exit 1

@@ -44,7 +44,6 @@ class PassiveKv {
     co_return 0;
   }
   virtual bool InsertDirect(Key key, Item* item) = 0;
-  virtual const char* Name() const = 0;
   // The NIC is a per-run object; the harness attaches it before each run.
   virtual void SetNic(sim::Nic* nic) = 0;
 };
@@ -59,7 +58,6 @@ class RaceHashPassive final : public PassiveKv {
   sim::Task<bool> ClientPut(sim::ExecCtx& cli, Key key, const uint8_t* value,
                             uint32_t len) override;
   bool InsertDirect(Key key, Item* item) override;
-  const char* Name() const override { return "RaceHash"; }
 
  private:
   static constexpr unsigned kSlotsPerBucket = 8;
@@ -106,7 +104,6 @@ class ShermanPassive final : public PassiveKv {
   void BulkLoadDirect(std::span<Item* const> sorted) {
     tree_.BulkLoadDirect(sorted);
   }
-  const char* Name() const override { return "Sherman"; }
 
  private:
   // Client-side cached-internal traversal: resolves the item on the host and

@@ -25,7 +25,6 @@ constexpr sim::Tick kErpcParseSavingNs = 4;
 RtcServer::RtcServer(const ServerEnv& env, std::vector<KvIndex*> shards)
     : env_(env),
       share_nothing_(!shards.empty()),
-      name_(share_nothing_ ? "eRPCKV" : "BaseKV"),
       metrics_scope_(share_nothing_ ? "erpckv" : "basekv"),
       poll_cpu_ns_(share_nothing_ ? kPrivatePollNs : kSharedPollNs),
       seq_stride_(share_nothing_ ? 1 : env.num_workers) {

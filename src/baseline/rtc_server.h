@@ -29,15 +29,11 @@ class RtcServer final : public KvServer {
 
   void Start() override;
   void Stop() override { stop_ = true; }
-  unsigned NumRings() const override {
-    return static_cast<unsigned>(rings_.size());
-  }
   unsigned RingForKey(Key key) const override {
     return share_nothing_ ? ShardOf(key, env_.num_workers) : 0;
   }
   uint64_t OpsCompleted() const override;
   void ResetStats() override;
-  const char* Name() const override { return name_; }
   void ExportMetrics(obs::MetricsRegistry* m) const override;
   DedupWindow* MutableDedup() override { return &dedup_; }
 
@@ -62,7 +58,6 @@ class RtcServer final : public KvServer {
 
   ServerEnv env_;
   const bool share_nothing_;
-  const char* const name_;
   const char* const metrics_scope_;
   const sim::Tick poll_cpu_ns_;
   const unsigned seq_stride_;  // a worker's distance between claimed slots

@@ -9,7 +9,6 @@
 #ifndef UTPS_CLUSTER_HARNESS_H_
 #define UTPS_CLUSTER_HARNESS_H_
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "harness/experiment.h"
-#include "stats/histogram.h"
 
 namespace utps::cluster {
 
@@ -39,17 +37,12 @@ struct ClusterBenchConfig {
 
 namespace internal {
 
-struct ClientAccum {
-  uint64_t ops = 0;         // completions inside the measure window
-  uint64_t retries = 0;
-  Histogram lat;
-  std::vector<uint64_t> bucket_ops;
-  std::vector<Histogram> bucket_lat;
-};
-
+// One routing client's loop. Every client of a run shares `rec`; a
+// completion is measured when its response lands inside the window.
 inline sim::Fiber BenchClient(sim::ExecCtx* ctx, ClusterClient* client,
                               const ClusterBenchConfig* cfg, unsigned id,
-                              ClientAccum* acc, const bool* stop) {
+                              RunRecorder* rec, uint64_t* retries,
+                              const bool* stop) {
   const ClusterParams& p = cfg->cluster;
   Rng rng(Mix64(cfg->cluster.seed + uint64_t{id} * 1000003 + 11));
   ScrambledZipfian zipf(p.num_keys, cfg->zipf_theta);
@@ -72,32 +65,15 @@ inline sim::Fiber BenchClient(sim::ExecCtx* ctx, ClusterClient* client,
       co_await client->Call(OpType::kGet, key, nullptr, 0, out.data());
     }
     const sim::Tick resp = ctx->Now();
-    if (resp >= t0 && resp < t1) {
-      acc->ops++;
-      acc->lat.Record(resp - inv);
-      if (!acc->bucket_ops.empty()) {
-        const size_t b = std::min(acc->bucket_ops.size() - 1,
-                                  static_cast<size_t>(
-                                      resp / kTimelineBucketNs));
-        acc->bucket_ops[b]++;
-        if (!acc->bucket_lat.empty()) {
-          acc->bucket_lat[b].Record(resp - inv);
-        }
-      }
-    }
+    rec->Record(resp, resp - inv, resp >= t0 && resp < t1);
   }
-  acc->retries = client->retries();
+  *retries += client->retries();
 }
 
 }  // namespace internal
 
 inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   const sim::Tick end_ns = cfg.warmup_ns + cfg.measure_ns;
-  const size_t nbuckets =
-      cfg.record_timeline
-          ? static_cast<size_t>(end_ns / kTimelineBucketNs) + 1
-          : 0;
-
   sim::Engine eng;
   Cluster cluster(&eng, cfg.cluster);
   cluster.Populate([](Key key, uint8_t* dst, uint32_t len) {
@@ -107,65 +83,31 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
   cluster.Start();
 
   bool stop = false;
-  std::vector<internal::ClientAccum> accs(cfg.clients);
+  RunRecorder rec(kTimelineBucketNs, cfg.record_timeline,
+                  cfg.record_latency_timeline);
+  uint64_t retries = 0;
   std::vector<sim::ExecCtx> ctxs(cfg.clients);
   // The clients outlive their fibers: a NIC copy of a finished client's
   // request can still be answered into its gate and buffers.
   std::vector<std::unique_ptr<ClusterClient>> clients;
   for (unsigned i = 0; i < cfg.clients; i++) {
-    if (nbuckets > 0) {
-      accs[i].bucket_ops.assign(nbuckets, 0);
-      if (cfg.record_latency_timeline) {
-        accs[i].bucket_lat.resize(nbuckets);
-      }
-    }
     ctxs[i] = sim::ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
     clients.push_back(std::make_unique<ClusterClient>(&cluster, i, &ctxs[i]));
-    eng.Spawn(internal::BenchClient(&ctxs[i], clients[i].get(), &cfg, i,
-                                    &accs[i], &stop));
+    eng.Spawn(internal::BenchClient(&ctxs[i], clients[i].get(), &cfg, i, &rec,
+                                    &retries, &stop));
   }
 
   eng.Run(end_ns);
+  // Read at the window's end, like TestBed::Run: the drain below adds
+  // nothing measured and stays off the timeline.
+  ExperimentResult res;
+  FillRecorded(rec, cfg.measure_ns, &res);
   stop = true;  // clients observe it at their next op
   eng.Run(end_ns + 100 * sim::kUsec);
   cluster.Stop();
   eng.Run(end_ns + 500 * sim::kUsec);
 
-  ExperimentResult res;
-  Histogram lat;
-  uint64_t ops = 0;
-  for (const auto& a : accs) {
-    ops += a.ops;
-    lat.Merge(a.lat);
-    res.retries += a.retries;
-  }
-  res.ops = ops;
-  res.mops = cfg.measure_ns > 0
-                 ? static_cast<double>(ops) * 1e3 /
-                       static_cast<double>(cfg.measure_ns)
-                 : 0.0;
-  res.p50_ns = lat.Percentile(0.5);
-  res.p99_ns = lat.Percentile(0.99);
-  res.mean_ns = static_cast<sim::Tick>(lat.Mean());
-  if (nbuckets > 0) {
-    res.timeline_bucket_ns = kTimelineBucketNs;
-    for (size_t b = 0; b < nbuckets; b++) {
-      uint64_t n = 0;
-      for (const auto& a : accs) {
-        n += a.bucket_ops[b];
-      }
-      res.timeline_mops.push_back(
-          static_cast<double>(n) * 1e3 /
-          static_cast<double>(kTimelineBucketNs));
-      if (cfg.record_latency_timeline) {
-        Histogram h;
-        for (const auto& a : accs) {
-          h.Merge(a.bucket_lat[b]);
-        }
-        res.timeline_p99_ns.push_back(h.Percentile(0.99));
-      }
-    }
-  }
+  res.retries = retries;
   for (unsigned n = 0; n < cluster.num_nodes(); n++) {
     res.node_counters.push_back(cluster.node(n)->counters());
   }

@@ -72,12 +72,8 @@ class MuTpsServer final : public KvServer {
 
   void Start() override;
   void Stop() override { stop_ = true; }
-  unsigned NumRings() const override { return 1; }
   uint64_t OpsCompleted() const override;
   void ResetStats() override;
-  const char* Name() const override {
-    return env_.index_type == IndexType::kHash ? "uTPS-H" : "uTPS-T";
-  }
 
   // Introspection for benchmarks (Figure 13).
   unsigned ncr() const { return cfg_.ncr; }

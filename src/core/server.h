@@ -56,8 +56,6 @@ class KvServer {
   // Requests cooperative shutdown (workers exit their loops).
   virtual void Stop() = 0;
 
-  // How many NIC receive rings this server uses.
-  virtual unsigned NumRings() const = 0;
   // Which ring a client should address for `key` (share-nothing servers route
   // by key; single-ring servers return 0).
   virtual unsigned RingForKey(Key key) const {
@@ -76,8 +74,6 @@ class KvServer {
   // At-most-once dedup window, for WAL recovery to re-seed from logged
   // request ids. Null for servers without a retry-capable dedup path.
   virtual DedupWindow* MutableDedup() { return nullptr; }
-
-  virtual const char* Name() const = 0;
 };
 
 }  // namespace utps

@@ -1,6 +1,8 @@
 // Shared helpers for the figure-reproduction benchmark binaries. Figure
 // prints the tables of fig02 (2a, 2c), fig07-fig12 and fig17; the other
 // benches print timelines, JSON files or cells of their own widths.
+// Recovery summarises the timelines of fig15 (a fault) and fig19 (a flash
+// crowd) around their event.
 //
 // Environment knobs (all optional):
 //   MUTPS_DB_SIZE      database size in keys      (default 2,000,000)
@@ -347,6 +349,54 @@ class Figure {
   size_t labels_ = 0;
   std::vector<Metric> metrics_;
 };
+
+// How a run's timelines (both recorded) recover from an event at `event_ns`,
+// such as a fault or a flash crowd. The baseline is the mean over the
+// complete buckets in [warmup_ns, event_ns); each recovery is the start of
+// the first bucket after the event's own bucket that is back at >= 0.9x the
+// baseline Mops, or <= 1.5x its P99, in us after `event_ns`.
+struct RecoveryReport {
+  size_t pre_buckets = 0;  // 0: no baseline, so no recovery is reported
+  double pre_mops = 0.0;
+  double pre_p99_us = 0.0;
+  double tput_recovery_us = -1.0;  // -1: not within the run
+  double p99_recovery_us = -1.0;
+};
+
+inline RecoveryReport Recovery(const ExperimentResult& r, sim::Tick warmup_ns,
+                               sim::Tick event_ns) {
+  const std::vector<double>& mops = r.timeline_mops;
+  const std::vector<sim::Tick>& p99 = r.timeline_p99_ns;
+  UTPS_CHECK(r.timeline_bucket_ns > 0 && p99.size() == mops.size());
+  const sim::Tick b = r.timeline_bucket_ns;
+  const size_t event_b = static_cast<size_t>(event_ns / b);
+  RecoveryReport rep;
+  double pre_p99_ns = 0.0;
+  for (size_t i = (warmup_ns + b - 1) / b; i < event_b && i < mops.size();
+       i++) {
+    rep.pre_mops += mops[i];
+    pre_p99_ns += p99[i];
+    rep.pre_buckets++;
+  }
+  if (rep.pre_buckets == 0) {
+    return rep;
+  }
+  rep.pre_mops /= static_cast<double>(rep.pre_buckets);
+  pre_p99_ns /= static_cast<double>(rep.pre_buckets);
+  rep.pre_p99_us = pre_p99_ns / 1e3;
+  for (size_t i = event_b + 1; i < mops.size(); i++) {
+    const double t_us = (static_cast<double>(i) * b -
+                         static_cast<double>(event_ns)) / 1e3;
+    if (rep.tput_recovery_us < 0.0 && mops[i] >= 0.9 * rep.pre_mops) {
+      rep.tput_recovery_us = t_us;
+    }
+    if (rep.p99_recovery_us < 0.0 &&
+        static_cast<double>(p99[i]) <= 1.5 * pre_p99_ns) {
+      rep.p99_recovery_us = t_us;
+    }
+  }
+  return rep;
+}
 
 inline const char* DisplayName(SystemKind s, IndexType t) {
   if (s != SystemKind::kMuTps) {

@@ -7,7 +7,6 @@
 #include "index/btree.h"
 #include "index/cuckoo.h"
 #include "net/rpc.h"
-#include "stats/staged.h"
 #include "stats/streaming.h"
 
 namespace utps {
@@ -44,23 +43,11 @@ struct ClientShared {
   bool stop = false;
   // Fault tolerance: rid-tagged timeout/retry sends (DESIGN.md §9).
   bool use_retry = false;
+  uint64_t retries = 0;  // client retransmits, all fibers
   std::vector<ClientRes>* res = nullptr;
 };
 
-// Client-side counters shared by every client fiber of a run.
-struct ClientStats {
-  uint64_t ops = 0;
-  Histogram hist;
-  HistogramStage stage;  // staged latency samples; flushed into hist before
-                         // any read of it (stats/staged.h)
-  uint64_t retries = 0;
-  TimeSeries* timeline = nullptr;
-  // fig15: per-bucket latency histograms for the P99 timeline.
-  std::vector<Histogram>* lat_timeline = nullptr;
-  Tick lat_bucket_ns = 0;
-};
-
-Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, ClientStats* st, uint64_t id,
+Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, RunRecorder* rec, uint64_t id,
                   uint64_t seed) {
   WorkloadGenerator gen(*sh->spec, seed + id * 1000003);
   const WorkloadSpec* cur = sh->spec;
@@ -115,7 +102,7 @@ Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, ClientStats* st, uint64_t id,
         m.gate = &gate;
         const unsigned attempts = co_await RpcCallWithRetry(
             *ctx, *sh->nic, sh->server->RingForKey(op.key), m, retry_pol);
-        st->retries += attempts - 1;
+        sh->retries += attempts - 1;
       } else {
         m.completion = &done;
         sh->nic->ClientSend(*ctx, sh->server->RingForKey(op.key), m);
@@ -123,25 +110,32 @@ Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, ClientStats* st, uint64_t id,
         done.Reset();
       }
     }
-    const Tick lat = ctx->Now() - t0;
-    if (sh->measuring) {
-      st->ops++;
-      st->stage.Record(lat, &st->hist);
-    }
-    if (st->timeline != nullptr) {
-      st->timeline->Add(ctx->Now(), 1);
-    }
-    if (st->lat_timeline != nullptr) {
-      const size_t b = static_cast<size_t>(ctx->Now() / st->lat_bucket_ns);
-      if (b >= st->lat_timeline->size()) {
-        st->lat_timeline->resize(b + 1);
-      }
-      (*st->lat_timeline)[b].Record(lat);
-    }
+    rec->Record(ctx->Now(), ctx->Now() - t0, sh->measuring);
   }
 }
 
 }  // namespace
+
+void FillRecorded(RunRecorder& rec, Tick window_ns, ExperimentResult* res) {
+  const Histogram& hist = rec.Latency();
+  res->ops = rec.ops();
+  res->mops = window_ns == 0 ? 0.0
+                             : static_cast<double>(res->ops) * 1000.0 /
+                                   static_cast<double>(window_ns);
+  res->p50_ns = hist.Percentile(0.5);
+  res->p99_ns = hist.Percentile(0.99);
+  res->mean_ns = static_cast<Tick>(hist.Mean());
+  if (!rec.timeline()) {
+    return;
+  }
+  res->timeline_bucket_ns = rec.bucket_ns();
+  for (size_t i = 0; i < rec.NumBuckets(); i++) {
+    res->timeline_mops.push_back(rec.MopsAt(i));
+    if (rec.latency_timeline()) {
+      res->timeline_p99_ns.push_back(rec.LatencyAt(i).Percentile(0.99));
+    }
+  }
+}
 
 TestBed::TestBed(IndexType index_type, const WorkloadSpec& populate_spec,
                  unsigned server_workers, const sim::MachineConfig& machine,
@@ -352,16 +346,8 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   // Under faults, two-sided clients must retry (a dropped message would
   // otherwise hang the fiber). One-sided verbs model reliable RDMA.
   sh.use_retry = inj != nullptr && server != nullptr;
-  ClientStats cstats;
-  TimeSeries timeline(kTimelineBucketNs);
-  std::vector<Histogram> lat_timeline;
-  if (cfg.record_timeline) {
-    cstats.timeline = &timeline;
-  }
-  if (cfg.record_latency_timeline) {
-    cstats.lat_timeline = &lat_timeline;
-    cstats.lat_bucket_ns = kTimelineBucketNs;
-  }
+  RunRecorder rec(kTimelineBucketNs, cfg.record_timeline,
+                  cfg.record_latency_timeline);
   const unsigned num_fibers = cfg.client_threads * cfg.pipeline_depth;
   // Gates and I/O buffers live here, not in the fiber frames: a fault plan
   // can deliver delayed/duplicated messages after a fiber has exited.
@@ -376,7 +362,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   std::vector<ExecCtx> cli_ctxs(num_fibers);
   for (unsigned i = 0; i < num_fibers; i++) {
     cli_ctxs[i] = ExecCtx{.eng = &eng, .mem = nullptr, .core = 0};
-    eng.Spawn(ClientFiber(&cli_ctxs[i], &sh, &cstats, i, cfg.seed));
+    eng.Spawn(ClientFiber(&cli_ctxs[i], &sh, &rec, i, cfg.seed));
   }
 
   // Warm up; for auto-tuned μTPS, wait until the first tuning pass finishes.
@@ -433,11 +419,11 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
         mem_->SetFastForward(false);
       }
       eng.Run(wstart);
-      const uint64_t before = cstats.ops;
+      const uint64_t before = rec.ops();
       sh.measuring = true;
       eng.Run(wend);
       sh.measuring = false;
-      const uint64_t delta = cstats.ops - before;
+      const uint64_t delta = rec.ops() - before;
       win_rate.Add(static_cast<double>(delta) * 1000.0 /
                    static_cast<double>(sc.window_ns));
       detail_ns += sc.window_ns;
@@ -460,15 +446,8 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   const uint64_t measure_allocs =
       g_alloc_probe != nullptr ? g_alloc_probe() - allocs0 : 0;
 
-  cstats.stage.FlushTo(&cstats.hist);
-  const uint64_t total_ops = cstats.ops;
-  const Histogram& hist = cstats.hist;
-
   ExperimentResult res;
-  res.ops = total_ops;
-  res.mops = t1 == t0 ? 0.0
-                      : static_cast<double>(total_ops) * 1000.0 /
-                            static_cast<double>(t1 - t0);
+  FillRecorded(rec, t1 - t0, &res);
   if (sampled) {
     // Extrapolation: mean per-window rate projects onto the full interval;
     // P50/P99 come from the merged in-window histograms below.
@@ -479,9 +458,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.detail_ns = detail_ns;
     res.mops = res.est_mops;
   }
-  res.p50_ns = hist.Percentile(0.5);
-  res.p99_ns = hist.Percentile(0.99);
-  res.mean_ns = static_cast<Tick>(hist.Mean());
   // Stage-attributed cache stats over the server cores.
   sim::StageCounters net{};
   sim::StageCounters idx{};
@@ -508,17 +484,11 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.mr_ways = mutps->mr_ways();
     res.reconfigs = mutps->reconfig_count();
   }
-  if (cfg.record_timeline) {
-    res.timeline_bucket_ns = timeline.bucket_ns();
-    for (size_t i = 0; i < timeline.NumBuckets(); i++) {
-      res.timeline_mops.push_back(timeline.RateAt(i) / 1e6);
-    }
-  }
   if (mutps != nullptr) {
     res.hot_hits = mutps->hot_hits();
     res.hot_misses = mutps->hot_misses();
   }
-  res.retries = cstats.retries;
+  res.retries = sh.retries;
   if (inj != nullptr) {
     res.fault_counters = inj->counters();
   }
@@ -526,14 +496,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
     res.failovers = mutps->failover_count();
     res.salvaged_slots = mutps->salvaged_slots();
     res.dedup_suppressed = mutps->dedup_suppressed();
-  }
-  if (cfg.record_latency_timeline) {
-    if (res.timeline_bucket_ns == 0) {
-      res.timeline_bucket_ns = kTimelineBucketNs;
-    }
-    for (const Histogram& h : lat_timeline) {
-      res.timeline_p99_ns.push_back(h.Percentile(0.99));
-    }
   }
   if (walm != nullptr) {
     res.wal_counters = walm->counters();
@@ -543,7 +505,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   // report covers exactly the measurement window.
   if (observer != nullptr) {
     const uint64_t server_ops =
-        server != nullptr ? server->OpsCompleted() : total_ops;
+        server != nullptr ? server->OpsCompleted() : res.ops;
     res.cycles = observer->BuildCycleReport(server_workers_ + 1, server_ops);
     if (obs::MetricsRegistry* m = observer->metrics()) {
       const Engine::Stats& es = eng.stats();
@@ -597,7 +559,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   }
   const Engine::Stats& sched = eng.stats();
   res.sched_events = sched.events_processed;
-  res.sched_peak_pending = sched.peak_heap;
   res.sched_clamps = sched.sealed_clamps;
   res.measure_allocs = measure_allocs;
   // Tear the fibers down before the server, observer and client state they

@@ -24,7 +24,7 @@
 #include "sim/sample.h"
 #include "stats/histogram.h"
 #include "stats/node_counters.h"
-#include "stats/timeseries.h"
+#include "stats/run_recorder.h"
 #include "wal/wal.h"
 #include "workload/workload.h"
 
@@ -64,7 +64,7 @@ struct ExperimentConfig {
   sim::Tick max_warmup_ns = 60 * sim::kMsec;  // cap while waiting for tuning
   uint64_t seed = 42;
   MuTpsServer::Options mutps;  // applies when system == kMuTps
-  bool record_timeline = false;           // per-100us throughput time series
+  bool record_timeline = false;           // per-bucket throughput time series
   const WorkloadSpec* phase2 = nullptr;   // workload switch mid-run (Fig 14)
   sim::Tick phase2_at_ns = 0;
   sim::Tick phase2_extra_ns = 0;          // extra measure time after switch
@@ -75,8 +75,8 @@ struct ExperimentConfig {
   // When enabled, clients of two-sided systems switch to rid-tagged
   // timeout/retry sends (RpcCallWithRetry) so the run survives drops.
   fault::FaultConfig fault;
-  // fig15: also record a per-bucket P99 latency timeline (same bucket width
-  // as record_timeline).
+  // fig15: also record a per-bucket P99 latency timeline (implies
+  // record_timeline).
   bool record_latency_timeline = false;
   // Durability tier (DESIGN.md §10). Disabled by default; a run with
   // wal.enabled == false is byte-identical to a build without the WAL. When
@@ -119,10 +119,12 @@ struct ExperimentResult {
   uint32_t cache_min_items = 0;  // smallest hot set active in the window
   unsigned mr_ways = 0;
   uint64_t reconfigs = 0;
-  // Optional throughput timeline (bucketed ops completions).
+  // Optional timelines (record_timeline, record_latency_timeline): every
+  // completion of the run from tick 0, warm-up and drain included, in
+  // buckets of timeline_bucket_ns (see stats/run_recorder.h). With both
+  // recorded the two series have the same length.
   std::vector<double> timeline_mops;
   sim::Tick timeline_bucket_ns = 0;
-  // Optional per-bucket P99 latency timeline (record_latency_timeline).
   std::vector<sim::Tick> timeline_p99_ns;
   // Fault-tolerance outcome (all zero when cfg.fault is disabled).
   uint64_t retries = 0;           // client retransmits (attempts - 1)
@@ -144,7 +146,6 @@ struct ExperimentResult {
   // many engine events this point cost. wall-clock / sched_events is the
   // simulator's core speed metric (see bench/selfperf.cc).
   uint64_t sched_events = 0;
-  size_t sched_peak_pending = 0;
   // ScheduleAt calls that had to clamp a past deadline to now (release
   // builds; debug DCHECKs instead). Nonzero means a scheduling bug.
   uint64_t sched_clamps = 0;
@@ -168,6 +169,12 @@ struct ExperimentResult {
   uint64_t ring_epoch = 0;
   uint64_t shard_migrations = 0;  // completed shard migrations, cluster-wide
 };
+
+// Writes what `rec` recorded into `res`: ops, mops over a window of
+// `window_ns` (0.0 for an empty window), P50/P99/mean of the measured
+// latencies and, when `rec` keeps them, the timeline series. Both harnesses
+// report through it.
+void FillRecorded(RunRecorder& rec, sim::Tick window_ns, ExperimentResult* res);
 
 // Test hook: when non-null, called by TestBed::Run at the measure-phase
 // boundaries; the difference lands in ExperimentResult::measure_allocs.

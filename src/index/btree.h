@@ -59,7 +59,6 @@ class BTreeIndex final : public KvIndex {
   sim::Task<bool> CoInsert(sim::ExecCtx& ctx, Key key, Item* item) override;
   sim::Task<bool> CoErase(sim::ExecCtx& ctx, Key key) override;
   sim::Task<bool> CoReplace(sim::ExecCtx& ctx, Key key, Item* item) override;
-  bool SupportsScan() const override { return true; }
   sim::Task<uint32_t> CoScan(sim::ExecCtx& ctx, Key lo, Key hi, uint32_t max,
                              Item** out) override;
 

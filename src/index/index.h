@@ -63,9 +63,7 @@ class KvIndex {
   // false, changing nothing, if the key is absent.
   virtual sim::Task<bool> CoReplace(sim::ExecCtx& ctx, Key key, Item* item) = 0;
 
-  // Range scan support (tree index only).
-  virtual bool SupportsScan() const { return false; }
-  // Collects up to `max` items with key in [lo, hi], ascending; returns count.
+  // Range scan (tree index only; the default finds nothing). Collects up to `max` items with key in [lo, hi], ascending; returns count.
   virtual sim::Task<uint32_t> CoScan(sim::ExecCtx& ctx, Key lo, Key hi,
                                      uint32_t max, Item** out) {
     (void)ctx;

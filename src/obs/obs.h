@@ -21,8 +21,8 @@ struct ObsConfig {
   bool metrics = false;           // counter/gauge registry + end-of-run dump
   bool trace = false;             // virtual-time span tracing
   bool cycle_accounting = false;  // per-stage virtual-ns attribution
-  std::string trace_path;         // where WriteTrace() puts the JSON ("" = keep
-                                  // in memory only)
+  std::string trace_path;         // where TestBed::Run writes the JSON with
+                                  // Tracer::WriteFile ("" = keep in memory only)
   size_t max_trace_events = 1u << 20;
 
   bool any() const { return metrics || trace || cycle_accounting; }

@@ -142,7 +142,6 @@ class MemoryModel {
     UTPS_CHECK((way_mask & cfg_.AllWaysMask()) != 0);
     clos_masks_[clos] = way_mask & cfg_.AllWaysMask();
   }
-  uint32_t ClosMask(ClosId clos) const { return clos_masks_[clos]; }
 
   // Noisy-neighbor hook (src/fault): an external tenant occupies `n` LLC
   // ways, taken from the high way indices (so the DDIO ways stay intact),

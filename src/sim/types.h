@@ -33,29 +33,6 @@ enum class Stage : uint8_t {
 
 inline constexpr unsigned kNumStages = static_cast<unsigned>(Stage::kCount);
 
-inline const char* StageName(Stage s) {
-  switch (s) {
-    case Stage::kIdle:
-      return "idle";
-    case Stage::kPoll:
-      return "poll";
-    case Stage::kParse:
-      return "parse";
-    case Stage::kCacheCheck:
-      return "cache-check";
-    case Stage::kIndex:
-      return "index";
-    case Stage::kData:
-      return "data";
-    case Stage::kRespond:
-      return "respond";
-    case Stage::kQueue:
-      return "queue";
-    default:
-      return "?";
-  }
-}
-
 }  // namespace utps::sim
 
 #endif  // UTPS_SIM_TYPES_H_

@@ -17,26 +17,6 @@ enum class OpType : uint8_t {
   kScan = 3,
 };
 
-enum class KvStatus : uint8_t {
-  kOk = 0,
-  kNotFound = 1,
-  kNoSpace = 2,
-};
-
-inline const char* OpName(OpType op) {
-  switch (op) {
-    case OpType::kGet:
-      return "get";
-    case OpType::kPut:
-      return "put";
-    case OpType::kDelete:
-      return "delete";
-    case OpType::kScan:
-      return "scan";
-  }
-  return "?";
-}
-
 }  // namespace utps
 
 #endif  // UTPS_STORE_KV_H_

@@ -1,7 +1,7 @@
 // bench::Figure, the runner that prints every figure bench's table rows:
 // header and cells in the declared order and formats, rows printed from the
 // ExperimentResult a point's closure returns, and PrintObsReport under each
-// row.
+// row. Also bench::Recovery, the timeline summary of fig15 and fig19.
 #include <gtest/gtest.h>
 
 #include <cstdarg>
@@ -115,6 +115,76 @@ TEST(BenchFigure, PrintsCyclesUnderEveryRowWhenAccountingIsOn) {
     EXPECT_EQ(lines[row + 1].rfind("  cycles/op (ns): poll ", 0), 0u)
         << lines[row + 1];
   }
+}
+
+// A timeline of 100 us buckets with both series.
+ExperimentResult Timeline(std::vector<double> mops,
+                          std::vector<sim::Tick> p99_ns) {
+  ExperimentResult r;
+  r.timeline_bucket_ns = 100 * sim::kUsec;
+  r.timeline_mops = std::move(mops);
+  r.timeline_p99_ns = std::move(p99_ns);
+  return r;
+}
+
+// An event at 2.05 ms after a 1 ms warm-up: the baseline is buckets 10-19,
+// and both recoveries count from the event, not from tick 0 or the warm-up.
+TEST(BenchRecovery, TimesRecoveryFromTheEventAfterWarmup) {
+  std::vector<double> mops(30, 10.0);
+  std::vector<sim::Tick> p99(30, 20'000);
+  mops[9] = 100.0;  // warm-up: outside the baseline
+  p99[9] = 900'000;
+  mops[15] = 12.0;  // inside the baseline: mean 10.2 Mops
+  p99[15] = 40'000;  // mean 22 us
+  mops[20] = 0.5;    // the event's own bucket is never a recovery
+  for (size_t i = 21; i < 24; i++) {
+    mops[i] = 5.0;
+    p99[i] = 34'000;  // above 1.5x 22 us until bucket 22
+  }
+  p99[22] = 33'000;
+  const RecoveryReport rep = Recovery(Timeline(mops, p99), 1 * sim::kMsec,
+                                      2050 * sim::kUsec);
+  EXPECT_EQ(rep.pre_buckets, 10u);
+  EXPECT_DOUBLE_EQ(rep.pre_mops, 10.2);
+  EXPECT_DOUBLE_EQ(rep.pre_p99_us, 22.0);
+  EXPECT_DOUBLE_EQ(rep.tput_recovery_us, 350.0);  // bucket 24 at 2.4 ms
+  EXPECT_DOUBLE_EQ(rep.p99_recovery_us, 150.0);   // bucket 22 at 2.2 ms
+}
+
+// A warm-up that ends inside a bucket leaves that bucket out of the
+// baseline: only complete buckets count.
+TEST(BenchRecovery, BaselineTakesOnlyCompleteBucketsAfterWarmup) {
+  const RecoveryReport rep =
+      Recovery(Timeline({1.0, 50.0, 4.0, 4.0, 0.0, 4.0}, {1, 2, 3, 3, 9, 3}),
+               150 * sim::kUsec, 400 * sim::kUsec);
+  EXPECT_EQ(rep.pre_buckets, 2u);
+  EXPECT_DOUBLE_EQ(rep.pre_mops, 4.0);
+  EXPECT_DOUBLE_EQ(rep.tput_recovery_us, 100.0);
+  EXPECT_DOUBLE_EQ(rep.p99_recovery_us, 100.0);
+}
+
+// An event before the first complete bucket after warm-up leaves no
+// baseline, so no recovery is reported: a zero baseline would make every
+// later bucket look recovered.
+TEST(BenchRecovery, EmptyBaselineReportsNoRecovery) {
+  const ExperimentResult r =
+      Timeline({0.0, 8.0, 9.0, 9.0}, {0, 10'000, 9'000, 9'000});
+  for (const sim::Tick event : {sim::Tick{0}, 150 * sim::kUsec}) {
+    const RecoveryReport rep = Recovery(r, 100 * sim::kUsec, event);
+    EXPECT_EQ(rep.pre_buckets, 0u) << event;
+    EXPECT_EQ(rep.tput_recovery_us, -1.0) << event;
+    EXPECT_EQ(rep.p99_recovery_us, -1.0) << event;
+  }
+}
+
+// A run that never gets back reports -1 for each rule it misses.
+TEST(BenchRecovery, NoRecoveryWithinTheRun) {
+  const RecoveryReport rep =
+      Recovery(Timeline({5.0, 5.0, 1.0, 4.0, 4.4}, {10, 10, 90, 15, 16}),
+               0, 200 * sim::kUsec);
+  EXPECT_EQ(rep.pre_buckets, 2u);
+  EXPECT_EQ(rep.tput_recovery_us, -1.0);
+  EXPECT_DOUBLE_EQ(rep.p99_recovery_us, 100.0);
 }
 
 }  // namespace

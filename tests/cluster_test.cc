@@ -1,9 +1,11 @@
 // Functional tests for the scale-out tier (src/cluster): routing round trips,
 // replication, NOT_OWNER redirects, forced migration, primary-crash failover,
 // a grown PUT replacing the item on both replicas, the oversize-write check,
-// the rebalancer's move rule, and determinism of the cluster harness.
+// the rebalancer's move rule, and the cluster harness: determinism and the
+// flash-crowd timeline.
 #include "cluster/cluster.h"
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -397,6 +399,42 @@ TEST(ClusterHarness, SmokeAndDeterminism) {
   // Different seed -> different interleaving (coarse sanity).
   const ExperimentResult c = RunSmall(7);
   EXPECT_NE(a.ops, c.ops);
+}
+
+// A flash crowd with both timelines on: the timeline holds every completion
+// from tick 0 to the window's end, warm-up included, in two series of one
+// length, and the buckets inside the window hold exactly the measured ops.
+TEST(ClusterHarness, FlashCrowdTimelineCoversWarmupAndEndsWithTheWindow) {
+  ClusterBenchConfig cfg;
+  cfg.cluster = SmallParams();
+  cfg.clients = 4;
+  cfg.zipf_theta = 1.05;
+  cfg.warmup_ns = 300 * sim::kUsec;
+  cfg.measure_ns = 600 * sim::kUsec;
+  cfg.hotshift_at_ns = cfg.warmup_ns + cfg.measure_ns / 3;
+  cfg.record_timeline = true;
+  cfg.record_latency_timeline = true;
+  const ExperimentResult r = RunClusterExperiment(cfg);
+
+  const sim::Tick b = r.timeline_bucket_ns;
+  ASSERT_EQ(b, kTimelineBucketNs);
+  ASSERT_EQ(r.timeline_mops.size(), r.timeline_p99_ns.size());
+  const size_t warm_b = cfg.warmup_ns / b;
+  const size_t end_b = (cfg.warmup_ns + cfg.measure_ns) / b;
+  ASSERT_GE(r.timeline_mops.size(), end_b);
+  for (size_t i = 0; i < warm_b; i++) {
+    EXPECT_GT(r.timeline_mops[i], 0.0) << "warm-up bucket " << i;
+    EXPECT_GT(r.timeline_p99_ns[i], 0u) << "warm-up bucket " << i;
+  }
+  // Nothing after the window's closing tick is on the timeline, and the
+  // last bucket holds a completion.
+  EXPECT_LE(r.timeline_mops.size(), end_b + 1);
+  EXPECT_GT(r.timeline_mops.back(), 0.0);
+  uint64_t in_window = 0;
+  for (size_t i = warm_b; i < end_b; i++) {
+    in_window += std::llround(r.timeline_mops[i] * b / 1e3);
+  }
+  EXPECT_EQ(in_window, r.ops);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the statistics utilities: histogram bucketing/percentiles,
-// time series, and the item seqlock under simulated concurrency.
+// the run recorder, and the item seqlock under simulated concurrency.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -7,7 +7,7 @@
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "stats/histogram.h"
-#include "stats/timeseries.h"
+#include "stats/run_recorder.h"
 #include "store/slab.h"
 
 namespace utps {
@@ -121,60 +121,122 @@ TEST(Histogram, PercentileNeverExceedsObservedRange) {
   }
 }
 
-TEST(TimeSeries, BucketsByTime) {
-  TimeSeries ts(1000);
-  ts.Add(100);
-  ts.Add(999);
-  ts.Add(1000);
-  ts.Add(2500);
-  EXPECT_EQ(ts.NumBuckets(), 3u);
-  EXPECT_EQ(ts.buckets()[0], 2u);
-  EXPECT_EQ(ts.buckets()[1], 1u);
-  EXPECT_EQ(ts.buckets()[2], 1u);
-  EXPECT_DOUBLE_EQ(ts.RateAt(0), 2e6);  // 2 events per microsecond bucket
+// Records `n` completions at `now` with latency `lat`.
+void RecordN(RunRecorder& rec, uint64_t now, uint64_t n, uint64_t lat = 10,
+             bool measured = true) {
+  for (uint64_t i = 0; i < n; i++) {
+    rec.Record(now, lat, measured);
+  }
 }
 
-// Regression: a single event stamped far in the virtual future used to
-// resize the bucket vector to its index (gigabytes). Events beyond the cap
-// now saturate into the last bucket and are tallied as overflow.
-TEST(TimeSeries, CapsBucketsAndCountsOverflow) {
-  TimeSeries ts(1000);
-  ts.Add(500);                  // normal event
-  ts.Add(UINT64_MAX / 2, 3);    // absurd timestamp: must not explode memory
-  ts.Add(UINT64_MAX, 2);
-  EXPECT_EQ(ts.NumBuckets(), TimeSeries::kMaxBuckets);
-  EXPECT_EQ(ts.overflow(), 5u);
-  EXPECT_EQ(ts.buckets()[0], 1u);
-  EXPECT_EQ(ts.buckets()[TimeSeries::kMaxBuckets - 1], 5u);
-  // In-range events still work after saturation.
-  ts.Add(1500);
-  EXPECT_EQ(ts.buckets()[1], 1u);
-  EXPECT_EQ(ts.overflow(), 5u);
+// Both series, throughput and latency, bucket each completion by time.
+TEST(RunRecorder, BucketsByTime) {
+  RunRecorder rec(1000, /*timeline=*/true, /*latency_timeline=*/true);
+  rec.Record(100, 5, true);
+  rec.Record(999, 6, true);
+  rec.Record(1000, 7, true);
+  rec.Record(2500, 8, true);
+  ASSERT_EQ(rec.NumBuckets(), 3u);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(0), 2.0);  // 2 completions per microsecond
+  EXPECT_DOUBLE_EQ(rec.MopsAt(1), 1.0);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(2), 1.0);
+  EXPECT_EQ(rec.LatencyAt(0).total(), 2u);
+  EXPECT_EQ(rec.LatencyAt(0).max(), 6u);
+  EXPECT_EQ(rec.LatencyAt(1).total(), 1u);
+  EXPECT_EQ(rec.LatencyAt(2).min(), 8u);
 }
 
-// The last bucket's rate is unreliable once overflow() is non-zero: saturated
-// events inflate it past what genuinely landed in that time window. The tally
-// is exactly the amount a consumer must discount — and without overflow the
-// last bucket stays trustworthy.
-TEST(TimeSeries, OverflowFlagsLastBucketRateUnreliable) {
-  TimeSeries ts(1000);
-  const uint64_t last = TimeSeries::kMaxBuckets - 1;
-  ts.Add(last * 1000 + 10);  // genuinely in the last bucket
-  EXPECT_EQ(ts.overflow(), 0u);
-  EXPECT_DOUBLE_EQ(ts.RateAt(last), 1e6);  // trustworthy: no overflow
+// Regression: a single completion stamped far in the virtual future used to
+// resize the bucket vector to its index (gigabytes). Completions beyond the
+// cap saturate into the last bucket of both series and are tallied once.
+TEST(RunRecorder, CapsBucketsAndCountsOverflow) {
+  RunRecorder rec(1000, /*timeline=*/true, /*latency_timeline=*/true);
+  const size_t last = RunRecorder::kMaxBuckets - 1;
+  rec.Record(500, 1, true);           // normal completion
+  RecordN(rec, UINT64_MAX / 2, 3);    // absurd timestamp: must not explode
+  RecordN(rec, UINT64_MAX, 2);
+  EXPECT_EQ(rec.NumBuckets(), RunRecorder::kMaxBuckets);
+  EXPECT_EQ(rec.overflow(), 5u);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(0), 1.0);  // 1 us buckets: Mops = count
+  EXPECT_DOUBLE_EQ(rec.MopsAt(last), 5.0);
+  EXPECT_EQ(rec.LatencyAt(0).total(), 1u);
+  EXPECT_EQ(rec.LatencyAt(last).total(), 5u);
+  // In-range completions still work after saturation.
+  rec.Record(1500, 1, true);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(1), 1.0);
+  EXPECT_EQ(rec.LatencyAt(1).total(), 1u);
+  EXPECT_EQ(rec.overflow(), 5u);
+}
 
-  ts.Add(UINT64_MAX / 4, 4);  // saturates into the last bucket
-  EXPECT_EQ(ts.overflow(), 4u);
-  // The raw rate now over-reports by exactly the overflow tally.
-  EXPECT_DOUBLE_EQ(ts.RateAt(last), 5e6);
+// The last bucket is unreliable once overflow() is non-zero: saturated
+// completions inflate it past what genuinely landed in that time window. The
+// tally is exactly the amount a consumer must discount, in both series, and
+// without overflow the last bucket stays trustworthy.
+TEST(RunRecorder, OverflowFlagsLastBucketUnreliable) {
+  RunRecorder rec(1000, /*timeline=*/true, /*latency_timeline=*/true);
+  const uint64_t last = RunRecorder::kMaxBuckets - 1;
+  rec.Record(last * 1000 + 10, 100, true);  // genuinely in the last bucket
+  EXPECT_EQ(rec.overflow(), 0u);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(last), 1.0);  // trustworthy: no overflow
+  EXPECT_EQ(rec.LatencyAt(last).Percentile(0.99), 100u);
+
+  RecordN(rec, UINT64_MAX / 4, 4, /*lat=*/5000);  // saturates into the last
+  EXPECT_EQ(rec.overflow(), 4u);
+  // The raw rate now over-reports by exactly the overflow tally, and the
+  // saturated latencies take over the bucket's P99.
+  EXPECT_DOUBLE_EQ(rec.MopsAt(last), 5.0);
+  EXPECT_EQ(rec.LatencyAt(last).total() - rec.overflow(), 1u);
+  EXPECT_GT(rec.LatencyAt(last).Percentile(0.99), 100u);
   const double corrected =
-      static_cast<double>(ts.buckets()[last] - ts.overflow()) * 1e9 /
-      static_cast<double>(ts.bucket_ns());
-  EXPECT_DOUBLE_EQ(corrected, 1e6);
+      rec.MopsAt(last) - static_cast<double>(rec.overflow()) * 1e3 /
+                             static_cast<double>(rec.bucket_ns());
+  EXPECT_DOUBLE_EQ(corrected, 1.0);
   // Earlier buckets stay unaffected by saturation.
-  ts.Add(500);
-  EXPECT_DOUBLE_EQ(ts.RateAt(0), 1e6);
-  EXPECT_EQ(ts.overflow(), 4u);
+  rec.Record(500, 100, true);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(0), 1.0);
+  EXPECT_EQ(rec.LatencyAt(0).total(), 1u);
+  EXPECT_EQ(rec.overflow(), 4u);
+}
+
+// A bucket's P99 is that of a Histogram fed the same samples.
+TEST(RunRecorder, BucketP99MatchesAHistogramOfItsSamples) {
+  RunRecorder rec(1000, /*timeline=*/false, /*latency_timeline=*/true);
+  Histogram want;
+  Rng rng(7);
+  for (int i = 0; i < 5000; i++) {
+    const uint64_t lat = 1000 + rng.Next() % 200000;
+    rec.Record(3000 + rng.Next() % 1000, lat, true);  // all in bucket 3
+    want.Record(lat);
+  }
+  ASSERT_TRUE(rec.timeline());  // implied by the latency timeline
+  ASSERT_EQ(rec.NumBuckets(), 4u);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(0), 0.0);
+  EXPECT_EQ(rec.LatencyAt(0).total(), 0u);
+  EXPECT_EQ(rec.LatencyAt(3).Percentile(0.99), want.Percentile(0.99));
+  EXPECT_EQ(rec.LatencyAt(3).Percentile(0.5), want.Percentile(0.5));
+  // Every sample was measured, so the run's histogram holds them too.
+  EXPECT_EQ(rec.Latency().Percentile(0.99), want.Percentile(0.99));
+}
+
+// An unmeasured completion (warm-up, drain) is on the timeline but counts
+// towards neither ops() nor the run's latency histogram.
+TEST(RunRecorder, UnmeasuredCompletionIsOnlyOnTheTimeline) {
+  RunRecorder rec(1000, /*timeline=*/true, /*latency_timeline=*/true);
+  rec.Record(100, 50, /*measured=*/false);
+  rec.Record(1100, 70, /*measured=*/true);
+  EXPECT_EQ(rec.ops(), 1u);
+  EXPECT_EQ(rec.Latency().total(), 1u);
+  EXPECT_EQ(rec.Latency().min(), 70u);
+  ASSERT_EQ(rec.NumBuckets(), 2u);
+  EXPECT_DOUBLE_EQ(rec.MopsAt(0), 1.0);
+  EXPECT_EQ(rec.LatencyAt(0).max(), 50u);
+
+  // Without a timeline only measured completions leave a trace.
+  RunRecorder plain(1000, /*timeline=*/false, /*latency_timeline=*/false);
+  plain.Record(100, 50, /*measured=*/false);
+  EXPECT_EQ(plain.ops(), 0u);
+  EXPECT_EQ(plain.NumBuckets(), 0u);
+  EXPECT_EQ(plain.Latency().total(), 0u);
 }
 
 // -------------------------------------------------- seqlock property tests
