@@ -24,9 +24,14 @@ namespace utps::sim {
 //
 // Context-switch cost per resume is charged (`switch_ns`): stackless
 // coroutine switches are single-digit ns per the paper.
+//
+// The tasks' StageScopes interleave on the one ctx and so restore out of
+// order; the caller's stage is restored on return, or the batch's last
+// restored label would book the caller's later time.
 inline Task<void> RunBatch(ExecCtx& ctx, Task<void>* tasks, unsigned n,
                            Tick switch_ns = 4) {
   UTPS_DCHECK(ctx.batch == nullptr);
+  const Stage entry_stage = ctx.stage;
   BatchCtl ctl;
   ctx.batch = &ctl;
   // A parked handle may belong to a coroutine nested inside a task, so task
@@ -78,6 +83,7 @@ inline Task<void> RunBatch(ExecCtx& ctx, Task<void>* tasks, unsigned n,
     ctx.eng->ExitNestedResume();
   }
   ctx.batch = nullptr;
+  ctx.stage = entry_stage;
 }
 
 }  // namespace utps::sim

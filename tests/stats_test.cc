@@ -352,5 +352,37 @@ TEST(RunBatch, OverlapsIndependentMisses) {
   EXPECT_GE(elapsed, mc.dram_ns);
 }
 
+// Batched tasks interleave their StageScopes on one ctx, so the scopes
+// restore out of order: A saves the caller's stage, B saves A's, A's fill
+// completes first and B restores A's label last. RunBatch must hand the
+// caller back its own stage, or a worker's later time is booked to kIndex.
+sim::Task<void> ScopedTouch(sim::ExecCtx* ctx, sim::Stage stage, const void* p) {
+  sim::StageScope s(*ctx, stage);
+  co_await ctx->Read(p, 8);
+}
+
+sim::Fiber InterleavedScopesFiber(sim::ExecCtx* ctx, uint8_t* base,
+                                  sim::Stage* after) {
+  ctx->stage = sim::Stage::kPoll;
+  sim::Task<void> tasks[2] = {ScopedTouch(ctx, sim::Stage::kIndex, base),
+                              ScopedTouch(ctx, sim::Stage::kData, base + 8192)};
+  co_await sim::RunBatch(*ctx, tasks, 2);
+  *after = ctx->stage;
+}
+
+TEST(RunBatch, RestoresTheCallersStage) {
+  sim::Arena arena(16 << 20);
+  sim::MachineConfig mc;
+  mc.num_cores = 1;
+  sim::MemoryModel mem(mc);
+  sim::Engine eng;
+  sim::ExecCtx ctx{.eng = &eng, .mem = &mem, .core = 0};
+  uint8_t* base = arena.AllocateArray<uint8_t>(1 << 20);
+  sim::Stage after = sim::Stage::kCount;
+  eng.Spawn(InterleavedScopesFiber(&ctx, base, &after));
+  eng.RunToQuiescence(sim::kSec);
+  EXPECT_EQ(after, sim::Stage::kPoll);
+}
+
 }  // namespace
 }  // namespace utps
