@@ -4,9 +4,10 @@
 //  - CR workers sample ~1/32 of the keys they serve into per-worker rings
 //    (cheap, wait-free: single producer, single consumer).
 //  - The management thread periodically drains samples through a count-min
-//    sketch + top-K heap. It builds a fresh hot structure (sorted array for
-//    the tree index — no intermediate pointers, binary-searchable; an
-//    open-addressed item-pointer table for the hash index) while the
+//    sketch + top-K heap. It builds fresh hot structures from one resolve
+//    pass (an open-addressed item-pointer table, which answers the CR
+//    layer's point lookups for both indexes; and a sorted array, which
+//    answers the tree's collaborative range scans in key order) while the
 //    published set is short of its target, and otherwise once
 //    kAgingSamplesPerItem samples per hot item have arrived. That build is
 //    followed by aging (Age): the sketch is halved and the published keys
@@ -72,9 +73,9 @@ class SampleRing {
   uint64_t tail_ = 0;
 };
 
-// Sorted-array hot index for the tree-based KVS: eliminates intermediate
-// pointers; rebuilt wholesale on each refresh (no in-place inserts). Its
-// item pointers follow the stale-pointer rule above.
+// Sorted array of the hot set: the collaborative scan walks it in key order
+// (point lookups use the HotTable). Rebuilt wholesale on each refresh (no
+// in-place inserts). Its item pointers follow the stale-pointer rule above.
 struct HotArray {
   struct Entry {
     Key key;
@@ -100,33 +101,10 @@ struct HotArray {
   }
 };
 
-// Simulated binary search over a HotArray: charges the probed cachelines.
-inline sim::Task<Item*> HotArrayLookup(sim::ExecCtx& ctx, const HotArray* ha,
-                                       Key key) {
-  uint32_t lo = 0;
-  uint32_t hi = ha->count;
-  while (lo < hi) {
-    const uint32_t mid = (lo + hi) / 2;
-    co_await ctx.Read(&ha->entries[mid], sizeof(HotArray::Entry));
-    if (ha->entries[mid].key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < ha->count) {
-    co_await ctx.Read(&ha->entries[lo], sizeof(HotArray::Entry));
-    if (ha->entries[lo].key == key) {
-      co_return ha->entries[lo].item;
-    }
-  }
-  co_return nullptr;
-}
-
-// Open-addressed item-pointer table for the hash-based KVS, 16 B slots, four
-// to a cacheline: one probe answers "is this key hot" and yields its item, so
-// the CR layer serves a hot hit without looking the key up in the main cuckoo
-// table again. Its item pointers follow the stale-pointer rule above.
+// Open-addressed item-pointer table, 16 B slots, four to a cacheline: one
+// probe answers "is this key hot" and yields its item, so the CR layer serves
+// a hot hit of either index without looking the key up in the main index.
+// Its item pointers follow the stale-pointer rule above.
 struct HotTable {
   struct Slot {
     Key key;  // key+1; 0 = empty

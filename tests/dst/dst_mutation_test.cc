@@ -39,10 +39,10 @@
 //     failed quiesce audit.
 //  8. kServeRetiredHotItem — a μTPS CR worker's hot GET serves the value of
 //     an item its hot structure still points at although a grown PUT has
-//     replaced (and retired) it in the index. Both hot structures keep item
-//     pointers — μTPS-T's sorted array and μTPS-H's hot table — so the
-//     value-growth cell reads a superseded value after the replacing PUT was
-//     acknowledged: caught by the checker on both systems.
+//     replaced (and retired) it in the index. μTPS-T and μTPS-H both look
+//     hot keys up in a hot table of item pointers, so the value-growth cell
+//     reads a superseded value after the replacing PUT was acknowledged:
+//     caught by the checker on both systems.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
