@@ -309,19 +309,7 @@ class ClusterNode {
   // that replaces the old one.
   void PutDirect(uint64_t shard, Key key, const void* value, uint32_t len) {
     EnsureIndex(shard);
-    KvIndex& index = *shards_[shard].index;
-    Item* it = index.GetDirect(key);
-    if (it != nullptr && len <= it->capacity) {
-      ItemWriteDirect(it, value, len);
-      return;
-    }
-    if (it != nullptr) {
-      index.EraseDirect(key);
-      slab_->FreeItem(it);
-    }
-    Item* fresh = slab_->AllocateItem(key, len);
-    ItemWriteDirect(fresh, value, len);
-    UTPS_CHECK(index.InsertDirect(key, fresh));
+    PutItemDirect(*shards_[shard].index, *slab_, key, value, len);
   }
 
   void Start() {
@@ -718,9 +706,7 @@ class ClusterNode {
       s.index->ForEachDirect(
           [&stale](Key k, const Item*) { stale.push_back(k); });
       for (Key k : stale) {
-        Item* it = s.index->GetDirect(k);
-        s.index->EraseDirect(k);
-        slab_->FreeItem(it);
+        EraseItemDirect(*s.index, *slab_, k);
       }
     }
     if (op == Ctl::kMigChunk) {

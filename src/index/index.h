@@ -15,10 +15,12 @@
 #include <functional>
 #include <string>
 
+#include "common/macros.h"
 #include "sim/exec.h"
 #include "sim/task.h"
 #include "store/item.h"
 #include "store/kv.h"
+#include "store/slab.h"
 
 namespace utps {
 
@@ -74,6 +76,37 @@ class KvIndex {
     co_return 0;
   }
 };
+
+// Host-plane (untimed) writes of a key's item, for WAL replay and cluster
+// population and migration import. PutItemDirect writes in place when the
+// value fits, else erases and frees the old item and inserts a fresh one.
+// EraseItemDirect erases the key and frees its item; it returns false if the
+// key is absent.
+inline bool EraseItemDirect(KvIndex& index, SlabAllocator& slab, Key key) {
+  Item* it = index.GetDirect(key);
+  if (it == nullptr) {
+    return false;
+  }
+  index.EraseDirect(key);
+  slab.FreeItem(it);
+  return true;
+}
+
+inline void PutItemDirect(KvIndex& index, SlabAllocator& slab, Key key,
+                          const void* value, uint32_t len) {
+  Item* it = index.GetDirect(key);
+  if (it != nullptr && len <= it->capacity) {
+    ItemWriteDirect(it, value, len);
+    return;
+  }
+  if (it != nullptr) {
+    index.EraseDirect(key);
+    slab.FreeItem(it);
+  }
+  Item* fresh = slab.AllocateItem(key, len);
+  ItemWriteDirect(fresh, value, len);
+  UTPS_CHECK(index.InsertDirect(key, fresh));
+}
 
 enum class IndexType : uint8_t { kHash = 0, kTree = 1 };
 

@@ -247,25 +247,9 @@ class WalManager {
       for (const WalRecord& rec : sh.records) {
         const uint8_t* payload = sh.payloads.data() + rec.payload_off;
         if (rec.op() == OpType::kDelete) {
-          Item* it = index->GetDirect(rec.key);
-          if (it != nullptr) {
-            index->EraseDirect(rec.key);
-            slab->FreeItem(it);
-          }
+          EraseItemDirect(*index, *slab, rec.key);
         } else {
-          const uint32_t len = rec.value_len();
-          Item* it = index->GetDirect(rec.key);
-          if (it != nullptr && len <= it->capacity) {
-            ItemWriteDirect(it, payload, len);
-          } else {
-            if (it != nullptr) {
-              index->EraseDirect(rec.key);
-              slab->FreeItem(it);
-            }
-            Item* ni = slab->AllocateItem(rec.key, len);
-            ItemWriteDirect(ni, payload, len);
-            UTPS_CHECK(index->InsertDirect(rec.key, ni));
-          }
+          PutItemDirect(*index, *slab, rec.key, payload, rec.value_len());
         }
         if (rec.rid != 0 && dedup != nullptr) {
           dedup->Complete(rec.rid);
