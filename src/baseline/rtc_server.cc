@@ -188,7 +188,7 @@ Task<void> RtcServer::ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx) {
       // part of the range that hashed there, about 1/n of it.
       uint8_t* r = w.resp->Alloc(kScanRespCap);
       resp_len = co_await ExecScan(ctx, w.env, rec->key, rec->scan_upper,
-                                   rec->scan_count, r, kScanRespCap, nullptr, 0);
+                                   rec->scan_count, r, kScanRespCap);
       resp = r;
       break;
     }

@@ -217,13 +217,11 @@ CheckResult CheckLinearizability(const History& h, const CheckOptions& opts) {
       if (!seen_keys.insert(k).second) {
         return fail(k, "scan returned key " + std::to_string(k) + " twice");
       }
-      if (opts.scan_exact) {
-        if (!first && k <= prev_key) {
-          return fail(k, "scan entries not in ascending key order");
-        }
-        prev_key = k;
-        first = false;
+      if (!first && k <= prev_key) {
+        return fail(k, "scan entries not in ascending key order");
       }
+      prev_key = k;
+      first = false;
       const auto vs_it = valid_stamps.find(k);
       if (vs_it == valid_stamps.end() || !vs_it->second.contains(s)) {
         return fail(k, "scan returned stamp " + std::to_string(s) +
@@ -280,16 +278,13 @@ CheckResult CheckLinearizability(const History& h, const CheckOptions& opts) {
       const uint64_t expect =
           std::min<uint64_t>(op.scan_count, live_in_range);
       const uint64_t got = op.scan_stamps.size();
-      const uint64_t slack = opts.scan_exact ? 0 : opts.scan_entry_slack;
-      if (got + slack < expect || got > expect + slack) {
+      if (got != expect) {
         return fail(op.key,
                     "scan [" + std::to_string(op.key) + "," +
                         std::to_string(op.upper) + "] count=" +
                         std::to_string(op.scan_count) + " returned " +
                         std::to_string(got) + " entries, expected " +
-                        std::to_string(expect) +
-                        (slack != 0 ? " (+/-" + std::to_string(slack) + ")"
-                                    : ""));
+                        std::to_string(expect));
       }
     }
   }

@@ -26,14 +26,6 @@ struct CheckOptions {
   // marked inconclusive instead of failing (never triggers in practice with
   // unique write stamps).
   uint64_t node_budget = 8'000'000;
-  // Scan completeness: with `scan_exact`, a scan must return exactly
-  // min(count, live keys in range) entries in ascending key order (plain
-  // single-layer tree servers). Otherwise the entry count may deviate by up
-  // to `scan_entry_slack` in either direction (μTPS-T's collaborative scans
-  // serve up to 8 hot keys from the CR layer that need not fall inside the
-  // first `count` keys of the range, and the MR layer skips them).
-  bool scan_exact = false;
-  uint32_t scan_entry_slack = 8;
 };
 
 struct CheckResult {

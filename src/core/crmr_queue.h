@@ -44,14 +44,13 @@ static_assert(sizeof(CrMrDesc) == 16, "descriptor layout");
 // response completes the record.
 struct CrMrHostDesc {
   // Response payload target. The CR layer sets the receive record's own
-  // region; the MR worker that runs a GET or a scan the CR layer wrote
-  // nothing for swaps in a region it holds in its own RespBuffer, which the
-  // CR layer releases when it sends the response.
+  // region; the MR worker that runs a GET or a scan swaps in a region it
+  // holds in its own RespBuffer, which the CR layer releases when it sends
+  // the response.
   uint8_t* resp = nullptr;
   const uint8_t* payload = nullptr;  // put payload within the rx slot
   uint64_t rx_seq = 0;          // receive slot to credit on completion
   uint16_t rec_idx = 0;         // record within the receive slot
-  uint8_t num_skip = 0;         // scan: skip_keys in use
   uint32_t resp_cap = 0;
   uint32_t resp_len = 0;        // filled by the MR layer
   // Durability (src/wal): token of the WAL append the MR layer performed for
@@ -59,14 +58,11 @@ struct CrMrHostDesc {
   // lsn == 0 (the default, and always with WAL off) means nothing to wait on.
   uint32_t wal_shard = 0;
   uint64_t wal_lsn = 0;
-  // Scan extension (§4): range parameters and the hot keys the CR layer
-  // already served (the MR layer skips them).
+  // Scan range parameters.
   uint32_t scan_count = 0;
-  uint32_t resp_off = 0;        // bytes already filled by the CR layer
   Key scan_upper = 0;
-  Key skip_keys[8] = {};
 };
-static_assert(sizeof(CrMrHostDesc) == 128, "host companion layout");
+static_assert(sizeof(CrMrHostDesc) == 64, "host companion layout");
 
 class CrMrRing {
  public:

@@ -389,6 +389,13 @@ Task<void> MuTpsServer::CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
   }
   const Key key = rec->key;
   const OpType op = rec->op();
+  // The op nibble comes off the wire. μTPS executes GETs, PUTs and scans
+  // only: the hot path would serve any other op as a PUT, and the MR layer
+  // as a scan.
+  UTPS_CHECK_MSG(op == OpType::kGet || op == OpType::kPut ||
+                     op == OpType::kScan,
+                 "uTPS cannot execute op %u (key %llu)",
+                 static_cast<unsigned>(op), static_cast<unsigned long long>(key));
 
   // At-most-once writes (DESIGN.md §9): a retransmitted or NIC-duplicated PUT
   // must not be applied twice. Reads are idempotent and simply re-execute.
@@ -412,10 +419,10 @@ Task<void> MuTpsServer::CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
 
   // --- hot path ---
   if (op != OpType::kScan) {
-    // Both indexes look point keys up in the hot table; the sorted array
-    // serves only CrForward's collaborative scan. An empty published table
-    // answers every key "cold". Its count comes with the epoch pointer pair
-    // the loop re-reads, so skipping the probe adds no modeled access.
+    // Both indexes look point keys up in the hot table; scans are forwarded
+    // whole. An empty published table answers every key "cold". Its count
+    // comes with the epoch pointer the loop re-reads, so skipping the probe
+    // adds no modeled access.
     Item* hot_item = nullptr;
     const HotTable* ht = hot_->ActiveTable();
     if (ht->count != 0) {
@@ -471,40 +478,6 @@ Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
     hd.resp_cap = kScanRespCap;
     hd.scan_count = rec->scan_count;
     hd.scan_upper = rec->scan_upper;
-    // Collaborative scan (§4): serve hot items in range from the CR cache,
-    // then forward with a skip list.
-    if (env_.index_type == IndexType::kTree) {
-      const HotArray* ha = hot_->ActiveArray();
-      StageScope s(ctx, Stage::kData);
-      uint32_t lo = 0;
-      uint32_t hi = ha->count;
-      while (lo < hi) {
-        const uint32_t mid = (lo + hi) / 2;
-        co_await ctx.Read(&ha->entries[mid], sizeof(HotArray::Entry));
-        if (ha->entries[mid].key < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      while (lo < ha->count && hd.num_skip < 8 &&
-             ha->entries[lo].key <= rec->scan_upper) {
-        Item* it = ha->entries[lo].item;
-        if (hd.resp_off + it->value_len > hd.resp_cap) {
-          break;  // ExecScan's rule: stop at the first item that would not fit
-        }
-        const uint32_t len = co_await ItemRead(ctx, it, hd.resp + hd.resp_off);
-        lo++;
-        if (ItemRetired(it)) {
-          continue;  // stale copy: the MR layer reads the key's new item
-        }
-        co_await ctx.Write(hd.resp + hd.resp_off, len);
-        hd.resp_off += len;
-        hd.skip_keys[hd.num_skip++] = ha->entries[lo - 1].key;
-      }
-    }
-    // The MR layer scans into the remaining resp_cap - resp_off bytes.
-    UTPS_CHECK(hd.resp_off <= hd.resp_cap);
   }
   // Round-robin over the MR set at BATCH granularity: fill the current
   // target's batch, then move to the next MR worker (§3.4: a CR thread
@@ -586,7 +559,7 @@ void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd,
   }
   // Note: the CR layer never touches the response payload; the RNIC reads it
   // directly from the response buffer (§3.3 "Copying data items").
-  env_.nic->ServerSend(w.ctx, msg, hd.resp, hd.resp_len + hd.resp_off);
+  env_.nic->ServerSend(w.ctx, msg, hd.resp, hd.resp_len);
   held_in.Release(hd.resp, hd.resp_cap);
   rx_->CompleteOne(hd.rx_seq);
   w.ops++;
@@ -846,11 +819,10 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
                                      CrMrDesc d, CrMrHostDesc* hd) {
   const OpType op = static_cast<OpType>(d.op_len >> 28);
   const uint32_t vlen = d.op_len & 0x0fffffffu;
-  if (op != OpType::kPut && hd->resp_off == 0) {
+  if (op != OpType::kPut) {
     // Answer from the consumer's own RespBuffer, warm in its cache, instead
     // of the record's cold region. The producer releases the hold when it
-    // sends the response (CrPollCompletions). A scan whose hot items the CR
-    // layer already wrote keeps the record's region.
+    // sends the response (CrPollCompletions).
     RespBuffer& buf = *resp_bufs_[consumer];
     uint8_t* p = mut::MrRegionWithoutHold() ? buf.Alloc(hd->resp_cap)
                                             : buf.TryHold(hd->resp_cap);
@@ -873,9 +845,8 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
       hd->wal_lsn = tok.lsn;
     }
   } else {
-    hd->resp_len = co_await ExecScan(
-        ctx, env_, d.key, hd->scan_upper, hd->scan_count, hd->resp + hd->resp_off,
-        hd->resp_cap - hd->resp_off, hd->skip_keys, hd->num_skip);
+    hd->resp_len = co_await ExecScan(ctx, env_, d.key, hd->scan_upper,
+                                     hd->scan_count, hd->resp, hd->resp_cap);
   }
 }
 

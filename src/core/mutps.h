@@ -3,11 +3,11 @@
 //
 //  - CR workers (cores [0, ncr)) run the §3.2.3 FSM: poll the shared receive
 //    ring (reconfigurable RPC), parse, serve hot keys from the epoch-switched
-//    hot structure, forward cold requests through the CR-MR queue, and send
-//    responses (their own hits plus MR completions signalled by tail-pointer
-//    advancement). A claimed slot's records parse, look up and serve hot
-//    hits under sim::RunBatch, batch_size at a time; misses are forwarded
-//    after each batch, one at a time.
+//    hot table, forward cold requests and every scan whole through the CR-MR
+//    queue, and send responses (their own hits plus MR completions signalled
+//    by tail-pointer advancement). A claimed slot's records parse, look up
+//    and serve hot hits under sim::RunBatch, batch_size at a time; misses
+//    are forwarded after each batch, one at a time.
 //  - MR workers (cores [ncr, W)) pop descriptor batches from the CR-MR rings
 //    and execute index + data stages under sim::RunBatch, overlapping memory
 //    stalls across the batch (batched indexing with coroutines, §3.3).
@@ -230,8 +230,8 @@ class MuTpsServer final : public KvServer {
   // CrForward. Runs batched; touches no CR-MR ring.
   sim::Task<void> CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
                           bool* forward);
-  // A miss's descriptor, collaborative scan part and staging push, flushing
-  // the target's staging once it holds batch_size descriptors. Runs serially.
+  // A miss's (or a scan's) descriptor and staging push, flushing the
+  // target's staging once it holds batch_size descriptors. Runs serially.
   sim::Task<void> CrForward(unsigned idx, uint64_t rx_seq, unsigned rec_idx);
   sim::Task<void> CrFlushStaging(unsigned idx, unsigned target);
   sim::Task<void> CrPollCompletions(unsigned idx);

@@ -78,13 +78,11 @@ inline sim::Task<void> ExecPut(sim::ExecCtx& ctx, const ServerEnv& env, Key key,
 }
 
 // SCAN: range query [key, upper], up to `count` items, copying values into
-// the response buffer back to back. `skip` items already filled by the CR
-// layer are skipped (μTPS-T's collaborative range processing, §4).
-// Returns total payload bytes written after `skip_bytes`.
+// the response buffer back to back in key order, up to the first item that
+// would not fit in `resp_cap`. Returns total payload bytes written.
 inline sim::Task<uint32_t> ExecScan(sim::ExecCtx& ctx, const ServerEnv& env, Key lo,
                                     Key upper, uint32_t count, uint8_t* resp,
-                                    uint32_t resp_cap, const Key* skip_keys,
-                                    uint32_t num_skip) {
+                                    uint32_t resp_cap) {
   Item* items[512];
   if (count > 512) {
     count = 512;
@@ -97,17 +95,6 @@ inline sim::Task<uint32_t> ExecScan(sim::ExecCtx& ctx, const ServerEnv& env, Key
   sim::StageScope s(ctx, sim::Stage::kData);
   uint32_t off = 0;
   for (uint32_t i = 0; i < n; i++) {
-    // Skip items the CR layer already served from its hot cache.
-    bool skip = false;
-    for (uint32_t k = 0; k < num_skip; k++) {
-      if (skip_keys[k] == items[i]->key) {
-        skip = true;
-        break;
-      }
-    }
-    if (skip) {
-      continue;
-    }
     if (off + items[i]->value_len > resp_cap) {
       break;
     }

@@ -1,24 +1,22 @@
-// Hot-set tracking and the CR layer's epoch-switched hot structures
+// Hot-set tracking and the CR layer's epoch-switched hot table
 // (§3.2.2 "Resizable Cache").
 //
 //  - CR workers sample ~1/32 of the keys they serve into per-worker rings
 //    (cheap, wait-free: single producer, single consumer).
 //  - The management thread periodically drains samples through a count-min
-//    sketch + top-K heap. It builds fresh hot structures from one resolve
-//    pass (an open-addressed item-pointer table, which answers the CR
-//    layer's point lookups for both indexes; and a sorted array, which
-//    answers the tree's collaborative range scans in key order) while the
-//    published set is short of its target, and otherwise once
-//    kAgingSamplesPerItem samples per hot item have arrived. That build is
-//    followed by aging (Age): the sketch is halved and the published keys
+//    sketch + top-K heap. It builds a fresh hot table (an open-addressed
+//    item-pointer table, which answers the CR layer's point lookups for both
+//    indexes) while the published set is short of its target, and otherwise
+//    once kAgingSamplesPerItem samples per hot item have arrived. That build
+//    is followed by aging (Age): the sketch is halved and the published keys
 //    are carried forward as the next candidates, so a steadily hot key stays
 //    published (DESIGN.md §2 "Hot-set aging"). The auto-tuner's per-size
 //    builds rank its whole pass's samples and age once, after its pick.
-//  - Publication is epoch-based: the manager publishes the new structure and
+//  - Publication is epoch-based: the manager publishes the new table and
 //    epoch; workers adopt it at their next loop iteration; the manager reuses
 //    the retired buffer only after all workers have advanced (Nap-style
 //    non-blocking switch).
-//  - Stale-pointer rule: both structures map a hot key to the item the index
+//  - Stale-pointer rule: the table maps a hot key to the item the index
 //    held at build time, so one lookup serves a hit. A grown PUT may replace
 //    that item before the next refresh; the pointer stays safe to follow
 //    (items are never freed), and the CR layer turns a hit on a retired item
@@ -73,34 +71,6 @@ class SampleRing {
   uint64_t tail_ = 0;
 };
 
-// Sorted array of the hot set: the collaborative scan walks it in key order
-// (point lookups use the HotTable). Rebuilt wholesale on each refresh (no
-// in-place inserts). Its item pointers follow the stale-pointer rule above.
-struct HotArray {
-  struct Entry {
-    Key key;
-    Item* item;
-  };
-  Entry* entries = nullptr;
-  uint32_t count = 0;
-  uint32_t capacity = 0;
-
-  // Host-side lookup (used by tests).
-  Item* FindDirect(Key key) const {
-    uint32_t lo = 0;
-    uint32_t hi = count;
-    while (lo < hi) {
-      const uint32_t mid = (lo + hi) / 2;
-      if (entries[mid].key < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return (lo < count && entries[lo].key == key) ? entries[lo].item : nullptr;
-  }
-};
-
 // Open-addressed item-pointer table, 16 B slots, four to a cacheline: one
 // probe answers "is this key hot" and yields its item, so the CR layer serves
 // a hot hit of either index without looking the key up in the main index.
@@ -149,9 +119,9 @@ inline sim::Task<Item*> HotTableLookup(sim::ExecCtx& ctx, const HotTable* ht,
   co_return nullptr;
 }
 
-// Double-buffered, epoch-published hot set. The manager builds into the
-// inactive buffer and publishes; CR workers re-read {epoch, pointers} at
-// each FSM loop iteration.
+// Double-buffered, epoch-published hot table. The manager builds into the
+// inactive buffer and publishes; CR workers re-read {epoch, pointer} at each
+// FSM loop iteration.
 class HotSetManager {
  public:
   static constexpr uint32_t kMaxHot = 16384;  // >= paper's 10K hot items
@@ -183,9 +153,6 @@ class HotSetManager {
                      3 * kCachelineBytes,
                  kCachelineBytes) {
     for (int b = 0; b < 2; b++) {
-      arrays_[b].entries =
-          arena->AllocateArray<HotArray::Entry>(kMaxHot, kCachelineBytes);
-      arrays_[b].capacity = kMaxHot;
       // Room for kMaxHot keys at load factor 0.5; BuildAndPublish uses only
       // the prefix the published count needs.
       tables_[b].slots = arena->AllocateArray<HotTable::Slot>(
@@ -209,7 +176,6 @@ class HotSetManager {
   SampleRing& Ring(unsigned worker) { return rings_[worker]; }
 
   uint64_t epoch() const { return epoch_; }
-  const HotArray* ActiveArray() const { return &arrays_[epoch_ & 1]; }
   const HotTable* ActiveTable() const { return &tables_[epoch_ & 1]; }
   void AckEpoch(unsigned worker, uint64_t e) { worker_epochs_[worker] = e; }
 
@@ -265,20 +231,16 @@ class HotSetManager {
     return true;
   }
 
-  // Builds the next hot structure with the `k` hottest keys (k <= kMaxHot),
+  // Builds the next hot table with the `k` hottest keys (k <= kMaxHot),
   // resolving keys to items via `resolve`, and publishes a new epoch.
   // Items that no longer resolve are skipped.
   //
   // Host-performance notes (DESIGN.md §13) — every shortcut below is exact,
-  // not approximate, because the published structures must be byte-identical
-  // to the straightforward form:
+  // not approximate, because the published table must be byte-identical to
+  // the straightforward form:
   //  - Candidates are deduplicated before the top-K pass, in first-occurrence
   //    order: TopK requires distinct keys, and this is the only check. The
   //    sketch is frozen during the pass, so a key has one estimate.
-  //  - The by-key sort uses an LSD radix sort: hot keys are unique, so the
-  //    comparator is a total order and any correct sort produces the same
-  //    array. (The by-freq extract sort has ties and must stay std::sort —
-  //    see TopK::ExtractTo.)
   //  - Scratch vectors persist across refreshes: steady state performs no
   //    heap allocation here.
   template <typename Resolver>
@@ -296,26 +258,22 @@ class HotSetManager {
     if (k == 0) {
       hot_scratch_.clear();
     }
-    const int next = static_cast<int>((epoch_ + 1) & 1);
-    HotArray& ha = arrays_[next];
-    HotTable& ht = tables_[next];
-    entries_scratch_.clear();
-    entries_scratch_.reserve(hot_scratch_.size());
+    HotTable& ht = tables_[(epoch_ + 1) & 1];
+    published_.clear();
+    published_.reserve(hot_scratch_.size());
     for (Key key : hot_scratch_) {
       if (Item* it = resolve(key)) {
-        entries_scratch_.push_back({key, it});
+        published_.push_back({key, it});
       }
     }
-    // Reset the inactive buffers (safe: all workers are on `epoch_`). Slots
+    // Reset the inactive buffer (safe: all workers are on `epoch_`). Slots
     // past the new mask may hold keys of an earlier, larger build; probes
     // never reach them.
-    const auto published = static_cast<uint32_t>(entries_scratch_.size());
-    ht.mask = TableSlotsFor(published) - 1;
+    ht.mask = TableSlotsFor(static_cast<uint32_t>(published_.size())) - 1;
     UTPS_DCHECK(ht.mask < kTableCapacity);
     std::memset(ht.slots, 0, (size_t{ht.mask} + 1) * sizeof(HotTable::Slot));
     ht.count = 0;
-    ha.count = 0;
-    for (const HotArray::Entry& e : entries_scratch_) {
+    for (const Published& e : published_) {
       uint32_t i = static_cast<uint32_t>(Mix64(e.key)) & ht.mask;
       while (ht.slots[i].key != 0) {
         i = (i + 1) & ht.mask;
@@ -323,30 +281,24 @@ class HotSetManager {
       ht.slots[i] = {e.key + 1, e.item};
       ht.count++;
     }
-    RadixSortByKey();
-    if (!entries_scratch_.empty()) {
-      std::memcpy(ha.entries, entries_scratch_.data(),
-                  entries_scratch_.size() * sizeof(HotArray::Entry));
-    }
-    ha.count = static_cast<uint32_t>(entries_scratch_.size());
     epoch_++;
   }
 
   // Ages the tracker after a publish: halves the sketch, so the hot set
-  // tracks shifts, and restarts the candidates from the published keys, so
-  // a key that stays hot is carried forward instead of forgotten. Samples
-  // drained since the last Age count toward the next aging interval.
+  // tracks shifts, and restarts the candidates from the published keys, in
+  // publication order, so a key that stays hot is carried forward instead
+  // of forgotten. Samples drained since the last Age count toward the next
+  // aging interval.
   void Age() {
     sketch_.Halve();
-    const HotArray& ha = arrays_[epoch_ & 1];
-    for (uint32_t i = 0; i < ha.count; i++) {
-      candidates_[i] = ha.entries[i].key;
+    for (size_t i = 0; i < published_.size(); i++) {
+      candidates_[i] = published_[i].key;
     }
-    num_candidates_ = ha.count;
+    num_candidates_ = published_.size();
     samples_since_aging_ = 0;
   }
 
-  uint32_t ActiveCount() const { return arrays_[epoch_ & 1].count; }
+  uint32_t ActiveCount() const { return tables_[epoch_ & 1].count; }
 
   // Epoch-switch safety audit. The double-buffering contract is: the manager
   // may only touch the inactive buffer once every worker has acked the
@@ -362,26 +314,24 @@ class HotSetManager {
         return false;
       }
     }
-    // The active array must be sorted and duplicate-free (binary-search
-    // contract), and the active table must map exactly its keys to the
-    // same items.
-    const HotArray& ha = arrays_[epoch_ & 1];
+    // The active table's count must equal its occupied slots, and a probe
+    // for each occupied slot's key must reach that slot (no key is published
+    // twice or stored past an empty slot on its probe path).
     const HotTable& ht = tables_[epoch_ & 1];
-    for (uint32_t i = 0; i + 1 < ha.count; i++) {
-      if (ha.entries[i].key >= ha.entries[i + 1].key) {
-        if (err != nullptr) {
-          *err = "hotset: active array not strictly sorted";
-        }
-        return false;
+    uint32_t occupied = 0;
+    bool reachable = true;
+    for (uint32_t i = 0; i <= ht.mask; i++) {
+      const HotTable::Slot& s = ht.slots[i];
+      if (s.key != 0) {
+        occupied++;
+        reachable = reachable && ht.FindDirect(s.key - 1) == s.item;
       }
     }
-    bool table_ok = ht.count == ha.count;
-    for (uint32_t i = 0; table_ok && i < ha.count; i++) {
-      table_ok = ht.FindDirect(ha.entries[i].key) == ha.entries[i].item;
-    }
-    if (!table_ok) {
+    if (occupied != ht.count || !reachable) {
       if (err != nullptr) {
-        *err = "hotset: active table disagrees with the hot array";
+        *err = "hotset: active table holds " + std::to_string(occupied) +
+               " keys for count " + std::to_string(ht.count) +
+               (reachable ? "" : ", and a probe misses one of them");
       }
       return false;
     }
@@ -419,43 +369,6 @@ class HotSetManager {
     return true;
   }
 
-  // LSD radix sort of entries_scratch_ by key (8-bit digits, skipping passes
-  // where all keys share the digit — typical for compact keyspaces). Keys are
-  // unique, so the result equals any comparison sort by key.
-  void RadixSortByKey() {
-    const size_t n = entries_scratch_.size();
-    if (n < 2) {
-      return;
-    }
-    radix_scratch_.resize(n);
-    HotArray::Entry* src = entries_scratch_.data();
-    HotArray::Entry* dst = radix_scratch_.data();
-    for (unsigned shift = 0; shift < 64; shift += 8) {
-      uint32_t hist[257] = {};
-      for (size_t i = 0; i < n; i++) {
-        hist[((src[i].key >> shift) & 0xff) + 1]++;
-      }
-      bool uniform = false;
-      for (unsigned b = 1; b <= 256; b++) {
-        if (hist[b] == n) {
-          uniform = true;
-          break;
-        }
-        hist[b] += hist[b - 1];
-      }
-      if (uniform) {
-        continue;
-      }
-      for (size_t i = 0; i < n; i++) {
-        dst[hist[(src[i].key >> shift) & 0xff]++] = src[i];
-      }
-      std::swap(src, dst);
-    }
-    if (src != entries_scratch_.data()) {
-      std::memcpy(entries_scratch_.data(), src, n * sizeof(HotArray::Entry));
-    }
-  }
-
   unsigned num_workers_;
   std::vector<SampleRing> rings_;
   CountMinSketch sketch_;
@@ -464,7 +377,6 @@ class HotSetManager {
   Key* candidates_ = nullptr;
   size_t num_candidates_ = 0;
   uint64_t samples_since_aging_ = 0;
-  HotArray arrays_[2];
   HotTable tables_[2];
   uint64_t epoch_ = 0;
   std::vector<uint64_t> worker_epochs_;
@@ -472,8 +384,13 @@ class HotSetManager {
   // Persistent scratch for BuildAndPublish (see its host-performance notes).
   TopK topk_{1};
   std::vector<Key> hot_scratch_;
-  std::vector<HotArray::Entry> entries_scratch_;
-  std::vector<HotArray::Entry> radix_scratch_;
+  // The last build's published keys and items, in publication order: the
+  // table is sized from their count, and Age carries their keys forward.
+  struct Published {
+    Key key;
+    Item* item;
+  };
+  std::vector<Published> published_;
   Key* dedup_keys_ = nullptr;
   uint32_t* dedup_stamp_ = nullptr;
   uint32_t dedup_mask_ = 0;

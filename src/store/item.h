@@ -39,9 +39,9 @@ static_assert(sizeof(Item) == 24, "item header layout");
 // (KvIndex::CoReplace), at the instant the index stops pointing at it. The
 // item is never freed, so a pointer to it stays safe to follow, but a writer
 // that finds the bit must look the key up again, and a reader that kept the
-// pointer past a lookup must not serve its value. Both μTPS hot structures
-// keep such pointers until their next refresh: μTPS-T's sorted hot array and
-// μTPS-H's hot table (hotset/hotset.h). Seqlock bumps never carry into bit 63.
+// pointer past a lookup must not serve its value. μTPS's hot table
+// (hotset/hotset.h) keeps such pointers until its next refresh. Seqlock
+// bumps never carry into bit 63.
 constexpr uint64_t kItemRetired = uint64_t{1} << 63;
 
 inline bool ItemRetired(const Item* it) { return (it->ctrl & kItemRetired) != 0; }

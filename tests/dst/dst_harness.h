@@ -781,9 +781,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   }
 
   // ---- linearizability ----------------------------------------------------
-  check::CheckOptions copts;
-  copts.scan_exact = cfg.sys != Sys::kMuTpsT;  // only μTPS-T scans have slack
-  const check::CheckResult lin = check::CheckLinearizability(hist, copts);
+  const check::CheckResult lin = check::CheckLinearizability(hist, {});
 
   out.ops_issued = sh.issued;
   out.ops_completed = sh.completed;

@@ -88,9 +88,8 @@ TEST(DstSweep, PutSkew) {
   }
 }
 
-// Scans are only meaningful on the tree systems; BaseKV-tree and Sherman are
-// checked exactly (ascending order, exact count), μTPS-T against the
-// collaborative-scan slack rule.
+// Scans are only meaningful on the tree systems; every one is checked exactly
+// (ascending order, exact count).
 TEST(DstSweep, ScanMixTreeSystems) {
   const unsigned seeds = std::max(4u, SeedCount() / 4);
   for (Sys sys : {Sys::kMuTpsT, Sys::kBaseKv, Sys::kSherman}) {
@@ -265,8 +264,7 @@ TEST(LinearizeCheck, RejectsScanEntryOverwrittenBeforeScan) {
   h.RecordPut(0, 1, s1, 10, 20);  // overwrites the populate value
   // Scan starts well after the overwrite yet returns the populate stamp.
   h.RecordScan(1, 1, 2, 2, {h.initial[1], h.initial[2]}, false, 50, 60);
-  const auto r =
-      check::CheckLinearizability(h, {.scan_exact = true});
+  const auto r = check::CheckLinearizability(h, {});
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("overwritten"), std::string::npos);
 }
@@ -274,15 +272,13 @@ TEST(LinearizeCheck, RejectsScanEntryOverwrittenBeforeScan) {
 TEST(LinearizeCheck, RejectsIncompleteExactScan) {
   check::History h = BaseHistory();
   h.RecordScan(0, 1, 2, 2, {h.initial[1]}, false, 10, 20);  // missing key 2
-  EXPECT_FALSE(check::CheckLinearizability(h, {.scan_exact = true}).ok);
-  // The same scan passes under the μTPS-T slack rule.
-  EXPECT_TRUE(check::CheckLinearizability(h, {.scan_exact = false}).ok);
+  EXPECT_FALSE(check::CheckLinearizability(h, {}).ok);
 }
 
 TEST(LinearizeCheck, RejectsUnorderedExactScan) {
   check::History h = BaseHistory();
   h.RecordScan(0, 1, 2, 2, {h.initial[2], h.initial[1]}, false, 10, 20);
-  const auto r = check::CheckLinearizability(h, {.scan_exact = true});
+  const auto r = check::CheckLinearizability(h, {});
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("ascending"), std::string::npos);
 }

@@ -1,5 +1,5 @@
 // Tests for the hot-set machinery: count-min sketch accuracy, top-K
-// tracking, sample rings, hot structures, and the epoch switch protocol.
+// tracking, sample rings, the hot table, and the epoch switch protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,12 +159,16 @@ class HotSetManagerTest : public ::testing::Test {
     }
   }
 
+  // The published keys, ascending.
   std::vector<Key> ActiveKeys() const {
-    const HotArray* ha = mgr_.ActiveArray();
+    const HotTable* ht = mgr_.ActiveTable();
     std::vector<Key> keys;
-    for (uint32_t i = 0; i < ha->count; i++) {
-      keys.push_back(ha->entries[i].key);
+    for (uint32_t i = 0; i <= ht->mask; i++) {
+      if (ht->slots[i].key != 0) {
+        keys.push_back(ht->slots[i].key - 1);
+      }
     }
+    std::sort(keys.begin(), keys.end());
     return keys;
   }
 
@@ -174,7 +178,7 @@ class HotSetManagerTest : public ::testing::Test {
   std::map<Key, Item*> items_;
 };
 
-TEST_F(HotSetManagerTest, BuildsHotArrayFromSkewedSamples) {
+TEST_F(HotSetManagerTest, BuildsHotTableFromSkewedSamples) {
   ZipfianGenerator zipf(10000, 0.99);
   Rng rng(5);
   for (int i = 0; i < 30000; i++) {
@@ -191,21 +195,22 @@ TEST_F(HotSetManagerTest, BuildsHotArrayFromSkewedSamples) {
     return it == items_.end() ? nullptr : it->second;
   });
   EXPECT_EQ(mgr_.epoch(), 1u);
-  const HotArray* ha = mgr_.ActiveArray();
-  EXPECT_GT(ha->count, 50u);
-  EXPECT_LE(ha->count, 100u);
-  // The hottest key (rank 0) must be in the hot set.
-  EXPECT_NE(ha->FindDirect(0), nullptr);
-  // Sorted order.
-  for (uint32_t i = 1; i < ha->count; i++) {
-    EXPECT_LT(ha->entries[i - 1].key, ha->entries[i].key);
-  }
-  // The table agrees with the array.
   const HotTable* ht = mgr_.ActiveTable();
-  for (uint32_t i = 0; i < ha->count; i++) {
-    EXPECT_EQ(ht->FindDirect(ha->entries[i].key), ha->entries[i].item);
+  EXPECT_GT(ht->count, 50u);
+  EXPECT_LE(ht->count, 100u);
+  EXPECT_EQ(mgr_.ActiveCount(), ht->count);
+  // The hottest key (rank 0) must be in the hot set.
+  EXPECT_EQ(ht->FindDirect(0), items_[0]);
+  // Each published key maps to its own item, and each appears once.
+  const std::vector<Key> keys = ActiveKeys();
+  ASSERT_EQ(keys.size(), ht->count);
+  for (uint32_t i = 0; i < keys.size(); i++) {
+    EXPECT_EQ(ht->FindDirect(keys[i]), items_[keys[i]]);
+    EXPECT_TRUE(i == 0 || keys[i - 1] < keys[i]) << "key " << keys[i];
   }
   EXPECT_EQ(ht->FindDirect(999999), nullptr);
+  std::string err;
+  EXPECT_TRUE(mgr_.AuditEpochs(&err)) << err;
 }
 
 TEST_F(HotSetManagerTest, EpochSwitchIsDoubleBuffered) {
@@ -214,7 +219,7 @@ TEST_F(HotSetManagerTest, EpochSwitchIsDoubleBuffered) {
   mgr_.Ring(0).Push(1);
   mgr_.DrainSamples();
   mgr_.BuildAndPublish(10, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
-  const HotArray* first = mgr_.ActiveArray();
+  const HotTable* first = mgr_.ActiveTable();
   for (unsigned w = 0; w < 4; w++) {
     mgr_.AckEpoch(w, mgr_.epoch());
   }
@@ -222,7 +227,7 @@ TEST_F(HotSetManagerTest, EpochSwitchIsDoubleBuffered) {
   mgr_.Ring(0).Push(2);
   mgr_.DrainSamples();
   mgr_.BuildAndPublish(10, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
-  EXPECT_NE(mgr_.ActiveArray(), first);  // flipped to the other buffer
+  EXPECT_NE(mgr_.ActiveTable(), first);  // flipped to the other buffer
   EXPECT_FALSE(mgr_.AllWorkersAt(mgr_.epoch()));
 }
 
@@ -231,8 +236,8 @@ TEST_F(HotSetManagerTest, ZeroCacheSizePublishesEmptySet) {
   mgr_.Ring(0).Push(1);
   mgr_.DrainSamples();
   mgr_.BuildAndPublish(0, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
-  EXPECT_EQ(mgr_.ActiveArray()->count, 0u);
   EXPECT_EQ(mgr_.ActiveTable()->count, 0u);
+  EXPECT_EQ(mgr_.ActiveCount(), 0u);
 }
 
 TEST_F(HotSetManagerTest, TableMaskFollowsPublishedCount) {
@@ -336,8 +341,9 @@ TEST_F(HotSetManagerTest, StaleKeysAreSkipped) {
   mgr_.Ring(0).Push(8);  // never resolves to an item
   mgr_.DrainSamples();
   mgr_.BuildAndPublish(10, [&](Key k) { return items_.count(k) ? items_[k] : nullptr; });
-  EXPECT_EQ(mgr_.ActiveArray()->count, 1u);
-  EXPECT_EQ(mgr_.ActiveArray()->entries[0].key, 7u);
+  EXPECT_EQ(mgr_.ActiveTable()->count, 1u);
+  EXPECT_EQ(mgr_.ActiveTable()->FindDirect(7), items_[7]);
+  EXPECT_EQ(mgr_.ActiveTable()->FindDirect(8), nullptr);
 }
 
 // (a) Aging halves the sketch and carries the published keys forward: a

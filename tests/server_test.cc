@@ -396,14 +396,12 @@ TEST(MuTpsCrBatch, HotHitsServeFasterInBatches) {
       << "batch 1: " << mops[0] << " Mops, batch 8: " << mops[1] << " Mops";
 }
 
-// μTPS-T's collaborative scan copies up to 8 hot items into the record's
-// 8 KB response region before forwarding the scan. With 1088 B values, 8
-// items take 8704 B, so the CR layer must stop where ExecScan would, at the
-// first item that does not fit; otherwise the MR layer's remaining capacity,
-// resp_cap - resp_off, wraps (CrForward checks resp_off <= resp_cap). Under
-// Zipf 0.99 on 4096 keys the published set holds the hottest ranges, so
-// some scans find 8 hot items in range and reach the cap.
-TEST(MuTpsScan, CollaborativeScanStaysInsideItsRegion) {
+// μTPS-T forwards every scan whole, and the MR layer's ExecScan copies the
+// range into an 8 KB response region. With 1088 B values, 8 items take
+// 8704 B, so every YCSB-E scan here overflows the region: ExecScan must stop
+// at the first item that does not fit. This is the only scan test whose
+// values overflow the region, with a published hot set and most workers MR.
+TEST(MuTpsScan, OverflowingScanStaysInsideItsRegion) {
   const WorkloadSpec spec = WorkloadSpec::YcsbE(4096, 1088);
   ExperimentConfig cfg = SmallConfig(SystemKind::kMuTps, spec);
   cfg.client_threads = 16;
@@ -412,6 +410,49 @@ TEST(MuTpsScan, CollaborativeScanStaysInsideItsRegion) {
   const ExperimentResult res = TestBed(IndexType::kTree, spec).Run(cfg);
   EXPECT_GT(res.ops, 100u);
   EXPECT_GE(res.cache_items, 8u);
+}
+
+// μTPS executes GETs, PUTs and scans. The op nibble comes off the wire, and
+// any other op aborts in the CR layer before the hot path could serve it as
+// a PUT or the MR layer as a scan. A DELETE of a key in the published hot
+// set and of a key outside it both abort.
+sim::Fiber SendOne(sim::ExecCtx* ctx, sim::Nic* nic, unsigned ring,
+                   sim::NicMessage msg) {
+  nic->ClientSend(*ctx, ring, msg);
+  co_return;
+}
+
+TEST(MuTpsDeathTest, DeleteAborts) {
+  for (const Key key : {Key{0}, Key{HandBed::kKeys - 1}}) {
+    const auto run = [key] {
+      HandBed bed(4, 1);
+      MuTpsServer::Options opt;
+      opt.autotune = false;
+      opt.initial_ncr = 2;
+      opt.initial_cache_items = 1;
+      opt.refresh_period_ns = 100 * sim::kUsec;
+      MuTpsServer server(bed.env, opt);
+      server.Start();
+      // Make key 0 hot: PUTs and GETs of it until the manager publishes it.
+      // Exiting with 0 fails the death test.
+      sim::ExecCtx cli{.eng = &bed.eng, .mem = nullptr};
+      int failures = 0;
+      bool done = false;
+      bed.eng.Spawn(VerifyingClient(&cli, &bed.nic, &server, 1, 200,
+                                    &failures, &done));
+      while ((!done || server.cache_items() == 0) &&
+             bed.eng.now() < 100 * kMsec) {
+        bed.eng.Run(bed.eng.now() + kMsec);
+      }
+      if (server.cache_items() != 1 || server.hot_hits() == 0) {
+        std::exit(0);
+      }
+      bed.eng.Spawn(SendOne(&cli, &bed.nic, server.RingForKey(key),
+                            EncodeRequest(OpType::kDelete, key, 0, 0, 0)));
+      bed.eng.Run(bed.eng.now() + kMsec);
+    };
+    EXPECT_DEATH(run(), "uTPS cannot execute op 2") << "key " << key;
+  }
 }
 
 // Both indexes look a point key up in the hot table, whose slots carry each
