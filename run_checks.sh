@@ -2,7 +2,8 @@
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
 # the CR-MR ring / store probe tests, the cluster tests (whose nodes apply
 # ops through the single-node executor), the server tests (among them the CR
-# hot-path mechanism tests), the mutation smoke-check, the golden
+# hot-path mechanism tests), the range-scan example (which checks μTPS-T's
+# scan payloads in key order), the mutation smoke-check, the golden
 # rows and fig19's cluster output against their committed copies, the
 # figure benches at smoke scale, and kvbench's smoke pass and audit test.
 #
@@ -62,7 +63,7 @@ sys.exit(1 if orphans else 0)
 EOF
 echo "=== every cited results/ file is tracked ==="
 
-CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test|hotset_test|server_test'
+CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test|hotset_test|server_test|example_range_scan_demo'
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"
