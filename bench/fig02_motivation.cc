@@ -10,6 +10,7 @@
 //      redirected to a dedicated thread pool, Zipfian keys.
 //  (c) Share-everything vs share-nothing vs TPS, 100% put, skewed, 64 B
 //      items, varying worker threads.
+#include "core/op_exec.h"
 #include "harness/bench_util.h"
 #include "index/btree.h"
 #include "index/cuckoo.h"
@@ -32,6 +33,7 @@ Fiber NetStageWorker(ExecCtx* ctx, RxRing* rx, sim::Nic* nic, unsigned idx,
                      unsigned n, const ServerEnv* env, uint64_t* ops,
                      const bool* stop) {
   uint64_t next_seq = idx;
+  DedupWindow dedup;  // stays empty: the echo clients never retry (rid 0)
   while (!*stop) {
     bool claimed = false;
     {
@@ -58,11 +60,8 @@ Fiber NetStageWorker(ExecCtx* ctx, RxRing* rx, sim::Nic* nic, unsigned idx,
         co_await ctx->Read(rec, sizeof(RxRecord));
         ctx->Charge(env->parse_cpu_ns);
       }
-      StageScope s(*ctx, Stage::kRespond);
-      ctx->Charge(env->respond_cpu_ns);
-      nic->ServerSend(*ctx, rx->Msgs(seq)[i], nullptr, rec->value_len());
-      rx->CompleteOne(seq);
-      (*ops)++;
+      SendAndComplete(*ctx, *env, dedup, *rx, seq, i, nullptr,
+                      rec->value_len(), *ops);
     }
     co_await ctx->Yield();
   }

@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   env.nic = &nic;
   env.arena = &run_arena;
   env.index = bed.index();
-  env.index_type = IndexType::kTree;
   env.num_workers = 8;
   SlabAllocator slab(&run_arena);
   env.slab = &slab;

@@ -12,8 +12,6 @@ using sim::StageScope;
 using sim::Task;
 
 namespace {
-constexpr uint32_t kMaxValueBytes = 1088;
-constexpr uint32_t kScanRespCap = 8192;
 constexpr unsigned kMaxBatch = 32;  // requests a worker runs from one slot
 // Where the layouts' CPU charges differ (DESIGN.md §5): a poll of BaseKV's
 // shared ring or of an eRPCKV private ring, and eRPC's leaner parse.
@@ -148,57 +146,39 @@ Task<void> RtcServer::ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx) {
     co_await ctx.Read(rec, sizeof(RxRecord));
     ctx.Charge(env_.parse_cpu_ns);
   }
-  const sim::NicMessage& msg = rx.Msgs(seq)[rec_idx];
-  const OpType op = rec->op();
-  const bool is_write = op == OpType::kPut || op == OpType::kDelete;
-  // At-most-once writes (DESIGN.md §9): a retransmitted or NIC-duplicated
-  // write must not be applied twice. Reads are idempotent and re-execute.
-  if (UTPS_UNLIKELY(msg.rid != 0) && is_write) {
-    const DedupWindow::Verdict v = dedup_.Begin(msg.rid);
-    if (v == DedupWindow::Verdict::kInFlight) {
-      // First copy still executing; its response answers the rid.
-      rx.CompleteOne(seq);
-      co_return;
-    }
-    if (v == DedupWindow::Verdict::kDone) {
-      StageScope s(ctx, sim::Stage::kRespond);
-      ctx.Charge(env_.respond_cpu_ns);
-      env_.nic->ServerSend(ctx, msg, nullptr, 0);  // replay the empty ack
-      rx.CompleteOne(seq);
-      w.ops++;
-      co_return;
-    }
+  if (!BeginOnce(ctx, env_, dedup_, rx, seq, rec_idx, w.ops)) {
+    co_return;
   }
-  const uint8_t* resp = nullptr;
+  const OpType op = rec->op();
+  uint8_t* resp = nullptr;
   uint32_t resp_len = 0;
   const uint8_t* payload = rx.Data(seq) + rec->payload_off;
   switch (op) {
     case OpType::kGet: {
-      uint8_t* r = w.resp->Alloc(std::min(rec->value_len() + 8, kMaxValueBytes));
-      resp_len = co_await ExecGet(ctx, w.env, rec->key, r);
-      resp = r;
+      const uint32_t cap = RespCap(op, rec->value_len());
+      resp = w.resp->Alloc(cap);
+      resp_len = co_await ExecGet(
+          ctx, w.env, rec->key, resp, cap,
+          [&](uint32_t len) { return w.resp->Alloc(len); });
       break;
     }
     case OpType::kPut:
       co_await ExecPut(ctx, w.env, rec->key, payload, rec->value_len(),
                        /*unsynchronized=*/share_nothing_);
       break;
-    case OpType::kScan: {
+    case OpType::kScan:
       // A share-nothing scan reads only this worker's shard: it returns the
       // part of the range that hashed there, about 1/n of it.
-      uint8_t* r = w.resp->Alloc(kScanRespCap);
+      resp = w.resp->Alloc(kScanRespCap);
       resp_len = co_await ExecScan(ctx, w.env, rec->key, rec->scan_upper,
-                                   rec->scan_count, r, kScanRespCap);
-      resp = r;
+                                   rec->scan_count, resp);
       break;
-    }
-    case OpType::kDelete: {
-      StageScope s(ctx, sim::Stage::kIndex);
-      co_await w.env.index->CoErase(ctx, rec->key);
+    case OpType::kDelete:
+      co_await ExecDelete(ctx, w.env, rec->key);
       break;
-    }
   }
-  if (UTPS_UNLIKELY(env_.wal != nullptr) && is_write) {
+  const sim::NicMessage& msg = rx.Msgs(seq)[rec_idx];
+  if (UTPS_UNLIKELY(env_.wal != nullptr) && IsWrite(msg)) {
     // Log the applied write; hold the ack until it is durable per the
     // commit mode.
     const bool put = op == OpType::kPut;
@@ -207,16 +187,7 @@ Task<void> RtcServer::ProcessOne(unsigned idx, uint64_t seq, unsigned rec_idx) {
                          put ? rec->value_len() : 0, msg.rid);
     co_await env_.wal->WaitDurable(ctx, tok);
   }
-  {
-    StageScope s(ctx, sim::Stage::kRespond);
-    ctx.Charge(env_.respond_cpu_ns);
-    if (UTPS_UNLIKELY(msg.rid != 0) && is_write) {
-      dedup_.Complete(msg.rid);
-    }
-    env_.nic->ServerSend(ctx, msg, resp, resp_len);
-    rx.CompleteOne(seq);
-    w.ops++;
-  }
+  SendAndComplete(ctx, env_, dedup_, rx, seq, rec_idx, resp, resp_len, w.ops);
 }
 
 }  // namespace utps

@@ -199,11 +199,13 @@ sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::RpcGate& gate,
   }
 }
 
-// The one at-most-once preamble of a non-idempotent request (DESIGN.md §9's
-// dedup contract): a retransmit of a call that already executed is re-acked
-// with {kOk, owner, epoch} written into `resp` after `ack_cpu_ns` of CPU, and
-// one still executing is swallowed (its first delivery answers). Returns
-// true when the caller must execute the request and then Complete its rid.
+// The cluster's at-most-once preamble of a non-idempotent request
+// (DESIGN.md §9's dedup contract): a retransmit of a call that already
+// executed is re-acked with {kOk, owner, epoch} written into `resp` after
+// `ack_cpu_ns` of CPU, and one still executing is swallowed (its first
+// delivery answers). Returns true when the caller must execute the request
+// and then Complete its rid. Unlike the single-node BeginOnce (op_exec.h), it
+// answers with a cluster header, and there is no receive ring to complete.
 inline bool ExecuteOnce(DedupWindow& dedup, sim::ExecCtx& ctx, sim::Nic& nic,
                         const sim::NicMessage& msg, uint8_t* resp,
                         uint32_t owner, uint64_t epoch,
@@ -413,8 +415,9 @@ class ClusterNode {
     if (op == OpType::kGet) {
       s.busy++;
       const ServerEnv env = ShardEnv(shard);
-      const uint32_t vlen =
-          co_await ExecGet(ctx, env, key, resp + kRespHeaderBytes);
+      // Holds any value: StagePayload bounds each write by value_cap_.
+      uint8_t* value = resp + kRespHeaderBytes;
+      const uint32_t vlen = co_await ExecGet(ctx, env, key, value);
       s.busy--;
       counters_.ops_served++;
       shard_ops_[shard]++;
@@ -513,17 +516,15 @@ class ClusterNode {
   }
 
   // Applies a PUT/DELETE to this node's replica the way a single-node server
-  // does. An erased item is not freed: a GET on another worker may still be
-  // reading it.
+  // does.
   sim::Task<void> ApplyOp(sim::ExecCtx& ctx, uint64_t shard, Key key,
                           OpType op, const uint8_t* payload, uint32_t len) {
     const ServerEnv env = ShardEnv(shard);
     if (op == OpType::kPut) {
       co_await ExecPut(ctx, env, key, payload, len);
-      co_return;
+    } else {
+      co_await ExecDelete(ctx, env, key);
     }
-    sim::StageScope s(ctx, sim::Stage::kIndex);
-    co_await env.index->CoErase(ctx, key);
   }
 
   // Chain replication leg: ship the op to the backup and wait for its ack.
@@ -1135,7 +1136,6 @@ class ClusterManager {
   const Assign& assign(uint64_t shard) const { return assign_[shard]; }
   uint64_t epoch() const { return epoch_; }
   uint64_t shard_migrations() const { return shard_migrations_; }
-  bool node_dead(unsigned n) const { return views_[n].dead; }
 
  private:
   struct NodeView {

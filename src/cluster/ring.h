@@ -76,7 +76,6 @@ class HashRing {
     return -1;
   }
 
-  size_t num_points() const { return points_.size(); }
   uint64_t seed() const { return seed_; }
   unsigned vnodes() const { return vnodes_; }
 

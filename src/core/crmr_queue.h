@@ -8,10 +8,10 @@
 // polls `tail` and then delivers the responses to clients.
 //
 // Modeled memory: the descriptor slots and head/tail words live in the arena
-// and are charged through the cache model. Full-size host bookkeeping
-// (buffer pointers, scan parameters, the receive record that routes the
-// completion) rides in a parallel unmodeled array, exactly mirroring the
-// paper's trick of keeping the on-ring descriptor at 16 bytes.
+// and are charged through the cache model. Full-size host bookkeeping (the
+// response region and the receive record that routes the completion) rides
+// in a parallel unmodeled array, exactly mirroring the paper's trick of
+// keeping the on-ring descriptor at 16 bytes.
 //
 // Residency (DESIGN.md §13): the queue is all-to-all, W² rings, but a split
 // uses only ncr × nmr of them. Init runs no constructor: the slots, control
@@ -35,34 +35,29 @@ namespace utps {
 struct CrMrDesc {
   Key key;           // 8 B (longer keys would be hashed into this field)
   uint32_t op_len;   // type (4 bits) | KV size (28 bits)
-  uint32_t buf;      // network-buffer slot reference
+  uint32_t buf;      // receive record: slot index << 8 | index in the slot
 };
 static_assert(sizeof(CrMrDesc) == 16, "descriptor layout");
 
-// Host-side companion of a descriptor. The request's client routing stays in
-// the receive ring (RxRing::Msgs(rx_seq)[rec_idx]), which keeps it until the
-// response completes the record.
+// Host-side companion of a descriptor: what the MR layer sends back and the
+// receive record it answers. The request itself (payload, scan bounds,
+// routing) stays in that record until the response completes it.
 struct CrMrHostDesc {
-  // Response payload target. The CR layer sets the receive record's own
-  // region; the MR worker that runs a GET or a scan swaps in a region it
-  // holds in its own RespBuffer, which the CR layer releases when it sends
-  // the response.
+  // Response payload target, set by the MR worker that runs a GET or scan: a
+  // region held in its RespBuffer (the CR layer releases it on sending), or
+  // the receive record's own region.
   uint8_t* resp = nullptr;
-  const uint8_t* payload = nullptr;  // put payload within the rx slot
-  uint64_t rx_seq = 0;          // receive slot to credit on completion
-  uint16_t rec_idx = 0;         // record within the receive slot
-  uint32_t resp_cap = 0;
-  uint32_t resp_len = 0;        // filled by the MR layer
+  uint64_t rx_seq = 0;    // receive slot to credit (a sequence or slot index)
   // Durability (src/wal): token of the WAL append the MR layer performed for
   // this request; the CR layer waits on it before releasing the response.
   // lsn == 0 (the default, and always with WAL off) means nothing to wait on.
-  uint32_t wal_shard = 0;
+  // MuTpsServer checks that every shard number fits wal_shard.
   uint64_t wal_lsn = 0;
-  // Scan range parameters.
-  uint32_t scan_count = 0;
-  Key scan_upper = 0;
+  uint32_t resp_len = 0;   // filled by the MR layer
+  uint16_t wal_shard = 0;
+  uint16_t rec_idx = 0;    // record within the receive slot
 };
-static_assert(sizeof(CrMrHostDesc) == 64, "host companion layout");
+static_assert(sizeof(CrMrHostDesc) == 32, "host companion layout");
 
 class CrMrRing {
  public:

@@ -16,11 +16,6 @@ using sim::StageScope;
 using sim::Task;
 using sim::Tick;
 
-namespace {
-constexpr uint32_t kMaxValueBytes = 1088;
-constexpr uint32_t kScanRespCap = 8192;
-}  // namespace
-
 MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
     : env_(env),
       opt_(opt),
@@ -32,6 +27,10 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   const unsigned w = env_.num_workers;
   UTPS_CHECK(w >= 2);   // at least one core per layer
   UTPS_CHECK(w <= 32);  // ready masks (cr_inflight / mr_ready_) are 32-bit
+  UTPS_CHECK(env_.wal == nullptr ||
+             env_.wal->NumShards() <= UINT16_MAX);  // CrMrHostDesc::wal_shard
+  // CrMrDesc::buf packs a record's receive slot and its index in the slot.
+  UTPS_CHECK(opt_.rx.num_slots <= (1u << 24) && opt_.rx.max_batch <= 256);
   rings_.resize(size_t{w} * w);
   mr_ready_.assign(w, 0);
   for (auto& r : rings_) {
@@ -57,7 +56,6 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
       // this capacity is never outgrown: the first batch a worker sends to a
       // target late in a run allocates nothing (DESIGN.md §13).
       st.descs.reserve(opt_.batch_size);
-      st.host.reserve(opt_.batch_size);
     }
     wk.seen_tail.assign(w, 0);
     wk.pop_cursor.assign(w, 0);
@@ -162,26 +160,10 @@ void MuTpsServer::Start() {
   }
 }
 
-uint64_t MuTpsServer::OpsCompleted() const {
+uint64_t MuTpsServer::Sum(uint64_t Worker::*counter) const {
   uint64_t total = 0;
   for (const Worker& w : workers_) {
-    total += w.ops;
-  }
-  return total;
-}
-
-uint64_t MuTpsServer::hot_hits() const {
-  uint64_t total = 0;
-  for (const Worker& w : workers_) {
-    total += w.hot_hits;
-  }
-  return total;
-}
-
-uint64_t MuTpsServer::hot_misses() const {
-  uint64_t total = 0;
-  for (const Worker& w : workers_) {
-    total += w.hot_misses;
+    total += w.*counter;
   }
   return total;
 }
@@ -397,24 +379,8 @@ Task<void> MuTpsServer::CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
                  "uTPS cannot execute op %u (key %llu)",
                  static_cast<unsigned>(op), static_cast<unsigned long long>(key));
 
-  // At-most-once writes (DESIGN.md §9): a retransmitted or NIC-duplicated PUT
-  // must not be applied twice. Reads are idempotent and simply re-execute.
-  const uint64_t rid = rx_->Msgs(rx_seq)[rec_idx].rid;
-  if (UTPS_UNLIKELY(rid != 0) && op == OpType::kPut) {
-    const DedupWindow::Verdict v = dedup_.Begin(rid);
-    if (v != DedupWindow::Verdict::kExecute) {
-      if (v == DedupWindow::Verdict::kDone) {
-        // Already applied: replay an empty ack so the retry completes.
-        const CrMrHostDesc ack{.rx_seq = rx_seq,
-                               .rec_idx = static_cast<uint16_t>(rec_idx)};
-        SendResponse(w, ack, *w.resp);
-      } else {
-        // First copy still executing; swallow this one — the original's
-        // response answers the rid.
-        rx_->CompleteOne(rx_seq);
-      }
-      co_return;
-    }
+  if (!BeginOnce(ctx, env_, dedup_, *rx_, rx_seq, rec_idx, w.ops)) {
+    co_return;
   }
 
   // --- hot path ---
@@ -456,29 +422,12 @@ Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
   Worker& w = workers_[idx];
   ExecCtx& ctx = w.ctx;
   // CrFront already paid for reading the record.
-  const RxRecord* rec = &rx_->Records(rx_seq)[rec_idx];
-  const Key key = rec->key;
-  const OpType op = rec->op();
-  const uint32_t vlen = rec->value_len();
+  const RxRecord& rec = rx_->Records(rx_seq)[rec_idx];
   const unsigned ncr = NcrOf(w);
   const unsigned nmr = env_.num_workers - ncr;
-  CrMrDesc d{key, RxRecord::PackOpLen(op, vlen),
-             static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
-                 static_cast<uint32_t>(rec_idx)};
-  CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
-  if (op == OpType::kPut) {
-    hd.payload = rx_->Data(rx_seq) + rec->payload_off;
-  } else if (op == OpType::kGet) {
-    // The MR worker answers from its own RespBuffer when it can
-    // (MrProcessOne); the record's region is the fallback.
-    hd.resp = RecordRegion(rx_seq, rec_idx);
-    hd.resp_cap = std::min(vlen + 8, kMaxValueBytes);
-  } else {
-    hd.resp = RecordRegion(rx_seq, rec_idx);
-    hd.resp_cap = kScanRespCap;
-    hd.scan_count = rec->scan_count;
-    hd.scan_upper = rec->scan_upper;
-  }
+  const CrMrDesc d{rec.key, rec.op_len,
+                   static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
+                       static_cast<uint32_t>(rec_idx)};
   // Round-robin over the MR set at BATCH granularity: fill the current
   // target's batch, then move to the next MR worker (§3.4: a CR thread
   // pushes an item only when enough requests have accumulated).
@@ -497,7 +446,7 @@ Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
   if (st.Empty()) {
     st.first_ns = ctx.Now();
   }
-  st.Push(d, hd);
+  st.descs.push_back(d);
   ctx.Charge(3);  // staging append
   if (st.Size() >= opt_.batch_size) {
     co_await CrFlushStaging(idx, target);
@@ -511,19 +460,24 @@ Task<bool> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
   ExecCtx& ctx = w.ctx;
   CrMrHostDesc hd{.rx_seq = rx_seq, .rec_idx = static_cast<uint16_t>(rec_idx)};
   if (rec.op() == OpType::kGet) {
-    hd.resp_cap = std::min(rec.value_len() + 8, kMaxValueBytes);
     // The next region of our own RespBuffer, unless the cyclic walk came
     // round to a region still held: then the record's own region.
-    hd.resp = w.resp->TryHold(hd.resp_cap);
+    uint32_t cap = RespCap(OpType::kGet, rec.value_len());
+    hd.resp = w.resp->TryHold(cap);
     if (hd.resp == nullptr) {
       hd.resp = RecordRegion(rx_seq, rec_idx);
+      cap = kScanRespCap;
     }
     StageScope s(ctx, Stage::kData);
-    hd.resp_len = co_await ItemRead(ctx, item, hd.resp);
+    hd.resp_len = co_await ItemRead(ctx, item, hd.resp, cap);
+    if (UTPS_UNLIKELY(hd.resp_len > cap)) {
+      hd.resp = SpillToRecord(*w.resp, hd, cap, hd.resp_len);
+      ItemReadDirect(item, hd.resp);  // still the value ItemRead validated
+    }
     // Checked at the instant the read validated: the item was still the
     // key's when its value was copied, or the copy is stale.
     if (ItemRetired(item) && !mut::ServeRetiredHotItem()) {
-      w.resp->Release(hd.resp, hd.resp_cap);
+      w.resp->Release(hd.resp, cap);
       co_return false;
     }
     co_await ctx.Write(hd.resp, hd.resp_len);
@@ -547,22 +501,18 @@ Task<bool> MuTpsServer::CrServeHot(unsigned idx, Item* item, const RxRecord& rec
 
 void MuTpsServer::SendResponse(Worker& w, const CrMrHostDesc& hd,
                                RespBuffer& held_in) {
-  StageScope s(w.ctx, Stage::kRespond);
-  w.ctx.Charge(env_.respond_cpu_ns);
-  // The receive slot keeps the request until CompleteOne below.
-  const sim::NicMessage& msg = rx_->Msgs(hd.rx_seq)[hd.rec_idx];
-  if (UTPS_UNLIKELY(msg.rid != 0) &&
-      static_cast<OpType>(msg.h[1] >> 28) == OpType::kPut) {
-    // The PUT is applied and its ack is leaving: later retransmits of this
-    // rid get a replayed ack instead of a second execution.
-    dedup_.Complete(msg.rid);
-  }
-  // Note: the CR layer never touches the response payload; the RNIC reads it
-  // directly from the response buffer (§3.3 "Copying data items").
-  env_.nic->ServerSend(w.ctx, msg, hd.resp, hd.resp_len);
-  held_in.Release(hd.resp, hd.resp_cap);
-  rx_->CompleteOne(hd.rx_seq);
-  w.ops++;
+  const RxRecord& rec = rx_->Records(hd.rx_seq)[hd.rec_idx];
+  held_in.Release(hd.resp, RespCap(rec.op(), rec.value_len()));
+  SendAndComplete(w.ctx, env_, dedup_, *rx_, hd.rx_seq, hd.rec_idx, hd.resp,
+                  hd.resp_len, w.ops);
+}
+
+uint8_t* MuTpsServer::SpillToRecord(RespBuffer& buf, const CrMrHostDesc& hd,
+                                    uint32_t cap, uint32_t len) const {
+  UTPS_CHECK_MSG(len <= kScanRespCap,
+                 "a %u B value outgrows its receive record's region", len);
+  buf.Release(hd.resp, cap);
+  return RecordRegion(hd.rx_seq, hd.rec_idx);
 }
 
 Task<void> MuTpsServer::CrFlushStaging(unsigned idx, unsigned target) {
@@ -601,8 +551,11 @@ Task<void> MuTpsServer::CrFlushStaging(unsigned idx, unsigned target) {
   slot->count = cnt;
   CrMrHostDesc* host = r.HostAt(seq);
   for (unsigned i = 0; i < cnt; i++) {
-    slot->descs[i] = st.Desc(i);
-    host[i] = st.Host(i);
+    const CrMrDesc& d = st.Desc(i);
+    slot->descs[i] = d;
+    // The descriptor names the receive record its companion answers.
+    host[i] = CrMrHostDesc{.rx_seq = d.buf >> 8,
+                           .rec_idx = static_cast<uint16_t>(d.buf & 0xff)};
   }
   {
     StageScope s(ctx, Stage::kQueue);
@@ -819,34 +772,40 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
                                      CrMrDesc d, CrMrHostDesc* hd) {
   const OpType op = static_cast<OpType>(d.op_len >> 28);
   const uint32_t vlen = d.op_len & 0x0fffffffu;
-  if (op != OpType::kPut) {
-    // Answer from the consumer's own RespBuffer, warm in its cache, instead
-    // of the record's cold region. The producer releases the hold when it
-    // sends the response (CrPollCompletions).
-    RespBuffer& buf = *resp_bufs_[consumer];
-    uint8_t* p = mut::MrRegionWithoutHold() ? buf.Alloc(hd->resp_cap)
-                                            : buf.TryHold(hd->resp_cap);
-    if (p != nullptr) {
-      hd->resp = p;
-    }
-  }
-  if (op == OpType::kGet) {
-    hd->resp_len = co_await ExecGet(ctx, env_, d.key, hd->resp);
-  } else if (op == OpType::kPut) {
-    co_await ExecPut(ctx, env_, d.key, hd->payload, vlen);
+  // The request's payload and scan bounds stay in its receive record.
+  const RxRecord& rec = rx_->Records(hd->rx_seq)[hd->rec_idx];
+  if (op == OpType::kPut) {
+    const uint8_t* payload = rx_->Data(hd->rx_seq) + rec.payload_off;
+    co_await ExecPut(ctx, env_, d.key, payload, vlen);
     if (UTPS_UNLIKELY(env_.wal != nullptr)) {
       // Append here (where the op applied); the CR layer waits on the token
       // before releasing the ack, so the durability stall never blocks the
       // MR batch.
       const wal::WalToken tok =
-          env_.wal->Append(ctx, d.key, OpType::kPut, hd->payload, vlen,
+          env_.wal->Append(ctx, d.key, OpType::kPut, payload, vlen,
                            rx_->Msgs(hd->rx_seq)[hd->rec_idx].rid);
-      hd->wal_shard = tok.shard;
+      hd->wal_shard = static_cast<uint16_t>(tok.shard);
       hd->wal_lsn = tok.lsn;
     }
+    co_return;
+  }
+  // Answer from the consumer's own RespBuffer, warm in its cache, instead of
+  // the record's cold region. The producer releases the hold when it sends
+  // the response (CrPollCompletions).
+  RespBuffer& buf = *resp_bufs_[consumer];
+  uint32_t cap = RespCap(op, vlen);
+  hd->resp = mut::MrRegionWithoutHold() ? buf.Alloc(cap) : buf.TryHold(cap);
+  if (hd->resp == nullptr) {
+    hd->resp = RecordRegion(hd->rx_seq, hd->rec_idx);
+    cap = kScanRespCap;
+  }
+  if (op == OpType::kGet) {
+    hd->resp_len = co_await ExecGet(
+        ctx, env_, d.key, hd->resp, cap,
+        [&](uint32_t len) { return SpillToRecord(buf, *hd, cap, len); });
   } else {
-    hd->resp_len = co_await ExecScan(ctx, env_, d.key, hd->scan_upper,
-                                     hd->scan_count, hd->resp, hd->resp_cap);
+    hd->resp_len = co_await ExecScan(ctx, env_, d.key, rec.scan_upper,
+                                     rec.scan_count, hd->resp);
   }
 }
 

@@ -72,7 +72,7 @@ class MuTpsServer final : public KvServer {
 
   void Start() override;
   void Stop() override { stop_ = true; }
-  uint64_t OpsCompleted() const override;
+  uint64_t OpsCompleted() const override { return Sum(&Worker::ops); }
   void ResetStats() override;
 
   // Introspection for benchmarks (Figure 13).
@@ -90,10 +90,8 @@ class MuTpsServer final : public KvServer {
   unsigned mr_ways() const { return mr_ways_; }
   uint64_t reconfig_count() const { return reconfig_count_; }
   // Hot-cache effectiveness over the CR layer (cache-eligible requests only).
-  uint64_t hot_hits() const;
-  uint64_t hot_misses() const;
-  // High-water occupancy (slots) seen on any CR-MR ring since ResetStats.
-  uint64_t peak_ring_occ() const { return peak_ring_occ_; }
+  uint64_t hot_hits() const { return Sum(&Worker::hot_hits); }
+  uint64_t hot_misses() const { return Sum(&Worker::hot_misses); }
   // The CR-MR ring from `producer` to `consumer` (global worker ids).
   const CrMrRing& ring(unsigned producer, unsigned consumer) const {
     return rings_[size_t{producer} * env_.num_workers + consumer];
@@ -162,27 +160,20 @@ class MuTpsServer final : public KvServer {
     // CR staging: per-target-MR pending descriptor batches.
     struct Staging {
       std::vector<CrMrDesc> descs;
-      std::vector<CrMrHostDesc> host;
       sim::Tick first_ns = 0;
-      // Flushed prefix of descs/host. Flushes advance this cursor instead of
+      // Flushed prefix of descs. Flushes advance this cursor instead of
       // erasing from the front (per-flush memmove); storage is reclaimed
       // wholesale once everything staged has been consumed, so steady state
-      // recycles the vectors' capacity with no allocation.
+      // recycles the vector's capacity with no allocation.
       uint32_t consumed = 0;
 
       bool Empty() const { return consumed == descs.size(); }
       size_t Size() const { return descs.size() - consumed; }
       const CrMrDesc& Desc(unsigned i) const { return descs[consumed + i]; }
-      const CrMrHostDesc& Host(unsigned i) const { return host[consumed + i]; }
-      void Push(const CrMrDesc& d, const CrMrHostDesc& h) {
-        descs.push_back(d);
-        host.push_back(h);
-      }
       void Consume(unsigned cnt) {
         consumed += cnt;
         if (consumed == descs.size()) {
           descs.clear();
-          host.clear();
           consumed = 0;
         }
       }
@@ -207,6 +198,8 @@ class MuTpsServer final : public KvServer {
     bool flushing = false;  // CR: a CrFlushStaging is in progress
   };
 
+  // A per-worker counter summed over the workers.
+  uint64_t Sum(uint64_t Worker::*counter) const;
   // Puts the coroutine frames of the CR layer's slot batches on the frame
   // pool's free lists up front. The batches' peak concurrency depends on how
   // many workers run the CR role with full slots, which a run may first
@@ -241,6 +234,10 @@ class MuTpsServer final : public KvServer {
   // The response region receive record (rx_seq, rec_idx) owns: the fallback
   // when a RespBuffer has no free region.
   uint8_t* RecordRegion(uint64_t rx_seq, unsigned rec_idx) const;
+  // A GET's value that outgrew hd.resp (`cap` bytes, maybe held in `buf`)
+  // goes to the record's own region; releases the hold.
+  uint8_t* SpillToRecord(RespBuffer& buf, const CrMrHostDesc& hd, uint32_t cap,
+                         uint32_t len) const;
 
   // MR helpers. The slot processors take the execution context explicitly so
   // the manager-side health probe can substitute for a dead consumer (ring

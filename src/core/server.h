@@ -26,7 +26,6 @@ struct ServerEnv {
   sim::Arena* arena = nullptr;
   SlabAllocator* slab = nullptr;
   KvIndex* index = nullptr;  // shared index (share-everything servers)
-  IndexType index_type = IndexType::kHash;
   unsigned num_workers = 28;
   // Observability bundle (null = everything disabled). Servers wire worker
   // contexts to its cycle-accounting arrays and emit tracer spans through it.

@@ -283,7 +283,6 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   env.arena = &run_arena;
   env.slab = slab_.get();
   env.index = index_.get();
-  env.index_type = index_type_;
   env.num_workers = server_workers_;
   env.obs = observer.get();
   env.wal = walm.get();

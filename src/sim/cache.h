@@ -55,9 +55,7 @@ struct MachineConfig {
 
   // Cluster topology (src/cluster): the scale-out harness instantiates one
   // machine of this shape per node and derives the node-to-node control NIC
-  // from the internode link parameters below. cluster_nodes == 1 keeps every
-  // single-node code path untouched — no cluster object is ever built.
-  unsigned cluster_nodes = 1;
+  // from the internode link parameters below.
   Tick internode_rtt_ns = 3000;     // node-to-node RTT (intra-rack, > client rtt)
   double internode_bw_gbps = 100.0; // per-link internode bandwidth
 
@@ -250,10 +248,9 @@ class MemoryModel {
     for (auto& c : counters_) {
       c = CoreCounters{};
     }
-    io_writes_ = io_write_misses_ = io_reads_ = 0;
+    io_writes_ = io_reads_ = 0;
   }
   uint64_t io_writes() const { return io_writes_; }
-  uint64_t io_write_misses() const { return io_write_misses_; }
   uint64_t io_reads() const { return io_reads_; }
 
   // Drop all cached state (used between benchmark points that share a
@@ -593,7 +590,6 @@ class MemoryModel {
       return cfg_.llc_hit_ns;
     }
     // DDIO allocating write: restricted to the DDIO ways.
-    io_write_misses_++;
     const unsigned victim = LlcVictim(set, cfg_.DdioMask());
     LlcInstall(set, victim, line, /*sharers=*/0, /*owner=*/-1, /*dirty=*/true);
     return cfg_.dram_ns;
@@ -633,7 +629,6 @@ class MemoryModel {
   bool fast_forward_ = false;  // sampled simulation: functional mode active
   std::vector<CoreCounters> counters_;
   uint64_t io_writes_ = 0;
-  uint64_t io_write_misses_ = 0;
   uint64_t io_reads_ = 0;
 };
 

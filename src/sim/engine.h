@@ -136,7 +136,6 @@ class Engine {
     perturb_ = cfg;
     perturb_on_ = true;
   }
-  bool perturbation_enabled() const { return perturb_on_; }
 
   // Schedule a coroutine to be resumed at virtual time `t` (>= now).
   //

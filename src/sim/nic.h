@@ -45,7 +45,6 @@ struct NicMessage {
   uint32_t wire_bytes = 0;          // total on-wire size
   OneShot* completion = nullptr;    // response completion (owned by client)
   void* copy_out = nullptr;         // client buffer for response payload
-  uint32_t copy_out_len = 0;        // filled on the server-side message copy
   uint32_t* resp_len_out = nullptr; // client-owned: receives the payload length
   Tick issue_tick = 0;
   Tick arrival_tick = 0;
@@ -208,7 +207,6 @@ class Nic {
   // Fault-injection hook (src/fault). Null (the default) keeps every path
   // byte-identical to a build without fault support.
   void SetFaultHook(NicFaultHook* hook) { hook_ = hook; }
-  NicFaultHook* fault_hook() const { return hook_; }
 
   // ------------------------------------------------------------- two-sided
   // Client posts a request toward server receive ring `ring`.
@@ -270,7 +268,6 @@ class Nic {
   }
 
   size_t RingDepth(unsigned ring) const { return rings_[ring].size(); }
-  unsigned NumRings() const { return static_cast<unsigned>(rings_.size()); }
 
   // Crash-restart support (src/wal recovery): models a NIC reset — requests
   // queued toward the server but not yet placed into receive slots are lost.
@@ -414,7 +411,6 @@ class Nic {
     if (req.resp_len_out != nullptr) {
       *req.resp_len_out = len;
     }
-    const_cast<NicMessage&>(req).copy_out_len = len;
     if (UTPS_UNLIKELY(req.gate != nullptr)) {
       req.gate->Complete(at < srv.Now() ? srv.Now() : at);
     } else if (req.completion != nullptr) {

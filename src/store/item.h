@@ -66,9 +66,12 @@ inline void ResetItemContention() {
   std::memset(item_internal::g_contention, 0, sizeof(item_internal::g_contention));
 }
 
-// Reads the item's value into dst (which must have room for value_len bytes).
-// Lock-free, retries while a writer is active. Returns the value length.
-inline sim::Task<uint32_t> ItemRead(sim::ExecCtx& ctx, const Item* it, void* dst) {
+// Reads the item's value into dst, which holds `cap` bytes, and returns its
+// length. A longer value is validated but not copied: it stays as read until
+// the caller next suspends (ItemReadDirect copies it). Lock-free, retries
+// while a writer is active.
+inline sim::Task<uint32_t> ItemRead(sim::ExecCtx& ctx, const Item* it, void* dst,
+                                    uint32_t cap = UINT32_MAX) {
   if (UTPS_UNLIKELY(ctx.FastForward())) {
     // Functional apply (DESIGN.md §12): one flat-charged access, then a
     // synchronous copy. The seqlock protocol is still honored — a detailed
@@ -79,7 +82,7 @@ inline sim::Task<uint32_t> ItemRead(sim::ExecCtx& ctx, const Item* it, void* dst
       co_await ctx.Read(&it->ctrl, sizeof(Item) + it->value_len);
       if ((it->ctrl & 1) == 0) {
         const uint32_t len = it->value_len;
-        std::memcpy(dst, it->value(), len);
+        std::memcpy(dst, it->value(), len <= cap ? len : 0);
         co_return len;
       }
       co_await ctx.Delay(30);
@@ -99,7 +102,7 @@ inline sim::Task<uint32_t> ItemRead(sim::ExecCtx& ctx, const Item* it, void* dst
     }
     // The copy and the version recheck happen at the same simulated instant
     // (after the last modeled access), so a torn copy is always detected.
-    std::memcpy(dst, it->value(), len);
+    std::memcpy(dst, it->value(), len <= cap ? len : 0);
     const uint64_t v2 = it->ctrl;
     if (v1 == v2) {
       co_return len;

@@ -118,9 +118,7 @@ TEST_F(CacheModelTest, DdioUpdatesInPlaceOnHit) {
   // though); regardless, an IoWrite to a cached line must not be a miss.
   void* p = AddrAtSet(13);
   mem_.Access(0, 0, Stage::kData, p, 8, false);
-  const uint64_t misses_before = mem_.io_write_misses();
-  mem_.IoWrite(p, 8);
-  EXPECT_EQ(mem_.io_write_misses(), misses_before);
+  EXPECT_EQ(mem_.IoWrite(p, 8), SmallConfig().llc_hit_ns);
   // And the CPU's private copy was invalidated: next access is not a
   // private hit.
   auto r = mem_.Access(0, 0, Stage::kData, p, 8, false);

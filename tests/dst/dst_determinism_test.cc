@@ -2,16 +2,14 @@
 // including under schedule perturbation. Each server type is run twice
 // in-process and once in a fresh subprocess with the same seed; the formatted
 // result rows must be byte-identical.
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "../fresh_process.h"
 #include "dst_harness.h"
 
 namespace utps::dst {
@@ -155,31 +153,10 @@ TEST(DstDeterminism, DigestsMatchCommitted) {
 TEST(DstDeterminism, SubprocessIdentical) {
   const std::string expected = AllRows();
 
-  char exe[4096];
-  const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  ASSERT_GT(n, 0);
-  exe[n] = '\0';
-
-  char out_path[] = "/tmp/dst_determinism_XXXXXX";
-  const int fd = mkstemp(out_path);
-  ASSERT_GE(fd, 0);
-  close(fd);
-
-  setenv("MUTPS_DST_CHILD_OUT", out_path, 1);
-  const std::string cmd = std::string(exe) +
-                          " --gtest_filter=DstDeterminism.ChildEmit "
-                          ">/dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  unsetenv("MUTPS_DST_CHILD_OUT");
-
-  // Slurp and unlink before asserting so a failure cannot strand the file.
-  std::ifstream f(out_path, std::ios::binary);
-  std::stringstream got;
-  got << f.rdbuf();
-  std::remove(out_path);
-
-  ASSERT_EQ(rc, 0) << "subprocess run failed";
-  EXPECT_EQ(expected, got.str())
+  std::string got;
+  ASSERT_TRUE(RunFreshProcess("MUTPS_DST_CHILD_OUT", "DstDeterminism.ChildEmit",
+                              &got));
+  EXPECT_EQ(expected, got)
       << "fresh-process run produced different result rows";
 }
 

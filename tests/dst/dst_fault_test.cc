@@ -3,17 +3,15 @@
 // and a crash-stop/restart of a server worker — across several seeds. Also
 // locks down that the fault schedule itself is a pure function of the config:
 // an identical run repeats byte-for-byte in-process and in a fresh process.
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../fresh_process.h"
 #include "dst_cluster.h"
 #include "dst_harness.h"
 
@@ -304,31 +302,10 @@ TEST(DstFaultDeterminism, SeedSweepsFaultSchedule) {
 TEST(DstFaultDeterminism, SubprocessIdentical) {
   const std::string expected = AllRows();
 
-  char exe[4096];
-  const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  ASSERT_GT(n, 0);
-  exe[n] = '\0';
-
-  char out_path[] = "/tmp/dst_fault_determinism_XXXXXX";
-  const int fd = mkstemp(out_path);
-  ASSERT_GE(fd, 0);
-  close(fd);
-
-  setenv("MUTPS_DST_FAULT_CHILD_OUT", out_path, 1);
-  const std::string cmd = std::string(exe) +
-                          " --gtest_filter=DstFaultDeterminism.ChildEmit "
-                          ">/dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  unsetenv("MUTPS_DST_FAULT_CHILD_OUT");
-
-  // Slurp and unlink before asserting so a failure cannot strand the file.
-  std::ifstream f(out_path, std::ios::binary);
-  std::stringstream got;
-  got << f.rdbuf();
-  std::remove(out_path);
-
-  ASSERT_EQ(rc, 0) << "subprocess run failed";
-  EXPECT_EQ(expected, got.str())
+  std::string got;
+  ASSERT_TRUE(RunFreshProcess("MUTPS_DST_FAULT_CHILD_OUT", "DstFaultDeterminism.ChildEmit",
+                              &got));
+  EXPECT_EQ(expected, got)
       << "fresh-process faulted run produced different result rows";
 }
 

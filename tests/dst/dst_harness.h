@@ -537,7 +537,6 @@ inline DstResult RunDst(const DstConfig& cfg) {
   env.arena = &arena;
   env.slab = &slab;
   env.index = index.get();
-  env.index_type = tree ? IndexType::kTree : IndexType::kHash;
   env.num_workers = cfg.workers;
   env.wal = walm.get();
 

@@ -2,16 +2,14 @@
 // function of (experiment seed, window plan) — byte-identical result rows
 // across in-process repeats and across a fresh subprocess (mirroring
 // dst_determinism_test).
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "fresh_process.h"
 #include "harness/experiment.h"
 #include "workload/workload.h"
 
@@ -120,31 +118,10 @@ TEST(SampleDeterminism, PlanSeedChangesRandomPlacement) {
 TEST(SampleDeterminism, SubprocessIdentical) {
   const std::string expected = AllRows();
 
-  char exe[4096];
-  const ssize_t n = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  ASSERT_GT(n, 0);
-  exe[n] = '\0';
-
-  char out_path[] = "/tmp/sample_determinism_XXXXXX";
-  const int fd = mkstemp(out_path);
-  ASSERT_GE(fd, 0);
-  close(fd);
-
-  setenv("MUTPS_SAMPLE_CHILD_OUT", out_path, 1);
-  const std::string cmd = std::string(exe) +
-                          " --gtest_filter=SampleDeterminism.ChildEmit "
-                          ">/dev/null 2>&1";
-  const int rc = std::system(cmd.c_str());
-  unsetenv("MUTPS_SAMPLE_CHILD_OUT");
-
-  // Slurp and unlink before asserting so a failure cannot strand the file.
-  std::ifstream f(out_path, std::ios::binary);
-  std::stringstream got;
-  got << f.rdbuf();
-  std::remove(out_path);
-
-  ASSERT_EQ(rc, 0) << "subprocess run failed";
-  EXPECT_EQ(expected, got.str())
+  std::string got;
+  ASSERT_TRUE(RunFreshProcess("MUTPS_SAMPLE_CHILD_OUT", "SampleDeterminism.ChildEmit",
+                              &got));
+  EXPECT_EQ(expected, got)
       << "fresh-process sampled run produced different result rows";
 }
 

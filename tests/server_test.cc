@@ -146,8 +146,7 @@ struct HandBed {
       index.InsertDirect(k, it);
     }
     env = ServerEnv{.eng = &eng, .mem = &mem, .nic = &nic, .arena = &arena,
-                    .slab = &slab, .index = &index,
-                    .index_type = IndexType::kHash, .num_workers = workers};
+                    .slab = &slab, .index = &index, .num_workers = workers};
   }
   static sim::MachineConfig Machine(unsigned cores) {
     sim::MachineConfig mc;
@@ -410,6 +409,148 @@ TEST(MuTpsScan, OverflowingScanStaysInsideItsRegion) {
   const ExperimentResult res = TestBed(IndexType::kTree, spec).Run(cfg);
   EXPECT_GT(res.ops, 100u);
   EXPECT_GE(res.cache_items, 8u);
+}
+
+// ------------------------------------------------------ response regions
+
+// A GET's response region is sized from the value length it announces
+// (DESIGN.md §2 "Response regions"). Here a GET announces 8 B for a 512 B
+// item, and three GETs of 64 B items arrive in the same receive slot, so
+// their regions come right after its own. It must return the whole value
+// and leave their regions, and so their responses, intact.
+constexpr Key kBigKey = HandBed::kKeys;
+constexpr uint32_t kBigLen = 512;
+constexpr unsigned kBurst = 4;  // the 512 B GET and its three neighbours
+
+uint8_t BigByte(uint32_t i) { return static_cast<uint8_t>(i % 251 + 1); }
+
+void AddBigItem(HandBed& bed) {
+  Item* it = bed.slab.AllocateItem(kBigKey, kBigLen);
+  for (uint32_t i = 0; i < kBigLen; i++) {
+    it->value()[i] = BigByte(i);
+  }
+  it->value_len = kBigLen;
+  ASSERT_TRUE(bed.index.InsertDirect(kBigKey, it));
+}
+
+// Request i of a burst: the big key, then keys 1, 2, 3 (zeroed 64 B values).
+Key BurstKey(unsigned i) { return i == 0 ? kBigKey : Key{i}; }
+
+struct Burst {
+  std::array<std::array<uint8_t, 1536>, kBurst> out{};
+  std::array<uint32_t, kBurst> len{};
+  bool done = false;
+};
+
+// Sends the burst's GETs at one instant, the first announcing 8 B and the
+// others their true 64 B, and waits for the four responses.
+sim::Fiber SendBurst(sim::ExecCtx* ctx, sim::Nic* nic, Burst* b) {
+  std::array<sim::OneShot, kBurst> os;
+  for (unsigned i = 0; i < kBurst; i++) {
+    sim::NicMessage m =
+        EncodeRequest(OpType::kGet, BurstKey(i), i == 0 ? 8 : 64, 0, 0);
+    m.completion = &os[i];
+    m.copy_out = b->out[i].data();
+    m.resp_len_out = &b->len[i];
+    nic->ClientSend(*ctx, 0, m);
+  }
+  for (sim::OneShot& o : os) {
+    co_await o.Wait(*ctx);
+  }
+  b->done = true;
+}
+
+void RunBurstIntact(HandBed& bed) {
+  Burst b;
+  sim::ExecCtx cli{.eng = &bed.eng, .mem = nullptr};
+  bed.eng.Spawn(SendBurst(&cli, &bed.nic, &b));
+  bed.eng.Run(bed.eng.now() + kMsec);
+  ASSERT_TRUE(b.done);
+  EXPECT_EQ(b.len[0], kBigLen);
+  for (uint32_t i = 0; i < kBigLen; i++) {
+    if (b.out[0][i] != BigByte(i)) {
+      ADD_FAILURE() << "the 512 B value differs from byte " << i;
+      break;
+    }
+  }
+  for (unsigned n = 1; n < kBurst; n++) {
+    EXPECT_EQ(b.len[n], 64u) << "neighbour " << n;
+    EXPECT_TRUE(std::all_of(b.out[n].begin(), b.out[n].begin() + 64,
+                            [](uint8_t v) { return v == 0; }))
+        << "neighbour " << n << "'s response was overwritten";
+  }
+}
+
+TEST(ResponseRegion, BaseKvGetLongerThanAnnouncedStaysInItsRegion) {
+  HandBed bed(4, 1);
+  AddBigItem(bed);
+  RtcServer server(bed.env);
+  server.Start();
+  RunBurstIntact(bed);
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
+TEST(ResponseRegion, MuTpsForwardedGetLongerThanAnnouncedStaysInItsRegion) {
+  HandBed bed(4, 1);
+  AddBigItem(bed);
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = 2;
+  opt.initial_cache_items = 0;  // every GET goes to the MR layer
+  MuTpsServer server(bed.env, opt);
+  server.Start();
+  RunBurstIntact(bed);
+  EXPECT_EQ(server.hot_hits(), 0u);
+  std::string err;
+  EXPECT_TRUE(server.AuditQuiesced(&err)) << err;
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
+// GETs of the burst's keys, each announcing its true length, until `stop`.
+sim::Fiber WarmBurstKeys(sim::ExecCtx* ctx, sim::Nic* nic, const bool* stop) {
+  sim::OneShot os;
+  std::array<uint8_t, kBigLen> buf{};
+  for (unsigned i = 0; !*stop; i++) {
+    const Key key = BurstKey(i % kBurst);
+    sim::NicMessage m = EncodeRequest(OpType::kGet, key,
+                                      key == kBigKey ? kBigLen : 64, 0, 0);
+    m.completion = &os;
+    m.copy_out = buf.data();
+    nic->ClientSend(*ctx, 0, m);
+    co_await os.Wait(*ctx);
+    os.Reset();
+  }
+}
+
+TEST(ResponseRegion, MuTpsHotGetLongerThanAnnouncedStaysInItsRegion) {
+  HandBed bed(4, 1);
+  AddBigItem(bed);
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = 2;
+  opt.initial_cache_items = kBurst;
+  opt.refresh_period_ns = 100 * sim::kUsec;
+  MuTpsServer server(bed.env, opt);
+  server.Start();
+  // Only the burst's keys are requested, so they make up the hot set.
+  sim::ExecCtx cli{.eng = &bed.eng, .mem = nullptr};
+  bool stop = false;
+  bed.eng.Spawn(WarmBurstKeys(&cli, &bed.nic, &stop));
+  while (server.cache_items() < kBurst && bed.eng.now() < 100 * kMsec) {
+    bed.eng.Run(bed.eng.now() + 100 * sim::kUsec);
+  }
+  ASSERT_EQ(server.cache_items(), kBurst);
+  stop = true;
+  bed.eng.Run(bed.eng.now() + kMsec);
+  const uint64_t hits = server.hot_hits();
+  RunBurstIntact(bed);
+  EXPECT_EQ(server.hot_hits() - hits, kBurst);
+  std::string err;
+  EXPECT_TRUE(server.AuditQuiesced(&err)) << err;
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
 }
 
 // μTPS executes GETs, PUTs and scans. The op nibble comes off the wire, and
