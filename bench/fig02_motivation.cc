@@ -103,14 +103,12 @@ Fiber ReplayIndexWorker(ExecCtx* ctx, KvIndex* index, uint64_t keys,
 Fiber EchoClient(ExecCtx* ctx, sim::Nic* nic, uint64_t keys, uint32_t vsize,
                  uint64_t seed, const bool* stop) {
   WorkloadGenerator gen(WorkloadSpec::GetOnly(keys, vsize, false), seed);
-  sim::OneShot os;
+  sim::RpcGate gate;
   while (!*stop) {
     const Op op = gen.Next();
     sim::NicMessage m = EncodeRequest(OpType::kGet, op.key, vsize, 0, 0);
-    m.completion = &os;
-    nic->ClientSend(*ctx, 0, m);
-    co_await os.Wait(*ctx);
-    os.Reset();
+    m.gate = &gate;
+    co_await RpcCall(*ctx, *nic, 0, m, nullptr);
   }
 }
 
@@ -126,7 +124,7 @@ ExperimentResult RunTpsReplay(TestBed& bed, uint32_t vsize, unsigned workers) {
     sim::Arena run_arena(256ull << 20);
     bed.mem()->FlushAll();
     bed.mem()->ResetCounters();
-    sim::Nic nic(&eng, bed.mem(), sim::NicConfig{}, 1);
+    sim::Nic nic(bed.mem(), sim::NicConfig{}, 1);
     ServerEnv env;
     env.eng = &eng;
     env.mem = bed.mem();

@@ -26,15 +26,13 @@ namespace {
 sim::Fiber TouchRange(sim::ExecCtx* ctx, sim::Nic* nic, Key lo, uint32_t count,
                       uint32_t vsize, int rounds, bool* done) {
   std::vector<uint8_t> value(vsize);
-  sim::OneShot os;
+  sim::RpcGate gate;
   for (int r = 0; r < rounds; r++) {
     for (Key k = lo + 1; k < lo + count; k += 3) {
       sim::NicMessage m = EncodeRequest(OpType::kGet, k, vsize, 0, 0);
-      m.completion = &os;
+      m.gate = &gate;
       m.copy_out = value.data();
-      nic->ClientSend(*ctx, 0, m);
-      co_await os.Wait(*ctx);
-      os.Reset();
+      co_await RpcCall(*ctx, *nic, 0, m, nullptr);
     }
   }
   *done = true;
@@ -46,15 +44,14 @@ sim::Fiber VerifyScan(sim::ExecCtx* ctx, sim::Nic* nic, BTreeIndex* tree, Key lo
                       uint32_t count, uint32_t vsize, int* mismatches,
                       bool* done) {
   std::vector<uint8_t> wire(count * (vsize + 64));
-  sim::OneShot os;
+  sim::RpcGate gate;
   sim::NicMessage m =
       EncodeRequest(OpType::kScan, lo, vsize, count, lo + count - 1);
-  m.completion = &os;
+  m.gate = &gate;
   m.copy_out = wire.data();
   uint32_t resp_len = 0;
   m.resp_len_out = &resp_len;
-  nic->ClientSend(*ctx, 0, m);
-  co_await os.Wait(*ctx);
+  co_await RpcCall(*ctx, *nic, 0, m, nullptr);
   std::vector<Item*> items(count);
   const uint32_t n = tree->ScanDirect(lo, lo + count - 1, count, items.data());
   std::string expected;
@@ -104,7 +101,7 @@ int main(int argc, char** argv) {
   sim::Engine eng;
   sim::Arena run_arena(512ull << 20);
   bed.mem()->FlushAll();
-  sim::Nic nic(&eng, bed.mem(), sim::NicConfig{}, 1);
+  sim::Nic nic(bed.mem(), sim::NicConfig{}, 1);
   ServerEnv env;
   env.eng = &eng;
   env.mem = bed.mem();

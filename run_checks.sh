@@ -2,10 +2,12 @@
 # Runs the correctness-checking suite (DESIGN.md §8): the DST seed sweep,
 # the CR-MR ring / store probe tests, the cluster tests (whose nodes apply
 # ops through the single-node executor), the server tests (among them the CR
-# hot-path mechanism tests), the range-scan example (which checks μTPS-T's
-# scan payloads in key order), the mutation smoke-check, the golden
-# rows and fig19's cluster output against their committed copies, the
-# figure benches at smoke scale, and kvbench's smoke pass and audit test.
+# hot-path mechanism tests), the RPC and engine tests (the gate's parked and
+# polled waits), the allocation regression test, the range-scan example
+# (which checks μTPS-T's scan payloads in key order), the mutation
+# smoke-check, the golden rows and fig19's cluster output against their
+# committed copies, the figure benches at smoke scale, and kvbench's smoke
+# pass and audit test.
 #
 # Default: build the "default" preset and run the checks at the CI seed
 # budget (20 seeds per workload per system).
@@ -63,11 +65,13 @@ sys.exit(1 if orphans else 0)
 EOF
 echo "=== every cited results/ file is tracked ==="
 
-CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test|hotset_test|server_test|example_range_scan_demo'
+CHECKS='dst_test|dst_determinism_test|dst_fault_test|dst_mutation_test|crmr_queue_test|store_test|fault_test|cluster_test|hotset_test|server_test|example_range_scan_demo|rpc_test|sim_engine_test'
 
+# The default leg also runs alloc_regression_test: every client request
+# (RpcCall and its gate) must stay free of heap allocations in steady state.
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"
-ctest --preset default -R "$CHECKS" -j "$(nproc)"
+ctest --preset default -R "$CHECKS|alloc_regression_test" -j "$(nproc)"
 
 # Golden rows must match the committed snapshot: regenerate in-memory and
 # diff the row payload (the WAL/fault/obs layers are null-gated, so a drift

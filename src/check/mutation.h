@@ -27,12 +27,13 @@ enum class Mode : uint8_t {
   // can straddle another writer's PUT to the same key, so a later read returns
   // the resurrected old value — a stale-read linearizability violation.
   kDropDedupWindow = 3,
-  // A cluster node skips the per-shard ownership/epoch check (cluster.cc):
-  // after a migration it keeps serving (and acking writes against its stale
-  // replica of) a shard it handed off, instead of answering NOT_OWNER. A
-  // straggler write applied there never reaches the new primary, so reads
-  // routed by the flipped ring miss an acked write (stale read) and the
-  // primary/backup replica audit sees divergent copies.
+  // A cluster node skips the per-shard ownership/epoch check
+  // (ClusterNode::Admit, cluster/cluster.h): after a migration it keeps
+  // serving (and acking writes against its stale replica of) a shard it
+  // handed off, instead of answering NOT_OWNER. A straggler write applied
+  // there never reaches the new primary, so reads routed by the flipped ring
+  // miss an acked write (stale read) and the primary/backup replica audit
+  // sees divergent copies.
   kDropRingEpochCheck = 4,
   // MuTpsServer::Reconfigure publishes a thread split and returns without
   // waiting for every worker to acknowledge it, so the next split can be

@@ -70,7 +70,7 @@ class ClusterClient {
       const unsigned node = static_cast<unsigned>(table_[shard].node);
       sim::NicMessage m;
       m.h[0] = key;
-      m.h[1] = (static_cast<uint64_t>(op) << 28) | len;
+      m.h[1] = PackOpLen(op, len);
       m.h[2] = table_[shard].epoch;
       m.payload = len > 0 ? payload : nullptr;
       m.payload_len = len;
@@ -80,12 +80,8 @@ class ClusterClient {
       m.resp_len_out = &resp_len_;
       cluster_->node(node)->data_nic().ClientSend(
           *ctx_, shard % params_.workers, m);
-      const sim::Tick deadline = ctx_->Now() + timeout;
-      while (!gate_.ReadyAt(ctx_->Now()) && ctx_->Now() < deadline) {
-        const sim::Tick left = deadline - ctx_->Now();
-        co_await ctx_->Delay(left < kClientPollNs ? left : kClientPollNs);
-      }
-      if (!gate_.ReadyAt(ctx_->Now())) {
+      if (!co_await PollGate(*ctx_, gate_, ctx_->Now() + timeout,
+                             kClientPollNs)) {
         retries_++;
         consecutive_timeouts++;
         if (consecutive_timeouts >= 2) {
@@ -142,17 +138,13 @@ class ClusterClient {
     resolves_++;
     sim::NicMessage m;
     m.h[0] = shard;
-    m.h[1] = PackCtlLen(Ctl::kResolve, 0);
+    m.h[1] = PackOpLen(Ctl::kResolve, 0);
     m.rid = (ClientCtlStream(id_) << 32) | ++ctl_seq_;
     m.gate = &ctl_gate_;
     m.copy_out = ctl_resp_;
-    RetryPolicy pol;
-    pol.timeout_ns = kClientTimeoutNs;
-    pol.max_timeout_ns = kRetryMaxTimeoutNs;
-    pol.poll_ns = kClientPollNs;
-    pol.jitter_frac = kClientJitterFrac;
-    pol.rng = &rng_;
-    co_await RpcCallWithRetry(*ctx_, *cluster_->manager()->nic(), 0, m, pol);
+    const RetryPolicy pol{kClientTimeoutNs, kRetryMaxTimeoutNs, kClientPollNs,
+                          kClientJitterFrac, &rng_};
+    co_await RpcCall(*ctx_, *cluster_->manager()->nic(), 0, m, &pol);
     const RespHeader h = ParseRespHeader(ctl_resp_);
     if (h.owner != kNoOwner) {
       table_[shard] = Route{static_cast<int>(h.owner), h.epoch};

@@ -178,6 +178,10 @@ class ClusterNicHook final : public sim::NicFaultHook {
 // partitioned). The wait polls every `poll_ns` until the response lands, the
 // timeout passes or `halted` (the caller crashed) is set; each timeout
 // doubles up to kRetryMaxTimeoutNs. Returns whether the answer was kOk.
+// It keeps its own loop rather than PollGate's because the wait also ends on
+// `halted`. Its last poll is whole, not clamped: the replication timeout
+// (kReplTimeoutNs, 20 us) is not a whole number of its 1.2 us polls, so
+// clamping would move every faulted cluster run.
 template <typename Check, typename Send>
 sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::RpcGate& gate,
                              const uint8_t* resp, sim::Tick timeout,
@@ -252,9 +256,9 @@ class ClusterNode {
     }
     mem_ = std::make_unique<sim::MemoryModel>(mc);
     slab_ = std::make_unique<SlabAllocator>(arena);
-    data_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), sim::NicConfig{},
-                                           p.workers);
-    ctl_nic_ = std::make_unique<sim::Nic>(eng, mem_.get(), InternodeNic(), 1);
+    data_nic_ =
+        std::make_unique<sim::Nic>(mem_.get(), sim::NicConfig{}, p.workers);
+    ctl_nic_ = std::make_unique<sim::Nic>(mem_.get(), InternodeNic(), 1);
     env_.eng = eng;
     env_.mem = mem_.get();
     env_.nic = data_nic_.get();
@@ -317,9 +321,16 @@ class ClusterNode {
   void Start() {
     lease_until_ = kLeaseNs;  // initial lease from t = 0
     for (unsigned w = 0; w < params_.workers; w++) {
-      eng_->Spawn(WorkerMain(w));
+      sim::ExecCtx& ctx = worker_ctxs_[w];
+      const auto serve = [this, &ctx, w](sim::NicMessage msg) {
+        return ServeData(ctx, w, msg);
+      };
+      eng_->Spawn(PollLoop(ctx, *data_nic_, w, serve));
     }
-    eng_->Spawn(CtlMain());
+    const auto serve_ctl = [this](sim::NicMessage msg) {
+      return ServeCtl(ctl_ctx_, msg);
+    };
+    eng_->Spawn(PollLoop(ctl_ctx_, *ctl_nic_, 0, serve_ctl));
     eng_->Spawn(TransferMain());
   }
 
@@ -380,26 +391,27 @@ class ClusterNode {
     return env;
   }
 
-  // ------------------------------------------------------------ data path
-  sim::Fiber WorkerMain(unsigned w) {
-    sim::ExecCtx& ctx = worker_ctxs_[w];
-    for (;;) {
-      if (ctx.stop) {
-        break;
-      }
+  // The loop of each data worker (ring `w` of the data NIC) and of the
+  // control fiber (the control NIC's one ring): until stopped, idle while
+  // crashed, else serve the next arrived message or wait one poll.
+  template <typename Serve>
+  sim::Fiber PollLoop(sim::ExecCtx& ctx, sim::Nic& nic, unsigned ring,
+                      Serve serve) {
+    while (!ctx.stop) {
       if (crashed_) {
         co_await ctx.Delay(16 * kPollNs);
         continue;
       }
       sim::NicMessage msg;
-      if (data_nic_->PopArrived(w, ctx.Now(), &msg)) {
-        co_await ServeData(ctx, w, msg);
+      if (nic.PopArrived(ring, ctx.Now(), &msg)) {
+        co_await serve(msg);
       } else {
         co_await ctx.Delay(kPollNs);
       }
     }
   }
 
+  // ------------------------------------------------------------ data path
   sim::Task<void> ServeData(sim::ExecCtx& ctx, unsigned w,
                             sim::NicMessage msg) {
     const Key key = msg.h[0];
@@ -411,7 +423,7 @@ class ClusterNode {
       Redirect(ctx, msg, resp, *redirect);
       co_return;
     }
-    const OpType op = static_cast<OpType>(OpNibble(msg.h[1]));
+    const OpType op = OpOf(msg.h[1]);
     if (op == OpType::kGet) {
       s.busy++;
       const ServerEnv env = ShardEnv(shard);
@@ -538,7 +550,7 @@ class ClusterNode {
     sim::NicMessage m;
     m.h[0] = key;
     m.h[1] =
-        PackCtlLen(op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, len);
+        PackOpLen(op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, len);
     m.h[2] = client_rid;
     m.h[3] = shard;
     m.payload = len > 0 ? payload : nullptr;
@@ -567,28 +579,9 @@ class ClusterNode {
   }
 
   // ------------------------------------------------------------ ctl path
-  sim::Fiber CtlMain() {
-    sim::ExecCtx& ctx = ctl_ctx_;
-    for (;;) {
-      if (ctx.stop) {
-        break;
-      }
-      if (crashed_) {
-        co_await ctx.Delay(16 * kPollNs);
-        continue;
-      }
-      sim::NicMessage msg;
-      if (ctl_nic_->PopArrived(0, ctx.Now(), &msg)) {
-        co_await ServeCtl(ctx, msg);
-      } else {
-        co_await ctx.Delay(kPollNs);
-      }
-    }
-  }
-
   sim::Task<void> ServeCtl(sim::ExecCtx& ctx, sim::NicMessage msg) {
     ctx.Charge(env_.parse_cpu_ns);
-    const Ctl op = static_cast<Ctl>(OpNibble(msg.h[1]));
+    const Ctl op = OpOf<Ctl>(msg.h[1]);
     switch (op) {
       case Ctl::kReplPut:
       case Ctl::kReplDel:
@@ -894,7 +887,7 @@ class ClusterNode {
     // Tell the manager the transfer is complete; it flips the ring epoch.
     sim::NicMessage done;
     done.h[0] = shard;
-    done.h[1] = PackCtlLen(Ctl::kMigDone, 0);
+    done.h[1] = PackOpLen(Ctl::kMigDone, 0);
     done.h[2] = id_;
     co_await TransferCall(ctx, manager_nic_, done, shard);
   }
@@ -919,7 +912,7 @@ class ClusterNode {
       }
       sim::NicMessage m;
       m.h[0] = shard;
-      m.h[1] = PackCtlLen(op, static_cast<uint32_t>(mig_buf_.size()));
+      m.h[1] = PackOpLen(op, static_cast<uint32_t>(mig_buf_.size()));
       m.h[2] = first ? 1 : 0;  // fresh import: dst drops aborted remnants
       m.payload = mig_buf_.data();
       m.payload_len = static_cast<uint32_t>(mig_buf_.size());
@@ -1078,7 +1071,7 @@ class ClusterManager {
   ClusterManager(sim::Engine* eng, const ClusterParams& p,
                  std::vector<ClusterNode*> nodes)
       : eng_(eng), params_(p), nodes_(std::move(nodes)) {
-    nic_ = std::make_unique<sim::Nic>(eng, nullptr, InternodeNic(), 1);
+    nic_ = std::make_unique<sim::Nic>(nullptr, InternodeNic(), 1);
     assign_.resize(p.shards);
     node_seq_.assign(params_.nodes, 0);
     mgr_seq_.assign(params_.nodes, 0);
@@ -1159,7 +1152,7 @@ class ClusterManager {
         co_await ctx.Delay(kMgrPollNs);
         continue;
       }
-      const Ctl op = static_cast<Ctl>(OpNibble(msg.h[1]));
+      const Ctl op = OpOf<Ctl>(msg.h[1]);
       if (op == Ctl::kResolve) {
         const uint64_t shard = msg.h[0];
         PutRespHeader(resolve_resp_, Status::kOk,
@@ -1193,18 +1186,18 @@ class ClusterManager {
       const uint64_t rid = (MgrStream(n) << 32) | ++mgr_seq_[n];
       gate.Arm(rid);
       sim::NicMessage m;
-      m.h[1] = PackCtlLen(Ctl::kProbe, 0);
+      m.h[1] = PackOpLen(Ctl::kProbe, 0);
       m.h[2] = node_seq_[n];  // node fences itself if it lags this
       m.h[3] = epoch_;
       m.rid = rid;
       m.gate = &gate;
       m.copy_out = probe_resps_[n].data();
       nodes_[n]->ctl_nic().ClientSend(ctx, 0, m);
-      const sim::Tick deadline = ctx.Now() + kProbeTimeoutNs;
-      while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline) {
-        co_await ctx.Delay(kMgrPollNs);
-      }
-      if (gate.ReadyAt(ctx.Now())) {
+      // Whole polls: the engine's scheduling jitter (DST) moves them off the
+      // 500 ns grid, so a clamped last poll would change when a probe times
+      // out.
+      if (co_await PollGate(ctx, gate, ctx.Now() + kProbeTimeoutNs,
+                            kMgrPollNs, LastPoll::kWhole)) {
         views_[n].last_success = ctx.Now();
         views_[n].failures = 0;
         uint64_t seen = 0;
@@ -1279,7 +1272,7 @@ class ClusterManager {
     }
     ++node_seq_[n];
     sim::NicMessage m;
-    m.h[1] = PackCtlLen(Ctl::kResync, 0);
+    m.h[1] = PackOpLen(Ctl::kResync, 0);
     m.h[2] = node_seq_[n];
     m.payload = resync_bufs_[n].data();
     m.payload_len = static_cast<uint32_t>(resync_bufs_[n].size());
@@ -1293,7 +1286,7 @@ class ClusterManager {
     ++node_seq_[node];
     sim::NicMessage m;
     m.h[0] = shard;
-    m.h[1] = PackCtlLen(op, 0);
+    m.h[1] = PackOpLen(op, 0);
     m.h[2] = PackOwnWord(role, backup, node_seq_[node]);
     m.h[3] = PackOwnerEpoch(assign_[shard].epoch, owner_hint);
     nodes_[node]->ctl_nic().ClientSend(ctx, 0, m);
@@ -1320,7 +1313,7 @@ class ClusterManager {
     mig_done_shard_ = -1;
     sim::NicMessage m;
     m.h[0] = shard;
-    m.h[1] = PackCtlLen(Ctl::kMigStart, 0);
+    m.h[1] = PackOpLen(Ctl::kMigStart, 0);
     m.h[2] = static_cast<uint64_t>(dst);
     m.rid = (MgrStream(src) << 32) | ++mgr_seq_[src];
     m.gate = &mig_start_gate_;

@@ -74,21 +74,6 @@ inline RespHeader ParseRespHeader(const uint8_t* src) {
   return h;
 }
 
-// h[1] packing for control messages, mirroring RxRecord::PackOpLen.
-inline uint32_t PackCtlLen(Ctl op, uint32_t len) {
-  UTPS_DCHECK(len < (1u << 28));
-  return (static_cast<uint32_t>(op) << 28) | len;
-}
-
-// Op nibble of any request header word (data or control).
-inline uint8_t OpNibble(uint64_t h1) {
-  return static_cast<uint8_t>((static_cast<uint32_t>(h1) >> 28) & 0xf);
-}
-
-inline uint32_t LenOf(uint64_t h1) {
-  return static_cast<uint32_t>(h1) & 0x0fffffffu;
-}
-
 // kOwn / kDemote payload word (h[3]): role + backup id + owner hint. The
 // assignment epoch rides in h[0]'s sibling word h[2]... kept separate so the
 // shard id stays in h[0] like every other message:

@@ -84,9 +84,11 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   env_.mem->SetClosMask(kMrClos, env_.mem->config().AllWaysMask());
   mr_ways_ = env_.mem->config().llc_ways;
   // Each receive record gets a response region of its own, free until the
-  // record completes: scans, whose 8 KB responses would cycle through a
-  // RespBuffer in eight allocations, always answer from it. Carved last, so
-  // every earlier arena offset is unchanged.
+  // record completes. A GET or scan answers from a RespBuffer region when
+  // one is free to hold (the MR worker's, or the CR worker's for a hot hit)
+  // and falls back to its record's region, which also takes a GET value
+  // longer than announced. Carved last, so every earlier arena offset is
+  // unchanged.
   record_regions_ = env_.arena->AllocateArray<uint8_t>(
       size_t{opt_.rx.num_slots} * opt_.rx.max_batch * kScanRespCap,
       kCachelineBytes);
@@ -770,8 +772,8 @@ Task<void> MuTpsServer::MrProcessSlot(ExecCtx& ctx, unsigned producer,
 
 Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
                                      CrMrDesc d, CrMrHostDesc* hd) {
-  const OpType op = static_cast<OpType>(d.op_len >> 28);
-  const uint32_t vlen = d.op_len & 0x0fffffffu;
+  const OpType op = OpOf(d.op_len);
+  const uint32_t vlen = LenOf(d.op_len);
   // The request's payload and scan bounds stay in its receive record.
   const RxRecord& rec = rx_->Records(hd->rx_seq)[hd->rec_idx];
   if (op == OpType::kPut) {

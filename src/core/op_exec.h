@@ -27,7 +27,7 @@ inline uint32_t RespCap(OpType op, uint32_t value_len) {
 
 // The ops the at-most-once window guards (DESIGN.md §9).
 inline bool IsWrite(const sim::NicMessage& msg) {
-  const auto op = static_cast<OpType>(msg.h[1] >> 28);
+  const OpType op = OpOf(msg.h[1]);
   return op == OpType::kPut || op == OpType::kDelete;
 }
 

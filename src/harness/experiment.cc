@@ -18,7 +18,6 @@ using sim::ExecCtx;
 using sim::Fiber;
 using sim::Nic;
 using sim::NicMessage;
-using sim::OneShot;
 using sim::Tick;
 
 namespace {
@@ -51,9 +50,7 @@ Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, RunRecorder* rec, uint64_t id,
                   uint64_t seed) {
   WorkloadGenerator gen(*sh->spec, seed + id * 1000003);
   const WorkloadSpec* cur = sh->spec;
-  OneShot done;
   ClientRes& mine = (*sh->res)[id];
-  sim::RpcGate& gate = mine.gate;
   uint64_t rid_seq = 1;  // rid stream: this fiber; retransmits reuse the rid
   const RetryPolicy retry_pol;
   std::vector<uint8_t>& scratch = mine.scratch;
@@ -99,16 +96,12 @@ Fiber ClientFiber(ExecCtx* ctx, ClientShared* sh, RunRecorder* rec, uint64_t id,
       }
       if (sh->use_retry) {
         m.rid = (uint64_t{id + 1} << 32) | static_cast<uint32_t>(rid_seq++);
-        m.gate = &gate;
-        const unsigned attempts = co_await RpcCallWithRetry(
-            *ctx, *sh->nic, sh->server->RingForKey(op.key), m, retry_pol);
-        sh->retries += attempts - 1;
-      } else {
-        m.completion = &done;
-        sh->nic->ClientSend(*ctx, sh->server->RingForKey(op.key), m);
-        co_await done.Wait(*ctx);
-        done.Reset();
       }
+      m.gate = &mine.gate;
+      const unsigned attempts =
+          co_await RpcCall(*ctx, *sh->nic, sh->server->RingForKey(op.key), m,
+                           sh->use_retry ? &retry_pol : nullptr);
+      sh->retries += attempts - 1;
     }
     rec->Record(ctx->Now(), ctx->Now() - t0, sh->measuring);
   }
@@ -245,7 +238,7 @@ ExperimentResult TestBed::Run(const ExperimentConfig& cfg) {
   ResetItemContention();  // process-global, unlike the bed's memory model
   const unsigned rings =
       cfg.system == SystemKind::kErpcKv ? server_workers_ : 1;
-  Nic nic(&eng, mem_.get(), nic_cfg_, rings);
+  Nic nic(mem_.get(), nic_cfg_, rings);
 
   // Observability bundle: one per run so traces/metrics cover exactly this
   // point. Cores [0, W) are server workers, core W the μTPS manager.

@@ -73,7 +73,7 @@ struct ExperimentConfig {
   // Fault injection (DESIGN.md §9). Disabled by default; a run with
   // fault.enabled() == false is byte-identical to a build without faults.
   // When enabled, clients of two-sided systems switch to rid-tagged
-  // timeout/retry sends (RpcCallWithRetry) so the run survives drops.
+  // timeout/retry sends (RpcCall with a RetryPolicy) so the run survives drops.
   fault::FaultConfig fault;
   // fig15: also record a per-bucket P99 latency timeline (implies
   // record_timeline).

@@ -42,12 +42,8 @@ struct RxRecord {
   uint32_t payload_off;  // offset of put payload within the slot data area
   uint32_t pad;
 
-  OpType op() const { return static_cast<OpType>(op_len >> 28); }
-  uint32_t value_len() const { return op_len & 0x0fffffffu; }
-  static uint32_t PackOpLen(OpType op, uint32_t len) {
-    UTPS_DCHECK(len < (1u << 28));
-    return (static_cast<uint32_t>(op) << 28) | len;
-  }
+  OpType op() const { return OpOf(op_len); }
+  uint32_t value_len() const { return LenOf(op_len); }
 };
 static_assert(sizeof(RxRecord) == 32, "wire record layout");
 
@@ -57,7 +53,7 @@ inline sim::NicMessage EncodeRequest(OpType op, Key key, uint32_t value_len,
                                      uint32_t scan_count, uint64_t scan_upper) {
   sim::NicMessage m;
   m.h[0] = key;
-  m.h[1] = RxRecord::PackOpLen(op, value_len);
+  m.h[1] = PackOpLen(op, value_len);
   m.h[2] = scan_count;
   m.h[3] = scan_upper;
   return m;
@@ -218,9 +214,7 @@ class RxRing {
         h->opened_seq = fill_seq_;
       }
       const uint32_t payload_len =
-          static_cast<OpType>(msg.h[1] >> 28) == OpType::kPut
-              ? static_cast<uint32_t>(msg.h[1] & 0x0fffffffu)
-              : 0;
+          OpOf(msg.h[1]) == OpType::kPut ? LenOf(msg.h[1]) : 0;
       if (h->data_bytes + payload_len > cfg_.slot_data_bytes) {
         h->state = SlotState::kClosed;  // no room: close and use the next slot
         fill_seq_++;
@@ -265,13 +259,12 @@ class RxRing {
 
 // ------------------------------------------------------------------ retries
 // Client-side timeout/retry with exponential backoff (fault tolerance,
-// DESIGN.md §9). The message must carry a non-zero rid and a gate; the gate
-// is armed here once per *operation* and retransmits reuse the same rid, so
-// the server's DedupWindow can make non-idempotent ops at-most-once and a
-// completion raced in by an earlier attempt stays valid. Retries continue
-// until the response lands — an abandoned operation would leave an open
-// history entry, so giving up is the harness deadline's job, not ours.
-// Returns the number of send attempts (1 = no retransmit).
+// DESIGN.md §9). The message's gate is armed once per *operation* and
+// retransmits reuse its non-zero rid, so the server's DedupWindow can make
+// non-idempotent ops at-most-once and a completion raced in by an earlier
+// attempt stays valid. Retries continue until the response lands — an
+// abandoned operation would leave an open history entry, so giving up is the
+// harness deadline's job, not ours.
 struct RetryPolicy {
   sim::Tick timeout_ns = 30 * sim::kUsec;       // first-attempt timeout
   sim::Tick max_timeout_ns = 500 * sim::kUsec;  // backoff cap
@@ -281,8 +274,7 @@ struct RetryPolicy {
   // own per-stream generator. Drawing from a shared sequence would entangle
   // retry schedules across streams: adding cluster-internal replication RPCs
   // (src/cluster) would shift every client's draws and perturb fig15's
-  // committed rows. Null rng or zero frac keeps the legacy pure exponential
-  // doubling, byte-identical to a build without jitter support.
+  // committed rows. Null rng or zero frac is pure exponential doubling.
   double jitter_frac = 0.0;
   Rng* rng = nullptr;
 };
@@ -303,35 +295,49 @@ inline sim::Tick BackoffStep(sim::Tick timeout, sim::Tick max_timeout,
   return next;
 }
 
-inline sim::Task<unsigned> RpcCallWithRetry(sim::ExecCtx& ctx, sim::Nic& nic,
-                                            unsigned ring,
-                                            const sim::NicMessage& msg,
-                                            const RetryPolicy& pol) {
-  UTPS_DCHECK(msg.rid != 0);
+// How a polled wait's last poll ends: clamped to the deadline, or a whole
+// poll that may overshoot it.
+enum class LastPoll : uint8_t { kClamped, kWhole };
+
+// The polled wait of every timeout loop but ReliableCall's (cluster.h says
+// why): checks `gate` every `poll_ns` until the response is ready or
+// `deadline` passes. Returns whether the response landed.
+inline sim::Task<bool> PollGate(sim::ExecCtx& ctx, const sim::RpcGate& gate,
+                                sim::Tick deadline, sim::Tick poll_ns,
+                                LastPoll last = LastPoll::kClamped) {
+  while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline) {
+    const sim::Tick left = deadline - ctx.Now();
+    co_await ctx.Delay(last == LastPoll::kClamped && left < poll_ns ? left
+                                                                    : poll_ns);
+  }
+  co_return gate.ReadyAt(ctx.Now());
+}
+
+// One request end to end: arms the message's gate for its rid and sends.
+// With a null `retry` it sends once and parks on the gate until the response
+// lands (rid 0, no fault plan). With a policy it polls and retransmits on
+// each timeout, backing off, until the response lands. Returns the number of
+// send attempts (1 = no retransmit).
+inline sim::Task<unsigned> RpcCall(sim::ExecCtx& ctx, sim::Nic& nic,
+                                   unsigned ring, const sim::NicMessage& msg,
+                                   const RetryPolicy* retry) {
   UTPS_DCHECK(msg.gate != nullptr);
   sim::RpcGate& gate = *msg.gate;
   gate.Arm(msg.rid);
-  sim::Tick timeout = pol.timeout_ns;
-  unsigned attempts = 0;
-  for (;;) {
+  if (retry == nullptr) {
     nic.ClientSend(ctx, ring, msg);
-    attempts++;
-    const sim::Tick deadline = ctx.Now() + timeout;
-    for (;;) {
-      if (gate.ReadyAt(ctx.Now())) {
-        co_return attempts;
-      }
-      const sim::Tick left = deadline > ctx.Now() ? deadline - ctx.Now() : 0;
-      if (left == 0) {
-        break;
-      }
-      co_await ctx.Delay(left < pol.poll_ns ? left : pol.poll_ns);
-    }
-    if (gate.ReadyAt(ctx.Now())) {
+    co_await gate.Wait(ctx);
+    co_return 1;
+  }
+  UTPS_DCHECK(msg.rid != 0);
+  sim::Tick timeout = retry->timeout_ns;
+  for (unsigned attempts = 1;; attempts++) {
+    nic.ClientSend(ctx, ring, msg);
+    if (co_await PollGate(ctx, gate, ctx.Now() + timeout, retry->poll_ns)) {
       co_return attempts;
     }
-    timeout = BackoffStep(timeout, pol.max_timeout_ns, pol.jitter_frac,
-                          pol.rng);
+    timeout = BackoffStep(timeout, retry->max_timeout_ns, retry->jitter_frac,
+                          retry->rng);
   }
 }
 

@@ -6,7 +6,8 @@
 //    travel RTT/2, and land in one of the server's receive rings in arrival
 //    order (the RPC layer decides slot placement and performs the DDIO DMA
 //    write via the cache model). Responses serialize through the egress link
-//    and complete the client's OneShot at delivery time.
+//    and complete the request's RpcGate at delivery time: the one completion
+//    every client uses, whether it parks on the gate or polls it.
 //  - One-sided verbs (READ/WRITE/CAS): executed as client coroutines; the
 //    remote memory operation is performed exactly at the simulated
 //    server-side time, linearizing one-sided ops against server CPU ops.
@@ -43,17 +44,16 @@ struct NicMessage {
   const void* payload = nullptr;    // client-side payload (put value bytes)
   uint32_t payload_len = 0;
   uint32_t wire_bytes = 0;          // total on-wire size
-  OneShot* completion = nullptr;    // response completion (owned by client)
   void* copy_out = nullptr;         // client buffer for response payload
   uint32_t* resp_len_out = nullptr; // client-owned: receives the payload length
   Tick issue_tick = 0;
   Tick arrival_tick = 0;
-  // Fault-tolerant path (src/fault): a non-zero request id plus a multi-shot
-  // gate replace the OneShot completion. Retransmits carry the same rid; the
-  // server dedup window and the gate's Accepts(rid) guard make delivery
-  // at-most-once from the client's point of view. rid == 0 (the default)
-  // keeps the legacy exactly-once OneShot path, byte-identical to a build
-  // without fault support.
+  // The response completes `gate` (owned by the client) if it still accepts
+  // `rid`. rid 0 means the request is never retransmitted: servers skip
+  // their dedup window for it, and a fault plan never drops its response.
+  // A non-zero rid is shared by every retransmit of one operation; the
+  // server dedup window and the gate's AcceptsResponse guard make delivery
+  // at-most-once from the client's point of view.
   uint64_t rid = 0;
   RpcGate* gate = nullptr;
 };
@@ -194,9 +194,8 @@ class MsgRing {
 
 class Nic {
  public:
-  Nic(Engine* eng, MemoryModel* mem, const NicConfig& cfg, unsigned num_rings)
-      : eng_(eng),
-        mem_(mem),
+  Nic(MemoryModel* mem, const NicConfig& cfg, unsigned num_rings)
+      : mem_(mem),
         cfg_(cfg),
         rx_link_(cfg.msg_rate_mops, cfg.bandwidth_gbps),
         tx_link_(cfg.msg_rate_mops, cfg.bandwidth_gbps),
@@ -282,7 +281,7 @@ class Nic {
 
   // Server posts a response of `resp_payload_len` bytes. Deliver copies
   // `resp_src` out now (host-level copy for correctness validation; timing
-  // is carried by the wire model) and completes the client's gate or OneShot.
+  // is carried by the wire model) and completes the client's gate.
   void ServerSend(ExecCtx& srv, const NicMessage& req, const void* resp_src,
                   uint32_t resp_payload_len) {
     const size_t bytes = cfg_.verb_header_bytes + 16 + resp_payload_len;
@@ -367,7 +366,6 @@ class Nic {
   size_t peak_ring_depth() const { return peak_ring_depth_; }
 
   MemoryModel* mem() const { return mem_; }
-  Engine* engine() const { return eng_; }
 
  private:
   // Sampled-simulation functional mode (DESIGN.md §12): the cache model's
@@ -384,10 +382,10 @@ class Nic {
         tx_link_.Depart(srv.Now(), bytes, hook_->LinkCostScale(srv.Now()));
     tx_messages_++;
     tx_bytes_ += bytes;
-    // Only a retry-capable (gate) client can lose a response: dropping a
-    // legacy OneShot client's single completion would hang it, so for those
-    // only the delay spike applies.
-    if (req.gate != nullptr && f.drop) {
+    // Only a retransmitted request (rid != 0) can lose its response: a
+    // request sent once would wait forever, so for those only the delay
+    // spike applies.
+    if (req.rid != 0 && f.drop) {
       return;
     }
     Deliver(srv, req, resp_src, resp_payload_len,
@@ -395,14 +393,14 @@ class Nic {
   }
 
   // Hands a response to its client at tick `at`: copies the payload out and
-  // completes the gate or OneShot. A gate takes only a response to the rid
-  // it still waits for, so a late or duplicate execution cannot write into a
-  // reused client buffer; it records `at` now, and RpcGate::ReadyAt keeps the
-  // client from seeing the response before then.
+  // completes the gate. A gate takes only a response to the rid it still
+  // waits for, so a late or duplicate execution cannot write into a reused
+  // client buffer; it records `at` now, and RpcGate::ReadyAt keeps the
+  // client from seeing the response before then. A message without a gate
+  // expects no answer.
   void Deliver(ExecCtx& srv, const NicMessage& req, const void* resp_src,
                uint32_t len, Tick at) {
-    if (UTPS_UNLIKELY(req.gate != nullptr) &&
-        !req.gate->AcceptsResponse(req.rid)) {
+    if (req.gate == nullptr || !req.gate->AcceptsResponse(req.rid)) {
       return;
     }
     if (req.copy_out != nullptr && resp_src != nullptr) {
@@ -411,11 +409,7 @@ class Nic {
     if (req.resp_len_out != nullptr) {
       *req.resp_len_out = len;
     }
-    if (UTPS_UNLIKELY(req.gate != nullptr)) {
-      req.gate->Complete(at < srv.Now() ? srv.Now() : at);
-    } else if (req.completion != nullptr) {
-      req.completion->Complete(*eng_, at);
-    }
+    req.gate->Complete(at < srv.Now() ? srv.Now() : at);
   }
 
   // Sorted insert by arrival tick: fault delays/duplicates can reorder
@@ -432,7 +426,6 @@ class Nic {
     return hook_ != nullptr ? hook_->LinkCostScale(now) : 1.0;
   }
 
-  Engine* eng_;
   MemoryModel* mem_;
   NicConfig cfg_;
   NicFaultHook* hook_ = nullptr;

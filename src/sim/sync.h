@@ -1,5 +1,5 @@
-// Synchronization primitives in virtual time: spinlocks and one-shot
-// completions.
+// Synchronization primitives in virtual time: spinlocks and the RPC
+// completion gate.
 //
 // Because the entire simulation is serialized on one host thread, the *data*
 // operations need no host atomics; these primitives model the timing of
@@ -105,78 +105,46 @@ class SimSpinlock {
   AcquireAwaiter* tail_ = nullptr;
 };
 
-// One-shot completion: a client fiber waits for its response; the server/NIC
-// completes it with a delivery timestamp.
-class OneShot {
+// Request-id-guarded RPC completion: the one way a client learns that its
+// response landed. The NIC completes it with the response's delivery tick,
+// and the client either parks on Wait (one send, no retransmit) or polls
+// ReadyAt from a timeout loop (the retry path, src/fault). A gate tolerates
+// lost, duplicated and stale responses: the server side must check
+// AcceptsResponse(rid) before touching client buffers, only the first
+// matching completion latches, and a late response simply finds the gate
+// re-armed for a newer request and is discarded at the NIC. rid 0 names a
+// request that is never retransmitted.
+class RpcGate {
  public:
+  // Parks the caller until the response is ready; resumes at its delivery
+  // tick. One waiter at a time.
   struct Awaiter {
-    OneShot* o;
+    RpcGate* g;
     ExecCtx* ctx;
-    bool await_ready() const noexcept {
-      return o->ready_ && o->ready_at_ <= ctx->eng->now();
-    }
+    bool await_ready() const noexcept { return g->ReadyAt(ctx->eng->now()); }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
       ctx->pending = 0;
       ctx->fast_ops = 0;
-      if (o->ready_) {
-        ctx->eng->ScheduleAt(o->ready_at_, h);
+      if (g->completed_) {
+        ctx->eng->ScheduleAt(g->ready_at_, h);
       } else {
-        UTPS_DCHECK(!o->waiter_);
-        o->waiter_ = h;
-        o->waiter_eng_ = ctx->eng;
+        UTPS_DCHECK(!g->waiter_);
+        g->waiter_ = h;
+        g->waiter_eng_ = ctx->eng;
       }
       return ctx->eng->NextRunnable();
     }
     void await_resume() const noexcept {}
   };
 
-  Awaiter Wait(ExecCtx& ctx) { return Awaiter{this, &ctx}; }
-
-  void Complete(Engine& eng, Tick at) {
-    UTPS_DCHECK(!ready_);
-    ready_ = true;
-    ready_at_ = at < eng.now() ? eng.now() : at;
-    if (waiter_) {
-      waiter_eng_->ScheduleAt(ready_at_, waiter_);
-      waiter_ = {};
-    }
-  }
-
-  void Reset() {
-    ready_ = false;
-    ready_at_ = 0;
-    UTPS_DCHECK(!waiter_);
-  }
-
-  bool ready() const { return ready_; }
-  Tick ready_at() const { return ready_at_; }
-
- private:
-  bool ready_ = false;
-  Tick ready_at_ = 0;
-  std::coroutine_handle<> waiter_{};
-  Engine* waiter_eng_ = nullptr;
-};
-
-// Multi-shot, request-id-guarded RPC completion for the fault-tolerant
-// client path (src/fault). Unlike OneShot (single-assignment, waiter-based),
-// a gate tolerates lost, duplicated, and stale responses: the server side
-// must check Accepts(rid) before touching client buffers, only the first
-// matching completion latches, and the client polls ReadyAt from a timeout
-// loop instead of blocking on a waiter — a late response simply finds the
-// gate re-armed for a newer request and is discarded at the NIC.
-class RpcGate {
- public:
   // Arm for a new request. Retransmits of the same request must NOT re-arm:
   // a completion raced in by an earlier attempt stays valid (same rid).
   void Arm(uint64_t rid) {
-    UTPS_DCHECK(rid != 0);
+    UTPS_DCHECK(!waiter_);
     rid_ = rid;
     completed_ = false;
     ready_at_ = 0;
   }
-
-  bool Accepts(uint64_t rid) const { return rid != 0 && rid == rid_; }
 
   // Server-side response guard: deliver only while the gate is still armed
   // for this rid AND no earlier delivery completed it. Once completed, the
@@ -184,25 +152,34 @@ class RpcGate {
   // late duplicate execution's response must be discarded wholesale — not
   // just its completion.
   bool AcceptsResponse(uint64_t rid) const {
-    return Accepts(rid) && !completed_;
+    return rid == rid_ && !completed_;
   }
 
-  // First matching completion wins; duplicates are ignored.
+  // First matching completion wins; duplicates are ignored. A parked waiter
+  // is woken at `at`; with none, nothing is scheduled.
   void Complete(Tick at) {
-    if (!completed_) {
-      completed_ = true;
-      ready_at_ = at;
+    if (completed_) {
+      return;
+    }
+    completed_ = true;
+    ready_at_ = at;
+    if (waiter_) {
+      waiter_eng_->ScheduleAt(ready_at_, waiter_);
+      waiter_ = {};
     }
   }
 
+  Awaiter Wait(ExecCtx& ctx) { return Awaiter{this, &ctx}; }
+
   bool ReadyAt(Tick now) const { return completed_ && ready_at_ <= now; }
   Tick ready_at() const { return ready_at_; }
-  uint64_t rid() const { return rid_; }
 
  private:
   uint64_t rid_ = 0;
   bool completed_ = false;
   Tick ready_at_ = 0;
+  std::coroutine_handle<> waiter_{};
+  Engine* waiter_eng_ = nullptr;
 };
 
 }  // namespace utps::sim

@@ -110,8 +110,8 @@ inline WalConfig ParseWalProfile(const std::string& profile) {
 // Profile from the MUTPS_WAL environment variable (empty: disabled).
 inline WalConfig WalFromEnv() { return ParseWalProfile(EnvStr("MUTPS_WAL", "")); }
 
-// In-memory image of one log record. `op_len` uses the RxRecord packing
-// (OpType in the top 4 bits, value length below); rid is the client request
+// In-memory image of one log record. `op_len` is a PackOpLen word (OpType
+// in the top 4 bits, value length below); rid is the client request
 // id (0 for ops outside the retry path) used to re-seed dedup on recovery.
 struct WalRecord {
   Key key = 0;
@@ -119,8 +119,8 @@ struct WalRecord {
   uint32_t op_len = 0;
   uint32_t payload_off = 0;
 
-  OpType op() const { return static_cast<OpType>(op_len >> 28); }
-  uint32_t value_len() const { return op_len & 0x0fffffffu; }
+  OpType op() const { return OpOf(op_len); }
+  uint32_t value_len() const { return LenOf(op_len); }
 };
 
 // Handle an append returns; lsn == 0 means "nothing to wait for".
@@ -165,7 +165,7 @@ class WalManager {
     WalRecord rec;
     rec.key = key;
     rec.rid = rid;
-    rec.op_len = (static_cast<uint32_t>(op) << 28) | len;
+    rec.op_len = PackOpLen(op, len);
     rec.payload_off = static_cast<uint32_t>(sh.payloads.size());
     if (len > 0 && payload != nullptr) {
       const uint8_t* p = static_cast<const uint8_t*>(payload);

@@ -266,7 +266,7 @@ TEST(ClusterDeathTest, OversizeWriteIsRejected) {
         std::vector<uint8_t> val(p.value_size + 1, 0x42);
         sim::NicMessage m;
         m.h[0] = key;
-        m.h[1] = PackCtlLen(Ctl::kReplPut, p.value_size + 1);
+        m.h[1] = PackOpLen(Ctl::kReplPut, p.value_size + 1);
         m.h[2] = 1;  // the client rid the primary would forward
         m.h[3] = sh;
         m.payload = val.data();

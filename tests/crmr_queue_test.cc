@@ -28,7 +28,7 @@ class CrMrQueueTest : public ::testing::Test {
     CrMrRing::Slot* s = ring_.SlotAt(ring_.head());
     s->count = count;
     for (uint32_t i = 0; i < count; i++) {
-      s->descs[i] = CrMrDesc{first_key + i, RxRecord::PackOpLen(OpType::kGet, 8),
+      s->descs[i] = CrMrDesc{first_key + i, PackOpLen(OpType::kGet, 8),
                              static_cast<uint32_t>(i)};
     }
     ring_.AdvanceHead();

@@ -251,9 +251,8 @@ inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
   const DstConfig& cfg = *sh->cfg;
   Rng rng(Mix64(cfg.seed) + uint64_t{id} * 1000003 + 7);
   ScrambledZipfian zipf(cfg.num_keys, cfg.zipf_theta);
-  sim::OneShot done;
   ClientRes& mine = (*sh->res)[id];
-  sim::RpcGate& gate = mine.gate;
+  const RetryPolicy retry_pol;
   std::vector<uint8_t>& payload = mine.payload;
   std::vector<uint8_t>& out = mine.out;
   uint32_t& resp_len = mine.resp_len;
@@ -344,16 +343,12 @@ inline sim::Fiber Client(sim::ExecCtx* ctx, Shared* sh, uint16_t id) {
         // rid stream = client id; retransmits reuse the op's rid so the
         // server's DedupWindow makes the write at-most-once.
         m.rid = ((uint64_t{id} + 1) << 32) | (i + 1);
-        m.gate = &gate;
-        const unsigned attempts = co_await RpcCallWithRetry(
-            *ctx, *sh->nic, sh->server->RingForKey(key), m, RetryPolicy{});
-        sh->retries += attempts - 1;
-      } else {
-        m.completion = &done;
-        sh->nic->ClientSend(*ctx, sh->server->RingForKey(key), m);
-        co_await done.Wait(*ctx);
-        done.Reset();
       }
+      m.gate = &mine.gate;
+      const unsigned attempts =
+          co_await RpcCall(*ctx, *sh->nic, sh->server->RingForKey(key), m,
+                           sh->use_retry ? &retry_pol : nullptr);
+      sh->retries += attempts - 1;
       const sim::Tick resp = ctx->Now();
       switch (kind) {
         case check::OpKind::kGet:
@@ -513,7 +508,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
 
   // ---- server under test --------------------------------------------------
   const unsigned rings = cfg.sys == Sys::kErpcKv ? cfg.workers : 1;
-  sim::Nic nic(&eng, &mem, sim::NicConfig{}, rings);
+  sim::Nic nic(&mem, sim::NicConfig{}, rings);
   // Fault injection: the plan seed mixes in cfg.seed so a seed sweep is also
   // a fault-schedule sweep, while the whole run stays a pure function of the
   // DstConfig (replayable failures).

@@ -194,7 +194,7 @@ TEST(FaultInjector, LinkScaleOnlyInsideWindow) {
 
 TEST(FaultInjector, CrashRestartTimeline) {
   Engine eng;
-  Nic nic(&eng, nullptr, NicConfig{}, 1);
+  Nic nic(nullptr, NicConfig{}, 1);
   FaultConfig cfg;
   cfg.crash_worker = 2;
   cfg.crash_at_ns = 100 * kUsec;
@@ -214,7 +214,7 @@ TEST(FaultInjector, CrashRestartTimeline) {
 
 TEST(FaultInjector, StragglerWindowScalesSlowPtr) {
   Engine eng;
-  Nic nic(&eng, nullptr, NicConfig{}, 1);
+  Nic nic(nullptr, NicConfig{}, 1);
   FaultConfig cfg;
   cfg.straggler_core = 1;
   cfg.slow_factor = 4.0;
@@ -239,7 +239,7 @@ TEST(FaultInjector, LlcStealWindowOnMemoryModel) {
   Engine eng;
   sim::MachineConfig mc;
   sim::MemoryModel mem(mc);
-  Nic nic(&eng, &mem, NicConfig{}, 1);
+  Nic nic(&mem, NicConfig{}, 1);
   FaultConfig cfg;
   cfg.llc_steal_ways = 6;
   cfg.start_ns = 10 * kUsec;
@@ -288,7 +288,7 @@ NicMessage Req(Key key) { return EncodeRequest(OpType::kGet, key, 8, 0, 0); }
 
 TEST(NicFaults, DropLosesDeliveryButUsesTheWire) {
   Engine eng;
-  Nic nic(&eng, nullptr, NicConfig{}, 1);
+  Nic nic(nullptr, NicConfig{}, 1);
   ScriptedHook hook;
   hook.Push(NicFault{.drop = true});
   nic.SetFaultHook(&hook);
@@ -300,7 +300,7 @@ TEST(NicFaults, DropLosesDeliveryButUsesTheWire) {
 
 TEST(NicFaults, DupDeliversTwoCopies) {
   Engine eng;
-  Nic nic(&eng, nullptr, NicConfig{}, 1);
+  Nic nic(nullptr, NicConfig{}, 1);
   ScriptedHook hook;
   hook.Push(NicFault{.dup = true, .dup_delay = 500});
   nic.SetFaultHook(&hook);
@@ -317,7 +317,7 @@ TEST(NicFaults, DupDeliversTwoCopies) {
 
 TEST(NicFaults, DelaySpikeReordersButQueueStaysSorted) {
   Engine eng;
-  Nic nic(&eng, nullptr, NicConfig{}, 1);
+  Nic nic(nullptr, NicConfig{}, 1);
   ScriptedHook hook;
   hook.Push(NicFault{.extra_delay = 50 * kUsec});  // first send delayed
   hook.Push(NicFault{});                           // second send on time
@@ -337,17 +337,20 @@ TEST(NicFaults, DelaySpikeReordersButQueueStaysSorted) {
 TEST(RpcGateTest, FirstCompletionWinsAndStaleRidRejected) {
   RpcGate gate;
   gate.Arm(5);
-  EXPECT_TRUE(gate.Accepts(5));
-  EXPECT_FALSE(gate.Accepts(4));
-  EXPECT_FALSE(gate.Accepts(0));  // rid 0 is the legacy path, never gated
+  EXPECT_TRUE(gate.AcceptsResponse(5));
+  EXPECT_FALSE(gate.AcceptsResponse(4));
+  EXPECT_FALSE(gate.AcceptsResponse(0));  // rid 0 is a rid like any other
   gate.Complete(100);
+  EXPECT_FALSE(gate.AcceptsResponse(5));  // a duplicate response is dropped
   gate.Complete(50);  // duplicate completion ignored, first wins
   EXPECT_EQ(gate.ready_at(), 100u);
   EXPECT_FALSE(gate.ReadyAt(99));
   EXPECT_TRUE(gate.ReadyAt(100));
   gate.Arm(6);  // next operation: the old rid must no longer land
-  EXPECT_FALSE(gate.Accepts(5));
+  EXPECT_FALSE(gate.AcceptsResponse(5));
   EXPECT_FALSE(gate.ReadyAt(Tick{1} << 40));
+  gate.Arm(0);  // a request that is never retransmitted
+  EXPECT_TRUE(gate.AcceptsResponse(0));
 }
 
 // ------------------------------------------------------------- DedupWindow
@@ -386,7 +389,7 @@ struct RetryRig {
   unsigned attempts = 0;
   bool server_stop = false;
 
-  RetryRig() : nic(&eng, nullptr, NicConfig{}, 1) { nic.SetFaultHook(&hook); }
+  RetryRig() : nic(nullptr, NicConfig{}, 1) { nic.SetFaultHook(&hook); }
 };
 
 Fiber RetryClient(RetryRig* r) {
@@ -394,7 +397,8 @@ Fiber RetryClient(RetryRig* r) {
   NicMessage m = Req(42);
   m.rid = (uint64_t{1} << 32) | 1;
   m.gate = &r->gate;
-  r->attempts = co_await RpcCallWithRetry(ctx, r->nic, 0, m, RetryPolicy{});
+  const RetryPolicy pol;
+  r->attempts = co_await RpcCall(ctx, r->nic, 0, m, &pol);
   r->server_stop = true;
 }
 

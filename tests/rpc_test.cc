@@ -23,7 +23,7 @@ using sim::NicMessage;
 
 class RpcTest : public ::testing::Test {
  protected:
-  RpcTest() : arena_(64 << 20), nic_(&eng_, nullptr, NicConfig{}, 1) {}
+  RpcTest() : arena_(64 << 20), nic_(nullptr, NicConfig{}, 1) {}
 
   NicMessage Req(Key key, OpType op = OpType::kGet, uint32_t len = 8) {
     return EncodeRequest(op, key, len, 0, 0);
@@ -153,9 +153,10 @@ TEST_F(RpcDeathTest, ClaimOneLapLateAborts) {
 }
 
 TEST_F(RpcTest, RecordPacksOpAndLength) {
-  EXPECT_EQ(RxRecord::PackOpLen(OpType::kScan, 12345) >> 28,
-            static_cast<uint32_t>(OpType::kScan));
-  EXPECT_EQ(RxRecord::PackOpLen(OpType::kScan, 12345) & 0x0fffffffu, 12345u);
+  const uint32_t w = PackOpLen(OpType::kScan, 12345);
+  EXPECT_EQ(w, (static_cast<uint32_t>(OpType::kScan) << 28) | 12345u);
+  EXPECT_EQ(OpOf(w), OpType::kScan);
+  EXPECT_EQ(LenOf(w), 12345u);
 }
 
 // ------------------------------------------------------- one-sided verbs
@@ -197,12 +198,11 @@ TEST_F(RpcTest, OneSidedVerbsRoundTrip) {
 
 // Client completion delivery timing through ServerSend.
 Fiber PingClient(ExecCtx* ctx, Nic* nic, sim::Tick* latency, bool* done) {
-  sim::OneShot os;
+  sim::RpcGate gate;
   NicMessage m = EncodeRequest(OpType::kGet, 1, 8, 0, 0);
-  m.completion = &os;
+  m.gate = &gate;
   const sim::Tick t0 = ctx->Now();
-  nic->ClientSend(*ctx, 0, m);
-  co_await os.Wait(*ctx);
+  co_await RpcCall(*ctx, *nic, 0, m, nullptr);
   *latency = ctx->Now() - t0;
   *done = true;
 }
@@ -315,6 +315,36 @@ TEST_F(RpcTest, EndToEndLatencyIsAtLeastOneRtt) {
   eng_.Run(eng_.now() + kUsec);
   EXPECT_TRUE(done);
   EXPECT_GE(latency, NicConfig{}.rtt_ns);
+}
+
+// ------------------------------------------------------------ polled wait
+
+Fiber PollFor(ExecCtx* ctx, const sim::RpcGate* gate, sim::Tick timeout,
+              bool* landed, sim::Tick* at) {
+  *landed = co_await PollGate(*ctx, *gate, ctx->Now() + timeout, 300);
+  *at = ctx->Now();
+}
+
+// Without a response the wait gives up exactly at the deadline, its last
+// poll clamped (1000 ns is not a multiple of the 300 ns poll). With one it
+// returns at the first poll at or after the response's ready tick.
+TEST_F(RpcTest, PollGateEndsAtDeadlineOrFirstPollAfterResponse) {
+  ExecCtx cli{.eng = &eng_};
+  sim::RpcGate gate;
+  gate.Arm(1);
+  bool landed = true;
+  sim::Tick at = 0;
+  eng_.Spawn(PollFor(&cli, &gate, 1000, &landed, &at));
+  eng_.RunToQuiescence(kMsec);
+  EXPECT_FALSE(landed);
+  EXPECT_EQ(at, 1000u);
+
+  gate.Arm(2);
+  gate.Complete(1700);  // polls at 1000, 1300, 1600, 1900
+  eng_.Spawn(PollFor(&cli, &gate, 5000, &landed, &at), 1000);
+  eng_.RunToQuiescence(kMsec);
+  EXPECT_TRUE(landed);
+  EXPECT_EQ(at, 1900u);
 }
 
 }  // namespace

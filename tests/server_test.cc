@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
 sim::Fiber VerifyingClient(sim::ExecCtx* ctx, sim::Nic* nic, KvServer* server,
                            uint64_t keys, int rounds, int* failures,
                            bool* done) {
-  sim::OneShot os;
+  sim::RpcGate gate;
   std::vector<uint8_t> put_buf(256);
   std::vector<uint8_t> get_buf(1536);
   Rng rng(99);
@@ -114,17 +114,13 @@ sim::Fiber VerifyingClient(sim::ExecCtx* ctx, sim::Nic* nic, KvServer* server,
     sim::NicMessage put = EncodeRequest(OpType::kPut, k, len, 0, 0);
     put.payload = put_buf.data();
     put.payload_len = len;
-    put.completion = &os;
-    nic->ClientSend(*ctx, server->RingForKey(k), put);
-    co_await os.Wait(*ctx);
-    os.Reset();
+    put.gate = &gate;
+    co_await RpcCall(*ctx, *nic, server->RingForKey(k), put, nullptr);
     // Read it back with copy-out.
     sim::NicMessage get = EncodeRequest(OpType::kGet, k, len, 0, 0);
-    get.completion = &os;
+    get.gate = &gate;
     get.copy_out = get_buf.data();
-    nic->ClientSend(*ctx, server->RingForKey(k), get);
-    co_await os.Wait(*ctx);
-    os.Reset();
+    co_await RpcCall(*ctx, *nic, server->RingForKey(k), get, nullptr);
     if (std::memcmp(get_buf.data(), put_buf.data(), len) != 0) {
       (*failures)++;
     }
@@ -138,7 +134,7 @@ struct HandBed {
   static constexpr uint64_t kKeys = 512;
 
   HandBed(unsigned workers, unsigned rings)
-      : mem(Machine(workers + 2)), nic(&eng, &mem, sim::NicConfig{}, rings) {
+      : mem(Machine(workers + 2)), nic(&mem, sim::NicConfig{}, rings) {
     for (Key k = 0; k < kKeys; k++) {
       Item* it = slab.AllocateItem(k, 64);
       std::memset(it->value(), 0, 64);
@@ -445,17 +441,17 @@ struct Burst {
 // Sends the burst's GETs at one instant, the first announcing 8 B and the
 // others their true 64 B, and waits for the four responses.
 sim::Fiber SendBurst(sim::ExecCtx* ctx, sim::Nic* nic, Burst* b) {
-  std::array<sim::OneShot, kBurst> os;
+  std::array<sim::RpcGate, kBurst> gates;
   for (unsigned i = 0; i < kBurst; i++) {
     sim::NicMessage m =
         EncodeRequest(OpType::kGet, BurstKey(i), i == 0 ? 8 : 64, 0, 0);
-    m.completion = &os[i];
+    m.gate = &gates[i];
     m.copy_out = b->out[i].data();
     m.resp_len_out = &b->len[i];
     nic->ClientSend(*ctx, 0, m);
   }
-  for (sim::OneShot& o : os) {
-    co_await o.Wait(*ctx);
+  for (sim::RpcGate& g : gates) {
+    co_await g.Wait(*ctx);
   }
   b->done = true;
 }
@@ -510,17 +506,15 @@ TEST(ResponseRegion, MuTpsForwardedGetLongerThanAnnouncedStaysInItsRegion) {
 
 // GETs of the burst's keys, each announcing its true length, until `stop`.
 sim::Fiber WarmBurstKeys(sim::ExecCtx* ctx, sim::Nic* nic, const bool* stop) {
-  sim::OneShot os;
+  sim::RpcGate gate;
   std::array<uint8_t, kBigLen> buf{};
   for (unsigned i = 0; !*stop; i++) {
     const Key key = BurstKey(i % kBurst);
     sim::NicMessage m = EncodeRequest(OpType::kGet, key,
                                       key == kBigKey ? kBigLen : 64, 0, 0);
-    m.completion = &os;
+    m.gate = &gate;
     m.copy_out = buf.data();
-    nic->ClientSend(*ctx, 0, m);
-    co_await os.Wait(*ctx);
-    os.Reset();
+    co_await RpcCall(*ctx, *nic, 0, m, nullptr);
   }
 }
 

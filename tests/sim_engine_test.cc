@@ -280,7 +280,7 @@ TEST(Engine, PerturbationDisablesHandoffFastPath) {
 }
 
 // Teardown of blocked fibers must not leak or crash.
-Fiber BlockedForever(ExecCtx* ctx, OneShot* never, bool* destroyed) {
+Fiber BlockedForever(ExecCtx* ctx, RpcGate* never, bool* destroyed) {
   struct Sentinel {
     bool* flag;
     ~Sentinel() { *flag = true; }
@@ -293,7 +293,7 @@ TEST(Engine, TeardownDestroysBlockedFibers) {
   {
     Engine eng;
     ExecCtx ctx{.eng = &eng};
-    OneShot never;  // never completed
+    RpcGate never;  // never completed
     eng.Spawn(BlockedForever(&ctx, &never, &destroyed));
     eng.Run(100);
     EXPECT_FALSE(destroyed);
@@ -386,37 +386,51 @@ TEST(Sync, SpinlockGrantsContendersInArrivalOrder) {
   EXPECT_FALSE(lock.held());
 }
 
-Fiber OneShotWaiter(ExecCtx* ctx, OneShot* os, Tick* observed) {
-  co_await os->Wait(*ctx);
+Fiber GateWaiter(ExecCtx* ctx, RpcGate* gate, Tick* observed) {
+  co_await gate->Wait(*ctx);
   *observed = ctx->eng->now();
 }
 
-Fiber OneShotCompleter(ExecCtx* ctx, OneShot* os) {
+Fiber GateCompleter(ExecCtx* ctx, RpcGate* gate) {
   co_await ctx->Delay(50);
-  os->Complete(*ctx->eng, ctx->Now() + 100);
+  gate->Complete(ctx->Now() + 100);
 }
 
-TEST(Sync, OneShotWakesAtCompletionTime) {
+// A parked waiter wakes at the completion's delivery tick, scheduled by the
+// completion itself: one event.
+TEST(Sync, GateWakesAtCompletionTime) {
   Engine eng;
   ExecCtx a{.eng = &eng};
   ExecCtx b{.eng = &eng};
-  OneShot os;
+  RpcGate gate;
   Tick observed = 0;
-  eng.Spawn(OneShotWaiter(&a, &os, &observed));
-  eng.Spawn(OneShotCompleter(&b, &os));
+  eng.Spawn(GateWaiter(&a, &gate, &observed));
+  eng.Spawn(GateCompleter(&b, &gate));
   eng.RunToQuiescence(kSec);
   EXPECT_EQ(observed, 150u);
 }
 
-TEST(Sync, OneShotCompletedBeforeWaitIsImmediate) {
+TEST(Sync, GateCompletedBeforeWaitIsImmediate) {
   Engine eng;
   ExecCtx a{.eng = &eng};
-  OneShot os;
-  os.Complete(eng, 5);
+  RpcGate gate;
+  gate.Complete(5);
   Tick observed = 0;
-  eng.Spawn(OneShotWaiter(&a, &os, &observed));
+  eng.Spawn(GateWaiter(&a, &gate, &observed));
   eng.RunToQuiescence(kSec);
   EXPECT_EQ(observed, 5u);
+}
+
+// A completion with no parked waiter schedules nothing: polling callers see
+// the same event stream as before the gate could park.
+TEST(Sync, GateCompletionWithoutWaiterSchedulesNothing) {
+  Engine eng;
+  RpcGate gate;
+  gate.Arm(7);
+  gate.Complete(40);
+  EXPECT_EQ(eng.stats().events_scheduled, 0u);
+  EXPECT_FALSE(gate.ReadyAt(39));
+  EXPECT_TRUE(gate.ReadyAt(40));
 }
 
 }  // namespace
