@@ -194,6 +194,7 @@ void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
   m->SetGauge("mutps", "cache_items", hot_->ActiveCount());
   m->SetGauge("mutps", "hotset_target", target_cache_items());
   m->Count("mutps", "hotset_publishes", hot_->epoch());
+  m->Count("mutps", "hotset_samples_dropped", hot_->SamplesDropped());
   m->SetGauge("mutps", "mr_llc_ways", mr_ways_);
   m->SetGauge("mutps", "peak_ring_occ", peak_ring_occ_);
   if (env_.fault != nullptr) {
@@ -319,8 +320,8 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
         obs::SpanScope span(trc_, ctx, "cr", "cr_batch",
                             obs::Tracer::kServerPid, idx);
         for (unsigned i = first; i < first + n; i++) {
-          // Sampling for the hot-set tracker (~1/32 of requests).
-          if ((sample_rng.Next() & 31) == 0) {
+          // Sampling for the hot-set tracker (1 request in kSamplePeriod).
+          if ((sample_rng.Next() & (HotSetManager::kSamplePeriod - 1)) == 0) {
             hot_->Ring(idx).Push(rx_->Records(seq)[i].key);
             ctx.Charge(2);
           }

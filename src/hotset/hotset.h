@@ -1,8 +1,8 @@
 // Hot-set tracking and the CR layer's epoch-switched hot table
 // (§3.2.2 "Resizable Cache").
 //
-//  - CR workers sample ~1/32 of the keys they serve into per-worker rings
-//    (cheap, wait-free: single producer, single consumer).
+//  - CR workers sample every kSamplePeriod-th key they serve into per-worker
+//    rings (cheap, wait-free: single producer, single consumer).
 //  - The management thread periodically drains samples through a count-min
 //    sketch + top-K heap. It builds a fresh hot table (an open-addressed
 //    item-pointer table, which answers the CR layer's point lookups for both
@@ -43,15 +43,19 @@ namespace utps {
 
 // Wait-free SPSC ring of sampled keys (producer: one CR worker; consumer:
 // the manager). Overwrites oldest samples when full — sampling is lossy by
-// design.
+// design — and counts each overwritten sample (host-only).
 class SampleRing {
  public:
   static constexpr uint32_t kCapacity = 4096;
 
   void Push(Key key) {
+    dropped_ += head_ - tail_ >= kCapacity ? 1 : 0;
     buf_[head_ & (kCapacity - 1)] = key;
     head_++;
   }
+
+  // Samples overwritten before the manager drained them.
+  uint64_t dropped() const { return dropped_; }
 
   // Drains up to `max` recent samples into `out`; returns count.
   uint32_t Drain(Key* out, uint32_t max) {
@@ -69,6 +73,7 @@ class SampleRing {
   Key buf_[kCapacity] = {};
   uint64_t head_ = 0;
   uint64_t tail_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 // Open-addressed item-pointer table, 16 B slots, four to a cacheline: one
@@ -126,8 +131,15 @@ class HotSetManager {
  public:
   static constexpr uint32_t kMaxHot = 16384;  // >= paper's 10K hot items
   static constexpr uint32_t kTableCapacity = 2 * kMaxHot;
-  // Aging interval of a set of k items: 4·k samples (TinyLFU's W).
-  static constexpr uint32_t kAgingSamplesPerItem = 4;
+  // CR workers sample every kSamplePeriod-th request into their ring.
+  static constexpr uint32_t kSamplePeriod = 8;
+  static_assert(std::has_single_bit(kSamplePeriod));
+  // Aging interval of a set of k items (TinyLFU's W): 128·k requests, so
+  // the sampling rate sets how many counts an interval holds, not how fast
+  // the set tracks a shift.
+  static constexpr uint32_t kAgingRequestsPerItem = 128;
+  static constexpr uint32_t kAgingSamplesPerItem =
+      kAgingRequestsPerItem / kSamplePeriod;  // 16·k samples
 
   // Table slots for `n` published keys: a power of two, at least 4 (one
   // cacheline), with load factor <= 0.5. A small hot set then probes a few
@@ -148,9 +160,8 @@ class HotSetManager {
                         std::max<size_t>(1, max_drains) * num_workers *
                             SampleRing::kCapacity),
         scratch_(max_candidates_ * sizeof(Key) +
-                     DedupCapacity(max_candidates_) *
-                         (sizeof(Key) + sizeof(uint32_t)) +
-                     3 * kCachelineBytes,
+                     DedupCapacity(max_candidates_) * sizeof(Key) +
+                     2 * kCachelineBytes,
                  kCachelineBytes) {
     for (int b = 0; b < 2; b++) {
       // Room for kMaxHot keys at load factor 0.5; BuildAndPublish uses only
@@ -167,9 +178,7 @@ class HotSetManager {
     // their own, so no refresh allocates and only the pages a run touches
     // become resident.
     candidates_ = scratch_.AllocateArray<Key>(max_candidates_);
-    const size_t dedup_cap = DedupCapacity(max_candidates_);
-    dedup_keys_ = scratch_.AllocateArray<Key>(dedup_cap);
-    dedup_stamp_ = scratch_.AllocateArray<uint32_t>(dedup_cap);
+    dedup_keys_ = scratch_.AllocateArray<Key>(DedupCapacity(max_candidates_));
   }
 
   // ---------------------------------------------------------- worker side
@@ -300,6 +309,15 @@ class HotSetManager {
 
   uint32_t ActiveCount() const { return tables_[epoch_ & 1].count; }
 
+  // Samples overwritten in any ring before a drain reached them.
+  uint64_t SamplesDropped() const {
+    uint64_t total = 0;
+    for (const SampleRing& r : rings_) {
+      total += r.dropped();
+    }
+    return total;
+  }
+
   // Epoch-switch safety audit. The double-buffering contract is: the manager
   // may only touch the inactive buffer once every worker has acked the
   // current epoch, and no worker may ever be ahead of the published epoch.
@@ -339,33 +357,28 @@ class HotSetManager {
   }
 
  private:
-  // Stamp-versioned open-addressing dedup set (no per-refresh clearing: a
-  // stale slot is one whose stamp is not the current pass's, so each pass
-  // may size its table to its own candidate count).
+  // Open-addressing dedup set of key+1 (0 = empty). Each pass sizes the
+  // table to its own candidate count, at load <= 3/4, and clears only that
+  // prefix: the pass touches about as many slots as it clears.
   static size_t DedupCapacity(size_t n) {
-    return std::bit_ceil(std::max<size_t>(16, 2 * n));
+    return std::bit_ceil(std::max<size_t>(16, (4 * n + 2) / 3));
   }
 
   void DedupBegin(size_t n) {
     dedup_mask_ = static_cast<uint32_t>(DedupCapacity(n) - 1);
-    if (++dedup_pass_ == 0) {  // stamps wrapped: 0 is the mapping's fill
-      std::memset(dedup_stamp_, 0,
-                  DedupCapacity(max_candidates_) * sizeof(uint32_t));
-      dedup_pass_ = 1;
-    }
+    std::memset(dedup_keys_, 0, (size_t{dedup_mask_} + 1) * sizeof(Key));
   }
 
   // Returns true on first occurrence of `key` in this pass.
   bool DedupInsert(Key key) {
     uint32_t i = static_cast<uint32_t>(Mix64(key)) & dedup_mask_;
-    while (dedup_stamp_[i] == dedup_pass_) {
-      if (dedup_keys_[i] == key) {
+    while (dedup_keys_[i] != 0) {
+      if (dedup_keys_[i] == key + 1) {
         return false;
       }
       i = (i + 1) & dedup_mask_;
     }
-    dedup_keys_[i] = key;
-    dedup_stamp_[i] = dedup_pass_;
+    dedup_keys_[i] = key + 1;
     return true;
   }
 
@@ -373,7 +386,7 @@ class HotSetManager {
   std::vector<SampleRing> rings_;
   CountMinSketch sketch_;
   size_t max_candidates_;
-  sim::Arena scratch_;  // host-only: candidates_, dedup_keys_, dedup_stamp_
+  sim::Arena scratch_;  // host-only: candidates_, dedup_keys_
   Key* candidates_ = nullptr;
   size_t num_candidates_ = 0;
   uint64_t samples_since_aging_ = 0;
@@ -392,9 +405,7 @@ class HotSetManager {
   };
   std::vector<Published> published_;
   Key* dedup_keys_ = nullptr;
-  uint32_t* dedup_stamp_ = nullptr;
   uint32_t dedup_mask_ = 0;
-  uint32_t dedup_pass_ = 0;
 };
 
 }  // namespace utps

@@ -11,6 +11,7 @@
 // If this fails after a change, run with MUTPS_ALLOC_TRACE=1 under a
 // breakpoint on OnAlloc, or use scripts/profile.sh's allocation histogram,
 // to find the new steady-state allocation site.
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -193,8 +194,9 @@ TEST(AllocRegression, MuTpsHashEmptyHotSetIsAllocationFree) {
 // one aging interval of samples and one last drain of at most a full ring
 // per worker; it and its dedup table are reserved to that bound when the
 // manager is built. After a warm-up publish at kMaxHot, one full aging
-// interval: a drain just short of the interval, which leaves the full set
-// alone, then a drain after every ring filled up, which publishes and ages.
+// interval: drains of full rings up to one sample short of the interval,
+// which leave the full set alone, then a drain after every ring filled up,
+// which publishes and ages.
 TEST(AllocRegression, HotSetRefreshAtFullRingsIsAllocationFree) {
   constexpr unsigned kWorkers = 28;
   constexpr uint32_t kHot = HotSetManager::kMaxHot;
@@ -216,8 +218,15 @@ TEST(AllocRegression, HotSetRefreshAtFullRingsIsAllocationFree) {
   ASSERT_EQ(hot.ActiveCount(), kHot);
 
   const uint64_t before = AllocProbe();
-  sample(kInterval - 1);
-  EXPECT_EQ(hot.DrainSamples(), kInterval - 1);
+  // The interval outgrows the rings (16·k samples against 28 rings of 4096),
+  // so it arrives in drains of at most a full ring per worker.
+  for (uint64_t left = kInterval - 1; left > 0;) {
+    const uint64_t n =
+        std::min(left, uint64_t{kWorkers} * SampleRing::kCapacity);
+    sample(n);
+    EXPECT_EQ(hot.DrainSamples(), n);
+    left -= n;
+  }
   EXPECT_FALSE(hot.AgingDue(kHot));
   sample(uint64_t{kWorkers} * SampleRing::kCapacity);
   EXPECT_EQ(hot.DrainSamples(), kWorkers * SampleRing::kCapacity);

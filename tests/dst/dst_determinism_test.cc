@@ -113,13 +113,13 @@ TEST(DstDeterminism, DigestsMatchCommitted) {
     uint64_t ops_completed;
     uint64_t retries;
   } cells[] = {
-      {DST_CELL(RowConfig(Sys::kMuTpsH)), 0x91338ab3aac81549ULL, 160, 0},
-      {DST_CELL(RowConfig(Sys::kMuTpsT)), 0x5d66882c775723f3ULL, 160, 0},
+      {DST_CELL(RowConfig(Sys::kMuTpsH)), 0x436e6735a18ccc73ULL, 160, 0},
+      {DST_CELL(RowConfig(Sys::kMuTpsT)), 0xff1d7264586604a4ULL, 160, 0},
       {DST_CELL(RowConfig(Sys::kBaseKv)), 0xefb0b44ccf507fd9ULL, 160, 0},
       {DST_CELL(RowConfig(Sys::kErpcKv)), 0xc4d54e08cc077c22ULL, 160, 0},
       {DST_CELL(RowConfig(Sys::kSherman)), 0xf555c0a0cb2dbf3fULL, 160, 0},
-      {DST_CELL(KitchenSink(Sys::kMuTpsH)), 0x3d8c0769399c0c5aULL, 160, 7},
-      {DST_CELL(KitchenSink(Sys::kMuTpsT)), 0x1731c8bc8f5308f2ULL, 160, 5},
+      {DST_CELL(KitchenSink(Sys::kMuTpsH)), 0xa7b0eb08d2ab7493ULL, 160, 5},
+      {DST_CELL(KitchenSink(Sys::kMuTpsT)), 0xa29c45a14236e20bULL, 160, 5},
       {DST_CELL(KitchenSink(Sys::kBaseKv)), 0x348f987e0c8aaa41ULL, 160, 13},
       {DST_CELL(KitchenSink(Sys::kErpcKv)), 0xf6b0d6a38fe95d9cULL, 160, 16},
       {DST_CELL(KitchenSink(Sys::kSherman)), 0x2618345c8457d7d9ULL, 160, 0},

@@ -502,6 +502,8 @@ TEST(ObsEndToEnd, HarnessRunEmitsReportAndTrace) {
   EXPECT_NE(res.metrics_dump.find("mutps.hot_hits"), std::string::npos);
   EXPECT_NE(res.metrics_dump.find("mutps.hotset_target"), std::string::npos);
   EXPECT_NE(res.metrics_dump.find("mutps.hotset_publishes"), std::string::npos);
+  EXPECT_NE(res.metrics_dump.find("mutps.hotset_samples_dropped"),
+            std::string::npos);
   EXPECT_EQ(res.hot_hits + res.hot_misses > 0, true);
 
   // Trace: file exists, parses as JSON, and contains the expected shapes.
