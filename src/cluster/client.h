@@ -80,8 +80,7 @@ class ClusterClient {
       m.resp_len_out = &resp_len_;
       cluster_->node(node)->data_nic().ClientSend(
           *ctx_, shard % params_.workers, m);
-      if (!co_await PollGate(*ctx_, gate_, ctx_->Now() + timeout,
-                             kClientPollNs)) {
+      if (!co_await gate_.WaitUntil(*ctx_, ctx_->Now() + timeout)) {
         retries_++;
         consecutive_timeouts++;
         if (consecutive_timeouts >= 2) {
@@ -119,7 +118,7 @@ class ClusterClient {
       } else if (h.status == Status::kFrozen) {
         // Mid-migration: the flip is moments away; a short jittered pause
         // beats hammering the frozen primary.
-        co_await ctx_->Delay(kClientPollNs + rng_.NextBounded(kClientPollNs));
+        co_await ctx_->Delay(kFrozenPauseNs + rng_.NextBounded(kFrozenPauseNs));
       } else {
         co_await Resolve(shard);
       }
@@ -142,7 +141,7 @@ class ClusterClient {
     m.rid = (ClientCtlStream(id_) << 32) | ++ctl_seq_;
     m.gate = &ctl_gate_;
     m.copy_out = ctl_resp_;
-    const RetryPolicy pol{kClientTimeoutNs, kRetryMaxTimeoutNs, kClientPollNs,
+    const RetryPolicy pol{kClientTimeoutNs, kRetryMaxTimeoutNs,
                           kClientJitterFrac, &rng_};
     co_await RpcCall(*ctx_, *cluster_->manager()->nic(), 0, m, &pol);
     const RespHeader h = ParseRespHeader(ctl_resp_);

@@ -83,15 +83,16 @@ constexpr sim::Tick kProbeTimeoutNs = 10 * sim::kUsec;
 constexpr unsigned kSuspectAfter = 3;              // consecutive probe misses
 constexpr sim::Tick kLeaseNs = 60 * sim::kUsec;    // node self-fences past this
 constexpr sim::Tick kLeaseMarginNs = 10 * sim::kUsec;
-// Server-side pacing.
-constexpr sim::Tick kPollNs = 300;
+// A migration source checks this often whether its frozen shard drained.
+constexpr sim::Tick kDrainPollNs = 1200;
 // Internal reliable calls (replication, migration): first timeout and the
 // backoff cap every cluster call shares, the clients' included.
 constexpr sim::Tick kReplTimeoutNs = 20 * sim::kUsec;
 constexpr sim::Tick kRetryMaxTimeoutNs = 200 * sim::kUsec;
 // Client retry/backoff (jitter drawn from the per-client RNG).
 constexpr sim::Tick kClientTimeoutNs = 30 * sim::kUsec;
-constexpr sim::Tick kClientPollNs = 2 * sim::kUsec;
+// A client redirected by a frozen shard pauses 1-2x this before retrying.
+constexpr sim::Tick kFrozenPauseNs = 2 * sim::kUsec;
 constexpr double kClientJitterFrac = 0.25;
 // Migration.
 constexpr unsigned kMigChunkRecords = 64;
@@ -168,36 +169,29 @@ class ClusterNicHook final : public sim::NicFaultHook {
 
 // ---------------------------------------------------------- reliable call
 // The one reliable control call (replication, migration transfer, migration
-// start). The caller arms `gate` once with the call's rid and points the
-// message's copy-out at `resp`; retransmits reuse the rid, and the
-// receiver's dedup window makes delivery at-most-once. Both must outlive any
-// copy of the message the NIC still holds, so they are never frame locals.
+// start) of message `m`, whose gate it arms once with m's rid; retransmits
+// reuse the rid, and the receiver's dedup window makes delivery at-most-once.
+// The gate and m's copy-out buffer must outlive any copy of the message the
+// NIC still holds, so they are never frame locals.
 // Each round `check()` may end the call with a verdict before anything is
 // sent (the caller lost the right to make it, or no longer needs to);
 // otherwise `send()` transmits (skipping the wire while the caller is
-// partitioned). The wait polls every `poll_ns` until the response lands, the
-// timeout passes or `halted` (the caller crashed) is set; each timeout
-// doubles up to kRetryMaxTimeoutNs. Returns whether the answer was kOk.
-// It keeps its own loop rather than PollGate's because the wait also ends on
-// `halted`. Its last poll is whole, not clamped: the replication timeout
-// (kReplTimeoutNs, 20 us) is not a whole number of its 1.2 us polls, so
-// clamping would move every faulted cluster run.
+// partitioned). The wait ends when the response lands or the timeout passes
+// (a crash of the caller expires it at once, ClusterNode::Crash); each
+// timeout doubles up to kRetryMaxTimeoutNs. Returns whether the answer was
+// kOk.
 template <typename Check, typename Send>
-sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::RpcGate& gate,
-                             const uint8_t* resp, sim::Tick timeout,
-                             sim::Tick poll_ns, const bool& halted,
-                             Check check, Send send) {
+sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::NicMessage& m,
+                             sim::Tick timeout, Check check, Send send) {
+  m.gate->Arm(m.rid);
   for (;;) {
     if (const std::optional<bool> verdict = check()) {
       co_return *verdict;
     }
     send();
-    const sim::Tick deadline = ctx.Now() + timeout;
-    while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline && !halted) {
-      co_await ctx.Delay(poll_ns);
-    }
-    if (gate.ReadyAt(ctx.Now())) {
-      co_return ParseRespHeader(resp).status == Status::kOk;
+    if (co_await m.gate->WaitUntil(ctx, ctx.Now() + timeout)) {
+      co_return ParseRespHeader(static_cast<const uint8_t*>(m.copy_out))
+                    .status == Status::kOk;
     }
     timeout = BackoffStep(timeout, kRetryMaxTimeoutNs, 0.0, nullptr);
   }
@@ -325,12 +319,12 @@ class ClusterNode {
       const auto serve = [this, &ctx, w](sim::NicMessage msg) {
         return ServeData(ctx, w, msg);
       };
-      eng_->Spawn(PollLoop(ctx, *data_nic_, w, serve));
+      eng_->Spawn(ServeLoop(ctx, *data_nic_, w, serve));
     }
     const auto serve_ctl = [this](sim::NicMessage msg) {
       return ServeCtl(ctl_ctx_, msg);
     };
-    eng_->Spawn(PollLoop(ctl_ctx_, *ctl_nic_, 0, serve_ctl));
+    eng_->Spawn(ServeLoop(ctl_ctx_, *ctl_nic_, 0, serve_ctl));
     eng_->Spawn(TransferMain());
   }
 
@@ -342,12 +336,17 @@ class ClusterNode {
     transfer_ctx_.stop = true;
   }
 
-  // Crash-stop (fault plan): fibers park, queued messages are lost.
+  // Crash-stop (fault plan): queued messages are lost, the reliable calls
+  // in flight give up now, and every fiber stops at its next wake-up.
   void Crash() {
     crashed_ = true;
     counters_.crashed = true;
     data_nic_->DropPending();
     ctl_nic_->DropPending();
+    for (unsigned w = 0; w < params_.workers; w++) {
+      repl_gates_[w].Expire(eng_->now());
+    }
+    mig_gate_.Expire(eng_->now());
   }
 
   unsigned id() const { return id_; }
@@ -392,21 +391,17 @@ class ClusterNode {
   }
 
   // The loop of each data worker (ring `w` of the data NIC) and of the
-  // control fiber (the control NIC's one ring): until stopped, idle while
-  // crashed, else serve the next arrived message or wait one poll.
+  // control fiber (the control NIC's one ring): until stopped or crashed,
+  // serve the next arrived message, or park until the NIC delivers one.
   template <typename Serve>
-  sim::Fiber PollLoop(sim::ExecCtx& ctx, sim::Nic& nic, unsigned ring,
-                      Serve serve) {
-    while (!ctx.stop) {
-      if (crashed_) {
-        co_await ctx.Delay(16 * kPollNs);
-        continue;
-      }
-      sim::NicMessage msg;
+  sim::Fiber ServeLoop(sim::ExecCtx& ctx, sim::Nic& nic, unsigned ring,
+                       Serve serve) {
+    sim::NicMessage msg;
+    while (!ctx.stop && !crashed_) {
       if (nic.PopArrived(ring, ctx.Now(), &msg)) {
         co_await serve(msg);
       } else {
-        co_await ctx.Delay(kPollNs);
+        co_await nic.WaitArrival(ctx, ring);
       }
     }
   }
@@ -546,7 +541,6 @@ class ClusterNode {
                             Key key, OpType op, const uint8_t* payload,
                             uint32_t len, uint64_t client_rid) {
     const ShardState& s = shards_[shard];
-    sim::RpcGate& gate = repl_gates_[w];
     sim::NicMessage m;
     m.h[0] = key;
     m.h[1] =
@@ -556,11 +550,10 @@ class ClusterNode {
     m.payload = len > 0 ? payload : nullptr;
     m.payload_len = len;
     m.rid = (ReplStream(id_, w) << 32) | ++repl_seq_[w];
-    m.gate = &gate;
+    m.gate = &repl_gates_[w];
     m.copy_out = repl_resps_[w];
-    gate.Arm(m.rid);
     co_return co_await ReliableCall(
-        ctx, gate, repl_resps_[w], kReplTimeoutNs, 4 * kPollNs, crashed_,
+        ctx, m, kReplTimeoutNs,
         [this, &s]() -> std::optional<bool> {
           if (crashed_ || s.role != Role::kPrimary) {
             return false;
@@ -675,6 +668,7 @@ class ClusterNode {
     s.mig_dst = dst;
     mig_shard_ = static_cast<int64_t>(shard);
     mig_dst_node_ = dst;
+    transfer_wake_.WakeAt(ctx.Now());
     dedup_.Complete(msg.rid);
     PutRespHeader(ctl_resp_, Status::kOk, id_, s.epoch);
     ctl_nic_->ServerSend(ctx, msg, ctl_resp_, kRespHeaderBytes);
@@ -815,14 +809,12 @@ class ClusterNode {
   }
 
   // -------------------------------------------------------- transfer path
+  // Parks until ServeMigStart hands it a shard; stops when the node does.
   sim::Fiber TransferMain() {
     sim::ExecCtx& ctx = transfer_ctx_;
-    for (;;) {
-      if (ctx.stop) {
-        break;
-      }
-      if (crashed_ || mig_shard_ < 0) {
-        co_await ctx.Delay(8 * kPollNs);
+    while (!ctx.stop && !crashed_) {
+      if (mig_shard_ < 0) {
+        co_await transfer_wake_.Wait(ctx);
         continue;
       }
       const uint64_t shard = static_cast<uint64_t>(mig_shard_);
@@ -843,7 +835,7 @@ class ClusterNode {
       if (!s.frozen || crashed_) {
         co_return;  // aborted (demoted / manager gave up / crash)
       }
-      co_await ctx.Delay(4 * kPollNs);
+      co_await ctx.Delay(kDrainPollNs);
     }
     // Snapshot: bucket order of the shard's own index — deterministic for a
     // deterministic history, and total because the shard is frozen.
@@ -932,9 +924,8 @@ class ClusterNode {
     m.rid = (MigStream(id_) << 32) | ++mig_seq_;
     m.gate = &mig_gate_;
     m.copy_out = mig_resp_;
-    mig_gate_.Arm(m.rid);
     co_return co_await ReliableCall(
-        ctx, mig_gate_, mig_resp_, kReplTimeoutNs, 4 * kPollNs, crashed_,
+        ctx, m, kReplTimeoutNs,
         [this, &s]() -> std::optional<bool> {
           if (crashed_ || !s.frozen) {
             return false;
@@ -989,6 +980,7 @@ class ClusterNode {
   uint32_t mig_seq_ = 0;
   uint8_t* mig_resp_ = nullptr;
   int64_t mig_shard_ = -1;  // shard the transfer fiber should ship (-1 idle)
+  sim::WakeSlot transfer_wake_;  // the idle transfer fiber parks here
   int mig_dst_node_ = -1;
   std::vector<std::pair<Key, const Item*>> mig_items_;
   std::vector<uint8_t> mig_buf_;  // host-side wire staging (not modeled)
@@ -1137,19 +1129,16 @@ class ClusterManager {
     bool dead = false;
   };
 
-  static constexpr sim::Tick kMgrPollNs = 500;
-  static constexpr bool kNeverHalts = false;  // the manager does not crash
+  // How often a migration's driver checks for the source's kMigDone.
+  static constexpr sim::Tick kMigDonePollNs = 2 * sim::kUsec;
 
   // kResolve service + kMigDone collection.
   sim::Fiber CtlMain() {
     sim::ExecCtx& ctx = ctl_ctx_;
-    for (;;) {
-      if (ctx.stop) {
-        break;
-      }
-      sim::NicMessage msg;
+    sim::NicMessage msg;
+    while (!ctx.stop) {
       if (!nic_->PopArrived(0, ctx.Now(), &msg)) {
-        co_await ctx.Delay(kMgrPollNs);
+        co_await nic_->WaitArrival(ctx, 0);
         continue;
       }
       const Ctl op = OpOf<Ctl>(msg.h[1]);
@@ -1193,11 +1182,7 @@ class ClusterManager {
       m.gate = &gate;
       m.copy_out = probe_resps_[n].data();
       nodes_[n]->ctl_nic().ClientSend(ctx, 0, m);
-      // Whole polls: the engine's scheduling jitter (DST) moves them off the
-      // 500 ns grid, so a clamped last poll would change when a probe times
-      // out.
-      if (co_await PollGate(ctx, gate, ctx.Now() + kProbeTimeoutNs,
-                            kMgrPollNs, LastPoll::kWhole)) {
+      if (co_await gate.WaitUntil(ctx, ctx.Now() + kProbeTimeoutNs)) {
         views_[n].last_success = ctx.Now();
         views_[n].failures = 0;
         uint64_t seen = 0;
@@ -1318,11 +1303,9 @@ class ClusterManager {
     m.rid = (MgrStream(src) << 32) | ++mgr_seq_[src];
     m.gate = &mig_start_gate_;
     m.copy_out = mig_start_resp_;
-    mig_start_gate_.Arm(m.rid);
     const sim::Tick start_deadline = ctx.Now() + kMigDeadlineNs;
     const bool started = co_await ReliableCall(
-        ctx, mig_start_gate_, mig_start_resp_, kProbeTimeoutNs, kMgrPollNs,
-        kNeverHalts,
+        ctx, m, kProbeTimeoutNs,
         [this, &ctx, start_deadline, src]() -> std::optional<bool> {
           if (ctx.Now() >= start_deadline || views_[src].dead) {
             return false;
@@ -1359,7 +1342,7 @@ class ClusterManager {
         mig_active_ = false;
         co_return false;
       }
-      co_await ctx.Delay(4 * kMgrPollNs);
+      co_await ctx.Delay(kMigDonePollNs);
     }
     mig_done_shard_ = -1;
     // Flip: destination is the new primary, the source stays as backup (it

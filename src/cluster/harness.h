@@ -97,10 +97,13 @@ inline ExperimentResult RunClusterExperiment(const ClusterBenchConfig& cfg) {
                                     &retries, &stop));
   }
 
+  eng.Run(cfg.warmup_ns);
+  const uint64_t allocs0 = g_alloc_probe != nullptr ? g_alloc_probe() : 0;
   eng.Run(end_ns);
   // Read at the window's end, like TestBed::Run: the drain below adds
   // nothing measured and stays off the timeline.
   ExperimentResult res;
+  res.measure_allocs = g_alloc_probe != nullptr ? g_alloc_probe() - allocs0 : 0;
   FillRecorded(rec, cfg.measure_ns, &res);
   stop = true;  // clients observe it at their next op
   eng.Run(end_ns + 100 * sim::kUsec);

@@ -176,8 +176,9 @@ struct ExperimentResult {
 // report through it.
 void FillRecorded(RunRecorder& rec, sim::Tick window_ns, ExperimentResult* res);
 
-// Test hook: when non-null, called by TestBed::Run at the measure-phase
-// boundaries; the difference lands in ExperimentResult::measure_allocs.
+// Test hook: when non-null, called by TestBed::Run and
+// cluster::RunClusterExperiment at the measure-phase boundaries; the
+// difference lands in ExperimentResult::measure_allocs.
 // tests/alloc_regression_test points this at its operator-new counter.
 extern uint64_t (*g_alloc_probe)();
 

@@ -268,7 +268,6 @@ class RxRing {
 struct RetryPolicy {
   sim::Tick timeout_ns = 30 * sim::kUsec;       // first-attempt timeout
   sim::Tick max_timeout_ns = 500 * sim::kUsec;  // backoff cap
-  sim::Tick poll_ns = 2 * sim::kUsec;           // completion poll quantum
   // Backoff jitter: each backed-off timeout is stretched by a uniform draw in
   // [0, jitter_frac * timeout], taken from `rng` — which MUST be the caller's
   // own per-stream generator. Drawing from a shared sequence would entangle
@@ -295,45 +294,23 @@ inline sim::Tick BackoffStep(sim::Tick timeout, sim::Tick max_timeout,
   return next;
 }
 
-// How a polled wait's last poll ends: clamped to the deadline, or a whole
-// poll that may overshoot it.
-enum class LastPoll : uint8_t { kClamped, kWhole };
-
-// The polled wait of every timeout loop but ReliableCall's (cluster.h says
-// why): checks `gate` every `poll_ns` until the response is ready or
-// `deadline` passes. Returns whether the response landed.
-inline sim::Task<bool> PollGate(sim::ExecCtx& ctx, const sim::RpcGate& gate,
-                                sim::Tick deadline, sim::Tick poll_ns,
-                                LastPoll last = LastPoll::kClamped) {
-  while (!gate.ReadyAt(ctx.Now()) && ctx.Now() < deadline) {
-    const sim::Tick left = deadline - ctx.Now();
-    co_await ctx.Delay(last == LastPoll::kClamped && left < poll_ns ? left
-                                                                    : poll_ns);
-  }
-  co_return gate.ReadyAt(ctx.Now());
-}
-
 // One request end to end: arms the message's gate for its rid and sends.
 // With a null `retry` it sends once and parks on the gate until the response
-// lands (rid 0, no fault plan). With a policy it polls and retransmits on
-// each timeout, backing off, until the response lands. Returns the number of
-// send attempts (1 = no retransmit).
+// lands (rid 0, no fault plan). With a policy it waits on the gate until the
+// response lands or the timeout passes, retransmitting on each timeout and
+// backing off, until the response lands. Returns the number of send attempts
+// (1 = no retransmit).
 inline sim::Task<unsigned> RpcCall(sim::ExecCtx& ctx, sim::Nic& nic,
                                    unsigned ring, const sim::NicMessage& msg,
                                    const RetryPolicy* retry) {
-  UTPS_DCHECK(msg.gate != nullptr);
-  sim::RpcGate& gate = *msg.gate;
-  gate.Arm(msg.rid);
-  if (retry == nullptr) {
-    nic.ClientSend(ctx, ring, msg);
-    co_await gate.Wait(ctx);
-    co_return 1;
-  }
-  UTPS_DCHECK(msg.rid != 0);
-  sim::Tick timeout = retry->timeout_ns;
+  UTPS_DCHECK(msg.gate != nullptr && (retry == nullptr || msg.rid != 0));
+  msg.gate->Arm(msg.rid);
+  sim::Tick timeout = retry != nullptr ? retry->timeout_ns : 0;
   for (unsigned attempts = 1;; attempts++) {
     nic.ClientSend(ctx, ring, msg);
-    if (co_await PollGate(ctx, gate, ctx.Now() + timeout, retry->poll_ns)) {
+    if (co_await msg.gate->WaitUntil(ctx, retry != nullptr
+                                              ? ctx.Now() + timeout
+                                              : sim::WakeSlot::kNever)) {
       co_return attempts;
     }
     timeout = BackoffStep(timeout, retry->max_timeout_ns, retry->jitter_frac,

@@ -5,9 +5,10 @@
 //    ingress link (token-bucket for message rate and 200 Gbps byte rate),
 //    travel RTT/2, and land in one of the server's receive rings in arrival
 //    order (the RPC layer decides slot placement and performs the DDIO DMA
-//    write via the cache model). Responses serialize through the egress link
-//    and complete the request's RpcGate at delivery time: the one completion
-//    every client uses, whether it parks on the gate or polls it.
+//    write via the cache model, or a loop parked on the ring with
+//    WaitArrival is woken at the arrival tick). Responses serialize through
+//    the egress link and complete the request's RpcGate at delivery time:
+//    the one completion every client waits on.
 //  - One-sided verbs (READ/WRITE/CAS): executed as client coroutines; the
 //    remote memory operation is performed exactly at the simulated
 //    server-side time, linearizing one-sided ops against server CPU ops.
@@ -199,7 +200,8 @@ class Nic {
         cfg_(cfg),
         rx_link_(cfg.msg_rate_mops, cfg.bandwidth_gbps),
         tx_link_(cfg.msg_rate_mops, cfg.bandwidth_gbps),
-        rings_(num_rings) {}
+        rings_(num_rings),
+        arrivals_(num_rings) {}
 
   const NicConfig& config() const { return cfg_; }
 
@@ -231,6 +233,7 @@ class Nic {
     if (rings_[ring].size() > peak_ring_depth_) {
       peak_ring_depth_ = rings_[ring].size();  // ingress queueing high-water
     }
+    arrivals_[ring].WakeAt(msg.arrival_tick);
   }
 
   // Fault-path send: the wire is used either way (serialization happens), but
@@ -267,6 +270,14 @@ class Nic {
   }
 
   size_t RingDepth(unsigned ring) const { return rings_[ring].size(); }
+
+  // Parks a loop that serves `ring` and found nothing there by its local
+  // time until the first arrival tick, however the wire ordered arrivals.
+  WakeSlot::Awaiter WaitArrival(ExecCtx& ctx, unsigned ring) {
+    const MsgRing& q = rings_[ring];
+    return arrivals_[ring].Wait(
+        ctx, q.empty() ? WakeSlot::kNever : q.front().arrival_tick);
+  }
 
   // Crash-restart support (src/wal recovery): models a NIC reset — requests
   // queued toward the server but not yet placed into receive slots are lost.
@@ -420,6 +431,7 @@ class Nic {
     if (q.size() > peak_ring_depth_) {
       peak_ring_depth_ = q.size();
     }
+    arrivals_[ring].WakeAt(msg.arrival_tick);
   }
 
   double LinkScale(Tick now) const {
@@ -432,6 +444,7 @@ class Nic {
   LinkSerializer rx_link_;
   LinkSerializer tx_link_;
   std::vector<MsgRing> rings_;
+  std::vector<WakeSlot> arrivals_;  // per ring: its parked serving loop
   uint64_t rx_messages_ = 0;
   uint64_t tx_messages_ = 0;
   uint64_t rx_bytes_ = 0;

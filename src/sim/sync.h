@@ -1,5 +1,5 @@
-// Synchronization primitives in virtual time: spinlocks and the RPC
-// completion gate.
+// Synchronization primitives in virtual time: spinlocks, the parked-fiber
+// wake slot and the RPC completion gate built on it.
 //
 // Because the entire simulation is serialized on one host thread, the *data*
 // operations need no host atomics; these primitives model the timing of
@@ -9,6 +9,7 @@
 #define UTPS_SIM_SYNC_H_
 
 #include <coroutine>
+#include <utility>
 
 #include "common/macros.h"
 #include "sim/exec.h"
@@ -105,42 +106,153 @@ class SimSpinlock {
   AcquireAwaiter* tail_ = nullptr;
 };
 
-// Request-id-guarded RPC completion: the one way a client learns that its
-// response landed. The NIC completes it with the response's delivery tick,
-// and the client either parks on Wait (one send, no retransmit) or polls
-// ReadyAt from a timeout loop (the retry path, src/fault). A gate tolerates
-// lost, duplicated and stale responses: the server side must check
-// AcceptsResponse(rid) before touching client buffers, only the first
-// matching completion latches, and a late response simply finds the gate
-// re-armed for a newer request and is discarded at the NIC. rid 0 names a
-// request that is never retransmitted.
-class RpcGate {
+// One parked fiber, resumed once: at the earliest tick WakeAt asked for
+// while it was parked, or at the tick WakeFinal names, never before the
+// fiber's local time when it parked. The engine has no cancel, so each
+// WakeAt that comes earlier than the tick already armed schedules the
+// slot's relay fiber once more; the relay may have several events pending,
+// and one that finds its park over, or an earlier tick already served,
+// resumes no one. The relay is spawned at first use, so the steady state
+// allocates nothing. It points at the slot: a slot must not move once used
+// and must outlive the engine's last Run.
+class WakeSlot {
  public:
-  // Parks the caller until the response is ready; resumes at its delivery
-  // tick. One waiter at a time.
+  static constexpr Tick kNever = ~Tick{0};
+
+  // Parks the caller; WakeAt(`at`) is asked for at once (kNever: nothing).
   struct Awaiter {
-    RpcGate* g;
+    WakeSlot* s;
     ExecCtx* ctx;
-    bool await_ready() const noexcept { return g->ReadyAt(ctx->eng->now()); }
+    Tick at;
+    bool await_ready() const noexcept { return false; }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      ctx->pending = 0;
-      ctx->fast_ops = 0;
-      if (g->completed_) {
-        ctx->eng->ScheduleAt(g->ready_at_, h);
-      } else {
-        UTPS_DCHECK(!g->waiter_);
-        g->waiter_ = h;
-        g->waiter_eng_ = ctx->eng;
-      }
+      s->Park(ctx, h);
+      s->WakeAt(at);
       return ctx->eng->NextRunnable();
     }
     void await_resume() const noexcept {}
+  };
+  Awaiter Wait(ExecCtx& ctx, Tick at = kNever) { return {this, &ctx, at}; }
+
+  bool parked() const { return static_cast<bool>(waiter_); }
+
+  void Park(ExecCtx* ctx, std::coroutine_handle<> h) {
+    UTPS_DCHECK(!waiter_ && (!relay_ || eng_ == ctx->eng));
+    eng_ = ctx->eng;
+    waiter_ = h;
+    floor_ = eng_->now() + ctx->pending;
+    wake_at_ = kNever;
+    ctx->pending = 0;
+    ctx->fast_ops = 0;
+  }
+
+  void WakeAt(Tick t) {
+    t = t < floor_ ? floor_ : t;
+    if (!waiter_ || t >= wake_at_) {
+      return;
+    }
+    wake_at_ = t;
+    if (t < armed_at_) {  // else the armed event comes first and re-arms
+      armed_at_ = t;
+      if (relay_) {
+        eng_->ScheduleAt(t, relay_);
+      } else {
+        eng_->Spawn(RelayMain(this), t);
+      }
+    }
+  }
+
+  // Like WakeAt, with one direct event, for a caller that knows no later
+  // request can be earlier than `t`.
+  void WakeFinal(Tick t) {
+    if (waiter_ && t <= wake_at_) {
+      eng_->ScheduleAt(t < floor_ ? floor_ : t, std::exchange(waiter_, {}));
+      wake_at_ = kNever;
+    }
+  }
+
+ private:
+  // Runs each wake-up's check once the relay is suspended, so it can hand
+  // the engine the waiter to transfer to.
+  struct RelayStep {
+    WakeSlot* s;
+    bool await_ready() const noexcept { return false; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      s->relay_ = h;
+      return s->OnRelay();
+    }
+    void await_resume() const noexcept {}
+  };
+  static Fiber RelayMain(WakeSlot* s) {
+    for (;;) {
+      co_await RelayStep{s};
+    }
+  }
+
+  // An event at or past the armed tick stands in for the armed one (under
+  // DST jitter two events can swap).
+  std::coroutine_handle<> OnRelay() {
+    const Tick now = eng_->now();
+    if (armed_at_ <= now) {
+      armed_at_ = kNever;
+    }
+    if (waiter_ && wake_at_ <= now) {
+      wake_at_ = kNever;
+      return std::exchange(waiter_, {});
+    }
+    if (waiter_ && wake_at_ < armed_at_) {  // a later park's tick
+      armed_at_ = wake_at_;
+      eng_->ScheduleAt(wake_at_, relay_);
+    }
+    return eng_->NextRunnable();
+  }
+
+  Engine* eng_ = nullptr;
+  std::coroutine_handle<> waiter_{};
+  std::coroutine_handle<> relay_{};
+  Tick floor_ = 0;
+  Tick wake_at_ = kNever;
+  Tick armed_at_ = kNever;  // the earliest tick a relay event is armed for
+};
+
+// Request-id-guarded RPC completion: the one way a client learns that its
+// response landed. The NIC completes it with the response's delivery tick.
+// The client either parks on Wait until then (one send, no retransmit) or on
+// WaitUntil, which also ends at a deadline (the retry paths: src/fault,
+// src/cluster). A gate tolerates lost, duplicated and stale responses: the
+// server side must check AcceptsResponse(rid) before touching client
+// buffers, only the first matching completion latches, and a late response
+// simply finds the gate re-armed for a newer request and is discarded at the
+// NIC. rid 0 names a request that is never retransmitted.
+class RpcGate {
+ public:
+  // Parks the caller until the response is ready or `deadline` passes
+  // (kNever for Wait), whichever is first, and resumes it once, then. Yields
+  // whether the response landed; one landing later stays for the arm's next
+  // wait. One waiter at a time.
+  struct Awaiter {
+    RpcGate* g;
+    ExecCtx* ctx;
+    Tick deadline;
+    bool await_ready() const noexcept {
+      return g->ReadyAt(ctx->Now()) || ctx->Now() >= deadline;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      g->slot_.Park(ctx, h);
+      if (g->completed_ && g->ready_at_ <= deadline) {
+        g->slot_.WakeFinal(g->ready_at_);
+      } else {
+        g->slot_.WakeAt(deadline);
+      }
+      return ctx->eng->NextRunnable();
+    }
+    bool await_resume() const noexcept { return g->ReadyAt(ctx->Now()); }
   };
 
   // Arm for a new request. Retransmits of the same request must NOT re-arm:
   // a completion raced in by an earlier attempt stays valid (same rid).
   void Arm(uint64_t rid) {
-    UTPS_DCHECK(!waiter_);
+    UTPS_DCHECK(!slot_.parked());
     rid_ = rid;
     completed_ = false;
     ready_at_ = 0;
@@ -156,20 +268,25 @@ class RpcGate {
   }
 
   // First matching completion wins; duplicates are ignored. A parked waiter
-  // is woken at `at`; with none, nothing is scheduled.
+  // is woken at `at` unless its deadline comes first; with none, nothing is
+  // scheduled.
   void Complete(Tick at) {
     if (completed_) {
       return;
     }
     completed_ = true;
     ready_at_ = at;
-    if (waiter_) {
-      waiter_eng_->ScheduleAt(ready_at_, waiter_);
-      waiter_ = {};
-    }
+    slot_.WakeFinal(at);
   }
 
-  Awaiter Wait(ExecCtx& ctx) { return Awaiter{this, &ctx}; }
+  // Ends a parked WaitUntil now, as if its deadline had passed (the caller
+  // crashed). A no-op when nobody waits.
+  void Expire(Tick now) { slot_.WakeAt(now); }
+
+  Awaiter Wait(ExecCtx& ctx) { return {this, &ctx, WakeSlot::kNever}; }
+  Awaiter WaitUntil(ExecCtx& ctx, Tick deadline) {
+    return {this, &ctx, deadline};
+  }
 
   bool ReadyAt(Tick now) const { return completed_ && ready_at_ <= now; }
   Tick ready_at() const { return ready_at_; }
@@ -178,8 +295,7 @@ class RpcGate {
   uint64_t rid_ = 0;
   bool completed_ = false;
   Tick ready_at_ = 0;
-  std::coroutine_handle<> waiter_{};
-  Engine* waiter_eng_ = nullptr;
+  WakeSlot slot_;
 };
 
 }  // namespace utps::sim

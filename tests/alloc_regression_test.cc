@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/harness.h"
 #include "harness/experiment.h"
 #include "hotset/hotset.h"
 #include "index/btree.h"
@@ -291,6 +292,45 @@ TEST(AllocRegression, ContendedSpinlockIsAllocationFree) {
   eng.RunToQuiescence(sim::kSec);
   EXPECT_EQ(AllocProbe() - before, 0u);
   EXPECT_FALSE(lock.held());
+}
+
+// A small flash crowd on a 4-node cluster with the rebalancer on. Every
+// request of the measure window (8,056) waits on its gate with a deadline,
+// every node loop parks on its ring between messages and the writes
+// replicate, so a wait that allocated per request or per park would add
+// thousands. The window is not allocation-free: the hot shift's two live
+// migrations (snapshot and dedup-watermark buffers, the importing node's
+// dedup entries) and the rebalancer's per-period load vectors allocate, as
+// they did when every wait polled (145 then, over 5,058 requests). The count
+// is pinned so that any new source shows.
+TEST(AllocRegression, ClusterFlashCrowdMeasurePhase) {
+  cluster::ClusterBenchConfig cfg;
+  cfg.cluster.nodes = 4;
+  cfg.cluster.shards = 8;
+  cfg.cluster.workers = 2;
+  cfg.cluster.num_keys = 4096;
+  cfg.cluster.value_size = 64;
+  cfg.cluster.arena_mb = 64;
+  cfg.cluster.rebalance_period_ns = 150 * sim::kUsec;
+  cfg.cluster.imbalance_factor = 1.8;
+  cfg.cluster.rebalance_cooldown_ns = 600 * sim::kUsec;
+  cfg.clients = 16;
+  cfg.zipf_theta = 1.05;
+  cfg.warmup_ns = 300 * sim::kUsec;
+  cfg.measure_ns = 1500 * sim::kUsec;
+  cfg.hotshift_at_ns = cfg.warmup_ns + cfg.measure_ns / 3;
+
+  // A first run fills the coroutine frame pool, which other tests in this
+  // binary may or may not have filled already.
+  cluster::RunClusterExperiment(cfg);
+  g_alloc_probe = &AllocProbe;
+  const ExperimentResult res = cluster::RunClusterExperiment(cfg);
+  g_alloc_probe = nullptr;
+
+  EXPECT_GT(res.ops, 8000u);
+  EXPECT_EQ(res.shard_migrations, 2u);
+  EXPECT_EQ(res.measure_allocs, 134u)
+      << "heap allocations in the cluster's measure phase changed";
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Functional tests for the scale-out tier (src/cluster): routing round trips,
-// replication, NOT_OWNER redirects, forced migration, primary-crash failover,
+// replication, the latency of requests on an idle cluster, NOT_OWNER
+// redirects, forced migration, primary-crash failover,
 // a grown PUT replacing the item on both replicas, the oversize-write check,
 // the rebalancer's move rule, and the cluster harness: determinism and the
 // flash-crowd timeline.
@@ -77,6 +78,50 @@ TEST(Cluster, PutGetAcrossNodes) {
   EXPECT_EQ(repl, 64u);
   std::string err;
   EXPECT_TRUE(cluster.AuditReplicas(&err, eng.now())) << err;
+  cluster.Stop();
+  eng.Run(eng.now() + sim::kMsec);
+}
+
+// One GET, then one PUT of the same key, from a client on an idle cluster,
+// after an untimed PUT that brings the key's lines into both replicas'
+// caches.
+sim::Fiber TimedGetThenPut(sim::ExecCtx* ctx, ClusterClient* cli, Key key,
+                           sim::Tick* get_ns, sim::Tick* put_ns) {
+  std::vector<uint8_t> val(64, 0x3c);
+  std::vector<uint8_t> out(128, 0);
+  co_await cli->Call(OpType::kPut, key, val.data(), 64, nullptr);
+  sim::Tick t0 = ctx->Now();
+  EXPECT_EQ(co_await cli->Call(OpType::kGet, key, nullptr, 0, out.data()),
+            64u);
+  *get_ns = ctx->Now() - t0;
+  t0 = ctx->Now();
+  co_await cli->Call(OpType::kPut, key, val.data(), 64, nullptr);
+  *put_ns = ctx->Now() - t0;
+}
+
+// Requests wake at delivery: on an idle 2-node cluster a GET completes
+// within the client RTT plus 0.5 us of send, link and server time, and a
+// replicated PUT within that plus one internode RTT (the backup's ack).
+TEST(Cluster, IdleRequestsCompleteWithinTheirRoundTrips) {
+  sim::Engine eng;
+  Cluster cluster(&eng, SmallParams());
+  PopulateKeyed(&cluster);
+  cluster.Start();
+  sim::ExecCtx ctx{.eng = &eng};
+  ClusterClient cli(&cluster, 0, &ctx);
+  sim::Tick get_ns = 0;
+  sim::Tick put_ns = 0;
+  eng.Spawn(TimedGetThenPut(&ctx, &cli, 7, &get_ns, &put_ns), 50 * sim::kUsec);
+  eng.Run(200 * sim::kUsec);
+  const sim::Tick client_rtt = sim::NicConfig{}.rtt_ns;
+  const sim::Tick internode_rtt = sim::MachineConfig{}.internode_rtt_ns;
+  EXPECT_GT(get_ns, client_rtt);
+  EXPECT_LE(get_ns, client_rtt + 500);
+  EXPECT_GT(put_ns, client_rtt + internode_rtt);
+  EXPECT_LE(put_ns, client_rtt + 500 + internode_rtt);
+  EXPECT_EQ(cluster.node(0)->counters().repl_applied +
+                cluster.node(1)->counters().repl_applied,
+            2u);
   cluster.Stop();
   eng.Run(eng.now() + sim::kMsec);
 }

@@ -1,6 +1,7 @@
 // Tests for the NIC model and the reconfigurable RPC receive ring: slot
 // filling/closing, MP-RQ batching, timeout close, claim/complete recycling,
-// backpressure, link serialization, and one-sided verbs.
+// backpressure, link serialization, one-sided verbs, the gate's deadline
+// wait and loops parked on an empty ring.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -317,34 +318,183 @@ TEST_F(RpcTest, EndToEndLatencyIsAtLeastOneRtt) {
   EXPECT_GE(latency, NicConfig{}.rtt_ns);
 }
 
-// ------------------------------------------------------------ polled wait
+// ----------------------------------------------------------- deadline wait
 
-Fiber PollFor(ExecCtx* ctx, const sim::RpcGate* gate, sim::Tick timeout,
-              bool* landed, sim::Tick* at) {
-  *landed = co_await PollGate(*ctx, *gate, ctx->Now() + timeout, 300);
-  *at = ctx->Now();
+Fiber WaitFor(ExecCtx* ctx, sim::RpcGate* gate, sim::Tick deadline,
+              bool* landed, sim::Tick* at, unsigned* resumes) {
+  *landed = co_await gate->WaitUntil(*ctx, deadline);
+  *at = ctx->eng->now();
+  (*resumes)++;
 }
 
-// Without a response the wait gives up exactly at the deadline, its last
-// poll clamped (1000 ns is not a multiple of the 300 ns poll). With one it
-// returns at the first poll at or after the response's ready tick.
-TEST_F(RpcTest, PollGateEndsAtDeadlineOrFirstPollAfterResponse) {
+Fiber CompleteAt(sim::RpcGate* gate, sim::Tick ready) {
+  gate->Complete(ready);
+  co_return;
+}
+
+// A response delivered at 1700, completed while the caller is parked with a
+// 3000 deadline, resumes it at exactly 1700.
+TEST_F(RpcTest, DeadlineWaitResumesAtDelivery) {
+  ExecCtx cli{.eng = &eng_};
+  sim::RpcGate gate;
+  gate.Arm(1);
+  bool landed = false;
+  sim::Tick at = 0;
+  unsigned resumes = 0;
+  eng_.Spawn(WaitFor(&cli, &gate, 3000, &landed, &at, &resumes), 1000);
+  eng_.Spawn(CompleteAt(&gate, 1700), 1200);
+  eng_.Run(2000);
+  EXPECT_TRUE(landed);
+  EXPECT_EQ(at, 1700u);
+  EXPECT_EQ(resumes, 1u);
+}
+
+// Without a response the wait resumes at exactly its deadline.
+TEST_F(RpcTest, DeadlineWaitEndsAtDeadlineWithoutResponse) {
   ExecCtx cli{.eng = &eng_};
   sim::RpcGate gate;
   gate.Arm(1);
   bool landed = true;
   sim::Tick at = 0;
-  eng_.Spawn(PollFor(&cli, &gate, 1000, &landed, &at));
+  unsigned resumes = 0;
+  eng_.Spawn(WaitFor(&cli, &gate, 1000, &landed, &at, &resumes));
   eng_.RunToQuiescence(kMsec);
   EXPECT_FALSE(landed);
   EXPECT_EQ(at, 1000u);
+  EXPECT_EQ(resumes, 1u);
+}
 
-  gate.Arm(2);
-  gate.Complete(1700);  // polls at 1000, 1300, 1600, 1900
-  eng_.Spawn(PollFor(&cli, &gate, 5000, &landed, &at), 1000);
+// The deadline's relay still fires at 3000, but finds the wait over and
+// resumes no one: four events in all (the two fibers' starts, the delivery
+// wake-up at 1700, the idle relay at 3000), and the caller ran once.
+TEST_F(RpcTest, WaitEndedByResponseIsNotResumedAtDeadline) {
+  ExecCtx cli{.eng = &eng_};
+  sim::RpcGate gate;
+  gate.Arm(1);
+  bool landed = false;
+  sim::Tick at = 0;
+  unsigned resumes = 0;
+  eng_.Spawn(WaitFor(&cli, &gate, 3000, &landed, &at, &resumes), 1000);
+  eng_.Spawn(CompleteAt(&gate, 1700), 1200);
   eng_.RunToQuiescence(kMsec);
-  EXPECT_TRUE(landed);
-  EXPECT_EQ(at, 1900u);
+  EXPECT_EQ(at, 1700u);
+  EXPECT_EQ(resumes, 1u);
+  EXPECT_EQ(eng_.stats().events_processed, 4u);
+  EXPECT_EQ(eng_.now(), 3000u);
+}
+
+// Sends, times out, retransmits under the same arm and waits again.
+Fiber TwoAttempts(ExecCtx* ctx, sim::RpcGate* gate, bool* first,
+                  bool* second, sim::Tick* at) {
+  *first = co_await gate->WaitUntil(*ctx, ctx->Now() + 1000);
+  *second = co_await gate->WaitUntil(*ctx, ctx->Now() + 4000);
+  *at = ctx->eng->now();
+}
+
+// The first attempt's response is delivered at 1200, after the first wait's
+// 1000 deadline: that wait times out, and the response completes the
+// retransmit's wait at its delivery tick.
+TEST_F(RpcTest, ResponseAfterTimeoutCompletesTheRetransmitsWait) {
+  ExecCtx cli{.eng = &eng_};
+  sim::RpcGate gate;
+  gate.Arm(7);
+  bool first = true;
+  bool second = false;
+  sim::Tick at = 0;
+  eng_.Spawn(TwoAttempts(&cli, &gate, &first, &second, &at));
+  eng_.Spawn(CompleteAt(&gate, 1200), 800);
+  eng_.RunToQuiescence(kMsec);
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+  EXPECT_EQ(at, 1200u);
+}
+
+// A later deadline first, then an earlier one on the same gate: the relay
+// sleeping to the first cannot be moved, so the second deadline is still
+// kept exactly.
+Fiber ShorterSecondDeadline(ExecCtx* ctx, sim::RpcGate* gate, sim::Tick* at) {
+  co_await gate->WaitUntil(*ctx, 10000);  // ended at 1000 by a completion
+  gate->Arm(2);
+  const bool landed = co_await gate->WaitUntil(*ctx, ctx->Now() + 500);
+  EXPECT_FALSE(landed);
+  *at = ctx->eng->now();
+}
+
+TEST_F(RpcTest, EarlierDeadlineAfterALaterOneIsKept) {
+  ExecCtx cli{.eng = &eng_};
+  sim::RpcGate gate;
+  gate.Arm(1);
+  sim::Tick at = 0;
+  eng_.Spawn(ShorterSecondDeadline(&cli, &gate, &at));
+  eng_.Spawn(CompleteAt(&gate, 1000), 500);
+  eng_.RunToQuiescence(kMsec);
+  EXPECT_EQ(at, 1500u);
+}
+
+// ------------------------------------------------------------ parked loops
+
+// Serves one message from ring 0, parking while the ring is empty.
+Fiber ServeOne(ExecCtx* ctx, Nic* nic, NicMessage* got, sim::Tick* at) {
+  while (!nic->PopArrived(0, ctx->Now(), got)) {
+    co_await nic->WaitArrival(*ctx, 0);
+  }
+  *at = ctx->eng->now();
+}
+
+Fiber SendAt(ExecCtx* ctx, Nic* nic, Key key) {
+  nic->ClientSend(*ctx, 0, EncodeRequest(OpType::kGet, key, 8, 0, 0));
+  co_return;
+}
+
+// The loop parks on the empty ring and is served at the message's arrival
+// tick: sent at 5000, +30 ns send CPU, +RTT/2.
+TEST_F(RpcTest, ParkedLoopIsServedAtArrival) {
+  ExecCtx cli{.eng = &eng_};
+  ExecCtx srv{.eng = &eng_};
+  NicMessage got;
+  sim::Tick at = 0;
+  eng_.Spawn(ServeOne(&srv, &nic_, &got, &at));
+  eng_.Spawn(SendAt(&cli, &nic_, 9), 5000);
+  eng_.RunToQuiescence(kMsec);
+  EXPECT_EQ(got.h[0], 9u);
+  EXPECT_EQ(at, got.arrival_tick);
+  EXPECT_EQ(at, 5000u + 30 + NicConfig{}.rtt_ns / 2);
+  // The loop's start, the send, the arrival wake-up: no polls.
+  EXPECT_EQ(eng_.stats().events_processed, 3u);
+}
+
+// Delays the first request by 10 us, the rest not at all.
+class DelayFirst final : public sim::NicFaultHook {
+ public:
+  sim::NicFault OnRequest(sim::Tick) override {
+    sim::NicFault f;
+    f.extra_delay = n_++ == 0 ? 10 * kUsec : 0;
+    return f;
+  }
+  sim::NicFault OnResponse(sim::Tick) override { return {}; }
+  double LinkCostScale(sim::Tick) override { return 1.0; }
+
+ private:
+  unsigned n_ = 0;
+};
+
+// A message that overtakes a delayed one on the wire wakes the parked loop
+// at its own arrival, not at the delayed message's.
+TEST_F(RpcTest, OvertakingArrivalWakesParkedLoopFirst) {
+  DelayFirst hook;
+  nic_.SetFaultHook(&hook);
+  ExecCtx a{.eng = &eng_};
+  ExecCtx b{.eng = &eng_};
+  ExecCtx srv{.eng = &eng_};
+  NicMessage got;
+  sim::Tick at = 0;
+  eng_.Spawn(ServeOne(&srv, &nic_, &got, &at));
+  eng_.Spawn(SendAt(&a, &nic_, 1), 1000);
+  eng_.Spawn(SendAt(&b, &nic_, 2), 1100);
+  eng_.Run(20 * kUsec);
+  EXPECT_EQ(got.h[0], 2u);
+  EXPECT_EQ(at, 1100u + 30 + NicConfig{}.rtt_ns / 2);
+  EXPECT_EQ(nic_.RingDepth(0), 1u);  // the delayed message is still queued
 }
 
 }  // namespace

@@ -301,6 +301,33 @@ TEST(Engine, TeardownDestroysBlockedFibers) {
   EXPECT_TRUE(destroyed);
 }
 
+Fiber BlockedUntil(ExecCtx* ctx, RpcGate* gate, Tick deadline) {
+  co_await gate->WaitUntil(*ctx, deadline);
+}
+
+// A deadline wait parks its caller and leaves a relay fiber sleeping to the
+// deadline. Tearing the engine down with both pending is clean whichever of
+// gate and engine goes first (ASan checks the frames).
+TEST(Engine, TeardownWithParkedDeadlineWaiter) {
+  {
+    RpcGate outlives;
+    Engine eng;
+    ExecCtx ctx{.eng = &eng};
+    outlives.Arm(1);
+    eng.Spawn(BlockedUntil(&ctx, &outlives, 5000));
+    eng.Run(100);
+  }
+  {
+    Engine eng;
+    ExecCtx ctx{.eng = &eng};
+    RpcGate dies_first;
+    dies_first.Arm(1);
+    eng.Spawn(BlockedUntil(&ctx, &dies_first, 5000));
+    eng.Run(100);
+    EXPECT_EQ(eng.live_fibers(), 2u);  // the caller and its relay
+  }
+}
+
 #ifndef NDEBUG
 Fiber NopFiber() { co_return; }
 
@@ -421,8 +448,8 @@ TEST(Sync, GateCompletedBeforeWaitIsImmediate) {
   EXPECT_EQ(observed, 5u);
 }
 
-// A completion with no parked waiter schedules nothing: polling callers see
-// the same event stream as before the gate could park.
+// A completion with no parked waiter schedules nothing: a caller that has
+// not parked yet finds the response on the gate.
 TEST(Sync, GateCompletionWithoutWaiterSchedulesNothing) {
   Engine eng;
   RpcGate gate;
