@@ -296,10 +296,9 @@ inline sim::Tick BackoffStep(sim::Tick timeout, sim::Tick max_timeout,
 
 // One request end to end: arms the message's gate for its rid and sends.
 // With a null `retry` it sends once and parks on the gate until the response
-// lands (rid 0, no fault plan). With a policy it waits on the gate until the
-// response lands or the timeout passes, retransmitting on each timeout and
-// backing off, until the response lands. Returns the number of send attempts
-// (1 = no retransmit).
+// lands (rid 0, no fault plan). With a policy each attempt waits until the
+// response lands or its timeout passes, and a timeout retransmits with
+// backoff. Returns the number of send attempts (1 = no retransmit).
 inline sim::Task<unsigned> RpcCall(sim::ExecCtx& ctx, sim::Nic& nic,
                                    unsigned ring, const sim::NicMessage& msg,
                                    const RetryPolicy* retry) {
@@ -308,9 +307,9 @@ inline sim::Task<unsigned> RpcCall(sim::ExecCtx& ctx, sim::Nic& nic,
   sim::Tick timeout = retry != nullptr ? retry->timeout_ns : 0;
   for (unsigned attempts = 1;; attempts++) {
     nic.ClientSend(ctx, ring, msg);
-    if (co_await msg.gate->WaitUntil(ctx, retry != nullptr
-                                              ? ctx.Now() + timeout
-                                              : sim::WakeSlot::kNever)) {
+    if (co_await (retry != nullptr
+                      ? msg.gate->WaitUntil(ctx, ctx.Now() + timeout)
+                      : msg.gate->Wait(ctx))) {
       co_return attempts;
     }
     timeout = BackoffStep(timeout, retry->max_timeout_ns, retry->jitter_frac,

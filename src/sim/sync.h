@@ -119,6 +119,10 @@ class WakeSlot {
  public:
   static constexpr Tick kNever = ~Tick{0};
 
+  WakeSlot() = default;
+  WakeSlot(const WakeSlot&) = delete;
+  WakeSlot& operator=(const WakeSlot&) = delete;
+
   // Parks the caller; WakeAt(`at`) is asked for at once (kNever: nothing).
   struct Awaiter {
     WakeSlot* s;
@@ -147,8 +151,11 @@ class WakeSlot {
   }
 
   void WakeAt(Tick t) {
+    if (!waiter_) {
+      return;
+    }
     t = t < floor_ ? floor_ : t;
-    if (!waiter_ || t >= wake_at_) {
+    if (t >= wake_at_) {
       return;
     }
     wake_at_ = t;

@@ -332,23 +332,6 @@ Fiber CompleteAt(sim::RpcGate* gate, sim::Tick ready) {
   co_return;
 }
 
-// A response delivered at 1700, completed while the caller is parked with a
-// 3000 deadline, resumes it at exactly 1700.
-TEST_F(RpcTest, DeadlineWaitResumesAtDelivery) {
-  ExecCtx cli{.eng = &eng_};
-  sim::RpcGate gate;
-  gate.Arm(1);
-  bool landed = false;
-  sim::Tick at = 0;
-  unsigned resumes = 0;
-  eng_.Spawn(WaitFor(&cli, &gate, 3000, &landed, &at, &resumes), 1000);
-  eng_.Spawn(CompleteAt(&gate, 1700), 1200);
-  eng_.Run(2000);
-  EXPECT_TRUE(landed);
-  EXPECT_EQ(at, 1700u);
-  EXPECT_EQ(resumes, 1u);
-}
-
 // Without a response the wait resumes at exactly its deadline.
 TEST_F(RpcTest, DeadlineWaitEndsAtDeadlineWithoutResponse) {
   ExecCtx cli{.eng = &eng_};
@@ -364,10 +347,12 @@ TEST_F(RpcTest, DeadlineWaitEndsAtDeadlineWithoutResponse) {
   EXPECT_EQ(resumes, 1u);
 }
 
-// The deadline's relay still fires at 3000, but finds the wait over and
-// resumes no one: four events in all (the two fibers' starts, the delivery
-// wake-up at 1700, the idle relay at 3000), and the caller ran once.
-TEST_F(RpcTest, WaitEndedByResponseIsNotResumedAtDeadline) {
+// A response delivered at 1700, completed while the caller is parked with a
+// 3000 deadline, resumes it at exactly 1700. The deadline's relay still
+// fires at 3000 but finds the wait over and resumes no one: four events in
+// all (the two fibers' starts, the delivery wake-up, the relay), and the
+// caller ran once.
+TEST_F(RpcTest, DeadlineWaitResumesAtDeliveryNotAgainAtDeadline) {
   ExecCtx cli{.eng = &eng_};
   sim::RpcGate gate;
   gate.Arm(1);
@@ -377,6 +362,7 @@ TEST_F(RpcTest, WaitEndedByResponseIsNotResumedAtDeadline) {
   eng_.Spawn(WaitFor(&cli, &gate, 3000, &landed, &at, &resumes), 1000);
   eng_.Spawn(CompleteAt(&gate, 1700), 1200);
   eng_.RunToQuiescence(kMsec);
+  EXPECT_TRUE(landed);
   EXPECT_EQ(at, 1700u);
   EXPECT_EQ(resumes, 1u);
   EXPECT_EQ(eng_.stats().events_processed, 4u);
