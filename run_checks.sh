@@ -27,9 +27,9 @@
 #                   checker across 3 fault profiles x 23 seeds x 3 commit
 #                   modes (DESIGN.md §10). Implied by MUTPS_DST=1.
 # MUTPS_DST_CLUSTER=1 additionally runs the cluster DST sweep: primary-crash
-#                   failover, migration racing retransmits, and partition-heal
-#                   linearizability at 20 seeds each (DESIGN.md §14).
-#                   Implied by MUTPS_DST=1.
+#                   failover, migration racing retransmits, partition-heal
+#                   and the other cluster profiles at 153 seeds each
+#                   (DESIGN.md §14). Implied by MUTPS_DST=1.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -260,9 +260,10 @@ if [ "${MUTPS_DST_WAL:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
 fi
 
 if [ "${MUTPS_DST_CLUSTER:-0}" != "0" ] || [ "${MUTPS_DST:-0}" != "0" ]; then
-  echo "=== DST cluster sweep (failover/migration/partition x 20 seeds) ==="
-  # 3 fixed seeds + 17 extra = 20 seeds per profile.
-  MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-17}" \
+  echo "=== DST cluster sweep (failover/migration/partition x 153 seeds) ==="
+  # 3 fixed seeds + 150 extra = 153 seeds per profile: the lease and
+  # refused-replication bugs each needed more than 100 seeds to show.
+  MUTPS_DST_FAULT_SEEDS="${MUTPS_DST_FAULT_SEEDS:-150}" \
     ./build/tests/dst/dst_fault_test --gtest_filter='DstCluster.*'
   echo "=== cluster sweep passed ==="
 fi

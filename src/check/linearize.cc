@@ -78,6 +78,23 @@ struct KeySearch {
         min_resp = ops[i].resp;
       }
     }
+    // A minimal read of the current value goes next, with no other order
+    // tried: any valid completion stays valid with that read moved to its
+    // front (a read changes nothing, and taking it out of the pending set
+    // only relaxes every other op's minimality). Without this the search
+    // backtracks through the orders of a hot key's reads, and histories
+    // whose reads overlap long write chains take seconds to check.
+    for (size_t i = 0; i < ops.size(); i++) {
+      if (!IsDone(i) && ops[i].inv <= min_resp && !ops[i].write &&
+          ops[i].stamp == value) {
+        Mark(i);
+        if (Dfs(value)) {
+          return true;
+        }
+        Unmark(i);
+        return false;
+      }
+    }
     for (size_t i = 0; i < ops.size(); i++) {
       if (IsDone(i) || ops[i].inv > min_resp) {
         continue;

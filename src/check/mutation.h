@@ -28,7 +28,8 @@ enum class Mode : uint8_t {
   // the resurrected old value — a stale-read linearizability violation.
   kDropDedupWindow = 3,
   // A cluster node skips the per-shard ownership/epoch check
-  // (ClusterNode::Admit, cluster/cluster.h): after a migration it keeps
+  // (ClusterNode::Admit, and StepSlot's role check before a write's
+  // replication, cluster/cluster.h): after a migration it keeps
   // serving (and acking writes against its stale replica of) a shard it
   // handed off, instead of answering NOT_OWNER. A straggler write applied
   // there never reaches the new primary, so reads routed by the flipped ring
@@ -59,6 +60,19 @@ enum class Mode : uint8_t {
   // index answers with the superseded value, after the PUT that replaced it
   // was acknowledged — a stale read.
   kServeRetiredHotItem = 8,
+  // A cluster worker's replication slots (ClusterNode, cluster/cluster.h)
+  // share one dedup stream per worker instead of one per slot. When a lost
+  // replication message is overtaken by a later slot's, the backup's window
+  // records the later rid as started and done, so the retransmit of the
+  // earlier one is acked as done without being applied: the primary applies
+  // a write its backup never did, and the replica audit sees the divergence.
+  kReplSlotsShareStream = 9,
+  // A cluster worker replicates a write while an earlier write to the same
+  // key is still in flight on another of its slots. When the wire reorders
+  // the two, the backup applies them in one order and the primary in the
+  // other: the replicas diverge, and a promoted backup serves the older
+  // value.
+  kReplSameKeyOverlap = 10,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -145,6 +159,22 @@ inline bool ServeRetiredHotItem() {
   g_fired++;
   return true;
 }
+
+inline bool ReplSlotsShareStream() {
+  if (g_mode != Mode::kReplSlotsShareStream) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
+
+inline bool ReplSameKeyOverlap() {
+  if (g_mode != Mode::kReplSameKeyOverlap) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
@@ -154,6 +184,8 @@ inline constexpr bool PublishWithoutAcks() { return false; }
 inline constexpr bool MrRegionWithoutHold() { return false; }
 inline constexpr bool CrForwardInBatch() { return false; }
 inline constexpr bool ServeRetiredHotItem() { return false; }
+inline constexpr bool ReplSlotsShareStream() { return false; }
+inline constexpr bool ReplSameKeyOverlap() { return false; }
 #endif
 
 }  // namespace utps::mut

@@ -15,11 +15,13 @@
 // else — it is not an oracle: it learns node state only from probe responses.
 //
 // Replication is chain order: the primary replicates to the backup FIRST,
-// waits for the ack, then applies locally and acks the client — so an acked
-// write exists on every replica that can ever be promoted. The backup records
-// the client's rid in its dedup window while applying, so a promoted backup
-// answers a client retransmit of an already-acked write with an empty ack
-// instead of re-applying it.
+// and applies locally and acks the client only once the backup acked — so an
+// acked write exists on every replica that can ever be promoted. The backup
+// records the client's rid in its dedup window while applying, so a promoted
+// backup answers a client retransmit of an already-acked write with an empty
+// ack instead of re-applying it. The wait for the ack is pipelined: the write
+// sits in one of its worker's replication slots, and the worker keeps
+// serving its ring meanwhile.
 //
 // Migration: freeze (drain in-flight ops) -> snapshot chunks + dedup
 // watermarks over the control wire -> manager flips the ring epoch. The
@@ -30,7 +32,8 @@
 // sequence number and advertises the latest one in each probe. A node that
 // missed an assignment (partition, loss) sees its applied sequence lag the
 // probed one and refuses to serve until a resync catches it up; a node whose
-// lease lapsed (no probe for kLeaseNs) fences itself the same way.
+// lease lapsed (kLeaseNs past the send tick of the last probe it received)
+// fences itself the same way.
 //
 // Everything runs on the caller's engine, so cluster runs are deterministic
 // per (seed, node count). Header-only on purpose: the mutation
@@ -89,6 +92,12 @@ constexpr sim::Tick kDrainPollNs = 1200;
 // backoff cap every cluster call shares, the clients' included.
 constexpr sim::Tick kReplTimeoutNs = 20 * sim::kUsec;
 constexpr sim::Tick kRetryMaxTimeoutNs = 200 * sim::kUsec;
+// Chain-replicated writes a data worker keeps in flight at once.
+constexpr unsigned kReplSlots = 8;
+static_assert(kReplSlots <= kMaxReplSlots);
+// A primary whose backup refused a replicated write (the backup has not
+// taken its role yet) resends it after this pause.
+constexpr sim::Tick kReplRefusedPauseNs = 2 * sim::kUsec;
 // Client retry/backoff (jitter drawn from the per-client RNG).
 constexpr sim::Tick kClientTimeoutNs = 30 * sim::kUsec;
 // A client redirected by a frozen shard pauses 1-2x this before retrying.
@@ -168,7 +177,7 @@ class ClusterNicHook final : public sim::NicFaultHook {
 };
 
 // ---------------------------------------------------------- reliable call
-// The one reliable control call (replication, migration transfer, migration
+// The one blocking reliable control call (migration transfer, migration
 // start) of message `m`, whose gate it arms once with m's rid; retransmits
 // reuse the rid, and the receiver's dedup window makes delivery at-most-once.
 // The gate and m's copy-out buffer must outlive any copy of the message the
@@ -261,22 +270,19 @@ class ClusterNode {
     env_.num_workers = p.workers;
     shards_.resize(p.shards);
     shard_ops_.assign(p.shards, 0);
-    worker_ctxs_.resize(p.workers);
-    repl_gates_ = std::make_unique<sim::RpcGate[]>(p.workers);
-    repl_seq_.assign(p.workers, 0);
-    resp_bufs_.resize(p.workers);
-    stage_bufs_.resize(p.workers);
-    repl_resps_.resize(p.workers);
+    UTPS_CHECK(p.workers <= kMaxReplWorkers);
+    workers_ = std::make_unique<Worker[]>(p.workers);
     for (unsigned w = 0; w < p.workers; w++) {
-      worker_ctxs_[w].eng = eng;
-      worker_ctxs_[w].mem = mem_.get();
-      worker_ctxs_[w].core = static_cast<sim::CoreId>(w);
-      resp_bufs_[w] = arena->AllocateArray<uint8_t>(
-          kRespHeaderBytes + value_cap_, kCachelineBytes);
-      stage_bufs_[w] = arena->AllocateArray<uint8_t>(value_cap_,
-                                                     kCachelineBytes);
-      repl_resps_[w] = arena->AllocateArray<uint8_t>(kRespHeaderBytes,
-                                                     kCachelineBytes);
+      Worker& wk = workers_[w];
+      wk.ctx.eng = eng;
+      wk.ctx.mem = mem_.get();
+      wk.ctx.core = static_cast<sim::CoreId>(w);
+      wk.resp = arena->AllocateArray<uint8_t>(kRespHeaderBytes + value_cap_,
+                                              kCachelineBytes);
+      for (ReplSlot& sl : wk.slots) {
+        sl.stage = arena->AllocateArray<uint8_t>(value_cap_, kCachelineBytes);
+        sl.gate.WakeAlso(data_nic_->arrival_slot(w));
+      }
     }
     ctl_ctx_.eng = eng;
     ctl_ctx_.mem = mem_.get();
@@ -315,37 +321,28 @@ class ClusterNode {
   void Start() {
     lease_until_ = kLeaseNs;  // initial lease from t = 0
     for (unsigned w = 0; w < params_.workers; w++) {
-      sim::ExecCtx& ctx = worker_ctxs_[w];
-      const auto serve = [this, &ctx, w](sim::NicMessage msg) {
-        return ServeData(ctx, w, msg);
-      };
-      eng_->Spawn(ServeLoop(ctx, *data_nic_, w, serve));
+      eng_->Spawn(WorkerLoop(w));
     }
-    const auto serve_ctl = [this](sim::NicMessage msg) {
-      return ServeCtl(ctl_ctx_, msg);
-    };
-    eng_->Spawn(ServeLoop(ctl_ctx_, *ctl_nic_, 0, serve_ctl));
+    eng_->Spawn(CtlLoop());
     eng_->Spawn(TransferMain());
   }
 
   void Stop() {
-    for (auto& c : worker_ctxs_) {
-      c.stop = true;
+    for (unsigned w = 0; w < params_.workers; w++) {
+      workers_[w].ctx.stop = true;
     }
     ctl_ctx_.stop = true;
     transfer_ctx_.stop = true;
   }
 
-  // Crash-stop (fault plan): queued messages are lost, the reliable calls
-  // in flight give up now, and every fiber stops at its next wake-up.
+  // Crash-stop (fault plan): queued messages are lost, the transfer's
+  // reliable call in flight gives up now, and every fiber stops at its next
+  // wake-up (a worker's: its next arrival or slot tick).
   void Crash() {
     crashed_ = true;
     counters_.crashed = true;
     data_nic_->DropPending();
     ctl_nic_->DropPending();
-    for (unsigned w = 0; w < params_.workers; w++) {
-      repl_gates_[w].Expire(eng_->now());
-    }
     mig_gate_.Expire(eng_->now());
   }
 
@@ -372,6 +369,35 @@ class ClusterNode {
  private:
   static constexpr sim::Tick kMigApplyPerRecNs = 40;
 
+  // One chain-replicated write a data worker has in flight: the client's
+  // request, its payload staged in this node's arena, and the replication
+  // call to the backup on the slot's own dedup stream, with its gate, ack
+  // buffer and resend deadline. Slots are preallocated; a write takes a
+  // free one and gives it back once acked or redirected.
+  struct ReplSlot {
+    bool busy = false;
+    bool started = false;   // past its key wait: runs on `due` from now on
+    uint64_t order = 0;     // the worker's write count when this one arrived
+    uint64_t shard = 0;
+    uint32_t seq = 0;       // rid sequence of the slot's stream
+    sim::Tick due = 0;      // resend tick: deadline, or a refusal's pause end
+    sim::Tick timeout = 0;  // the ack wait of the latest send
+    sim::NicMessage req;    // the client's request
+    sim::NicMessage repl;   // the replication call
+    uint8_t* stage = nullptr;  // value_cap_ bytes of the arena
+    uint8_t ack[kRespHeaderBytes] = {};
+    sim::RpcGate gate;
+  };
+
+  // A data worker: its core's context, response buffer and slots. Workers
+  // never move: the NIC holds pointers to their gates and ack buffers.
+  struct Worker {
+    sim::ExecCtx ctx;
+    uint8_t* resp = nullptr;
+    uint64_t writes = 0;
+    std::array<ReplSlot, kReplSlots> slots;
+  };
+
   void EnsureIndex(uint64_t shard) {
     ShardState& s = shards_[shard];
     if (s.index == nullptr) {
@@ -390,29 +416,40 @@ class ClusterNode {
     return env;
   }
 
-  // The loop of each data worker (ring `w` of the data NIC) and of the
-  // control fiber (the control NIC's one ring): until stopped or crashed,
-  // serve the next arrived message, or park until the NIC delivers one.
-  template <typename Serve>
-  sim::Fiber ServeLoop(sim::ExecCtx& ctx, sim::Nic& nic, unsigned ring,
-                       Serve serve) {
+  // ------------------------------------------------------------ data path
+  // The loop of data worker `w` (ring w of the data NIC). A write does not
+  // hold the worker while its backup acks: it takes one of the worker's
+  // replication slots and the loop goes back to the ring. Until the node
+  // stops or crashes, each pass does the first of: step the oldest slot
+  // that is due (StepSlot), serve the next arrived request while a slot is
+  // free, or park until the next arrival, ack or slot deadline. A landing
+  // ack wakes the parked loop through its gate (RpcGate::WakeAlso).
+  sim::Fiber WorkerLoop(unsigned w) {
+    Worker& wk = workers_[w];
+    sim::ExecCtx& ctx = wk.ctx;
     sim::NicMessage msg;
     while (!ctx.stop && !crashed_) {
-      if (nic.PopArrived(ring, ctx.Now(), &msg)) {
-        co_await serve(msg);
+      const sim::Tick now = ctx.Now();
+      const bool has_free = FreeSlot(wk) != nullptr;
+      if (ReplSlot* sl = DueSlot(wk, now)) {
+        co_await StepSlot(ctx, wk, *sl);
+      } else if (has_free && data_nic_->PopArrived(w, now, &msg)) {
+        co_await ServeData(ctx, w, msg);
+      } else if (has_free) {
+        co_await data_nic_->WaitArrival(ctx, w, NextSlotTick(wk));
       } else {
-        co_await nic.WaitArrival(ctx, ring);
+        co_await data_nic_->arrival_slot(w)->Wait(ctx, NextSlotTick(wk));
       }
     }
   }
 
-  // ------------------------------------------------------------ data path
   sim::Task<void> ServeData(sim::ExecCtx& ctx, unsigned w,
                             sim::NicMessage msg) {
+    Worker& wk = workers_[w];
     const Key key = msg.h[0];
     const uint64_t shard = ShardOfKey(key, params_.shards, params_.num_keys);
     ShardState& s = shards_[shard];
-    uint8_t* resp = resp_bufs_[w];
+    uint8_t* resp = wk.resp;
     ctx.Charge(env_.parse_cpu_ns);
     if (const std::optional<RespHeader> redirect = Admit(s, ctx.Now())) {
       Redirect(ctx, msg, resp, *redirect);
@@ -433,41 +470,162 @@ class ClusterNode {
       data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes + vlen);
       co_return;
     }
-    // PUT / DELETE: at-most-once via the dedup window, replicate-then-apply.
-    const uint64_t rid = msg.rid;
+    // PUT / DELETE: at-most-once via the dedup window, then a replication
+    // slot; the loop replicates it, and applies and acks it once the backup
+    // acked.
     if (!ExecuteOnce(dedup_, ctx, *data_nic_, msg, resp, id_, s.epoch,
                      env_.respond_cpu_ns)) {
       co_return;
     }
     s.busy++;
+    ReplSlot& sl = *FreeSlot(wk);
+    const auto slot = static_cast<unsigned>(&sl - wk.slots.data());
     const uint32_t vlen = op == OpType::kPut ? LenOf(msg.h[1]) : 0;
-    uint8_t* stage = stage_bufs_[w];
+    sl.busy = true;
+    sl.started = false;
+    sl.order = wk.writes++;
+    sl.shard = shard;
+    sl.timeout = kReplTimeoutNs;
+    sl.req = msg;
     // Land the payload in this node's arena before any suspension: the
     // sender's buffer is host memory and must never hit the cache model.
     // Reading it here is safe — a first delivery of the rid means the sender
     // still holds the buffer.
-    co_await StagePayload(ctx, msg, stage, vlen);
-    bool ok = true;
-    if (s.backup >= 0) {
-      ok = co_await Replicate(ctx, w, shard, key, op, stage, vlen, rid);
+    co_await StagePayload(ctx, msg, sl.stage, vlen);
+    // The replication call runs on the slot's own dedup stream: the backup's
+    // window keeps one {started, done} pair per stream, so two calls in
+    // flight on one stream would let a late retransmit of the earlier one
+    // read as done.
+    const unsigned stream = mut::ReplSlotsShareStream() ? 0 : slot;
+    sim::NicMessage& m = sl.repl;
+    m = sim::NicMessage{};
+    m.h[0] = key;
+    m.h[1] =
+        PackOpLen(op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, vlen);
+    m.h[2] = msg.rid;
+    m.h[3] = shard;
+    m.payload = vlen > 0 ? sl.stage : nullptr;
+    m.payload_len = vlen;
+    m.rid = (ReplStream(id_, w, stream) << 32) | ++wk.slots[stream].seq;
+    m.gate = &sl.gate;
+    m.copy_out = sl.ack;
+    sl.gate.Arm(m.rid);
+  }
+
+  ReplSlot* FreeSlot(Worker& wk) {
+    for (ReplSlot& sl : wk.slots) {
+      if (!sl.busy) {
+        return &sl;
+      }
     }
-    if (!ok || crashed_) {
-      s.busy--;
-      if (!crashed_) {
-        // Lost the role mid-op (fenced / demoted): nothing applied, nothing
-        // acked — redirect so the client re-resolves and retries elsewhere.
-        Redirect(ctx, msg, resp, {Status::kNotOwner, HintOf(s), s.epoch});
+    return nullptr;
+  }
+
+  // Per-key order: a write waits while an earlier write to its key is in
+  // flight, or the backup could apply the two in the other order. A key's
+  // writes all reach one worker (its shard's ring).
+  bool WaitsForKey(const Worker& wk, const ReplSlot& sl) const {
+    for (const ReplSlot& o : wk.slots) {
+      if (o.busy && o.order < sl.order && o.req.h[0] == sl.req.h[0]) {
+        return !mut::ReplSameKeyOverlap();
+      }
+    }
+    return false;
+  }
+
+  // The oldest slot with something to do at `now`: its ack landed, its
+  // resend tick passed, or it has not started and waits for no key.
+  ReplSlot* DueSlot(Worker& wk, sim::Tick now) {
+    ReplSlot* due = nullptr;
+    for (ReplSlot& sl : wk.slots) {
+      if (!sl.busy || (due != nullptr && sl.order > due->order)) {
+        continue;
+      }
+      if (sl.started ? sl.gate.ReadyAt(now) || now >= sl.due
+                     : !WaitsForKey(wk, sl)) {
+        due = &sl;
+      }
+    }
+    return due;
+  }
+
+  // The earliest tick a started slot becomes due: its ack's delivery tick,
+  // or its resend tick. One not started is due now or waits for another
+  // slot.
+  sim::Tick NextSlotTick(const Worker& wk) const {
+    sim::Tick t = sim::WakeSlot::kNever;
+    for (const ReplSlot& sl : wk.slots) {
+      if (sl.busy && sl.started) {
+        t = std::min(t, sl.gate.completed() ? std::min(sl.gate.ready_at(), sl.due)
+                                            : sl.due);
+      }
+    }
+    return t;
+  }
+
+  // Moves a due slot on. A kOk ack finishes it. A refusal (the backup has
+  // not taken its role yet, e.g. a migration flip's assignment is still on
+  // its way) resends the same rid after kReplRefusedPauseNs. Otherwise the
+  // slot is to be sent, first or again, after the role check: a node that
+  // lost the shard redirects the client, one with no backup left (the
+  // manager's kNoRepl) finishes at once, and a fenced one holds the write
+  // unsent until the fence lifts or the role goes.
+  sim::Task<void> StepSlot(sim::ExecCtx& ctx, Worker& wk, ReplSlot& sl) {
+    ShardState& s = shards_[sl.shard];
+    const sim::Tick now = ctx.Now();
+    if (sl.started && sl.gate.ReadyAt(now)) {
+      if (ParseRespHeader(sl.ack).status == Status::kOk) {
+        co_await FinishSlot(ctx, wk, sl);
+      } else {
+        sl.gate.Arm(sl.repl.rid);
+        sl.due = now + kReplRefusedPauseNs;
       }
       co_return;
     }
-    co_await ApplyOp(ctx, shard, key, op, stage, vlen);
+    if (s.role != Role::kPrimary && !mut::DropRingEpochCheck()) {
+      // Lost the role mid-op (demoted): nothing applied, nothing acked —
+      // redirect so the client re-resolves and retries elsewhere.
+      s.busy--;
+      sl.busy = false;
+      Redirect(ctx, sl.req, wk.resp, {Status::kNotOwner, HintOf(s), s.epoch});
+      co_return;
+    }
+    if (s.backup < 0) {
+      co_await FinishSlot(ctx, wk, sl);
+      co_return;
+    }
+    if (IsFenced(now)) {
+      sl.started = true;
+      sl.due = now + sl.timeout;
+      co_return;
+    }
+    if (sl.started) {
+      sl.timeout = BackoffStep(sl.timeout, kRetryMaxTimeoutNs, 0.0, nullptr);
+    }
+    if (!InPartition(now)) {
+      peers_[s.backup]->ctl_nic_->ClientSend(ctx, 0, sl.repl);
+      counters_.repl_sent++;
+    }
+    sl.started = true;
+    sl.due = ctx.Now() + sl.timeout;
+  }
+
+  // Applies a slot's write the way a single-node server does, completes the
+  // client's rid and acks the client, on the worker's own context; frees
+  // the slot.
+  sim::Task<void> FinishSlot(sim::ExecCtx& ctx, Worker& wk, ReplSlot& sl) {
+    ShardState& s = shards_[sl.shard];
+    const OpType op = OpOf(sl.req.h[1]);
+    co_await ApplyOp(ctx, sl.shard, sl.req.h[0], op, sl.stage,
+                     op == OpType::kPut ? LenOf(sl.req.h[1]) : 0);
     s.busy--;
     counters_.ops_served++;
-    shard_ops_[shard]++;
-    dedup_.Complete(rid);
+    shard_ops_[sl.shard]++;
+    dedup_.Complete(sl.req.rid);
     ctx.Charge(env_.respond_cpu_ns);
-    PutRespHeader(resp, Status::kOk, id_, s.epoch);
-    data_nic_->ServerSend(ctx, msg, resp, kRespHeaderBytes);
+    PutRespHeader(wk.resp, Status::kOk, id_, s.epoch);
+    data_nic_->ServerSend(ctx, sl.req, wk.resp, kRespHeaderBytes);
+    sl.busy = false;
   }
 
   // The data path's admission gate: the redirect a request gets instead of
@@ -534,44 +692,22 @@ class ClusterNode {
     }
   }
 
-  // Chain replication leg: ship the op to the backup and wait for its ack.
-  // Returns true when the op is safe to apply and ack (replicated, or no
-  // backup remains), false when this node lost the right to execute it.
-  sim::Task<bool> Replicate(sim::ExecCtx& ctx, unsigned w, uint64_t shard,
-                            Key key, OpType op, const uint8_t* payload,
-                            uint32_t len, uint64_t client_rid) {
-    const ShardState& s = shards_[shard];
-    sim::NicMessage m;
-    m.h[0] = key;
-    m.h[1] =
-        PackOpLen(op == OpType::kPut ? Ctl::kReplPut : Ctl::kReplDel, len);
-    m.h[2] = client_rid;
-    m.h[3] = shard;
-    m.payload = len > 0 ? payload : nullptr;
-    m.payload_len = len;
-    m.rid = (ReplStream(id_, w) << 32) | ++repl_seq_[w];
-    m.gate = &repl_gates_[w];
-    m.copy_out = repl_resps_[w];
-    co_return co_await ReliableCall(
-        ctx, m, kReplTimeoutNs,
-        [this, &s]() -> std::optional<bool> {
-          if (crashed_ || s.role != Role::kPrimary) {
-            return false;
-          }
-          if (s.backup < 0) {
-            return true;  // backup died and the manager released us (kNoRepl)
-          }
-          return std::nullopt;
-        },
-        [this, &ctx, &s, &m] {
-          if (!InPartition(ctx.Now())) {
-            peers_[s.backup]->ctl_nic_->ClientSend(ctx, 0, m);
-            counters_.repl_sent++;
-          }
-        });
+  // ------------------------------------------------------------ ctl path
+  // The control fiber's loop: until the node stops or crashes, serve the
+  // next arrived control message, or park until the control NIC delivers
+  // one.
+  sim::Fiber CtlLoop() {
+    sim::ExecCtx& ctx = ctl_ctx_;
+    sim::NicMessage msg;
+    while (!ctx.stop && !crashed_) {
+      if (ctl_nic_->PopArrived(0, ctx.Now(), &msg)) {
+        co_await ServeCtl(ctx, msg);
+      } else {
+        co_await ctl_nic_->WaitArrival(ctx, 0);
+      }
+    }
   }
 
-  // ------------------------------------------------------------ ctl path
   sim::Task<void> ServeCtl(sim::ExecCtx& ctx, sim::NicMessage msg) {
     ctx.Charge(env_.parse_cpu_ns);
     const Ctl op = OpOf<Ctl>(msg.h[1]);
@@ -599,7 +735,9 @@ class ClusterNode {
         if (msg.h[2] > probe_seq_) {
           probe_seq_ = msg.h[2];
         }
-        const sim::Tick until = ctx.Now() + kLeaseNs;
+        // The lease runs from the probe's send tick, which the manager
+        // knows whether or not this answer reaches it.
+        const sim::Tick until = msg.issue_tick + kLeaseNs;
         if (until > lease_until_) {
           lease_until_ = until;
         }
@@ -963,13 +1101,7 @@ class ClusterNode {
   std::vector<ClusterNode*> peers_;
   sim::Nic* manager_nic_ = nullptr;
 
-  // Data plane (per worker).
-  std::vector<sim::ExecCtx> worker_ctxs_;
-  std::unique_ptr<sim::RpcGate[]> repl_gates_;
-  std::vector<uint32_t> repl_seq_;
-  std::vector<uint8_t*> resp_bufs_;
-  std::vector<uint8_t*> stage_bufs_;
-  std::vector<uint8_t*> repl_resps_;
+  std::unique_ptr<Worker[]> workers_;
 
   // Control + transfer fibers.
   sim::ExecCtx ctl_ctx_;
@@ -1124,7 +1256,7 @@ class ClusterManager {
 
  private:
   struct NodeView {
-    sim::Tick last_success = 0;
+    sim::Tick last_sent = 0;  // send tick of the latest probe
     unsigned failures = 0;
     bool dead = false;
   };
@@ -1182,8 +1314,8 @@ class ClusterManager {
       m.gate = &gate;
       m.copy_out = probe_resps_[n].data();
       nodes_[n]->ctl_nic().ClientSend(ctx, 0, m);
+      views_[n].last_sent = ctx.Now();  // the probe's issue tick
       if (co_await gate.WaitUntil(ctx, ctx.Now() + kProbeTimeoutNs)) {
-        views_[n].last_success = ctx.Now();
         views_[n].failures = 0;
         uint64_t seen = 0;
         std::memcpy(&seen, probe_resps_[n].data() + kRespHeaderBytes, 8);
@@ -1193,9 +1325,17 @@ class ClusterManager {
         continue;
       }
       views_[n].failures++;
-      if (views_[n].failures >= kSuspectAfter &&
-          ctx.Now() >= views_[n].last_success + kLeaseNs + kLeaseMarginNs) {
-        DeclareDead(ctx, n);
+      if (views_[n].failures >= kSuspectAfter) {
+        // Suspect: probe it no more. A probe whose answer was lost may still
+        // have renewed its lease, up to kLeaseNs past the last send tick, so
+        // the verdict waits for that plus the margin.
+        const sim::Tick at = views_[n].last_sent + kLeaseNs + kLeaseMarginNs;
+        if (at > ctx.Now()) {
+          co_await ctx.Delay(at - ctx.Now());
+        }
+        if (!ctx.stop) {
+          DeclareDead(ctx, n);
+        }
       }
     }
   }
@@ -1208,6 +1348,10 @@ class ClusterManager {
     if (views_[n].dead) {
       return;
     }
+#if UTPS_INVARIANTS
+    UTPS_CHECK_MSG(nodes_[n]->crashed() || nodes_[n]->IsFenced(ctx.Now()),
+                   "node %u declared dead while live and unfenced", n);
+#endif
     views_[n].dead = true;
     for (uint64_t sh = 0; sh < params_.shards; sh++) {
       Assign& a = assign_[sh];

@@ -125,12 +125,17 @@ inline uint64_t ShardOfKey(Key key, unsigned shards, uint64_t num_keys) {
 // client control streams, node-to-node replication, migration transfers and
 // manager probes never collide:
 //   client data:   id + 1                  (same as single-node DST/harness)
-//   node repl:     0x10000 + node*256 + worker
+//   node repl:     0x10000 + node*256 + worker*16 + slot
 //   migration:     0x20000 + node
 //   manager:       0x30000 + node          (probes + assignments per node)
 //   client ctl:    0x40000 + id            (kResolve to the manager)
-inline uint64_t ReplStream(unsigned node, unsigned worker) {
-  return 0x10000ull + node * 256 + worker;
+// A replication stream is one slot of one worker: the receiver's dedup
+// window keeps one {started, done} pair per stream, so a stream must never
+// have two calls in flight (ClusterNode's kReplSlots).
+constexpr unsigned kMaxReplWorkers = 16;
+constexpr unsigned kMaxReplSlots = 16;
+inline uint64_t ReplStream(unsigned node, unsigned worker, unsigned slot) {
+  return 0x10000ull + node * 256 + worker * kMaxReplSlots + slot;
 }
 inline uint64_t MigStream(unsigned node) { return 0x20000ull + node; }
 inline uint64_t MgrStream(unsigned node) { return 0x30000ull + node; }

@@ -272,12 +272,18 @@ class Nic {
   size_t RingDepth(unsigned ring) const { return rings_[ring].size(); }
 
   // Parks a loop that serves `ring` and found nothing there by its local
-  // time until the first arrival tick, however the wire ordered arrivals.
-  WakeSlot::Awaiter WaitArrival(ExecCtx& ctx, unsigned ring) {
+  // time until the first arrival tick, however the wire ordered arrivals,
+  // or until `until` if that comes first.
+  WakeSlot::Awaiter WaitArrival(ExecCtx& ctx, unsigned ring,
+                                Tick until = WakeSlot::kNever) {
     const MsgRing& q = rings_[ring];
-    return arrivals_[ring].Wait(
-        ctx, q.empty() ? WakeSlot::kNever : q.front().arrival_tick);
+    const Tick at = q.empty() ? WakeSlot::kNever : q.front().arrival_tick;
+    return arrivals_[ring].Wait(ctx, at < until ? at : until);
   }
+
+  // The slot WaitArrival parks `ring`'s loop on: a gate the loop polls
+  // wakes it here (RpcGate::WakeAlso).
+  WakeSlot* arrival_slot(unsigned ring) { return &arrivals_[ring]; }
 
   // Crash-restart support (src/wal recovery): models a NIC reset — requests
   // queued toward the server but not yet placed into receive slots are lost.

@@ -276,7 +276,9 @@ class RpcGate {
 
   // First matching completion wins; duplicates are ignored. A parked waiter
   // is woken at `at` unless its deadline comes first; with none, nothing is
-  // scheduled.
+  // scheduled. A loop that polls the gate instead of waiting on it (a
+  // cluster worker's replication slots) is woken at `at` through the slot
+  // named by WakeAlso.
   void Complete(Tick at) {
     if (completed_) {
       return;
@@ -284,7 +286,13 @@ class RpcGate {
     completed_ = true;
     ready_at_ = at;
     slot_.WakeFinal(at);
+    if (also_ != nullptr) {
+      also_->WakeAt(at);
+    }
   }
+
+  // Also wakes `s`'s parked fiber (if any) at each completion's tick.
+  void WakeAlso(WakeSlot* s) { also_ = s; }
 
   // Ends a parked WaitUntil now, as if its deadline had passed (the caller
   // crashed). A no-op when nobody waits.
@@ -296,6 +304,7 @@ class RpcGate {
   }
 
   bool ReadyAt(Tick now) const { return completed_ && ready_at_ <= now; }
+  bool completed() const { return completed_; }
   Tick ready_at() const { return ready_at_; }
 
  private:
@@ -303,6 +312,7 @@ class RpcGate {
   bool completed_ = false;
   Tick ready_at_ = 0;
   WakeSlot slot_;
+  WakeSlot* also_ = nullptr;
 };
 
 }  // namespace utps::sim

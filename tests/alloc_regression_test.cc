@@ -296,13 +296,15 @@ TEST(AllocRegression, ContendedSpinlockIsAllocationFree) {
 }
 
 // A small flash crowd on a 4-node cluster with the rebalancer on. Every
-// request of the measure window (8,056) waits on its gate with a deadline,
+// request of the measure window (9,453) waits on its gate with a deadline,
 // every node loop parks on its ring between messages and the writes
-// replicate, so a wait that allocated per request or per park would add
-// thousands. The window is not allocation-free: the hot shift's two live
-// migrations (snapshot and dedup-watermark buffers, the importing node's
-// dedup entries) and the rebalancer's per-period load vectors allocate. The
-// count is pinned so that any new source shows.
+// replicate through the workers' preallocated slots, so a wait, park or
+// slot that allocated per request would add thousands. The window is not
+// allocation-free: the hot shift's two live migrations (snapshot and
+// dedup-watermark buffers, the importing node's dedup entries), the
+// rebalancer's per-period load vectors and the first use of a replication
+// stream at a backup (a dedup-window entry; each slot has its own stream)
+// allocate. The count is pinned so that any new source shows.
 TEST(AllocRegression, ClusterFlashCrowdMeasurePhase) {
   cluster::ClusterBenchConfig cfg;
   cfg.cluster.nodes = 4;
@@ -329,7 +331,7 @@ TEST(AllocRegression, ClusterFlashCrowdMeasurePhase) {
 
   EXPECT_GT(res.ops, 8000u);
   EXPECT_EQ(res.shard_migrations, 2u);
-  EXPECT_EQ(res.measure_allocs, 134u)
+  EXPECT_EQ(res.measure_allocs, 139u)
       << "heap allocations in the cluster's measure phase changed";
 }
 

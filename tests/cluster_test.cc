@@ -1,9 +1,10 @@
 // Functional tests for the scale-out tier (src/cluster): routing round trips,
-// replication, the latency of requests on an idle cluster, NOT_OWNER
-// redirects, forced migration, primary-crash failover,
-// a grown PUT replacing the item on both replicas, the oversize-write check,
-// the rebalancer's move rule, and the cluster harness: determinism and the
-// flash-crowd timeline.
+// replication, the latency of requests on an idle cluster, a GET that does
+// not wait for a replicated PUT ahead of it, NOT_OWNER redirects, forced
+// migration, primary-crash failover, the lease rule when probe answers are
+// lost, a backup's refusal retried, a grown PUT replacing the item on both
+// replicas, the oversize-write check, the rebalancer's move rule, and the
+// cluster harness: determinism and the flash-crowd timeline.
 #include "cluster/cluster.h"
 
 #include <cmath>
@@ -126,6 +127,63 @@ TEST(Cluster, IdleRequestsCompleteWithinTheirRoundTrips) {
   eng.Run(eng.now() + sim::kMsec);
 }
 
+sim::Fiber WarmKeys(ClusterClient* cli, std::vector<Key> keys) {
+  std::vector<uint8_t> val(64, 0x3c);
+  for (const Key k : keys) {
+    co_await cli->Call(OpType::kPut, k, val.data(), 64, nullptr);
+  }
+}
+
+// One call, timed from its issue to its answer.
+sim::Fiber TimedCall(sim::ExecCtx* ctx, ClusterClient* cli, OpType op,
+                     Key key, sim::Tick* took) {
+  std::vector<uint8_t> val(64, 0x5e);
+  std::vector<uint8_t> out(128, 0);
+  const sim::Tick t0 = ctx->Now();
+  if (op == OpType::kPut) {
+    co_await cli->Call(op, key, val.data(), 64, nullptr);
+  } else {
+    EXPECT_EQ(co_await cli->Call(op, key, nullptr, 0, out.data()), 64u);
+  }
+  *took = ctx->Now() - t0;
+}
+
+// A write does not hold its worker while the backup acks: on an idle 2-node
+// cluster, a GET that reaches the worker just behind a replicated PUT (two
+// keys of one shard, so one ring) completes within its own round trip,
+// while the PUT still takes the internode RTT on top.
+TEST(Cluster, GetBehindAReplicatedPutSkipsTheBackupWait) {
+  sim::Engine eng;
+  const ClusterParams p = SmallParams();
+  Cluster cluster(&eng, p);
+  PopulateKeyed(&cluster);
+  cluster.Start();
+  const Key put_key = 7;
+  const Key get_key = 8;
+  ASSERT_EQ(ShardOfKey(put_key, p.shards, p.num_keys),
+            ShardOfKey(get_key, p.shards, p.num_keys));
+  sim::ExecCtx ca{.eng = &eng};
+  sim::ExecCtx cb{.eng = &eng};
+  ClusterClient cli_a(&cluster, 0, &ca);
+  ClusterClient cli_b(&cluster, 1, &cb);
+  sim::Tick put_ns = 0;
+  sim::Tick get_ns = 0;
+  eng.Spawn(WarmKeys(&cli_a, {put_key, get_key}), 50 * sim::kUsec);
+  eng.Spawn(TimedCall(&ca, &cli_a, OpType::kPut, put_key, &put_ns),
+            150 * sim::kUsec);
+  eng.Spawn(TimedCall(&cb, &cli_b, OpType::kGet, get_key, &get_ns),
+            150 * sim::kUsec + 50);
+  eng.Run(300 * sim::kUsec);
+  const sim::Tick client_rtt = sim::NicConfig{}.rtt_ns;
+  const sim::Tick internode_rtt = sim::MachineConfig{}.internode_rtt_ns;
+  EXPECT_GT(get_ns, client_rtt);
+  EXPECT_LE(get_ns, client_rtt + 500);
+  EXPECT_GT(put_ns, client_rtt + internode_rtt);
+  EXPECT_LE(put_ns, client_rtt + 500 + internode_rtt);
+  cluster.Stop();
+  eng.Run(eng.now() + sim::kMsec);
+}
+
 TEST(Cluster, StaleRouteRedirects) {
   // Point client 0's route table at the wrong node by construction: with one
   // shard per node pair every key that hashes to node 1 exercises a redirect
@@ -204,6 +262,97 @@ TEST(Cluster, PrimaryCrashPromotesBackup) {
   // Node 0 owned at least one shard; every one must have failed over.
   EXPECT_GT(promotions, 0u);
   EXPECT_GT(ops[0] + ops[1], 100u);  // clients kept making progress
+  std::string err;
+  EXPECT_TRUE(cluster.AuditReplicas(&err, eng.now())) << err;
+  cluster.Stop();
+  eng.Run(eng.now() + sim::kMsec);
+}
+
+// Drops every response a NIC sends from `from` on; requests still arrive.
+class LoseResponsesFrom final : public sim::NicFaultHook {
+ public:
+  explicit LoseResponsesFrom(sim::Tick from) : from_(from) {}
+  sim::NicFault OnRequest(sim::Tick) override { return {}; }
+  sim::NicFault OnResponse(sim::Tick now) override {
+    sim::NicFault f;
+    f.drop = now >= from_;
+    return f;
+  }
+  double LinkCostScale(sim::Tick) override { return 1.0; }
+
+ private:
+  sim::Tick from_;
+};
+
+// Node 0's probes keep arriving, and renew its lease, but from 100 us on
+// every answer is lost. The manager declares it dead and promotes the
+// backups of its shards; at no tick may node 0 still hold an unfenced
+// primary role next to its promoted backup. A lease that runs from a
+// probe's arrival, with the promotion timed from the last answered probe,
+// leaves both primaries unfenced for tens of microseconds.
+TEST(Cluster, LostProbeAnswersNeverLeaveTwoUnfencedPrimaries) {
+  sim::Engine eng;
+  Cluster cluster(&eng, SmallParams());
+  PopulateKeyed(&cluster);
+  LoseResponsesFrom hook(100 * sim::kUsec);
+  cluster.node(0)->ctl_nic().SetFaultHook(&hook);
+  cluster.Start();
+  std::string err;
+  for (sim::Tick t = 0; t < 500 * sim::kUsec; t += sim::kUsec / 4) {
+    eng.Run(t);
+    ASSERT_TRUE(cluster.AuditReplicas(&err, eng.now()))
+        << "t=" << eng.now() << ": " << err;
+  }
+  EXPECT_FALSE(cluster.node(0)->crashed());
+  EXPECT_TRUE(cluster.node(0)->IsFenced(eng.now()));
+  EXPECT_GT(cluster.node(1)->counters().promotions, 0u);
+  cluster.Stop();
+  eng.Run(eng.now() + sim::kMsec);
+}
+
+sim::Fiber PutOnce(ClusterClient* cli, Key key, bool* done) {
+  std::vector<uint8_t> val(64, 0x6d);
+  co_await cli->Call(OpType::kPut, key, val.data(), 64, nullptr);
+  *done = true;
+}
+
+sim::Fiber TakeRoleAt(sim::ExecCtx* ctx, ClusterNode* node, uint64_t shard,
+                      int owner, sim::Tick at) {
+  co_await ctx->Delay(at - ctx->Now());
+  node->SetInitialRole(shard, Role::kBackup, -1, owner);
+}
+
+// The primary's backup refuses a replicated write because it has not taken
+// its role yet, as when a migration flip's assignment to the old source is
+// still on its way. The primary must resend until the backup takes the role:
+// redirecting the client instead leaves the client's rid begun but never
+// completed in the primary's dedup window, so the client's retransmits to
+// the same node are swallowed as in flight, forever.
+TEST(Cluster, BackupRefusalIsRetriedNotRedirected) {
+  sim::Engine eng;
+  const ClusterParams p = SmallParams();
+  Cluster cluster(&eng, p);
+  PopulateKeyed(&cluster);
+  const Key key = 3;
+  const uint64_t sh = ShardOfKey(key, p.shards, p.num_keys);
+  const ClusterManager::Assign a = cluster.manager()->assign(sh);
+  ASSERT_GE(a.backup, 0);
+  ClusterNode* backup = cluster.node(static_cast<unsigned>(a.backup));
+  backup->SetInitialRole(sh, Role::kNone, -1, a.primary);
+  cluster.Start();
+  sim::ExecCtx ctx{.eng = &eng};
+  sim::ExecCtx role_ctx{.eng = &eng};
+  ClusterClient cli(&cluster, 0, &ctx);
+  bool done = false;
+  eng.Spawn(PutOnce(&cli, key, &done), 50 * sim::kUsec);
+  eng.Spawn(TakeRoleAt(&role_ctx, backup, sh, a.primary, 80 * sim::kUsec));
+  eng.Run(2 * sim::kMsec);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(backup->counters().repl_applied, 1u);
+  EXPECT_EQ(cluster.node(static_cast<unsigned>(a.primary))
+                ->counters()
+                .not_owner,
+            0u);
   std::string err;
   EXPECT_TRUE(cluster.AuditReplicas(&err, eng.now())) << err;
   cluster.Stop();
@@ -316,7 +465,7 @@ TEST(ClusterDeathTest, OversizeWriteIsRejected) {
         m.h[3] = sh;
         m.payload = val.data();
         m.payload_len = p.value_size + 1;
-        m.rid = (ReplStream(0, 0) << 32) | 1;
+        m.rid = (ReplStream(0, 0, 0) << 32) | 1;
         sim::ExecCtx ctx{.eng = &eng};
         cluster.node(backup)->ctl_nic().ClientSend(ctx, 0, m);
         eng.Run(5 * sim::kMsec);

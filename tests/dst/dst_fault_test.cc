@@ -489,11 +489,11 @@ TEST(DstCluster, DigestsMatchCommitted) {
     uint64_t migrations;
     uint64_t final_epoch;
   } cells[] = {
-      {DST_CELL(FailoverCell(42)), 0xdbce1e9c1e83d7adULL, 160, 17, 2, 0, 3},
-      {DST_CELL(MigrationCell(42)), 0x372ea0cb6f902798ULL, 160, 8, 1, 1, 2},
-      {DST_CELL(PartitionCell(42)), 0x2a7b19644e7245c8ULL, 160, 14, 3, 0, 4},
-      {DST_CELL(RebalancerCell(42)), 0x77f808c544f34423ULL, 240, 0, 0, 0, 1},
-      {DST_CELL(HotShiftCell(42)), 0x792cff91ab917748ULL, 9600, 18, 1, 2, 3},
+      {DST_CELL(FailoverCell(42)), 0xd625309c2a2ed3c9ULL, 160, 16, 2, 0, 3},
+      {DST_CELL(MigrationCell(42)), 0x488407942a7028d2ULL, 160, 7, 1, 1, 2},
+      {DST_CELL(PartitionCell(42)), 0x39cf22315e3eb335ULL, 160, 12, 3, 0, 4},
+      {DST_CELL(RebalancerCell(42)), 0x64e053b31396e0a4ULL, 240, 0, 0, 0, 1},
+      {DST_CELL(HotShiftCell(42)), 0xe3a5e140b78b6de7ULL, 9600, 14, 1, 2, 3},
   };
   std::string table;
   bool moved = false;

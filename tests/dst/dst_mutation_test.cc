@@ -43,6 +43,15 @@
 //     hot keys up in a hot table of item pointers, so the value-growth cell
 //     reads a superseded value after the replacing PUT was acknowledged:
 //     caught by the checker on both systems.
+//  9. kReplSlotsShareStream — a cluster worker's replication slots share one
+//     dedup stream. A lost replication message overtaken by a later slot's
+//     reads as done at the backup when retransmitted, so the primary applies
+//     a write the backup never did: caught by the replica audit.
+// 10. kReplSameKeyOverlap — a cluster worker replicates a write while an
+//     earlier write to the same key is still in flight. A delayed or
+//     duplicated replication message lets the backup apply the two in the
+//     other order: caught by the replica audit, or by the checker once a
+//     promoted backup serves the older value.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
@@ -116,6 +125,26 @@ DstClusterConfig ClusterMigConfig(uint64_t seed) {
   cfg.put_frac = 0.6;
   cfg.forced.push_back(
       cluster::ForcedMigration{100 * sim::kUsec, seed % 8, -1});
+  return cfg;
+}
+
+// Hot keys, put-heavy, one worker per node and a lossy, duplicating,
+// delaying control wire: several writes to one key reach a worker close
+// together, and their replication messages can overtake each other.
+DstClusterConfig ReplPipelineConfig(uint64_t seed) {
+  DstClusterConfig cfg;
+  cfg.seed = seed;
+  cfg.nodes = 2;
+  cfg.shards = 2;
+  cfg.workers = 1;
+  cfg.num_keys = 8;
+  cfg.clients = 8;
+  cfg.ops_per_client = 48;
+  cfg.put_frac = 0.7;
+  cfg.fault.drop_prob = 0.02;
+  cfg.fault.dup_prob = 0.2;
+  cfg.fault.delay_prob = 0.3;
+  cfg.fault.delay_ns = 6 * sim::kUsec;
   return cfg;
 }
 
@@ -200,6 +229,9 @@ TEST(DstMutation, ControlRunsPass) {
   const DstClusterResult d = RunDstCluster(ClusterMigConfig(1));
   EXPECT_TRUE(d.ok) << d.error;
   EXPECT_GT(d.migrations, 0u);
+  // With one stream per slot and per-key order, the pipelined cell is clean.
+  const DstClusterResult r = RunDstCluster(ReplPipelineConfig(1));
+  EXPECT_TRUE(r.ok) << r.error;
   // With the acknowledgement wait armed, the split storm is clean.
   const DstResult e = RunDst(SplitStormConfig(1));
   EXPECT_TRUE(e.ok) << e.error;
@@ -303,6 +335,38 @@ TEST(DstMutation, DropRingEpochCheckCaught) {
   mut::Reset(mut::Mode::kNone);
   EXPECT_TRUE(caught)
       << "dropped ring-epoch check survived " << kSeedBudget << " seeds";
+}
+
+// Both replication mutations fail the same way: the primary and its backup
+// hold different values, which the replica audit or the checker sees; the
+// clients still get answers, so a stuck client is not a catch.
+void ExpectReplMutationCaught(mut::Mode mode, const char* what) {
+  mut::Reset(mode);
+  bool caught = false;
+  uint64_t fired = 0;
+  for (uint64_t seed = 1; seed <= kSeedBudget && !caught; seed++) {
+    const DstClusterResult r = RunDstCluster(ReplPipelineConfig(seed));
+    fired += mut::g_fired;
+    if (!r.ok) {
+      caught = true;
+      const bool audit = r.error.find("divergence") != std::string::npos;
+      const bool checker = r.error.find("linearization") != std::string::npos;
+      EXPECT_TRUE(audit || checker) << "unexpected failure mode: " << r.error;
+    }
+  }
+  mut::Reset(mut::Mode::kNone);
+  EXPECT_GT(fired, 0u) << what << " never fired";
+  EXPECT_TRUE(caught) << what << " survived " << kSeedBudget << " seeds";
+}
+
+TEST(DstMutation, ReplSlotsShareStreamCaught) {
+  ExpectReplMutationCaught(mut::Mode::kReplSlotsShareStream,
+                           "replication slots sharing a stream");
+}
+
+TEST(DstMutation, ReplSameKeyOverlapCaught) {
+  ExpectReplMutationCaught(mut::Mode::kReplSameKeyOverlap,
+                           "same-key replications overlapping");
 }
 
 TEST(DstMutation, PublishWithoutAcksCaught) {
