@@ -556,8 +556,10 @@ class ClusterNode {
     sim::Tick t = sim::WakeSlot::kNever;
     for (const ReplSlot& sl : wk.slots) {
       if (sl.busy && sl.started) {
-        t = std::min(t, sl.gate.completed() ? std::min(sl.gate.ready_at(), sl.due)
-                                            : sl.due);
+        t = std::min(t, sl.due);
+        if (sl.gate.completed()) {
+          t = std::min(t, sl.gate.ready_at());
+        }
       }
     }
     return t;
