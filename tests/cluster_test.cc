@@ -298,7 +298,7 @@ TEST(Cluster, LostProbeAnswersNeverLeaveTwoUnfencedPrimaries) {
   cluster.node(0)->ctl_nic().SetFaultHook(&hook);
   cluster.Start();
   std::string err;
-  for (sim::Tick t = 0; t < 500 * sim::kUsec; t += sim::kUsec / 4) {
+  for (sim::Tick t = 0; t < 500 * sim::kUsec; t += sim::kUsec) {
     eng.Run(t);
     ASSERT_TRUE(cluster.AuditReplicas(&err, eng.now()))
         << "t=" << eng.now() << ": " << err;
