@@ -50,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/mutation.h"
@@ -92,9 +93,12 @@ constexpr sim::Tick kDrainPollNs = 1200;
 // backoff cap every cluster call shares, the clients' included.
 constexpr sim::Tick kReplTimeoutNs = 20 * sim::kUsec;
 constexpr sim::Tick kRetryMaxTimeoutNs = 200 * sim::kUsec;
-// Chain-replicated writes a data worker keeps in flight at once.
-constexpr unsigned kReplSlots = 8;
-static_assert(kReplSlots <= kMaxReplSlots);
+// Chain-replicated writes a data worker keeps in flight at once: the
+// smallest count that keeps cluster-crowd's throughput (DESIGN.md §14). A
+// worker whose slots are all busy takes no request, so with one slot a GET
+// would wait out the backup round trip of the write ahead of it.
+constexpr unsigned kReplSlots = 4;
+static_assert(kReplSlots >= 2 && kReplSlots <= kMaxReplSlots);
 // A primary whose backup refused a replicated write (the backup has not
 // taken its role yet) resends it after this pause.
 constexpr sim::Tick kReplRefusedPauseNs = 2 * sim::kUsec;
@@ -177,32 +181,72 @@ class ClusterNicHook final : public sim::NicFaultHook {
 };
 
 // ---------------------------------------------------------- reliable call
+// The retry policy of every reliable cluster call, one instance per call.
+// The call keeps one rid across its attempts, and the receiver's dedup
+// window makes delivery at-most-once. Each attempt first lets `check()` end
+// the call with a verdict before anything is sent (the caller lost the
+// right to make it, or no longer needs to); otherwise `send()` transmits (a
+// node skips the wire while it is partitioned, ClusterNode::SendCtl) and
+// the answer is due by deadline(). Only a send left unanswered past its
+// deadline doubles the next send's wait, up to kRetryMaxTimeoutNs. The
+// callers differ only in how they wait: ReliableCall blocks on the call's
+// gate, a data worker's replication slot parks on its ring
+// (ClusterNode::StepSlot).
+class Retry {
+ public:
+  explicit Retry(sim::Tick timeout = kReplTimeoutNs)
+      : first_(timeout), timeout_(timeout) {}
+
+  template <typename Check, typename Send>
+  std::invoke_result_t<Check> Attempt(sim::ExecCtx& ctx, Check check,
+                                      Send send) {
+    if (auto verdict = check()) {
+      return verdict;
+    }
+    if (unanswered_) {
+      timeout_ = BackoffStep(timeout_, kRetryMaxTimeoutNs, 0.0, nullptr);
+    }
+    send();
+    unanswered_ = true;
+    deadline_ = ctx.Now() + timeout_;
+    return std::nullopt;
+  }
+
+  // The latest send was answered (a refusal): the next one is a first send.
+  void Answered() {
+    unanswered_ = false;
+    timeout_ = first_;
+  }
+  sim::Tick timeout() const { return timeout_; }
+  sim::Tick deadline() const { return deadline_; }
+
+ private:
+  sim::Tick first_;
+  sim::Tick timeout_;
+  sim::Tick deadline_ = 0;
+  bool unanswered_ = false;  // a send is out and its answer has not landed
+};
+
 // The one blocking reliable control call (migration transfer, migration
-// start) of message `m`, whose gate it arms once with m's rid; retransmits
-// reuse the rid, and the receiver's dedup window makes delivery at-most-once.
-// The gate and m's copy-out buffer must outlive any copy of the message the
-// NIC still holds, so they are never frame locals.
-// Each round `check()` may end the call with a verdict before anything is
-// sent (the caller lost the right to make it, or no longer needs to);
-// otherwise `send()` transmits (skipping the wire while the caller is
-// partitioned). The wait ends when the response lands or the timeout passes
-// (a crash of the caller expires it at once, ClusterNode::Crash); each
-// timeout doubles up to kRetryMaxTimeoutNs. Returns whether the answer was
-// kOk.
+// start) of message `m`, whose gate it arms once with m's rid, retried by
+// Retry. The gate and m's copy-out buffer must outlive any copy of the
+// message the NIC still holds, so they are never frame locals. Each wait
+// ends when the response lands or the deadline passes (a crash of the
+// caller expires it at once, ClusterNode::Crash). Returns whether the
+// answer was kOk.
 template <typename Check, typename Send>
 sim::Task<bool> ReliableCall(sim::ExecCtx& ctx, const sim::NicMessage& m,
                              sim::Tick timeout, Check check, Send send) {
   m.gate->Arm(m.rid);
+  Retry retry(timeout);
   for (;;) {
-    if (const std::optional<bool> verdict = check()) {
+    if (const std::optional<bool> verdict = retry.Attempt(ctx, check, send)) {
       co_return *verdict;
     }
-    send();
-    if (co_await m.gate->WaitUntil(ctx, ctx.Now() + timeout)) {
+    if (co_await m.gate->WaitUntil(ctx, retry.deadline())) {
       co_return ParseRespHeader(static_cast<const uint8_t*>(m.copy_out))
                     .status == Status::kOk;
     }
-    timeout = BackoffStep(timeout, kRetryMaxTimeoutNs, 0.0, nullptr);
   }
 }
 
@@ -366,6 +410,16 @@ class ClusterNode {
     return is_partitioned_ && params_.fault.InPartitionWindow(now);
   }
 
+  // Sends control message `m` to `nic` (a peer's or the manager's) unless
+  // this node's egress is cut; returns whether it went out.
+  bool SendCtl(sim::ExecCtx& ctx, sim::Nic& nic, const sim::NicMessage& m) {
+    if (InPartition(ctx.Now())) {
+      return false;
+    }
+    nic.ClientSend(ctx, 0, m);
+    return true;
+  }
+
  private:
   static constexpr sim::Tick kMigApplyPerRecNs = 40;
 
@@ -380,8 +434,8 @@ class ClusterNode {
     uint64_t order = 0;     // the worker's write count when this one arrived
     uint64_t shard = 0;
     uint32_t seq = 0;       // rid sequence of the slot's stream
-    sim::Tick due = 0;      // resend tick: deadline, or a refusal's pause end
-    sim::Tick timeout = 0;  // the ack wait of the latest send
+    sim::Tick due = 0;  // next step: ack deadline, refusal pause or fence hold
+    Retry retry;        // the replication call's sends and their waits
     sim::NicMessage req;    // the client's request
     sim::NicMessage repl;   // the replication call
     uint8_t* stage = nullptr;  // value_cap_ bytes of the arena
@@ -485,7 +539,7 @@ class ClusterNode {
     sl.started = false;
     sl.order = wk.writes++;
     sl.shard = shard;
-    sl.timeout = kReplTimeoutNs;
+    sl.retry = Retry(kReplTimeoutNs);
     sl.req = msg;
     // Land the payload in this node's arena before any suspension: the
     // sender's buffer is host memory and must never hit the cache model.
@@ -565,13 +619,17 @@ class ClusterNode {
     return t;
   }
 
+  // What a due slot does instead of sending its replication call.
+  enum class SlotVerdict { kRedirect, kFinish, kHold };
+
   // Moves a due slot on. A kOk ack finishes it. A refusal (the backup has
   // not taken its role yet, e.g. a migration flip's assignment is still on
   // its way) resends the same rid after kReplRefusedPauseNs. Otherwise the
-  // slot is to be sent, first or again, after the role check: a node that
-  // lost the shard redirects the client, one with no backup left (the
-  // manager's kNoRepl) finishes at once, and a fenced one holds the write
-  // unsent until the fence lifts or the role goes.
+  // slot makes its next Retry attempt, first or again, after the role
+  // check: a node that lost the shard redirects the client, one with no
+  // backup left (the manager's kNoRepl) finishes at once, and a fenced one
+  // holds the write unsent for the current wait, until the fence lifts or
+  // the role goes.
   sim::Task<void> StepSlot(sim::ExecCtx& ctx, Worker& wk, ReplSlot& sl) {
     ShardState& s = shards_[sl.shard];
     const sim::Tick now = ctx.Now();
@@ -580,36 +638,51 @@ class ClusterNode {
         co_await FinishSlot(ctx, wk, sl);
       } else {
         sl.gate.Arm(sl.repl.rid);
+        sl.retry.Answered();
         sl.due = now + kReplRefusedPauseNs;
       }
       co_return;
     }
-    if (s.role != Role::kPrimary && !mut::DropRingEpochCheck()) {
-      // Lost the role mid-op (demoted): nothing applied, nothing acked —
-      // redirect so the client re-resolves and retries elsewhere.
-      s.busy--;
-      sl.busy = false;
-      Redirect(ctx, sl.req, wk.resp, {Status::kNotOwner, HintOf(s), s.epoch});
-      co_return;
-    }
-    if (s.backup < 0) {
-      co_await FinishSlot(ctx, wk, sl);
-      co_return;
-    }
-    if (IsFenced(now)) {
-      sl.started = true;
-      sl.due = now + sl.timeout;
-      co_return;
-    }
-    if (sl.started) {
-      sl.timeout = BackoffStep(sl.timeout, kRetryMaxTimeoutNs, 0.0, nullptr);
-    }
-    if (!InPartition(now)) {
-      peers_[s.backup]->ctl_nic_->ClientSend(ctx, 0, sl.repl);
-      counters_.repl_sent++;
-    }
     sl.started = true;
-    sl.due = ctx.Now() + sl.timeout;
+    const std::optional<SlotVerdict> verdict = sl.retry.Attempt(
+        ctx,
+        [&]() -> std::optional<SlotVerdict> {
+          if (s.role != Role::kPrimary && !mut::DropRingEpochCheck()) {
+            return SlotVerdict::kRedirect;
+          }
+          if (s.backup < 0) {
+            return SlotVerdict::kFinish;
+          }
+          if (IsFenced(now)) {
+            return SlotVerdict::kHold;
+          }
+          return std::nullopt;
+        },
+        [&] {
+          if (SendCtl(ctx, *peers_[s.backup]->ctl_nic_, sl.repl)) {
+            counters_.repl_sent++;
+          }
+        });
+    if (!verdict) {
+      sl.due = sl.retry.deadline();
+      co_return;
+    }
+    switch (*verdict) {
+      case SlotVerdict::kRedirect:
+        // Lost the role mid-op (demoted): nothing applied, nothing acked —
+        // redirect so the client re-resolves and retries elsewhere.
+        s.busy--;
+        sl.busy = false;
+        Redirect(ctx, sl.req, wk.resp,
+                 {Status::kNotOwner, HintOf(s), s.epoch});
+        co_return;
+      case SlotVerdict::kFinish:
+        co_await FinishSlot(ctx, wk, sl);
+        co_return;
+      case SlotVerdict::kHold:
+        sl.due = now + sl.retry.timeout();
+        co_return;
+    }
   }
 
   // Applies a slot's write the way a single-node server does, completes the
@@ -1072,11 +1145,7 @@ class ClusterNode {
           }
           return std::nullopt;
         },
-        [this, &ctx, nic, &m] {
-          if (!InPartition(ctx.Now())) {
-            nic->ClientSend(ctx, 0, m);
-          }
-        });
+        [this, &ctx, nic, &m] { SendCtl(ctx, *nic, m); });
   }
 
   // ------------------------------------------------------------- members

@@ -493,7 +493,7 @@ TEST(DstCluster, DigestsMatchCommitted) {
       {DST_CELL(MigrationCell(42)), 0x488407942a7028d2ULL, 160, 7, 1, 1, 2},
       {DST_CELL(PartitionCell(42)), 0x39cf22315e3eb335ULL, 160, 12, 3, 0, 4},
       {DST_CELL(RebalancerCell(42)), 0x64e053b31396e0a4ULL, 240, 0, 0, 0, 1},
-      {DST_CELL(HotShiftCell(42)), 0xe3a5e140b78b6de7ULL, 9600, 14, 1, 2, 3},
+      {DST_CELL(HotShiftCell(42)), 0x7805b90c08836bdfULL, 9600, 0, 1, 2, 3},
   };
   std::string table;
   bool moved = false;

@@ -138,9 +138,9 @@ DstClusterConfig ReplPipelineConfig(uint64_t seed) {
   cfg.shards = 2;
   cfg.workers = 1;
   cfg.num_keys = 8;
-  cfg.clients = 8;
+  cfg.clients = 12;
   cfg.ops_per_client = 48;
-  cfg.put_frac = 0.7;
+  cfg.put_frac = 0.8;
   cfg.fault.drop_prob = 0.02;
   cfg.fault.dup_prob = 0.2;
   cfg.fault.delay_prob = 0.3;
