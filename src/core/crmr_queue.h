@@ -103,6 +103,9 @@ class CrMrRing {
   unsigned stride() const { return stride_; }
 
   Slot* SlotAt(uint64_t seq) { return &slots_[seq & (kNumSlots - 1)]; }
+  const Slot* SlotAt(uint64_t seq) const {
+    return &slots_[seq & (kNumSlots - 1)];
+  }
   CrMrHostDesc* HostAt(uint64_t seq) {
     return &host_[(seq & (kNumSlots - 1)) * stride_];
   }

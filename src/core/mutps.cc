@@ -1,6 +1,7 @@
 #include "core/mutps.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "check/mutation.h"
@@ -92,6 +93,13 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   record_regions_ = env_.arena->AllocateArray<uint8_t>(
       size_t{opt_.rx.num_slots} * opt_.rx.max_batch * kScanRespCap,
       kCachelineBytes);
+  // After the record regions, so a run that forwards no PUT (and never
+  // touches these tables) keeps every other arena offset.
+  Key* recent = env_.arena->AllocateArray<Key>(size_t{w} * kRecentPuts,
+                                               kCachelineBytes);
+  for (unsigned i = 0; i < w; i++) {
+    workers_[i].recent_puts = recent + size_t{i} * kRecentPuts;
+  }
 }
 
 uint8_t* MuTpsServer::RecordRegion(uint64_t rx_seq, unsigned rec_idx) const {
@@ -176,10 +184,21 @@ void MuTpsServer::ResetStats() {
     w.ops = 0;
     w.hot_hits = 0;
     w.hot_misses = 0;
+    w.home_forwards = 0;
     w.peak_outstanding = 0;
+    w.ctx.item_lock_spins = 0;
   }
+  probe_ctx_.item_lock_spins = 0;
   peak_ring_occ_ = 0;
   min_cache_items_ = hot_->ActiveCount();
+}
+
+uint64_t MuTpsServer::item_lock_spins() const {
+  uint64_t total = probe_ctx_.item_lock_spins;
+  for (const Worker& w : workers_) {
+    total += w.ctx.item_lock_spins;
+  }
+  return total;
 }
 
 void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
@@ -188,6 +207,8 @@ void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
   }
   m->Count("mutps", "hot_hits", hot_hits());
   m->Count("mutps", "hot_misses", hot_misses());
+  m->Count("mutps", "home_forwards", home_forwards());
+  m->Count("mutps", "item_lock_spins", item_lock_spins());
   m->Count("mutps", "reconfigs", reconfig_count_);
   m->SetGauge("mutps", "ncr", cfg_.ncr);
   m->SetGauge("mutps", "nmr", env_.num_workers - cfg_.ncr);
@@ -351,7 +372,7 @@ Task<void> MuTpsServer::CrRun(unsigned idx) {
       if (!st.Empty() &&
           ctx.Now() - st.first_ns >= kFlushTimeoutNs) {
         co_await CrFlushStaging(idx, t);
-        if (t == ncr + (w.rr_next % nmr)) {
+        if (t == RrTarget(idx, w.rr_next, ncr, nmr)) {
           w.rr_next++;
         }
       }
@@ -420,6 +441,18 @@ Task<void> MuTpsServer::CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
   *forward = true;
 }
 
+unsigned MuTpsServer::RrTarget(unsigned idx, unsigned rr, unsigned ncr,
+                               unsigned nmr) {
+  unsigned stride = 1;
+  if (nmr > 2) {
+    stride = 1 + idx % (nmr - 1);
+    while (std::gcd(stride, nmr) != 1) {
+      stride = stride + 1 < nmr ? stride + 1 : 1;
+    }
+  }
+  return ncr + static_cast<unsigned>((idx + uint64_t{rr} * stride) % nmr);
+}
+
 Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
                                   unsigned rec_idx) {
   Worker& w = workers_[idx];
@@ -432,17 +465,50 @@ Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
                    static_cast<uint32_t>(rx_seq % opt_.rx.num_slots) << 8 |
                        static_cast<uint32_t>(rec_idx)};
   // Round-robin over the MR set at BATCH granularity: fill the current
-  // target's batch, then move to the next MR worker (§3.4: a CR thread
-  // pushes an item only when enough requests have accumulated).
-  unsigned target = ncr + (w.rr_next % nmr);
-  if (UTPS_UNLIKELY(dead_mask_ != 0)) {
+  // target's batch, then move to the next MR worker in this worker's order
+  // (RrTarget; §3.4: a CR thread pushes an item only when enough requests
+  // have accumulated). A PUT to a key this worker forwarded a write to
+  // recently goes to the key's home instead (DESIGN.md §2 "Write homes"),
+  // so one MR worker applies a hot key's writes rather than all of them
+  // spinning on its lock. The round-robin batch passes over an MR worker
+  // that still holds kRrSkipSlots of this worker's batches: a home
+  // collecting hot keys' writes falls behind, and more batches would fill
+  // its ring and block this worker's flush.
+  unsigned target = RrTarget(idx, w.rr_next, ncr, nmr);
+  bool homed = false;
+  if (rec.op() == OpType::kPut) {
+    StageScope s(ctx, Stage::kQueue);
+    const uint64_t h = Mix64(rec.key);
+    Key* recent = &w.recent_puts[h & (kRecentPuts - 1)];
+    // One access covers the compare and the update of the entry.
+    co_await ctx.Write(recent, sizeof(Key));
+    if (*recent == rec.key + 1) {
+      const unsigned home = ncr + static_cast<unsigned>((h >> 32) % nmr);
+      // A dead home falls back to the round-robin steering below.
+      homed = ((dead_mask_ >> home) & 1u) == 0;
+      target = homed ? home : target;
+    }
+    *recent = rec.key + 1;
+  }
+  if (!homed) {
+    // Pass over backed-up MR workers; with all of them backed up, the
+    // last one tried takes the batch.
+    for (unsigned tries = 1;
+         tries < nmr &&
+         RingAt(idx, target).head() - w.seen_tail[target] >= kRrSkipSlots;
+         tries++) {
+      w.rr_next++;
+      target = RrTarget(idx, w.rr_next, ncr, nmr);
+    }
+  }
+  if (UTPS_UNLIKELY(dead_mask_ != 0) && !homed) {
     // Failover routing: steer new batches away from confirmed-dead MR workers
     // (§3.5 reassignment reused for fault recovery). With a single injected
     // crash at least one MR target is always alive.
     unsigned tries = 0;
     while (((dead_mask_ >> target) & 1u) != 0 && tries++ < nmr) {
       w.rr_next++;
-      target = ncr + (w.rr_next % nmr);
+      target = RrTarget(idx, w.rr_next, ncr, nmr);
     }
   }
   Worker::Staging& st = w.staging[target];
@@ -451,9 +517,12 @@ Task<void> MuTpsServer::CrForward(unsigned idx, uint64_t rx_seq,
   }
   st.descs.push_back(d);
   ctx.Charge(3);  // staging append
+  w.home_forwards += homed ? 1 : 0;
   if (st.Size() >= opt_.batch_size) {
     co_await CrFlushStaging(idx, target);
-    w.rr_next++;
+    if (target == RrTarget(idx, w.rr_next, ncr, nmr)) {
+      w.rr_next++;
+    }
   }
 }
 

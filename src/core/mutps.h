@@ -7,7 +7,11 @@
 //    queue, and send responses (their own hits plus MR completions signalled
 //    by tail-pointer advancement). A claimed slot's records parse, look up
 //    and serve hot hits under sim::RunBatch, batch_size at a time; misses
-//    are forwarded after each batch, one at a time.
+//    are forwarded after each batch, one at a time. A PUT to a key the
+//    worker forwarded a write to recently goes to the key's home MR worker
+//    (DESIGN.md §2 "Write homes"); every other forward fills round-robin
+//    batches over the MR set, each CR worker in an order of its own and
+//    passing over an MR worker that is backed up.
 //  - MR workers (cores [ncr, W)) pop descriptor batches from the CR-MR rings
 //    and execute index + data stages under sim::RunBatch, overlapping memory
 //    stalls across the batch (batched indexing with coroutines, §3.3).
@@ -50,6 +54,26 @@ namespace utps {
 
 class MuTpsServer final : public KvServer {
  public:
+  // Entries of a CR worker's direct-mapped table of recently forwarded PUT
+  // keys (DESIGN.md §2 "Write homes"; the size was measured, not guessed). A
+  // key's entry is Mix64(key) % kRecentPuts.
+  static constexpr unsigned kRecentPuts = 128;
+  static_assert((kRecentPuts & (kRecentPuts - 1)) == 0,
+                "the table index masks the key hash");
+  // Batches a CR worker may have in flight on its ring to an MR worker
+  // before its round-robin batches pass that worker over (a quarter of the
+  // ring; DESIGN.md §2 "Write homes", measured).
+  static constexpr uint64_t kRrSkipSlots = CrMrRing::kNumSlots / 4;
+  // The MR worker that round-robin cursor `rr` of CR worker `idx` names,
+  // with MR workers [ncr, ncr + nmr). Each CR worker starts at its own MR
+  // worker and walks the MR set at its own stride, coprime with nmr, so it
+  // still visits every MR worker once in nmr batches. With one order for
+  // all, CR workers that flush at the same pace fill batches for the same
+  // MR worker at the same time and convoy (DESIGN.md §2 "Round-robin
+  // order").
+  static unsigned RrTarget(unsigned idx, unsigned rr, unsigned ncr,
+                           unsigned nmr);
+
   struct Options {
     unsigned batch_size = 8;        // CR-MR batch size (and MR indexing
                                     // batch), at most CrMrRing::kMaxBatch
@@ -92,6 +116,10 @@ class MuTpsServer final : public KvServer {
   // Hot-cache effectiveness over the CR layer (cache-eligible requests only).
   uint64_t hot_hits() const { return Sum(&Worker::hot_hits); }
   uint64_t hot_misses() const { return Sum(&Worker::hot_misses); }
+  // PUTs forwarded to their key's home MR worker (DESIGN.md §2 "Write
+  // homes"), and item writes that found the item locked and backed off.
+  uint64_t home_forwards() const { return Sum(&Worker::home_forwards); }
+  uint64_t item_lock_spins() const;
   // The CR-MR ring from `producer` to `consumer` (global worker ids).
   const CrMrRing& ring(unsigned producer, unsigned consumer) const {
     return rings_[size_t{producer} * env_.num_workers + consumer];
@@ -154,6 +182,7 @@ class MuTpsServer final : public KvServer {
     uint64_t ops = 0;
     uint64_t hot_hits = 0;           // CR: cache-eligible requests served hot
     uint64_t hot_misses = 0;         // CR: cache-eligible requests forwarded
+    uint64_t home_forwards = 0;      // CR: PUTs forwarded to their key's home
     uint64_t peak_outstanding = 0;   // CR: high-water forwarded-not-completed
     uint64_t acked_version = 0;      // last split version acknowledged
     bool is_cr = false;              // role under acked_version
@@ -183,6 +212,9 @@ class MuTpsServer final : public KvServer {
     std::vector<uint64_t> pop_cursor;   // MR: per producer ring read cursor
     uint64_t next_seq = 0;              // CR: next receive-ring sequence
     unsigned rr_next = 0;               // CR: round-robin MR target cursor
+    // CR: kRecentPuts keys of recently forwarded PUTs, direct-mapped by key
+    // hash, each stored as key + 1 (0 = empty). Modeled memory.
+    Key* recent_puts = nullptr;
     uint64_t outstanding = 0;           // CR: forwarded, not yet completed
     // Fault tolerance: liveness counter bumped each MR loop iteration, and
     // the crash-stop park flag (set when the worker observes its injected
@@ -223,7 +255,8 @@ class MuTpsServer final : public KvServer {
   // CrForward. Runs batched; touches no CR-MR ring.
   sim::Task<void> CrFront(unsigned idx, uint64_t rx_seq, unsigned rec_idx,
                           bool* forward);
-  // A miss's (or a scan's) descriptor and staging push, flushing the
+  // A miss's (or a scan's) descriptor and staging push to its MR target (a
+  // recurring PUT's key home, else the round-robin batch), flushing the
   // target's staging once it holds batch_size descriptors. Runs serially.
   sim::Task<void> CrForward(unsigned idx, uint64_t rx_seq, unsigned rec_idx);
   sim::Task<void> CrFlushStaging(unsigned idx, unsigned target);

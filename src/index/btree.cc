@@ -310,7 +310,7 @@ sim::Task<void> BTreeIndex::LockNode(sim::ExecCtx& ctx, Node* n) {
     if (!locked) {
       co_return;
     }
-    co_await ctx.Yield();
+    co_await ctx.Delay(kLockedWaitNs);
   }
 }
 

@@ -101,6 +101,11 @@ struct ExecCtx {
   // are wall-clock waits and stay unscaled. Null (the default) is free.
   const uint32_t* slow_q8 = nullptr;
 
+  // Host-side count of the times an item write found the item's lock bit
+  // held and backed off (store/item.h ItemWrite). Bookkeeping only: no
+  // modeled cost.
+  uint64_t item_lock_spins = 0;
+
   static constexpr uint32_t kMaxFastOps = 64;
   static constexpr Tick kMaxPending = 400;
 

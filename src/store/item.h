@@ -169,6 +169,7 @@ inline sim::Task<bool> ItemWrite(sim::ExecCtx& ctx, Item* it, const void* src,
       contention -= contention / 4 + (contention > 0 ? 1 : 0);
       break;
     }
+    ctx.item_lock_spins++;
     if (contention < 48) {
       contention++;
     }

@@ -139,6 +139,8 @@ struct DstResult {
   uint64_t failovers = 0;   // μTPS MR-worker failure detections
   // μTPS hot sets published by the serving instance (one epoch each).
   uint64_t hot_publishes = 0;
+  // μTPS PUTs forwarded to their key's home MR worker.
+  uint64_t home_forwards = 0;
   // Durability telemetry (zero when no WAL is configured).
   uint64_t recoveries = 0;    // whole-server crash-restart cycles performed
   uint64_t wal_replayed = 0;  // WAL records applied by recovery
@@ -782,6 +784,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   out.retries = sh.retries;
   out.failovers = mutps != nullptr ? mutps->failover_count() : 0;
   out.hot_publishes = mutps != nullptr ? mutps->hotset_publishes() : 0;
+  out.home_forwards = mutps != nullptr ? mutps->home_forwards() : 0;
   out.ops_checked = lin.ops_checked;
   out.inconclusive = lin.inconclusive;
   out.digest = internal::HistoryDigest(hist);

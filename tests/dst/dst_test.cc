@@ -25,8 +25,14 @@ unsigned SeedCount() {
   return 20;
 }
 
-void RunAndReport(DstConfig cfg, const char* load_name) {
+// Runs one cell and reports a failure; stores the run's result in *out when
+// non-null.
+void RunAndReport(DstConfig cfg, const char* load_name,
+                  DstResult* out = nullptr) {
   DstResult r = RunDst(cfg);
+  if (out != nullptr) {
+    *out = r;
+  }
   EXPECT_FALSE(r.inconclusive)
       << SysName(cfg.sys) << "/" << load_name << " seed=" << cfg.seed
       << ": checker ran out of node budget";
@@ -172,6 +178,54 @@ TEST(DstSweep, ValueGrowth) {
       cfg.ops_per_client = 100;
       RunAndReport(cfg, "value-growth");
       if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Write homes (DESIGN.md §2): skewed PUTs with the hot set empty, so every
+// PUT is forwarded and a key's recurring PUTs go to its home MR worker,
+// under a split storm on six workers (three to five of them CR): each split
+// moves the homes while homed writes are staged and in flight.
+TEST(DstSweep, WriteHomesUnderSplitStorm) {
+  for (Sys sys : {Sys::kMuTpsH, Sys::kMuTpsT}) {
+    for (uint64_t seed = 1; seed <= SeedCount(); seed++) {
+      DstConfig cfg = SweepConfig(sys, kPutSkew, seed);
+      cfg.inject_split = false;
+      cfg.split_storm = true;
+      cfg.workers = 6;
+      cfg.clients = 16;
+      cfg.ops_per_client = 40;
+      DstResult r;
+      RunAndReport(cfg, "write-homes-split-storm", &r);
+      EXPECT_GT(r.home_forwards, 0u)
+          << SysName(sys) << " seed=" << seed << ": no PUT was homed";
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Write homes with an MR worker that crash-stops mid-run: under the DST
+// split (four workers, two CR) worker 3 is the home of about half the keys.
+// Once the health probe marks it dead, their PUTs fall back to round-robin
+// steering around it; on odd seeds it restarts and becomes their home again.
+TEST(DstSweep, WriteHomesSurviveMrCrash) {
+  for (Sys sys : {Sys::kMuTpsH, Sys::kMuTpsT}) {
+    for (uint64_t seed = 1; seed <= SeedCount(); seed++) {
+      DstConfig cfg = SweepConfig(sys, kPutSkew, seed);
+      cfg.inject_split = false;
+      cfg.fault.crash_worker = 3;
+      cfg.fault.crash_at_ns = 60 * sim::kUsec;
+      cfg.fault.restart_after_ns = seed % 2 == 1 ? 150 * sim::kUsec : 0;
+      DstResult r;
+      RunAndReport(cfg, "write-homes-mr-crash", &r);
+      EXPECT_GT(r.failovers, 0u) << SysName(sys) << " seed=" << seed;
+      EXPECT_GT(r.home_forwards, 0u)
+          << SysName(sys) << " seed=" << seed << ": no PUT was homed";
+      if (HasFailure()) {
         return;
       }
     }

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <map>
+#include <set>
 #include <span>
 
 #include "harness/experiment.h"
@@ -303,6 +305,248 @@ TEST(MuTpsRings, OnlyRingsTheSplitUsesGetCompanionPages) {
   EXPECT_EQ(used_with_pages, kNcr * (kWorkers - kNcr));
   server.Stop();
   bed.eng.Run(bed.eng.now() + kMsec);
+}
+
+// ------------------------------------------------------- μTPS write homes
+
+// `op` requests (PUTs or GETs) of 64 B values to keys drawn uniformly from
+// `keys` until `stop`.
+sim::Fiber RequestLoop(sim::ExecCtx* ctx, sim::Nic* nic, KvServer* server,
+                       OpType op, const std::vector<Key>* keys, uint64_t seed,
+                       const bool* stop) {
+  sim::RpcGate gate;
+  std::array<uint8_t, 64> buf{};
+  Rng rng(seed);
+  while (!*stop) {
+    const Key k = (*keys)[rng.NextBounded(keys->size())];
+    sim::NicMessage m = EncodeRequest(op, k, 64, 0, 0);
+    if (op == OpType::kPut) {
+      m.payload = buf.data();
+      m.payload_len = 64;
+    } else {
+      m.copy_out = buf.data();
+    }
+    m.gate = &gate;
+    co_await RpcCall(*ctx, *nic, server->RingForKey(k), m, nullptr);
+  }
+}
+
+// Every CR-MR ring batch published after construction, read from the ring
+// slots whenever Poll runs (every 10 μs suffices: a slot is reused only
+// after its batch completes).
+struct RingReader {
+  RingReader(const MuTpsServer& server, unsigned workers)
+      : server(server), workers(workers), next(size_t{workers} * workers) {
+    for (unsigned p = 0; p < workers; p++) {
+      for (unsigned c = 0; c < workers; c++) {
+        next[p * workers + c] = server.ring(p, c).head();
+      }
+    }
+  }
+  // Calls visit(consumer, desc) for each descriptor published since the
+  // last poll.
+  template <typename Visit>
+  void Poll(Visit visit) {
+    for (unsigned p = 0; p < workers; p++) {
+      for (unsigned c = 0; c < workers; c++) {
+        const CrMrRing& r = server.ring(p, c);
+        uint64_t& seq = next[p * workers + c];
+        ASSERT_LE(r.head() - seq, CrMrRing::kNumSlots)
+            << "ring (" << p << ", " << c << ") lapped its reader";
+        for (; seq < r.head(); seq++, batches++) {
+          const CrMrRing::Slot* slot = r.SlotAt(seq);
+          for (unsigned i = 0; i < slot->count; i++) {
+            visit(c, slot->descs[i]);
+          }
+        }
+      }
+    }
+  }
+  const MuTpsServer& server;
+  const unsigned workers;
+  std::vector<uint64_t> next;
+  uint64_t batches = 0;
+};
+
+// A CR worker forwards a PUT to its key's home MR worker once it has
+// forwarded a write to that key recently (DESIGN.md §2 "Write homes"). Here
+// every request is a PUT to one of 32 keys, the hot set is empty and the
+// split fixed, so after warm-up every forwarded PUT is homed, and each key's
+// in-place writes are applied by exactly one MR worker, its home: every
+// batch a CR worker published since warm-up carries a key to that MR worker.
+// The keys occupy distinct entries of the recent-PUT table, so none evicts
+// another.
+TEST(MuTpsWriteHomes, RecurringPutsGoToOneMrWorkerPerKey) {
+  constexpr unsigned kWorkers = 8;
+  constexpr unsigned kNcr = 3;
+  std::vector<Key> keys;
+  std::vector<bool> entry_used(MuTpsServer::kRecentPuts);
+  for (Key k = 0; keys.size() < 32; k++) {
+    const uint64_t entry = Mix64(k) % MuTpsServer::kRecentPuts;
+    if (!entry_used[entry]) {
+      entry_used[entry] = true;
+      keys.push_back(k);
+    }
+  }
+  ASSERT_LT(keys.back(), HandBed::kKeys);
+  HandBed bed(kWorkers, 1);
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = kNcr;
+  opt.initial_cache_items = 0;
+  MuTpsServer server(bed.env, opt);
+  server.Start();
+  constexpr int kClients = 24;
+  std::array<sim::ExecCtx, kClients> cli{};
+  bool stop = false;
+  for (int i = 0; i < kClients; i++) {
+    cli[i].eng = &bed.eng;
+    bed.eng.Spawn(RequestLoop(&cli[i], &bed.nic, &server, OpType::kPut,
+                              &keys, 7 + i, &stop));
+  }
+  bed.eng.Run(bed.eng.now() + kMsec);  // warm-up
+  server.ResetStats();
+  // The MR workers whose rings carried each key since warm-up, and the
+  // descriptors that went elsewhere than their key's home.
+  RingReader reader(server, kWorkers);
+  std::map<Key, std::set<unsigned>> appliers;
+  uint64_t away = 0;
+  for (int step = 0; step < 100; step++) {
+    bed.eng.Run(bed.eng.now() + 10 * sim::kUsec);
+    reader.Poll([&](unsigned mr, const CrMrDesc& d) {
+      appliers[d.key].insert(mr);
+      away += mr == kNcr + (Mix64(d.key) >> 32) % (kWorkers - kNcr) ? 0 : 1;
+    });
+  }
+  stop = true;
+  bed.eng.Run(bed.eng.now() + kMsec);
+  ASSERT_EQ(server.ncr(), kNcr);
+  // Both counters restart at ResetStats; a PUT looked up before it and
+  // forwarded after counts as a home forward only, so the two may differ
+  // by the few PUTs in a CR batch at that instant.
+  EXPECT_GT(server.hot_misses(), 1000u);
+  EXPECT_GE(server.home_forwards(), server.hot_misses());
+  EXPECT_LE(server.home_forwards(),
+            server.hot_misses() + kNcr * MuTpsServer::Options{}.batch_size);
+  EXPECT_GT(reader.batches, 0u);
+  EXPECT_EQ(away, 0u);
+  EXPECT_EQ(appliers.size(), keys.size());
+  for (const auto& [key, mr] : appliers) {
+    EXPECT_EQ(mr.size(), 1u) << "key " << key << " applied by " << mr.size()
+                             << " MR workers";
+  }
+  std::string err;
+  EXPECT_TRUE(server.AuditQuiesced(&err)) << err;
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
+// A home that collects a hot key's writes falls behind the other MR workers.
+// The CR workers' round-robin batches pass over it while it holds
+// MuTpsServer::kRrSkipSlots of their batches (DESIGN.md §2 "Write homes"),
+// so the GETs go to the other MR workers instead of queueing behind the hot
+// key's writes and, with the ring full, blocking the CR worker's flush.
+// Three quarters of 256 clients PUT one key, enough to keep more than
+// kRrSkipSlots batches of each CR worker at its home; the rest GET others.
+TEST(MuTpsWriteHomes, RoundRobinPassesOverABackedUpHome) {
+  constexpr unsigned kWorkers = 8;
+  constexpr unsigned kNcr = 3;
+  constexpr unsigned kNmr = kWorkers - kNcr;
+  const std::vector<Key> hot = {7};
+  std::vector<Key> cold;
+  for (Key k = 8; k < HandBed::kKeys; k++) {
+    cold.push_back(k);
+  }
+  const unsigned home =
+      kNcr + static_cast<unsigned>((Mix64(hot[0]) >> 32) % kNmr);
+  HandBed bed(kWorkers, 1);
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = kNcr;
+  opt.initial_cache_items = 0;
+  MuTpsServer server(bed.env, opt);
+  server.Start();
+  constexpr int kClients = 256;
+  std::array<sim::ExecCtx, kClients> cli{};
+  bool stop = false;
+  for (int i = 0; i < kClients; i++) {
+    cli[i].eng = &bed.eng;
+    const bool put = i % 4 != 0;
+    bed.eng.Spawn(RequestLoop(&cli[i], &bed.nic, &server,
+                              put ? OpType::kPut : OpType::kGet,
+                              put ? &hot : &cold, 11 + i, &stop));
+  }
+  bed.eng.Run(bed.eng.now() + kMsec);  // warm-up
+  server.ResetStats();
+  RingReader reader(server, kWorkers);
+  std::array<uint64_t, kWorkers> gets{};
+  uint64_t hot_at_home = 0;
+  for (int step = 0; step < 100; step++) {
+    bed.eng.Run(bed.eng.now() + 10 * sim::kUsec);
+    reader.Poll([&](unsigned mr, const CrMrDesc& d) {
+      if (d.key == hot[0]) {
+        hot_at_home += mr == home ? 1 : 0;
+      } else {
+        gets[mr]++;
+      }
+    });
+  }
+  stop = true;
+  bed.eng.Run(bed.eng.now() + kMsec);
+  ASSERT_EQ(server.ncr(), kNcr);
+  EXPECT_GT(server.home_forwards(), 1000u);
+  EXPECT_GT(hot_at_home, 0u);
+  uint64_t other_gets = 0;
+  for (unsigned mr = kNcr; mr < kWorkers; mr++) {
+    other_gets += mr == home ? 0 : gets[mr];
+  }
+  const uint64_t mean_other = other_gets / (kNmr - 1);
+  EXPECT_GT(mean_other, 100u);
+  EXPECT_LT(gets[home] * 4, mean_other)
+      << "the home took " << gets[home] << " GETs, the other MR workers "
+      << mean_other << " each";
+  std::string err;
+  EXPECT_TRUE(server.AuditQuiesced(&err)) << err;
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
+// ------------------------------------------------- μTPS round-robin order
+
+// Every CR worker's round-robin order visits each MR worker once in nmr
+// batches, whatever the split, and the first nmr CR workers start at
+// different MR workers (DESIGN.md §2 "Round-robin order"). CR workers 0
+// and 1 step differently once there are more than two MR workers, so they
+// cannot fill batches for the same MR workers in lockstep.
+TEST(MuTpsRoundRobin, EachCrWorkerVisitsEveryMrWorkerInItsOwnOrder) {
+  for (unsigned ncr = 1; ncr < 32; ncr++) {
+    for (unsigned nmr = 1; ncr + nmr <= 32; nmr++) {
+      std::set<unsigned> starts;
+      for (unsigned idx = 0; idx < ncr; idx++) {
+        std::set<unsigned> seen;
+        for (unsigned rr = 0; rr < nmr; rr++) {
+          const unsigned t = MuTpsServer::RrTarget(idx, rr, ncr, nmr);
+          ASSERT_GE(t, ncr);
+          ASSERT_LT(t, ncr + nmr);
+          seen.insert(t);
+        }
+        EXPECT_EQ(seen.size(), nmr) << "ncr " << ncr << " nmr " << nmr
+                                    << " CR worker " << idx;
+        if (idx < nmr) {
+          starts.insert(MuTpsServer::RrTarget(idx, 0, ncr, nmr));
+        }
+      }
+      EXPECT_EQ(starts.size(), std::min(ncr, nmr));
+      if (ncr >= 2 && nmr > 2) {
+        const unsigned step0 = MuTpsServer::RrTarget(0, 1, ncr, nmr) -
+                               MuTpsServer::RrTarget(0, 0, ncr, nmr);
+        const unsigned step1 = (MuTpsServer::RrTarget(1, 1, ncr, nmr) + nmr -
+                                MuTpsServer::RrTarget(1, 0, ncr, nmr)) %
+                               nmr;
+        EXPECT_NE(step0, step1) << "ncr " << ncr << " nmr " << nmr;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------- μTPS thread movement
