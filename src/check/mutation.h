@@ -18,9 +18,10 @@ enum class Mode : uint8_t {
   // ItemWrite's locked path skips both seqlock ctrl bumps: readers no longer
   // see an odd/changed version around the write and can return a torn value.
   kDropSeqlockBump = 1,
-  // MrProcessSlot skips one AdvanceTail: the batch's completion signal never
-  // reaches the CR worker, so its responses (and every later batch on that
-  // ring) are never sent — ops hang and the ring fails its quiesce audit.
+  // An MR worker's rolling batch skips one AdvanceTail: a slot's completion
+  // signal never reaches the CR worker, so its responses (and every later
+  // batch on that ring) are never sent — ops hang and the ring fails its
+  // quiesce audit.
   kSkipRingTailPublish = 2,
   // DedupWindow::Begin always answers kExecute: a retransmitted or duplicated
   // PUT/DELETE is applied again. Under a loss+dup fault plan the second apply
@@ -73,6 +74,14 @@ enum class Mode : uint8_t {
   // other: the replicas diverge, and a promoted backup serves the older
   // value.
   kReplSameKeyOverlap = 10,
+  // An MR worker's rolling batch publishes a finished slot's tail while an
+  // earlier slot of the same ring still has descriptors running: the tail
+  // moves past the earlier slot, so the CR worker sends its responses before
+  // they are in place, and acknowledges a PUT before it is applied. A read
+  // after the ack returns the older value (stale read), a GET's response
+  // leaves empty or half-written, or a region taken after the send is never
+  // released.
+  kPublishSlotOutOfOrder = 11,
 };
 
 inline Mode g_mode = Mode::kNone;
@@ -175,6 +184,14 @@ inline bool ReplSameKeyOverlap() {
   g_fired++;
   return true;
 }
+
+inline bool PublishSlotOutOfOrder() {
+  if (g_mode != Mode::kPublishSlotOutOfOrder) {
+    return false;
+  }
+  g_fired++;
+  return true;
+}
 #else
 inline constexpr bool DropSeqlockBump() { return false; }
 inline constexpr bool SkipRingTailPublish() { return false; }
@@ -186,6 +203,7 @@ inline constexpr bool CrForwardInBatch() { return false; }
 inline constexpr bool ServeRetiredHotItem() { return false; }
 inline constexpr bool ReplSlotsShareStream() { return false; }
 inline constexpr bool ReplSameKeyOverlap() { return false; }
+inline constexpr bool PublishSlotOutOfOrder() { return false; }
 #endif
 
 }  // namespace utps::mut

@@ -1,6 +1,7 @@
 #include "core/mutps.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -60,6 +61,8 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
     }
     wk.seen_tail.assign(w, 0);
     wk.pop_cursor.assign(w, 0);
+    wk.pub_cursor.assign(w, 0);
+    wk.slot_left.assign(size_t{w} * CrMrRing::kNumSlots, 0);
   }
   mgr_ctx_ = ExecCtx{.eng = env_.eng, .mem = env_.mem,
                      .core = static_cast<sim::CoreId>(w < 32 ? w : 0)};
@@ -73,6 +76,11 @@ MuTpsServer::MuTpsServer(const ServerEnv& env, const Options& opt)
   if (env_.obs != nullptr) {
     mgr_ctx_.stage_ns = env_.obs->StageNs(w);
     trc_ = env_.obs->tracer();
+  }
+  if (trc_ != nullptr) {
+    for (Worker& wk : workers_) {
+      wk.slot_start.assign(size_t{w} * CrMrRing::kNumSlots, 0);
+    }
   }
   unsigned ncr = opt_.initial_ncr;
   if (ncr == 0) {
@@ -108,11 +116,12 @@ uint8_t* MuTpsServer::RecordRegion(uint64_t rx_seq, unsigned rec_idx) const {
   return record_regions_ + record * kScanRespCap;
 }
 
-void MuTpsServer::ReserveCrBatchFrames() {
-  // Every frame the CR batches can hold at once: batch_size records per
+void MuTpsServer::ReserveBatchFrames() {
+  // Every frame the batches can hold at once: batch_size records per
   // worker, each a CrFront frame plus its nested coroutines (over-counted:
-  // one of each). Frames are created unstarted, then all destroyed, which
-  // leaves them on the frame pool's free lists.
+  // one of each), and per worker a slot batch driver, a rolling MR batch
+  // with its pull and batch_size descriptors. Frames are created unstarted,
+  // then all destroyed, which leaves them on the frame pool's free lists.
   const size_t n = size_t{env_.num_workers} * opt_.batch_size;
   ExecCtx& ctx = workers_[0].ctx;
   const RxRecord rec{};
@@ -120,12 +129,13 @@ void MuTpsServer::ReserveCrBatchFrames() {
   std::vector<Task<bool>> bools;
   std::vector<Task<uint32_t>> reads;
   std::vector<Task<Item*>> lookups;
-  fronts.reserve(n + env_.num_workers);
+  fronts.reserve(2 * n + 3 * env_.num_workers);
   bools.reserve(2 * n);
   reads.reserve(n);
   lookups.reserve(n);
   for (size_t i = 0; i < n; i++) {
     fronts.push_back(CrFront(0, 0, 0, nullptr));
+    fronts.push_back(MrProcessOne(ctx, 0, CrMrDesc{}, nullptr));
     bools.push_back(CrServeHot(0, nullptr, rec, 0, 0));
     bools.push_back(ItemWrite(ctx, nullptr, nullptr, 0));
     reads.push_back(ItemRead(ctx, nullptr, nullptr));
@@ -133,11 +143,13 @@ void MuTpsServer::ReserveCrBatchFrames() {
   }
   for (unsigned i = 0; i < env_.num_workers; i++) {
     fronts.push_back(sim::RunBatch(ctx, nullptr, 0));
+    fronts.push_back(MrRoll(ctx, 0, false));
+    fronts.push_back(MrPull(ctx, 0));
   }
 }
 
 void MuTpsServer::Start() {
-  ReserveCrBatchFrames();
+  ReserveBatchFrames();
   if (trc_ != nullptr) {
     for (unsigned i = 0; i < env_.num_workers; i++) {
       trc_->SetThreadName(obs::Tracer::kServerPid, i, "worker" + std::to_string(i));
@@ -185,6 +197,9 @@ void MuTpsServer::ResetStats() {
     w.hot_hits = 0;
     w.hot_misses = 0;
     w.home_forwards = 0;
+    w.slot_rolls = 0;
+    w.held_publishes = 0;
+    w.resp_fallbacks = 0;
     w.peak_outstanding = 0;
     w.ctx.item_lock_spins = 0;
   }
@@ -209,6 +224,7 @@ void MuTpsServer::ExportMetrics(obs::MetricsRegistry* m) const {
   m->Count("mutps", "hot_misses", hot_misses());
   m->Count("mutps", "home_forwards", home_forwards());
   m->Count("mutps", "item_lock_spins", item_lock_spins());
+  m->Count("mutps", "resp_fallbacks", resp_fallbacks());
   m->Count("mutps", "reconfigs", reconfig_count_);
   m->SetGauge("mutps", "ncr", cfg_.ncr);
   m->SetGauge("mutps", "nmr", env_.num_workers - cfg_.ncr);
@@ -714,32 +730,27 @@ Task<void> MuTpsServer::MrRun(unsigned idx) {
     // Resume consumption at the tail: CR workers that acknowledged the new
     // split first may already have pushed batches for us.
     w.pop_cursor[p] = RingAt(p, idx).tail();
+    w.pub_cursor[p] = w.pop_cursor[p];
   }
   RebuildMrReady(idx);
-  uint64_t hot_epoch_seen = hot_->epoch();
-  hot_->AckEpoch(idx, hot_epoch_seen);
+  w.hot_epoch_seen = hot_->epoch();
+  hot_->AckEpoch(idx, w.hot_epoch_seen);
 
   while (!stop_) {
     // --- injected crash-stop (DESIGN.md §9) ---
     if (UTPS_UNLIKELY(env_.fault != nullptr)) {
       if (env_.fault->IsCrashed(idx) || (w.crash_parked && salvage_busy_)) {
-        // Park at the loop top: every initiated slot has finished, so
-        // pop_cursor == tail on all inbound rings — the invariant the health
-        // probe's ring salvage relies on. Stay parked through an in-flight
-        // salvage pass even after restart, or both could pop the same slot.
+        // Park at the loop top: the rolling batch has drained, so every
+        // pulled slot is published and pop_cursor == tail on all inbound
+        // rings — the invariant the health probe's ring salvage relies on.
+        // Stay parked through an in-flight salvage pass even after restart,
+        // or both could pop the same slot. Salvage runs this worker's own
+        // rolling batch, so the cursors and readiness mask stay in step.
         w.crash_parked = true;
         co_await ctx.Delay(sim::kUsec);
         continue;
       }
-      if (UTPS_UNLIKELY(w.crash_parked)) {
-        // Restart: the probe may have drained rings and resynced our cursors
-        // while we were parked; rebuild the readiness mask from scratch.
-        w.crash_parked = false;
-        for (unsigned p = 0; p < env_.num_workers; p++) {
-          w.pop_cursor[p] = std::max(w.pop_cursor[p], RingAt(p, idx).tail());
-        }
-        RebuildMrReady(idx);
-      }
+      w.crash_parked = false;
       w.heartbeat++;
     }
     // --- thread-split handshake (§3.5) ---
@@ -765,79 +776,221 @@ Task<void> MuTpsServer::MrRun(unsigned idx) {
         }
       }
     }
-    if (hot_->epoch() != hot_epoch_seen) {
-      hot_epoch_seen = hot_->epoch();
-      hot_->AckEpoch(idx, hot_epoch_seen);
-      ctx.Charge(4);
-    }
-    // --- scan producer rings (all-to-all mapping) ---
-    // mr_ready_ mirrors pop_cursor < head per producer, so the round-robin
-    // sweep reduces to a rotated first-set-bit: the producer picked (and the
-    // modeled head read that confirms it) is exactly the one the full scan
-    // would reach. head only ever advances, so the post-read recheck of the
-    // original scan cannot fail and exactly one slot is consumed per find.
-    bool found = false;
-    const uint32_t avail = mr_ready_[idx];
-    if (avail != 0) {
-      const unsigned start = w.rr_next % env_.num_workers;
-      const uint32_t hi = avail >> start;
-      const unsigned p = hi != 0
-                             ? start + static_cast<unsigned>(__builtin_ctz(hi))
-                             : static_cast<unsigned>(__builtin_ctz(avail));
-      CrMrRing& r = RingAt(p, idx);
-      {
-        StageScope s(ctx, Stage::kQueue);
-        co_await ctx.Read(r.head_addr(), 8);
-      }
-      if (w.pop_cursor[p] < r.head()) {
-        found = true;
-        w.rr_next = p + 1;
-        const uint64_t seq = w.pop_cursor[p];
-        w.pop_cursor[p]++;
-        if (w.pop_cursor[p] >= r.head()) {
-          mr_ready_[idx] &= ~(1u << p);
-        }
-        co_await MrProcessSlot(ctx, p, idx, seq);
-      }
-    }
-    if (!found) {
+    MrAckHotEpoch(idx);
+    // --- producer rings (all-to-all mapping) ---
+    // mr_ready_ mirrors pop_cursor < head per producer: an idle poll costs
+    // one host-side mask test and never enters the rolling batch.
+    if (mr_ready_[idx] != 0) {
+      co_await MrRoll(ctx, idx, /*salvage=*/false);
+    } else {
       ctx.Charge(4);  // idle ring sweep
     }
     co_await ctx.Yield();
   }
 }
 
-Task<void> MuTpsServer::MrProcessSlot(ExecCtx& ctx, unsigned producer,
-                                      unsigned consumer, uint64_t seq) {
-  obs::SpanScope span(trc_, ctx, "mr", "mr_batch", obs::Tracer::kServerPid,
-                      consumer);
-  CrMrRing& r = RingAt(producer, consumer);
-  CrMrRing::Slot* slot = r.SlotAt(seq);
-  CrMrHostDesc* host = r.HostAt(seq);
-  unsigned cnt;
-  {
-    StageScope s(ctx, Stage::kQueue);
-    co_await ctx.Read(slot, 8);
-    cnt = slot->count;
-    co_await ctx.Read(slot->descs, sizeof(CrMrDesc) * cnt);
-  }
-  UTPS_DCHECK(cnt <= r.stride());
-  // Batched execution: index traversals (and data copies) of the whole batch
-  // interleave at memory stalls.
-  Task<void> tasks[CrMrRing::kMaxBatch];
-  for (unsigned i = 0; i < cnt; i++) {
-    tasks[i] = MrProcessOne(ctx, consumer, slot->descs[i], &host[i]);
-  }
-  co_await sim::RunBatch(ctx, tasks, cnt);
-  // Completion signal: advance the tail pointer only now that all responses
-  // of the batch are in place (§3.4).
-  {
-    StageScope s(ctx, Stage::kQueue);
-    if (!mut::SkipRingTailPublish()) {
-      r.AdvanceTail();
+Task<void> MuTpsServer::MrRoll(ExecCtx& ctx, unsigned consumer, bool salvage) {
+  Worker& w = workers_[consumer];
+  Worker::Roll& roll = w.roll;
+  RespBuffer& buf = *resp_bufs_[consumer];
+  constexpr unsigned kSlots = CrMrRing::kNumSlots;
+  constexpr Tick kSwitchNs = 4;  // per resume, as sim::RunBatch charges
+  const uint64_t version = cfg_.version;
+  const Stage entry_stage = ctx.stage;
+  bool pulling = true;
+  UTPS_DCHECK(ctx.batch == nullptr && roll.live == 0);
+  ctx.batch = &roll.ctl;
+  for (;;) {
+    bool waiting = false;
+    // --- refill: start descriptors until batch_size run ---
+    while (static_cast<unsigned>(std::popcount(roll.live)) < opt_.batch_size) {
+      if (roll.next == roll.count) {
+        if (roll.pull.handle()) {
+          break;  // the next slot is still being read
+        }
+        // The split check stops pulling only when the version moves after
+        // entry: a worker joining the CR layer drains its rings in here.
+        pulling = pulling && !stop_ &&
+                  (salvage || (cfg_.version == version &&
+                               (env_.fault == nullptr ||
+                                !env_.fault->IsCrashed(consumer))));
+        if (!pulling || mr_ready_[consumer] == 0) {
+          break;
+        }
+        // A worker that never goes idle still adopts each hot-set epoch.
+        if (!salvage) {
+          MrAckHotEpoch(consumer);
+        }
+        if (roll.live == 0) {
+          // Nothing runs to overlap the ring reads with.
+          ctx.batch = nullptr;
+          co_await MrPull(ctx, consumer);
+          ctx.batch = &roll.ctl;
+          continue;
+        }
+        // The pull's ring reads stall in roll.ctl like a descriptor's, so
+        // they overlap the running descriptors' fills instead of delaying
+        // them.
+        w.slot_rolls++;
+        roll.pull = MrPull(ctx, consumer);
+        sim::ResumeBatched(ctx, roll.pull.handle(), kSwitchNs);
+        if (!roll.pull.handle().done()) {
+          break;
+        }
+        roll.pull = Task<void>();
+        continue;
+      }
+      CrMrRing& r = RingAt(roll.producer, consumer);
+      const CrMrDesc& d = r.SlotAt(roll.seq)->descs[roll.next];
+      // A GET or scan starts only when its RespBuffer region can be held.
+      // Regions are freed as the CR layer sends responses, so it waits while
+      // a descriptor runs or a published slot's responses are still unsent,
+      // and only then answers from the record's cold region (DESIGN.md §2
+      // "Rolling MR batch").
+      const OpType op = OpOf(d.op_len);
+      waiting = op != OpType::kPut &&
+                !buf.CanHold(RespCap(op, LenOf(d.op_len))) &&
+                (roll.live != 0 || (!stop_ && ReleasePending(consumer)));
+      if (waiting) {
+        break;
+      }
+      const unsigned i = static_cast<unsigned>(std::countr_one(roll.live));
+      roll.tasks[i] =
+          MrProcessOne(ctx, consumer, d, &r.HostAt(roll.seq)[roll.next]);
+      roll.owner[i] = static_cast<uint16_t>(roll.producer * kSlots +
+                                            (roll.seq & (kSlots - 1)));
+      roll.live |= 1u << i;
+      roll.next++;
+      sim::ResumeBatched(ctx, roll.tasks[i].handle(), kSwitchNs);
     }
-    co_await ctx.Write(r.tail_addr(), 8);
+    if (roll.live == 0 && !waiting && !roll.pull.handle()) {
+      break;  // nothing left to start or pull
+    }
+    // --- drive: resume the parked descriptor whose fill completes first ---
+    if (roll.ctl.Empty()) {
+      // Every running descriptor waits at engine level (lock backoff), or
+      // a GET or scan waits for its response region.
+      ctx.batch = nullptr;
+      co_await ctx.Delay(20);
+      ctx.batch = &roll.ctl;
+    } else {
+      const sim::BatchCtl::Parked p = sim::TakeEarliest(roll.ctl);
+      if (p.resume_at > ctx.Now()) {
+        ctx.batch = nullptr;
+        co_await ctx.Delay(p.resume_at - ctx.Now());
+        ctx.batch = &roll.ctl;
+      }
+      sim::ResumeBatched(ctx, p.h, kSwitchNs);
+    }
+    // --- reap: a slot whose descriptors are all done completes, and its
+    // tail is published once every earlier slot of its ring is (§3.4) ---
+    if (roll.pull.handle() && roll.pull.handle().done()) {
+      roll.pull = Task<void>();
+    }
+    for (uint32_t m = roll.live; m != 0; m &= m - 1) {
+      const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+      if (!roll.tasks[i].handle().done()) {
+        continue;
+      }
+      roll.tasks[i] = Task<void>();
+      roll.live &= ~(1u << i);
+      const unsigned slot = roll.owner[i];
+      if (--w.slot_left[slot] != 0) {
+        continue;
+      }
+      const unsigned p = slot / kSlots;
+      uint64_t& pub = w.pub_cursor[p];
+      const uint64_t seq = pub + ((slot - pub) & (kSlots - 1));
+      w.held_publishes += seq != pub ? 1 : 0;
+      CrMrRing& r = RingAt(p, consumer);
+      while (pub < w.pop_cursor[p]) {
+        const unsigned q =
+            p * kSlots + static_cast<unsigned>(pub & (kSlots - 1));
+        if (w.slot_left[q] != 0 &&
+            !(pub < seq && mut::PublishSlotOutOfOrder())) {
+          break;
+        }
+        pub++;
+        ctx.batch = nullptr;
+        {
+          StageScope s(ctx, Stage::kQueue);
+          if (!mut::SkipRingTailPublish()) {
+            r.AdvanceTail();
+          }
+          co_await ctx.Write(r.tail_addr(), 8);
+        }
+        ctx.batch = &roll.ctl;
+        if (trc_ != nullptr) {
+          trc_->Span("mr", "mr_batch", obs::Tracer::kServerPid, consumer,
+                     w.slot_start[q], ctx.Now());
+        }
+      }
+    }
   }
+  ctx.batch = nullptr;
+  // The descriptors' StageScopes interleaved on ctx and restore out of
+  // order (as in sim::RunBatch).
+  ctx.stage = entry_stage;
+}
+
+void MuTpsServer::MrAckHotEpoch(unsigned idx) {
+  Worker& w = workers_[idx];
+  if (hot_->epoch() != w.hot_epoch_seen) {
+    w.hot_epoch_seen = hot_->epoch();
+    hot_->AckEpoch(idx, w.hot_epoch_seen);
+    w.ctx.Charge(4);
+  }
+}
+
+bool MuTpsServer::ReleasePending(unsigned consumer) const {
+  for (unsigned p = 0; p < env_.num_workers; p++) {
+    if (workers_[p].seen_tail[consumer] < ring(p, consumer).tail()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Task<void> MuTpsServer::MrPull(ExecCtx& ctx, unsigned consumer) {
+  Worker& w = workers_[consumer];
+  // mr_ready_ mirrors pop_cursor < head per producer, so the round-robin
+  // sweep reduces to a rotated first-set-bit: the producer picked (and the
+  // modeled head read that confirms it) is exactly the one the full scan
+  // would reach. head only ever advances, so the slot is still there after
+  // the read.
+  const uint32_t avail = mr_ready_[consumer];
+  UTPS_DCHECK(avail != 0);
+  const unsigned start = w.rr_next % env_.num_workers;
+  const uint32_t hi = avail >> start;
+  const unsigned p = hi != 0 ? start + static_cast<unsigned>(__builtin_ctz(hi))
+                             : static_cast<unsigned>(__builtin_ctz(avail));
+  CrMrRing& r = RingAt(p, consumer);
+  StageScope s(ctx, Stage::kQueue);
+  co_await ctx.Read(r.head_addr(), 8);
+  const uint64_t seq = w.pop_cursor[p];
+  UTPS_DCHECK(seq < r.head());
+  w.rr_next = p + 1;
+  if (seq + 1 >= r.head()) {
+    mr_ready_[consumer] &= ~(1u << p);
+  }
+  const unsigned slot_idx =
+      p * CrMrRing::kNumSlots + static_cast<unsigned>(seq % CrMrRing::kNumSlots);
+  if (trc_ != nullptr) {
+    w.slot_start[slot_idx] = ctx.Now();
+  }
+  CrMrRing::Slot* slot = r.SlotAt(seq);
+  co_await ctx.Read(slot, 8);
+  const unsigned cnt = slot->count;
+  co_await ctx.Read(slot->descs, sizeof(CrMrDesc) * cnt);
+  UTPS_DCHECK(cnt >= 1 && cnt <= r.stride());
+  // The slot joins [pub_cursor, pop_cursor), which a concurrent reap walks,
+  // only now that its count is in place.
+  w.slot_left[slot_idx] = static_cast<uint8_t>(cnt);
+  w.pop_cursor[p] = seq + 1;
+  w.roll.producer = p;
+  w.roll.seq = seq;
+  w.roll.next = 0;
+  w.roll.count = cnt;
 }
 
 Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
@@ -868,6 +1021,7 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
   uint32_t cap = RespCap(op, vlen);
   hd->resp = mut::MrRegionWithoutHold() ? buf.Alloc(cap) : buf.TryHold(cap);
   if (hd->resp == nullptr) {
+    workers_[consumer].resp_fallbacks++;
     hd->resp = RecordRegion(hd->rx_seq, hd->rec_idx);
     cap = kScanRespCap;
   }
@@ -885,7 +1039,7 @@ Task<void> MuTpsServer::MrProcessOne(ExecCtx& ctx, unsigned consumer,
 // Health probe + failover (DESIGN.md §9): a manager-side probe detects a
 // crash-stopped MR worker (park flag set, heartbeat frozen), steers CR
 // routing away from it via dead_mask_, and drains its inbound rings by
-// substituting for it in MrProcessSlot — §3.5's reassignment machinery
+// substituting for it in MrRoll — §3.5's reassignment machinery
 // reused for fault recovery. Salvaged responses flow through each producer's
 // normal completion poll, so outstanding/seen_tail accounting is untouched.
 // =========================================================================
@@ -928,23 +1082,17 @@ Fiber MuTpsServer::HealthProbeMain() {
 }
 
 Task<void> MuTpsServer::SalvageWorker(unsigned dead) {
-  ExecCtx& ctx = probe_ctx_;
   salvage_busy_ = true;
-  obs::SpanScope span(trc_, ctx, "mgr", "mr_salvage", obs::Tracer::kServerPid,
-                      mgr_tid_);
-  for (unsigned p = 0; p < env_.num_workers; p++) {
-    CrMrRing& r = RingAt(p, dead);
-    while (r.tail() < r.head() && !stop_) {
-      // Crash-stop parks at the MR loop top, where pop_cursor == tail on
-      // every inbound ring: the stranded work is exactly [tail, head).
-      co_await MrProcessSlot(ctx, p, dead, r.tail());
-      salvaged_slots_++;
-    }
-    workers_[dead].pop_cursor[p] = r.tail();
-  }
-  // Rebuild the dead worker's readiness mask from its resynced cursors with
-  // no suspension in between: a stale set bit would wedge its restart sweep.
-  RebuildMrReady(dead);
+  obs::SpanScope span(trc_, probe_ctx_, "mgr", "mr_salvage",
+                      obs::Tracer::kServerPid, mgr_tid_);
+  // Crash-stop parks at the MR loop top, where the dead worker's rolling
+  // batch has published every slot it pulled: the stranded work is exactly
+  // its ready slots, which the probe runs through the same rolling batch.
+  const std::vector<uint64_t>& cursor = workers_[dead].pop_cursor;
+  const uint64_t pulled = std::accumulate(cursor.begin(), cursor.end(), 0ull);
+  co_await MrRoll(probe_ctx_, dead, /*salvage=*/true);
+  salvaged_slots_ +=
+      std::accumulate(cursor.begin(), cursor.end(), 0ull) - pulled;
   salvage_busy_ = false;
 }
 

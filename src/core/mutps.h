@@ -13,8 +13,12 @@
 //    batches over the MR set, each CR worker in an order of its own and
 //    passing over an MR worker that is backed up.
 //  - MR workers (cores [ncr, W)) pop descriptor batches from the CR-MR rings
-//    and execute index + data stages under sim::RunBatch, overlapping memory
-//    stalls across the batch (batched indexing with coroutines, §3.3).
+//    and execute their index + data stages as a rolling batch: up to
+//    batch_size descriptors interleave at memory stalls (batched indexing
+//    with coroutines, §3.3), and a finished one's place goes to the next
+//    descriptor, from the same ring slot or the next ready one. A slot's
+//    completion is published in ring order once all its descriptors are
+//    done (DESIGN.md §2 "Rolling MR batch").
 //  - A manager fiber refreshes the hot set (count-min sketch + top-K + epoch
 //    switch), monitors throughput in fixed windows, and runs the §3.5
 //    auto-tuner: linear probe over cache sizes, trisection over the CR/MR
@@ -120,6 +124,15 @@ class MuTpsServer final : public KvServer {
   // homes"), and item writes that found the item locked and backed off.
   uint64_t home_forwards() const { return Sum(&Worker::home_forwards); }
   uint64_t item_lock_spins() const;
+  // Rolling MR batches (DESIGN.md §2 "Rolling MR batch"): ring slots an MR
+  // worker started while an earlier slot of its was still running, slots
+  // that finished while an earlier slot of the same ring was still running
+  // (so their completion waited for it), and GETs and scans the MR layer
+  // answered from the record's region because its RespBuffer had no free
+  // region to hold.
+  uint64_t slot_rolls() const { return Sum(&Worker::slot_rolls); }
+  uint64_t held_publishes() const { return Sum(&Worker::held_publishes); }
+  uint64_t resp_fallbacks() const { return Sum(&Worker::resp_fallbacks); }
   // The CR-MR ring from `producer` to `consumer` (global worker ids).
   const CrMrRing& ring(unsigned producer, unsigned consumer) const {
     return rings_[size_t{producer} * env_.num_workers + consumer];
@@ -183,6 +196,9 @@ class MuTpsServer final : public KvServer {
     uint64_t hot_hits = 0;           // CR: cache-eligible requests served hot
     uint64_t hot_misses = 0;         // CR: cache-eligible requests forwarded
     uint64_t home_forwards = 0;      // CR: PUTs forwarded to their key's home
+    uint64_t slot_rolls = 0;         // MR: see slot_rolls()
+    uint64_t held_publishes = 0;     // MR: see held_publishes()
+    uint64_t resp_fallbacks = 0;     // MR: see resp_fallbacks()
     uint64_t peak_outstanding = 0;   // CR: high-water forwarded-not-completed
     uint64_t acked_version = 0;      // last split version acknowledged
     bool is_cr = false;              // role under acked_version
@@ -210,6 +226,28 @@ class MuTpsServer final : public KvServer {
     std::vector<Staging> staging;       // indexed by target worker id
     std::vector<uint64_t> seen_tail;    // CR: completion cursor per target ring
     std::vector<uint64_t> pop_cursor;   // MR: per producer ring read cursor
+    // MR: per producer ring, the next slot whose completion is published;
+    // it trails pop_cursor by the slots pulled and not yet published.
+    std::vector<uint64_t> pub_cursor;
+    // MR: descriptors of each pulled slot not yet finished, indexed
+    // producer * kNumSlots + seq % kNumSlots, and (traced runs only) when
+    // the slot was pulled, for its mr_batch span.
+    std::vector<uint8_t> slot_left;
+    std::vector<sim::Tick> slot_start;
+    // MR: the rolling batch, kept here so entering MrRoll allocates nothing
+    // beyond its own pooled frame.
+    struct Roll {
+      sim::BatchCtl ctl;
+      sim::Task<void> tasks[CrMrRing::kMaxBatch];
+      sim::Task<void> pull;              // an MrPull in flight, or empty
+      uint32_t live = 0;                 // bit i: tasks[i] is running
+      uint16_t owner[CrMrRing::kMaxBatch];  // tasks[i]'s slot_left index
+      // The slot descriptors are started from: [next, count) are left.
+      unsigned producer = 0;
+      uint64_t seq = 0;
+      unsigned next = 0;
+      unsigned count = 0;
+    } roll;
     uint64_t next_seq = 0;              // CR: next receive-ring sequence
     unsigned rr_next = 0;               // CR: round-robin MR target cursor
     // CR: kRecentPuts keys of recently forwarded PUTs, direct-mapped by key
@@ -222,6 +260,7 @@ class MuTpsServer final : public KvServer {
     // inbound ring, which is the invariant ring salvage relies on).
     uint64_t heartbeat = 0;
     bool crash_parked = false;
+    uint64_t hot_epoch_seen = 0;        // MR: last hot-set epoch acknowledged
     // CR: host-side summary of which target rings have batches in flight —
     // bit t set iff seen_tail[t] < RingAt(idx, t).head(). Pure bookkeeping
     // (no modeled state): lets CrPollCompletions visit exactly the rings the
@@ -232,11 +271,12 @@ class MuTpsServer final : public KvServer {
 
   // A per-worker counter summed over the workers.
   uint64_t Sum(uint64_t Worker::*counter) const;
-  // Puts the coroutine frames of the CR layer's slot batches on the frame
-  // pool's free lists up front. The batches' peak concurrency depends on how
-  // many workers run the CR role with full slots, which a run may first
-  // reach after warm-up; steady state must not allocate (DESIGN.md §13).
-  void ReserveCrBatchFrames();
+  // Puts the coroutine frames of the CR layer's slot batches and the MR
+  // layer's rolling batches on the frame pool's free lists up front. The
+  // batches' peak concurrency depends on how many workers run each role
+  // with full slots, which a run may first reach after warm-up; steady state
+  // must not allocate (DESIGN.md §13).
+  void ReserveBatchFrames();
   sim::Fiber WorkerMain(unsigned idx);
   sim::Fiber ManagerMain();
 
@@ -272,12 +312,29 @@ class MuTpsServer final : public KvServer {
   uint8_t* SpillToRecord(RespBuffer& buf, const CrMrHostDesc& hd, uint32_t cap,
                          uint32_t len) const;
 
-  // MR helpers. The slot processors take the execution context explicitly so
-  // the manager-side health probe can substitute for a dead consumer (ring
+  // MR helpers. They take the execution context explicitly so the
+  // manager-side health probe can substitute for a dead consumer (ring
   // salvage) with its own context; responses still go to the consumer's
   // RespBuffer, where the producer releases them.
-  sim::Task<void> MrProcessSlot(sim::ExecCtx& ctx, unsigned producer,
-                                unsigned consumer, uint64_t seq);
+  //
+  // The rolling batch: runs `consumer`'s ready ring slots with up to
+  // batch_size descriptors in flight, refilling from the next ready slot as
+  // descriptors finish, and publishes each slot's tail in ring order once
+  // its descriptors are done. It stops pulling slots when none is ready and
+  // nothing runs, or, for the worker's own run (`salvage` false), once the
+  // split version moves, the worker crash-stops or the server stops; then it
+  // drains what it started and returns with every pulled slot published.
+  sim::Task<void> MrRoll(sim::ExecCtx& ctx, unsigned consumer, bool salvage);
+  // Pulls `consumer`'s round-robin-first ready slot into its Roll (modeled
+  // head, slot header and descriptor reads). While descriptors run, MrRoll
+  // runs it as one of the batch's coroutines.
+  sim::Task<void> MrPull(sim::ExecCtx& ctx, unsigned consumer);
+  // Acknowledges the current hot-set epoch for MR worker `idx` if it has not
+  // yet (RefreshHotSet waits for every worker's acknowledgement).
+  void MrAckHotEpoch(unsigned idx);
+  // True while a slot `consumer` published has responses its producer has
+  // not sent, so a region of consumer's RespBuffer is about to be freed.
+  bool ReleasePending(unsigned consumer) const;
   sim::Task<void> MrProcessOne(sim::ExecCtx& ctx, unsigned consumer,
                                CrMrDesc d, CrMrHostDesc* hd);
   // Recomputes mr_ready_[c] from worker c's pop cursors; callers set the

@@ -43,15 +43,22 @@ class RespBuffer {
     uint8_t* p = Alloc(len);
     const uint32_t first = LineOf(p);
     const uint32_t end = first + Rounded(len) / kCachelineBytes;
-    for (uint32_t l = first; l < end; l++) {
-      if (((held_[l / 64] >> (l % 64)) & 1) != 0) {
-        return nullptr;
-      }
+    if (!Free(first, end)) {
+      return nullptr;
     }
     for (uint32_t l = first; l < end; l++) {
       held_[l / 64] |= uint64_t{1} << (l % 64);
     }
     return p;
+  }
+
+  // True when TryHold(len) would hold the region it takes next. Moves
+  // nothing.
+  bool CanHold(uint32_t len) const {
+    const uint32_t rounded = Rounded(len);
+    const uint32_t first =
+        (cursor_ + rounded > size_ ? 0 : cursor_) / kCachelineBytes;
+    return Free(first, first + rounded / kCachelineBytes);
   }
 
   // Lines currently held by TryHold (a quiesced server holds none).
@@ -83,6 +90,15 @@ class RespBuffer {
   }
   uint32_t LineOf(const uint8_t* p) const {
     return static_cast<uint32_t>(p - base_) / kCachelineBytes;
+  }
+  // True when no line in [first, end) is held.
+  bool Free(uint32_t first, uint32_t end) const {
+    for (uint32_t l = first; l < end; l++) {
+      if (((held_[l / 64] >> (l % 64)) & 1) != 0) {
+        return false;
+      }
+    }
+    return true;
   }
 
   uint8_t* base_;

@@ -18,6 +18,31 @@
 
 namespace utps::sim {
 
+// Resumes `h`, one of a batch's coroutines, on ctx's core and charges the
+// context switch. The engine's symmetric-transfer fast path stays off for the
+// resume, so the coroutine's next suspension (a park in the batch, an
+// engine-level wait such as a lock, or completion) comes straight back to the
+// driver.
+inline void ResumeBatched(ExecCtx& ctx, std::coroutine_handle<> h,
+                          Tick switch_ns) {
+  ctx.Charge(switch_ns);
+  ctx.eng->EnterNestedResume();
+  h.resume();
+  ctx.eng->ExitNestedResume();
+}
+
+// Takes the parked coroutine whose fill completes first; `ctl` must not be
+// empty.
+inline BatchCtl::Parked TakeEarliest(BatchCtl& ctl) {
+  uint32_t best = 0;
+  for (uint32_t i = 1; i < ctl.count; i++) {
+    if (ctl.waiting[i].resume_at < ctl.waiting[best].resume_at) {
+      best = i;
+    }
+  }
+  return ctl.Take(best);
+}
+
 // Drives `tasks[0..n)` to completion. Tasks must suspend only through
 // batchable ExecCtx awaitables (memory accesses, yields) or through
 // engine-level waits (locks), both of which are handled.
@@ -46,14 +71,9 @@ inline Task<void> RunBatch(ExecCtx& ctx, Task<void>* tasks, unsigned n,
     return live;
   };
   // Start every task; each runs until its first stall (parked into ctl),
-  // an engine-level wait (lock), or completion. Manual resumes must come
-  // straight back here when the task suspends — disable the engine's
-  // symmetric-transfer fast path for their duration.
+  // an engine-level wait (lock), or completion.
   for (unsigned i = 0; i < n; i++) {
-    ctx.Charge(switch_ns);
-    ctx.eng->EnterNestedResume();
-    tasks[i].handle().resume();
-    ctx.eng->ExitNestedResume();
+    ResumeBatched(ctx, tasks[i].handle(), switch_ns);
   }
   while (count_live() > 0) {
     if (ctl.Empty()) {
@@ -64,23 +84,13 @@ inline Task<void> RunBatch(ExecCtx& ctx, Task<void>* tasks, unsigned n,
       ctx.batch = &ctl;
       continue;
     }
-    // Pick the parked coroutine whose fill completes first.
-    uint32_t best = 0;
-    for (uint32_t i = 1; i < ctl.count; i++) {
-      if (ctl.waiting[i].resume_at < ctl.waiting[best].resume_at) {
-        best = i;
-      }
-    }
-    const BatchCtl::Parked p = ctl.Take(best);
+    const BatchCtl::Parked p = TakeEarliest(ctl);
     if (p.resume_at > ctx.Now()) {
       ctx.batch = nullptr;
       co_await ctx.Delay(p.resume_at - ctx.Now());
       ctx.batch = &ctl;
     }
-    ctx.Charge(switch_ns);
-    ctx.eng->EnterNestedResume();
-    p.h.resume();
-    ctx.eng->ExitNestedResume();
+    ResumeBatched(ctx, p.h, switch_ns);
   }
   ctx.batch = nullptr;
   ctx.stage = entry_stage;

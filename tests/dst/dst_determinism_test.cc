@@ -118,8 +118,8 @@ TEST(DstDeterminism, DigestsMatchCommitted) {
       {DST_CELL(RowConfig(Sys::kBaseKv)), 0xefb0b44ccf507fd9ULL, 160, 0},
       {DST_CELL(RowConfig(Sys::kErpcKv)), 0xc4d54e08cc077c22ULL, 160, 0},
       {DST_CELL(RowConfig(Sys::kSherman)), 0xf555c0a0cb2dbf3fULL, 160, 0},
-      {DST_CELL(KitchenSink(Sys::kMuTpsH)), 0x39f7db67c9bb4596ULL, 160, 5},
-      {DST_CELL(KitchenSink(Sys::kMuTpsT)), 0x5b6c834a40a206eaULL, 160, 6},
+      {DST_CELL(KitchenSink(Sys::kMuTpsH)), 0x96ae3f6709d26d95ULL, 160, 6},
+      {DST_CELL(KitchenSink(Sys::kMuTpsT)), 0xbdd7efcf1fe71ed0ULL, 160, 6},
       {DST_CELL(KitchenSink(Sys::kBaseKv)), 0x8038f3261ae104faULL, 160, 16},
       {DST_CELL(KitchenSink(Sys::kErpcKv)), 0xd2c3678541c01690ULL, 160, 16},
       {DST_CELL(KitchenSink(Sys::kSherman)), 0x2618345c8457d7d9ULL, 160, 0},

@@ -141,6 +141,9 @@ struct DstResult {
   uint64_t hot_publishes = 0;
   // μTPS PUTs forwarded to their key's home MR worker.
   uint64_t home_forwards = 0;
+  // μTPS ring slots that finished while an earlier slot of their ring was
+  // still running (MuTpsServer::held_publishes).
+  uint64_t held_publishes = 0;
   // Durability telemetry (zero when no WAL is configured).
   uint64_t recoveries = 0;    // whole-server crash-restart cycles performed
   uint64_t wal_replayed = 0;  // WAL records applied by recovery
@@ -785,6 +788,7 @@ inline DstResult RunDst(const DstConfig& cfg) {
   out.failovers = mutps != nullptr ? mutps->failover_count() : 0;
   out.hot_publishes = mutps != nullptr ? mutps->hotset_publishes() : 0;
   out.home_forwards = mutps != nullptr ? mutps->home_forwards() : 0;
+  out.held_publishes = mutps != nullptr ? mutps->held_publishes() : 0;
   out.ops_checked = lin.ops_checked;
   out.inconclusive = lin.inconclusive;
   out.digest = internal::HistoryDigest(hist);

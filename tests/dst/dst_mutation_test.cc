@@ -52,6 +52,14 @@
 //     duplicated replication message lets the backup apply the two in the
 //     other order: caught by the replica audit, or by the checker once a
 //     promoted backup serves the older value.
+// 11. kPublishSlotOutOfOrder — a μTPS MR worker's rolling batch publishes a
+//     finished slot's tail while an earlier slot of the same ring still has
+//     descriptors running. The tail counts slots, so the CR worker takes the
+//     earlier slot as done and sends its responses before they are in place:
+//     a PUT is acknowledged before it is applied, and a GET or scan leaves
+//     empty or half-written. Caught by the checker, or as stuck ops or a
+//     failed quiesce audit once a reused slot or receive record is answered
+//     twice.
 //
 // Each mutation must be detected within the CI seed budget; the clean control
 // configuration must pass.
@@ -214,6 +222,22 @@ DstConfig ValueGrowthConfig(Sys sys, uint64_t seed) {
   return cfg;
 }
 
+// dst_test's RollingBatchesFinishOutOfOrder mix on μTPS-T without its faults
+// and splits: 8-key scans beside skewed PUTs, so an MR worker finishes later
+// slots of a ring while a scan of an earlier one still runs.
+DstConfig RollingConfig(uint64_t seed) {
+  DstConfig cfg;
+  cfg.sys = Sys::kMuTpsT;
+  cfg.mix = Mix{0.1, 0.6, 0.0, 0.3};
+  cfg.seed = seed;
+  cfg.jitter_ns = seed % 2 == 0 ? 0 : 48;
+  cfg.workers = 6;
+  cfg.clients = 32;
+  cfg.ops_per_client = 40;
+  cfg.scan_len_avg = 8;
+  return cfg;
+}
+
 constexpr uint64_t kSeedBudget = 12;
 
 TEST(DstMutation, ControlRunsPass) {
@@ -241,6 +265,10 @@ TEST(DstMutation, ControlRunsPass) {
   // With misses forwarded after the batch, full slots are clean.
   const DstResult g = RunDst(CrBatchConfig(1));
   EXPECT_TRUE(g.ok) << g.error;
+  // With slots published in ring order, out-of-order finishes are clean.
+  const DstResult i = RunDst(RollingConfig(1));
+  EXPECT_TRUE(i.ok) << i.error;
+  EXPECT_GT(i.held_publishes, 0u);
   // With retired hot items turned into misses, value growth is clean.
   for (Sys sys : {Sys::kMuTpsT, Sys::kMuTpsH}) {
     const DstResult h = RunDst(ValueGrowthConfig(sys, 1));
@@ -426,6 +454,24 @@ TEST(DstMutation, CrForwardInBatchCaught) {
   EXPECT_TRUE(caught)
       << "misses forwarded inside the CR batch survived " << kSeedBudget
       << " seeds";
+}
+
+TEST(DstMutation, PublishSlotOutOfOrderCaught) {
+  mut::Reset(mut::Mode::kPublishSlotOutOfOrder);
+  bool caught = false;
+  uint64_t fired = 0;
+  for (uint64_t seed = 1; seed <= kSeedBudget && !caught; seed++) {
+    mut::g_fired = 0;
+    const DstResult r = RunDst(RollingConfig(seed));
+    fired += mut::g_fired;
+    if (mut::g_fired != 0 && !r.ok) {
+      caught = true;
+    }
+  }
+  mut::Reset(mut::Mode::kNone);
+  EXPECT_GT(fired, 0u) << "no slot finished before an earlier one";
+  EXPECT_TRUE(caught) << "slots published out of ring order survived "
+                      << kSeedBudget << " seeds";
 }
 
 TEST(DstMutation, ServeRetiredHotItemCaught) {

@@ -232,6 +232,43 @@ TEST(DstSweep, WriteHomesSurviveMrCrash) {
   }
 }
 
+// Rolling MR batches (DESIGN.md §2): 8-key scans beside skewed PUTs (GETs
+// on μTPS-H), so an MR worker finishes later slots of a ring while a scan or
+// a spinning PUT of an earlier one still runs and their completions wait
+// for it. 48 clients keep several slots per ring queued; 1024 keys keep the
+// checker's same-key histories small. A split storm on six workers (three
+// to five of them CR) makes workers leave the MR layer with rolling batches
+// to drain, and worker 5, MR under every split, crash-stops mid-run and
+// restarts: its batch drains before it parks, and the health probe salvages
+// its rings through the same rolling batch.
+TEST(DstSweep, RollingBatchesFinishOutOfOrder) {
+  for (Sys sys : {Sys::kMuTpsH, Sys::kMuTpsT}) {
+    uint64_t held = 0;
+    for (uint64_t seed = 1; seed <= SeedCount(); seed++) {
+      DstConfig cfg = SweepConfig(sys, Mix{0.1, 0.6, 0.0, 0.3}, seed);
+      cfg.inject_split = false;
+      cfg.split_storm = true;
+      cfg.workers = 6;
+      cfg.clients = 48;
+      cfg.num_keys = 1024;
+      cfg.ops_per_client = 40;
+      cfg.scan_len_avg = 8;
+      cfg.fault.crash_worker = 5;
+      cfg.fault.crash_at_ns = 40 * sim::kUsec;
+      cfg.fault.restart_after_ns = 60 * sim::kUsec;
+      DstResult r;
+      RunAndReport(cfg, "rolling-out-of-order", &r);
+      EXPECT_GT(r.failovers, 0u) << SysName(sys) << " seed=" << seed;
+      held += r.held_publishes;
+      if (HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_GT(held, 0u) << SysName(sys)
+                        << ": no slot finished before an earlier one";
+  }
+}
+
 // Deletes are only wired on the RPC baselines (μTPS has no delete opcode);
 // slab accounting switches to lax mode because erase leaks items by design.
 TEST(DstSweep, DeleteMixServers) {

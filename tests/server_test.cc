@@ -511,6 +511,58 @@ TEST(MuTpsWriteHomes, RoundRobinPassesOverABackedUpHome) {
   bed.eng.Run(bed.eng.now() + kMsec);
 }
 
+// ------------------------------------------------- μTPS rolling MR batch
+
+// An MR worker keeps batch_size descriptors in flight across ring slots
+// (DESIGN.md §2 "Rolling MR batch"): a PUT that backs off on a held item
+// lock does not keep the worker from starting the next slot's GETs. Three
+// CR workers feed one MR worker; half the clients PUT one key, so its PUTs
+// meet each other's lock in the MR worker's batch, and the rest GET other
+// keys. The worker must start slots while earlier ones still run, finish
+// some of them before an earlier slot of their ring, and publish every slot
+// in ring order, so each ring passes the quiesce audit.
+TEST(MuTpsRollingBatch, SpinningWriteDoesNotHoldBackTheNextSlot) {
+  constexpr unsigned kWorkers = 4;
+  constexpr unsigned kNcr = 3;
+  const std::vector<Key> hot = {7};
+  std::vector<Key> cold;
+  for (Key k = 8; k < HandBed::kKeys; k++) {
+    cold.push_back(k);
+  }
+  HandBed bed(kWorkers, 1);
+  MuTpsServer::Options opt;
+  opt.autotune = false;
+  opt.initial_ncr = kNcr;
+  opt.initial_cache_items = 0;
+  MuTpsServer server(bed.env, opt);
+  server.Start();
+  constexpr int kClients = 64;
+  std::array<sim::ExecCtx, kClients> cli{};
+  bool stop = false;
+  for (int i = 0; i < kClients; i++) {
+    cli[i].eng = &bed.eng;
+    const bool put = i % 2 == 0;
+    bed.eng.Spawn(RequestLoop(&cli[i], &bed.nic, &server,
+                              put ? OpType::kPut : OpType::kGet,
+                              put ? &hot : &cold, 13 + i, &stop));
+  }
+  bed.eng.Run(bed.eng.now() + kMsec);  // warm-up
+  server.ResetStats();
+  bed.eng.Run(bed.eng.now() + kMsec);
+  stop = true;
+  bed.eng.Run(bed.eng.now() + kMsec);
+  ASSERT_EQ(server.ncr(), kNcr);
+  EXPECT_GT(server.item_lock_spins(), 100u);
+  EXPECT_GT(server.slot_rolls(), 100u)
+      << "the MR worker never started a slot while an earlier one ran";
+  EXPECT_GT(server.held_publishes(), 0u)
+      << "no slot finished before an earlier slot of its ring";
+  std::string err;
+  EXPECT_TRUE(server.AuditQuiesced(&err)) << err;
+  server.Stop();
+  bed.eng.Run(bed.eng.now() + kMsec);
+}
+
 // ------------------------------------------------- μTPS round-robin order
 
 // Every CR worker's round-robin order visits each MR worker once in nmr
